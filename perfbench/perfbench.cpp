@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -926,16 +927,28 @@ constexpr int kMinRuns = 3;
 /// what the code under test changes (README.md, run-to-run spread).
 constexpr double kReferenceCalibration = 40e-6;
 
-/// Median time of 40 calibration loops (about 1.5 ms in all).
-double calibration_seconds() {
-  static volatile std::uint64_t sink = 0;
-  std::vector<double> t;
-  for (int i = 0; i < 40; ++i) {
-    const auto t0 = Clock::now();
-    sink = sink + calibration_loop(20000);
-    t.push_back(seconds_between(t0, Clock::now()));
-  }
-  return median(t);
+/// Median time of 40 calibration loops (about 1.5 ms in all), run on
+/// `threads` threads at once, of the slowest thread: a 2-worker round
+/// waits for its slower worker, so the slowest core is the one that
+/// counts. One thread runs on the caller, like a 1-worker stream.
+double calibration_seconds(int threads) {
+  const auto one = [] {
+    volatile std::uint64_t sink = 0;
+    std::vector<double> t;
+    for (int i = 0; i < 40; ++i) {
+      const auto t0 = Clock::now();
+      sink = sink + calibration_loop(20000);
+      t.push_back(seconds_between(t0, Clock::now()));
+    }
+    return median(t);
+  };
+  if (threads == 1) return one();
+  std::vector<double> slowest(static_cast<std::size_t>(threads));
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < slowest.size(); ++i)
+    pool.emplace_back([&slowest, &one, i] { slowest[i] = one(); });
+  for (std::thread& t : pool) t.join();
+  return *std::max_element(slowest.begin(), slowest.end());
 }
 
 /// Determinism guard shared by both modes: a short prefix repeats
@@ -972,7 +985,7 @@ Metrics end_to_end(Workload& w, const Args& args, const json::Value& ref,
   std::vector<double> setup, walls, rounds, rep_opa, host_speed;
   Tally pool;
   const auto start = Clock::now();
-  double cal_before = calibration_seconds();
+  double cal_before = calibration_seconds(c.threads);
   for (std::uint64_t rep = 0;
        rep < kMinRuns || seconds_between(start, Clock::now()) < args.seconds;
        ++rep) {
@@ -981,7 +994,7 @@ Metrics end_to_end(Workload& w, const Args& args, const json::Value& ref,
     for (int i = 0; i < kBuildsPerRun; ++i)
       builds.push_back(w.build(seed, c.shards, c.rounds, c.threads).total());
     const RunResult r = w.run(c.g, nullptr, {});
-    const double cal_after = calibration_seconds();
+    const double cal_after = calibration_seconds(c.threads);
     const double scale = 2.0 * kReferenceCalibration / (cal_before + cal_after);
     cal_before = cal_after;
     host_speed.push_back(scale);
