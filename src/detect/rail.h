@@ -221,8 +221,9 @@ struct CheckedCircuit {
   std::vector<std::vector<std::vector<std::uint32_t>>> checkpoint_groups;
   /// Flattened checkpoint_groups for the checkers' hot path, aligned
   /// with `checkpoints`. to_parity_rail fills this; hand-assembled
-  /// CheckedCircuits may leave it empty (engines fall back to the
-  /// group walk) or call build_checkpoint_spans.
+  /// CheckedCircuits may leave it empty (the checked engine falls back
+  /// to the group walk; recover::build_segment_plan rejects it) or call
+  /// build_checkpoint_spans.
   std::vector<CheckpointSpan> checkpoint_spans;
   /// Original ops that queued at least one rail-compensation gate
   /// (before fusion; the transform's exact "not free" count — SWAPs
@@ -270,9 +271,10 @@ std::vector<std::vector<std::uint32_t>> partition_into_blocks(
 
 /// (Re)build checked.checkpoint_spans from checked.checkpoint_groups —
 /// the flattened CSR view the packed checkers evaluate checkpoints
-/// from. to_parity_rail calls this; circuits assembled by hand only
-/// need it if they want the fast path (the engines fall back to the
-/// group walk when spans are absent).
+/// from. to_parity_rail calls this; circuits assembled by hand need it
+/// for the recovering engine and for the checked engine's fast path
+/// (the checked engine falls back to the group walk when spans are
+/// absent).
 void build_checkpoint_spans(CheckedCircuit& checked);
 
 /// Register a zero check after ORIGINAL op `source_op`: in a fault-free

@@ -300,6 +300,16 @@ struct PackedKernels {
     const std::vector<Gate>& ops = c.ops();
     for (std::size_t i = first; i < last; ++i) noisy_gate(sim, state, ops[i]);
   }
+
+  static void noisy_ops(PackedSimulator& sim, PackedState& state,
+                        const Circuit& c,
+                        const std::vector<std::size_t>& positions) {
+    const std::vector<Gate>& ops = c.ops();
+    for (const std::size_t i : positions) {
+      REVFT_DASSERT(i < ops.size());
+      noisy_gate(sim, state, ops[i]);
+    }
+  }
 };
 
 template struct PackedKernels<1>;
@@ -344,24 +354,6 @@ void PackedSimulator::apply_ideal(PackedState& state, const Circuit& c) {
   REVFT_CHECK_MSG(false, "apply_ideal: bad lane_words");
 }
 
-void PackedSimulator::apply_noisy(PackedState& state, const Gate& g) {
-  switch (state.lane_words()) {
-    case 1:
-      PackedKernels<1>::noisy_gate(*this, state, g);
-      return;
-    case 2:
-      PackedKernels<2>::noisy_gate(*this, state, g);
-      return;
-    case 4:
-      PackedKernels<4>::noisy_gate(*this, state, g);
-      return;
-    case 8:
-      PackedKernels<8>::noisy_gate(*this, state, g);
-      return;
-  }
-  REVFT_CHECK_MSG(false, "apply_noisy: bad lane_words");
-}
-
 void PackedSimulator::apply_noisy(PackedState& state, const Circuit& c) {
   REVFT_CHECK_MSG(c.width() == state.width(), "apply_noisy: width mismatch");
   apply_noisy_span(state, c, 0, c.size());
@@ -389,6 +381,31 @@ void PackedSimulator::apply_noisy_span(PackedState& state, const Circuit& c,
       return;
   }
   REVFT_CHECK_MSG(false, "apply_noisy_span: bad lane_words");
+}
+
+void PackedSimulator::apply_noisy_ops(
+    PackedState& state, const Circuit& c,
+    const std::vector<std::size_t>& positions) {
+  REVFT_CHECK_MSG(c.width() == state.width(),
+                  "apply_noisy_ops: width mismatch");
+  REVFT_CHECK_MSG(positions.empty() || positions.back() < c.size(),
+                  "apply_noisy_ops: position " << positions.back()
+                                               << " past the circuit end");
+  switch (state.lane_words()) {
+    case 1:
+      PackedKernels<1>::noisy_ops(*this, state, c, positions);
+      return;
+    case 2:
+      PackedKernels<2>::noisy_ops(*this, state, c, positions);
+      return;
+    case 4:
+      PackedKernels<4>::noisy_ops(*this, state, c, positions);
+      return;
+    case 8:
+      PackedKernels<8>::noisy_ops(*this, state, c, positions);
+      return;
+  }
+  REVFT_CHECK_MSG(false, "apply_noisy_ops: bad lane_words");
 }
 
 }  // namespace revft

@@ -188,7 +188,6 @@ class PackedSimulator {
   static void apply_ideal(PackedState& state, const Gate& g);
   static void apply_ideal(PackedState& state, const Circuit& c);
 
-  void apply_noisy(PackedState& state, const Gate& g);
   void apply_noisy(PackedState& state, const Circuit& c);
 
   /// Apply ops [first, last) of `c` noisily. The checked engine
@@ -197,6 +196,13 @@ class PackedSimulator {
   /// inner loop lives in one TU and inlines the gate dispatch).
   void apply_noisy_span(PackedState& state, const Circuit& c, std::size_t first,
                         std::size_t last);
+
+  /// Apply the ops of `c` at `positions` (ascending) noisily, in that
+  /// order — the block-local replay of one component's ops
+  /// (recover::ReplayComponent::ops) with the same inlined per-gate
+  /// loop as apply_noisy_span.
+  void apply_noisy_ops(PackedState& state, const Circuit& c,
+                       const std::vector<std::size_t>& positions);
 
   /// Total number of (gate, lane) failures drawn so far — a cheap
   /// sanity diagnostic (its expectation is g * gates * lanes).

@@ -145,6 +145,11 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
   REVFT_CHECK_MSG(checked.check_bits.empty(),
                   "build_segment_plan: embedded checker bits unsupported "
                   "(the online engines evaluate checks without gates)");
+  REVFT_CHECK_MSG(
+      checked.checkpoint_spans.size() == checked.checkpoints.size(),
+      "build_segment_plan: checkpoint_spans do not match checkpoints (the "
+      "recovering engine reads only the spans; call "
+      "detect::build_checkpoint_spans on a hand-assembled CheckedCircuit)");
   const std::uint32_t n_rails =
       static_cast<std::uint32_t>(checked.rails.size());
   const int orphan = static_cast<int>(n_rails);  // unwatched-cell node

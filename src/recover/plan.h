@@ -114,9 +114,12 @@ struct SegmentPlan {
 
 /// Build the plan. Requirements: a non-empty checked circuit with no
 /// embedded checker bits (the online engines evaluate checks without
-/// gates), and at most 64 components per segment (the packed engine
-/// tracks per-lane fired sets in one word — always true for the
-/// per-block machines, whose component count is bounded by rails + 1).
+/// gates), checkpoint_spans aligned with checkpoints (the recovering
+/// engine evaluates rails from the spans only; to_parity_rail always
+/// builds them), and at most 64 components per segment (the packed
+/// engine names a segment's components in one 64-bit set — always true
+/// for the per-block machines, whose component count is bounded by
+/// rails + 1).
 /// The walk re-derives rail membership op by op and checks it against
 /// checkpoint_groups at every checkpoint, so a drift between the
 /// transform and this analysis fails loudly at build time.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <vector>
 
 #include "recover/checkpoint.h"
@@ -87,47 +86,36 @@ struct TraceHooks {
 
 /// Evaluate the checks of `seg` on `s` for every component in `watch`
 /// (a component bitmask), ORing per-lane fired masks into comp_fired
-/// (pre-zeroed, lane_words words per component, component-major). When
-/// `est` is non-null the per-rail / zero-check event counters are
-/// bumped for lanes in `count_mask` — and, when `hooks` traces, the
-/// matching kRailFired / kZeroCheckFired events fire (counting pass
-/// only: replay and restart re-evaluations pass a null est and stay
-/// silent, so the event stream matches the estimate's attribution
-/// exactly). Checkpoint membership is read off the flattened
-/// checkpoint_spans when present, else the checkpoint_groups walk.
+/// (pre-zeroed, W words per component, component-major). When `est` is
+/// non-null the per-rail / zero-check event counters are bumped for
+/// lanes in `count_mask` — and, when `hooks` traces, the matching
+/// kRailFired / kZeroCheckFired events fire (counting pass only:
+/// replay and restart re-evaluations pass a null est and stay silent,
+/// so the event stream matches the estimate's attribution exactly).
+/// Checkpoint membership is read off checked.checkpoint_spans, which
+/// build_segment_plan guarantees are present.
+template <unsigned W>
 void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const PackedState& s, std::uint64_t watch,
-                   std::vector<std::uint64_t>& comp_fired,
-                   RecoveryEstimate* est, const LaneMask& count_mask,
+                   std::uint64_t* comp_fired, RecoveryEstimate* est,
+                   const LaneMask& count_mask,
                    const TraceHooks* hooks = nullptr,
                    std::uint32_t seg_index = 0, std::uint64_t batch = 0) {
   const bool tracing = est != nullptr && hooks != nullptr &&
                        hooks->trace != nullptr;
-  const unsigned W = s.lane_words();
-  std::uint64_t violated[kMaxLaneWords];
   if (seg.checkpoint >= 0) {
-    const std::size_t cp = static_cast<std::size_t>(seg.checkpoint);
-    const bool use_spans =
-        checked.checkpoint_spans.size() == checked.checkpoints.size();
-    const auto& groups = checked.checkpoint_groups[cp];
+    const detect::CheckpointSpan& span =
+        checked.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
     for (std::size_t r = 0; r < checked.rails.size(); ++r) {
       const std::uint32_t c = seg.component_of_rail[r];
       if (!((watch >> c) & 1ULL)) continue;
+      std::uint64_t violated[W];
       const std::uint64_t* rail = s.words(checked.rails[r].rail_bit);
       for (unsigned w = 0; w < W; ++w) violated[w] = rail[w];
-      if (use_spans) {
-        const detect::CheckpointSpan& span = checked.checkpoint_spans[cp];
-        const std::uint32_t first = span.rail_first[r];
-        const std::uint32_t last = span.rail_first[r + 1];
-        for (std::uint32_t i = first; i < last; ++i) {
-          const std::uint64_t* src = s.words(span.bits[i]);
-          for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
-        }
-      } else {
-        for (const std::uint32_t bit : groups[r]) {
-          const std::uint64_t* src = s.words(bit);
-          for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
-        }
+      for (std::uint32_t i = span.rail_first[r]; i < span.rail_first[r + 1];
+           ++i) {
+        const std::uint64_t* src = s.words(span.bits[i]);
+        for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
       }
       for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= violated[w];
       if (est != nullptr) {
@@ -149,7 +137,7 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
   for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
     const std::uint32_t c = seg.component_of_zero_check[k];
     if (!((watch >> c) & 1ULL)) continue;
-    std::uint64_t mask[kMaxLaneWords] = {};
+    std::uint64_t mask[W] = {};
     for (const std::uint32_t bit :
          checked.zero_checks[seg.zero_checks[k]].bits) {
       const std::uint64_t* src = s.words(bit);
@@ -169,32 +157,48 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
   }
 }
 
-}  // namespace
+/// Bitmask naming all `n` components of a segment (n <= 64).
+std::uint64_t all_components(std::size_t n) {
+  return n >= 64 ? ~0ULL : (1ULL << n) - 1;
+}
 
-RecoveryEstimate run_recovering_mc_span(
+/// OR of the per-component fired masks in comp_fired over `comps`.
+template <unsigned W>
+LaneMask fired_lanes(const std::uint64_t* comp_fired, std::uint64_t comps) {
+  LaneMask fired(W);
+  for (; comps != 0; comps &= comps - 1) {
+    const unsigned c = static_cast<unsigned>(std::countr_zero(comps));
+    for (unsigned w = 0; w < W; ++w) fired.word(w) |= comp_fired[c * W + w];
+  }
+  return fired;
+}
+
+/// run_recovering_mc_span at a compile-time lane width, so the boundary
+/// checks of every first pass, replay and restart run fixed-trip word
+/// loops (the same per-width dispatch as the gate kernels).
+template <unsigned W>
+RecoveryEstimate recovering_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace) {
   const Circuit& circuit = checked.circuit;
-  REVFT_CHECK_MSG(plan.total_ops == circuit.size(),
-                  "run_recovering_mc_span: plan built for a different circuit");
   RecoveryEstimate est;
   est.rail_events.assign(checked.rails.size(), 0);
   const TraceHooks hooks = TraceHooks::resolve(trace, checked.rails.size(),
                                                plan.segments.size());
   const TraceHooks* hp = hooks.trace != nullptr ? &hooks : nullptr;
 
-  const unsigned W = state.lane_words();
   const std::uint64_t lanes_per_batch = 64ULL * W;
   const LaneMask no_lanes(W);
   PackedState scratch(circuit.width(), W);
   PackedCheckpoint entry_cp, boundary_cp;
   // Per-component fired masks, component-major: comp_fired[c*W + w].
   std::vector<std::uint64_t> comp_fired;
-  std::vector<std::uint64_t> lane_set(lanes_per_batch, 0);
-  std::vector<int> local_left(lanes_per_batch, 0);
+  // Block-local replay membership: member[c] = the outstanding lanes
+  // whose fired set contains component c.
+  std::vector<LaneMask> member;
   std::vector<int> program_left(lanes_per_batch, 0);
 
   const std::uint64_t batches =
@@ -229,16 +233,14 @@ RecoveryEstimate run_recovering_mc_span(
     for (std::size_t si = 0; si < plan.segments.size(); ++si) {
       const Segment& seg = plan.segments[si];
       const std::uint32_t seg_id = static_cast<std::uint32_t>(si);
+      const std::size_t n_comp = seg.components.size();
       sim.apply_noisy_span(state, circuit, seg.begin, seg.end + 1);
       est.ops_main += seg.op_count() * active.popcount();
-      comp_fired.assign(seg.components.size() * W, 0);
-      eval_boundary(checked, seg, state, ~0ULL, comp_fired, &est, active, hp,
-                    seg_id, batch);
-      LaneMask fired_any(W);
-      for (std::size_t c = 0; c < seg.components.size(); ++c)
-        for (unsigned w = 0; w < W; ++w)
-          fired_any.word(w) |= comp_fired[c * W + w];
-      fired_any &= active;
+      comp_fired.assign(n_comp * W, 0);
+      eval_boundary<W>(checked, seg, state, ~0ULL, comp_fired.data(), &est,
+                       active, hp, seg_id, batch);
+      const LaneMask fired_any =
+          fired_lanes<W>(comp_fired.data(), all_components(n_comp)) & active;
       if (fired_any.any()) {
         detected_lanes |= fired_any;
         switch (policy.kind) {
@@ -251,97 +253,82 @@ RecoveryEstimate run_recovering_mc_span(
             active.remove(fired_any);
             break;
           case RetryPolicyKind::kBlockLocal: {
+            // One union replay per attempt serves every outstanding
+            // lane: it replays each component some lane still needs,
+            // and a lane is accepted when none of ITS components
+            // re-fired. Components partition the segment's ops and the
+            // cells their checks read (recover/plan.h), so replaying a
+            // component a lane does not need never touches what that
+            // lane is judged or blended on. A lane keeps its FULL
+            // fired set until accepted: each attempt restores scratch
+            // from the boundary checkpoint, so a component repaired in
+            // a discarded attempt was never blended into `state`.
+            member.assign(n_comp, LaneMask(W));
+            std::uint64_t replay_set = 0;  // components with a member
+            for (std::size_t c = 0; c < n_comp; ++c) {
+              for (unsigned w = 0; w < W; ++w)
+                member[c].word(w) = comp_fired[c * W + w] & fired_any.word(w);
+              if (member[c].any()) replay_set |= 1ULL << c;
+            }
             LaneMask outstanding = fired_any;
-            for (unsigned lane = 0; lane < lanes_per_batch; ++lane) {
-              if (!outstanding.test(lane)) continue;
-              std::uint64_t set = 0;
-              for (std::size_t c = 0; c < comp_fired.size() / W; ++c)
-                set |= ((comp_fired[c * W + (lane >> 6)] >> (lane & 63u)) &
-                        1ULL)
-                       << c;
-              lane_set[lane] = set;
-              local_left[lane] = policy.max_local_attempts;
-            }
-            LaneMask failed(W);
-            if (policy.max_local_attempts <= 0) {
-              failed = outstanding;
-              outstanding.clear();
-            }
-            while (outstanding.any()) {
-              // Group lanes by identical fired-component sets; process
-              // in ascending set order so the RNG consumption — and
-              // with it the whole estimate — is a pure function of the
-              // shard.
-              std::map<std::uint64_t, LaneMask> groups;
-              for (unsigned lane = 0; lane < lanes_per_batch; ++lane)
-                if (outstanding.test(lane))
-                  groups.try_emplace(lane_set[lane], LaneMask(W))
-                      .first->second.set(lane);
-              for (const auto& [set, consumers] : groups) {
-                boundary_cp.restore_all(scratch);
-                std::uint64_t replay_ops = 0;
-                for (std::size_t k = 0; k < seg.component_of_op.size(); ++k) {
-                  if (!((set >> seg.component_of_op[k]) & 1ULL)) continue;
-                  sim.apply_noisy(scratch, circuit.op(seg.begin + k));
-                  ++replay_ops;
-                }
-                const std::uint64_t consumer_count = consumers.popcount();
-                est.ops_local += replay_ops * consumer_count;
-                est.local_retries += consumer_count;
-                batch_replays += consumer_count;
-                if (hp != nullptr) {
-                  *hooks.local_retries += consumer_count;
-                  (*hooks.seg_replays)[si] += consumer_count;
-                  (*hooks.seg_replay_ops)[si] += replay_ops * consumer_count;
-                  hooks.emit_mask(telemetry::EventKind::kCheckpointRestore,
-                                  batch, seg_id, 0, consumers, 0);
-                  hooks.emit_mask(telemetry::EventKind::kSegmentReplay, batch,
-                                  seg_id, 0, consumers, replay_ops);
-                }
-                comp_fired.assign(seg.components.size() * W, 0);
-                eval_boundary(checked, seg, scratch, set, comp_fired, nullptr,
-                              no_lanes);
-                LaneMask accept_mask(W);
-                for (unsigned lane = 0; lane < lanes_per_batch; ++lane) {
-                  if (!consumers.test(lane)) continue;
-                  std::uint64_t next_set = 0;
-                  for (std::size_t c = 0; c < comp_fired.size() / W; ++c)
-                    next_set |=
-                        ((comp_fired[c * W + (lane >> 6)] >> (lane & 63u)) &
-                         1ULL)
-                        << c;
-                  if (next_set == 0) {
-                    accept_mask.set(lane);
-                  } else if (--local_left[lane] <= 0) {
-                    failed.set(lane);
-                    outstanding.reset(lane);
-                  }
-                  // On a partial success (some components clean, some
-                  // re-fired) the lane keeps its FULL fired set: each
-                  // attempt restores scratch from the boundary
-                  // checkpoint, so a component repaired in a discarded
-                  // scratch was never blended into `state` — shrinking
-                  // to the re-fired subset would accept the lane with
-                  // the original corruption still in place.
-                }
-                if (accept_mask.any()) {
-                  for (std::size_t c = 0; c < seg.components.size(); ++c)
-                    if ((set >> c) & 1ULL)
-                      blend_cells_lanes(state, scratch,
-                                        seg.components[c].cells, accept_mask);
-                  outstanding.remove(accept_mask);
-                }
+            for (int attempt = 0;
+                 attempt < policy.max_local_attempts && outstanding.any();
+                 ++attempt) {
+              boundary_cp.restore_all(scratch);
+              std::uint64_t pass_ops = 0;  // ops the vehicle executes
+              std::uint64_t charged_ops = 0;  // per lane, summed
+              for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
+                const unsigned c = static_cast<unsigned>(std::countr_zero(m));
+                const std::vector<std::size_t>& ops = seg.components[c].ops;
+                sim.apply_noisy_ops(scratch, circuit, ops);
+                pass_ops += ops.size();
+                charged_ops += ops.size() * member[c].popcount();
               }
-            }
-            if (failed.any()) {
-              est.fallbacks += failed.popcount();
+              const std::uint64_t consumers = outstanding.popcount();
+              est.ops_local += charged_ops;
+              est.local_retries += consumers;
+              batch_replays += consumers;
               if (hp != nullptr) {
-                *hooks.fallbacks += failed.popcount();
-                hooks.emit_mask(telemetry::EventKind::kEscalationRestart,
-                                batch, seg_id, 0, failed, 0);
+                *hooks.local_retries += consumers;
+                (*hooks.seg_replays)[si] += consumers;
+                (*hooks.seg_replay_ops)[si] += charged_ops;
+                hooks.emit_mask(telemetry::EventKind::kCheckpointRestore,
+                                batch, seg_id, 0, outstanding, 0);
+                hooks.emit_mask(telemetry::EventKind::kSegmentReplay, batch,
+                                seg_id, 0, outstanding, pass_ops);
               }
-              restart_pending |= failed;
-              active.remove(failed);
+              comp_fired.assign(n_comp * W, 0);
+              eval_boundary<W>(checked, seg, scratch, replay_set,
+                               comp_fired.data(), nullptr, no_lanes);
+              LaneMask clean = outstanding;
+              for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
+                const unsigned c = static_cast<unsigned>(std::countr_zero(m));
+                for (unsigned w = 0; w < W; ++w)
+                  clean.word(w) &=
+                      ~(comp_fired[c * W + w] & member[c].word(w));
+              }
+              if (clean.none()) continue;
+              for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
+                const unsigned c = static_cast<unsigned>(std::countr_zero(m));
+                const LaneMask take = member[c] & clean;
+                if (take.none()) continue;
+                blend_cells_lanes(state, scratch, seg.components[c].cells,
+                                  take);
+                member[c].remove(take);
+                if (member[c].none()) replay_set &= ~(1ULL << c);
+              }
+              outstanding.remove(clean);
+            }
+            // Whatever is still outstanding exhausted its attempts.
+            if (outstanding.any()) {
+              est.fallbacks += outstanding.popcount();
+              if (hp != nullptr) {
+                *hooks.fallbacks += outstanding.popcount();
+                hooks.emit_mask(telemetry::EventKind::kEscalationRestart,
+                                batch, seg_id, 0, outstanding, 0);
+              }
+              restart_pending |= outstanding;
+              active.remove(outstanding);
             }
             break;
           }
@@ -378,13 +365,10 @@ RecoveryEstimate run_recovering_mc_span(
         // the point a physical whole-program retry would abort at.
         est.ops_restart += seg.op_count() * (pending & still_clean).popcount();
         comp_fired.assign(seg.components.size() * W, 0);
-        eval_boundary(checked, seg, scratch, ~0ULL, comp_fired, nullptr,
-                      no_lanes);
-        LaneMask fired(W);
-        for (std::size_t c = 0; c < seg.components.size(); ++c)
-          for (unsigned w = 0; w < W; ++w)
-            fired.word(w) |= comp_fired[c * W + w];
-        still_clean.remove(fired);
+        eval_boundary<W>(checked, seg, scratch, ~0ULL, comp_fired.data(),
+                         nullptr, no_lanes);
+        still_clean.remove(fired_lanes<W>(
+            comp_fired.data(), all_components(seg.components.size())));
         if ((pending & still_clean).none()) break;  // every pending lane failed
       }
       const LaneMask accepted_now = pending & still_clean;
@@ -419,6 +403,38 @@ RecoveryEstimate run_recovering_mc_span(
     }
   }
   return est;
+}
+
+}  // namespace
+
+RecoveryEstimate run_recovering_mc_span(
+    PackedSimulator& sim, PackedState& state,
+    const detect::CheckedCircuit& checked, const SegmentPlan& plan,
+    const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
+    const PrepareFn& prepare, const ClassifyFn& classify,
+    telemetry::ShardTrace* trace) {
+  REVFT_CHECK_MSG(plan.total_ops == checked.circuit.size(),
+                  "run_recovering_mc_span: plan built for a different circuit");
+  REVFT_CHECK_MSG(
+      checked.checkpoint_spans.size() == checked.checkpoints.size(),
+      "run_recovering_mc_span: checkpoint_spans missing (see "
+      "detect::build_checkpoint_spans)");
+  switch (state.lane_words()) {
+    case 1:
+      return recovering_span<1>(sim, state, checked, plan, policy, first_batch,
+                                trials, prepare, classify, trace);
+    case 2:
+      return recovering_span<2>(sim, state, checked, plan, policy, first_batch,
+                                trials, prepare, classify, trace);
+    case 4:
+      return recovering_span<4>(sim, state, checked, plan, policy, first_batch,
+                                trials, prepare, classify, trace);
+    case 8:
+      return recovering_span<8>(sim, state, checked, plan, policy, first_batch,
+                                trials, prepare, classify, trace);
+  }
+  REVFT_CHECK_MSG(false, "run_recovering_mc_span: bad lane_words");
+  return {};
 }
 
 }  // namespace revft::recover

@@ -10,29 +10,33 @@
 //     each boundary the rail invariants and zero checks are evaluated
 //     for all lanes at once (same word work as the checked engine);
 //   * lanes whose checks fired are handled by the RetryPolicy: under
-//     kBlockLocal the fired components are replayed in a scratch state
-//     restored from the boundary checkpoint — grouped by identical
-//     fired-component sets so one replay serves every lane that needs
-//     exactly those components — and repaired lanes are blended back
-//     cell by cell; lanes that exhaust local attempts (or any fired
-//     lane under kWholeProgram) restart from the entry checkpoint in
-//     end-of-batch passes;
+//     kBlockLocal each attempt is ONE union replay in a scratch state
+//     restored from the boundary checkpoint — every component some
+//     outstanding lane fired is replayed once for all lanes, a lane is
+//     accepted when none of its own components re-fired, and each
+//     component's accepted lanes are blended back over that
+//     component's cells (components partition a segment's ops and the
+//     cells their checks read, so a replay a lane does not need never
+//     touches what the lane is judged or blended on); lanes that
+//     exhaust local attempts (or any fired lane under kWholeProgram)
+//     restart from the entry checkpoint in end-of-batch passes;
 //   * every attempt draws FRESH fault randomness from the shard's own
 //     simulator stream (the per-kind Bernoulli streams just keep
 //     going), so retries are real re-executions under the same noise
 //     model, not re-rolls of the same faults.
 //
 // Cost accounting is per trial, the way an independent physical run
-// would pay: a lane is charged the segment ops it executed, the replay
-// ops of the replays IT consumed, and the restart ops up to ITS first
+// would pay: a lane is charged the segment ops it executed, the ops of
+// ITS fired components on every replay attempt it consumed, and the
+// restart ops up to ITS first
 // fired boundary — even though the packed vehicle executes all lanes
 // together. E[ops/accept] read off a RecoveryEstimate is therefore the
 // measured counterpart of detect::RetryCostModel.
 //
 // Determinism: all retry processing happens inside a shard using the
-// shard's own simulator, replay groups are processed in sorted
-// fired-set order, and RecoveryEstimate merges by exact integer sums —
-// so the result is bit-identical for a fixed seed regardless of
+// shard's own simulator, each union replay runs its components in
+// ascending index order, and RecoveryEstimate merges by exact integer
+// sums — so the result is bit-identical for a fixed seed regardless of
 // REVFT_THREADS, retries included (ctest-enforced).
 #pragma once
 
@@ -65,9 +69,12 @@ using ClassifyFn =
 /// restarts, a replays-per-batch histogram) plus kRailFired /
 /// kZeroCheckFired / kCheckpointRestore / kSegmentReplay /
 /// kEscalationRestart / kBatchAccept events stamped with segment and
-/// rail ids. Hooks fire at boundary/replay granularity (never per
-/// gate) and are all gated on the pointer, so an untraced run pays
-/// one predictable branch per boundary.
+/// rail ids. Each union replay emits one kCheckpointRestore and one
+/// kSegmentReplay per nonzero word of its outstanding-lane mask, the
+/// replay's value being the ops the pass executed. Hooks fire at
+/// boundary/replay granularity (never per gate) and are all gated on
+/// the pointer, so an untraced run pays one predictable branch per
+/// boundary.
 RecoveryEstimate run_recovering_mc_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,

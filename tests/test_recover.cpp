@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "code/repetition.h"
@@ -160,11 +161,48 @@ TEST(SegmentPlan, MachineBoundariesMergeZeroCheckAndCheckpoint) {
   }
 }
 
+/// Every cell a component's boundary checks read — each rail's rail bit
+/// and its checkpoint_spans bits, each zero check's bits — must lie in
+/// that component's restore/merge footprint. The packed engine blends
+/// an accepted lane back one component at a time, judged only on that
+/// component's checks, which is sound only under this property. Returns
+/// the number of check reads verified.
+std::size_t expect_checks_read_own_footprint(
+    const detect::CheckedCircuit& checked, const recover::SegmentPlan& plan) {
+  std::size_t reads = 0;
+  const auto expect_in = [&](const recover::Segment& seg, std::uint32_t c,
+                             std::uint32_t cell, const char* what) {
+    const auto& cells = seg.components[c].cells;
+    EXPECT_TRUE(std::binary_search(cells.begin(), cells.end(), cell))
+        << what << " reads cell " << cell << " outside component " << c
+        << " of segment [" << seg.begin << ", " << seg.end << "]";
+    ++reads;
+  };
+  for (const auto& seg : plan.segments) {
+    if (seg.checkpoint >= 0) {
+      const auto& span =
+          checked.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
+      for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+        const std::uint32_t c = seg.component_of_rail[r];
+        expect_in(seg, c, checked.rails[r].rail_bit, "rail bit");
+        for (std::uint32_t i = span.rail_first[r]; i < span.rail_first[r + 1];
+             ++i)
+          expect_in(seg, c, span.bits[i], "rail check");
+      }
+    }
+    for (std::size_t k = 0; k < seg.zero_checks.size(); ++k)
+      for (const auto bit : checked.zero_checks[seg.zero_checks[k]].bits)
+        expect_in(seg, seg.component_of_zero_check[k], bit, "zero check");
+  }
+  return reads;
+}
+
 // A zero check on a cell no rail watches and no segment op touches
 // must still land in its component's restore/merge footprint — the
 // replay re-evaluates the check, so acceptance must blend the cells it
 // read (regression: the packed engine could otherwise accept a lane
-// while the corrupted checked cell was never written back).
+// while the corrupted checked cell was never written back). The same
+// holds for every rail check of the recovering 1D and 2D machines.
 TEST(SegmentPlan, ZeroCheckBitsBelongToTheComponentFootprint) {
   Circuit c(3);
   c.cnot(0, 1).cnot(1, 0).cnot(0, 1);
@@ -174,17 +212,21 @@ TEST(SegmentPlan, ZeroCheckBitsBelongToTheComponentFootprint) {
   const auto checked = detect::to_parity_rail(c, opts);
   const auto plan = recover::build_segment_plan(checked);
   bool found = false;
-  for (const auto& seg : plan.segments) {
-    for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
-      const auto& cells = seg.components[seg.component_of_zero_check[k]].cells;
-      for (const auto bit : checked.zero_checks[seg.zero_checks[k]].bits) {
-        EXPECT_NE(std::find(cells.begin(), cells.end(), bit), cells.end())
-            << "zero-check bit " << bit;
-        found = true;
-      }
-    }
-  }
+  for (const auto& seg : plan.segments)
+    for (std::size_t k = 0; k < seg.zero_checks.size(); ++k)
+      found = found || !checked.zero_checks[seg.zero_checks[k]].bits.empty();
   EXPECT_TRUE(found);
+  EXPECT_GT(expect_checks_read_own_footprint(checked, plan), 0u);
+
+  for (const auto& program :
+       {CheckedMachine1d(6, true, recovering_machine_options())
+            .compile(scattered6()),
+        CheckedMachine2d(6, true, recovering_machine_options())
+            .compile(scattered6())}) {
+    const auto machine_plan = recover::build_segment_plan(program.checked);
+    EXPECT_GT(expect_checks_read_own_footprint(program.checked, machine_plan),
+              0u);
+  }
 }
 
 // --- partition-aware scheduling: the replay-share payoff -------------
@@ -282,6 +324,28 @@ TEST(SegmentPlan, RejectsEmbeddedCheckerBits) {
   opts.embed_checkers = true;
   const auto checked = detect::to_parity_rail(c, opts);
   EXPECT_THROW(recover::build_segment_plan(checked), Error);
+}
+
+// The recovering engine evaluates rail checks from checkpoint_spans
+// alone, so a checked circuit without them (hand-assembled, never
+// passed through detect::build_checkpoint_spans) is rejected at plan
+// time instead of read out of bounds during a run.
+TEST(SegmentPlan, RejectsMissingCheckpointSpans) {
+  Circuit c(3);
+  c.maj(0, 1, 2).majinv(0, 1, 2);
+  detect::CheckedCircuit checked = detect::to_parity_rail(c);
+  EXPECT_NO_THROW(recover::build_segment_plan(checked));
+  checked.checkpoint_spans.clear();
+  try {
+    recover::build_segment_plan(checked);
+    FAIL() << "a plan was built without checkpoint_spans";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("build_checkpoint_spans"),
+              std::string::npos)
+        << err.what();
+  }
+  detect::build_checkpoint_spans(checked);
+  EXPECT_NO_THROW(recover::build_segment_plan(checked));
 }
 
 // --- checkpoint/restore primitives -----------------------------------

@@ -20,6 +20,8 @@
 // cache serves hits without recompiling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -262,29 +264,111 @@ TEST(WideEngine, LaneWords1ReproducesLegacyCheckedEstimate) {
   EXPECT_EQ(e.rail_detected, rails);
 }
 
+// The block-local estimate at W=1, re-pinned when each (segment,
+// attempt) became one union replay over all outstanding lanes instead
+// of one replay per distinct fired-component set. The per-lane protocol
+// is unchanged (same fired set, fresh noise, at most max_local_attempts
+// tries), but the RNG is consumed in a different order, so the counts
+// moved. The counts of the grouped engine on the same seed are kept
+// below, and every re-pinned count must lie within 5 sigma of them.
+namespace legacy_grouped {
+constexpr std::uint64_t kTrials = 20000;
+constexpr std::uint64_t kAccepted = 19934;
+constexpr std::uint64_t kSilentFailures = 0;
+constexpr std::uint64_t kDetectedTrials = 17393;
+constexpr std::uint64_t kLocalRetries = 41600;
+constexpr std::uint64_t kProgramRestarts = 1044;
+constexpr std::uint64_t kFallbacks = 204;
+constexpr std::uint64_t kRejected = 66;
+constexpr std::uint64_t kOpsMain = 47960778;
+constexpr std::uint64_t kOpsLocal = 2425117;
+constexpr std::uint64_t kOpsRestart = 1130171;
+constexpr std::uint64_t kZeroCheckEvents = 38997;
+constexpr std::array<std::uint64_t, 10> kRailEvents = {
+    7332, 3638, 3695, 1368, 4215, 3762, 4067, 4035, 4138, 8227};
+}  // namespace legacy_grouped
+
+/// |now - legacy| <= 5 sigma, sigma being the standard deviation of the
+/// difference of two independent estimates with variance `var` each.
+void expect_within_5_sigma(const char* name, double now, double legacy,
+                           double var) {
+  EXPECT_LE(std::abs(now - legacy), 5.0 * std::sqrt(2.0 * var))
+      << name << ": re-pinned " << now << " vs grouped " << legacy;
+}
+
+/// Variance of a sum of `events` Poisson events worth `total` ops
+/// together, bounding the spread of the ops per event by its mean
+/// (E[X^2] <= 2 E[X]^2).
+double compound_var(double total, double events) {
+  return events > 0 ? 2.0 * total * total / events : 0.0;
+}
+
 TEST(WideEngine, LaneWords1ReproducesLegacyRecoveringEstimate) {
   const Circuit logical = scattered10();
   RecoveryExperiment::Config config;
-  config.trials = 20000;
+  config.trials = legacy_grouped::kTrials;
   config.seed = 0xD5A2005ULL;
-  const RecoveryExperiment exp(
-      CheckedMachine1d(10, true, recovering_machine_options()).compile(logical),
-      logical, config);
+  const auto program =
+      CheckedMachine1d(10, true, recovering_machine_options()).compile(logical);
+  const RecoveryExperiment exp(program, logical, config);
   const auto e = exp.run(1e-3, recover::RetryPolicy::block_local(), 1);
-  EXPECT_EQ(e.accepted, 19934u);
-  EXPECT_EQ(e.silent_failures, 0u);
-  EXPECT_EQ(e.detected_trials, 17393u);
-  EXPECT_EQ(e.local_retries, 41600u);
-  EXPECT_EQ(e.program_restarts, 1044u);
-  EXPECT_EQ(e.fallbacks, 204u);
-  EXPECT_EQ(e.rejected, 66u);
-  EXPECT_EQ(e.ops_main, 47960778u);
-  EXPECT_EQ(e.ops_local, 2425117u);
-  EXPECT_EQ(e.ops_restart, 1130171u);
-  EXPECT_EQ(e.zero_check_events, 38997u);
-  const std::vector<std::uint64_t> rails = {7332, 3638, 3695, 1368, 4215,
-                                            3762, 4067, 4035, 4138, 8227};
+  EXPECT_EQ(e.accepted, 19955u);
+  EXPECT_EQ(e.silent_failures, 3u);
+  EXPECT_EQ(e.detected_trials, 17433u);
+  EXPECT_EQ(e.local_retries, 41419u);
+  EXPECT_EQ(e.program_restarts, 910u);
+  EXPECT_EQ(e.fallbacks, 181u);
+  EXPECT_EQ(e.rejected, 45u);
+  EXPECT_EQ(e.ops_main, 47980316u);
+  EXPECT_EQ(e.ops_local, 2428611u);
+  EXPECT_EQ(e.ops_restart, 1013580u);
+  EXPECT_EQ(e.zero_check_events, 38668u);
+  const std::vector<std::uint64_t> rails = {7322, 3666, 3699, 1398, 4311,
+                                            3630, 4145, 3959, 4091, 8223};
   EXPECT_EQ(e.rail_events, rails);
+
+  namespace L = legacy_grouped;
+  const auto d = [](std::uint64_t v) { return static_cast<double>(v); };
+  const double trials = d(L::kTrials);
+  // Lane counts are binomial; per-lane event counts are Poisson.
+  const auto binomial_var = [&](std::uint64_t k) {
+    return d(k) * (1.0 - d(k) / trials);
+  };
+  expect_within_5_sigma("accepted", d(e.accepted), d(L::kAccepted),
+                        binomial_var(L::kAccepted));
+  // The 5-sigma band of a zero count is empty; floor its variance at
+  // one event.
+  expect_within_5_sigma("silent_failures", d(e.silent_failures),
+                        d(L::kSilentFailures),
+                        std::max(1.0, d(L::kSilentFailures)));
+  expect_within_5_sigma("detected_trials", d(e.detected_trials),
+                        d(L::kDetectedTrials),
+                        binomial_var(L::kDetectedTrials));
+  expect_within_5_sigma("local_retries", d(e.local_retries),
+                        d(L::kLocalRetries), d(L::kLocalRetries));
+  expect_within_5_sigma("program_restarts", d(e.program_restarts),
+                        d(L::kProgramRestarts), d(L::kProgramRestarts));
+  expect_within_5_sigma("fallbacks", d(e.fallbacks), d(L::kFallbacks),
+                        binomial_var(L::kFallbacks));
+  expect_within_5_sigma("rejected", d(e.rejected), d(L::kRejected),
+                        binomial_var(L::kRejected));
+  expect_within_5_sigma("zero_check_events", d(e.zero_check_events),
+                        d(L::kZeroCheckEvents), d(L::kZeroCheckEvents));
+  for (std::size_t r = 0; r < rails.size(); ++r)
+    expect_within_5_sigma("rail_events", d(e.rail_events[r]),
+                          d(L::kRailEvents[r]), d(L::kRailEvents[r]));
+  // Ops counters are compound sums: replay ops over local retries,
+  // restart ops over restarts, and the main-pass ops a lane forgoes
+  // when it falls back to a restart.
+  expect_within_5_sigma("ops_local", d(e.ops_local), d(L::kOpsLocal),
+                        compound_var(d(L::kOpsLocal), d(L::kLocalRetries)));
+  expect_within_5_sigma(
+      "ops_restart", d(e.ops_restart), d(L::kOpsRestart),
+      compound_var(d(L::kOpsRestart), d(L::kProgramRestarts)));
+  const double full_main = trials * d(program.checked.circuit.size());
+  expect_within_5_sigma(
+      "ops_main", d(e.ops_main), d(L::kOpsMain),
+      compound_var(full_main - d(L::kOpsMain), d(L::kFallbacks)));
 }
 
 // --- cross-width agreement and determinism ----------------------------
