@@ -14,10 +14,6 @@
 // enforces — then times the checked kernel against the unchecked
 // machine program (the acceptance bar: checked <= 1.5x per original
 // op, checkpoint and zero-check evaluation included).
-//
-// Every section pulls its compiled programs through the process-wide
-// ProgramCache, so the scattered workload compiles once and the
-// hit/miss counters land in BENCH_local_checked.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -33,10 +29,8 @@
 #include "local/checked_machine.h"
 #include "local/machine1d.h"
 #include "local/machine2d.h"
-#include "local/program_cache.h"
 #include "noise/lanes.h"
 #include "support/table.h"
-#include "telemetry/metrics.h"
 
 using namespace revft;
 
@@ -55,15 +49,15 @@ Circuit scattered_workload() {
   return logical;
 }
 
-/// Cached compile of a checked machine program (the bench's sections
-/// all reuse the same few workload/options combinations).
-const CheckedMachineProgram& cached_program(
-    MachineKind kind, const Circuit& logical,
-    const CheckedMachineOptions& opts = {}) {
-  // The shared_ptr stays alive inside the cache for the process
-  // lifetime (nothing here calls clear()), so handing out a reference
-  // is safe and keeps the call sites exactly as terse as compile().
-  return ProgramCache::instance().get(kind, logical, true, opts)->program;
+/// Checked 1D / 2D machine programs (with initialization) for the
+/// bench's few workload/options combinations.
+CheckedMachineProgram compile_1d(const Circuit& logical,
+                                 const CheckedMachineOptions& opts = {}) {
+  return CheckedMachine1d(logical.width(), true, opts).compile(logical);
+}
+CheckedMachineProgram compile_2d(const Circuit& logical,
+                                 const CheckedMachineOptions& opts = {}) {
+  return CheckedMachine2d(logical.width(), true, opts).compile(logical);
 }
 
 /// A routing-free contrast: every operand already adjacent.
@@ -108,18 +102,14 @@ void print_free_checking(benchutil::JsonResultWriter& json) {
 
   AsciiTable table({"machine / workload", "ops", "routing ops", "free",
                     "rails", "rail ops", "gate ovh", "ckpt / zero"});
-  add_stats_row(table, json, "1d_scattered",
-                cached_program(MachineKind::k1d, scattered));
+  add_stats_row(table, json, "1d_scattered", compile_1d(scattered));
   add_stats_row(table, json, "1d_scattered_global",
-                cached_program(MachineKind::k1d, scattered, global));
-  add_stats_row(table, json, "1d_adjacent",
-                cached_program(MachineKind::k1d, adjacent));
-  add_stats_row(table, json, "2d_scattered",
-                cached_program(MachineKind::k2d, scattered));
+                compile_1d(scattered, global));
+  add_stats_row(table, json, "1d_adjacent", compile_1d(adjacent));
+  add_stats_row(table, json, "2d_scattered", compile_2d(scattered));
   add_stats_row(table, json, "2d_scattered_global",
-                cached_program(MachineKind::k2d, scattered, global));
-  add_stats_row(table, json, "2d_adjacent",
-                cached_program(MachineKind::k2d, adjacent));
+                compile_2d(scattered, global));
+  add_stats_row(table, json, "2d_adjacent", compile_2d(adjacent));
   std::printf("%s", table.str().c_str());
   std::printf(
       "every routing op is SWAP/SWAP3 — self-checking for free at ANY rail\n"
@@ -141,10 +131,8 @@ void print_census(benchutil::JsonResultWriter& json) {
   logical.toffoli(2, 1, 0);  // routed single cycle
 
   AsciiTable table({"outcome", "1D machine", "2D machine"});
-  const auto census1 = machine_detection_census(
-      cached_program(MachineKind::k1d, logical), logical);
-  const auto census2 = machine_detection_census(
-      cached_program(MachineKind::k2d, logical), logical);
+  const auto census1 = machine_detection_census(compile_1d(logical), logical);
+  const auto census2 = machine_detection_census(compile_2d(logical), logical);
   table.add_row({"fault sites", std::to_string(census1.fault_sites),
                  std::to_string(census2.fault_sites)});
   table.add_row({"scenarios simulated", std::to_string(census1.scenarios),
@@ -206,7 +194,7 @@ void print_partition_comparison(benchutil::JsonResultWriter& json) {
     opts.rails = config.rails;
     opts.zero_checks = config.zero_checks;
     opts.check_every = config.zero_checks ? 0 : 1;  // equal observation density
-    const auto& program = cached_program(MachineKind::k1d, logical, opts);
+    const CheckedMachineProgram program = compile_1d(logical, opts);
     const auto census = machine_detection_census(program, logical);
     table.add_row({config.label, AsciiTable::cell(program.checked.circuit.size()),
                    AsciiTable::cell(census.detected_harmful),
@@ -238,10 +226,8 @@ void print_g_sweep(benchutil::JsonResultWriter& json) {
   CheckedMachineExperiment::Config config;
   config.trials = trials;
   config.seed = benchutil::seed_from_env();
-  const CheckedMachineExperiment exp1d(
-      cached_program(MachineKind::k1d, logical), logical, config);
-  const CheckedMachineExperiment exp2d(
-      cached_program(MachineKind::k2d, logical), logical, config);
+  const CheckedMachineExperiment exp1d(compile_1d(logical), logical, config);
+  const CheckedMachineExperiment exp2d(compile_2d(logical), logical, config);
   std::printf("workload: %zu scattered gates on 10 encoded bits, %llu "
               "trials/point\n",
               logical.size(), static_cast<unsigned long long>(trials));
@@ -297,8 +283,8 @@ void print_g_sweep(benchutil::JsonResultWriter& json) {
   // thing against that number.
   CheckedMachineOptions global;
   global.rails = RailGranularity::kGlobal;
-  const CheckedMachineExperiment exp_global(
-      cached_program(MachineKind::k1d, logical, global), logical, config);
+  const CheckedMachineExperiment exp_global(compile_1d(logical, global),
+                                              logical, config);
   const std::uint64_t ops_global = exp_global.program().checked.circuit.size();
   const std::uint64_t blocks = exp1d.program().stats.rails;
   AsciiTable retry({"g", "abort global", "abort per-block", "silent global",
@@ -363,8 +349,7 @@ void print_determinism(benchutil::JsonResultWriter& json) {
   CheckedMachineExperiment::Config config;
   config.trials = 100000;
   config.seed = benchutil::seed_from_env();
-  const CheckedMachineExperiment exp(cached_program(MachineKind::k1d, logical),
-                                     logical, config);
+  const CheckedMachineExperiment exp(compile_1d(logical), logical, config);
 
   detect::DetectionEstimate results[3];
   const int thread_counts[3] = {1, 3, 8};
@@ -443,8 +428,7 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
       "engine throughput (no paper analogue); ISA-aware bar");
 
   const Circuit logical = scattered_workload();
-  const CheckedMachineProgram& program =
-      cached_program(MachineKind::k1d, logical);
+  const CheckedMachineProgram program = compile_1d(logical);
   const std::uint64_t ops = program.stats.total_ops;
   const double gs[] = {1e-3, 1e-4, 1e-5};
   const char* g_tag[] = {"g1e3", "g1e4", "g1e5"};
@@ -565,14 +549,12 @@ void print_overhead(benchutil::JsonResultWriter& json) {
   const Circuit logical = scattered_workload();
   const Machine1dProgram p1 = Machine1d(10).compile(logical);
   const Machine2dProgram p2 = Machine2d(10).compile(logical);
-  const CheckedMachineProgram& c1 = cached_program(MachineKind::k1d, logical);
-  const CheckedMachineProgram& c2 = cached_program(MachineKind::k2d, logical);
+  const CheckedMachineProgram c1 = compile_1d(logical);
+  const CheckedMachineProgram c2 = compile_2d(logical);
   CheckedMachineOptions global;
   global.rails = RailGranularity::kGlobal;
-  const CheckedMachineProgram& g1 =
-      cached_program(MachineKind::k1d, logical, global);
-  const CheckedMachineProgram& g2 =
-      cached_program(MachineKind::k2d, logical, global);
+  const CheckedMachineProgram g1 = compile_1d(logical, global);
+  const CheckedMachineProgram g2 = compile_2d(logical, global);
   std::printf("workload: %zu scattered gates, 10 encoded bits; 1D %zu ops "
               "-> %zu checked (10 rails), 2D %zu ops -> %zu checked\n",
               logical.size(), p1.physical.size(), c1.checked.circuit.size(),
@@ -595,8 +577,7 @@ void print_overhead(benchutil::JsonResultWriter& json) {
 void BM_CheckedMachine1dApply(benchmark::State& state) {
   const Circuit logical = scattered_workload();
   const Machine1dProgram plain = Machine1d(10).compile(logical);
-  const CheckedMachineProgram& program =
-      cached_program(MachineKind::k1d, logical);
+  const CheckedMachineProgram program = compile_1d(logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
@@ -643,18 +624,6 @@ int main(int argc, char** argv) {
   print_determinism(json);
   print_simd_sweep(json);
   print_overhead(json);
-
-  // Program-cache economics, routed through the telemetry registry
-  // (the counters' canonical names) into the bench JSON.
-  telemetry::MetricsRegistry cache_metrics;
-  ProgramCache::instance().export_metrics(cache_metrics);
-  for (const auto& metric : cache_metrics.entries())
-    json.add("program_cache", metric.name, metric.value);
-  std::printf("\nprogram cache: %llu hits / %llu misses (%zu entries)\n",
-              static_cast<unsigned long long>(ProgramCache::instance().hits()),
-              static_cast<unsigned long long>(
-                  ProgramCache::instance().misses()),
-              ProgramCache::instance().size());
   json.write();
   std::printf("\n-- kernel timings --\n");
   benchmark::Initialize(&argc, argv);

@@ -33,21 +33,21 @@
 #include "ft/machine_kernel.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
-#include "local/program_cache.h"
 #include "recover/recovering_mc.h"
 #include "support/table.h"
-#include "telemetry/metrics.h"
 
 using namespace revft;
 
 namespace {
 
-/// Cached compile + segment plan (the sections and kernels all reuse
-/// the recovering-options scattered workload).
-std::shared_ptr<const CachedMachineProgram> cached_bundle(
-    MachineKind kind, const Circuit& logical,
-    const CheckedMachineOptions& opts) {
-  return ProgramCache::instance().get(kind, logical, true, opts);
+/// Checked 1D / 2D machine programs (with initialization) under `opts`.
+CheckedMachineProgram compile_1d(const Circuit& logical,
+                                 const CheckedMachineOptions& opts) {
+  return CheckedMachine1d(logical.width(), true, opts).compile(logical);
+}
+CheckedMachineProgram compile_2d(const Circuit& logical,
+                                 const CheckedMachineOptions& opts) {
+  return CheckedMachine2d(logical.width(), true, opts).compile(logical);
 }
 
 /// Same scattered 10-bit workload as bench_local_checked: heavy
@@ -94,16 +94,16 @@ bool print_plan(const RecoveryExperiment& exp1d, const RecoveryExperiment& exp2d
   // shipped scheduled one on the identical workload.
   CheckedMachineOptions legacy = recovering_machine_options();
   legacy.schedule.enabled = false;
-  const auto legacy1d = cached_bundle(MachineKind::k1d, logical, legacy);
-  const auto legacy2d = cached_bundle(MachineKind::k2d, logical, legacy);
+  const CheckedMachineProgram legacy1d = compile_1d(logical, legacy);
+  const CheckedMachineProgram legacy2d = compile_2d(logical, legacy);
 
   AsciiTable table({"machine", "checked ops", "segments", "rails", "components",
                     "multi-comp segs", "mean max share", "worst share"});
-  add_plan_row(table, json, "plan_1d_legacy", legacy1d->program,
-               legacy1d->plan);
+  add_plan_row(table, json, "plan_1d_legacy", legacy1d,
+               recover::build_segment_plan(legacy1d.checked));
   add_plan_row(table, json, "plan_1d", exp1d.program(), exp1d.plan());
-  add_plan_row(table, json, "plan_2d_legacy", legacy2d->program,
-               legacy2d->plan);
+  add_plan_row(table, json, "plan_2d_legacy", legacy2d,
+               recover::build_segment_plan(legacy2d.checked));
   add_plan_row(table, json, "plan_2d", exp2d.program(), exp2d.plan());
   std::printf("%s", table.str().c_str());
   std::printf(
@@ -254,10 +254,9 @@ void print_determinism(const RecoveryExperiment& exp,
 
 void BM_RecoveringMachine1d(benchmark::State& state) {
   const Circuit logical = scattered_workload();
-  const auto bundle =
-      cached_bundle(MachineKind::k1d, logical, recovering_machine_options());
-  const auto& program = bundle->program;
-  const auto& plan = bundle->plan;
+  const CheckedMachineProgram program =
+      compile_1d(logical, recovering_machine_options());
+  const recover::SegmentPlan plan = recover::build_segment_plan(program.checked);
   const auto policy = recover::RetryPolicy::block_local();
   const auto truth = machine_truth_table(logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
@@ -285,9 +284,8 @@ BENCHMARK(BM_RecoveringMachine1d);
 
 void BM_CheckedMachine1dApplyBaseline(benchmark::State& state) {
   const Circuit logical = scattered_workload();
-  const auto& program =
-      cached_bundle(MachineKind::k1d, logical, recovering_machine_options())
-          ->program;
+  const CheckedMachineProgram program =
+      compile_1d(logical, recovering_machine_options());
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
@@ -318,13 +316,9 @@ int main(int argc, char** argv) {
   // determinism key, and the cross-PR JSON trajectory pins the W=1
   // stream (the SIMD sweep lives in bench_local_checked).
   const RecoveryExperiment exp1d(
-      cached_bundle(MachineKind::k1d, logical, recovering_machine_options())
-          ->program,
-      logical, config);
+      compile_1d(logical, recovering_machine_options()), logical, config);
   const RecoveryExperiment exp2d(
-      cached_bundle(MachineKind::k2d, logical, recovering_machine_options())
-          ->program,
-      logical, config);
+      compile_2d(logical, recovering_machine_options()), logical, config);
   // Model inputs: the plain checked engine on the SAME programs, same
   // budget — its DetectionEstimate feeds detect::retry_cost_model.
   CheckedMachineExperiment::Config det_config;
@@ -338,13 +332,6 @@ int main(int argc, char** argv) {
   print_determinism(exp1d, json);
   json.add("summary", "economics_bar_all_pass", all_pass ? 1.0 : 0.0);
   json.add("summary", "plan_bar_pass", plan_bar ? 1.0 : 0.0);
-
-  // Program-cache economics via the telemetry registry: four distinct
-  // compilations (1D/2D x scheduled/legacy), every other consumer hits.
-  telemetry::MetricsRegistry cache_metrics;
-  ProgramCache::instance().export_metrics(cache_metrics);
-  for (const auto& metric : cache_metrics.entries())
-    json.add("program_cache", metric.name, metric.value);
   json.write();
 
   std::printf("\n-- kernel timings --\n");

@@ -36,7 +36,6 @@
 #include "ft/machine_kernel.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
-#include "local/program_cache.h"
 #include "noise/lanes.h"
 #include "rev/gate.h"
 #include "support/table.h"
@@ -55,12 +54,6 @@ Circuit scattered_workload() {
       .fredkin(2, 6, 9)
       .swap3(0, 5, 9);
   return logical;
-}
-
-std::shared_ptr<const CachedMachineProgram> cached_bundle(
-    MachineKind kind, const Circuit& logical,
-    const CheckedMachineOptions& opts) {
-  return ProgramCache::instance().get(kind, logical, true, opts);
 }
 
 std::string g_label(double g) {
@@ -204,8 +197,9 @@ void print_certification(benchutil::JsonResultWriter& json,
   constexpr double kG = 1e-3;
 
   const Circuit logical = scattered_workload();
-  const auto bundle =
-      cached_bundle(MachineKind::k1d, logical, recovering_machine_options());
+  const CheckedMachineProgram program =
+      CheckedMachine1d(logical.width(), true, recovering_machine_options())
+          .compile(logical);
 
   AsciiTable table({"engine", "accepted", "silent", "wilson hi", "trials used",
                     "budget", "saved", "stop"});
@@ -214,7 +208,7 @@ void print_certification(benchutil::JsonResultWriter& json,
     CheckedMachineExperiment::Config config;
     config.trials = trials;
     config.seed = seed;
-    const CheckedMachineExperiment exp(bundle->program, logical, config);
+    const CheckedMachineExperiment exp(program, logical, config);
     telemetry::StreamOptions stream;
     stream.name = "checked_cert";
     stream.mc.batches_per_shard = 64;
@@ -244,7 +238,7 @@ void print_certification(benchutil::JsonResultWriter& json,
     RecoveryExperiment::Config config;
     config.trials = trials;
     config.seed = seed;
-    const RecoveryExperiment exp(bundle->program, logical, config);
+    const RecoveryExperiment exp(program, logical, config);
     telemetry::StreamOptions stream;
     stream.name = "recovering_cert";
     stream.mc.batches_per_shard = 64;

@@ -42,7 +42,6 @@
 #include "ft/machine_kernel.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
-#include "local/program_cache.h"
 #include "recover/plan.h"
 #include "recover/recovering_mc.h"
 #include "support/table.h"
@@ -279,10 +278,9 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
       "acceptance bars: null sink <= 1.03x baseline, tracing <= 1.25x");
 
   const Circuit logical = scattered_workload();
-  const auto& program =
-      ProgramCache::instance()
-          .get(MachineKind::k1d, logical, true, recovering_machine_options())
-          ->program;
+  const CheckedMachineProgram program =
+      CheckedMachine1d(logical.width(), true, recovering_machine_options())
+          .compile(logical);
   const auto truth = machine_truth_table(logical);
 
   // A bar verdict that fails is re-measured up to two more times and
@@ -354,10 +352,9 @@ bool print_determinism(benchutil::JsonResultWriter& json) {
       "engine contract (no paper analogue) — ticks excluded by design");
 
   const Circuit logical = scattered_workload();
-  const auto& program =
-      ProgramCache::instance()
-          .get(MachineKind::k1d, logical, true, recovering_machine_options())
-          ->program;
+  const CheckedMachineProgram program =
+      CheckedMachine1d(logical.width(), true, recovering_machine_options())
+          .compile(logical);
 
   CheckedMachineExperiment::Config det_config;
   det_config.trials = benchutil::trials_from_env(100000);
@@ -606,10 +603,9 @@ BENCHMARK(BM_EmitEventNullSink);
 
 void BM_TracedCheckedMachine1d(benchmark::State& state) {
   const Circuit logical = scattered_workload();
-  const auto& program =
-      ProgramCache::instance()
-          .get(MachineKind::k1d, logical, true, recovering_machine_options())
-          ->program;
+  const CheckedMachineProgram program =
+      CheckedMachine1d(logical.width(), true, recovering_machine_options())
+          .compile(logical);
   const auto truth = machine_truth_table(logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(program.checked.circuit.width());

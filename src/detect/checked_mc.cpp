@@ -8,10 +8,9 @@ namespace {
 
 // One instantiation per lane width: W is a compile-time constant, so
 // every per-rail accumulation below is a fixed-trip-count word loop
-// the compiler vectorizes alongside the gate kernels. The checkpoint
-// walk prefers the flattened CSR spans (built by to_parity_rail);
-// circuits assembled by hand without spans take the identical-result
-// group walk.
+// the compiler vectorizes alongside the gate kernels. Rail checkpoints
+// read the flattened CSR spans (built by to_parity_rail, or by
+// build_checkpoint_spans for a hand-assembled circuit).
 template <unsigned W>
 void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
                               const CheckedCircuit& checked,
@@ -21,8 +20,6 @@ void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
   if (fired_masks != nullptr)
     std::fill(fired_masks, fired_masks + (n_rails + 1) * W, 0);
   for (unsigned w = 0; w < W; ++w) detected[w] = 0;
-  const bool use_spans =
-      checked.checkpoint_spans.size() == checked.checkpoints.size();
   // Run the segments between checks through the simulator's span loop
   // (hot path identical to the unchecked engine), pausing only to OR
   // the per-lane rail invariants — or a zero-checked word — into the
@@ -53,43 +50,24 @@ void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
       ++zi;
     }
     while (ci < n_cp && checked.checkpoints[ci] == stop) {
-      if (use_spans) {
-        const CheckpointSpan& span = checked.checkpoint_spans[ci];
-        const std::uint32_t* __restrict__ bits = span.bits.data();
-        for (std::size_t r = 0; r < n_rails; ++r) {
-          std::uint64_t acc[W];
-          {
-            const std::uint64_t* __restrict__ rail =
-                state.words(checked.rails[r].rail_bit);
-            for (unsigned w = 0; w < W; ++w) acc[w] = rail[w];
-          }
-          const std::uint32_t first = span.rail_first[r];
-          const std::uint32_t last = span.rail_first[r + 1];
-          for (std::uint32_t i = first; i < last; ++i) {
-            const std::uint64_t* __restrict__ src = state.words(bits[i]);
-            for (unsigned w = 0; w < W; ++w) acc[w] ^= src[w];
-          }
-          for (unsigned w = 0; w < W; ++w) detected[w] |= acc[w];
-          if (fired_masks != nullptr)
-            for (unsigned w = 0; w < W; ++w) fired_masks[r * W + w] |= acc[w];
+      const CheckpointSpan& span = checked.checkpoint_spans[ci];
+      const std::uint32_t* __restrict__ bits = span.bits.data();
+      for (std::size_t r = 0; r < n_rails; ++r) {
+        std::uint64_t acc[W];
+        {
+          const std::uint64_t* __restrict__ rail =
+              state.words(checked.rails[r].rail_bit);
+          for (unsigned w = 0; w < W; ++w) acc[w] = rail[w];
         }
-      } else {
-        const auto& groups = checked.checkpoint_groups[ci];
-        for (std::size_t r = 0; r < n_rails; ++r) {
-          std::uint64_t acc[W];
-          {
-            const std::uint64_t* __restrict__ rail =
-                state.words(checked.rails[r].rail_bit);
-            for (unsigned w = 0; w < W; ++w) acc[w] = rail[w];
-          }
-          for (const std::uint32_t bit : groups[r]) {
-            const std::uint64_t* __restrict__ src = state.words(bit);
-            for (unsigned w = 0; w < W; ++w) acc[w] ^= src[w];
-          }
-          for (unsigned w = 0; w < W; ++w) detected[w] |= acc[w];
-          if (fired_masks != nullptr)
-            for (unsigned w = 0; w < W; ++w) fired_masks[r * W + w] |= acc[w];
+        const std::uint32_t first = span.rail_first[r];
+        const std::uint32_t last = span.rail_first[r + 1];
+        for (std::uint32_t i = first; i < last; ++i) {
+          const std::uint64_t* __restrict__ src = state.words(bits[i]);
+          for (unsigned w = 0; w < W; ++w) acc[w] ^= src[w];
         }
+        for (unsigned w = 0; w < W; ++w) detected[w] |= acc[w];
+        if (fired_masks != nullptr)
+          for (unsigned w = 0; w < W; ++w) fired_masks[r * W + w] |= acc[w];
       }
       ++ci;
     }
@@ -109,6 +87,10 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                std::uint64_t* fired_masks) {
   REVFT_CHECK_MSG(checked.circuit.width() == state.width(),
                   "apply_noisy_checked: width mismatch");
+  REVFT_CHECK_MSG(
+      checked.checkpoint_spans.size() == checked.checkpoints.size(),
+      "apply_noisy_checked: checkpoint_spans do not match checkpoints (call "
+      "detect::build_checkpoint_spans on a hand-assembled CheckedCircuit)");
   switch (state.lane_words()) {
     case 1:
       apply_noisy_checked_impl<1>(sim, state, checked, detected, fired_masks);

@@ -165,10 +165,11 @@ std::uint64_t apply_noisy_checked(PackedSimulator& sim, PackedState& state,
 /// fired_masks[r * lane_words + w] is rail r's fired mask for lane
 /// word w, with the zero-check masks in the last slot group. At
 /// lane_words == 1 this is exactly the legacy overload above (same
-/// RNG stream, same masks, same layout). Checkpoints are evaluated
-/// off CheckedCircuit::checkpoint_spans when present (the flattened
-/// CSR fast path); hand-built circuits without spans fall back to the
-/// checkpoint_groups walk with identical results.
+/// RNG stream, same masks, same layout). Rail checkpoints are
+/// evaluated off CheckedCircuit::checkpoint_spans, the flattened CSR
+/// view of checkpoint_groups; a circuit whose spans do not match its
+/// checkpoints is rejected (a hand-assembled CheckedCircuit must pass
+/// through build_checkpoint_spans first).
 void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
@@ -307,62 +308,33 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
   return est;
 }
 
-}  // namespace detail
-
-/// Single-threaded checked Monte-Carlo harness (one simulator runs
-/// every batch in order). prepare fills the 64 lanes of a cleared
-/// state — rail and check bits must be left zero; classify returns
-/// true when the lane's *output* is logically wrong. `trace`
-/// (nullable) collects telemetry as one shard.
-template <typename PrepareFn, typename ClassifyFn>
-DetectionEstimate run_checked_mc(const CheckedCircuit& checked,
-                                 const NoiseModel& model, const McOptions& opts,
-                                 PrepareFn&& prepare, ClassifyFn&& classify,
-                                 telemetry::Trace* trace = nullptr) {
-  PackedSimulator sim(model, opts.seed);
-  PackedState state(checked.circuit.width(), opts.lane_words);
-  revft::detail::TraceShards traces(trace, 1);
-  DetectionEstimate est = detail::run_checked_mc_span(
-      sim, state, checked, /*first_batch=*/0, opts.trials,
-      std::forward<PrepareFn>(prepare), std::forward<ClassifyFn>(classify),
-      traces.shard(0));
-  traces.absorb();
-  return est;
+/// The checked engine's shard binding: a batch range of
+/// run_checked_mc_span over `checked`.
+inline auto checked_range(const CheckedCircuit& checked) {
+  return [&checked](auto& s, std::uint64_t first_batch, std::uint64_t trials,
+                    telemetry::ShardTrace* trace) {
+    return run_checked_mc_span(s.sim, s.state, checked, first_batch, trials,
+                               s.prepare_fn(), s.classify_fn(), trace);
+  };
 }
 
-/// Thread-sharded checked Monte-Carlo run. Same kernel-factory
-/// contract as run_parallel_mc (factory(shard_index) yields an object
-/// with prepare/classify); same determinism guarantee, now for all
-/// four outcome counts. `trace` (nullable) collects per-shard
-/// telemetry absorbed in shard-index order, so the metrics and event
-/// stream are bit-identical across REVFT_THREADS too.
+}  // namespace detail
+
+/// Thread-sharded checked Monte-Carlo run: one round of the shard
+/// driver. Same kernel-factory contract as run_parallel_mc (prepare
+/// leaves rail and check bits zero; classify judges the lane's
+/// *output*) and the same determinism guarantee, now for all four
+/// outcome counts — and for `trace` (nullable), absorbed in
+/// shard-index order.
 template <typename KernelFactory>
 DetectionEstimate run_parallel_checked_mc(const CheckedCircuit& checked,
                                           const NoiseModel& model,
                                           const ParallelMcOptions& opts,
                                           KernelFactory&& factory,
                                           telemetry::Trace* trace = nullptr) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
-  revft::detail::TraceShards traces(trace, shards.size());
-  DetectionEstimate est = revft::detail::run_sharded_as<DetectionEstimate>(
-      shards, resolve_thread_count(opts.threads),
-      [&](const McShard& shard) -> DetectionEstimate {
-        auto kernel = factory(shard.index);
-        PackedSimulator sim(model, shard.seed);
-        PackedState state(checked.circuit.width(), opts.lane_words);
-        return detail::run_checked_mc_span(
-            sim, state, checked, shard.first_batch, shard.trials,
-            [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-              kernel.prepare(s, rng, batch);
-            },
-            [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-              return kernel.classify(s, lane, batch);
-            },
-            traces.shard(shard.index));
-      });
-  traces.absorb();
-  return est;
+  return revft::detail::run_rounds<DetectionEstimate>(
+      model, checked.circuit.width(), opts, opts.batches_per_shard, factory,
+      trace, detail::checked_range(checked), revft::detail::never_stop);
 }
 
 }  // namespace revft::detect

@@ -82,41 +82,35 @@ struct LogicalGateKernel {
 
 }  // namespace
 
-BernoulliEstimate LogicalGateExperiment::run(double g) const {
+template <typename Run>
+auto LogicalGateExperiment::drive(double g, ParallelMcOptions& mc,
+                                  Run&& run) const {
   NoiseModel model = NoiseModel::uniform(g);
   if (!config_.noisy_init) model.with_perfect_init();
-
+  mc.trials = config_.trials;
+  mc.seed = config_.seed;
+  mc.threads = config_.threads;
   const int arity = gate_arity(config_.gate);
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.seed = config_.seed;
-  opts.threads = config_.threads;
+  return run(model, [this, arity](std::uint64_t) {
+    return LogicalGateKernel{
+        &module_, &input_leaves_, config_.gate, arity,
+        std::vector<std::uint64_t>(static_cast<std::size_t>(arity), 0)};
+  });
+}
 
-  return run_parallel_mc(
-      module_.physical, model, opts, [&](std::uint64_t) {
-        return LogicalGateKernel{
-            &module_, &input_leaves_, config_.gate, arity,
-            std::vector<std::uint64_t>(static_cast<std::size_t>(arity), 0)};
-      });
+BernoulliEstimate LogicalGateExperiment::run(double g) const {
+  ParallelMcOptions mc;
+  return drive(g, mc, [&](const NoiseModel& model, auto factory) {
+    return run_parallel_mc(module_.physical, model, mc, factory);
+  });
 }
 
 telemetry::StreamResult<BernoulliEstimate> LogicalGateExperiment::run_streaming(
     double g, const telemetry::StreamOptions& stream) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  const int arity = gate_arity(config_.gate);
   telemetry::StreamOptions opts = stream;
-  opts.mc.trials = config_.trials;
-  opts.mc.seed = config_.seed;
-  opts.mc.threads = config_.threads;
-
-  return telemetry::run_streaming_mc(
-      module_.physical, model, opts, [&](std::uint64_t) {
-        return LogicalGateKernel{
-            &module_, &input_leaves_, config_.gate, arity,
-            std::vector<std::uint64_t>(static_cast<std::size_t>(arity), 0)};
-      });
+  return drive(g, opts.mc, [&](const NoiseModel& model, auto factory) {
+    return telemetry::run_streaming_mc(module_.physical, model, opts, factory);
+  });
 }
 
 std::vector<ThresholdPoint> sweep_gate_error(const LogicalGateExperiment& exp,
@@ -298,41 +292,26 @@ CheckedMachineExperiment::CheckedMachineExperiment(CheckedMachineProgram program
 
 detect::DetectionEstimate CheckedMachineExperiment::run(
     double g, int threads, telemetry::Trace* trace) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.seed = config_.seed;
-  opts.threads = threads < 0 ? config_.threads : threads;
-  opts.lane_words = config_.lane_words;
-
-  // The shared machine kernel (ft/machine_kernel.h): the recovering
-  // engine instantiates the same type, which is what keeps the
-  // cross-engine bit-for-bit contract honest.
-  return detect::run_parallel_checked_mc(
-      program_.checked, model, opts,
-      [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
-      trace);
+  ParallelMcOptions mc;
+  return drive_machine_workload(
+      program_, truth_, config_, g, mc, threads,
+      [&](const NoiseModel& model, auto factory) {
+        return detect::run_parallel_checked_mc(program_.checked, model, mc,
+                                               factory, trace);
+      });
 }
 
 telemetry::StreamResult<detect::DetectionEstimate>
 CheckedMachineExperiment::run_streaming(double g,
                                         const telemetry::StreamOptions& stream,
                                         telemetry::Trace* trace) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
   telemetry::StreamOptions opts = stream;
-  opts.mc.trials = config_.trials;
-  opts.mc.seed = config_.seed;
-  opts.mc.threads = config_.threads;
-  opts.mc.lane_words = config_.lane_words;
-
-  return telemetry::run_streaming_checked_mc(
-      program_.checked, model, opts,
-      [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
-      trace);
+  return drive_machine_workload(
+      program_, truth_, config_, g, opts.mc, -1,
+      [&](const NoiseModel& model, auto factory) {
+        return telemetry::run_streaming_checked_mc(program_.checked, model,
+                                                   opts, factory, trace);
+      });
 }
 
 }  // namespace revft

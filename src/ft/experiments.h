@@ -65,6 +65,12 @@ class LogicalGateExperiment {
   const LogicalGateExperimentConfig& config() const noexcept { return config_; }
 
  private:
+  /// Writes the config's determinism key into `mc`, then hands the
+  /// noise model at g and the per-shard kernel factory to
+  /// run(model, factory). run and run_streaming both go through it.
+  template <typename Run>
+  auto drive(double g, ParallelMcOptions& mc, Run&& run) const;
+
   LogicalGateExperimentConfig config_;
   CompiledModule module_;
   /// Physical leaf positions of each logical input bit under the

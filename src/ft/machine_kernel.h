@@ -18,6 +18,7 @@
 
 #include "local/checked_machine.h"
 #include "noise/packed_sim.h"
+#include "noise/parallel_mc.h"
 #include "rev/simulator.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -84,6 +85,27 @@ inline MachineWorkloadKernel make_machine_kernel(
     const CheckedMachineProgram& program, const std::vector<unsigned>& truth) {
   return MachineWorkloadKernel{
       &program, &truth, std::vector<std::uint64_t>(program.logical_bits, 0)};
+}
+
+/// The machine experiments' one run setup: CheckedMachineExperiment's
+/// and RecoveryExperiment's run and run_streaming all go through it,
+/// so both engines draw from the same kernel. Writes `config`'s
+/// determinism key into `mc` (`threads` < 0 = the config's), then
+/// hands the noise model at g and the kernel factory to run.
+template <typename Config, typename Run>
+auto drive_machine_workload(const CheckedMachineProgram& program,
+                            const std::vector<unsigned>& truth,
+                            const Config& config, double g,
+                            ParallelMcOptions& mc, int threads, Run&& run) {
+  NoiseModel model = NoiseModel::uniform(g);
+  if (!config.noisy_init) model.with_perfect_init();
+  mc.trials = config.trials;
+  mc.seed = config.seed;
+  mc.threads = threads < 0 ? config.threads : threads;
+  mc.lane_words = config.lane_words;
+  return run(model, [&program, &truth](std::uint64_t) {
+    return make_machine_kernel(program, truth);
+  });
 }
 
 }  // namespace revft

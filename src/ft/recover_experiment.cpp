@@ -24,38 +24,26 @@ RecoveryExperiment::RecoveryExperiment(CheckedMachineProgram program,
 recover::RecoveryEstimate RecoveryExperiment::run(
     double g, const recover::RetryPolicy& policy, int threads,
     telemetry::Trace* trace) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.seed = config_.seed;
-  opts.threads = threads < 0 ? config_.threads : threads;
-  opts.lane_words = config_.lane_words;
-
-  return recover::run_parallel_recovering_mc(
-      program_.checked, plan_, policy, model, opts,
-      [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
-      trace);
+  ParallelMcOptions mc;
+  return drive_machine_workload(
+      program_, truth_, config_, g, mc, threads,
+      [&](const NoiseModel& model, auto factory) {
+        return recover::run_parallel_recovering_mc(
+            program_.checked, plan_, policy, model, mc, factory, trace);
+      });
 }
 
 telemetry::StreamResult<recover::RecoveryEstimate>
 RecoveryExperiment::run_streaming(double g, const recover::RetryPolicy& policy,
                                   const telemetry::StreamOptions& stream,
                                   telemetry::Trace* trace) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
   telemetry::StreamOptions opts = stream;
-  opts.mc.trials = config_.trials;
-  opts.mc.seed = config_.seed;
-  opts.mc.threads = config_.threads;
-  opts.mc.lane_words = config_.lane_words;
-
-  return telemetry::run_streaming_recovering_mc(
-      program_.checked, plan_, policy, model, opts,
-      [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
-      trace);
+  return drive_machine_workload(
+      program_, truth_, config_, g, opts.mc, -1,
+      [&](const NoiseModel& model, auto factory) {
+        return telemetry::run_streaming_recovering_mc(
+            program_.checked, plan_, policy, model, opts, factory, trace);
+      });
 }
 
 }  // namespace revft

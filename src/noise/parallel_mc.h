@@ -3,6 +3,11 @@
 // Thread-sharded Monte-Carlo engine: a drop-in generalization of
 // run_packed_mc (noise/monte_carlo.h) that splits the trial budget
 // into fixed-size shards and runs them on a pool of worker threads.
+// Its shard driver (detail::run_rounds on detail::RoundScheduler) is
+// the only one: the checked and recovering engines and the streaming
+// layer (telemetry/stream.h) run through it too. A full run is one
+// round in which every shard runs its whole batch range; a stream is
+// one batch per shard per round.
 //
 // Determinism contract: for a fixed (trials, seed, batches_per_shard,
 // lane_words) the result is bit-identical regardless of thread count.
@@ -27,11 +32,10 @@
 // be safe to invoke concurrently.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <thread>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -83,94 +87,150 @@ int resolve_thread_count(int requested) noexcept;
 
 namespace detail {
 
-/// Runs `run_shard` over every shard on `threads` workers and merges
-/// the per-shard estimates in shard-index order. Generic over the
-/// estimate type: `Estimate` must be default-constructible and merge
-/// exactly under operator+= (integer accumulation), so the result is
-/// independent of worker count. `run_shard` is invoked concurrently
-/// from multiple threads; exceptions are captured and rethrown on the
-/// calling thread (first shard in index order wins).
-template <typename Estimate, typename RunShard>
-Estimate run_sharded_as(const std::vector<McShard>& shards, int threads,
-                        RunShard&& run_shard) {
+/// The one worker pool. The coordinating thread works each round
+/// alongside threads - 1 helpers; all of them drain the job list
+/// through a work-stealing counter (job ASSIGNMENT is
+/// nondeterministic, but each job writes only its own slot). Helpers
+/// are spawned straight into the first round and sleep at a two-phase
+/// barrier between rounds; a round marked `last` is joined by joining
+/// them, so a one-round run costs a spawn and a join, nothing more.
+/// Job exceptions are captured per job index and the lowest-index one
+/// is rethrown on the coordinator. With fewer than 2 effective
+/// workers there is no pool and run_round executes inline, in order.
+class RoundScheduler {
+ public:
+  /// `jobs` is fixed for the scheduler's lifetime (one per shard);
+  /// `threads` < 1 means 1, and never more than `jobs` work at once.
+  RoundScheduler(std::size_t jobs, int threads);
+  ~RoundScheduler();
+  RoundScheduler(const RoundScheduler&) = delete;
+  RoundScheduler& operator=(const RoundScheduler&) = delete;
+
+  /// Run fn(i) for every i in [0, jobs); returns when all are done.
+  /// A `last` round ends by joining the helpers instead of parking
+  /// them (a later round would spawn them again).
+  void run_round(const std::function<void(std::size_t)>& fn,
+                 bool last = false);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;  ///< null → inline execution
+  std::size_t jobs_;
+};
+
+/// What every engine binds per shard: a simulator seeded with the
+/// shard's child seed, its lane state, and the factory's kernel. The
+/// kernel is initialized straight from factory(shard.index), so it
+/// need not be movable.
+template <typename Kernel>
+struct ShardState {
+  PackedSimulator sim;
+  PackedState state;
+  Kernel kernel;
+
+  template <typename KernelFactory>
+  ShardState(const NoiseModel& model, const McShard& shard,
+             std::uint32_t width, unsigned lane_words, KernelFactory& factory)
+      : sim(model, shard.seed),
+        state(width, lane_words),
+        kernel(factory(shard.index)) {}
+
+  /// The kernel as the span functions' prepare / classify callables.
+  auto prepare_fn() {
+    return [this](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+      kernel.prepare(s, rng, batch);
+    };
+  }
+  auto classify_fn() {
+    return [this](const PackedState& s, int lane, std::uint64_t batch) {
+      return kernel.classify(s, lane, batch);
+    };
+  }
+};
+
+/// Round observer of a full run: never stops.
+inline constexpr auto never_stop = [](std::uint64_t, const auto&) {
+  return false;
+};
+
+/// The one shard driver behind every engine entry point. Plans the
+/// shards from `opts` and runs them in rounds on one RoundScheduler:
+/// each round, every shard with batches left runs its next
+/// `batches_per_round` through run_range(state, first_batch, trials,
+/// shard_trace) -> Estimate; the deltas fold into the total in
+/// shard-index order, then on_round(round, total) may stop the run.
+/// A shard's ShardState is built in its job on its first round, kept
+/// across rounds (so its RNG stream is the same at every round width)
+/// and released when the shard drains, so a full run holds at most
+/// `threads` live states. Exceptions are rethrown on the caller,
+/// lowest shard index first.
+template <typename Estimate, typename KernelFactory, typename RunRange,
+          typename OnRound>
+Estimate run_rounds(const NoiseModel& model, std::uint32_t width,
+                    const ParallelMcOptions& opts,
+                    std::uint64_t batches_per_round, KernelFactory&& factory,
+                    telemetry::Trace* trace, RunRange&& run_range,
+                    OnRound&& on_round) {
+  using State = ShardState<decltype(factory(std::uint64_t{0}))>;
+  const std::vector<McShard> shards = plan_shards(
+      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
   Estimate total{};
   if (shards.empty()) return total;
 
-  const std::size_t workers = static_cast<std::size_t>(
-      threads < 1 ? 1
-                  : std::min<std::uint64_t>(static_cast<std::uint64_t>(threads),
-                                            shards.size()));
-  std::vector<Estimate> partial(shards.size());
+  // One ShardTrace per shard, written only by that shard's job and
+  // absorbed in shard-index order after the last round.
+  std::vector<telemetry::ShardTrace> shard_traces;
+  if (trace != nullptr) shard_traces = trace->make_shards(shards.size());
+  const std::uint64_t trials_per_round =
+      batches_per_round * 64ULL * opts.lane_words;
+  std::uint64_t rounds = 0;
+  for (const McShard& s : shards)
+    rounds = std::max(rounds,
+                      (s.trials + trials_per_round - 1) / trials_per_round);
 
-  if (workers == 1) {
-    for (const McShard& shard : shards) partial[shard.index] = run_shard(shard);
-  } else {
-    // Work-stealing over the shard list: shard *assignment* to threads
-    // is nondeterministic, but each shard's result depends only on the
-    // shard itself and lands in its own slot, so the merge below is
-    // deterministic.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(shards.size());
-    auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1); i < shards.size();
-           i = next.fetch_add(1)) {
-        try {
-          partial[i] = run_shard(shards[i]);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
+  std::vector<std::unique_ptr<State>> states(shards.size());
+  std::vector<Estimate> deltas(shards.size());
+  RoundScheduler scheduler(shards.size(), resolve_thread_count(opts.threads));
+  std::uint64_t round = 0;
+  const std::function<void(std::size_t)> job = [&](std::size_t i) {
+    const McShard& shard = shards[i];
+    const std::uint64_t done = round * trials_per_round;
+    if (done >= shard.trials) {
+      deltas[i] = Estimate{};  // shard already drained
+      return;
+    }
+    const std::uint64_t trials = std::min(trials_per_round, shard.trials - done);
+    if (states[i] == nullptr)
+      states[i] = std::make_unique<State>(model, shard, width, opts.lane_words,
+                                          factory);
+    deltas[i] = run_range(*states[i],
+                          shard.first_batch + round * batches_per_round, trials,
+                          trace != nullptr ? &shard_traces[i] : nullptr);
+    if (done + trials == shard.trials) states[i].reset();
+  };
+  for (; round < rounds; ++round) {
+    scheduler.run_round(job, round + 1 == rounds);
+    for (const Estimate& d : deltas) total += d;
+    if (on_round(round, std::as_const(total))) break;
   }
-
-  // Merge in shard-index order (exact integer sums, so any order would
-  // agree — the fixed order keeps the contract obvious).
-  for (const Estimate& est : partial) total += est;
+  if (trace != nullptr) trace->absorb(shard_traces);
   return total;
 }
 
-/// BernoulliEstimate instantiation kept out-of-line for existing
-/// callers (and to keep one canonical symbol in the library).
-BernoulliEstimate run_sharded(
-    const std::vector<McShard>& shards, int threads,
-    const std::function<BernoulliEstimate(const McShard&)>& run_shard);
-
-/// Per-shard telemetry plumbing shared by every parallel driver:
-/// preallocates one ShardTrace per shard (indexed by shard.index, so
-/// concurrently running workers write disjoint elements with no
-/// synchronization — the same ownership discipline as the partial
-/// estimates), hands out pointers during the run, and absorbs into
-/// the session Trace in shard-index order after the workers join.
-/// With a null session every accessor returns nullptr and nothing is
-/// allocated.
-class TraceShards {
- public:
-  TraceShards(telemetry::Trace* trace, std::size_t shard_count)
-      : trace_(trace) {
-    if (trace_ != nullptr) shards_ = trace_->make_shards(shard_count);
-  }
-  telemetry::ShardTrace* shard(std::uint64_t index) noexcept {
-    return trace_ != nullptr ? &shards_[index] : nullptr;
-  }
-  /// Call once, after run_sharded_as returns (workers joined).
-  void absorb() {
-    if (trace_ != nullptr) trace_->absorb(shards_);
-  }
-
- private:
-  telemetry::Trace* trace_;
-  std::vector<telemetry::ShardTrace> shards_;
-};
+/// The plain engine's shard binding: a batch range of run_mc_span
+/// over `circuit`.
+inline auto mc_range(const Circuit& circuit) {
+  return [&circuit](auto& s, std::uint64_t first_batch, std::uint64_t trials,
+                    telemetry::ShardTrace* trace) {
+    return run_mc_span(s.sim, s.state, circuit, first_batch, trials,
+                       s.prepare_fn(), s.classify_fn(), trace);
+  };
+}
 
 }  // namespace detail
 
-/// Thread-sharded Monte-Carlo run. See the file comment for the
+/// Thread-sharded Monte-Carlo run: one round of the shard driver, each
+/// shard running its whole batch range. See the file comment for the
 /// kernel-factory contract and the determinism guarantee. `trace`
 /// (nullable) collects per-shard telemetry, absorbed in shard-index
 /// order — the event stream and metrics inherit the bit-identical-
@@ -181,27 +241,9 @@ BernoulliEstimate run_parallel_mc(const Circuit& circuit,
                                   const ParallelMcOptions& opts,
                                   KernelFactory&& factory,
                                   telemetry::Trace* trace = nullptr) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
-  detail::TraceShards traces(trace, shards.size());
-  BernoulliEstimate est = detail::run_sharded(
-      shards, resolve_thread_count(opts.threads),
-      [&](const McShard& shard) -> BernoulliEstimate {
-        auto kernel = factory(shard.index);
-        PackedSimulator sim(model, shard.seed);
-        PackedState state(circuit.width(), opts.lane_words);
-        return detail::run_mc_span(
-            sim, state, circuit, shard.first_batch, shard.trials,
-            [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-              kernel.prepare(s, rng, batch);
-            },
-            [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-              return kernel.classify(s, lane, batch);
-            },
-            traces.shard(shard.index));
-      });
-  traces.absorb();
-  return est;
+  return detail::run_rounds<BernoulliEstimate>(
+      model, circuit.width(), opts, opts.batches_per_shard, factory, trace,
+      detail::mc_range(circuit), detail::never_stop);
 }
 
 /// Adapts bare prepare/classify callables (the run_packed_mc calling

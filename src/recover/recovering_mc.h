@@ -82,61 +82,71 @@ RecoveryEstimate run_recovering_mc_span(
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace = nullptr);
 
-/// Single-threaded recovering Monte-Carlo harness. `trace` (nullable)
-/// collects telemetry as one shard.
-template <typename Prepare, typename Classify>
-RecoveryEstimate run_recovering_mc(const detect::CheckedCircuit& checked,
-                                   const SegmentPlan& plan,
-                                   const RetryPolicy& policy,
-                                   const NoiseModel& model,
-                                   const McOptions& opts, Prepare&& prepare,
-                                   Classify&& classify,
-                                   telemetry::Trace* trace = nullptr) {
-  PackedSimulator sim(model, opts.seed);
-  PackedState state(checked.circuit.width(), opts.lane_words);
-  revft::detail::TraceShards traces(trace, 1);
-  RecoveryEstimate est = run_recovering_mc_span(
-      sim, state, checked, plan, policy,
-      /*first_batch=*/0, opts.trials,
-      PrepareFn(std::forward<Prepare>(prepare)),
-      ClassifyFn(std::forward<Classify>(classify)), traces.shard(0));
-  traces.absorb();
-  return est;
+namespace detail {
+
+/// A kernel bound once per shard into the std::function callbacks
+/// run_recovering_mc_span takes. The callbacks capture `this`, so the
+/// type is pinned: the shard driver initializes it in place from the
+/// factory's result, never copies or moves it.
+template <typename Kernel>
+struct BoundKernel {
+  Kernel kernel;
+  PrepareFn prepare{
+      [this](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+        kernel.prepare(s, rng, batch);
+      }};
+  ClassifyFn classify{[this](const PackedState& s, int lane,
+                             std::uint64_t batch) {
+    return kernel.classify(s, lane, batch);
+  }};
+
+  explicit BoundKernel(Kernel k) : kernel(std::move(k)) {}
+  BoundKernel(const BoundKernel&) = delete;
+  BoundKernel& operator=(const BoundKernel&) = delete;
+};
+
+/// factory(shard) wrapped to yield BoundKernels.
+template <typename KernelFactory>
+auto bind_kernels(KernelFactory& factory) {
+  using Kernel = decltype(factory(std::uint64_t{0}));
+  return [&factory](std::uint64_t shard) {
+    return BoundKernel<Kernel>(factory(shard));
+  };
 }
 
-/// Thread-sharded recovering Monte-Carlo run. Same kernel-factory
-/// contract as run_parallel_mc / run_parallel_checked_mc; each shard's
-/// child seed drives both the first pass and every retry it spawns, so
-/// the determinism guarantee covers the whole protocol — and, via the
-/// shard-index-order absorb, the telemetry stream of `trace`
-/// (nullable) as well.
+/// The recovering engine's shard binding: a batch range of
+/// run_recovering_mc_span. The shard's child seed drives both the
+/// first pass and every retry it spawns.
+inline auto recovering_range(const detect::CheckedCircuit& checked,
+                             const SegmentPlan& plan,
+                             const RetryPolicy& policy) {
+  return [&checked, &plan, &policy](auto& s, std::uint64_t first_batch,
+                                    std::uint64_t trials,
+                                    telemetry::ShardTrace* trace) {
+    return run_recovering_mc_span(s.sim, s.state, checked, plan, policy,
+                                  first_batch, trials, s.kernel.prepare,
+                                  s.kernel.classify, trace);
+  };
+}
+
+}  // namespace detail
+
+/// Thread-sharded recovering Monte-Carlo run: one round of the shard
+/// driver. Same kernel-factory contract as run_parallel_mc /
+/// run_parallel_checked_mc; the determinism guarantee covers the whole
+/// protocol — and, via the shard-index-order absorb, the telemetry
+/// stream of `trace` (nullable) as well.
 template <typename KernelFactory>
 RecoveryEstimate run_parallel_recovering_mc(
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, const NoiseModel& model,
     const ParallelMcOptions& opts, KernelFactory&& factory,
     telemetry::Trace* trace = nullptr) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
-  revft::detail::TraceShards traces(trace, shards.size());
-  RecoveryEstimate est = revft::detail::run_sharded_as<RecoveryEstimate>(
-      shards, resolve_thread_count(opts.threads),
-      [&](const McShard& shard) -> RecoveryEstimate {
-        auto kernel = factory(shard.index);
-        PackedSimulator sim(model, shard.seed);
-        PackedState state(checked.circuit.width(), opts.lane_words);
-        return run_recovering_mc_span(
-            sim, state, checked, plan, policy, shard.first_batch, shard.trials,
-            [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-              kernel.prepare(s, rng, batch);
-            },
-            [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-              return kernel.classify(s, lane, batch);
-            },
-            traces.shard(shard.index));
-      });
-  traces.absorb();
-  return est;
+  return revft::detail::run_rounds<RecoveryEstimate>(
+      model, checked.circuit.width(), opts, opts.batches_per_shard,
+      detail::bind_kernels(factory), trace,
+      detail::recovering_range(checked, plan, policy),
+      revft::detail::never_stop);
 }
 
 }  // namespace revft::recover

@@ -1,25 +1,26 @@
 // revft/telemetry/stream.h
 //
 // Streaming observation layer over the thread-sharded Monte-Carlo
-// engines: run the SAME per-batch semantics as run_parallel_mc /
-// run_parallel_checked_mc / run_parallel_recovering_mc, but one ROUND
-// at a time — a round is one batch from every still-active shard —
-// with the partial estimates merged in shard-index order at every
-// round boundary. Each boundary yields a ConvergenceSnapshot (rate +
-// Wilson half-width of the engine's headline estimate), feeds the
-// live on_snapshot callback, and evaluates the EarlyStopPolicy.
+// engines: run the SAME shard driver as run_parallel_mc /
+// run_parallel_checked_mc / run_parallel_recovering_mc
+// (noise/parallel_mc.h), but one batch per shard per ROUND instead of
+// one round of whole shards, with the partial estimates merged in
+// shard-index order at every round boundary. Each boundary yields a
+// ConvergenceSnapshot (rate + Wilson half-width of the engine's
+// headline estimate), feeds the live on_snapshot callback, and
+// evaluates the EarlyStopPolicy. The price is one pool barrier per
+// batch: with several workers and small batches a never-stop stream
+// is several times slower than the one-round full run, which stays
+// the way to spend a whole budget.
 //
-// Determinism: each shard keeps its own persistent simulator seeded
-// with the shard's child seed and consumes batches in the same order
-// as the full-span run, so the per-shard RNG streams are IDENTICAL to
-// the non-streaming engines' — a no-stop streaming run reproduces the
-// legacy estimate bit for bit (ctest-pinned). Snapshots exist only at
-// merged round boundaries and the merge order is fixed, so the
-// snapshot series, the stop decision, and therefore the stopped
-// estimate (trials consumed, failures, rail counters — everything)
-// are bit-identical across REVFT_THREADS (ctest-enforced across
-// {1,3,8}). Wall-clock is confined to WallProfile, which
-// deterministic_equal ignores.
+// Determinism: each shard's simulator persists across rounds, so a
+// no-stop streaming run reproduces the full run's estimate bit for
+// bit (ctest-pinned). Snapshots exist only at merged round boundaries
+// and the merge order is fixed, so the snapshot series, the stop
+// decision, and therefore the stopped estimate (trials consumed,
+// failures, rail counters — everything) are bit-identical across
+// REVFT_THREADS (ctest-enforced across {1,3,8}). Wall-clock is
+// confined to WallProfile, which deterministic_equal ignores.
 //
 // The headline estimate each engine converges on:
 //   plain       failures / trials            (logical error rate)
@@ -30,11 +31,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "detect/checked_mc.h"
 #include "noise/parallel_mc.h"
@@ -95,48 +93,18 @@ inline BernoulliEstimate headline_estimate(
 
 namespace detail {
 
-/// Persistent worker pool with a two-phase barrier per round: workers
-/// sleep between rounds, the coordinator releases them, they drain the
-/// job list through a work-stealing counter (job ASSIGNMENT is
-/// nondeterministic, but each job writes only its own slot — the
-/// run_sharded_as ownership discipline), and everyone meets at the
-/// join barrier. Worker exceptions are captured per job index and the
-/// lowest-index one rethrown on the coordinator, mirroring
-/// run_sharded_as. With fewer than 2 effective workers there is no
-/// pool and run_round executes inline.
-class RoundScheduler {
- public:
-  /// `jobs` is fixed for the scheduler's lifetime (one per shard);
-  /// `threads` has run_sharded_as semantics (capped by jobs).
-  RoundScheduler(std::size_t jobs, int threads);
-  ~RoundScheduler();
-  RoundScheduler(const RoundScheduler&) = delete;
-  RoundScheduler& operator=(const RoundScheduler&) = delete;
-
-  /// Run fn(i) for every i in [0, jobs); returns when all are done.
-  void run_round(const std::function<void(std::size_t)>& fn);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;  ///< null → inline execution
-  std::size_t jobs_;
-};
-
-/// The generic round loop every engine wrapper funnels into.
-/// `make_state(shard)` builds the shard's persistent simulator/kernel
-/// bundle (a unique_ptr — constructed once, so the RNG stream spans
-/// rounds exactly like a full-span run); `run_batch(state, shard,
-/// global_batch, trials_this_batch, shard_trace)` executes ONE batch
-/// through the engine's span function and returns the delta estimate.
-template <typename Estimate, typename MakeState, typename RunBatch>
+/// The one streaming loop: runs an engine's shard binding `run_range`
+/// through revft::detail::run_rounds at one batch per shard per round,
+/// and at every merged boundary records the snapshot, fires
+/// on_snapshot and evaluates the stop policy.
+template <typename Estimate, typename KernelFactory, typename RunRange>
 StreamResult<Estimate> run_streaming_rounds(const char* engine,
                                             const StreamOptions& opts,
-                                            Trace* trace, MakeState&& make_state,
-                                            RunBatch&& run_batch) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.mc.trials, opts.mc.seed, opts.mc.batches_per_shard,
-      opts.mc.lane_words);
-
+                                            const NoiseModel& model,
+                                            std::uint32_t width,
+                                            KernelFactory&& factory,
+                                            Trace* trace, RunRange&& run_range) {
+  using Clock = std::chrono::steady_clock;
   StreamResult<Estimate> result;
   ConvergenceTrajectory& traj = result.trajectory;
   traj.name = opts.name;
@@ -144,67 +112,25 @@ StreamResult<Estimate> run_streaming_rounds(const char* engine,
   traj.key = {opts.mc.trials, opts.mc.seed, opts.mc.batches_per_shard,
               opts.mc.lane_words};
   traj.policy = opts.stop;
-  if (shards.empty()) {
-    traj.stop_reason = StopReason::kExhausted;
-    return result;
-  }
 
-  revft::detail::TraceShards traces(trace, shards.size());
-
-  const std::uint64_t lanes_per_batch = 64ULL * opts.mc.lane_words;
-  const auto shard_batches = [&](const McShard& s) {
-    return (s.trials + lanes_per_batch - 1) / lanes_per_batch;
-  };
-  std::uint64_t total_rounds = 0;
-  for (const McShard& s : shards)
-    total_rounds = std::max(total_rounds, shard_batches(s));
-
-  using State = std::remove_reference_t<decltype(*make_state(shards.front()))>;
-  std::vector<std::unique_ptr<State>> states;
-  states.reserve(shards.size());
-  for (const McShard& s : shards) states.push_back(make_state(s));
-
-  std::vector<Estimate> deltas(shards.size());
-  RoundScheduler scheduler(shards.size(),
-                           resolve_thread_count(opts.mc.threads));
-
-  Estimate total{};
-  for (std::uint64_t round = 0; round < total_rounds; ++round) {
-    const auto t0 = std::chrono::steady_clock::now();
-    scheduler.run_round([&](std::size_t i) {
-      const McShard& shard = shards[i];
-      if (round >= shard_batches(shard)) {
-        deltas[i] = Estimate{};  // shard already drained
-        return;
-      }
-      const std::uint64_t done = round * lanes_per_batch;
-      const std::uint64_t this_trials =
-          std::min<std::uint64_t>(lanes_per_batch, shard.trials - done);
-      deltas[i] = run_batch(*states[i], shard, shard.first_batch + round,
-                            this_trials, traces.shard(shard.index));
-    });
-    // Fold the round's deltas in shard-index order — exact integer
-    // sums, so the boundary estimate inherits the engines' thread-
-    // count independence.
-    for (const Estimate& d : deltas) total += d;
-    if (opts.wall_clock) {
-      traj.wall.round_seconds.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    const BernoulliEstimate headline = headline_estimate(total);
-    traj.record(round, total.trials, headline);
-    if (opts.on_snapshot) opts.on_snapshot(traj.snapshots.back(), traj);
-    const StopReason stop = decide_stop(opts.stop, total.trials, headline);
-    if (stop != StopReason::kNone) {
-      traj.stop_reason = stop;
-      break;
-    }
-  }
+  Clock::time_point t0 = opts.wall_clock ? Clock::now() : Clock::time_point{};
+  result.estimate = revft::detail::run_rounds<Estimate>(
+      model, width, opts.mc, 1, factory, trace,
+      std::forward<RunRange>(run_range),
+      [&](std::uint64_t round, const Estimate& total) {
+        if (opts.wall_clock) {
+          traj.wall.round_seconds.push_back(
+              std::chrono::duration<double>(Clock::now() - t0).count());
+        }
+        const BernoulliEstimate headline = headline_estimate(total);
+        traj.record(round, total.trials, headline);
+        if (opts.on_snapshot) opts.on_snapshot(traj.snapshots.back(), traj);
+        traj.stop_reason = decide_stop(opts.stop, total.trials, headline);
+        if (opts.wall_clock) t0 = Clock::now();
+        return traj.stop_reason != StopReason::kNone;
+      });
   if (traj.stop_reason == StopReason::kNone)
     traj.stop_reason = StopReason::kExhausted;
-  traces.absorb();
-  result.estimate = std::move(total);
   return result;
 }
 
@@ -218,34 +144,9 @@ template <typename KernelFactory>
 StreamResult<BernoulliEstimate> run_streaming_mc(
     const Circuit& circuit, const NoiseModel& model, const StreamOptions& opts,
     KernelFactory&& factory, Trace* trace = nullptr) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  struct State {
-    PackedSimulator sim;
-    PackedState st;
-    Kernel kernel;
-    State(const NoiseModel& m, std::uint64_t seed, std::uint32_t width,
-          unsigned lane_words, Kernel k)
-        : sim(m, seed), st(width, lane_words), kernel(std::move(k)) {}
-  };
   return detail::run_streaming_rounds<BernoulliEstimate>(
-      "plain", opts, trace,
-      [&](const McShard& shard) {
-        return std::make_unique<State>(model, shard.seed, circuit.width(),
-                                       opts.mc.lane_words,
-                                       factory(shard.index));
-      },
-      [&](State& s, const McShard&, std::uint64_t batch, std::uint64_t trials,
-          ShardTrace* shard_trace) {
-        return revft::detail::run_mc_span(
-            s.sim, s.st, circuit, batch, trials,
-            [&s](PackedState& ps, Xoshiro256& rng, std::uint64_t b) {
-              s.kernel.prepare(ps, rng, b);
-            },
-            [&s](const PackedState& ps, int lane, std::uint64_t b) {
-              return s.kernel.classify(ps, lane, b);
-            },
-            shard_trace);
-      });
+      "plain", opts, model, circuit.width(), factory, trace,
+      revft::detail::mc_range(circuit));
 }
 
 /// Streaming counterpart of run_parallel_checked_mc. The headline the
@@ -257,35 +158,9 @@ StreamResult<detect::DetectionEstimate> run_streaming_checked_mc(
     const detect::CheckedCircuit& checked, const NoiseModel& model,
     const StreamOptions& opts, KernelFactory&& factory,
     Trace* trace = nullptr) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  struct State {
-    PackedSimulator sim;
-    PackedState st;
-    Kernel kernel;
-    State(const NoiseModel& m, std::uint64_t seed, std::uint32_t width,
-          unsigned lane_words, Kernel k)
-        : sim(m, seed), st(width, lane_words), kernel(std::move(k)) {}
-  };
   return detail::run_streaming_rounds<detect::DetectionEstimate>(
-      "checked", opts, trace,
-      [&](const McShard& shard) {
-        return std::make_unique<State>(model, shard.seed,
-                                       checked.circuit.width(),
-                                       opts.mc.lane_words,
-                                       factory(shard.index));
-      },
-      [&](State& s, const McShard&, std::uint64_t batch, std::uint64_t trials,
-          ShardTrace* shard_trace) {
-        return detect::detail::run_checked_mc_span(
-            s.sim, s.st, checked, batch, trials,
-            [&s](PackedState& ps, Xoshiro256& rng, std::uint64_t b) {
-              s.kernel.prepare(ps, rng, b);
-            },
-            [&s](const PackedState& ps, int lane, std::uint64_t b) {
-              return s.kernel.classify(ps, lane, b);
-            },
-            shard_trace);
-      });
+      "checked", opts, model, checked.circuit.width(), factory, trace,
+      detect::detail::checked_range(checked));
 }
 
 /// Streaming counterpart of run_parallel_recovering_mc: the retry
@@ -298,40 +173,10 @@ StreamResult<recover::RecoveryEstimate> run_streaming_recovering_mc(
     const recover::RetryPolicy& policy, const NoiseModel& model,
     const StreamOptions& opts, KernelFactory&& factory,
     Trace* trace = nullptr) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  struct State {
-    PackedSimulator sim;
-    PackedState st;
-    Kernel kernel;
-    recover::PrepareFn prepare;
-    recover::ClassifyFn classify;
-    State(const NoiseModel& m, std::uint64_t seed, std::uint32_t width,
-          unsigned lane_words, Kernel k)
-        : sim(m, seed), st(width, lane_words), kernel(std::move(k)) {
-      // Bind the std::function callbacks once per shard, not once per
-      // round (run_recovering_mc_span takes them by const reference).
-      prepare = [this](PackedState& ps, Xoshiro256& rng, std::uint64_t b) {
-        kernel.prepare(ps, rng, b);
-      };
-      classify = [this](const PackedState& ps, int lane, std::uint64_t b) {
-        return kernel.classify(ps, lane, b);
-      };
-    }
-  };
   return detail::run_streaming_rounds<recover::RecoveryEstimate>(
-      "recovering", opts, trace,
-      [&](const McShard& shard) {
-        return std::make_unique<State>(model, shard.seed,
-                                       checked.circuit.width(),
-                                       opts.mc.lane_words,
-                                       factory(shard.index));
-      },
-      [&](State& s, const McShard&, std::uint64_t batch, std::uint64_t trials,
-          ShardTrace* shard_trace) {
-        return recover::run_recovering_mc_span(
-            s.sim, s.st, checked, plan, policy, batch, trials, s.prepare,
-            s.classify, shard_trace);
-      });
+      "recovering", opts, model, checked.circuit.width(),
+      recover::detail::bind_kernels(factory), trace,
+      recover::detail::recovering_range(checked, plan, policy));
 }
 
 }  // namespace revft::telemetry

@@ -1,16 +1,22 @@
 // Thread-sharded Monte-Carlo engine tests: exact trial accounting for
 // partial batches, the determinism contract (bit-identical results at
-// any thread count for a fixed seed), and statistical agreement with
-// the single-threaded harness.
+// any thread count for a fixed seed), statistical agreement with the
+// single-threaded harness, and the shard driver's pool: exceptions
+// and the bound on live per-shard states.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ft/experiments.h"
 #include "noise/monte_carlo.h"
 #include "noise/parallel_mc.h"
 #include "rev/circuit.h"
+#include "telemetry/stream.h"
 
 namespace revft {
 namespace {
@@ -166,6 +172,94 @@ TEST(ParallelMc, PartialBatchAccountingAcrossShards) {
     EXPECT_EQ(est.trials, trials);
     EXPECT_EQ(est.failures, 0u);
   }
+}
+
+// --- the shard driver's pool ------------------------------------------
+
+/// Throws from prepare in shards 3 and 5; every other shard is clean.
+struct ThrowingKernel {
+  std::uint64_t shard;
+  void prepare(PackedState&, Xoshiro256&, std::uint64_t) const {
+    if (shard == 3 || shard == 5)
+      throw std::runtime_error("shard " + std::to_string(shard));
+  }
+  bool classify(const PackedState&, int, std::uint64_t) const { return false; }
+};
+
+std::string thrown_message(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& err) {
+    return err.what();
+  }
+  return "no exception";
+}
+
+TEST(ParallelMc, ShardExceptionsRethrowLowestIndexFirst) {
+  const Circuit c = single_not();
+  const NoiseModel model = NoiseModel::uniform(0.05);
+  const auto throwing = [](std::uint64_t shard) {
+    return ThrowingKernel{shard};
+  };
+  for (const int threads : {1, 4}) {
+    const ParallelMcOptions opts = small_shard_opts(100003, threads);
+    EXPECT_EQ(thrown_message([&] {
+                run_parallel_mc(c, model, opts, throwing);
+              }),
+              "shard 3")
+        << "threads=" << threads;
+    telemetry::StreamOptions stream;
+    stream.mc = opts;
+    EXPECT_EQ(thrown_message([&] {
+                telemetry::run_streaming_mc(c, model, stream, throwing);
+              }),
+              "shard 3")
+        << "threads=" << threads;
+
+    // The pool tore down cleanly: the next run works and is complete.
+    const auto est = run_parallel_mc(
+        c, model, opts, [](std::uint64_t) { return ThrowingKernel{0}; });
+    EXPECT_EQ(est.trials, 100003u) << "threads=" << threads;
+  }
+}
+
+/// Counts live instances (and the peak) across every shard's kernel.
+struct CountingKernel {
+  static inline std::atomic<int> live{0};
+  static inline std::atomic<int> peak{0};
+
+  CountingKernel() { enter(); }
+  CountingKernel(const CountingKernel&) { enter(); }
+  CountingKernel& operator=(const CountingKernel&) = default;
+  ~CountingKernel() { --live; }
+
+  static void enter() {
+    const int now = ++live;
+    int seen = peak.load();
+    while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  void prepare(PackedState&, Xoshiro256&, std::uint64_t) {}
+  bool classify(const PackedState&, int, std::uint64_t) const { return false; }
+};
+
+TEST(ParallelMc, FullRunHoldsAtMostThreadsLiveKernels) {
+  const Circuit c = single_not();
+  ParallelMcOptions opts;
+  opts.trials = 64 * 2 * 64;  // 64 shards of 2 batches
+  opts.batches_per_shard = 2;
+  opts.threads = 4;
+  CountingKernel::live = 0;
+  CountingKernel::peak = 0;
+  const auto est =
+      run_parallel_mc(c, NoiseModel::uniform(0.05), opts,
+                      [](std::uint64_t) { return CountingKernel{}; });
+  EXPECT_EQ(plan_shards(opts.trials, opts.seed, opts.batches_per_shard).size(),
+            64u);
+  EXPECT_EQ(est.trials, opts.trials);
+  EXPECT_GE(CountingKernel::peak.load(), 1);
+  EXPECT_LE(CountingKernel::peak.load(), 4);
+  EXPECT_EQ(CountingKernel::live.load(), 0);
 }
 
 }  // namespace

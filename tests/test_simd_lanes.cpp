@@ -15,9 +15,9 @@
 // gate kernels agree with the scalar reference simulator at every
 // width, different widths agree statistically (they run DIFFERENT
 // trials — same distribution, different stream), checkpoint spans
-// evaluate identically to the group walk, multi-word checkpoint
-// blends move exactly the masked lanes, and the compiled-program
-// cache serves hits without recompiling.
+// evaluate identically to the group walk (and a circuit without them
+// is rejected), and multi-word checkpoint blends move exactly the
+// masked lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "detect/checked_mc.h"
@@ -34,15 +35,14 @@
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
 #include "local/machine1d.h"
-#include "local/program_cache.h"
 #include "noise/lanes.h"
 #include "noise/packed_sim.h"
 #include "noise/parallel_mc.h"
 #include "recover/checkpoint.h"
 #include "rev/simulator.h"
+#include "support/error.h"
 #include "support/rng.h"
 #include "support/stats.h"
-#include "telemetry/metrics.h"
 
 namespace revft {
 namespace {
@@ -469,22 +469,58 @@ TEST(CheckpointSpans, BuiltForEveryCheckpointAndConsistent) {
   }
 }
 
+/// Reference for the span evaluation: the same merged walk as
+/// apply_noisy_checked_words (identical simulator calls, so identical
+/// RNG consumption), but reading each rail's members straight off
+/// checkpoint_groups.
+void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
+                                    const detect::CheckedCircuit& checked,
+                                    std::uint64_t* detected) {
+  const unsigned W = state.lane_words();
+  std::fill(detected, detected + W, 0);
+  const std::size_t end = checked.circuit.size();
+  const std::size_t n_cp = checked.checkpoints.size();
+  const std::size_t n_zc = checked.zero_checks.size();
+  std::size_t pos = 0, ci = 0, zi = 0;
+  while (ci < n_cp || zi < n_zc) {
+    const std::size_t stop =
+        std::min(ci < n_cp ? checked.checkpoints[ci] : end,
+                 zi < n_zc ? checked.zero_checks[zi].op_index : end);
+    sim.apply_noisy_span(state, checked.circuit, pos, stop + 1);
+    pos = stop + 1;
+    for (; zi < n_zc && checked.zero_checks[zi].op_index == stop; ++zi)
+      for (const std::uint32_t bit : checked.zero_checks[zi].bits)
+        for (unsigned w = 0; w < W; ++w) detected[w] |= state.words(bit)[w];
+    for (; ci < n_cp && checked.checkpoints[ci] == stop; ++ci) {
+      const auto& groups = checked.checkpoint_groups[ci];
+      for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+        for (unsigned w = 0; w < W; ++w) {
+          std::uint64_t acc = state.words(checked.rails[r].rail_bit)[w];
+          for (const std::uint32_t bit : groups[r]) acc ^= state.words(bit)[w];
+          detected[w] |= acc;
+        }
+      }
+    }
+  }
+  sim.apply_noisy_span(state, checked.circuit, pos, end);
+  for (const std::uint32_t cb : checked.check_bits)
+    for (unsigned w = 0; w < W; ++w) detected[w] |= state.words(cb)[w];
+}
+
 TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
   Circuit logical(4);
   logical.toffoli(0, 1, 2).maj(1, 2, 3);
-  const auto with_spans = CheckedMachine1d(4).compile(logical).checked;
-  detect::CheckedCircuit without_spans = with_spans;
-  without_spans.checkpoint_spans.clear();  // forces the group-walk path
+  const auto checked = CheckedMachine1d(4).compile(logical).checked;
 
   for (const unsigned W : {1u, 4u}) {
     PackedSimulator sim_a(NoiseModel::uniform(3e-3), 2024);
     PackedSimulator sim_b(NoiseModel::uniform(3e-3), 2024);
-    PackedState state_a(with_spans.circuit.width(), W);
-    PackedState state_b(without_spans.circuit.width(), W);
+    PackedState state_a(checked.circuit.width(), W);
+    PackedState state_b(checked.circuit.width(), W);
     std::uint64_t det_a[kMaxLaneWords], det_b[kMaxLaneWords];
     for (int round = 0; round < 32; ++round) {
-      detect::apply_noisy_checked_words(sim_a, state_a, with_spans, det_a);
-      detect::apply_noisy_checked_words(sim_b, state_b, without_spans, det_b);
+      detect::apply_noisy_checked_words(sim_a, state_a, checked, det_a);
+      apply_noisy_checked_group_walk(sim_b, state_b, checked, det_b);
       for (unsigned w = 0; w < W; ++w)
         ASSERT_EQ(det_a[w], det_b[w]) << "W=" << W << " round=" << round;
       for (std::uint32_t bit = 0; bit < state_a.width(); ++bit)
@@ -494,6 +530,31 @@ TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
       state_b.clear();
     }
   }
+}
+
+// The checked engine evaluates rail checkpoints from checkpoint_spans
+// alone, so a circuit whose spans do not match its checkpoints
+// (hand-assembled, never passed through build_checkpoint_spans) is
+// rejected instead of read out of bounds.
+TEST(CheckpointSpans, ApplyRejectsMissingSpans) {
+  Circuit logical(4);
+  logical.toffoli(0, 1, 2).maj(1, 2, 3);
+  detect::CheckedCircuit checked = CheckedMachine1d(4).compile(logical).checked;
+  checked.checkpoint_spans.clear();
+  PackedSimulator sim(NoiseModel::uniform(3e-3), 2024);
+  PackedState state(checked.circuit.width(), 1);
+  std::uint64_t detected = 0;
+  try {
+    detect::apply_noisy_checked_words(sim, state, checked, &detected);
+    FAIL() << "a checked circuit ran without checkpoint_spans";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("build_checkpoint_spans"),
+              std::string::npos)
+        << err.what();
+  }
+  detect::build_checkpoint_spans(checked);
+  EXPECT_NO_THROW(
+      detect::apply_noisy_checked_words(sim, state, checked, &detected));
 }
 
 // --- multi-word checkpoint and blends ---------------------------------
@@ -542,66 +603,6 @@ TEST(WideCheckpoint, LaneMaskBlendMovesExactlyTheMaskedLanes) {
     EXPECT_EQ(dst2.bit_lane(1, lane), mask.test(lane) ? 1 : 0);
     EXPECT_EQ(dst2.bit_lane(2, lane), 0);
   }
-}
-
-// --- the compiled-program cache ---------------------------------------
-
-TEST(ProgramCacheTest, HitsServeTheSameBundleWithoutRecompiling) {
-  auto& cache = ProgramCache::instance();
-  const std::uint64_t h0 = cache.hits();
-  const std::uint64_t m0 = cache.misses();
-
-  Circuit logical(3);
-  logical.toffoli(0, 1, 2);
-  const auto a = cache.get(MachineKind::k1d, logical);
-  const auto b = cache.get(MachineKind::k1d, logical);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.misses(), m0 + 1);
-  EXPECT_EQ(cache.hits(), h0 + 1);
-
-  // The bundle matches a direct compile and carries the segment plan.
-  const auto direct = CheckedMachine1d(3).compile(logical);
-  EXPECT_EQ(a->program.checked.circuit, direct.checked.circuit);
-  EXPECT_FALSE(a->plan.segments.empty());
-}
-
-TEST(ProgramCacheTest, KeyDiscriminatesOptionsMachineAndWorkload) {
-  auto& cache = ProgramCache::instance();
-  Circuit logical(3);
-  logical.toffoli(0, 1, 2);
-  const auto base = cache.get(MachineKind::k1d, logical);
-
-  CheckedMachineOptions global;
-  global.rails = RailGranularity::kGlobal;
-  EXPECT_NE(base.get(), cache.get(MachineKind::k1d, logical, true, global).get());
-  EXPECT_NE(base.get(), cache.get(MachineKind::k2d, logical).get());
-  EXPECT_NE(base.get(),
-            cache.get(MachineKind::k1d, logical, true,
-                      recovering_machine_options())
-                .get());
-
-  Circuit other(3);
-  other.toffoli(2, 1, 0);  // same width and kind, different operands
-  EXPECT_NE(base.get(), cache.get(MachineKind::k1d, other).get());
-}
-
-TEST(ProgramCacheTest, ExportsTelemetryCounters) {
-  auto& cache = ProgramCache::instance();
-  Circuit logical(3);
-  logical.maj(0, 1, 2);
-  (void)cache.get(MachineKind::k1d, logical);
-
-  telemetry::MetricsRegistry metrics;
-  cache.export_metrics(metrics);
-  const telemetry::Metric* hits = metrics.find("program_cache.hits");
-  const telemetry::Metric* misses = metrics.find("program_cache.misses");
-  const telemetry::Metric* entries = metrics.find("program_cache.entries");
-  ASSERT_NE(hits, nullptr);
-  ASSERT_NE(misses, nullptr);
-  ASSERT_NE(entries, nullptr);
-  EXPECT_EQ(hits->value, cache.hits());
-  EXPECT_EQ(misses->value, cache.misses());
-  EXPECT_GE(entries->value, 1u);
 }
 
 }  // namespace
