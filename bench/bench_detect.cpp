@@ -256,7 +256,10 @@ void print_overhead(benchutil::JsonResultWriter& json) {
   PackedState checked_state(checked.circuit.width());
   std::uint64_t mask_acc = 0;
   const double checked_ns = ns_per_op(plain.size(), iters, [&] {
-    mask_acc ^= detect::apply_noisy_checked(checked_sim, checked_state, checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(checked_sim, checked_state, checked,
+                                      &detected);
+    mask_acc ^= detected;
     benchmark::DoNotOptimize(checked_state);
   });
   benchmark::DoNotOptimize(mask_acc);
@@ -301,7 +304,9 @@ void BM_PackedCheckedMajApply(benchmark::State& state) {
   PackedState ps(checked.circuit.width());
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    acc ^= detect::apply_noisy_checked(sim, ps, checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(sim, ps, checked, &detected);
+    acc ^= detected;
     benchmark::DoNotOptimize(ps);
   }
   benchmark::DoNotOptimize(acc);
@@ -312,17 +317,6 @@ void BM_PackedCheckedMajApply(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedCheckedMajApply);
 
-void BM_ParityWordCheckpoint(benchmark::State& state) {
-  PackedState ps(10);
-  for (std::uint32_t b = 0; b < 10; ++b) ps.word(b) = 0x123456789abcdefULL * b;
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    acc ^= ps.parity_word(9) ^ ps.word(9);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_ParityWordCheckpoint);
 
 }  // namespace
 

@@ -523,8 +523,10 @@ double measure_overhead(const Circuit& physical,
   PackedState checked_state(program.checked.circuit.width());
   std::uint64_t mask_acc = 0;
   const double checked_ns = ns_per_op(physical.size(), iters, [&] {
-    mask_acc ^=
-        detect::apply_noisy_checked(checked_sim, checked_state, program.checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(checked_sim, checked_state,
+                                      program.checked, &detected);
+    mask_acc ^= detected;
     benchmark::DoNotOptimize(checked_state);
   });
   benchmark::DoNotOptimize(mask_acc);
@@ -582,7 +584,9 @@ void BM_CheckedMachine1dApply(benchmark::State& state) {
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    acc ^= detect::apply_noisy_checked(sim, ps, program.checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(sim, ps, program.checked, &detected);
+    acc ^= detected;
     benchmark::DoNotOptimize(ps);
   }
   benchmark::DoNotOptimize(acc);

@@ -290,7 +290,9 @@ void BM_CheckedMachine1dApplyBaseline(benchmark::State& state) {
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    acc ^= detect::apply_noisy_checked(sim, ps, program.checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(sim, ps, program.checked, &detected);
+    acc ^= detected;
     benchmark::DoNotOptimize(ps);
   }
   benchmark::DoNotOptimize(acc);

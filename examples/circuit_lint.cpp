@@ -8,7 +8,7 @@
 //     (rail-coverage-hole);
 //   * the cycle railed WITHOUT the known-zero promise, so encoder
 //     compensation provably never toggles (dead-compensation);
-//   * checkpoint_groups doctored behind the transform's back
+//   * checkpoint_spans doctored behind the transform's back
 //     (membership-mismatch);
 //   * a zero check asserted on a cell that provably carries data
 //     (spurious-check);
@@ -120,12 +120,14 @@ int main() {
                verify::lint_checked_circuit(program.checked,
                                             machine_entry(program)));
 
-  // checkpoint_groups doctored behind the transform's back.
+  // checkpoint_spans doctored behind the transform's back: the first
+  // cells of rails 0 and 1 trade groups at the first checkpoint.
   auto doctored = program.checked;
-  auto& groups = doctored.checkpoint_groups.front();
-  if (groups.size() >= 2 && !groups[0].empty() && !groups[1].empty()) {
-    std::swap(groups[0].front(), groups[1].front());
-    print_report("checked 1D machine with doctored checkpoint_groups",
+  auto& span = doctored.checkpoint_spans.front();
+  const auto& first = span.rail_first;
+  if (first.size() >= 3 && first[0] < first[1] && first[1] < first[2]) {
+    std::swap(span.bits[first[0]], span.bits[first[1]]);
+    print_report("checked 1D machine with doctored checkpoint_spans",
                  verify::lint_checked_circuit(doctored,
                                               machine_entry(program)));
   }

@@ -6,11 +6,8 @@ namespace revft::detect {
 
 namespace {
 
-// One instantiation per lane width: W is a compile-time constant, so
-// every per-rail accumulation below is a fixed-trip-count word loop
-// the compiler vectorizes alongside the gate kernels. Rail checkpoints
-// read the flattened CSR spans (built by to_parity_rail, or by
-// build_checkpoint_spans for a hand-assembled circuit).
+// One instantiation per lane width, so the rail and zero-check
+// evaluators (checked_mc.h detail) run fixed-trip word loops.
 template <unsigned W>
 void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
                               const CheckedCircuit& checked,
@@ -38,11 +35,9 @@ void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
     sim.apply_noisy_span(state, checked.circuit, pos, stop + 1);
     pos = stop + 1;
     while (zi < n_zc && checked.zero_checks[zi].op_index == stop) {
-      std::uint64_t zero_mask[W] = {};
-      for (const std::uint32_t bit : checked.zero_checks[zi].bits) {
-        const std::uint64_t* __restrict__ src = state.words(bit);
-        for (unsigned w = 0; w < W; ++w) zero_mask[w] |= src[w];
-      }
+      std::uint64_t zero_mask[W];
+      detail::zero_check_words<W>(state, checked.zero_checks[zi].bits,
+                                  zero_mask);
       for (unsigned w = 0; w < W; ++w) detected[w] |= zero_mask[w];
       if (fired_masks != nullptr)
         for (unsigned w = 0; w < W; ++w)
@@ -51,20 +46,10 @@ void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
     }
     while (ci < n_cp && checked.checkpoints[ci] == stop) {
       const CheckpointSpan& span = checked.checkpoint_spans[ci];
-      const std::uint32_t* __restrict__ bits = span.bits.data();
       for (std::size_t r = 0; r < n_rails; ++r) {
         std::uint64_t acc[W];
-        {
-          const std::uint64_t* __restrict__ rail =
-              state.words(checked.rails[r].rail_bit);
-          for (unsigned w = 0; w < W; ++w) acc[w] = rail[w];
-        }
-        const std::uint32_t first = span.rail_first[r];
-        const std::uint32_t last = span.rail_first[r + 1];
-        for (std::uint32_t i = first; i < last; ++i) {
-          const std::uint64_t* __restrict__ src = state.words(bits[i]);
-          for (unsigned w = 0; w < W; ++w) acc[w] ^= src[w];
-        }
+        detail::rail_invariant_words<W>(state, checked.rails[r].rail_bit,
+                                        span.group(r), acc);
         for (unsigned w = 0; w < W; ++w) detected[w] |= acc[w];
         if (fired_masks != nullptr)
           for (unsigned w = 0; w < W; ++w) fired_masks[r * W + w] |= acc[w];
@@ -86,11 +71,11 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks) {
   REVFT_CHECK_MSG(checked.circuit.width() == state.width(),
-                  "apply_noisy_checked: width mismatch");
+                  "apply_noisy_checked_words: width mismatch");
   REVFT_CHECK_MSG(
       checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "apply_noisy_checked: checkpoint_spans do not match checkpoints (call "
-      "detect::build_checkpoint_spans on a hand-assembled CheckedCircuit)");
+      "apply_noisy_checked_words: checkpoint_spans do not match checkpoints (a "
+      "CheckedCircuit's spans come from detect::to_parity_rail)");
   switch (state.lane_words()) {
     case 1:
       apply_noisy_checked_impl<1>(sim, state, checked, detected, fired_masks);
@@ -106,17 +91,6 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
       return;
   }
   REVFT_CHECK_MSG(false, "apply_noisy_checked_words: bad lane_words");
-}
-
-std::uint64_t apply_noisy_checked(PackedSimulator& sim, PackedState& state,
-                                  const CheckedCircuit& checked,
-                                  std::uint64_t* fired_masks) {
-  REVFT_CHECK_MSG(state.lane_words() == 1,
-                  "apply_noisy_checked: legacy overload is single-word; use "
-                  "apply_noisy_checked_words for wide states");
-  std::uint64_t detected = 0;
-  apply_noisy_checked_words(sim, state, checked, &detected, fired_masks);
-  return detected;
 }
 
 }  // namespace revft::detect

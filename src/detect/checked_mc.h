@@ -1,13 +1,15 @@
 // revft/detect/checked_mc.h
 //
-// Online error detection inside the 64-lane packed Monte-Carlo engine.
-// A checked circuit is applied noisily gate by gate; at every recorded
+// Online error detection inside the packed Monte-Carlo engine. A
+// checked circuit is applied noisily gate by gate; at every recorded
 // checkpoint every rail invariant I_r = rail_r ^ XOR(group_r) is
-// evaluated for all 64 lanes at once — one XOR per group member plus
-// one OR into the running `detected` bitmask, so a full partition's
-// checkpoint costs the same word work as the classic single rail
-// (the groups tile the data bits), and the per-rail fired masks come
-// out as a byproduct.
+// evaluated for all 64 * lane_words lanes at once — one word XOR per
+// group member plus one OR into the running `detected` mask, so a full
+// partition's checkpoint costs the same word work as the classic
+// single rail (the groups tile the data bits), and the per-rail fired
+// masks come out as a byproduct. The rail and zero-check evaluators
+// (detail::rail_invariant_words, detail::zero_check_words) are the
+// only packed ones; the recovering engine calls them too.
 //
 // The detected masks are threaded through the thread-sharded engine
 // (noise/parallel_mc.h): every trial is classified into one of four
@@ -29,6 +31,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -144,38 +147,58 @@ struct DetectionEstimate {
   bool operator==(const DetectionEstimate&) const = default;
 };
 
-/// Apply checked.circuit noisily and return the per-lane detected
-/// bitmask: bit t set means some checkpoint saw a rail invariant
-/// violated in lane t, or some ZeroCheck saw a nonzero bit there.
-/// Embedded check bits, when present, are folded into the mask at the
-/// end. When `fired_masks` is non-null it must point at
-/// checked.rails.size() + 1 words, which are overwritten with the
-/// per-lane fired mask of each rail ([0, rails.size())) and of the
-/// zero checks (last slot); embedded check-bit detections appear only
-/// in the combined mask. Consumes RNG identically for a fixed
-/// simulator state, so the sharded determinism contract carries over.
-std::uint64_t apply_noisy_checked(PackedSimulator& sim, PackedState& state,
-                                  const CheckedCircuit& checked,
-                                  std::uint64_t* fired_masks = nullptr);
-
-/// Multi-word generalization for states with lane_words() >= 1:
-/// `detected` points at lane_words words (overwritten with the
-/// per-lane detected mask), and `fired_masks` (nullable) at
+/// Apply checked.circuit noisily to a state of any lane_words() and
+/// write the per-lane detected mask: `detected` points at lane_words
+/// words, and bit t of lane word w is set when some checkpoint saw a
+/// rail invariant violated in lane 64w + t, or some ZeroCheck saw a
+/// nonzero bit there. Embedded check bits, when present, are folded in
+/// at the end. `fired_masks` (nullable) points at
 /// (rails.size() + 1) * lane_words words laid out rail-major —
 /// fired_masks[r * lane_words + w] is rail r's fired mask for lane
-/// word w, with the zero-check masks in the last slot group. At
-/// lane_words == 1 this is exactly the legacy overload above (same
-/// RNG stream, same masks, same layout). Rail checkpoints are
-/// evaluated off CheckedCircuit::checkpoint_spans, the flattened CSR
-/// view of checkpoint_groups; a circuit whose spans do not match its
-/// checkpoints is rejected (a hand-assembled CheckedCircuit must pass
-/// through build_checkpoint_spans first).
+/// word w, with the zero-check masks in the last slot group; embedded
+/// check-bit detections appear only in the combined mask. Consumes RNG
+/// identically for a fixed simulator state, so the sharded determinism
+/// contract carries over. Rail checkpoints are evaluated off
+/// CheckedCircuit::checkpoint_spans; a circuit whose spans do not align
+/// with its checkpoints (only a hand-assembled one — to_parity_rail
+/// records one per checkpoint) is rejected.
 void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks = nullptr);
 
 namespace detail {
+
+/// The packed rail evaluator, shared by the checked and recovering
+/// engines: out[w] = rail_bit's lane word w XOR the words w of
+/// `group` — rail r's invariant I_r for every lane of a W-word state.
+/// W is a compile-time constant, so every word loop has a fixed trip
+/// count the compiler vectorizes alongside the gate kernels.
+template <unsigned W>
+inline void rail_invariant_words(const PackedState& state,
+                                 std::uint32_t rail_bit,
+                                 std::span<const std::uint32_t> group,
+                                 std::uint64_t* __restrict__ out) {
+  const std::uint64_t* __restrict__ rail = state.words(rail_bit);
+  for (unsigned w = 0; w < W; ++w) out[w] = rail[w];
+  for (const std::uint32_t bit : group) {
+    const std::uint64_t* __restrict__ src = state.words(bit);
+    for (unsigned w = 0; w < W; ++w) out[w] ^= src[w];
+  }
+}
+
+/// The packed zero-check evaluator: out[w] = OR of the words w of
+/// `bits` — the lanes in which some checked cell is nonzero.
+template <unsigned W>
+inline void zero_check_words(const PackedState& state,
+                             std::span<const std::uint32_t> bits,
+                             std::uint64_t* __restrict__ out) {
+  for (unsigned w = 0; w < W; ++w) out[w] = 0;
+  for (const std::uint32_t bit : bits) {
+    const std::uint64_t* __restrict__ src = state.words(bit);
+    for (unsigned w = 0; w < W; ++w) out[w] |= src[w];
+  }
+}
 
 /// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
 /// batching and lane accounting, but every trial lands in one of the

@@ -1,86 +1,64 @@
 #include "detect/checker.h"
 
-#include <algorithm>
-
 #include "support/error.h"
 
 namespace revft::detect {
 
 namespace {
 
-/// Rail r's invariant I_r at the current state: the rail bit XOR the
-/// parity of the data bits the rail covers at this checkpoint
-/// (membership migrates through SWAP/SWAP3 — see rail.h).
-int rail_invariant(const StateVector& state, std::uint32_t rail_bit,
-                   const std::vector<std::uint32_t>& group) {
-  int parity = static_cast<int>(state.bit(rail_bit));
-  for (const std::uint32_t bit : group)
-    parity ^= static_cast<int>(state.bit(bit));
-  return parity;
-}
-
-}  // namespace
-
-CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
-                                         const StateVector& data_input,
-                                         const std::vector<FaultSpec>& faults) {
+/// The one scalar op walk behind checked_run_with_faults and the
+/// census: runs ops [first, end) on result.state, overwriting the
+/// operands of every op whose `corrupted(i)` is >= 0 with that local
+/// value, and evaluates the zero checks and rail checkpoints from
+/// cursors `zc` / `cp` (the first entries with op_index >= first).
+/// Embedded check bits are inspected at the end; every other field of
+/// `result` is reset first. A full run walks from op 0; the census
+/// walks a fault's suffix from the clean pre-op state, which needs no
+/// prefix replay because a fault-free prefix never fires a check.
+template <typename CorruptedFn>
+void walk_checked(const CheckedCircuit& checked, std::size_t first,
+                  std::size_t zc, std::size_t cp, CorruptedFn&& corrupted,
+                  CheckedRunResult& result) {
   const Circuit& circuit = checked.circuit;
-  StateVector state = widen_input(checked, data_input);
-
-  // Index faults by op (same validation as noise/apply_with_faults).
-  std::vector<int> fault_at(circuit.size(), -1);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const auto& f = faults[i];
-    REVFT_CHECK_MSG(f.op_index < circuit.size(),
-                    "fault op_index " << f.op_index << " out of range");
-    REVFT_CHECK_MSG(fault_at[f.op_index] < 0,
-                    "duplicate fault on op " << f.op_index);
-    fault_at[f.op_index] = static_cast<int>(i);
-  }
-
-  CheckedRunResult result{StateVector(0), false, 0, {}, 0, false};
+  StateVector& state = result.state;
+  result.detected = false;
+  result.first_violation = 0;
+  result.first_violated_rail = 0;
+  result.zero_check_fired = false;
   result.rail_fired.assign(checked.rails.size(), 0);
   bool any_rail_fired = false;
-  std::size_t next_checkpoint = 0;
-  std::size_t next_zero_check = 0;
-  for (std::size_t i = 0; i < circuit.size(); ++i) {
+  for (std::size_t i = first; i < circuit.size(); ++i) {
     const Gate& g = circuit.op(i);
-    const int fi = fault_at[i];
-    if (fi < 0) {
+    const int v = corrupted(i);
+    if (v < 0) {
       state.apply(g);
     } else {
-      const unsigned v = faults[static_cast<std::size_t>(fi)].corrupted_local;
-      const int n = g.arity();
-      REVFT_CHECK_MSG(v < (1u << n),
-                      "corrupted_local " << v << " exceeds arity");
-      for (int k = 0; k < n; ++k)
+      for (int k = 0; k < g.arity(); ++k)
         state.set_bit(g.bits[static_cast<std::size_t>(k)],
-                      static_cast<std::uint8_t>((v >> k) & 1u));
+                      static_cast<std::uint8_t>((v >> k) & 1));
     }
-    while (next_zero_check < checked.zero_checks.size() &&
-           checked.zero_checks[next_zero_check].op_index == i) {
-      for (const std::uint32_t bit : checked.zero_checks[next_zero_check].bits)
+    for (; zc < checked.zero_checks.size() &&
+           checked.zero_checks[zc].op_index == i;
+         ++zc)
+      for (const std::uint32_t bit : checked.zero_checks[zc].bits)
         if (state.bit(bit) != 0) {
           result.detected = true;
           result.zero_check_fired = true;
         }
-      ++next_zero_check;
-    }
-    while (next_checkpoint < checked.checkpoints.size() &&
-           checked.checkpoints[next_checkpoint] == i) {
-      const auto& groups = checked.checkpoint_groups[next_checkpoint];
+    for (; cp < checked.checkpoints.size() && checked.checkpoints[cp] == i;
+         ++cp) {
+      const CheckpointSpan& span = checked.checkpoint_spans[cp];
       for (std::size_t r = 0; r < checked.rails.size(); ++r) {
-        if (rail_invariant(state, checked.rails[r].rail_bit, groups[r]) == 0)
-          continue;
+        const std::uint32_t rail_bit = checked.rails[r].rail_bit;
+        if (rail_invariant(state, rail_bit, span.group(r)) == 0) continue;
         if (!any_rail_fired) {
-          result.first_violation = next_checkpoint;
+          result.first_violation = cp;
           result.first_violated_rail = r;
           any_rail_fired = true;
         }
         result.rail_fired[r] = 1;
         result.detected = true;
       }
-      ++next_checkpoint;
     }
   }
   // Embedded checker outputs: any check bit left set is a detection.
@@ -93,7 +71,31 @@ CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
       }
     }
   }
-  result.state = std::move(state);
+}
+
+}  // namespace
+
+CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
+                                         const StateVector& data_input,
+                                         const std::vector<FaultSpec>& faults) {
+  const Circuit& circuit = checked.circuit;
+  // Index faults by op (same validation as noise/apply_with_faults).
+  std::vector<int> corrupted_at(circuit.size(), -1);
+  for (const FaultSpec& f : faults) {
+    REVFT_CHECK_MSG(f.op_index < circuit.size(),
+                    "fault op_index " << f.op_index << " out of range");
+    REVFT_CHECK_MSG(corrupted_at[f.op_index] < 0,
+                    "duplicate fault on op " << f.op_index);
+    REVFT_CHECK_MSG(f.corrupted_local < (1u << circuit.op(f.op_index).arity()),
+                    "corrupted_local " << f.corrupted_local
+                                       << " exceeds arity");
+    corrupted_at[f.op_index] = static_cast<int>(f.corrupted_local);
+  }
+  CheckedRunResult result{widen_input(checked, data_input), false, 0, {}, 0,
+                          false};
+  walk_checked(
+      checked, 0, 0, 0, [&](std::size_t i) { return corrupted_at[i]; },
+      result);
   return result;
 }
 
@@ -102,127 +104,15 @@ CheckedRunResult checked_run(const CheckedCircuit& checked,
   return checked_run_with_faults(checked, data_input, {});
 }
 
-namespace {
-
-/// Shared suffix runner for the census paths. `state` holds the clean
-/// state just BEFORE op `op`; the op's operands are overwritten with
-/// `v` and the remaining ops, zero checks and rail checkpoints run
-/// exactly as in checked_run_with_faults. The prefix needs no replay:
-/// a fault-free prefix never fires a check, so the faulted run's
-/// observable history up to `op` is identical to the clean run's.
-/// `next_zero_check` / `next_checkpoint` index the first entries with
-/// op_index >= op. Returns the detection verdict; `state` ends as the
-/// final full-width state for the is_error judgment. `rail_fired`
-/// (nullable, pre-sized to rails.size() and zeroed by the caller)
-/// records which rails fired — the suffix walk has no early exit, so
-/// the per-rail attribution is complete, not first-hit-only.
-bool run_faulted_suffix(const CheckedCircuit& checked, StateVector& state,
-                        std::size_t op, unsigned v,
-                        std::size_t next_zero_check,
-                        std::size_t next_checkpoint,
-                        std::vector<std::uint8_t>* rail_fired = nullptr) {
-  const Circuit& circuit = checked.circuit;
-  bool detected = false;
-  for (std::size_t i = op; i < circuit.size(); ++i) {
-    if (i == op) {
-      const Gate& g = circuit.op(i);
-      const int n = g.arity();
-      for (int k = 0; k < n; ++k)
-        state.set_bit(g.bits[static_cast<std::size_t>(k)],
-                      static_cast<std::uint8_t>((v >> k) & 1u));
-    } else {
-      state.apply(circuit.op(i));
-    }
-    while (next_zero_check < checked.zero_checks.size() &&
-           checked.zero_checks[next_zero_check].op_index == i) {
-      for (const std::uint32_t bit : checked.zero_checks[next_zero_check].bits)
-        if (state.bit(bit) != 0) detected = true;
-      ++next_zero_check;
-    }
-    while (next_checkpoint < checked.checkpoints.size() &&
-           checked.checkpoints[next_checkpoint] == i) {
-      const auto& groups = checked.checkpoint_groups[next_checkpoint];
-      for (std::size_t r = 0; r < checked.rails.size(); ++r)
-        if (rail_invariant(state, checked.rails[r].rail_bit, groups[r]) != 0) {
-          detected = true;
-          if (rail_fired != nullptr) (*rail_fired)[r] = 1;
-        }
-      ++next_checkpoint;
-    }
-  }
-  if (!detected)
-    for (const std::uint32_t bit : checked.check_bits)
-      if (state.bit(bit) != 0) {
-        detected = true;
-        break;
-      }
-  return detected;
-}
-
-}  // namespace
-
 DetectionCensus single_fault_detection_census(
     const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
     const std::function<bool(const StateVector&, std::size_t)>& is_error) {
-  REVFT_CHECK_MSG(!data_inputs.empty(),
-                  "single_fault_detection_census: no inputs");
-  DetectionCensus census;
-  // One accounting definition (noise/injection) for the enumerator and
-  // the census, so "scenarios + benign == inputs x Σ 2^arity" is an
-  // identity the tests can assert rather than a coincidence.
-  const FaultSites sites = count_fault_sites(checked.circuit);
-  census.fault_sites = sites.sites;
-  census.rail_detected.assign(checked.rails.size(), 0);
-  std::vector<std::uint8_t> fired(checked.rails.size(), 0);
-  const Circuit& circuit = checked.circuit;
-
-  // Hoisted enumeration: one clean forward walk per input supplies the
-  // pre-op state of every fault site, so each scenario re-simulates
-  // only its suffix instead of the whole circuit (and skips the
-  // per-scenario fault-indexing and input-widening of the naive
-  // checked_run_with_faults loop). Exactly the classification the
-  // naive loop produces, at roughly half the gate applications.
-  for (std::size_t in = 0; in < data_inputs.size(); ++in) {
-    StateVector clean = widen_input(checked, data_inputs[in]);
-    std::size_t zc = 0;
-    std::size_t cp = 0;
-    for (std::size_t i = 0; i < circuit.size(); ++i) {
-      const Gate& g = circuit.op(i);
-      const int n = g.arity();
-      unsigned local = 0;
-      for (int k = 0; k < n; ++k)
-        local |= static_cast<unsigned>(
-                     clean.bit(g.bits[static_cast<std::size_t>(k)]))
-                 << k;
-      const unsigned correct = gate_apply_local(g.kind, local);
-      const unsigned values = 1u << n;
-      for (unsigned v = 0; v < values; ++v) {
-        if (v == correct) {  // the one benign value per site per input
-          ++census.benign_skipped;
-          continue;
-        }
-        ++census.scenarios;
-        StateVector state = clean;
-        std::fill(fired.begin(), fired.end(), 0);
-        const bool detected =
-            run_faulted_suffix(checked, state, i, v, zc, cp, &fired);
-        const bool wrong = is_error(state, in);
-        if (detected)
-          ++(wrong ? census.detected_harmful : census.detected_harmless);
-        else
-          ++(wrong ? census.silent_harmful : census.harmless);
-        for (std::size_t r = 0; r < fired.size(); ++r)
-          census.rail_detected[r] += fired[r];
-      }
-      clean.apply(g);
-      while (zc < checked.zero_checks.size() &&
-             checked.zero_checks[zc].op_index == i)
-        ++zc;
-      while (cp < checked.checkpoints.size() && checked.checkpoints[cp] == i)
-        ++cp;
-    }
-  }
-  return census;
+  // Every (op, value) scenario: fault_sites comes out as the op count,
+  // the same accounting as noise/injection's count_fault_sites, so
+  // "scenarios + benign == inputs x Σ 2^arity" is an identity the tests
+  // can assert rather than a coincidence.
+  return single_fault_detection_census(
+      checked, data_inputs, is_error, enumerate_single_faults(checked.circuit));
 }
 
 DetectionCensus single_fault_detection_census(
@@ -232,8 +122,7 @@ DetectionCensus single_fault_detection_census(
   REVFT_CHECK_MSG(!data_inputs.empty(),
                   "single_fault_detection_census: no inputs");
   const Circuit& circuit = checked.circuit;
-  // Group the requested (op, value) scenarios by op so one clean walk
-  // per input classifies all of them suffix-only, as above.
+  // Group the requested (op, value) scenarios by op.
   std::vector<std::vector<unsigned>> values_at(circuit.size());
   for (const FaultSpec& f : scenarios) {
     REVFT_CHECK_MSG(f.op_index < circuit.size(),
@@ -246,10 +135,16 @@ DetectionCensus single_fault_detection_census(
   }
   DetectionCensus census;
   census.rail_detected.assign(checked.rails.size(), 0);
-  std::vector<std::uint8_t> fired(checked.rails.size(), 0);
   for (std::size_t i = 0; i < circuit.size(); ++i)
     if (!values_at[i].empty()) ++census.fault_sites;
 
+  // Hoisted enumeration: one clean forward walk per input supplies the
+  // pre-op state of every fault site and the check cursors there, so
+  // each scenario re-simulates only its suffix instead of the whole
+  // circuit (and skips the per-scenario fault indexing and input
+  // widening of a checked_run_with_faults loop). Exactly that loop's
+  // classification, at roughly half the gate applications.
+  CheckedRunResult run{StateVector(0), false, 0, {}, 0, false};
   for (std::size_t in = 0; in < data_inputs.size(); ++in) {
     StateVector clean = widen_input(checked, data_inputs[in]);
     std::size_t zc = 0;
@@ -265,22 +160,25 @@ DetectionCensus single_fault_detection_census(
                    << k;
         const unsigned correct = gate_apply_local(g.kind, local);
         for (const unsigned v : values_at[i]) {
-          if (v == correct) {
+          if (v == correct) {  // re-simulates to the clean run
             ++census.benign_skipped;
             continue;
           }
           ++census.scenarios;
-          StateVector state = clean;
-          std::fill(fired.begin(), fired.end(), 0);
-          const bool detected =
-              run_faulted_suffix(checked, state, i, v, zc, cp, &fired);
-          const bool wrong = is_error(state, in);
-          if (detected)
+          run.state = clean;
+          walk_checked(
+              checked, i, zc, cp,
+              [i, v](std::size_t op) {
+                return op == i ? static_cast<int>(v) : -1;
+              },
+              run);
+          const bool wrong = is_error(run.state, in);
+          if (run.detected)
             ++(wrong ? census.detected_harmful : census.detected_harmless);
           else
             ++(wrong ? census.silent_harmful : census.harmless);
-          for (std::size_t r = 0; r < fired.size(); ++r)
-            census.rail_detected[r] += fired[r];
+          for (std::size_t r = 0; r < run.rail_fired.size(); ++r)
+            census.rail_detected[r] += run.rail_fired[r];
         }
       }
       clean.apply(g);

@@ -101,9 +101,11 @@ struct DetectionCensus {
 };
 
 /// Enumerate every single fault of checked.circuit for every input
-/// (benign values pruned via enumerate_single_faults' skip_benign
-/// path) and classify the outcomes. `is_error(final_state, input
-/// index)` judges logical failure on the full-width final state.
+/// (the benign value of each site and input is skipped and counted,
+/// as enumerate_single_faults' skip_benign path prunes it) and
+/// classify the outcomes — the restricted census below over every
+/// scenario. `is_error(final_state, input index)` judges logical
+/// failure on the full-width final state.
 DetectionCensus single_fault_detection_census(
     const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
     const std::function<bool(const StateVector&, std::size_t)>& is_error);

@@ -1,6 +1,7 @@
 #include "detect/rail.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "detect/parity.h"
 #include "support/error.h"
@@ -329,13 +330,23 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
     comp.flush_all();  // the invariants must be current where checked
     if (!out.empty()) {
       checked.checkpoints.push_back(out.size() - 1);
-      // Snapshot the membership in force here: the groups the online
-      // checkers must evaluate (SWAP/SWAP3 migrate rail_of below).
-      std::vector<std::vector<std::uint32_t>> groups(n_rails);
+      // Snapshot the membership in force here, rail-major with each
+      // group ascending: the cells the online checkers must evaluate
+      // (SWAP/SWAP3 migrate rail_of below).
+      CheckpointSpan span;
+      span.rail_first.assign(n_rails + 1, 0);
       for (std::uint32_t d = 0; d < checked.data_width; ++d)
         if (rail_of[d] >= 0)
-          groups[static_cast<std::size_t>(rail_of[d])].push_back(d);
-      checked.checkpoint_groups.push_back(std::move(groups));
+          ++span.rail_first[static_cast<std::size_t>(rail_of[d]) + 1];
+      std::partial_sum(span.rail_first.begin(), span.rail_first.end(),
+                       span.rail_first.begin());
+      span.bits.resize(span.rail_first.back());
+      std::vector<std::uint32_t> next(span.rail_first.begin(),
+                                      span.rail_first.end() - 1);
+      for (std::uint32_t d = 0; d < checked.data_width; ++d)
+        if (rail_of[d] >= 0)
+          span.bits[next[static_cast<std::size_t>(rail_of[d])]++] = d;
+      checked.checkpoint_spans.push_back(std::move(span));
     }
     if (!opts.embed_checkers) return;
     const std::uint32_t cb = next_check_bit++;
@@ -446,26 +457,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
   for (std::uint32_t r = 0; r < n_rails; ++r)
     checked.rails[r].rail_ops = per_rail_ops[r];
   checked.circuit = std::move(out);
-  build_checkpoint_spans(checked);
   return checked;
-}
-
-void build_checkpoint_spans(CheckedCircuit& checked) {
-  checked.checkpoint_spans.clear();
-  checked.checkpoint_spans.reserve(checked.checkpoint_groups.size());
-  for (const auto& groups : checked.checkpoint_groups) {
-    CheckpointSpan span;
-    span.rail_first.reserve(groups.size() + 1);
-    span.rail_first.push_back(0);
-    std::size_t total = 0;
-    for (const auto& group : groups) total += group.size();
-    span.bits.reserve(total);
-    for (const auto& group : groups) {
-      span.bits.insert(span.bits.end(), group.begin(), group.end());
-      span.rail_first.push_back(static_cast<std::uint32_t>(span.bits.size()));
-    }
-    checked.checkpoint_spans.push_back(std::move(span));
-  }
 }
 
 std::vector<std::uint32_t> known_zero_outside(

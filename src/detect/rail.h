@@ -34,7 +34,7 @@
 // per-block partition each rail tracks one logical block wherever
 // routing carries it, which is exactly the localization a
 // block-granular retry wants. Each checkpoint records the membership
-// in force there (CheckedCircuit::checkpoint_groups) so the online
+// in force there (CheckedCircuit::checkpoint_spans) so the online
 // checkers evaluate the right cells. Gates that are not unconditional
 // permutations and straddle groups (a transversal gate on a gathered
 // triple, a conditional Fredkin swap) are compensated per rail with
@@ -66,6 +66,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rev/circuit.h"
@@ -168,7 +169,7 @@ struct ZeroCheck {
 
 /// One parity rail of a checked circuit: the data bits whose XOR it
 /// carries at ENTRY (membership migrates through SWAP/SWAP3 — the
-/// per-checkpoint truth lives in CheckedCircuit::checkpoint_groups),
+/// per-checkpoint truth lives in CheckedCircuit::checkpoint_spans),
 /// the circuit bit holding the running parity, and the
 /// encoder/compensation gates attributed to it.
 struct RailInfo {
@@ -182,20 +183,32 @@ struct RailInfo {
   std::uint64_t rail_ops = 0;
 };
 
-/// Flattened per-checkpoint rail membership in CSR form — the hot-path
-/// view of one CheckedCircuit::checkpoint_groups entry. The online
-/// checkers evaluate every rail at every checkpoint of every batch, so
-/// walking a vector<vector<uint32_t>> of groups there is pure pointer
-/// chasing; this packs all watched bits of the checkpoint rail-major
-/// into one contiguous array with CSR offsets, precomputed once at
-/// build time (see build_checkpoint_spans).
+/// Rail membership at one checkpoint, in CSR form: every watched data
+/// bit of the checkpoint, rail-major, so the online checkers stream
+/// one contiguous array instead of chasing per-group vectors.
 struct CheckpointSpan {
   /// Watched data bits at this checkpoint, rail-major: rail r's group
-  /// occupies bits[rail_first[r] .. rail_first[r+1]).
+  /// occupies bits[rail_first[r] .. rail_first[r+1]), ascending.
   std::vector<std::uint32_t> bits;
   /// CSR offsets into `bits`, size rails + 1.
   std::vector<std::uint32_t> rail_first;
+
+  /// The data bits rail r covers at this checkpoint, ascending.
+  std::span<const std::uint32_t> group(std::size_t r) const {
+    return {bits.data() + rail_first[r], bits.data() + rail_first[r + 1]};
+  }
 };
+
+/// Rail invariant I_r on a scalar state: the rail bit XOR the parity
+/// of `group`, rail r's membership at the checkpoint being evaluated
+/// (CheckpointSpan::group). Zero in every fault-free run.
+inline int rail_invariant(const StateVector& state, std::uint32_t rail_bit,
+                          std::span<const std::uint32_t> group) {
+  int parity = static_cast<int>(state.bit(rail_bit));
+  for (const std::uint32_t bit : group)
+    parity ^= static_cast<int>(state.bit(bit));
+  return parity;
+}
 
 /// A circuit rewritten into parity-rail form, plus the bookkeeping the
 /// online checkers need.
@@ -211,19 +224,15 @@ struct CheckedCircuit {
   /// Op indices after which every I_r == 0 must hold in a fault-free
   /// run.
   std::vector<std::size_t> checkpoints;
-  /// checkpoint_groups[k][r] = the data bits rail r covers at
+  /// checkpoint_spans[k].group(r) = the data bits rail r covers at
   /// checkpoint k (SWAP/SWAP3 migrate membership with the data, so
   /// the groups a checker must evaluate depend on where the
   /// checkpoint sits). One entry per checkpoint, aligned with
   /// `checkpoints`; the last entry is the exit membership — under the
   /// checked machines' per-block partition, rail r's exit group is
-  /// wherever routing left block r.
-  std::vector<std::vector<std::vector<std::uint32_t>>> checkpoint_groups;
-  /// Flattened checkpoint_groups for the checkers' hot path, aligned
-  /// with `checkpoints`. to_parity_rail fills this; hand-assembled
-  /// CheckedCircuits may leave it empty (the checked engine falls back
-  /// to the group walk; recover::build_segment_plan rejects it) or call
-  /// build_checkpoint_spans.
+  /// wherever routing left block r. to_parity_rail records it; the
+  /// engines reject a hand-assembled circuit whose spans do not align
+  /// with its checkpoints.
   std::vector<CheckpointSpan> checkpoint_spans;
   /// Original ops that queued at least one rail-compensation gate
   /// (before fusion; the transform's exact "not free" count — SWAPs
@@ -268,14 +277,6 @@ std::vector<std::uint32_t> known_zero_outside(
 /// a rail partition: block s of a 9-cell-per-block machine is group s.
 std::vector<std::vector<std::uint32_t>> partition_into_blocks(
     std::uint32_t width, std::uint32_t block_size);
-
-/// (Re)build checked.checkpoint_spans from checked.checkpoint_groups —
-/// the flattened CSR view the packed checkers evaluate checkpoints
-/// from. to_parity_rail calls this; circuits assembled by hand need it
-/// for the recovering engine and for the checked engine's fast path
-/// (the checked engine falls back to the group walk when spans are
-/// absent).
-void build_checkpoint_spans(CheckedCircuit& checked);
 
 /// Register a zero check after ORIGINAL op `source_op`: in a fault-free
 /// run every bit of `bits` is zero once that op has executed, so a

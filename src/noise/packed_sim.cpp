@@ -17,44 +17,6 @@ void PackedState::set_bit_lane(std::uint32_t bit, int lane, bool v) {
     w &= ~m;
 }
 
-std::uint64_t PackedState::parity_word(std::uint32_t count) const {
-  REVFT_DASSERT(lane_words_ == 1);
-  REVFT_DASSERT(count <= width_);
-  std::uint64_t acc = 0;
-  for (std::uint32_t b = 0; b < count; ++b) acc ^= words_[b];
-  return acc;
-}
-
-std::uint64_t PackedState::parity_word_over(
-    const std::vector<std::uint32_t>& bits) const {
-  REVFT_DASSERT(lane_words_ == 1);
-  std::uint64_t acc = 0;
-  for (const std::uint32_t b : bits) {
-    REVFT_DASSERT(b < width_);
-    acc ^= words_[b];
-  }
-  return acc;
-}
-
-void PackedState::parity_words(std::uint32_t count, std::uint64_t* out) const {
-  REVFT_DASSERT(count <= width_);
-  for (unsigned w = 0; w < lane_words_; ++w) out[w] = 0;
-  for (std::uint32_t b = 0; b < count; ++b) {
-    const std::uint64_t* src = words(b);
-    for (unsigned w = 0; w < lane_words_; ++w) out[w] ^= src[w];
-  }
-}
-
-void PackedState::parity_words_over(const std::vector<std::uint32_t>& bits,
-                                    std::uint64_t* out) const {
-  for (unsigned w = 0; w < lane_words_; ++w) out[w] = 0;
-  for (const std::uint32_t b : bits) {
-    REVFT_DASSERT(b < width_);
-    const std::uint64_t* src = words(b);
-    for (unsigned w = 0; w < lane_words_; ++w) out[w] ^= src[w];
-  }
-}
-
 BernoulliMaskStream::BernoulliMaskStream(double p, Xoshiro256* rng)
     : p_(p), rng_(rng) {
   REVFT_CHECK_MSG(p >= 0.0 && p <= 1.0, "BernoulliMaskStream: p=" << p);

@@ -96,30 +96,6 @@ class PackedState {
   /// Set `bit` in one lane.
   void set_bit_lane(std::uint32_t bit, int lane, bool v);
 
-  /// Per-lane XOR of the words of bits [0, count): bit t of the result
-  /// is the total parity of trial t's first `count` circuit bits. This
-  /// is the word-level primitive behind online error detection
-  /// (src/detect/): one XOR per data rail evaluates the parity-rail
-  /// invariant for all 64 lanes at once. Legacy single-word form,
-  /// lane_words() == 1 only; multi-word engines use parity_words().
-  std::uint64_t parity_word(std::uint32_t count) const;
-
-  /// Masked variant for a rail partition: per-lane XOR of the words of
-  /// the listed bits (a rail group). Evaluating every group of a
-  /// disjoint partition costs the same word work as one parity_word
-  /// over their union — the per-rail refinement is free at the
-  /// checkpoint. Legacy single-word form, lane_words() == 1 only.
-  std::uint64_t parity_word_over(const std::vector<std::uint32_t>& bits) const;
-
-  /// Multi-word parity of bits [0, count): out[w] accumulates lane
-  /// word w across the bits (out must hold lane_words() words).
-  void parity_words(std::uint32_t count, std::uint64_t* out) const;
-
-  /// Multi-word group parity (the widened parity_word_over); out must
-  /// hold lane_words() words and is overwritten.
-  void parity_words_over(const std::vector<std::uint32_t>& bits,
-                         std::uint64_t* out) const;
-
   /// All bits of all lanes to zero.
   void clear() { std::fill(words_.begin(), words_.end(), 0); }
 

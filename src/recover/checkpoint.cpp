@@ -28,28 +28,6 @@ void PackedCheckpoint::restore_all(PackedState& state) const {
 }
 
 void blend_lanes(PackedState& dst, const PackedState& src,
-                 std::uint64_t lane_mask) {
-  REVFT_CHECK_MSG(dst.width() == src.width(), "blend_lanes: width mismatch");
-  REVFT_CHECK_MSG(dst.lane_words() == 1 && src.lane_words() == 1,
-                  "blend_lanes: single-word overload on a wide state");
-  for (std::uint32_t cell = 0; cell < dst.width(); ++cell)
-    dst.word(cell) =
-        (dst.word(cell) & ~lane_mask) | (src.word(cell) & lane_mask);
-}
-
-void blend_cells_lanes(PackedState& dst, const PackedState& src,
-                       const std::vector<std::uint32_t>& cells,
-                       std::uint64_t lane_mask) {
-  REVFT_CHECK_MSG(dst.width() == src.width(),
-                  "blend_cells_lanes: width mismatch");
-  REVFT_CHECK_MSG(dst.lane_words() == 1 && src.lane_words() == 1,
-                  "blend_cells_lanes: single-word overload on a wide state");
-  for (const std::uint32_t cell : cells)
-    dst.word(cell) =
-        (dst.word(cell) & ~lane_mask) | (src.word(cell) & lane_mask);
-}
-
-void blend_lanes(PackedState& dst, const PackedState& src,
                  const LaneMask& lane_mask) {
   REVFT_CHECK_MSG(dst.width() == src.width(), "blend_lanes: width mismatch");
   REVFT_CHECK_MSG(

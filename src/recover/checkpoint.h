@@ -19,11 +19,10 @@
 // The packed engine restores PER LANE on top of per cell: trial t
 // lives in bit t%64 of lane word t/64 of every cell, so "roll lane t
 // back" is a one-mask blend per word — the lane-parallel analogue of
-// copying a scalar state. Multi-word states (lane_words > 1,
-// noise/lanes.h) blend under a LaneMask; the uint64_t overloads are
-// the legacy single-word forms. All operations are exact bit moves;
-// nothing here draws randomness, so the sharded determinism contract
-// of the Monte-Carlo engines is untouched.
+// copying a scalar state. Every lane width (noise/lanes.h) blends
+// under a LaneMask of lane_words words. All operations are exact bit
+// moves; nothing here draws randomness, so the sharded determinism
+// contract of the Monte-Carlo engines is untouched.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +52,6 @@ class PackedCheckpoint {
   std::uint32_t width() const noexcept { return width_; }
   unsigned lane_words() const noexcept { return lane_words_; }
 
-  /// Legacy single-word accessor (lane_words() == 1 captures only).
-  std::uint64_t word(std::uint32_t cell) const {
-    REVFT_DASSERT(lane_words_ == 1);
-    return words_[cell];
-  }
   /// Lane words of `cell` (contiguous, lane_words() long).
   const std::uint64_t* words(std::uint32_t cell) const {
     REVFT_DASSERT(cell < width_);
@@ -77,22 +71,14 @@ class PackedCheckpoint {
 /// Blend lanes of `src` into `dst` for every cell: lanes set in
 /// `lane_mask` take src's bits, the rest keep dst's. The whole-program
 /// merge: an accepted restart's final state is folded back into the
-/// main state for exactly the lanes that consumed it. Legacy
-/// single-word form (lane_words() == 1).
+/// main state for exactly the lanes that consumed it. lane_mask.words()
+/// must equal the states' lane_words().
 void blend_lanes(PackedState& dst, const PackedState& src,
-                 std::uint64_t lane_mask);
+                 const LaneMask& lane_mask);
 
 /// Same blend restricted to `cells` — the block-local merge: only the
 /// replayed component's footprint moves, every other cell keeps the
-/// already-accepted values. Legacy single-word form.
-void blend_cells_lanes(PackedState& dst, const PackedState& src,
-                       const std::vector<std::uint32_t>& cells,
-                       std::uint64_t lane_mask);
-
-/// Multi-word blends: lane_mask.words() must equal the states'
-/// lane_words(). Identical semantics per lane word.
-void blend_lanes(PackedState& dst, const PackedState& src,
-                 const LaneMask& lane_mask);
+/// already-accepted values.
 void blend_cells_lanes(PackedState& dst, const PackedState& src,
                        const std::vector<std::uint32_t>& cells,
                        const LaneMask& lane_mask);

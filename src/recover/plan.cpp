@@ -147,9 +147,8 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
                   "(the online engines evaluate checks without gates)");
   REVFT_CHECK_MSG(
       checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "build_segment_plan: checkpoint_spans do not match checkpoints (the "
-      "recovering engine reads only the spans; call "
-      "detect::build_checkpoint_spans on a hand-assembled CheckedCircuit)");
+      "build_segment_plan: checkpoint_spans do not match checkpoints (a "
+      "CheckedCircuit's spans come from detect::to_parity_rail)");
   const std::uint32_t n_rails =
       static_cast<std::uint32_t>(checked.rails.size());
   const int orphan = static_cast<int>(n_rails);  // unwatched-cell node
@@ -243,14 +242,15 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
       seg.checkpoint = static_cast<int>(next_checkpoint);
       // Cross-check the walk against the transform's recorded
       // membership — the invariant the restore path depends on.
-      const auto& groups = checked.checkpoint_groups[next_checkpoint];
+      const detect::CheckpointSpan& span =
+          checked.checkpoint_spans[next_checkpoint];
       for (std::uint32_t r = 0; r < n_rails; ++r) {
         std::vector<std::uint32_t> here;
         for (std::uint32_t d = 0; d < checked.data_width; ++d)
           if (rail_of[d] == static_cast<int>(r)) here.push_back(d);
-        REVFT_CHECK_MSG(here == groups[r],
+        REVFT_CHECK_MSG(std::ranges::equal(here, span.group(r)),
                         "build_segment_plan: membership walk diverged from "
-                        "checkpoint_groups at checkpoint "
+                        "checkpoint_spans at checkpoint "
                             << next_checkpoint << ", rail " << r);
       }
       ++next_checkpoint;

@@ -23,7 +23,7 @@
 //     at the moment it executes (membership migrates through
 //     SWAP/SWAP3 exactly as in detect/rail.cpp — the walk here mirrors
 //     that transform and cross-checks itself against
-//     CheckedCircuit::checkpoint_groups at every checkpoint);
+//     CheckedCircuit::checkpoint_spans at every checkpoint);
 //   * ops whose operands span several groups union those groups — a
 //     routing swap carrying block r past block q entangles r and q,
 //     because replaying r's traffic rewrites cells q's values pass
@@ -121,7 +121,7 @@ struct SegmentPlan {
 /// for the per-block machines, whose component count is bounded by
 /// rails + 1).
 /// The walk re-derives rail membership op by op and checks it against
-/// checkpoint_groups at every checkpoint, so a drift between the
+/// checkpoint_spans at every checkpoint, so a drift between the
 /// transform and this analysis fails loudly at build time.
 SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked);
 

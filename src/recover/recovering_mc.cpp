@@ -4,6 +4,7 @@
 #include <bit>
 #include <vector>
 
+#include "detect/checked_mc.h"
 #include "recover/checkpoint.h"
 #include "support/error.h"
 
@@ -93,7 +94,8 @@ struct TraceHooks {
 /// replay and restart re-evaluations pass a null est and stay silent,
 /// so the event stream matches the estimate's attribution exactly).
 /// Checkpoint membership is read off checked.checkpoint_spans, which
-/// build_segment_plan guarantees are present.
+/// build_segment_plan guarantees align with the checkpoints. The rail
+/// and zero-check words come from the checked engine's evaluators.
 template <unsigned W>
 void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const PackedState& s, std::uint64_t watch,
@@ -110,13 +112,8 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
       const std::uint32_t c = seg.component_of_rail[r];
       if (!((watch >> c) & 1ULL)) continue;
       std::uint64_t violated[W];
-      const std::uint64_t* rail = s.words(checked.rails[r].rail_bit);
-      for (unsigned w = 0; w < W; ++w) violated[w] = rail[w];
-      for (std::uint32_t i = span.rail_first[r]; i < span.rail_first[r + 1];
-           ++i) {
-        const std::uint64_t* src = s.words(span.bits[i]);
-        for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
-      }
+      detect::detail::rail_invariant_words<W>(s, checked.rails[r].rail_bit,
+                                              span.group(r), violated);
       for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= violated[w];
       if (est != nullptr) {
         std::uint64_t counted_total = 0;
@@ -137,12 +134,9 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
   for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
     const std::uint32_t c = seg.component_of_zero_check[k];
     if (!((watch >> c) & 1ULL)) continue;
-    std::uint64_t mask[W] = {};
-    for (const std::uint32_t bit :
-         checked.zero_checks[seg.zero_checks[k]].bits) {
-      const std::uint64_t* src = s.words(bit);
-      for (unsigned w = 0; w < W; ++w) mask[w] |= src[w];
-    }
+    std::uint64_t mask[W];
+    detect::detail::zero_check_words<W>(
+        s, checked.zero_checks[seg.zero_checks[k]].bits, mask);
     for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= mask[w];
     if (est != nullptr) {
       for (unsigned w = 0; w < W; ++w) {
@@ -417,8 +411,8 @@ RecoveryEstimate run_recovering_mc_span(
                   "run_recovering_mc_span: plan built for a different circuit");
   REVFT_CHECK_MSG(
       checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "run_recovering_mc_span: checkpoint_spans missing (see "
-      "detect::build_checkpoint_spans)");
+      "run_recovering_mc_span: checkpoint_spans do not match checkpoints (a "
+      "CheckedCircuit's spans come from detect::to_parity_rail)");
   switch (state.lane_words()) {
     case 1:
       return recovering_span<1>(sim, state, checked, plan, policy, first_batch,

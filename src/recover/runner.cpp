@@ -27,14 +27,6 @@ void apply_op(const Circuit& circuit, StateVector& state, std::size_t i,
                   static_cast<std::uint8_t>((v >> k) & 1u));
 }
 
-int rail_invariant(const StateVector& state, std::uint32_t rail_bit,
-                   const std::vector<std::uint32_t>& group) {
-  int parity = static_cast<int>(state.bit(rail_bit));
-  for (const std::uint32_t bit : group)
-    parity ^= static_cast<int>(state.bit(bit));
-  return parity;
-}
-
 }  // namespace
 
 RecoveringRunner::RecoveringRunner(const detect::CheckedCircuit& checked,
@@ -108,12 +100,13 @@ ScalarRecoveryOutcome RecoveringRunner::run(
                                     bool count) -> std::uint64_t {
     std::uint64_t fired = 0;
     if (seg.checkpoint >= 0) {
-      const auto& groups =
-          checked_.checkpoint_groups[static_cast<std::size_t>(seg.checkpoint)];
+      const detect::CheckpointSpan& span =
+          checked_.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
       for (std::size_t r = 0; r < checked_.rails.size(); ++r) {
         const std::uint64_t comp = 1ULL << seg.component_of_rail[r];
         if (!(watch & comp)) continue;
-        if (rail_invariant(s, checked_.rails[r].rail_bit, groups[r]) != 0) {
+        if (detect::rail_invariant(s, checked_.rails[r].rail_bit,
+                                   span.group(r)) != 0) {
           fired |= comp;
           if (count) {
             ++out.rail_events[r];

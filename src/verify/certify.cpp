@@ -102,12 +102,10 @@ struct CleanContext {
         }
         while (cp < checked.checkpoints.size() &&
                checked.checkpoints[cp] == i) {
-          for (std::size_t r = 0; r < checked.rails.size(); ++r) {
-            int parity = state.bit(checked.rails[r].rail_bit);
-            for (const std::uint32_t bit : checked.checkpoint_groups[cp][r])
-              parity ^= state.bit(bit);
-            if (parity) clean_inv[cp][r] |= in_bit;
-          }
+          for (std::size_t r = 0; r < checked.rails.size(); ++r)
+            if (detect::rail_invariant(state, checked.rails[r].rail_bit,
+                                       checked.checkpoint_spans[cp].group(r)))
+              clean_inv[cp][r] |= in_bit;
           ++cp;
         }
       }
@@ -122,7 +120,7 @@ struct CleanContext {
     for (std::size_t k = 0; k < checked.checkpoints.size(); ++k)
       for (std::size_t r = 0; r < checked.rails.size(); ++r) {
         cell_rail[k][checked.rails[r].rail_bit] = static_cast<std::int8_t>(r);
-        for (const std::uint32_t bit : checked.checkpoint_groups[k][r])
+        for (const std::uint32_t bit : checked.checkpoint_spans[k].group(r))
           cell_rail[k][bit] = static_cast<std::int8_t>(r);
       }
 

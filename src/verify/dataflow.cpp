@@ -243,7 +243,7 @@ CheckedDataflow analyze_checked(const detect::CheckedCircuit& checked,
     const auto& after = out.flow.before[checked.checkpoints[k] + 1];
     for (std::size_t r = 0; r < checked.rails.size(); ++r) {
       Poly inv = after[checked.rails[r].rail_bit];
-      for (const std::uint32_t bit : checked.checkpoint_groups[k][r])
+      for (const std::uint32_t bit : checked.checkpoint_spans[k].group(r))
         inv = poly_xor(inv, after[bit], opts);
       RailInvariantReport report;
       report.checkpoint = k;

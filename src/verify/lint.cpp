@@ -157,7 +157,7 @@ void lint_dataflow(const detect::CheckedCircuit& checked,
 }
 
 /// Pass 3: re-derive the SWAP/SWAP3 membership migration and compare
-/// against the recorded checkpoint_groups. Returns true when
+/// against the recorded checkpoint_spans. Returns true when
 /// consistent (the segment-plan pass depends on it — build_segment_plan
 /// hard-fails on drift, the linter reports instead).
 bool lint_membership(const detect::CheckedCircuit& checked,
@@ -186,18 +186,17 @@ bool lint_membership(const detect::CheckedCircuit& checked,
         std::vector<std::uint32_t> walked;
         for (std::uint32_t d = 0; d < checked.data_width; ++d)
           if (rail_of[d] == static_cast<int>(r)) walked.push_back(d);
-        if (walked == checked.checkpoint_groups[cp][r]) continue;
+        const auto recorded = checked.checkpoint_spans[cp].group(r);
+        if (std::ranges::equal(walked, recorded)) continue;
         consistent = false;
         LintFinding finding;
         finding.code = LintCode::kMembershipMismatch;
         finding.severity = LintSeverity::kError;
         finding.position = i;
         // Symmetric difference: the cells the two sides disagree on.
-        std::set_symmetric_difference(
-            walked.begin(), walked.end(),
-            checked.checkpoint_groups[cp][r].begin(),
-            checked.checkpoint_groups[cp][r].end(),
-            std::back_inserter(finding.cells));
+        std::set_symmetric_difference(walked.begin(), walked.end(),
+                                      recorded.begin(), recorded.end(),
+                                      std::back_inserter(finding.cells));
         std::ostringstream msg;
         msg << "checkpoint " << cp << " rail " << r << ": recorded group "
             << "disagrees with the migration walk on "

@@ -40,7 +40,7 @@ enum class LintCode : std::uint8_t {
   /// provably zero on every fault-free run — dead weight the
   /// known-zero elision would have removed (info).
   kDeadCompensation,
-  /// checkpoint_groups disagrees with the SWAP/SWAP3 membership
+  /// checkpoint_spans disagrees with the SWAP/SWAP3 membership
   /// migration walk — the checkers are evaluating the wrong cells
   /// (error).
   kMembershipMismatch,

@@ -18,6 +18,7 @@
 #include "detect/retry_model.h"
 #include "ft/detect_experiment.h"
 #include "ft/ec_circuit.h"
+#include "local/checked_machine.h"
 #include "noise/injection.h"
 #include "rev/simulator.h"
 #include "support/error.h"
@@ -310,13 +311,13 @@ TEST(DetectRailPartition, InvariantsHoldIdeallyOnRandomCircuits) {
     opts.rail_partition = random_partition(rng, width);
     const auto checked = detect::to_parity_rail(c, opts);
     EXPECT_EQ(checked.rails.size(), opts.rail_partition.size());
-    ASSERT_EQ(checked.checkpoint_groups.size(), checked.checkpoints.size());
-    for (const auto& groups : checked.checkpoint_groups) {
+    ASSERT_EQ(checked.checkpoint_spans.size(), checked.checkpoints.size());
+    for (const auto& span : checked.checkpoint_spans) {
       std::vector<char> seen(width, 0);
-      ASSERT_EQ(groups.size(), checked.rails.size());
+      ASSERT_EQ(span.rail_first.size(), checked.rails.size() + 1);
       std::size_t covered = 0;
-      for (const auto& group : groups)
-        for (const std::uint32_t bit : group) {
+      for (std::size_t r = 0; r < checked.rails.size(); ++r)
+        for (const std::uint32_t bit : span.group(r)) {
           ASSERT_LT(bit, width);
           EXPECT_EQ(seen[bit], 0) << "bit in two groups at a checkpoint";
           seen[bit] = 1;
@@ -618,17 +619,42 @@ TEST(DetectPacked, IdealSemanticsMatchScalarOnRandomCircuits) {
   }
 }
 
-TEST(DetectPacked, ParityWordMatchesScalarParity) {
-  Xoshiro256 rng(0x9a9);
-  PackedState ps(5);
-  for (std::uint32_t b = 0; b < 5; ++b) ps.word(b) = rng.next();
-  const std::uint64_t parity = ps.parity_word(4);
-  for (int lane = 0; lane < 64; ++lane) {
-    int expect = 0;
-    for (std::uint32_t b = 0; b < 4; ++b)
-      expect ^= static_cast<int>(ps.bit_lane(b, lane));
-    EXPECT_EQ(static_cast<int>((parity >> lane) & 1u), expect) << lane;
+// The packed rail evaluator both packed engines call agrees with the
+// scalar detect::rail_invariant lane by lane, at every checkpoint of a
+// routed multi-rail machine (membership migrated by SWAP/SWAP3) and at
+// every lane width tier it is instantiated for.
+template <unsigned W>
+void expect_packed_rails_match_scalar(const detect::CheckedCircuit& checked) {
+  Xoshiro256 rng(0x9a9 + W);
+  PackedState ps(checked.circuit.width(), W);
+  for (std::uint32_t b = 0; b < ps.width(); ++b)
+    for (unsigned w = 0; w < W; ++w) ps.words(b)[w] = rng.next();
+  std::vector<StateVector> lanes(ps.lanes(), StateVector(ps.width()));
+  for (unsigned lane = 0; lane < ps.lanes(); ++lane)
+    for (std::uint32_t b = 0; b < ps.width(); ++b)
+      lanes[lane].set_bit(b, ps.bit_lane(b, static_cast<int>(lane)));
+  ASSERT_EQ(checked.checkpoint_spans.size(), checked.checkpoints.size());
+  for (const detect::CheckpointSpan& span : checked.checkpoint_spans) {
+    for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+      const std::uint32_t rail_bit = checked.rails[r].rail_bit;
+      std::uint64_t packed[W];
+      detect::detail::rail_invariant_words<W>(ps, rail_bit, span.group(r),
+                                              packed);
+      for (unsigned lane = 0; lane < ps.lanes(); ++lane)
+        ASSERT_EQ(static_cast<int>((packed[lane >> 6] >> (lane & 63)) & 1u),
+                  detect::rail_invariant(lanes[lane], rail_bit, span.group(r)))
+            << "W=" << W << " rail " << r << " lane " << lane;
+    }
   }
+}
+
+TEST(DetectPacked, RailEvaluatorMatchesScalarInvariant) {
+  Circuit logical(3);
+  logical.toffoli(2, 1, 0);
+  const auto checked = CheckedMachine1d(3).compile(logical).checked;
+  ASSERT_GT(checked.rails.size(), 1u);
+  expect_packed_rails_match_scalar<1>(checked);
+  expect_packed_rails_match_scalar<4>(checked);
 }
 
 detect::DetectionEstimate run_scrambler_mc(double g, int threads,
@@ -783,7 +809,7 @@ TEST(DetectRetryModel, ModelMatchesTheGeometricArithmetic) {
 // --- checkpoint-membership migration vs a brute-force trace ----------
 
 // The invariant the recover/ restore path depends on: at every
-// checkpoint, checkpoint_groups[k][r] is exactly "the cells holding
+// checkpoint, checkpoint_spans[k].group(r) is exactly "the cells holding
 // rail r's entry values now", i.e. membership follows the data through
 // arbitrary chained SWAP/SWAP3 routing. Verify against an independent
 // permutation trace: walk the EMITTED circuit, tracking for every cell
@@ -815,15 +841,17 @@ void expect_groups_match_permutation_trace(
     }
     while (next_checkpoint < checked.checkpoints.size() &&
            checked.checkpoints[next_checkpoint] == i) {
-      const auto& groups = checked.checkpoint_groups[next_checkpoint];
-      ASSERT_EQ(groups.size(), checked.rails.size());
+      const auto& span = checked.checkpoint_spans[next_checkpoint];
+      ASSERT_EQ(span.rail_first.size(), checked.rails.size() + 1);
       for (std::size_t r = 0; r < checked.rails.size(); ++r) {
         std::vector<std::uint32_t> expected;
         for (std::uint32_t c = 0; c < checked.data_width; ++c)
           if (value_origin[c] < checked.data_width &&
               entry_rail_of[value_origin[c]] == static_cast<int>(r))
             expected.push_back(c);
-        EXPECT_EQ(groups[r], expected)
+        const auto group = span.group(r);
+        EXPECT_EQ(std::vector<std::uint32_t>(group.begin(), group.end()),
+                  expected)
             << "checkpoint " << next_checkpoint << " rail " << r;
       }
       ++next_checkpoint;

@@ -542,12 +542,12 @@ TEST(CheckedMachineDeterminism, CheckpointGroupsTrackBlocks) {
   const auto program = CheckedMachine1d(4).compile(logical);
   const auto& checked = program.checked;
   ASSERT_EQ(checked.rails.size(), 4u);
-  ASSERT_EQ(checked.checkpoint_groups.size(), checked.checkpoints.size());
-  for (const auto& groups : checked.checkpoint_groups) {
+  ASSERT_EQ(checked.checkpoint_spans.size(), checked.checkpoints.size());
+  for (const auto& span : checked.checkpoint_spans) {
     std::size_t covered = 0;
     std::vector<char> seen(checked.data_width, 0);
-    for (const auto& group : groups)
-      for (const auto bit : group) {
+    for (std::size_t r = 0; r < checked.rails.size(); ++r)
+      for (const auto bit : span.group(r)) {
         ASSERT_EQ(seen[bit], 0);
         seen[bit] = 1;
         ++covered;
@@ -557,14 +557,14 @@ TEST(CheckedMachineDeterminism, CheckpointGroupsTrackBlocks) {
   // Exit membership: logical bit i's final codeword cells all sit in
   // the group of one rail — block rails follow their data through the
   // routing fabric.
-  const auto& exit_groups = checked.checkpoint_groups.back();
+  const auto& exit_span = checked.checkpoint_spans.back();
   for (std::uint32_t i = 0; i < 4; ++i) {
     int home_rail = -1;
     for (const auto bit : program.output_cells[i]) {
       int rail_of_bit = -1;
-      for (std::size_t r = 0; r < exit_groups.size(); ++r)
-        if (std::find(exit_groups[r].begin(), exit_groups[r].end(), bit) !=
-            exit_groups[r].end())
+      for (std::size_t r = 0; r < checked.rails.size(); ++r)
+        if (std::ranges::find(exit_span.group(r), bit) !=
+            exit_span.group(r).end())
           rail_of_bit = static_cast<int>(r);
       ASSERT_GE(rail_of_bit, 0);
       if (home_rail < 0) home_rail = rail_of_bit;

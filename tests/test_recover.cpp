@@ -127,12 +127,12 @@ TEST(SegmentPlan, SegmentsTileTheCircuitAndComponentsPartitionIt) {
       for (const auto cell : comp.cells) ++cell_seen[cell];
     for (const auto count : cell_seen) EXPECT_LE(count, 1);
     if (seg.checkpoint >= 0) {
-      const auto& groups =
+      const auto& span =
           program.checked
-              .checkpoint_groups[static_cast<std::size_t>(seg.checkpoint)];
+              .checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
       for (std::size_t r = 0; r < program.checked.rails.size(); ++r) {
         const auto& cells = seg.components[seg.component_of_rail[r]].cells;
-        for (const auto bit : groups[r])
+        for (const auto bit : span.group(r))
           EXPECT_NE(std::find(cells.begin(), cells.end(), bit), cells.end())
               << "rail " << r << " group cell " << bit;
         EXPECT_NE(std::find(cells.begin(), cells.end(),
@@ -327,9 +327,9 @@ TEST(SegmentPlan, RejectsEmbeddedCheckerBits) {
 }
 
 // The recovering engine evaluates rail checks from checkpoint_spans
-// alone, so a checked circuit without them (hand-assembled, never
-// passed through detect::build_checkpoint_spans) is rejected at plan
-// time instead of read out of bounds during a run.
+// alone, so a checked circuit whose spans do not match its checkpoints
+// (hand-assembled, not produced by detect::to_parity_rail) is rejected
+// at plan time instead of read out of bounds during a run.
 TEST(SegmentPlan, RejectsMissingCheckpointSpans) {
   Circuit c(3);
   c.maj(0, 1, 2).majinv(0, 1, 2);
@@ -340,12 +340,10 @@ TEST(SegmentPlan, RejectsMissingCheckpointSpans) {
     recover::build_segment_plan(checked);
     FAIL() << "a plan was built without checkpoint_spans";
   } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find("build_checkpoint_spans"),
+    EXPECT_NE(std::string(err.what()).find("to_parity_rail"),
               std::string::npos)
         << err.what();
   }
-  detect::build_checkpoint_spans(checked);
-  EXPECT_NO_THROW(recover::build_segment_plan(checked));
 }
 
 // --- checkpoint/restore primitives -----------------------------------
@@ -370,14 +368,16 @@ TEST(Checkpoint, PackedBlendIsPerLaneAndPerCell) {
   b.word(0) = 0x00ff00ff00ff00ffULL;
   b.word(1) = 0x0ULL;
   const std::uint64_t lanes = 0x00000000ffffffffULL;
+  LaneMask lane_mask(1);
+  lane_mask.word(0) = lanes;
 
   PackedState dst = a;
-  recover::blend_lanes(dst, b, lanes);
+  recover::blend_lanes(dst, b, lane_mask);
   EXPECT_EQ(dst.word(0), (a.word(0) & ~lanes) | (b.word(0) & lanes));
   EXPECT_EQ(dst.word(1), (a.word(1) & ~lanes) | (b.word(1) & lanes));
 
   dst = a;
-  recover::blend_cells_lanes(dst, b, {1}, lanes);
+  recover::blend_cells_lanes(dst, b, {1}, lane_mask);
   EXPECT_EQ(dst.word(0), a.word(0));  // cell 0 untouched
   EXPECT_EQ(dst.word(1), (a.word(1) & ~lanes) | (b.word(1) & lanes));
 

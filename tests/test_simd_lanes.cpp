@@ -210,26 +210,6 @@ TEST(PackedWide, IdealKernelsMatchScalarSimulatorAtEveryWidth) {
   }
 }
 
-TEST(PackedWide, ParityWordsMatchesPerLaneParity) {
-  const unsigned W = 4;
-  PackedState state(5, W);
-  Xoshiro256 rng(7);
-  for (std::uint32_t bit = 0; bit < 5; ++bit)
-    for (unsigned w = 0; w < W; ++w) state.words(bit)[w] = rng.next();
-
-  std::uint64_t total[kMaxLaneWords];
-  state.parity_words(5, total);
-  std::uint64_t group[kMaxLaneWords];
-  state.parity_words_over({0, 1, 2, 3, 4}, group);
-  for (unsigned w = 0; w < W; ++w) EXPECT_EQ(total[w], group[w]);
-
-  for (const int lane : {0, 17, 100, 255}) {
-    unsigned parity = 0;
-    for (std::uint32_t bit = 0; bit < 5; ++bit) parity ^= state.bit_lane(bit, lane);
-    EXPECT_EQ((total[lane >> 6] >> (lane & 63)) & 1u, parity) << lane;
-  }
-}
-
 // --- W=1 end-to-end pinning (legacy estimates, recorded pre-widening) -
 
 TEST(WideEngine, LaneWords1ReproducesLegacyPlainEstimate) {
@@ -450,29 +430,10 @@ TEST(WideEngine, RecoveringThreadCountInvariantWide) {
 
 // --- checkpoint spans vs the group walk -------------------------------
 
-TEST(CheckpointSpans, BuiltForEveryCheckpointAndConsistent) {
-  Circuit logical(4);
-  logical.toffoli(0, 1, 2).maj(1, 2, 3);
-  const auto checked = CheckedMachine1d(4).compile(logical).checked;
-  ASSERT_EQ(checked.checkpoint_spans.size(), checked.checkpoints.size());
-  for (std::size_t c = 0; c < checked.checkpoints.size(); ++c) {
-    const detect::CheckpointSpan& span = checked.checkpoint_spans[c];
-    const auto& groups = checked.checkpoint_groups[c];
-    ASSERT_EQ(span.rail_first.size(), groups.size() + 1);
-    for (std::size_t r = 0; r < groups.size(); ++r) {
-      const std::size_t first = span.rail_first[r];
-      const std::size_t last = span.rail_first[r + 1];
-      ASSERT_EQ(last - first, groups[r].size());
-      for (std::size_t i = first; i < last; ++i)
-        EXPECT_EQ(span.bits[i], groups[r][i - first]);
-    }
-  }
-}
-
 /// Reference for the span evaluation: the same merged walk as
 /// apply_noisy_checked_words (identical simulator calls, so identical
-/// RNG consumption), but reading each rail's members straight off
-/// checkpoint_groups.
+/// RNG consumption), but evaluating each rail word by word off
+/// CheckpointSpan::group instead of through the engine's evaluator.
 void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
                                     const detect::CheckedCircuit& checked,
                                     std::uint64_t* detected) {
@@ -492,11 +453,12 @@ void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
       for (const std::uint32_t bit : checked.zero_checks[zi].bits)
         for (unsigned w = 0; w < W; ++w) detected[w] |= state.words(bit)[w];
     for (; ci < n_cp && checked.checkpoints[ci] == stop; ++ci) {
-      const auto& groups = checked.checkpoint_groups[ci];
+      const detect::CheckpointSpan& span = checked.checkpoint_spans[ci];
       for (std::size_t r = 0; r < checked.rails.size(); ++r) {
         for (unsigned w = 0; w < W; ++w) {
           std::uint64_t acc = state.words(checked.rails[r].rail_bit)[w];
-          for (const std::uint32_t bit : groups[r]) acc ^= state.words(bit)[w];
+          for (const std::uint32_t bit : span.group(r))
+            acc ^= state.words(bit)[w];
           detected[w] |= acc;
         }
       }
@@ -534,8 +496,8 @@ TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
 
 // The checked engine evaluates rail checkpoints from checkpoint_spans
 // alone, so a circuit whose spans do not match its checkpoints
-// (hand-assembled, never passed through build_checkpoint_spans) is
-// rejected instead of read out of bounds.
+// (hand-assembled, not produced by detect::to_parity_rail) is rejected
+// instead of read out of bounds.
 TEST(CheckpointSpans, ApplyRejectsMissingSpans) {
   Circuit logical(4);
   logical.toffoli(0, 1, 2).maj(1, 2, 3);
@@ -548,13 +510,10 @@ TEST(CheckpointSpans, ApplyRejectsMissingSpans) {
     detect::apply_noisy_checked_words(sim, state, checked, &detected);
     FAIL() << "a checked circuit ran without checkpoint_spans";
   } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find("build_checkpoint_spans"),
+    EXPECT_NE(std::string(err.what()).find("to_parity_rail"),
               std::string::npos)
         << err.what();
   }
-  detect::build_checkpoint_spans(checked);
-  EXPECT_NO_THROW(
-      detect::apply_noisy_checked_words(sim, state, checked, &detected));
 }
 
 // --- multi-word checkpoint and blends ---------------------------------

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "detect/checker.h"
@@ -355,6 +356,45 @@ TEST(VerifyCertify, GlobalRailGapFoundStatically) {
 
 // --- the hoisted and restricted censuses ----------------------------
 
+/// Compare the hoisted census against the naive per-scenario loop it
+/// replaced (one checked_run_with_faults per pruned single fault) on
+/// every count, the per-rail detections included. The two enter the
+/// shared checker walk differently: the naive loop from op 0, the
+/// census from the fault op with its prefix cursors.
+void expect_hoisted_census_matches_naive(
+    const detect::CheckedCircuit& checked,
+    const std::vector<StateVector>& inputs,
+    const std::function<bool(const StateVector&, std::size_t)>& is_error) {
+  const auto hoisted =
+      detect::single_fault_detection_census(checked, inputs, is_error);
+
+  detect::DetectionCensus naive;
+  const FaultSites sites = count_fault_sites(checked.circuit);
+  naive.fault_sites = sites.sites;
+  naive.rail_detected.assign(checked.rails.size(), 0);
+  for (std::size_t in = 0; in < inputs.size(); ++in) {
+    const StateVector wide = detect::widen_input(checked, inputs[in]);
+    const auto faults = enumerate_single_faults(checked.circuit, wide, true);
+    naive.benign_skipped += sites.scenarios - faults.size();
+    for (const FaultSpec& fault : faults) {
+      ++naive.scenarios;
+      const auto run =
+          detect::checked_run_with_faults(checked, inputs[in], {fault});
+      const bool wrong = is_error(run.state, in);
+      if (run.detected)
+        ++(wrong ? naive.detected_harmful : naive.detected_harmless);
+      else
+        ++(wrong ? naive.silent_harmful : naive.harmless);
+      for (std::size_t r = 0; r < run.rail_fired.size(); ++r)
+        naive.rail_detected[r] += run.rail_fired[r];
+    }
+  }
+  EXPECT_GT(hoisted.total_rail_detected(), 0u);  // not a vacuous compare
+  expect_census_counts_eq(naive, hoisted);
+  EXPECT_EQ(naive.fault_sites, hoisted.fault_sites);
+  EXPECT_EQ(naive.rail_detected, hoisted.rail_detected);
+}
+
 TEST(VerifyCensus, HoistedCensusMatchesNaiveLoop) {
   const CycleFixture fix;
   std::vector<StateVector> inputs;
@@ -370,31 +410,34 @@ TEST(VerifyCensus, HoistedCensusMatchesNaiveLoop) {
                     out.bit(fix.stage.after.data[2]);
     return (sum >= 2) != (input != 0);
   };
-  const auto hoisted =
-      detect::single_fault_detection_census(fix.checked, inputs, is_error);
+  expect_hoisted_census_matches_naive(fix.checked, inputs, is_error);
 
-  // The naive per-scenario loop the hoisted census replaced.
-  detect::DetectionCensus naive;
-  const FaultSites sites = count_fault_sites(fix.checked.circuit);
-  naive.fault_sites = sites.sites;
-  for (std::size_t in = 0; in < inputs.size(); ++in) {
-    const StateVector wide = detect::widen_input(fix.checked, inputs[in]);
-    const auto faults =
-        enumerate_single_faults(fix.checked.circuit, wide, true);
-    naive.benign_skipped += sites.scenarios - faults.size();
-    for (const FaultSpec& fault : faults) {
-      ++naive.scenarios;
-      const auto run =
-          detect::checked_run_with_faults(fix.checked, inputs[in], {fault});
-      const bool wrong = is_error(run.state, in);
-      if (run.detected)
-        ++(wrong ? naive.detected_harmful : naive.detected_harmless);
-      else
-        ++(wrong ? naive.silent_harmful : naive.harmless);
-    }
+  // The checked 1D machine: several rails, membership migrated by
+  // SWAP/SWAP3 routing, zero checks between rail checkpoints.
+  Circuit logical(3);
+  logical.toffoli(2, 1, 0);
+  const auto program = CheckedMachine1d(3).compile(logical);
+  ASSERT_GT(program.checked.rails.size(), 1u);
+  std::vector<StateVector> machine_inputs;
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t a = 0; a < 8; ++a) {
+    StateVector sv(program.checked.data_width);
+    for (std::uint32_t j = 0; j < 3; ++j)
+      for (const std::uint32_t cell : program.input_cells[j])
+        sv.set_bit(cell, static_cast<std::uint8_t>((a >> j) & 1u));
+    machine_inputs.push_back(std::move(sv));
+    expected.push_back(simulate(logical, a));
   }
-  expect_census_counts_eq(naive, hoisted);
-  EXPECT_EQ(naive.fault_sites, hoisted.fault_sites);
+  const auto machine_error = [&](const StateVector& out, std::size_t in) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      const auto& cw = program.output_cells[i];
+      const int sum = out.bit(cw[0]) + out.bit(cw[1]) + out.bit(cw[2]);
+      if ((sum >= 2) != (((expected[in] >> i) & 1u) != 0)) return true;
+    }
+    return false;
+  };
+  expect_hoisted_census_matches_naive(program.checked, machine_inputs,
+                                      machine_error);
 }
 
 TEST(VerifyCensus, RestrictedOverAllScenariosEqualsFull) {
@@ -490,13 +533,16 @@ TEST(VerifyLint, DoctoredMembershipIsAnError) {
   const auto program = CheckedMachine1d(3).compile(logical);
   detect::CheckedCircuit doctored = program.checked;
   // Swap two cells between the first checkpoint's first two groups.
-  auto& groups = doctored.checkpoint_groups.front();
-  ASSERT_GE(groups.size(), 2u);
-  ASSERT_FALSE(groups[0].empty());
-  ASSERT_FALSE(groups[1].empty());
-  std::swap(groups[0].front(), groups[1].front());
-  std::sort(groups[0].begin(), groups[0].end());
-  std::sort(groups[1].begin(), groups[1].end());
+  auto& span = doctored.checkpoint_spans.front();
+  ASSERT_GE(span.rail_first.size(), 3u);
+  const auto g0 = span.bits.begin() + span.rail_first[0];
+  const auto g1 = span.bits.begin() + span.rail_first[1];
+  const auto g2 = span.bits.begin() + span.rail_first[2];
+  ASSERT_LT(g0, g1);
+  ASSERT_LT(g1, g2);
+  std::swap(*g0, *g1);
+  std::sort(g0, g1);
+  std::sort(g1, g2);
   std::vector<Poly> entry(doctored.data_width, Poly::zero());
   for (std::uint32_t j = 0; j < 3; ++j)
     for (const std::uint32_t cell : program.input_cells[j])
