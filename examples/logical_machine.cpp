@@ -15,7 +15,7 @@
 #include "code/repetition.h"
 #include "local/lattice.h"
 #include "local/machine1d.h"
-#include "noise/monte_carlo.h"
+#include "noise/parallel_mc.h"
 #include "rev/simulator.h"
 #include "support/table.h"
 
@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
   for (double g : {1e-4, 1e-3, 3e-3, 1e-2}) {
     // Encoded machine.
     std::uint64_t lane_inputs[5];
-    McOptions opts;
+    // One worker: prepare and classify share the per-batch lane inputs.
+    ParallelMcOptions opts;
     opts.trials = trials;
+    opts.threads = 1;
     auto prepare = [&](PackedState& state, Xoshiro256& rng, std::uint64_t) {
       for (std::uint32_t i = 0; i < 5; ++i) {
         lane_inputs[i] = rng.next();
@@ -76,8 +78,8 @@ int main(int argc, char** argv) {
       return false;
     };
     const double p_machine =
-        run_packed_mc(program.physical, NoiseModel::uniform(g), opts, prepare,
-                      classify)
+        run_parallel_mc(program.physical, NoiseModel::uniform(g), opts,
+                        per_shard_kernel(prepare, classify))
             .rate();
 
     // Unprotected reference: the bare logical circuit under the same
@@ -99,8 +101,8 @@ int main(int argc, char** argv) {
       return false;
     };
     const double p_bare =
-        run_packed_mc(logical, NoiseModel::uniform(g), opts, bare_prepare,
-                      bare_classify)
+        run_parallel_mc(logical, NoiseModel::uniform(g), opts,
+                        per_shard_kernel(bare_prepare, bare_classify))
             .rate();
 
     table.add_row({AsciiTable::sci(g, 0), AsciiTable::fixed(1.0 - p_machine, 5),

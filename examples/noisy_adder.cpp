@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "ft/concat.h"
-#include "noise/monte_carlo.h"
+#include "noise/parallel_mc.h"
 #include "rev/synthesis.h"
 #include "support/table.h"
 
@@ -51,9 +51,11 @@ Variant make_variant(const RippleAdder& adder, int level, std::string name) {
 /// P[adder output exactly correct] at error rate g.
 double success_rate(const Variant& v, const RippleAdder& adder, double g,
                     std::uint64_t trials, std::uint64_t seed) {
-  McOptions opts;
+  // One worker: prepare and classify share the per-batch lane inputs.
+  ParallelMcOptions opts;
   opts.trials = trials;
   opts.seed = seed;
+  opts.threads = 1;
 
   std::uint64_t lane_a[kBits], lane_b[kBits];
   auto prepare = [&](PackedState& state, Xoshiro256& rng, std::uint64_t) {
@@ -85,8 +87,8 @@ double success_rate(const Variant& v, const RippleAdder& adder, double g,
     return sum != want;  // classify counts errors
   };
   const auto errors =
-      run_packed_mc(v.module.physical, NoiseModel::uniform(g), opts, prepare,
-                    classify);
+      run_parallel_mc(v.module.physical, NoiseModel::uniform(g), opts,
+                      per_shard_kernel(prepare, classify));
   return 1.0 - errors.rate();
 }
 

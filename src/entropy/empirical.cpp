@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "ft/ec_circuit.h"
-#include "noise/monte_carlo.h"
+#include "noise/parallel_mc.h"
 #include "support/entropy_math.h"
 
 namespace revft {
@@ -17,9 +17,10 @@ AncillaEntropyResult measure_ec_ancilla_entropy(double g, bool noisy_init,
 
   std::vector<std::uint64_t> counts(64, 0);  // joint over 6 discarded bits
 
-  McOptions opts;
+  ParallelMcOptions opts;
   opts.trials = trials;
   opts.seed = seed;
+  opts.threads = 1;  // classify writes the one shared histogram
   auto prepare = [&](PackedState& state, Xoshiro256& rng, std::uint64_t) {
     // Uniformly random logical value per lane, encoded as a clean
     // codeword on the data bits; ancillas stay zero.
@@ -36,7 +37,8 @@ AncillaEntropyResult measure_ec_ancilla_entropy(double g, bool noisy_init,
     ++counts[pattern];
     return false;  // nothing to count as "error" here
   };
-  (void)run_packed_mc(stage.circuit, model, opts, prepare, classify);
+  (void)run_parallel_mc(stage.circuit, model, opts,
+                        per_shard_kernel(prepare, classify));
 
   AncillaEntropyResult result;
   result.trials = trials;

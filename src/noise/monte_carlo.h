@@ -1,13 +1,12 @@
 // revft/noise/monte_carlo.h
 //
-// Thin Monte-Carlo harness over the packed simulator: run a circuit
-// for N trials in 64-lane batches, let the caller prepare lanes and
-// classify outcomes, and accumulate a Bernoulli estimate with Wilson
-// confidence intervals.
-//
-// The batch loop itself lives in detail::run_mc_span so the
-// thread-sharded engine (noise/parallel_mc.h) can run the identical
-// per-batch semantics over a sub-range of batches.
+// The per-batch Monte-Carlo loop over the packed simulator: run a
+// circuit in batches of 64 * lane_words trials, let the caller prepare
+// lanes and classify outcomes, and accumulate a Bernoulli estimate
+// with Wilson confidence intervals. The thread-sharded engine
+// (noise/parallel_mc.h, run_parallel_mc) runs it over each shard's
+// batch range; that is the entry point — a single-threaded run is
+// run_parallel_mc with threads = 1.
 #pragma once
 
 #include <bit>
@@ -18,16 +17,6 @@
 #include "telemetry/trace.h"
 
 namespace revft {
-
-struct McOptions {
-  std::uint64_t trials = 100000;
-  std::uint64_t seed = 0x5eedf00dULL;
-  /// Lane words per circuit bit: each batch simulates 64 * lane_words
-  /// trials (noise/lanes.h). Part of the determinism key — like
-  /// batches_per_shard, changing it changes the RNG stream; 1 is the
-  /// legacy 64-lane engine bit for bit.
-  unsigned lane_words = 1;
-};
 
 namespace detail {
 
@@ -111,19 +100,5 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
 }
 
 }  // namespace detail
-
-/// Single-threaded harness: one simulator seeded with opts.seed runs
-/// every batch in order. See detail::run_mc_span for the prepare /
-/// classify contract (classify returning true counts a *failure*).
-template <typename PrepareFn, typename ClassifyFn>
-BernoulliEstimate run_packed_mc(const Circuit& circuit, const NoiseModel& model,
-                                const McOptions& opts, PrepareFn&& prepare,
-                                ClassifyFn&& classify) {
-  PackedSimulator sim(model, opts.seed);
-  PackedState state(circuit.width(), opts.lane_words);
-  return detail::run_mc_span(sim, state, circuit, /*first_batch=*/0,
-                             opts.trials, std::forward<PrepareFn>(prepare),
-                             std::forward<ClassifyFn>(classify));
-}
 
 }  // namespace revft

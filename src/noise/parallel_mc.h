@@ -1,8 +1,8 @@
 // revft/noise/parallel_mc.h
 //
-// Thread-sharded Monte-Carlo engine: a drop-in generalization of
-// run_packed_mc (noise/monte_carlo.h) that splits the trial budget
-// into fixed-size shards and runs them on a pool of worker threads.
+// Thread-sharded Monte-Carlo engine: runs the per-batch loop of
+// noise/monte_carlo.h (detail::run_mc_span) over fixed-size shards of
+// the trial budget on a pool of worker threads.
 // Its shard driver (detail::run_rounds on detail::RoundScheduler) is
 // the only one: the checked and recovering engines and the streaming
 // layer (telemetry/stream.h) run through it too. A full run is one
@@ -246,10 +246,10 @@ BernoulliEstimate run_parallel_mc(const Circuit& circuit,
       detail::mc_range(circuit), detail::never_stop);
 }
 
-/// Adapts bare prepare/classify callables (the run_packed_mc calling
-/// convention) into a kernel factory: each shard receives its own
-/// *copies*, so state captured by value is private per shard. Captures
-/// by reference must be either immutable or externally synchronized.
+/// Adapts bare prepare/classify callables into a kernel factory: each
+/// shard receives its own *copies*, so state captured by value is
+/// private per shard. Captures by reference must be either immutable
+/// or externally synchronized.
 template <typename PrepareFn, typename ClassifyFn>
 auto per_shard_kernel(PrepareFn prepare, ClassifyFn classify) {
   struct Kernel {

@@ -6,13 +6,6 @@
 
 namespace revft::recover {
 
-void restore_cells(StateVector& state, const StateVector& snapshot,
-                   const std::vector<std::uint32_t>& cells) {
-  REVFT_CHECK_MSG(state.width() == snapshot.width(),
-                  "restore_cells: width mismatch");
-  for (const std::uint32_t cell : cells) state.set_bit(cell, snapshot.bit(cell));
-}
-
 void PackedCheckpoint::capture(const PackedState& state) {
   width_ = state.width();
   lane_words_ = state.lane_words();

@@ -1,27 +1,18 @@
 // revft/recover/checkpoint.h
 //
-// Checkpoint/restore for both simulation engines — the state layer of
-// the block-local retry protocol (recover/plan.h explains the
-// protocol; this header only moves bits).
+// Checkpoint/restore for the packed engine — the state layer of the
+// block-local retry protocol (recover/plan.h explains the protocol;
+// this header only moves bits).
 //
 // A checkpoint is a full-width snapshot taken at an ACCEPTED recovery
-// boundary: every check evaluated there passed, so the snapshot is the
-// certified prefix a retry may legally restart from. Restores come in
-// two granularities:
-//
-//   * whole-state  — a whole-program restart (or the scratch copy a
-//     packed replay begins from);
-//   * cell subset  — the block-local path: only the fired component's
-//     footprint cells (its rails' group cells, every cell its segment
-//     ops touch, and its rail bits) are re-prepared, because every
-//     other cell is still vouched for by its own passed checks.
-//
-// The packed engine restores PER LANE on top of per cell: trial t
-// lives in bit t%64 of lane word t/64 of every cell, so "roll lane t
-// back" is a one-mask blend per word — the lane-parallel analogue of
-// copying a scalar state. Every lane width (noise/lanes.h) blends
-// under a LaneMask of lane_words words. All operations are exact bit
-// moves; nothing here draws randomness, so the sharded determinism
+// boundary: every check evaluated there passed, so it is the certified
+// prefix a retry may restart from. A whole-program restart (or the
+// scratch copy a replay starts from) restores it wholesale; an
+// accepted block-local replay blends back only its component's
+// footprint cells, because every other cell is still vouched for by
+// its own passed checks. Trial t lives in bit t%64 of lane word t/64
+// of every cell, so both move lanes under a LaneMask of lane_words
+// words. Nothing here draws randomness, so the sharded determinism
 // contract of the Monte-Carlo engines is untouched.
 #pragma once
 
@@ -30,15 +21,8 @@
 
 #include "noise/lanes.h"
 #include "noise/packed_sim.h"
-#include "rev/simulator.h"
 
 namespace revft::recover {
-
-/// Restore `cells` of `state` from `snapshot` (both at the same
-/// width). The scalar block-local restore: untouched cells keep their
-/// current values.
-void restore_cells(StateVector& state, const StateVector& snapshot,
-                   const std::vector<std::uint32_t>& cells);
 
 /// Full-width snapshot of a PackedState (every lane of every cell).
 class PackedCheckpoint {
@@ -51,12 +35,6 @@ class PackedCheckpoint {
 
   std::uint32_t width() const noexcept { return width_; }
   unsigned lane_words() const noexcept { return lane_words_; }
-
-  /// Lane words of `cell` (contiguous, lane_words() long).
-  const std::uint64_t* words(std::uint32_t cell) const {
-    REVFT_DASSERT(cell < width_);
-    return words_.data() + static_cast<std::size_t>(cell) * lane_words_;
-  }
 
   /// Copy the snapshot back into `state` wholesale (every cell, every
   /// lane) — the start of a packed replay or program restart.

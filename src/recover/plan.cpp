@@ -309,12 +309,8 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
            checked.zero_checks[seg.zero_checks[k]].bits)
         seg.components[c].cells.push_back(bit);
     }
-    seg.component_of_op.reserve(op_node.size());
-    for (std::size_t k = 0; k < op_node.size(); ++k) {
-      const std::uint32_t c = component_of(op_node[k]);
-      seg.component_of_op.push_back(c);
-      seg.components[c].ops.push_back(seg.begin + k);
-    }
+    for (std::size_t k = 0; k < op_node.size(); ++k)
+      seg.components[component_of(op_node[k])].ops.push_back(seg.begin + k);
     for (const std::uint32_t cell : touched) {
       seg.components[component_of(touch_node[cell])].cells.push_back(cell);
       touch_node[cell] = -1;

@@ -82,8 +82,6 @@ struct Segment {
   std::vector<std::uint32_t> component_of_rail;
   /// component index of every entry of `zero_checks` (aligned).
   std::vector<std::uint32_t> component_of_zero_check;
-  /// component index of ops begin..end (size = op_count()).
-  std::vector<std::uint32_t> component_of_op;
   /// Positions (in checked.circuit, ascending) of this segment's ops
   /// whose operands span two or more distinct membership nodes at
   /// execution time — the gluers that union replay components. An op

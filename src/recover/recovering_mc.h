@@ -43,11 +43,14 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "detect/rail.h"
+#include "noise/injection.h"
 #include "noise/parallel_mc.h"
 #include "recover/plan.h"
 #include "recover/retry.h"
+#include "rev/simulator.h"
 
 namespace revft::recover {
 
@@ -81,6 +84,31 @@ RecoveryEstimate run_recovering_mc_span(
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace = nullptr);
+
+/// One scripted scenario of run_scripted_recovering: a data-width
+/// input and the faults its lane suffers on the FIRST pass only
+/// (noise/injection FaultSpecs naming checked.circuit ops; each op at
+/// most once, corrupted_local < 2^arity).
+struct FaultScenario {
+  StateVector input{0};
+  std::vector<FaultSpec> faults;
+};
+
+/// The repair theorem's harness: every scenario runs in its own lane of
+/// the same segment walk run_recovering_mc_span ships (64 * lane_words
+/// scenarios per batch), on a noiseless simulator whose first pass
+/// injects the scripted faults — so replays and restarts run
+/// fault-free, and enumerating every single-fault scenario proves the
+/// MECHANISM repairs what the checks detect (tests/test_recover.cpp).
+/// `wrong(final_state, scenario)` is called once per accepted scenario
+/// with its lane's final state (checked-circuit width); true counts a
+/// silent failure. Throws revft::Error naming the scenario on an
+/// invalid fault.
+RecoveryEstimate run_scripted_recovering(
+    const detect::CheckedCircuit& checked, const SegmentPlan& plan,
+    const RetryPolicy& policy, const std::vector<FaultScenario>& scenarios,
+    unsigned lane_words,
+    const std::function<bool(const StateVector&, std::size_t)>& wrong);
 
 namespace detail {
 

@@ -1,5 +1,6 @@
 #include "rev/serialize.h"
 
+#include <cstdint>
 #include <sstream>
 
 #include "support/error.h"
@@ -20,6 +21,8 @@ std::string circuit_to_text(const Circuit& circuit) {
 }
 
 Circuit circuit_from_text(const std::string& text) {
+  // Widths and operands are 32-bit; larger values must not wrap.
+  constexpr std::int64_t kMaxIndex = UINT32_MAX;
   std::istringstream is(text);
   std::string line;
   int line_no = 0;
@@ -45,6 +48,8 @@ Circuit circuit_from_text(const std::string& text) {
       if (have_width) fail("duplicate width");
       std::int64_t w = -1;
       if (!(ls >> w) || w < 0) fail("bad width");
+      if (w > kMaxIndex)
+        fail("width " + std::to_string(w) + " exceeds 2^32-1");
       circuit = Circuit(static_cast<std::uint32_t>(w));
       have_width = true;
       continue;
@@ -62,6 +67,9 @@ Circuit circuit_from_text(const std::string& text) {
     for (int i = 0; i < arity; ++i) {
       std::int64_t b = -1;
       if (!(ls >> b) || b < 0) fail("missing operand for " + word);
+      if (b > kMaxIndex)
+        fail("operand " + std::to_string(b) + " of " + word +
+             " exceeds 2^32-1");
       g.bits[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(b);
     }
     std::string extra;

@@ -1,6 +1,8 @@
 #include "support/json.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -227,6 +229,29 @@ class Parser {
     return true;
   }
 
+  /// Reads the escape \uXXXX at pos_ into `cp`.
+  bool parse_hex4(std::uint32_t& cp) {
+    if (pos_ + 6 > text_.size()) return fail("truncated \\u escape");
+    const char* hex = text_.data() + pos_ + 2;
+    if (std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4)
+      return fail("bad \\u escape");
+    pos_ += 6;
+    return true;
+  }
+
+  /// Appends code point `cp` (< 0x110000) as UTF-8.
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+      return;
+    }
+    const int tail = cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;  // 10xxxxxx bytes
+    const std::uint32_t lead = (0xFFu << (7 - tail)) & 0xFFu;  // 110/1110/11110
+    out += static_cast<char>(lead | cp >> (6 * tail));
+    for (int k = tail - 1; k >= 0; --k)
+      out += static_cast<char>(0x80u | ((cp >> (6 * k)) & 0x3Fu));
+  }
+
   bool parse_string(std::string& out) {
     if (pos_ >= text_.size() || text_[pos_] != '"')
       return fail("expected string");
@@ -276,17 +301,20 @@ class Parser {
             pos_ += 2;
             break;
           case 'u': {
-            if (pos_ + 6 > text_.size()) return fail("truncated \\u escape");
-            for (std::size_t k = pos_ + 2; k < pos_ + 6; ++k) {
-              const char h = text_[k];
-              const bool hex = (h >= '0' && h <= '9') ||
-                               (h >= 'a' && h <= 'f') || (h >= 'A' && h <= 'F');
-              if (!hex) return fail("bad \\u escape");
+            // Decoded to UTF-8, so the \u00XX escape() writes for a
+            // control character reads back as that character.
+            std::uint32_t cp = 0;
+            if (!parse_hex4(cp)) return false;
+            if (cp >= 0xD800 && cp <= 0xDBFF) {  // needs its low half next
+              std::uint32_t low = 0;
+              if (text_.compare(pos_, 2, "\\u") != 0 || !parse_hex4(low) ||
+                  low < 0xDC00 || low > 0xDFFF)
+                return fail("unpaired surrogate");
+              cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+              return fail("unpaired surrogate");
             }
-            // Validated but kept verbatim — this parser checks
-            // well-formedness, it is not a transcoder.
-            out.append(text_, pos_, 6);
-            pos_ += 6;
+            append_utf8(out, cp);
             break;
           }
           default:

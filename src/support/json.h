@@ -20,8 +20,9 @@
 //     malformed numbers with a position-stamped error. It exists to
 //     prove emitted files are valid JSON (CI gates on it), not to be
 //     a general-purpose reader — numbers parse into int64/uint64 when
-//     exact and double otherwise, and \uXXXX escapes are validated
-//     but kept verbatim.
+//     exact and double otherwise, and \uXXXX escapes (surrogate pairs
+//     included; an unpaired surrogate is an error) decode to UTF-8, so
+//     dump(parse(dump(v))) == dump(v).
 #pragma once
 
 #include <cstdint>

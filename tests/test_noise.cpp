@@ -8,8 +8,8 @@
 
 #include "noise/injection.h"
 #include "noise/model.h"
-#include "noise/monte_carlo.h"
 #include "noise/packed_sim.h"
+#include "noise/parallel_mc.h"
 #include "rev/simulator.h"
 #include "support/error.h"
 
@@ -233,21 +233,6 @@ TEST(Injection, EnumerationCoversOpsTimesValues) {
 
 // --- monte carlo harness ----------------------------------------------
 
-TEST(MonteCarlo, CountsExactTrialCount) {
-  Circuit c(1);
-  c.not_(0);
-  McOptions opts;
-  opts.trials = 100;  // not a multiple of 64
-  const auto est = run_packed_mc(
-      c, NoiseModel::uniform(0.0), opts,
-      [](PackedState&, Xoshiro256&, std::uint64_t) {},
-      [](const PackedState& s, int lane, std::uint64_t) {
-        return s.bit_lane(0, lane) == 0;  // NOT of 0 is 1: never error
-      });
-  EXPECT_EQ(est.trials, 100u);
-  EXPECT_EQ(est.failures, 0u);
-}
-
 TEST(MonteCarlo, MeasuresKnownErrorRate) {
   // One noisy gate: error prob is g * 7/8 on the touched bits pattern
   // ... simplest observable: gate "fails visibly" when output differs
@@ -255,16 +240,17 @@ TEST(MonteCarlo, MeasuresKnownErrorRate) {
   // P[wrong] = g/2.
   Circuit c(1);
   c.not_(0);
-  McOptions opts;
+  ParallelMcOptions opts;
   opts.trials = 400000;
   opts.seed = 42;
+  opts.threads = 1;
   const double g = 0.1;
-  const auto est = run_packed_mc(
+  const auto est = run_parallel_mc(
       c, NoiseModel::uniform(g), opts,
-      [](PackedState&, Xoshiro256&, std::uint64_t) {},
-      [](const PackedState& s, int lane, std::uint64_t) {
-        return s.bit_lane(0, lane) != 1;
-      });
+      per_shard_kernel([](PackedState&, Xoshiro256&, std::uint64_t) {},
+                       [](const PackedState& s, int lane, std::uint64_t) {
+                         return s.bit_lane(0, lane) != 1;
+                       }));
   EXPECT_NEAR(est.rate(), g / 2.0, 0.002);
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ft/experiments.h"
-#include "noise/monte_carlo.h"
 #include "noise/parallel_mc.h"
 #include "rev/circuit.h"
 #include "telemetry/stream.h"
@@ -27,23 +26,25 @@ Circuit single_not() {
   return c;
 }
 
-// --- partial-batch accounting (run_packed_mc regression) --------------
+// --- partial-batch accounting -----------------------------------------
 
 TEST(PackedMc, PartialBatchCountsExactTrials) {
   // trials % 64 != 0 must count exactly `trials` trials: only the
   // first (trials % 64) lanes of the last batch may be classified.
   const Circuit c = single_not();
   for (std::uint64_t trials : {1ULL, 63ULL, 64ULL, 65ULL, 100ULL, 1000ULL, 4097ULL}) {
-    McOptions opts;
+    ParallelMcOptions opts;
     opts.trials = trials;
+    opts.threads = 1;  // classify bumps one shared counter
     std::uint64_t classified = 0;
-    const auto est = run_packed_mc(
+    const auto est = run_parallel_mc(
         c, NoiseModel::uniform(0.0), opts,
-        [](PackedState&, Xoshiro256&, std::uint64_t) {},
-        [&](const PackedState& s, int lane, std::uint64_t) {
-          ++classified;
-          return s.bit_lane(0, lane) == 0;  // NOT of 0 is 1: never error
-        });
+        per_shard_kernel(
+            [](PackedState&, Xoshiro256&, std::uint64_t) {},
+            [&](const PackedState& s, int lane, std::uint64_t) {
+              ++classified;
+              return s.bit_lane(0, lane) == 0;  // NOT of 0 is 1: never error
+            }));
     EXPECT_EQ(est.trials, trials) << "trials=" << trials;
     EXPECT_EQ(classified, trials) << "trials=" << trials;
     EXPECT_EQ(est.failures, 0u) << "trials=" << trials;

@@ -5,9 +5,10 @@
 //     components partition each segment's ops and cells, boundary
 //     merging folds the machines' two-phase boundaries (zero check +
 //     compensation flush + rail checkpoint) into one segment;
-//   * checkpoint/restore primitives for both engines;
-//   * the REPAIR THEOREM, exhaustively: with fault-free retries, the
-//     block-local runner turns EVERY single-fault scenario of the
+//   * the packed checkpoint/restore primitives;
+//   * the REPAIR THEOREM, exhaustively, on the shipped packed engine:
+//     with scripted first-pass faults and fault-free retries,
+//     block-local retry turns EVERY single-fault scenario of the
 //     checked 1D and 2D machines into an accepted, correct output —
 //     detection doesn't just flag the fault, the mechanism fixes it;
 //   * engine consistency: the recovering engine under kNoRetry
@@ -35,7 +36,6 @@
 #include "recover/checkpoint.h"
 #include "recover/plan.h"
 #include "recover/recovering_mc.h"
-#include "recover/runner.h"
 #include "rev/simulator.h"
 #include "support/error.h"
 
@@ -105,19 +105,17 @@ TEST(SegmentPlan, SegmentsTileTheCircuitAndComponentsPartitionIt) {
                 comp.rails.end());
     }
 
-    // Ops partition across components, consistent with component_of_op.
-    ASSERT_EQ(seg.component_of_op.size(), seg.op_count());
-    std::size_t ops_total = 0;
-    for (std::size_t c = 0; c < seg.components.size(); ++c) {
-      ops_total += seg.components[c].ops.size();
-      for (const auto pos : seg.components[c].ops) {
+    // Ops partition across components: each op in exactly one.
+    std::vector<int> op_seen(seg.op_count(), 0);
+    for (const auto& comp : seg.components) {
+      for (const auto pos : comp.ops) {
         ASSERT_GE(pos, seg.begin);
         ASSERT_LE(pos, seg.end);
-        EXPECT_EQ(seg.component_of_op[pos - seg.begin],
-                  static_cast<std::uint32_t>(c));
+        ++op_seen[pos - seg.begin];
       }
     }
-    EXPECT_EQ(ops_total, seg.op_count());
+    for (std::size_t k = 0; k < op_seen.size(); ++k)
+      EXPECT_EQ(op_seen[k], 1) << "op " << seg.begin + k;
 
     // Footprints are disjoint and cover each rail's checkpoint group
     // and rail bit (what the restore path rewrites must include what
@@ -348,19 +346,6 @@ TEST(SegmentPlan, RejectsMissingCheckpointSpans) {
 
 // --- checkpoint/restore primitives -----------------------------------
 
-TEST(Checkpoint, ScalarRestoreCellsIsSelective) {
-  StateVector snap(4);
-  snap.set_bit(1, 1);
-  snap.set_bit(3, 1);
-  StateVector state(4);
-  state.set_bit(0, 1);
-  recover::restore_cells(state, snap, {1, 3});
-  EXPECT_EQ(state.bit(0), 1);  // untouched cell keeps its value
-  EXPECT_EQ(state.bit(1), 1);
-  EXPECT_EQ(state.bit(2), 0);
-  EXPECT_EQ(state.bit(3), 1);
-}
-
 TEST(Checkpoint, PackedBlendIsPerLaneAndPerCell) {
   PackedState a(2), b(2);
   a.word(0) = 0xffff0000ffff0000ULL;
@@ -390,126 +375,265 @@ TEST(Checkpoint, PackedBlendIsPerLaneAndPerCell) {
   EXPECT_EQ(restored.word(1), a.word(1));
 }
 
-// --- fault-free runs: no retries, no cost inflation ------------------
+// --- the repair theorem on the shipped engine ------------------------
+//
+// recover::run_scripted_recovering runs each single-fault scenario in
+// its own lane of the production segment walk with fault-free replays
+// and restarts. The pinned totals are those of an independent scalar
+// reference walk over the same scenarios and policies, which the
+// packed engine matched field for field; pinning them keeps that
+// equivalence.
 
-TEST(RecoveringRunner, CleanRunsAcceptWithNoRetries) {
+/// Totals of one (fixture, policy) scripted run. `ops` is ops_total().
+struct PinnedTotals {
+  std::uint64_t scenarios, detected, accepted, rejected, wrong;
+  std::uint64_t local_retries, fallbacks, program_restarts, ops;
+  std::uint64_t zero_check_events;
+  std::vector<std::uint64_t> rail_events;
+};
+
+void expect_totals(const recover::RecoveryEstimate& est,
+                   const PinnedTotals& pin, const std::string& what) {
+  EXPECT_EQ(est.trials, pin.scenarios) << what;
+  EXPECT_EQ(est.detected_trials, pin.detected) << what;
+  EXPECT_EQ(est.accepted, pin.accepted) << what;
+  EXPECT_EQ(est.rejected, pin.rejected) << what;
+  EXPECT_EQ(est.silent_failures, pin.wrong) << what;
+  EXPECT_EQ(est.local_retries, pin.local_retries) << what;
+  EXPECT_EQ(est.fallbacks, pin.fallbacks) << what;
+  EXPECT_EQ(est.program_restarts, pin.program_restarts) << what;
+  EXPECT_EQ(est.ops_total(), pin.ops) << what;
+  EXPECT_EQ(est.zero_check_events, pin.zero_check_events) << what;
+  EXPECT_EQ(est.rail_events, pin.rail_events) << what;
+}
+
+/// Scripted scenarios of one checked machine program, with the logical
+/// input of each so a failure can name it.
+struct ScenarioSet {
+  std::vector<recover::FaultScenario> scenarios;
+  std::vector<unsigned> logical_input;
+
+  std::string name(std::size_t i) const {
+    std::string s = "input " + std::to_string(logical_input[i]);
+    for (const FaultSpec& f : scenarios[i].faults) {
+      s += " op " + std::to_string(f.op_index);
+      s += " value " + std::to_string(f.corrupted_local);
+    }
+    return s;
+  }
+};
+
+/// Every non-benign single fault of `program` on each logical input
+/// (with_faults), or one fault-free scenario per input.
+ScenarioSet make_scenarios(const CheckedMachineProgram& program,
+                           const std::vector<unsigned>& inputs,
+                           bool with_faults) {
+  ScenarioSet set;
+  for (const unsigned input : inputs) {
+    const StateVector sv = machine_input(program, input);
+    if (!with_faults) {
+      set.scenarios.push_back({sv, {}});
+      set.logical_input.push_back(input);
+      continue;
+    }
+    const StateVector wide = detect::widen_input(program.checked, sv);
+    for (const FaultSpec& fault :
+         enumerate_single_faults(program.checked.circuit, wide,
+                                 /*skip_benign=*/true)) {
+      set.scenarios.push_back({sv, {fault}});
+      set.logical_input.push_back(input);
+    }
+  }
+  return set;
+}
+
+/// Scripted run of `set` under `policy` at `lane_words`. Each accepted
+/// scenario must end with the correct output, and the whole-program
+/// and block-local policies must accept every scenario; a failure
+/// names the scenario's input, op and value.
+recover::RecoveryEstimate run_scripted(const CheckedMachineProgram& program,
+                                       const Circuit& logical,
+                                       const recover::SegmentPlan& plan,
+                                       const recover::RetryPolicy& policy,
+                                       const ScenarioSet& set,
+                                       unsigned lane_words = 1) {
+  std::vector<char> accepted(set.scenarios.size(), 0);
+  const auto est = recover::run_scripted_recovering(
+      program.checked, plan, policy, set.scenarios, lane_words,
+      [&](const StateVector& state, std::size_t i) {
+        accepted[i] = 1;
+        const bool correct =
+            output_correct(program, logical, state, set.logical_input[i]);
+        EXPECT_TRUE(correct) << "wrong output: " << set.name(i);
+        return !correct;
+      });
+  if (policy.kind != recover::RetryPolicyKind::kNoRetry) {
+    for (std::size_t i = 0; i < accepted.size(); ++i)
+      EXPECT_TRUE(accepted[i]) << "not accepted: " << set.name(i);
+  }
+  return est;
+}
+
+const std::vector<unsigned> kAllInputs = {0, 1, 2, 3, 4, 5, 6, 7};
+
+// Fault-free runs: every policy accepts every input with the correct
+// output, no detection, no retries and exactly one pass of ops.
+TEST(ScriptedRepair, CleanRunsAcceptWithNoRetries) {
   const Circuit logical = routed_toffoli3();
   const auto program =
       CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
   const auto plan = recover::build_segment_plan(program.checked);
+  const ScenarioSet set = make_scenarios(program, kAllInputs, false);
+  ASSERT_EQ(program.checked.circuit.size() * 8, 1952u);
   for (const auto policy :
        {recover::RetryPolicy::no_retry(), recover::RetryPolicy::whole_program(),
         recover::RetryPolicy::block_local()}) {
-    const recover::RecoveringRunner runner(program.checked, plan, policy);
-    for (unsigned input = 0; input < 8; ++input) {
-      const auto out = runner.run(machine_input(program, input), {});
-      EXPECT_TRUE(out.accepted);
-      EXPECT_FALSE(out.detected);
-      EXPECT_EQ(out.ops_executed, program.checked.circuit.size());
-      EXPECT_EQ(out.local_retries, 0u);
-      EXPECT_EQ(out.program_restarts, 0u);
-      EXPECT_TRUE(output_correct(program, logical, out.state, input));
-    }
+    const auto est = run_scripted(program, logical, plan, policy, set);
+    expect_totals(est, {8, 0, 8, 0, 0, 0, 0, 0, 1952, 0, {0, 0, 0}},
+                  "clean runs");
   }
 }
 
-// --- the repair theorem ----------------------------------------------
-
 // Exhaustive: for EVERY single-fault scenario (every op of the checked
-// circuit, every corrupted local value, every logical input), the
-// block-local runner with fault-free retries ends accepted with the
-// CORRECT output. Detected faults are repaired (rolled back and
+// circuit, every non-benign corrupted local value, every logical
+// input), block-local retry with fault-free retries ends accepted with
+// the CORRECT output. Detected faults are repaired (rolled back and
 // replayed), silent ones are harmless by the machines' fault-security
 // census — so recovery turns "fault-secure" into "fault-TOLERANT
-// through detection", the paper's missing mechanism. Also pins that a
-// healthy share of repairs resolves locally (no whole-program
-// fallback) — the localization payoff the per-block rails exist for.
+// through detection", the paper's missing mechanism. Also pins that
+// most repairs resolve locally (no whole-program fallback) — the
+// localization payoff the per-block rails exist for — and that the
+// abort-only baseline rejects exactly the detected scenarios.
 template <typename Machine>
-void expect_every_single_fault_repaired(const Machine& machine,
-                                        const Circuit& logical) {
+void expect_every_single_fault_repaired(
+    const Machine& machine, const Circuit& logical,
+    const PinnedTotals& no_retry, const PinnedTotals& whole_program,
+    const PinnedTotals& block_local) {
   const auto program = machine.compile(logical);
   const auto plan = recover::build_segment_plan(program.checked);
-  const recover::RecoveringRunner block_local(
-      program.checked, plan, recover::RetryPolicy::block_local());
-  const recover::RecoveringRunner no_retry(program.checked, plan,
-                                           recover::RetryPolicy::no_retry());
+  const ScenarioSet set = make_scenarios(program, kAllInputs, true);
 
-  std::uint64_t detected = 0, repaired_locally = 0, fallbacks = 0;
-  for (unsigned input = 0; input < (1u << logical.width()); ++input) {
-    const StateVector sv = machine_input(program, input);
-    const StateVector wide = detect::widen_input(program.checked, sv);
-    const auto faults =
-        enumerate_single_faults(program.checked.circuit, wide,
-                                /*skip_benign=*/true);
-    for (const FaultSpec& fault : faults) {
-      const auto out = block_local.run(sv, {fault});
-      ASSERT_TRUE(out.accepted)
-          << "input " << input << " op " << fault.op_index;
-      ASSERT_FALSE(out.exhausted);
-      EXPECT_TRUE(output_correct(program, logical, out.state, input))
-          << "input " << input << " op " << fault.op_index << " value "
-          << fault.corrupted_local;
-      if (out.detected) {
-        ++detected;
-        fallbacks += out.fallbacks;
-        if (out.fallbacks == 0) ++repaired_locally;
-        // The abort-only baseline rejects exactly the detected runs.
-        EXPECT_FALSE(no_retry.run(sv, {fault}).accepted);
-      }
-    }
-  }
-  EXPECT_GT(detected, 0u);
-  EXPECT_GT(repaired_locally, fallbacks)
+  const auto nr = run_scripted(program, logical, plan,
+                               recover::RetryPolicy::no_retry(), set);
+  const auto wp = run_scripted(program, logical, plan,
+                               recover::RetryPolicy::whole_program(), set);
+  const auto bl = run_scripted(program, logical, plan,
+                               recover::RetryPolicy::block_local(), set);
+  expect_totals(nr, no_retry, "no_retry");
+  expect_totals(wp, whole_program, "whole_program");
+  expect_totals(bl, block_local, "block_local");
+
+  EXPECT_EQ(bl.accepted, bl.trials);
+  EXPECT_EQ(bl.silent_failures, 0u);
+  EXPECT_GT(bl.detected_trials, 0u);
+  EXPECT_EQ(nr.rejected, bl.detected_trials);
+  // A fault-free restart always succeeds, so each fallback is one
+  // scenario and the rest of the detected ones were repaired locally.
+  EXPECT_EQ(bl.program_restarts, bl.fallbacks);
+  EXPECT_GT(bl.detected_trials - bl.fallbacks, bl.fallbacks)
       << "most repairs must resolve locally — the localization payoff the "
          "per-block rails exist for";
 }
 
-// Both theorem instances run on the SCHEDULED programs — the shipped
+// The theorem instances run on the SCHEDULED programs — the shipped
 // recovering configuration keeps the scheduling pass on, so the
 // wave-packed, interior-cut layout is what gets exhaustively repaired
 // (the assertion below keeps that coverage from silently rotting if
 // the default ever flips).
-TEST(RecoveringRunner, EverySingleFaultRepaired1d) {
+TEST(ScriptedRepair, EverySingleFaultRepaired1d) {
   ASSERT_TRUE(recovering_machine_options().schedule.enabled);
   expect_every_single_fault_repaired(
       CheckedMachine1d(3, true, recovering_machine_options()),
-      routed_toffoli3());
+      routed_toffoli3(),
+      {12352, 12352, 0, 12352, 0, 0, 0, 0, 2548864, 11216, {4096, 4208, 4192}},
+      {12352, 12352, 12352, 0, 0, 0, 0, 12352, 5562752, 11216,
+       {4096, 4208, 4192}},
+      {12352, 12352, 12352, 0, 0, 12496, 72, 72, 4976384, 11216,
+       {4096, 4208, 4192}});
 }
 
-TEST(RecoveringRunner, EverySingleFaultRepaired2d) {
+TEST(ScriptedRepair, EverySingleFaultRepaired2d) {
   expect_every_single_fault_repaired(
       CheckedMachine2d(3, true, recovering_machine_options()),
-      routed_toffoli3());
+      routed_toffoli3(),
+      {7080, 7080, 0, 7080, 0, 0, 0, 0, 758808, 6144, {2000, 2000, 2000}},
+      {7080, 7080, 7080, 0, 0, 0, 0, 7080, 1799568, 6144, {2000, 2000, 2000}},
+      {7080, 7080, 7080, 0, 0, 7224, 72, 72, 1361064, 6144,
+       {2000, 2000, 2000}});
 }
 
 // And the legacy layout stays repairable on opt-out: the scheduling
 // knob changes localization economics, never correctness, in either
 // position.
-TEST(RecoveringRunner, EverySingleFaultRepairedWithScheduleOff1d) {
+TEST(ScriptedRepair, EverySingleFaultRepairedWithScheduleOff1d) {
   CheckedMachineOptions legacy = recovering_machine_options();
   legacy.schedule.enabled = false;
-  expect_every_single_fault_repaired(CheckedMachine1d(3, true, legacy),
-                                     routed_toffoli3());
+  expect_every_single_fault_repaired(
+      CheckedMachine1d(3, true, legacy), routed_toffoli3(),
+      {12352, 10824, 1528, 10824, 0, 0, 0, 0, 2717312, 5680,
+       {4192, 4464, 3328}},
+      {12352, 10824, 12352, 0, 0, 0, 0, 10824, 5358368, 5680,
+       {4192, 4464, 3328}},
+      {12352, 10824, 12352, 0, 0, 11624, 400, 400, 4997408, 5680,
+       {4192, 4464, 3328}});
 }
 
 // Whole-program retry also repairs everything, by exactly one restart
 // per detected scenario (retries are fault-free here).
-TEST(RecoveringRunner, WholeProgramRestartsOncePerDetectedScenario) {
+TEST(ScriptedRepair, WholeProgramRestartsOncePerDetectedScenario) {
   const Circuit logical = routed_toffoli3();
   const auto program =
       CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
   const auto plan = recover::build_segment_plan(program.checked);
-  const recover::RecoveringRunner runner(program.checked, plan,
-                                         recover::RetryPolicy::whole_program());
-  const StateVector sv = machine_input(program, 5);
-  const StateVector wide = detect::widen_input(program.checked, sv);
-  const auto faults = enumerate_single_faults(program.checked.circuit, wide,
-                                              /*skip_benign=*/true);
-  for (const FaultSpec& fault : faults) {
-    const auto out = runner.run(sv, {fault});
-    ASSERT_TRUE(out.accepted);
-    EXPECT_EQ(out.program_restarts, out.detected ? 1u : 0u);
-    EXPECT_TRUE(output_correct(program, logical, out.state, 5));
+  const ScenarioSet set = make_scenarios(program, {5}, true);
+  const auto wp = run_scripted(program, logical, plan,
+                               recover::RetryPolicy::whole_program(), set);
+  EXPECT_EQ(wp.program_restarts, wp.detected_trials);
+  expect_totals(wp,
+                {1544, 1544, 1544, 0, 0, 0, 0, 1544, 695344, 1402,
+                 {512, 526, 524}},
+                "whole_program, input 5");
+}
+
+// One scenario per lane, so the lane width only changes how scenarios
+// share a vehicle: the totals at W = 8 (multi-word replay masks,
+// blends and restart merges) must equal W = 1 exactly.
+TEST(ScriptedRepair, TotalsIdenticalAtW1AndW8) {
+  const Circuit logical = routed_toffoli3();
+  const auto program =
+      CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
+  const auto plan = recover::build_segment_plan(program.checked);
+  const ScenarioSet set = make_scenarios(program, kAllInputs, true);
+  for (const auto policy :
+       {recover::RetryPolicy::no_retry(), recover::RetryPolicy::whole_program(),
+        recover::RetryPolicy::block_local()}) {
+    const auto w1 = run_scripted(program, logical, plan, policy, set, 1);
+    const auto w8 = run_scripted(program, logical, plan, policy, set, 8);
+    EXPECT_EQ(w1, w8);  // operator== covers every counter, rails included
+    EXPECT_GT(w1.detected_trials, 0u);
+  }
+}
+
+TEST(ScriptedRepair, RejectsInvalidScenarios) {
+  const Circuit logical = routed_toffoli3();
+  const auto program =
+      CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
+  const auto plan = recover::build_segment_plan(program.checked);
+  const StateVector sv = machine_input(program, 0);
+  const std::size_t n = program.checked.circuit.size();
+  const unsigned arity =
+      static_cast<unsigned>(program.checked.circuit.op(0).arity());
+  const auto never_wrong = [](const StateVector&, std::size_t) {
+    return false;
+  };
+  for (const std::vector<FaultSpec>& faults :
+       {std::vector<FaultSpec>{{n, 0}},
+        std::vector<FaultSpec>{{0, 1}, {0, 0}},
+        std::vector<FaultSpec>{{0, 1u << arity}}}) {
+    EXPECT_THROW(recover::run_scripted_recovering(
+                     program.checked, plan, recover::RetryPolicy::block_local(),
+                     {{sv, {}}, {sv, faults}}, 1, never_wrong),
+                 Error);
   }
 }
 

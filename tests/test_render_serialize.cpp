@@ -1,6 +1,8 @@
 // Tests for the ASCII renderer and the text serialization format.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rev/render.h"
 #include "rev/serialize.h"
 #include "rev/simulator.h"
@@ -158,6 +160,29 @@ TEST(Serialize, RejectsMalformedInput) {
   EXPECT_THROW(circuit_from_text("revft-circuit v1\nwidth 3\nmaj 0 1 7\n"),
                Error)
       << "operand out of range";
+}
+
+// Widths and operands are 32-bit: a larger value is rejected with its
+// line number, never wrapped (width 2^32+2 must not read as 2, nor
+// operand 2^32 as 0).
+TEST(Serialize, RejectsIndicesAbove32Bits) {
+  const auto expect_error_at = [](const std::string& text,
+                                  const std::string& line) {
+    try {
+      circuit_from_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error_at("revft-circuit v1\nwidth 4294967298\nnot 4294967297\n",
+                  "line 2");
+  expect_error_at("revft-circuit v1\nwidth 4\nnot 4294967296\n", "line 3");
+  expect_error_at("revft-circuit v1\nwidth 4\ncnot 0 4294967297\n",
+                  "line 3");
+  EXPECT_EQ(circuit_from_text("revft-circuit v1\nwidth 4294967295\n").width(),
+            4294967295u);
 }
 
 TEST(Serialize, RoundTripIsFunctionallyIdentical) {
