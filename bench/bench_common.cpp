@@ -1,34 +1,52 @@
 #include "bench_common.h"
 
-#include <cmath>
-
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <exception>
+#include <utility>
 
+#include "support/error.h"
+#include "support/mathutil.h"
 #include "support/provenance.h"
 
 namespace revft::benchutil {
 
 namespace {
+/// `name` parsed whole (support/mathutil's parse_u64), or `fallback`
+/// when unset. Bad input exits: a silently truncated REVFT_TRIALS=1e6
+/// ran one trial per point and stamped "trials": 1.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 0);
-  if (end == value) return fallback;
-  return static_cast<std::uint64_t>(parsed);
+  if (value == nullptr) return fallback;
+  const auto parsed = parse_u64(value);
+  if (!parsed) {
+    std::fprintf(stderr,
+                 "%s=\"%s\": expected an unsigned decimal or 0x-hex integer\n",
+                 name, value);
+    std::exit(2);
+  }
+  return *parsed;
 }
 
-// Minimal JSON string escaping: our keys are ASCII identifiers, so
-// only the structural characters need care.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
+/// Process-CPU nanoseconds now.
+std::int64_t cpu_now_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Member `key` of `obj`, which must not exist yet.
+void put(json::Value& obj, const std::string& key, json::Value value) {
+  REVFT_CHECK_MSG(obj.find(key) == nullptr, "duplicate JSON key " << key);
+  obj.set(key, std::move(value));
 }
 }  // namespace
 
@@ -46,9 +64,32 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("================================================================\n");
 }
 
-JsonResultWriter::JsonResultWriter(std::string name) : name_(std::move(name)) {
-  meta("git_sha", provenance::git_sha());
-  meta("compiler", provenance::compiler_version());
+Timing time_interleaved(const std::vector<TimedBody>& variants, int reps,
+                        int iters) {
+  const std::size_t n = variants.size();
+  Timing timing;
+  timing.ns_per_unit.assign(n, 0.0);
+  timing.ratio.assign(n, 1.0);
+  for (const TimedBody& v : variants) v.body();  // untimed warm-up
+
+  std::vector<std::vector<double>> ratios(n);
+  std::vector<double> t(n);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t v = (static_cast<std::size_t>(rep) + k) % n;
+      const std::int64_t start = cpu_now_ns();
+      for (int i = 0; i < iters; ++i) variants[v].body();
+      t[v] = static_cast<double>(cpu_now_ns() - start) /
+             (static_cast<double>(iters) * variants[v].units);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      if (rep == 0 || t[v] < timing.ns_per_unit[v]) timing.ns_per_unit[v] = t[v];
+      if (t[0] > 0.0) ratios[v].push_back(t[v] / t[0]);
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v)
+    if (!ratios[v].empty()) timing.ratio[v] = median(ratios[v]);
+  return timing;
 }
 
 const char* target_isa() {
@@ -61,124 +102,48 @@ const char* target_isa() {
 #endif
 }
 
-void stamp_run_meta(JsonResultWriter& json, std::uint64_t trials,
-                    std::uint64_t seed, unsigned lane_words) {
-  json.meta("trials", trials);
-  json.meta("seed", seed);
-  json.meta("lane_words", static_cast<std::uint64_t>(lane_words));
-  json.meta("target_isa", std::string(target_isa()));
+JsonResultWriter::JsonResultWriter(std::string name) : name_(std::move(name)) {
+  meta("git_sha", provenance::git_sha());
+  meta("compiler", provenance::compiler_version());
 }
 
 JsonResultWriter::~JsonResultWriter() { write(); }
 
-namespace {
-std::string number_token(double value) {
-  // JSON has no inf/nan tokens; retry-cost columns are infinite when
-  // every trial aborts, so map non-finite values to null.
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+void JsonResultWriter::meta(const std::string& key, json::Value value) {
+  put(meta_, key, std::move(value));
 }
 
-std::string number_token(std::uint64_t value) {
-  return std::to_string(value);
-}
-}  // namespace
-
-void JsonResultWriter::meta(const std::string& key, double value) {
-  meta_.emplace_back(key, number_token(value));
-}
-
-void JsonResultWriter::meta(const std::string& key, std::uint64_t value) {
-  meta_.emplace_back(key, number_token(value));
-}
-
-void JsonResultWriter::meta(const std::string& key, const std::string& value) {
-  // Built with += rather than operator+(const char*, string&&): the
-  // latter trips GCC 12's -Wrestrict false positive (PR105329) at -O3.
-  std::string token = "\"";
-  token += json_escape(value);
-  token += '"';
-  meta_.emplace_back(key, std::move(token));
-}
-
-JsonResultWriter::Entries* JsonResultWriter::section(const std::string& name) {
-  for (auto& s : sections_)
-    if (s.first == name) return &s.second;
-  sections_.push_back({name, {}});
-  return &sections_.back().second;
-}
-
-void JsonResultWriter::add(const std::string& section_name,
-                           const std::string& key, double value) {
-  section(section_name)->emplace_back(key, number_token(value));
-}
-
-void JsonResultWriter::add(const std::string& section_name,
-                           const std::string& key, std::uint64_t value) {
-  section(section_name)->emplace_back(key, number_token(value));
-}
-
-// Structured values are stored pre-serialized: json::Value::dump()
-// emits exactly the token grammar the scalar paths use, so nested
-// objects and arrays coexist with the number tokens in one Entries
-// list.
-void JsonResultWriter::meta(const std::string& key, const json::Value& value) {
-  meta_.emplace_back(key, value.dump());
-}
-
-void JsonResultWriter::add(const std::string& section_name,
-                           const std::string& key, const json::Value& value) {
-  section(section_name)->emplace_back(key, value.dump());
+void JsonResultWriter::add(const std::string& section, const std::string& key,
+                           json::Value value) {
+  json::Value* slot = results_.find(section);
+  if (slot == nullptr) slot = &results_.set(section, json::Value::object());
+  put(*slot, key, std::move(value));
 }
 
 bool JsonResultWriter::write() {
   if (written_) return true;
   written_ = true;
-
-  std::string dir = ".";
-  if (const char* env = std::getenv("REVFT_JSON_DIR")) {
-    if (*env == '\0') return false;  // emission disabled
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_" + name_ + ".json";
-
-  auto emit_map = [](std::string& out, const Entries& entries) {
-    out += '{';
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (i) out += ", ";
-      out += '"';
-      out += json_escape(entries[i].first);
-      out += "\": ";
-      out += entries[i].second;
-    }
-    out += '}';
-  };
-
-  std::string out = "{\n  \"bench\": \"";
-  out += json_escape(name_);
-  out += "\",\n  \"meta\": ";
-  emit_map(out, meta_);
-  out += ",\n  \"results\": {";
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    if (i) out += ',';
-    out += "\n    \"";
-    out += json_escape(sections_[i].first);
-    out += "\": ";
-    emit_map(out, sections_[i].second);
-  }
-  out += sections_.empty() ? "}\n}\n" : "\n  }\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_common: cannot write %s\n", path.c_str());
+  try {
+    json::Value doc = json::Value::object();
+    doc.set("bench", name_);
+    doc.set("meta", meta_);
+    doc.set("results", results_);
+    const std::string path = provenance::write_artifact("BENCH", name_, doc);
+    if (path.empty()) return false;  // emission disabled
+    std::printf("\n[json] results written to %s\n", path.c_str());
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_common: %s\n", e.what());
     return false;
   }
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  if (ok) std::printf("\n[json] results written to %s\n", path.c_str());
-  return ok;
+}
+
+void stamp_run_meta(JsonResultWriter& json, std::uint64_t trials,
+                    std::uint64_t seed, unsigned lane_words) {
+  json.meta("trials", trials);
+  json.meta("seed", seed);
+  json.meta("lane_words", lane_words);
+  json.meta("target_isa", target_isa());
 }
 
 }  // namespace revft::benchutil

@@ -10,7 +10,6 @@
 // op, checkpoint evaluation included).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -214,26 +213,6 @@ detect::CheckedCircuit checked_maj_workload() {
   return detect::to_parity_rail(maj_chain_workload(), opts);
 }
 
-/// Min-of-3 wall-clock nanoseconds per ORIGINAL op for `body` (the
-/// least-noise repetition), where one call of `body` covers `ops`
-/// original ops.
-template <typename Body>
-double ns_per_op(std::uint64_t ops, int iters, Body&& body) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                stop - start)
-                                .count()) /
-        (static_cast<double>(iters) * static_cast<double>(ops));
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
 void print_overhead(benchutil::JsonResultWriter& json) {
   benchutil::print_header(
       "Packed-engine detection overhead (per original op, 64 lanes)",
@@ -242,29 +221,35 @@ void print_overhead(benchutil::JsonResultWriter& json) {
   const Circuit plain = maj_chain_workload();
   const auto checked = checked_maj_workload();
   const double g = 1e-3;
-  const int iters = 2000;
+  const double ops = static_cast<double>(plain.size());
 
   PackedSimulator base_sim(NoiseModel::uniform(g), benchutil::seed_from_env());
   PackedState base_state(plain.width());
-  const double noisy_ns = ns_per_op(plain.size(), iters, [&] {
-    base_sim.apply_noisy(base_state, plain);
-    benchmark::DoNotOptimize(base_state);
-  });
-
   PackedSimulator checked_sim(NoiseModel::uniform(g),
                               benchutil::seed_from_env());
   PackedState checked_state(checked.circuit.width());
   std::uint64_t mask_acc = 0;
-  const double checked_ns = ns_per_op(plain.size(), iters, [&] {
-    std::uint64_t detected = 0;
-    detect::apply_noisy_checked_words(checked_sim, checked_state, checked,
-                                      &detected);
-    mask_acc ^= detected;
-    benchmark::DoNotOptimize(checked_state);
-  });
+  // Per ORIGINAL op: 15 repetitions of 400 calls per variant.
+  const benchutil::Timing t = benchutil::time_interleaved(
+      {{ops,
+        [&] {
+          base_sim.apply_noisy(base_state, plain);
+          benchmark::DoNotOptimize(base_state);
+        }},
+       {ops,
+        [&] {
+          std::uint64_t detected = 0;
+          detect::apply_noisy_checked_words(checked_sim, checked_state,
+                                            checked, &detected);
+          mask_acc ^= detected;
+          benchmark::DoNotOptimize(checked_state);
+        }}},
+      15, 400);
   benchmark::DoNotOptimize(mask_acc);
 
-  const double ratio = noisy_ns > 0.0 ? checked_ns / noisy_ns : 0.0;
+  const double noisy_ns = t.ns_per_unit[0];
+  const double checked_ns = t.ns_per_unit[1];
+  const double ratio = t.ratio[1];
   std::printf("workload: %zu MAJ/MAJ⁻¹ ops; railed: %zu ops (+%llu rail), "
               "%zu checkpoints\n",
               plain.size(), checked.circuit.size(),

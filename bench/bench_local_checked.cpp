@@ -16,10 +16,10 @@
 // op, checkpoint and zero-check evaluation included).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "detect/checked_mc.h"
@@ -379,25 +379,6 @@ void print_determinism(benchutil::JsonResultWriter& json) {
 
 // --- kernel overhead vs the unchecked machine ------------------------
 
-/// Min-of-3 wall-clock nanoseconds per ORIGINAL op for `body`, where
-/// one call of `body` covers `ops` original ops.
-template <typename Body>
-double ns_per_op(std::uint64_t ops, int iters, Body&& body) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                stop - start)
-                                .count()) /
-        (static_cast<double>(iters) * static_cast<double>(ops));
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
 // --- multi-word SIMD lane sweep --------------------------------------
 
 /// Checked-kernel throughput at lane_words ∈ {1,2,4,8}: the same
@@ -433,51 +414,60 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
   const double gs[] = {1e-3, 1e-4, 1e-5};
   const char* g_tag[] = {"g1e3", "g1e4", "g1e5"};
   const int kBarG = 2;  // bar enforced on the sub-threshold column
-  const int iters = 200;
 
+  // One time_interleaved() call per error rate, the four widths as its
+  // variants (W=1 first, so ratio[i] is W_i's ns/op-lane over W=1's
+  // and the speedup is its inverse).
   const unsigned widths[] = {1, 2, 4, 8};
-  double lane_ns[3][4] = {};
+  benchutil::Timing timing[3];
+  for (int j = 0; j < 3; ++j) {
+    std::vector<PackedSimulator> sims;
+    std::vector<PackedState> states;
+    sims.reserve(4);
+    states.reserve(4);
+    for (const unsigned W : widths) {
+      sims.emplace_back(NoiseModel::uniform(gs[j]), benchutil::seed_from_env());
+      states.emplace_back(program.checked.circuit.width(), W);
+    }
+    std::uint64_t detected[kMaxLaneWords];
+    std::uint64_t acc = 0;
+    std::vector<benchutil::TimedBody> variants;
+    for (int i = 0; i < 4; ++i) {
+      // One call covers ops * 64 * W lane-ops (original ops x trials).
+      variants.push_back({static_cast<double>(ops * 64 * widths[i]), [&, i] {
+                            detect::apply_noisy_checked_words(
+                                sims[i], states[i], program.checked, detected);
+                            acc ^= detected[0];
+                            benchmark::DoNotOptimize(states[i]);
+                          }});
+    }
+    timing[j] = benchutil::time_interleaved(variants, 15, 40);
+    benchmark::DoNotOptimize(acc);
+  }
+  const auto speedup = [&](int j, int i) { return 1.0 / timing[j].ratio[i]; };
+
   AsciiTable table({"lane_words", "lanes/batch", "ns/op-lane g=1e-3",
                     "g=1e-4", "g=1e-5", "speedup @1e-5"});
   for (int i = 0; i < 4; ++i) {
     const unsigned W = widths[i];
-    for (int j = 0; j < 3; ++j) {
-      PackedSimulator sim(NoiseModel::uniform(gs[j]),
-                          benchutil::seed_from_env());
-      PackedState state(program.checked.circuit.width(), W);
-      std::uint64_t detected[kMaxLaneWords];
-      std::uint64_t acc = 0;
-      // One call covers ops * 64 * W lane-ops (original ops x trials).
-      lane_ns[j][i] = ns_per_op(ops * 64 * W, iters, [&] {
-        detect::apply_noisy_checked_words(sim, state, program.checked,
-                                          detected);
-        acc ^= detected[0];
-        benchmark::DoNotOptimize(state);
-      });
-      benchmark::DoNotOptimize(acc);
-    }
-    const double speedup =
-        lane_ns[kBarG][i] > 0.0 ? lane_ns[kBarG][0] / lane_ns[kBarG][i] : 0.0;
     table.add_row({std::to_string(W), std::to_string(64 * W),
-                   AsciiTable::fixed(lane_ns[0][i], 4),
-                   AsciiTable::fixed(lane_ns[1][i], 4),
-                   AsciiTable::fixed(lane_ns[2][i], 4),
-                   AsciiTable::fixed(speedup, 3) + "x"});
+                   AsciiTable::fixed(timing[0].ns_per_unit[i], 4),
+                   AsciiTable::fixed(timing[1].ns_per_unit[i], 4),
+                   AsciiTable::fixed(timing[2].ns_per_unit[i], 4),
+                   AsciiTable::fixed(speedup(kBarG, i), 3) + "x"});
     const std::string section = "simd_w" + std::to_string(W);
     for (int j = 0; j < 3; ++j) {
       json.add(section, std::string("ns_per_op_lane_") + g_tag[j],
-               lane_ns[j][i]);
+               timing[j].ns_per_unit[i]);
       json.add(section, std::string("speedup_vs_w1_") + g_tag[j],
-               lane_ns[j][i] > 0.0 ? lane_ns[j][0] / lane_ns[j][i] : 0.0);
+               speedup(j, i));
     }
   }
 
   int best = 0;
   for (int i = 1; i < 4; ++i)
-    if (lane_ns[kBarG][i] < lane_ns[kBarG][best]) best = i;
-  const double best_speedup =
-      lane_ns[kBarG][best] > 0.0 ? lane_ns[kBarG][0] / lane_ns[kBarG][best]
-                                 : 0.0;
+    if (speedup(kBarG, i) > speedup(kBarG, best)) best = i;
+  const double best_speedup = speedup(kBarG, best);
 
 #if defined(__AVX2__) || defined(__AVX512F__)
   const double bar = 2.5;
@@ -509,29 +499,35 @@ double measure_overhead(const Circuit& physical,
                         const CheckedMachineProgram& program, const char* label,
                         benchutil::JsonResultWriter& json) {
   const double g = 1e-3;
-  const int iters = 400;
+  const double ops = static_cast<double>(physical.size());
 
   PackedSimulator base_sim(NoiseModel::uniform(g), benchutil::seed_from_env());
   PackedState base_state(physical.width());
-  const double plain_ns = ns_per_op(physical.size(), iters, [&] {
-    base_sim.apply_noisy(base_state, physical);
-    benchmark::DoNotOptimize(base_state);
-  });
-
   PackedSimulator checked_sim(NoiseModel::uniform(g),
                               benchutil::seed_from_env());
   PackedState checked_state(program.checked.circuit.width());
   std::uint64_t mask_acc = 0;
-  const double checked_ns = ns_per_op(physical.size(), iters, [&] {
-    std::uint64_t detected = 0;
-    detect::apply_noisy_checked_words(checked_sim, checked_state,
-                                      program.checked, &detected);
-    mask_acc ^= detected;
-    benchmark::DoNotOptimize(checked_state);
-  });
+  // Per ORIGINAL op: 15 repetitions of 80 calls per variant.
+  const benchutil::Timing t = benchutil::time_interleaved(
+      {{ops,
+        [&] {
+          base_sim.apply_noisy(base_state, physical);
+          benchmark::DoNotOptimize(base_state);
+        }},
+       {ops,
+        [&] {
+          std::uint64_t detected = 0;
+          detect::apply_noisy_checked_words(checked_sim, checked_state,
+                                            program.checked, &detected);
+          mask_acc ^= detected;
+          benchmark::DoNotOptimize(checked_state);
+        }}},
+      15, 80);
   benchmark::DoNotOptimize(mask_acc);
 
-  const double ratio = plain_ns > 0.0 ? checked_ns / plain_ns : 0.0;
+  const double plain_ns = t.ns_per_unit[0];
+  const double checked_ns = t.ns_per_unit[1];
+  const double ratio = t.ratio[1];
   std::printf("%-4s unchecked %8.3f ns/op | checked %8.3f ns/op | "
               "overhead %.3fx  (bar: <= 1.5)  %s\n",
               label, plain_ns, checked_ns, ratio,

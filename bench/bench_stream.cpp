@@ -38,6 +38,7 @@
 #include "local/checked_machine.h"
 #include "noise/lanes.h"
 #include "rev/gate.h"
+#include "support/provenance.h"
 #include "support/table.h"
 #include "telemetry/stream.h"
 
@@ -64,12 +65,15 @@ std::string g_label(double g) {
 
 void write_artifacts(const telemetry::ConvergenceTrajectory& traj,
                      const json::Value* bars, bool chrome) {
-  const std::string conv = telemetry::write_convergence_json(traj, bars);
-  if (conv.empty() || !chrome) return;
-  std::string trace = conv;
-  trace.replace(trace.rfind("CONV_"), 5, "TRACE_");
-  trace.replace(trace.size() - 5, 5, "_conv.json");
-  telemetry::write_convergence_chrome_trace(traj, traj.name, trace);
+  // `bars` (an object of *_within_* keys) rides in the CONV document so
+  // telemetry_check --enforce-bars can gate on it.
+  json::Value doc = traj.to_json();
+  if (bars != nullptr) doc.set("bars", *bars);
+  if (provenance::write_artifact("CONV", traj.name, doc).empty() || !chrome)
+    return;
+  provenance::write_artifact(
+      "TRACE", traj.name + "_conv",
+      telemetry::convergence_chrome_json(traj, traj.name));
 }
 
 // --- 1. trials saved at equal target interval width -------------------

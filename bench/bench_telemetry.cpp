@@ -4,7 +4,7 @@
 // bench prices all of them:
 //
 //   1. OVERHEAD: an untraced engine run must not pay for the hooks.
-//      Interleaved median-of-ratios ns/op on the checked and
+//      benchutil::time_interleaved ns/op on the checked and
 //      recovering machine kernels, three ways — no trace pointer at
 //      all (baseline), a null-sink ShardTrace (hooks reached, one
 //      branch each), and a full ring sink with metrics. Bars: null
@@ -28,10 +28,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -44,6 +41,7 @@
 #include "local/checked_machine.h"
 #include "recover/plan.h"
 #include "recover/recovering_mc.h"
+#include "support/provenance.h"
 #include "support/table.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/report.h"
@@ -74,112 +72,15 @@ Circuit census_workload() {
   return logical;
 }
 
-/// TRACE_<name>.json path under the bench JSON contract ("" disables).
-std::string trace_output_path(const std::string& name) {
-  std::string dir = ".";
-  if (const char* env = std::getenv("REVFT_JSON_DIR")) {
-    if (*env == '\0') return {};
-    dir = env;
-  }
-  return dir + "/TRACE_" + name + ".json";
-}
-
 // --- 1. hook overhead -------------------------------------------------
 
-/// Process-CPU nanoseconds now. The overhead section compares ~3%
-/// deltas, and on a shared host wall-clock is dominated by time-slicing
-/// against neighbour processes (observed: 35% swings between identical
-/// runs) — CPU time doesn't tick while the process is descheduled, so
-/// it measures the kernel, not the neighbours. Falls back to the
-/// steady clock where the POSIX clock is unavailable.
-std::int64_t cpu_now_ns() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0)
-    return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-#endif
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// CPU nanoseconds per original machine op for one timed block of
-/// `iters` calls of `body`, where each call covers `ops` ops.
-template <typename Body>
-double block_ns_per_op(std::uint64_t ops, int iters, Body&& body) {
-  const std::int64_t start = cpu_now_ns();
-  for (int i = 0; i < iters; ++i) body();
-  const std::int64_t stop = cpu_now_ns();
-  return static_cast<double>(stop - start) /
-         (static_cast<double>(iters) * static_cast<double>(ops));
-}
-
-struct OverheadRow {
-  double baseline_ns = 0.0;  ///< trace == nullptr (min over reps)
-  double disabled_ns = 0.0;  ///< null-sink ShardTrace (capacity 0)
-  double enabled_ns = 0.0;   ///< ring sink + metrics
-  double disabled_over = 0.0;  ///< median per-rep disabled/baseline
-  double enabled_over = 0.0;   ///< median per-rep enabled/baseline
-  double disabled_ratio() const { return disabled_over; }
-  double enabled_ratio() const { return enabled_over; }
-};
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Interleaved overhead estimator. Each repetition times the three
-/// variants back to back IN A ROTATING ORDER and takes the RATIOS
-/// within the repetition, then the per-rep ratios are combined by
-/// median:
-///
-///   * back-to-back blocks mean clock-frequency and load drift hit
-///     every variant of a rep roughly equally (sequential min-of-N
-///     regularly produced >20% phantom deltas on a busy container);
-///   * rotating the order (bde, deb, ebd, ...) keeps a monotonic load
-///     ramp from always landing on the variant timed last — with a
-///     fixed order that bias is systematic and the median keeps it;
-///   * the median discards the reps a noisy neighbour stomped on,
-///     which a min-based ratio turns into a false bar verdict.
-///
-/// The reported ns/op are still the per-variant minima (the usual
-/// "best observed" figure); the acceptance bars use the median ratio.
-template <typename B0, typename B1, typename B2>
-OverheadRow interleaved_ns_per_op(std::uint64_t ops, int iters, B0&& baseline,
-                                  B1&& disabled, B2&& enabled) {
-  OverheadRow row;
-  // Warm-up pass (untimed): touch every code path and state buffer.
-  baseline();
-  disabled();
-  enabled();
-  std::vector<double> d_over, e_over;
-  for (int rep = 0; rep < 15; ++rep) {
-    double t[3] = {0.0, 0.0, 0.0};  // [0]=baseline [1]=disabled [2]=enabled
-    for (int k = 0; k < 3; ++k) {
-      switch ((rep + k) % 3) {
-        case 0: t[0] = block_ns_per_op(ops, iters, baseline); break;
-        case 1: t[1] = block_ns_per_op(ops, iters, disabled); break;
-        default: t[2] = block_ns_per_op(ops, iters, enabled); break;
-      }
-    }
-    if (rep == 0 || t[0] < row.baseline_ns) row.baseline_ns = t[0];
-    if (rep == 0 || t[1] < row.disabled_ns) row.disabled_ns = t[1];
-    if (rep == 0 || t[2] < row.enabled_ns) row.enabled_ns = t[2];
-    if (t[0] > 0.0) {
-      d_over.push_back(t[1] / t[0]);
-      e_over.push_back(t[2] / t[0]);
-    }
-  }
-  row.disabled_over = median_of(d_over);
-  row.enabled_over = median_of(e_over);
-  return row;
-}
+// Each engine is timed three ways in one time_interleaved() call:
+// variant 0 has no trace pointer at all (baseline), variant 1 a
+// null-sink ShardTrace, variant 2 a full ring sink with metrics.
 
 /// The checked (detection) engine: one span call = `trials` trials.
-OverheadRow measure_checked_overhead(const CheckedMachineProgram& program,
-                                     const std::vector<unsigned>& truth) {
+benchutil::Timing measure_checked_overhead(const CheckedMachineProgram& program,
+                                           const std::vector<unsigned>& truth) {
   const double g = 1e-3;
   const int iters = 60;
   const std::uint64_t trials = 64 * 8;
@@ -219,15 +120,17 @@ OverheadRow measure_checked_overhead(const CheckedMachineProgram& program,
     benchmark::DoNotOptimize(est.detected);
   };
 
-  return interleaved_ns_per_op(
-      ops, iters, [&] { span(base_ctx, nullptr); },
-      [&] { span(null_ctx, &null_shards[0]); },
-      [&] { span(full_ctx, &full_shards[0]); });
+  const double units = static_cast<double>(ops);
+  return benchutil::time_interleaved(
+      {{units, [&] { span(base_ctx, nullptr); }},
+       {units, [&] { span(null_ctx, &null_shards[0]); }},
+       {units, [&] { span(full_ctx, &full_shards[0]); }}},
+      15, iters);
 }
 
 /// The recovering engine, block-local policy.
-OverheadRow measure_recover_overhead(const CheckedMachineProgram& program,
-                                     const std::vector<unsigned>& truth) {
+benchutil::Timing measure_recover_overhead(const CheckedMachineProgram& program,
+                                           const std::vector<unsigned>& truth) {
   const double g = 1e-3;
   const int iters = 40;
   const recover::SegmentPlan plan = recover::build_segment_plan(program.checked);
@@ -266,10 +169,12 @@ OverheadRow measure_recover_overhead(const CheckedMachineProgram& program,
     benchmark::DoNotOptimize(est.accepted);
   };
 
-  return interleaved_ns_per_op(
-      ops, iters, [&] { span(base_ctx, nullptr); },
-      [&] { span(null_ctx, &null_shards[0]); },
-      [&] { span(full_ctx, &full_shards[0]); });
+  const double units = static_cast<double>(ops);
+  return benchutil::time_interleaved(
+      {{units, [&] { span(base_ctx, nullptr); }},
+       {units, [&] { span(null_ctx, &null_shards[0]); }},
+       {units, [&] { span(full_ctx, &full_shards[0]); }}},
+      15, iters);
 }
 
 bool print_overhead(benchutil::JsonResultWriter& json) {
@@ -290,12 +195,12 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
   // whole attempt, and a false FAIL fails CI. A genuine >3% hook
   // overhead is systematic and fails all three attempts identically.
   const auto measure_with_retry = [](auto&& measure) {
-    OverheadRow best = measure();
+    benchutil::Timing best = measure();
     for (int attempt = 1; attempt < 3; ++attempt) {
-      if (best.disabled_ratio() <= 1.03 && best.enabled_ratio() <= 1.25) break;
-      const OverheadRow again = measure();
-      const auto badness = [](const OverheadRow& r) {
-        return std::max(r.disabled_ratio() / 1.03, r.enabled_ratio() / 1.25);
+      if (best.ratio[1] <= 1.03 && best.ratio[2] <= 1.25) break;
+      const benchutil::Timing again = measure();
+      const auto badness = [](const benchutil::Timing& t) {
+        return std::max(t.ratio[1] / 1.03, t.ratio[2] / 1.25);
       };
       if (badness(again) < badness(best)) best = again;
     }
@@ -304,7 +209,7 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
 
   struct Named {
     const char* label;
-    OverheadRow row;
+    benchutil::Timing t;
   };
   const Named rows[] = {
       {"checked_1d", measure_with_retry(
@@ -318,20 +223,20 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
   AsciiTable table({"engine", "baseline ns/op", "null-sink ns/op", "disabled x",
                     "traced ns/op", "enabled x", "bars"});
   for (const Named& n : rows) {
-    const bool disabled_ok = n.row.disabled_ratio() <= 1.03;
-    const bool enabled_ok = n.row.enabled_ratio() <= 1.25;
+    const bool disabled_ok = n.t.ratio[1] <= 1.03;
+    const bool enabled_ok = n.t.ratio[2] <= 1.25;
     all_pass &= disabled_ok && enabled_ok;
-    table.add_row({n.label, AsciiTable::fixed(n.row.baseline_ns, 3),
-                   AsciiTable::fixed(n.row.disabled_ns, 3),
-                   AsciiTable::fixed(n.row.disabled_ratio(), 3),
-                   AsciiTable::fixed(n.row.enabled_ns, 3),
-                   AsciiTable::fixed(n.row.enabled_ratio(), 3),
+    table.add_row({n.label, AsciiTable::fixed(n.t.ns_per_unit[0], 3),
+                   AsciiTable::fixed(n.t.ns_per_unit[1], 3),
+                   AsciiTable::fixed(n.t.ratio[1], 3),
+                   AsciiTable::fixed(n.t.ns_per_unit[2], 3),
+                   AsciiTable::fixed(n.t.ratio[2], 3),
                    disabled_ok && enabled_ok ? "PASS" : "FAIL"});
-    json.add(n.label, "baseline_ns_per_op", n.row.baseline_ns);
-    json.add(n.label, "disabled_ns_per_op", n.row.disabled_ns);
-    json.add(n.label, "enabled_ns_per_op", n.row.enabled_ns);
-    json.add(n.label, "disabled_overhead", n.row.disabled_ratio());
-    json.add(n.label, "enabled_overhead", n.row.enabled_ratio());
+    json.add(n.label, "baseline_ns_per_op", n.t.ns_per_unit[0]);
+    json.add(n.label, "disabled_ns_per_op", n.t.ns_per_unit[1]);
+    json.add(n.label, "enabled_ns_per_op", n.t.ns_per_unit[2]);
+    json.add(n.label, "disabled_overhead", n.t.ratio[1]);
+    json.add(n.label, "enabled_overhead", n.t.ratio[2]);
     json.add(n.label, "disabled_within_1_03x", disabled_ok ? 1.0 : 0.0);
     json.add(n.label, "enabled_within_1_25x", enabled_ok ? 1.0 : 0.0);
   }
@@ -480,18 +385,18 @@ bool profile_machine(const char* label, const CheckedMachineProgram& program,
     hot.push_back(static_cast<std::uint64_t>(r));
   json.add(std::string(label) + "_profile", "hot_rails", hot);
 
-  const std::string report_path = telemetry::write_run_report(report);
+  const std::string report_path =
+      provenance::write_artifact("REPORT", report.name, report.to_json());
   if (!report_path.empty())
     std::printf("[json] report written to %s\n", report_path.c_str());
   if (export_chrome) {
-    const std::string trace_path =
-        trace_output_path(std::string("telemetry_") + label);
-    if (!trace_path.empty()) {
-      telemetry::write_chrome_trace(
-          trace, std::string("bench_telemetry ") + label, trace_path);
+    const std::string trace_path = provenance::write_artifact(
+        "TRACE", std::string("telemetry_") + label,
+        telemetry::chrome_trace_json(
+            trace, std::string("bench_telemetry ") + label));
+    if (!trace_path.empty())
       std::printf("[json] chrome trace written to %s (open in Perfetto)\n",
                   trace_path.c_str());
-    }
   }
   return match;
 }
@@ -562,16 +467,16 @@ void print_recovery_profile(benchutil::JsonResultWriter& json) {
   json.add("recover_profile", "replay_ops_total", replay_ops_total);
   json.add("recover_profile", "events_emitted", trace.emitted());
 
-  const std::string report_path = telemetry::write_run_report(report);
+  const std::string report_path =
+      provenance::write_artifact("REPORT", report.name, report.to_json());
   if (!report_path.empty())
     std::printf("[json] report written to %s\n", report_path.c_str());
-  const std::string trace_path = trace_output_path("telemetry_recover_1d");
-  if (!trace_path.empty()) {
-    telemetry::write_chrome_trace(trace, "bench_telemetry recover_1d",
-                                  trace_path);
+  const std::string trace_path = provenance::write_artifact(
+      "TRACE", "telemetry_recover_1d",
+      telemetry::chrome_trace_json(trace, "bench_telemetry recover_1d"));
+  if (!trace_path.empty())
     std::printf("[json] chrome trace written to %s (open in Perfetto)\n",
                 trace_path.c_str());
-  }
 }
 
 // --- google-benchmark kernels -----------------------------------------

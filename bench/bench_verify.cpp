@@ -6,7 +6,7 @@
 // (op, value, input) scenario. This bench prices that trade on the
 // checked machine programs:
 //
-//   1. the headline table: certificate vs census wall-time on the
+//   1. the headline table: certificate vs census CPU time on the
 //      checked 1D and 2D machine programs (the certificate must be
 //      >= 10x faster on the 1D program — checked in-line), with the
 //      residue fraction the census still has to settle (0 on these
@@ -20,7 +20,6 @@
 // Emits BENCH_verify.json.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -38,12 +37,6 @@
 using namespace revft;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// A 5-bit workload with MAJ/Toffoli/routing traffic, so the machines
 /// route heavily and the census has 32 inputs to grind through — the
@@ -64,16 +57,18 @@ Circuit workload() {
 bool bench_certificate(const char* label, const CheckedMachineProgram& program,
                        const Circuit& logical, AsciiTable& table,
                        benchutil::JsonResultWriter& json, bool enforce_bar) {
-  auto start = std::chrono::steady_clock::now();
-  const auto mc = verify::certify_machine_program(program, logical);
-  const double t_cert = seconds_since(start);
-
-  start = std::chrono::steady_clock::now();
-  const auto census = machine_detection_census(program, logical);
-  const double t_census = seconds_since(start);
+  // One call of each takes up to seconds: a single timed repetition.
+  verify::MachineCertification mc;
+  detect::DetectionCensus census;
+  const benchutil::Timing t = benchutil::time_interleaved(
+      {{1.0, [&] { mc = verify::certify_machine_program(program, logical); }},
+       {1.0, [&] { census = machine_detection_census(program, logical); }}},
+      1, 1);
+  const double t_cert = t.ns_per_unit[0] * 1e-9;
+  const double t_census = t.ns_per_unit[1] * 1e-9;
 
   const auto& cert = mc.certificate;
-  const double speedup = t_cert > 0.0 ? t_census / t_cert : 0.0;
+  const double speedup = t.ratio[1];
   const double residue_fraction =
       cert.value_scenarios
           ? static_cast<double>(cert.residue.size()) /
@@ -123,16 +118,12 @@ void bench_hoisting(benchutil::JsonResultWriter& json) {
                      out.bit(stage.after.data[2])) != static_cast<int>(input);
   };
 
-  constexpr int kReps = 50;  // the cycle census is fast — average it
-  auto start = std::chrono::steady_clock::now();
   detect::DetectionCensus hoisted;
-  for (int rep = 0; rep < kReps; ++rep)
-    hoisted = detect::single_fault_detection_census(checked, inputs, is_error);
-  const double t_hoisted = seconds_since(start) / kReps;
-
-  start = std::chrono::steady_clock::now();
   detect::DetectionCensus naive;
-  for (int rep = 0; rep < kReps; ++rep) {
+  const auto run_hoisted = [&] {
+    hoisted = detect::single_fault_detection_census(checked, inputs, is_error);
+  };
+  const auto run_naive = [&] {
     naive = detect::DetectionCensus{};
     const FaultSites sites = count_fault_sites(checked.circuit);
     naive.fault_sites = sites.sites;
@@ -152,13 +143,17 @@ void bench_hoisting(benchutil::JsonResultWriter& json) {
           ++(wrong ? naive.silent_harmful : naive.harmless);
       }
     }
-  }
-  const double t_naive = seconds_since(start) / kReps;
+  };
+  // The cycle census is fast: 5 repetitions of 10 calls each.
+  const benchutil::Timing t = benchutil::time_interleaved(
+      {{1.0, run_hoisted}, {1.0, run_naive}}, 5, 10);
+  const double t_hoisted = t.ns_per_unit[0] * 1e-9;
+  const double t_naive = t.ns_per_unit[1] * 1e-9;
   const bool agree = naive.scenarios == hoisted.scenarios &&
                      naive.harmless == hoisted.harmless &&
                      naive.detected() == hoisted.detected() &&
                      naive.silent_harmful == hoisted.silent_harmful;
-  const double speedup = t_hoisted > 0.0 ? t_naive / t_hoisted : 0.0;
+  const double speedup = t.ratio[1];
   std::printf(
       "MAJ-cycle census (%llu scenarios): hoisted %.3es vs naive %.3es "
       "per census — %.1fx, counts %s\n\n",

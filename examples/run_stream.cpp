@@ -24,13 +24,13 @@
 // CONV_<engine>_stream.json and TRACE_<engine>_stream_conv.json.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "ft/experiments.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
 #include "recover/retry.h"
+#include "support/provenance.h"
 #include "telemetry/stream.h"
 
 using namespace revft;
@@ -67,16 +67,13 @@ void finish(const telemetry::ConvergenceTrajectory& traj) {
   std::printf("wall: %.3f s over %zu rounds\n", traj.wall.total_seconds(),
               traj.wall.round_seconds.size());
 
-  const std::string conv = telemetry::write_convergence_json(traj);
+  const std::string conv =
+      provenance::write_artifact("CONV", traj.name, traj.to_json());
   if (!conv.empty()) {
     std::printf("wrote %s\n", conv.c_str());
-    // The Chrome counter series rides the TRACE_ contract so CI's one
-    // glob and telemetry_check's prefix dispatch both pick it up.
-    std::string trace = conv;
-    const std::size_t base = trace.rfind("CONV_");
-    trace.replace(base, 5, "TRACE_");
-    trace.replace(trace.size() - 5, 5, "_conv.json");
-    telemetry::write_convergence_chrome_trace(traj, traj.name, trace);
+    const std::string trace = provenance::write_artifact(
+        "TRACE", traj.name + "_conv",
+        telemetry::convergence_chrome_json(traj, traj.name));
     std::printf("wrote %s\n", trace.c_str());
   }
 }

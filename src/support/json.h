@@ -78,6 +78,9 @@ class Value {
   /// absent. Calling on a non-object is a programming error (checked).
   Value& set(const std::string& key, Value value);
   const Value* find(const std::string& key) const noexcept;
+  Value* find(const std::string& key) noexcept {
+    return const_cast<Value*>(static_cast<const Value&>(*this).find(key));
+  }
   const std::vector<Member>& members() const noexcept { return members_; }
 
   /// Array element access.

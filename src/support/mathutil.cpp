@@ -1,5 +1,6 @@
 #include "support/mathutil.h"
 
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -53,6 +54,21 @@ bool pow_fits_u64(std::uint64_t base, std::uint64_t exp) noexcept {
   if (base <= 1 || exp == 0) return true;
   const double bits = static_cast<double>(exp) * std::log2(static_cast<double>(base));
   return bits < 63.9;  // conservative margin below 64
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  // from_chars on an unsigned type takes no sign, whitespace or prefix,
+  // and reports overflow as result_out_of_range.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value, base);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace revft

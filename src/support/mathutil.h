@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace revft {
 
@@ -24,5 +26,11 @@ double pow_double(double base, double exp) noexcept;
 
 /// True iff base^exp fits in uint64.
 bool pow_fits_u64(std::uint64_t base, std::uint64_t exp) noexcept;
+
+/// The whole of `text` as an unsigned 64-bit integer: decimal digits,
+/// or hex digits after a "0x"/"0X" prefix. No sign, no whitespace, no
+/// exponent, no trailing characters; nullopt on anything else,
+/// including the empty string and values above 2^64 - 1.
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
 }  // namespace revft

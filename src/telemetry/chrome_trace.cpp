@@ -1,9 +1,7 @@
 #include "telemetry/chrome_trace.h"
 
 #include <algorithm>
-#include <fstream>
 
-#include "support/error.h"
 #include "support/provenance.h"
 
 namespace revft::telemetry {
@@ -64,14 +62,6 @@ json::Value chrome_trace_json(const Trace& trace,
   other.set("dropped", trace.dropped());
   doc.set("otherData", std::move(other));
   return doc;
-}
-
-void write_chrome_trace(const Trace& trace, const std::string& process_name,
-                        const std::string& path) {
-  std::ofstream out(path);
-  REVFT_CHECK_MSG(out.good(), "cannot open trace file " << path);
-  out << chrome_trace_json(trace, process_name).dump(2) << '\n';
-  REVFT_CHECK_MSG(out.good(), "failed writing trace file " << path);
 }
 
 }  // namespace revft::telemetry

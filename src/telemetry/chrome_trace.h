@@ -29,9 +29,4 @@ namespace revft::telemetry {
 json::Value chrome_trace_json(const Trace& trace,
                               const std::string& process_name);
 
-/// Serialize chrome_trace_json() to `path`. Throws revft::Error when
-/// the file cannot be written.
-void write_chrome_trace(const Trace& trace, const std::string& process_name,
-                        const std::string& path);
-
 }  // namespace revft::telemetry

@@ -1,10 +1,5 @@
 #include "telemetry/convergence.h"
 
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
-
-#include "support/error.h"
 #include "support/provenance.h"
 #include "telemetry/metrics.h"
 
@@ -146,28 +141,6 @@ json::Value ConvergenceTrajectory::to_json() const {
   return doc;
 }
 
-std::string convergence_output_path(const std::string& name) {
-  std::string dir = ".";
-  if (const char* env = std::getenv("REVFT_JSON_DIR")) {
-    if (*env == '\0') return {};  // emission disabled, as in bench_common
-    dir = env;
-  }
-  return dir + "/CONV_" + name + ".json";
-}
-
-std::string write_convergence_json(const ConvergenceTrajectory& trajectory,
-                                   const json::Value* bars) {
-  const std::string path = convergence_output_path(trajectory.name);
-  if (path.empty()) return path;
-  json::Value doc = trajectory.to_json();
-  if (bars != nullptr) doc.set("bars", *bars);
-  std::ofstream out(path);
-  REVFT_CHECK_MSG(out.good(), "cannot open convergence file " << path);
-  out << doc.dump(2) << '\n';
-  REVFT_CHECK_MSG(out.good(), "failed writing convergence file " << path);
-  return path;
-}
-
 namespace {
 
 /// One ph:"C" counter sample. Chrome's counter tracks graph each args
@@ -223,15 +196,6 @@ json::Value convergence_chrome_json(const ConvergenceTrajectory& trajectory,
   other.set("stop_reason", stop_reason_name(trajectory.stop_reason));
   doc.set("otherData", std::move(other));
   return doc;
-}
-
-void write_convergence_chrome_trace(const ConvergenceTrajectory& trajectory,
-                                    const std::string& process_name,
-                                    const std::string& path) {
-  std::ofstream out(path);
-  REVFT_CHECK_MSG(out.good(), "cannot open trace file " << path);
-  out << convergence_chrome_json(trajectory, process_name).dump(2) << '\n';
-  REVFT_CHECK_MSG(out.good(), "failed writing trace file " << path);
 }
 
 }  // namespace revft::telemetry

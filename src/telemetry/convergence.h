@@ -166,20 +166,6 @@ struct ConvergenceTrajectory {
   json::Value to_json() const;
 };
 
-/// Where write_convergence_json puts its file:
-/// $REVFT_JSON_DIR/CONV_<name>.json (current directory when unset;
-/// REVFT_JSON_DIR="" disables emission) — the BENCH_/REPORT_/TRACE_
-/// contract, so CI collects everything with one glob.
-std::string convergence_output_path(const std::string& name);
-
-/// Serialize trajectory.to_json() to convergence_output_path(name);
-/// `bars` (nullable, an object of *_within_* acceptance-bar keys) is
-/// embedded as "bars" so telemetry_check --enforce-bars can gate on
-/// it. Returns the path written ("" when emission is disabled).
-/// Throws revft::Error on I/O failure.
-std::string write_convergence_json(const ConvergenceTrajectory& trajectory,
-                                   const json::Value* bars = nullptr);
-
 /// Chrome trace-event counter series ({"traceEvents": [...]}) over the
 /// snapshot timeline: the ph:"M" process_name record followed by
 /// ph:"C" counter samples (conv.rate / conv.half_width / conv.trials)
@@ -187,11 +173,5 @@ std::string write_convergence_json(const ConvergenceTrajectory& trajectory,
 /// untimed branch of chrome_trace.h, so the file golden-tests cleanly.
 json::Value convergence_chrome_json(const ConvergenceTrajectory& trajectory,
                                     const std::string& process_name);
-
-/// Serialize convergence_chrome_json() to `path`. Throws revft::Error
-/// when the file cannot be written.
-void write_convergence_chrome_trace(const ConvergenceTrajectory& trajectory,
-                                    const std::string& process_name,
-                                    const std::string& path);
 
 }  // namespace revft::telemetry

@@ -1,11 +1,8 @@
 #include "telemetry/report.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <numeric>
 
-#include "support/error.h"
 #include "support/provenance.h"
 
 namespace revft::telemetry {
@@ -147,25 +144,6 @@ json::Value RunReport::to_json() const {
   doc.set("events", std::move(ev));
   doc.set("metrics", metrics);
   return doc;
-}
-
-std::string report_output_path(const std::string& name) {
-  std::string dir = ".";
-  if (const char* env = std::getenv("REVFT_JSON_DIR")) {
-    if (*env == '\0') return {};  // emission disabled, as in bench_common
-    dir = env;
-  }
-  return dir + "/REPORT_" + name + ".json";
-}
-
-std::string write_run_report(const RunReport& report) {
-  const std::string path = report_output_path(report.name);
-  if (path.empty()) return path;
-  std::ofstream out(path);
-  REVFT_CHECK_MSG(out.good(), "cannot open report file " << path);
-  out << report.to_json().dump(2) << '\n';
-  REVFT_CHECK_MSG(out.good(), "failed writing report file " << path);
-  return path;
 }
 
 }  // namespace revft::telemetry

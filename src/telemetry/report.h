@@ -101,15 +101,4 @@ RunReport build_run_report(const std::string& name,
                            const recover::SegmentPlan* plan,
                            const Trace* trace);
 
-/// Where write_run_report puts its file: $REVFT_JSON_DIR/REPORT_<name>.json
-/// (current directory when the variable is unset; empty string when
-/// REVFT_JSON_DIR="" disables emission) — the same contract as the
-/// bench JSON files, so CI collects both with one glob.
-std::string report_output_path(const std::string& name);
-
-/// Serialize report.to_json() to report_output_path(report.name).
-/// Returns the path written ("" when emission is disabled). Throws
-/// revft::Error on I/O failure.
-std::string write_run_report(const RunReport& report);
-
 }  // namespace revft::telemetry

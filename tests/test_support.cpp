@@ -1,14 +1,24 @@
 // Unit tests for the support layer: RNG determinism and statistical
 // sanity, running statistics, Wilson intervals, entropy math, exact
-// integer helpers, and the table formatter.
+// integer helpers and parsing, the table formatter, and the one
+// artifact writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "support/entropy_math.h"
 #include "support/error.h"
+#include "support/json.h"
 #include "support/mathutil.h"
+#include "support/provenance.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -258,6 +268,23 @@ TEST(MathUtil, PowFits) {
   EXPECT_TRUE(pow_fits_u64(1, 1000));
 }
 
+TEST(MathUtil, ParseU64TakesDecimalAndHex) {
+  EXPECT_EQ(parse_u64("1000000"), std::optional<std::uint64_t>(1000000));
+  EXPECT_EQ(parse_u64("0"), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(parse_u64("0x10"), std::optional<std::uint64_t>(16));
+  EXPECT_EQ(parse_u64("0XD5A2005"), std::optional<std::uint64_t>(0xD5A2005));
+  EXPECT_EQ(parse_u64("18446744073709551615"),
+            std::optional<std::uint64_t>(
+                std::numeric_limits<std::uint64_t>::max()));
+}
+
+TEST(MathUtil, ParseU64RejectsAnythingButTheWholeNumber) {
+  // strtoull read "1e6" as 1 and "-1" as 2^64 - 1.
+  for (const char* bad : {"1e6", "-1", "", "+5", " 5", "5 ", "0x", "12abc",
+                          "1.5", "18446744073709551616", "0x10000000000000000"})
+    EXPECT_EQ(parse_u64(bad), std::nullopt) << '"' << bad << '"';
+}
+
 // --- table ---------------------------------------------------------------
 
 TEST(Table, RendersAlignedColumns) {
@@ -281,6 +308,110 @@ TEST(Table, NumericFormatters) {
   EXPECT_EQ(AsciiTable::reciprocal(1.0 / 2340.0), "1/2340");
   const std::string s = AsciiTable::sci(0.000123, 2);
   EXPECT_NE(s.find("1.23e"), std::string::npos) << s;
+}
+
+// --- artifact writer -----------------------------------------------------
+
+/// Sets (or, with nullptr, unsets) REVFT_JSON_DIR for one test and
+/// restores the previous value afterwards.
+class JsonDirGuard {
+ public:
+  explicit JsonDirGuard(const char* value) {
+    if (const char* old = std::getenv("REVFT_JSON_DIR")) old_ = old;
+    if (value == nullptr)
+      ::unsetenv("REVFT_JSON_DIR");
+    else
+      ::setenv("REVFT_JSON_DIR", value, 1);
+  }
+  ~JsonDirGuard() {
+    if (old_)
+      ::setenv("REVFT_JSON_DIR", old_->c_str(), 1);
+    else
+      ::unsetenv("REVFT_JSON_DIR");
+  }
+
+ private:
+  std::optional<std::string> old_;
+};
+
+/// A fresh empty directory under the test temp dir.
+std::filesystem::path fresh_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("revft_" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(Artifact, UnsetWritesToCurrentDirectory) {
+  const JsonDirGuard env(nullptr);
+  EXPECT_EQ(provenance::artifact_path("BENCH", "fig2"), "./BENCH_fig2.json");
+}
+
+TEST(Artifact, EmptyDirDisablesEmission) {
+  const JsonDirGuard env("");
+  EXPECT_EQ(provenance::artifact_path("REPORT", "x"), "");
+  json::Value doc = json::Value::object();
+  doc.set("k", 1);
+  EXPECT_EQ(provenance::write_artifact("REPORT", "artifact_disabled", doc), "");
+  EXPECT_FALSE(std::filesystem::exists("./REPORT_artifact_disabled.json"));
+}
+
+TEST(Artifact, DirectoryPrefixesThePath) {
+  const JsonDirGuard env("/some/dir");
+  EXPECT_EQ(provenance::artifact_path("TRACE", "run_conv"),
+            "/some/dir/TRACE_run_conv.json");
+  EXPECT_EQ(provenance::artifact_path("CONV", "plain"),
+            "/some/dir/CONV_plain.json");
+}
+
+TEST(Artifact, OnlyTheFourPrefixes) {
+  const JsonDirGuard env(nullptr);
+  EXPECT_THROW(provenance::artifact_path("BENCH_", "x"), Error);
+  EXPECT_THROW(provenance::artifact_path("bench", "x"), Error);
+}
+
+TEST(Artifact, WrittenFileParsesStrictlyToTheDocument) {
+  const std::filesystem::path dir = fresh_dir("artifact_roundtrip");
+  const JsonDirGuard env(dir.c_str());
+  json::Value doc = json::Value::object();
+  doc.set("seed", std::numeric_limits<std::uint64_t>::max());
+  doc.set("rate", 0.1);
+  doc.set("inf", std::numeric_limits<double>::infinity());
+  doc.set("label", "tab\there \"quoted\" \x01 control");
+  json::Value nested = json::Value::object();
+  json::Value list = json::Value::array();
+  list.push_back(1);
+  list.push_back(-2);
+  nested.set("list", std::move(list));
+  doc.set("nested", std::move(nested));
+
+  const std::string path = provenance::write_artifact("BENCH", "roundtrip", doc);
+  EXPECT_EQ(path, (dir / "BENCH_roundtrip.json").string());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const json::ParseResult parsed = json::parse(text.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value.dump(), doc.dump());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Artifact, UnwritableDirectoryThrowsNamingThePath) {
+  // A regular file where the directory should be: unwritable even for
+  // a privileged user.
+  const std::filesystem::path dir = fresh_dir("artifact_unwritable");
+  const std::filesystem::path not_a_dir = dir / "file";
+  std::ofstream(not_a_dir) << "x";
+  const JsonDirGuard env(not_a_dir.c_str());
+  const std::string path = provenance::artifact_path("REPORT", "x");
+  try {
+    provenance::write_artifact("REPORT", "x", json::Value::object());
+    ADD_FAILURE() << "expected revft::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
