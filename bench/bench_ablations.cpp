@@ -15,7 +15,6 @@
 //     workload measurably lowers its logical error rate.
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdio>
 
 #include "analysis/threshold.h"
@@ -23,6 +22,7 @@
 #include "bench_common.h"
 #include "code/repetition.h"
 #include "ft/experiments.h"
+#include "ft/machine_kernel.h"
 #include "local/scheme1d.h"
 #include "noise/injection.h"
 #include "noise/parallel_mc.h"
@@ -192,35 +192,13 @@ void ablation_optimizer() {
   // probability of the two under the same noise.
   const std::uint64_t trials = benchutil::trials_from_env(400000);
   const double g = 2e-3;
-  // Per-shard kernel: each shard owns its `inputs` scratch (the
-  // prepare→classify hand-off), so shards can run concurrently.
-  struct VisibleErrorKernel {
-    const Circuit* circuit;
-    std::array<std::uint64_t, 16> inputs{};
-    void prepare(PackedState& state, Xoshiro256& rng, std::uint64_t) {
-      for (std::uint32_t b = 0; b < circuit->width(); ++b) {
-        inputs[b] = rng.next();
-        state.word(b) = inputs[b];
-      }
-    }
-    bool classify(const PackedState& state, int lane, std::uint64_t) const {
-      StateVector sv(circuit->width());
-      for (std::uint32_t b = 0; b < circuit->width(); ++b)
-        sv.set_bit(b, static_cast<std::uint8_t>((inputs[b] >> lane) & 1u));
-      sv.apply(*circuit);  // reference ideal output for this lane
-      for (std::uint32_t b = 0; b < circuit->width(); ++b)
-        if (sv.bit(b) != state.bit_lane(b, lane)) return true;
-      return false;
-    }
-  };
   auto visible_error = [&](const Circuit& c) {
+    const MachineWorkloadKernel kernel = make_circuit_kernel(c);
     ParallelMcOptions opts;
     opts.trials = trials;
     opts.seed = benchutil::seed_from_env();
     return run_parallel_mc(c, NoiseModel::uniform(g), opts,
-                           [&](std::uint64_t) {
-                             return VisibleErrorKernel{&c, {}};
-                           })
+                           [&](std::uint64_t) { return kernel; })
         .rate();
   };
   const double before = visible_error(workload);

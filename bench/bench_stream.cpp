@@ -324,40 +324,13 @@ void print_determinism(benchutil::JsonResultWriter& json, std::uint64_t trials,
 
 // --- 4. google-benchmark kernels --------------------------------------
 
+/// The test_stream workload: random inputs on the bare Toffoli,
+/// failure = any output bit wrong (make_circuit_kernel).
 Circuit bare_toffoli() {
   Circuit c(3);
   c.push(Gate{GateKind::kToffoli, {0, 1, 2}});
   return c;
 }
-
-/// Plain-engine kernel on the bare Toffoli (the test_stream workload):
-/// random inputs per lane, failure = any physical output bit wrong.
-struct ToffoliKernel {
-  std::array<std::uint64_t, 3 * kMaxLaneWords> lane_inputs{};
-
-  void prepare(PackedState& state, Xoshiro256& rng, std::uint64_t) {
-    const unsigned W = state.lane_words();
-    for (unsigned k = 0; k < 3; ++k) {
-      for (unsigned w = 0; w < W; ++w) lane_inputs[k * W + w] = rng.next();
-      std::uint64_t* dst = state.words(k);
-      for (unsigned w = 0; w < W; ++w) dst[w] = lane_inputs[k * W + w];
-    }
-  }
-
-  bool classify(const PackedState& state, int lane, std::uint64_t) const {
-    const unsigned W = state.lane_words();
-    const unsigned wi = static_cast<unsigned>(lane) >> 6;
-    const unsigned sh = static_cast<unsigned>(lane) & 63u;
-    unsigned input = 0;
-    for (unsigned k = 0; k < 3; ++k)
-      input |= static_cast<unsigned>((lane_inputs[k * W + wi] >> sh) & 1u)
-               << k;
-    const unsigned expected = gate_apply_local(GateKind::kToffoli, input);
-    for (unsigned k = 0; k < 3; ++k)
-      if (state.bit_lane(k, lane) != ((expected >> k) & 1u)) return true;
-    return false;
-  }
-};
 
 constexpr std::uint64_t kKernelTrials = 1u << 16;
 
@@ -369,9 +342,10 @@ void BM_StreamingPlainNoStop(benchmark::State& state) {
   opts.mc.seed = benchutil::seed_from_env();
   opts.mc.batches_per_shard = 64;
   opts.wall_clock = false;  // time the loop, not the profiler of the loop
+  const MachineWorkloadKernel kernel = make_circuit_kernel(circuit);
   for (auto _ : state) {
     const auto run = telemetry::run_streaming_mc(
-        circuit, model, opts, [](std::uint64_t) { return ToffoliKernel{}; });
+        circuit, model, opts, [&](std::uint64_t) { return kernel; });
     benchmark::DoNotOptimize(run.estimate.failures);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -386,9 +360,10 @@ void BM_ParallelPlainBaseline(benchmark::State& state) {
   opts.trials = kKernelTrials;
   opts.seed = benchutil::seed_from_env();
   opts.batches_per_shard = 64;
+  const MachineWorkloadKernel kernel = make_circuit_kernel(circuit);
   for (auto _ : state) {
     const auto est = run_parallel_mc(
-        circuit, model, opts, [](std::uint64_t) { return ToffoliKernel{}; });
+        circuit, model, opts, [&](std::uint64_t) { return kernel; });
     benchmark::DoNotOptimize(est.failures);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -12,11 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "code/repetition.h"
+#include "ft/machine_kernel.h"
 #include "local/lattice.h"
 #include "local/machine1d.h"
 #include "noise/parallel_mc.h"
-#include "rev/simulator.h"
 #include "support/table.h"
 
 using namespace revft;
@@ -46,65 +45,32 @@ int main(int argc, char** argv) {
               check_locality_1d(program.physical).ok ? "pass" : "FAIL");
 
   // Noise sweep: does the encoded machine beat one unprotected line?
+  // Both run as workloads on uniformly random logical inputs; failure
+  // = any logical output wrong. The unprotected reference is the bare
+  // logical circuit under the same noise model.
+  std::vector<std::uint32_t> entry, exit;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    for (std::uint32_t offset : {0u, 3u, 6u}) entry.push_back(9 * i + offset);
+    exit.insert(exit.end(), program.data_cells[i].begin(),
+                program.data_cells[i].end());
+  }
+  const MachineWorkloadKernel machine_kernel =
+      make_workload_kernel(3, entry, 3, exit, machine_truth_table(logical));
+  const MachineWorkloadKernel bare_kernel = make_circuit_kernel(logical);
   std::printf("P[all 5 logical outputs correct], %llu trials per point:\n",
               static_cast<unsigned long long>(trials));
   AsciiTable table({"g", "encoded machine", "unprotected circuit"});
   for (double g : {1e-4, 1e-3, 3e-3, 1e-2}) {
-    // Encoded machine.
-    std::uint64_t lane_inputs[5];
-    // One worker: prepare and classify share the per-batch lane inputs.
     ParallelMcOptions opts;
     opts.trials = trials;
-    opts.threads = 1;
-    auto prepare = [&](PackedState& state, Xoshiro256& rng, std::uint64_t) {
-      for (std::uint32_t i = 0; i < 5; ++i) {
-        lane_inputs[i] = rng.next();
-        for (std::uint32_t offset : {0u, 3u, 6u})
-          state.word(9 * i + offset) = lane_inputs[i];
-      }
-    };
-    auto classify = [&](const PackedState& state, int lane, std::uint64_t) {
-      unsigned input = 0;
-      for (std::uint32_t i = 0; i < 5; ++i)
-        input |= static_cast<unsigned>((lane_inputs[i] >> lane) & 1u) << i;
-      const auto expected = static_cast<unsigned>(simulate(logical, input));
-      for (std::uint32_t i = 0; i < 5; ++i) {
-        const std::uint32_t base = 9 * program.slot_of_logical[i];
-        const int v = majority3(state.bit_lane(base, lane),
-                                state.bit_lane(base + 3, lane),
-                                state.bit_lane(base + 6, lane));
-        if (v != static_cast<int>((expected >> i) & 1u)) return true;
-      }
-      return false;
-    };
     const double p_machine =
         run_parallel_mc(program.physical, NoiseModel::uniform(g), opts,
-                        per_shard_kernel(prepare, classify))
+                        [&](std::uint64_t) { return machine_kernel; })
             .rate();
-
-    // Unprotected reference: the bare logical circuit under the same
-    // noise model.
-    std::uint64_t bare_inputs[5];
-    auto bare_prepare = [&](PackedState& state, Xoshiro256& rng, std::uint64_t) {
-      for (std::uint32_t i = 0; i < 5; ++i) {
-        bare_inputs[i] = rng.next();
-        state.word(i) = bare_inputs[i];
-      }
-    };
-    auto bare_classify = [&](const PackedState& state, int lane, std::uint64_t) {
-      unsigned input = 0;
-      for (std::uint32_t i = 0; i < 5; ++i)
-        input |= static_cast<unsigned>((bare_inputs[i] >> lane) & 1u) << i;
-      const auto expected = static_cast<unsigned>(simulate(logical, input));
-      for (std::uint32_t i = 0; i < 5; ++i)
-        if (state.bit_lane(i, lane) != ((expected >> i) & 1u)) return true;
-      return false;
-    };
     const double p_bare =
         run_parallel_mc(logical, NoiseModel::uniform(g), opts,
-                        per_shard_kernel(bare_prepare, bare_classify))
+                        [&](std::uint64_t) { return bare_kernel; })
             .rate();
-
     table.add_row({AsciiTable::sci(g, 0), AsciiTable::fixed(1.0 - p_machine, 5),
                    AsciiTable::fixed(1.0 - p_bare, 5)});
   }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ft/concat.h"
+#include "ft/machine_kernel.h"
 #include "noise/parallel_mc.h"
 #include "rev/synthesis.h"
 #include "support/table.h"
@@ -28,67 +29,48 @@ namespace {
 
 constexpr std::uint32_t kBits = 4;
 
-/// One compiled variant of the adder plus everything needed to run and
-/// score it.
+/// One compiled variant of the adder plus the workload that scores it.
 struct Variant {
   std::string name;
   CompiledModule module;
-  std::vector<std::vector<std::uint32_t>> input_leaves;  // per logical bit
+  MachineWorkloadKernel kernel;
 };
 
+/// The adder as a workload: random operands drawn a_0, b_0, a_1, b_1,
+/// ... (input bit 2i is a_i, 2i+1 is b_i); the outputs are the sum
+/// bits (b_0 .. b_3) and the carry, judged against a + b.
 Variant make_variant(const RippleAdder& adder, int level, std::string name) {
   Variant v;
   v.name = std::move(name);
   v.module = concat_compile(adder.circuit, level);
-  for (std::uint32_t i = 0; i < adder.circuit.width(); ++i) {
-    const auto tree = BlockTree::canonical(
-        level, i * static_cast<std::uint32_t>(v.module.blocks[i].span()));
-    v.input_leaves.push_back(collect_data_leaves(tree));
+  std::vector<std::uint32_t> in_bits, out_bits = adder.b_bits;
+  for (std::uint32_t i = 0; i < kBits; ++i) {
+    in_bits.push_back(adder.a_bits[i]);
+    in_bits.push_back(adder.b_bits[i]);
   }
+  out_bits.push_back(adder.carry_out);
+  std::vector<unsigned> sums;
+  for (unsigned input = 0; input < (1u << (2 * kBits)); ++input) {
+    unsigned a = 0, b = 0;
+    for (std::uint32_t i = 0; i < kBits; ++i) {
+      a |= ((input >> (2 * i)) & 1u) << i;
+      b |= ((input >> (2 * i + 1)) & 1u) << i;
+    }
+    sums.push_back(a + b);
+  }
+  v.kernel = make_module_kernel(v.module, in_bits, out_bits, std::move(sums));
   return v;
 }
 
 /// P[adder output exactly correct] at error rate g.
-double success_rate(const Variant& v, const RippleAdder& adder, double g,
-                    std::uint64_t trials, std::uint64_t seed) {
-  // One worker: prepare and classify share the per-batch lane inputs.
+double success_rate(const Variant& v, double g, std::uint64_t trials,
+                    std::uint64_t seed) {
   ParallelMcOptions opts;
   opts.trials = trials;
   opts.seed = seed;
-  opts.threads = 1;
-
-  std::uint64_t lane_a[kBits], lane_b[kBits];
-  auto prepare = [&](PackedState& state, Xoshiro256& rng, std::uint64_t) {
-    for (std::uint32_t i = 0; i < kBits; ++i) {
-      lane_a[i] = rng.next();
-      lane_b[i] = rng.next();
-      for (auto bit : v.input_leaves[adder.a_bits[i]]) state.word(bit) = lane_a[i];
-      for (auto bit : v.input_leaves[adder.b_bits[i]]) state.word(bit) = lane_b[i];
-    }
-  };
-  auto classify = [&](const PackedState& state, int lane, std::uint64_t) {
-    std::uint64_t a = 0, b = 0;
-    for (std::uint32_t i = 0; i < kBits; ++i) {
-      a |= ((lane_a[i] >> lane) & 1u) << i;
-      b |= ((lane_b[i] >> lane) & 1u) << i;
-    }
-    const std::uint64_t want = a + b;
-    auto reader = [&](std::uint32_t bit) {
-      return static_cast<int>(state.bit_lane(bit, lane));
-    };
-    std::uint64_t sum = 0;
-    for (std::uint32_t i = 0; i < kBits; ++i)
-      sum |= static_cast<std::uint64_t>(
-                 decode_block(v.module.blocks[adder.b_bits[i]], reader))
-             << i;
-    sum |= static_cast<std::uint64_t>(
-               decode_block(v.module.blocks[adder.carry_out], reader))
-           << kBits;
-    return sum != want;  // classify counts errors
-  };
   const auto errors =
       run_parallel_mc(v.module.physical, NoiseModel::uniform(g), opts,
-                      per_shard_kernel(prepare, classify));
+                      [&](std::uint64_t) { return v.kernel; });
   return 1.0 - errors.rate();
 }
 
@@ -115,9 +97,9 @@ int main(int argc, char** argv) {
               kBits, static_cast<unsigned long long>(trials));
   AsciiTable table({"g", "bare", "level 1", "level 2", "winner"});
   for (double g : {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1}) {
-    const double p0 = success_rate(bare, adder, g, trials, 0xadd0);
-    const double p1 = success_rate(level1, adder, g, trials, 0xadd1);
-    const double p2 = success_rate(level2, adder, g, trials, 0xadd2);
+    const double p0 = success_rate(bare, g, trials, 0xadd0);
+    const double p1 = success_rate(level1, g, trials, 0xadd1);
+    const double p2 = success_rate(level2, g, trials, 0xadd2);
     const char* winner = p0 >= p1 && p0 >= p2 ? "bare"
                          : p1 >= p2           ? "level 1"
                                               : "level 2";

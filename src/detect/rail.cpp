@@ -10,36 +10,33 @@ namespace revft::detect {
 
 namespace {
 
-/// Emits rail-compensation gates, optionally fusing them: every
-/// compensation is an "XOR f(controls) into rail" involution, so two
-/// identical ones cancel as long as no intervening op wrote a control
-/// (enforced by flushing on touch) and no checkpoint read the rail in
-/// between (enforced by flushing at checkpoints). Emitted gates are
-/// attributed to their rail (the target operand) for the per-rail
-/// accounting.
+/// Emits rail-compensation gates, fusing them: every compensation is
+/// an "XOR f(controls) into rail" involution, so two identical ones
+/// cancel as long as no intervening op wrote a control (enforced by
+/// flushing on touch) and no checkpoint read the rail in between
+/// (enforced by flushing at checkpoints) — a MAJ ... MAJ⁻¹ span needs
+/// no rail traffic at all. Fusing removes fault locations, which
+/// slightly reshapes WHAT is detectable; the census is the arbiter.
+/// Emitted gates are attributed to their rail (the target operand) for
+/// the per-rail accounting.
 class CompensationEmitter {
  public:
   CompensationEmitter(Circuit& out, std::uint32_t data_width,
                       std::uint64_t& rail_ops,
-                      std::vector<std::uint64_t>& per_rail_ops, bool fuse)
+                      std::vector<std::uint64_t>& per_rail_ops)
       : out_(out),
         data_width_(data_width),
         rail_ops_(rail_ops),
-        per_rail_ops_(per_rail_ops),
-        fuse_(fuse) {}
+        per_rail_ops_(per_rail_ops) {}
 
   /// Number of add() calls so far (fusion cancellations included) —
   /// the transform's "this op needed compensation" signal.
   std::uint64_t adds() const noexcept { return adds_; }
 
-  /// Queue (or directly emit) one compensation gate. `controls` is how
-  /// many leading operands are reads; the last operand is the rail.
+  /// Queue one compensation gate. `controls` is how many leading
+  /// operands are reads; the last operand is the rail.
   void add(const Gate& comp) {
     ++adds_;
-    if (!fuse_) {
-      emit(comp);
-      return;
-    }
     const auto match = std::find(pending_.begin(), pending_.end(), comp);
     if (match != pending_.end())
       pending_.erase(match);  // involution pair: identity on the rail
@@ -89,7 +86,6 @@ class CompensationEmitter {
   std::uint32_t data_width_;
   std::uint64_t& rail_ops_;
   std::vector<std::uint64_t>& per_rail_ops_;
-  bool fuse_;
   std::uint64_t adds_ = 0;
   std::vector<Gate> pending_;
 };
@@ -323,7 +319,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
       (opts.embed_checkers ? static_cast<std::uint32_t>(n_checkpoints) : 0);
   Circuit out(width);
   CompensationEmitter comp(out, checked.data_width, checked.rail_ops,
-                           per_rail_ops, opts.fuse_compensation);
+                           per_rail_ops);
 
   std::uint32_t next_check_bit = checked.parity_rail + n_rails;
   auto checkpoint = [&] {

@@ -105,16 +105,6 @@ struct ParityRailOptions {
   /// check bit, which ideally stays 0 (the combined invariant — the
   /// per-rail split is an online-checker refinement).
   bool embed_checkers = false;
-  /// Cancel compensation pairs between checkpoints: rail updates are
-  /// XOR terms, so two identical ones with unchanged controls are the
-  /// identity — a MAJ ... MAJ⁻¹ span needs no rail traffic at all. A
-  /// pending compensation is forced out early whenever a gate writes
-  /// one of its controls, and every checkpoint flushes the buffer, so
-  /// the invariant still holds exactly where it is checked. Fusing
-  /// removes fault locations (that is the point: fewer fallible ops),
-  /// which slightly reshapes WHAT is detectable — the census is the
-  /// arbiter either way.
-  bool fuse_compensation = true;
   /// Bits promised zero at circuit entry (a §3 machine's ancilla
   /// cells). The transform propagates zero-ness exactly through every
   /// gate kind and elides the encoder/compensation gates whose parity

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "code/block_tree.h"
 #include "code/repetition.h"
 #include "detect/checker.h"
 #include "ft/ec_circuit.h"
@@ -83,13 +82,6 @@ Circuit repeat_rounds(const Circuit& round, int rounds) {
   return chain;
 }
 
-std::array<unsigned, 8> truth_table3(const Circuit& circuit) {
-  std::array<unsigned, 8> table{};
-  for (unsigned v = 0; v < 8; ++v)
-    table[v] = static_cast<unsigned>(simulate(circuit, v));
-  return table;
-}
-
 }  // namespace
 
 DetectVsCorrectExperiment::DetectVsCorrectExperiment(
@@ -111,12 +103,8 @@ DetectVsCorrectExperiment::DetectVsCorrectExperiment(
       std::max<std::uint64_t>(1, config.gate_budget / ops_per_round_corr));
   const Circuit correction_chain = repeat_rounds(round, correction_rounds_);
   module_ = concat_compile(correction_chain, 1, concat_opts);
-  correction_truth_ = truth_table3(correction_chain);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    const auto block = BlockTree::canonical(
-        1, i * static_cast<std::uint32_t>(module_.blocks[i].span()));
-    input_leaves_.push_back(collect_data_leaves(block));
-  }
+  correction_kernel_ = make_module_kernel(
+      module_, {0, 1, 2}, {0, 1, 2}, machine_truth_table(correction_chain));
 
   // Detection arm: railed ops per round measured the same way (the
   // 3-op encoder is charged once, not per round).
@@ -131,116 +119,32 @@ DetectVsCorrectExperiment::DetectVsCorrectExperiment(
              ops_per_round_det));
   const Circuit detection_chain = repeat_rounds(round, detection_rounds_);
   checked_ = detect::to_parity_rail(detection_chain, rail_opts);
-  detection_truth_ = truth_table3(detection_chain);
+  // Data rails 0..2 carry the logical bits in and out; the rail and
+  // any check bits stay zero.
+  detection_kernel_ = make_circuit_kernel(detection_chain);
 }
-
-namespace {
-
-// Per-shard kernels (see ft/experiments.cpp for the ownership rules:
-// lane_inputs is the mutable prepare -> classify hand-off, everything
-// behind pointers is immutable during a run).
-
-struct CorrectionKernel {
-  const CompiledModule* module;
-  const std::vector<std::vector<std::uint32_t>>* input_leaves;
-  const std::array<unsigned, 8>* truth;
-  std::array<std::uint64_t, 3 * kMaxLaneWords> lane_inputs{};
-
-  void prepare(PackedState& state, Xoshiro256& rng, std::uint64_t) {
-    const unsigned W = state.lane_words();
-    for (unsigned k = 0; k < 3; ++k) {
-      for (unsigned w = 0; w < W; ++w) lane_inputs[k * W + w] = rng.next();
-      for (const auto bit : (*input_leaves)[k]) {
-        std::uint64_t* dst = state.words(bit);
-        for (unsigned w = 0; w < W; ++w) dst[w] = lane_inputs[k * W + w];
-      }
-    }
-  }
-
-  bool classify(const PackedState& state, int lane, std::uint64_t) const {
-    const unsigned W = state.lane_words();
-    const unsigned wi = static_cast<unsigned>(lane) >> 6;
-    const unsigned sh = static_cast<unsigned>(lane) & 63u;
-    unsigned input = 0;
-    for (unsigned k = 0; k < 3; ++k)
-      input |= static_cast<unsigned>((lane_inputs[k * W + wi] >> sh) & 1u)
-               << k;
-    const unsigned expected = (*truth)[input];
-    auto reader = [&](std::uint32_t bit) {
-      return static_cast<int>(state.bit_lane(bit, lane));
-    };
-    for (int k = 0; k < 3; ++k) {
-      const int decoded =
-          decode_block(module->blocks[static_cast<std::size_t>(k)], reader);
-      if (decoded != static_cast<int>((expected >> k) & 1u)) return true;
-    }
-    return false;
-  }
-};
-
-struct DetectionKernel {
-  const std::array<unsigned, 8>* truth;
-  std::array<std::uint64_t, 3 * kMaxLaneWords> lane_inputs{};
-
-  void prepare(PackedState& state, Xoshiro256& rng, std::uint64_t) {
-    // Data rails 0..2 get the random logical inputs; the rail and any
-    // check bits stay zero (the state arrives cleared).
-    const unsigned W = state.lane_words();
-    for (std::uint32_t k = 0; k < 3; ++k) {
-      std::uint64_t* dst = state.words(k);
-      for (unsigned w = 0; w < W; ++w) {
-        lane_inputs[k * W + w] = rng.next();
-        dst[w] = lane_inputs[k * W + w];
-      }
-    }
-  }
-
-  bool classify(const PackedState& state, int lane, std::uint64_t) const {
-    const unsigned W = state.lane_words();
-    const unsigned wi = static_cast<unsigned>(lane) >> 6;
-    const unsigned sh = static_cast<unsigned>(lane) & 63u;
-    unsigned input = 0;
-    for (unsigned k = 0; k < 3; ++k)
-      input |= static_cast<unsigned>((lane_inputs[k * W + wi] >> sh) & 1u)
-               << k;
-    const unsigned expected = (*truth)[input];
-    for (std::uint32_t k = 0; k < 3; ++k)
-      if (state.bit_lane(k, lane) != ((expected >> k) & 1u)) return true;
-    return false;
-  }
-};
-
-}  // namespace
 
 detect::DetectionEstimate DetectVsCorrectExperiment::run_detection(
     double g, int threads) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.threads = threads;
   // Decorrelate the arms without coupling them to each other's stream.
-  opts.seed = config_.seed ^ 0x9e3779b97f4a7c15ULL;
-  return detect::run_parallel_checked_mc(
-      checked_, model, opts,
-      [&](std::uint64_t) { return DetectionKernel{&detection_truth_}; });
+  DetectVsCorrectConfig config = config_;
+  config.seed ^= 0x9e3779b97f4a7c15ULL;
+  ParallelMcOptions mc;
+  return drive_workload(detection_kernel_, config, g, mc, threads,
+                        [&](const NoiseModel& model, auto factory) {
+                          return detect::run_parallel_checked_mc(
+                              checked_, model, mc, factory);
+                        });
 }
 
 DetectVsCorrectPoint DetectVsCorrectExperiment::run(double g) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.threads = config_.threads;
-  opts.seed = config_.seed;
-
   DetectVsCorrectPoint point;
   point.g = g;
-  point.correction = run_parallel_mc(
-      module_.physical, model, opts, [&](std::uint64_t) {
-        return CorrectionKernel{&module_, &input_leaves_, &correction_truth_};
+  ParallelMcOptions mc;
+  point.correction = drive_workload(
+      correction_kernel_, config_, g, mc, -1,
+      [&](const NoiseModel& model, auto factory) {
+        return run_parallel_mc(module_.physical, model, mc, factory);
       });
   point.detection = run_detection(g, config_.threads);
   return point;

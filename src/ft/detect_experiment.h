@@ -25,12 +25,12 @@
 // abort costs a retry (acceptance decays with the budget).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "detect/checked_mc.h"
 #include "detect/checker.h"
 #include "ft/concat.h"
+#include "ft/machine_kernel.h"
 #include "local/checked_machine.h"
 #include "noise/parallel_mc.h"
 #include "support/stats.h"
@@ -119,11 +119,10 @@ class DetectVsCorrectExperiment {
   int detection_rounds_ = 1;
   CompiledModule module_;               // correction arm, level 1
   detect::CheckedCircuit checked_;      // detection arm, parity-railed
-  /// Physical leaf positions of each logical input bit (correction).
-  std::vector<std::vector<std::uint32_t>> input_leaves_;
-  /// Ideal 3-bit truth tables of each arm's (different-length) chains.
-  std::array<unsigned, 8> correction_truth_{};
-  std::array<unsigned, 8> detection_truth_{};
+  /// Each arm's kernel, judged by the ideal truth table of its own
+  /// (different-length) chain.
+  MachineWorkloadKernel correction_kernel_;
+  MachineWorkloadKernel detection_kernel_;
 };
 
 }  // namespace revft

@@ -19,6 +19,7 @@
 
 #include "detect/checked_mc.h"
 #include "ft/concat.h"
+#include "ft/machine_kernel.h"
 #include "local/checked_machine.h"
 #include "local/recovery_meta.h"
 #include "noise/parallel_mc.h"
@@ -57,7 +58,7 @@ class LogicalGateExperiment {
   /// at merged round boundaries. `stream` contributes the stop policy,
   /// round granularity (mc.batches_per_shard), name and callbacks; the
   /// experiment's config overrides mc.trials/seed/threads, keeping the
-  /// determinism key in one place.
+  /// determinism key in one place (drive_workload).
   telemetry::StreamResult<BernoulliEstimate> run_streaming(
       double g, const telemetry::StreamOptions& stream) const;
 
@@ -65,17 +66,9 @@ class LogicalGateExperiment {
   const LogicalGateExperimentConfig& config() const noexcept { return config_; }
 
  private:
-  /// Writes the config's determinism key into `mc`, then hands the
-  /// noise model at g and the per-shard kernel factory to
-  /// run(model, factory). run and run_streaming both go through it.
-  template <typename Run>
-  auto drive(double g, ParallelMcOptions& mc, Run&& run) const;
-
   LogicalGateExperimentConfig config_;
   CompiledModule module_;
-  /// Physical leaf positions of each logical input bit under the
-  /// *initial* canonical layout (used for state preparation).
-  std::vector<std::vector<std::uint32_t>> input_leaves_;
+  MachineWorkloadKernel kernel_;
 };
 
 /// A point of the logical-error-vs-g curve.
@@ -113,9 +106,8 @@ class MemoryExperiment {
 
  private:
   Config config_;
-  Circuit circuit_;                       // all rounds chained
-  std::array<std::uint32_t, 3> input_{};  // codeword cells at entry
-  std::array<std::uint32_t, 3> output_{}; // codeword cells at exit
+  Circuit circuit_;  // all rounds chained
+  MachineWorkloadKernel kernel_;
 };
 
 /// Monte-Carlo driver for the level-1 *local* cycles (scheme1d /
@@ -161,10 +153,9 @@ class CodewordCycleExperiment {
 
  private:
   Circuit circuit_;
-  std::array<std::array<std::uint32_t, 3>, 3> before_;
-  std::array<std::array<std::uint32_t, 3>, 3> after_;
   Config config_;
   detect::CheckedCircuit checked_;  ///< railed cycle (boundary checkpoints)
+  MachineWorkloadKernel kernel_;
 };
 
 /// Monte-Carlo driver for whole checked local machines: a compiled
@@ -215,7 +206,7 @@ class CheckedMachineExperiment {
  private:
   CheckedMachineProgram program_;
   Config config_;
-  std::vector<unsigned> truth_;  ///< 2^B logical outputs
+  MachineWorkloadKernel kernel_;  ///< judged by the 2^B truth table
 };
 
 }  // namespace revft

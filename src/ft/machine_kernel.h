@@ -1,111 +1,171 @@
 // revft/ft/machine_kernel.h
 //
-// THE machine-workload Monte-Carlo kernel: uniformly random logical
-// inputs broadcast onto a compiled program's entry cells, majority
-// decode at the final slots against an exhaustive truth table.
+// THE workload Monte-Carlo kernel. Every experiment measures the same
+// thing: the probability that a module's logical outputs
+// majority-decode wrong on uniformly random logical inputs — the §2.2
+// threshold (LogicalGateExperiment), §2.3 memory, the §3 local cycles,
+// both detection-vs-correction arms and the checked and recovering
+// machines. One kernel serves them all, driven by a flat description
+// of the workload's logical I/O (MachineWorkloadKernel::Io):
 //
-// One definition on purpose: the checked engine
-// (CheckedMachineExperiment), the recovering engine
-// (RecoveryExperiment) and bench_recover's timing kernels all
-// instantiate this type, and the cross-engine bit-for-bit contract
-// (tests/test_recover.cpp, RecoveringMc.NoRetryMatchesCheckedEngine-
-// BitForBit) holds only while every consumer consumes randomness
-// identically — separate copies would drift silently.
+//   entry — entry_stride cells per logical input bit, bit-major.
+//           prepare broadcasts the bit's random lane pattern to all of
+//           them; every other cell stays zero (the state arrives
+//           cleared).
+//   exit  — exit_stride cells per logical output bit, bit-major, in
+//           DECODE ORDER: the bit's value is repeated majority over
+//           consecutive triples, so a 3-cell exit is one codeword's
+//           majority, a single cell is a raw read, and the 3^L cells
+//           of collect_data_leaves(block) reproduce decode_block(block)
+//           at level L (tests/test_block_tree.cpp).
+//   truth — 2^inputs expected output words (bit k = logical output k),
+//           indexed by the input word (bit k = logical input k).
+//
+// Input and output counts may differ: an adder draws its operands and
+// judges only its sum. prepare draws, for each logical input bit k in
+// order, lane_words rng.next() words — at lane_words = 1 the legacy
+// one-next()-per-logical-bit stream.
+//
+// One definition on purpose: every experiment pin (tests/
+// test_experiments.cpp, test_simd_lanes.cpp) and the cross-engine
+// bit-for-bit contract (tests/test_recover.cpp, RecoveringMc.
+// NoRetryMatchesCheckedEngineBitForBit) hold only while every consumer
+// consumes randomness and judges outputs identically — separate copies
+// would drift silently.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "ft/concat.h"
 #include "local/checked_machine.h"
 #include "noise/packed_sim.h"
 #include "noise/parallel_mc.h"
-#include "rev/simulator.h"
-#include "support/error.h"
 #include "support/rng.h"
 
 namespace revft {
 
-/// Exhaustive truth table judging a machine workload's outputs
-/// (width-capped: the table has 2^width entries).
-inline std::vector<unsigned> machine_truth_table(const Circuit& logical) {
-  REVFT_CHECK_MSG(logical.width() <= 16,
-                  "machine_truth_table: capped at 16 bits");
-  std::vector<unsigned> truth;
-  truth.reserve(1u << logical.width());
-  for (unsigned v = 0; v < (1u << logical.width()); ++v)
-    truth.push_back(static_cast<unsigned>(simulate(logical, v)));
-  return truth;
-}
+/// Exhaustive truth table judging a workload's outputs when every
+/// logical bit is both input and output (width-capped: the table has
+/// 2^width entries).
+std::vector<unsigned> machine_truth_table(const Circuit& logical);
 
-/// Per-shard kernel (the parallel engines' factory contract): one
-/// rng.next() per logical bit per lane word per batch, broadcast to
-/// that bit's entry cells; classify majority-decodes one lane's final
-/// slots. Works at any lane width (lane_inputs is laid out bit-major,
-/// lane_inputs[k * lane_words + w]); at lane_words = 1 the draw order
-/// is the legacy one-next()-per-logical-bit stream.
+/// Per-shard kernel (the parallel engines' factory contract). Copies
+/// share the immutable Io; lane_inputs is each copy's private
+/// prepare→classify hand-off, bit-major (lane_inputs[k * W + w] holds
+/// lane word w of logical input bit k).
 struct MachineWorkloadKernel {
-  const CheckedMachineProgram* program;
-  const std::vector<unsigned>* truth;
+  struct Io {
+    std::uint32_t inputs = 0;
+    std::uint32_t outputs = 0;
+    std::uint32_t entry_stride = 1;
+    std::uint32_t exit_stride = 1;
+    std::vector<std::uint32_t> entry;  ///< inputs * entry_stride cells
+    std::vector<std::uint32_t> exit;   ///< outputs * exit_stride cells
+    std::vector<unsigned> truth;       ///< 2^inputs output words
+  };
+
+  std::shared_ptr<const Io> io;
   std::vector<std::uint64_t> lane_inputs;
 
   void prepare(PackedState& state, Xoshiro256& rng, std::uint64_t) {
+    const Io& w = *io;
     const unsigned W = state.lane_words();
-    lane_inputs.resize(static_cast<std::size_t>(program->logical_bits) * W);
-    for (std::uint32_t k = 0; k < program->logical_bits; ++k) {
-      for (unsigned w = 0; w < W; ++w) lane_inputs[k * W + w] = rng.next();
-      for (const auto bit : program->input_cells[k]) {
-        std::uint64_t* dst = state.words(bit);
-        for (unsigned w = 0; w < W; ++w) dst[w] = lane_inputs[k * W + w];
+    lane_inputs.resize(static_cast<std::size_t>(w.inputs) * W);
+    const std::uint32_t* cells = w.entry.data();
+    for (std::uint32_t k = 0; k < w.inputs; ++k) {
+      std::uint64_t* in = lane_inputs.data() + k * W;
+      for (unsigned i = 0; i < W; ++i) in[i] = rng.next();
+      for (std::uint32_t j = 0; j < w.entry_stride; ++j, ++cells) {
+        std::uint64_t* dst = state.words(*cells);
+        for (unsigned i = 0; i < W; ++i) dst[i] = in[i];
       }
     }
   }
 
   bool classify(const PackedState& state, int lane, std::uint64_t) const {
+    const Io& w = *io;
     const unsigned W = state.lane_words();
     const unsigned wi = static_cast<unsigned>(lane) >> 6;
     const unsigned sh = static_cast<unsigned>(lane) & 63u;
     unsigned input = 0;
-    for (std::uint32_t k = 0; k < program->logical_bits; ++k)
+    for (std::uint32_t k = 0; k < w.inputs; ++k)
       input |= static_cast<unsigned>((lane_inputs[k * W + wi] >> sh) & 1u)
                << k;
-    const unsigned expected = (*truth)[input];
-    for (std::uint32_t k = 0; k < program->logical_bits; ++k) {
-      const auto& cw = program->output_cells[k];
-      const int votes = static_cast<int>(state.bit_lane(cw[0], lane)) +
-                        static_cast<int>(state.bit_lane(cw[1], lane)) +
-                        static_cast<int>(state.bit_lane(cw[2], lane));
-      if ((votes >= 2 ? 1u : 0u) != ((expected >> k) & 1u)) return true;
+    const unsigned expected = w.truth[input];
+    const std::uint32_t* cells = w.exit.data();
+    // Codeword exits (every machine and cycle) vote inline in a loop of
+    // their own: sharing the loop with the decode call cost a 3-cell
+    // classify ~10%, inlining decode's recursion 2x.
+    if (w.exit_stride == 3) {
+      for (std::uint32_t k = 0; k < w.outputs; ++k, cells += 3)
+        if (vote(state, lane, cells) != ((expected >> k) & 1u)) return true;
+      return false;
     }
+    for (std::uint32_t k = 0; k < w.outputs; ++k, cells += w.exit_stride)
+      if (decode(state, lane, cells, w.exit_stride) != ((expected >> k) & 1u))
+        return true;
     return false;
   }
+
+  /// Majority of the three cells at `cells`.
+  static unsigned vote(const PackedState& state, int lane,
+                       const std::uint32_t* cells) {
+    const int votes = state.bit_lane(cells[0], lane) +
+                      state.bit_lane(cells[1], lane) +
+                      state.bit_lane(cells[2], lane);
+    return votes >= 2 ? 1u : 0u;
+  }
+
+  /// Repeated majority over consecutive triples of `n` = 3^L cells.
+  static unsigned decode(const PackedState& state, int lane,
+                         const std::uint32_t* cells, std::uint32_t n);
 };
 
-/// Factory-call convenience: a fresh kernel for one shard.
-inline MachineWorkloadKernel make_machine_kernel(
-    const CheckedMachineProgram& program, const std::vector<unsigned>& truth) {
-  return MachineWorkloadKernel{
-      &program, &truth, std::vector<std::uint64_t>(program.logical_bits, 0)};
-}
+/// The kernel of a described workload: `entry` and `exit` list
+/// entry_stride / exit_stride cells per logical bit (see the file
+/// comment); the counts follow from the list sizes, and `truth` must
+/// have 2^inputs entries.
+MachineWorkloadKernel make_workload_kernel(std::uint32_t entry_stride,
+                                           std::vector<std::uint32_t> entry,
+                                           std::uint32_t exit_stride,
+                                           std::vector<std::uint32_t> exit,
+                                           std::vector<unsigned> truth);
 
-/// The machine experiments' one run setup: CheckedMachineExperiment's
-/// and RecoveryExperiment's run and run_streaming all go through it,
-/// so both engines draw from the same kernel. Writes `config`'s
-/// determinism key into `mc` (`threads` < 0 = the config's), then
-/// hands the noise model at g and the kernel factory to run.
+/// A bare circuit: bit k enters and exits on cell k, judged by
+/// machine_truth_table(circuit).
+MachineWorkloadKernel make_circuit_kernel(const Circuit& circuit);
+
+/// A checked machine program: logical bit k enters on input_cells[k]
+/// and exits on output_cells[k], judged against `truth`.
+MachineWorkloadKernel make_machine_kernel(const CheckedMachineProgram& program,
+                                          const std::vector<unsigned>& truth);
+
+/// A concatenated module (ft/concat.h): logical input k enters on the
+/// data leaves of bit in_bits[k]'s canonical (pre-rotation) block and
+/// output k exits on the leaves of module.blocks[out_bits[k]].
+MachineWorkloadKernel make_module_kernel(
+    const CompiledModule& module, const std::vector<std::uint32_t>& in_bits,
+    const std::vector<std::uint32_t>& out_bits, std::vector<unsigned> truth);
+
+/// The experiments' one run setup: every ft/ experiment's run,
+/// run_checked and run_streaming go through it. Writes `config`'s
+/// determinism key into `mc` — trials, seed, threads (`threads` < 0 =
+/// the config's) and lane_words where the config has one — then hands
+/// the noise model at g (perfect init unless config.noisy_init) and a
+/// factory of copies of `kernel` to run(model, factory).
 template <typename Config, typename Run>
-auto drive_machine_workload(const CheckedMachineProgram& program,
-                            const std::vector<unsigned>& truth,
-                            const Config& config, double g,
-                            ParallelMcOptions& mc, int threads, Run&& run) {
+auto drive_workload(const MachineWorkloadKernel& kernel, const Config& config,
+                    double g, ParallelMcOptions& mc, int threads, Run&& run) {
   NoiseModel model = NoiseModel::uniform(g);
   if (!config.noisy_init) model.with_perfect_init();
   mc.trials = config.trials;
   mc.seed = config.seed;
   mc.threads = threads < 0 ? config.threads : threads;
-  mc.lane_words = config.lane_words;
-  return run(model, [&program, &truth](std::uint64_t) {
-    return make_machine_kernel(program, truth);
-  });
+  if constexpr (requires { config.lane_words; })
+    mc.lane_words = config.lane_words;
+  return run(model, [&kernel](std::uint64_t) { return kernel; });
 }
 
 }  // namespace revft

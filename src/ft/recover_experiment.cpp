@@ -1,6 +1,5 @@
 #include "ft/recover_experiment.h"
 
-#include "ft/machine_kernel.h"
 #include "support/error.h"
 
 namespace revft {
@@ -18,15 +17,15 @@ RecoveryExperiment::RecoveryExperiment(CheckedMachineProgram program,
   REVFT_CHECK_MSG(logical.width() == program_.logical_bits,
                   "RecoveryExperiment: program/logical width mismatch");
   plan_ = recover::build_segment_plan(program_.checked);
-  truth_ = machine_truth_table(logical);
+  kernel_ = make_machine_kernel(program_, machine_truth_table(logical));
 }
 
 recover::RecoveryEstimate RecoveryExperiment::run(
     double g, const recover::RetryPolicy& policy, int threads,
     telemetry::Trace* trace) const {
   ParallelMcOptions mc;
-  return drive_machine_workload(
-      program_, truth_, config_, g, mc, threads,
+  return drive_workload(
+      kernel_, config_, g, mc, threads,
       [&](const NoiseModel& model, auto factory) {
         return recover::run_parallel_recovering_mc(
             program_.checked, plan_, policy, model, mc, factory, trace);
@@ -38,8 +37,8 @@ RecoveryExperiment::run_streaming(double g, const recover::RetryPolicy& policy,
                                   const telemetry::StreamOptions& stream,
                                   telemetry::Trace* trace) const {
   telemetry::StreamOptions opts = stream;
-  return drive_machine_workload(
-      program_, truth_, config_, g, opts.mc, -1,
+  return drive_workload(
+      kernel_, config_, g, opts.mc, -1,
       [&](const NoiseModel& model, auto factory) {
         return telemetry::run_streaming_recovering_mc(
             program_.checked, plan_, policy, model, opts, factory, trace);

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ft/machine_kernel.h"
 #include "local/checked_machine.h"
 #include "noise/parallel_mc.h"
 #include "recover/plan.h"
@@ -82,7 +83,7 @@ class RecoveryExperiment {
   CheckedMachineProgram program_;
   Config config_;
   recover::SegmentPlan plan_;
-  std::vector<unsigned> truth_;  ///< 2^B logical outputs
+  MachineWorkloadKernel kernel_;  ///< judged by the 2^B truth table
 };
 
 }  // namespace revft

@@ -11,7 +11,6 @@ detect::ParityRailOptions boundary_rail_options(
     const CheckedMachineOptions& opts) {
   detect::ParityRailOptions rail;
   rail.check_every = opts.check_every;
-  rail.fuse_compensation = opts.fuse_compensation;
   // The §3 block layout as a rail partition: one group per 9-cell
   // block (a 3x3 patch in 2D, a 9-cell line segment in 1D).
   if (opts.rails == RailGranularity::kPerBlock)
@@ -29,7 +28,7 @@ detect::ParityRailOptions boundary_rail_options(
   // contract in detect/rail.h), so the promise is armed only when the
   // boundaries provide one — a zero_checks=false ablation then really
   // measures the plain rail.
-  if (opts.trust_entry_zeros && opts.zero_checks && !boundaries.empty())
+  if (opts.zero_checks && !boundaries.empty())
     rail.known_zero = detect::known_zero_outside(width, entry_data_bits);
   return rail;
 }

@@ -86,7 +86,16 @@ struct CheckedMachineOptions {
   /// combination with the boundary zero checks fault-secure.
   RailGranularity rails = RailGranularity::kPerBlock;
   /// Register each recovery boundary's clean cells as a ZeroCheck (the
-  /// even-weight net; disable to measure what the rails alone catch).
+  /// even-weight net; disable to measure what the plain rails alone
+  /// catch). The net also arms the entry known-zero promise: every
+  /// non-data cell is zero at program entry (true for every census and
+  /// Monte-Carlo preparation in this repo), so the known-zero dataflow
+  /// elides the encoder and compensation gates that are provably no-ops
+  /// fault-free — most of the recovery stages' rail traffic. Elision
+  /// narrows the rail's guarantee to states reachable from the promise
+  /// (see ParityRailOptions::known_zero); the boundary checks cover the
+  /// promised cells, and the census proves the combination
+  /// fault-secure.
   bool zero_checks = true;
   /// Also evaluate the GLOBAL rail invariant at every recovery
   /// boundary (on top of the boundary zero checks, which always sit
@@ -103,19 +112,6 @@ struct CheckedMachineOptions {
   /// Extra periodic rail checkpoints every N original ops on top of
   /// the boundary checkpoints (0 = boundaries + final only).
   std::size_t check_every = 0;
-  /// Passed through to detect::to_parity_rail.
-  bool fuse_compensation = true;
-  /// Promise the rail transform that every non-data cell is zero at
-  /// program entry (true for every census/Monte-Carlo preparation in
-  /// this repo). The known-zero dataflow then elides the encoder and
-  /// compensation gates that are provably no-ops fault-free — most of
-  /// the recovery stages' rail traffic — cutting the checked overhead
-  /// sharply. Elision narrows the rail's guarantee to states reachable
-  /// from the promise (see ParityRailOptions::known_zero), so it only
-  /// takes effect together with `zero_checks`, whose boundary checks
-  /// cover the promised cells; the census proves the combination
-  /// fault-secure. Disable when feeding inputs with nonzero ancillas.
-  bool trust_entry_zeros = true;
   /// Partition-aware scheduling pass (local/schedule.h), run on the
   /// compiled program before the rail transform: wave-packs routing
   /// and places interior recovery boundaries aligned with the

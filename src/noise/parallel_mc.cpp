@@ -5,9 +5,11 @@
 #include <barrier>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <thread>
 
 #include "support/error.h"
+#include "support/mathutil.h"
 #include "support/rng.h"
 
 namespace revft {
@@ -37,11 +39,15 @@ std::vector<McShard> plan_shards(std::uint64_t trials, std::uint64_t master_seed
   return shards;
 }
 
-int resolve_thread_count(int requested) noexcept {
+int resolve_thread_count(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("REVFT_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 0);
-    if (parsed > 0) return static_cast<int>(parsed);
+    const auto parsed = parse_u64(env);
+    REVFT_CHECK_MSG(parsed && *parsed <= std::numeric_limits<int>::max(),
+                    "REVFT_THREADS=\"" << env
+                                       << "\": want a whole decimal or 0x hex "
+                                          "worker count (0 = hardware)");
+    if (*parsed > 0) return static_cast<int>(*parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

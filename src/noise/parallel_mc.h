@@ -82,8 +82,11 @@ std::vector<McShard> plan_shards(std::uint64_t trials, std::uint64_t master_seed
                                  unsigned lane_words = 1);
 
 /// `requested` if > 0; else the REVFT_THREADS env var if set and > 0;
-/// else std::thread::hardware_concurrency() (at least 1).
-int resolve_thread_count(int requested) noexcept;
+/// else std::thread::hardware_concurrency() (at least 1). The variable
+/// takes a whole decimal or 0x hex count (support/mathutil's
+/// parse_u64); anything else, or a count above INT_MAX, throws
+/// revft::Error naming it.
+int resolve_thread_count(int requested);
 
 namespace detail {
 

@@ -5,7 +5,10 @@
 #include "code/block_tree.h"
 #include "code/repetition.h"
 #include "ft/concat.h"
+#include "ft/machine_kernel.h"
+#include "noise/packed_sim.h"
 #include "rev/simulator.h"
+#include "support/rng.h"
 
 namespace revft {
 namespace {
@@ -109,6 +112,47 @@ TEST(BlockTree, CanonicalLeafPositions) {
   // Level 2: children 0,1,2 contribute their bits 0,1,2 at bases 0,9,18.
   EXPECT_EQ(collect_data_leaves(BlockTree::canonical(2, 0)),
             (std::vector<std::uint32_t>{0, 1, 2, 9, 10, 11, 18, 19, 20}));
+}
+
+// The workload kernel (ft/machine_kernel.h) decodes an exit as repeated
+// majority over consecutive triples of collect_data_leaves(block); that
+// must be decode_block(block) at every level, including the rotated
+// blocks concat_compile returns.
+TEST(BlockTree, TripleMajorityOverDataLeavesIsDecodeBlock) {
+  std::vector<BlockTree> blocks;
+  for (const int level : {0, 1, 2})
+    blocks.push_back(BlockTree::canonical(level, 0));
+  Circuit logical(3);
+  logical.toffoli(0, 1, 2).maj(2, 0, 1);
+  bool rotated = false;
+  for (const int level : {1, 2}) {
+    const CompiledModule module = concat_compile(logical, level);
+    for (const BlockTree& block : module.blocks) {
+      rotated |= block.data != BlockTree::canonical(level, block.base).data;
+      blocks.push_back(block);
+    }
+  }
+  ASSERT_TRUE(rotated);
+  Xoshiro256 rng(0xb10c);
+  for (const BlockTree& block : blocks) {
+    const std::vector<std::uint32_t> leaves = collect_data_leaves(block);
+    const auto width = static_cast<std::uint32_t>(block.base + block.span());
+    for (int round = 0; round < 8; ++round) {
+      PackedState state(width);
+      for (std::uint32_t bit = 0; bit < width; ++bit)
+        state.word(bit) = rng.next();
+      for (int lane = 0; lane < 64; ++lane) {
+        const int want = decode_block(block, [&](std::uint32_t bit) {
+          return static_cast<int>(state.bit_lane(bit, lane));
+        });
+        ASSERT_EQ(MachineWorkloadKernel::decode(
+                      state, lane, leaves.data(),
+                      static_cast<std::uint32_t>(leaves.size())),
+                  static_cast<unsigned>(want))
+            << "level " << block.level << " base " << block.base;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/threshold.h"
+#include "ft/detect_experiment.h"
 #include "ft/experiments.h"
+#include "local/scheme1d.h"
+#include "local/scheme2d.h"
 
 namespace revft {
 namespace {
@@ -157,6 +160,120 @@ TEST(Memory, StorageBeatsUnprotectedBitAtLowNoise) {
   config.trials = 500000;
   const double p = MemoryExperiment(config).run(g).rate();
   EXPECT_LT(p, 10.0 * g / 2.0 * 0.5);
+}
+
+// --- exact-count pins of the experiments' Monte-Carlo streams ---------
+//
+// One fixed seed per experiment at lane_words = 1, each run at 1 and 3
+// workers, 20000 trials. The counts were recorded before the
+// experiments moved onto the one workload kernel (ft/machine_kernel.h);
+// they hold only while every experiment draws its inputs and judges its
+// outputs exactly as before.
+
+constexpr std::uint64_t kPinTrials = 20000;
+
+template <typename Run>
+void expect_pinned(const char* name, std::uint64_t failures, Run&& run) {
+  for (const int threads : {1, 3}) {
+    const BernoulliEstimate est = run(threads);
+    EXPECT_EQ(est.trials, kPinTrials) << name << ", " << threads << " threads";
+    EXPECT_EQ(est.failures, failures) << name << ", " << threads << " threads";
+  }
+}
+
+struct DetectionPin {
+  std::uint64_t detected, detected_failures, silent_failures, zero_checks;
+};
+
+void expect_detection(const char* name, int threads,
+                      const detect::DetectionEstimate& est, DetectionPin pin) {
+  EXPECT_EQ(est.trials, kPinTrials) << name << ", " << threads << " threads";
+  EXPECT_EQ(est.detected, pin.detected) << name << ", " << threads;
+  EXPECT_EQ(est.detected_failures, pin.detected_failures)
+      << name << ", " << threads;
+  EXPECT_EQ(est.silent_failures, pin.silent_failures)
+      << name << ", " << threads;
+  EXPECT_EQ(est.zero_check_detected, pin.zero_checks)
+      << name << ", " << threads;
+}
+
+TEST(ExperimentPins, LogicalGateLevels1And2) {
+  const struct {
+    int level;
+    bool noisy_init;
+    double g;
+    std::uint64_t failures;
+  } pins[] = {{1, true, 2e-2, 110},
+              {1, false, 2e-2, 78},
+              {2, true, 5e-2, 123},
+              {2, false, 5e-2, 46}};
+  for (const auto& pin : pins) {
+    expect_pinned(pin.noisy_init ? "noisy init" : "perfect init",
+                  pin.failures, [&](int threads) {
+                    LogicalGateExperimentConfig config =
+                        config_for(pin.level, kPinTrials);
+                    config.noisy_init = pin.noisy_init;
+                    config.threads = threads;
+                    return LogicalGateExperiment(config).run(pin.g);
+                  });
+  }
+}
+
+TEST(ExperimentPins, Memory) {
+  expect_pinned("memory", 187, [](int threads) {
+    MemoryExperiment::Config config;
+    config.rounds = 6;
+    config.trials = kPinTrials;
+    config.threads = threads;
+    return MemoryExperiment(config).run(2e-2);
+  });
+}
+
+TEST(ExperimentPins, CodewordCycleRunAndRunChecked) {
+  const Cycle1d c1 = make_cycle_1d(GateKind::kToffoli, true);
+  const Cycle2d c2 = make_cycle_2d(GateKind::kToffoli, true);
+  CodewordCycleExperiment::Config config;
+  config.trials = kPinTrials;
+  auto cycle1d = [&](int threads) {
+    CodewordCycleExperiment::Config c = config;
+    c.threads = threads;
+    return CodewordCycleExperiment(c1.circuit, c1.data, c1.data, c,
+                                   c1.recovery_boundaries);
+  };
+  auto cycle2d = [&](int threads) {
+    CodewordCycleExperiment::Config c = config;
+    c.threads = threads;
+    return CodewordCycleExperiment(c2.circuit, c2.data_before, c2.data_after,
+                                   c, c2.recovery_boundaries);
+  };
+  expect_pinned("1D run", 600,
+                [&](int threads) { return cycle1d(threads).run(1e-2); });
+  expect_pinned("2D run", 78,
+                [&](int threads) { return cycle2d(threads).run(1e-2); });
+  for (const int threads : {1, 3}) {
+    // run_checked takes the worker count explicitly.
+    expect_detection("1D run_checked", threads,
+                     cycle1d(0).run_checked(1e-2, threads),
+                     {10828, 771, 0, 9997});
+    expect_detection("2D run_checked", threads,
+                     cycle2d(0).run_checked(1e-2, threads),
+                     {7078, 153, 0, 5878});
+  }
+}
+
+TEST(ExperimentPins, DetectVsCorrectBothArms) {
+  for (const int threads : {1, 3}) {
+    DetectVsCorrectConfig config;
+    config.gate_budget = 600;
+    config.trials = kPinTrials;
+    config.threads = threads;
+    const DetectVsCorrectPoint point =
+        DetectVsCorrectExperiment(config).run(2e-3);
+    EXPECT_EQ(point.correction.trials, kPinTrials);
+    EXPECT_EQ(point.correction.failures, 71u) << threads << " threads";
+    expect_detection("detection arm", threads, point.detection,
+                     {9016, 7796, 3449, 0});
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "ft/experiments.h"
 #include "noise/parallel_mc.h"
 #include "rev/circuit.h"
+#include "support/error.h"
 #include "telemetry/stream.h"
 
 namespace revft {
@@ -261,6 +263,34 @@ TEST(ParallelMc, FullRunHoldsAtMostThreadsLiveKernels) {
   EXPECT_GE(CountingKernel::peak.load(), 1);
   EXPECT_LE(CountingKernel::peak.load(), 4);
   EXPECT_EQ(CountingKernel::live.load(), 0);
+}
+
+// --- REVFT_THREADS parsing ---------------------------------------------
+
+TEST(ParallelMc, ThreadsEnvTakesWholeDecimalOrHexOnly) {
+  const char* saved = std::getenv("REVFT_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  auto resolve_with = [](const char* value) {
+    ::setenv("REVFT_THREADS", value, 1);
+    return resolve_thread_count(0);
+  };
+  EXPECT_EQ(resolve_with("010"), 10);  // decimal, not octal
+  EXPECT_EQ(resolve_with("0x10"), 16);
+  EXPECT_EQ(resolve_with("3"), 3);
+  EXPECT_GE(resolve_with("0"), 1);  // 0 = hardware concurrency
+  for (const char* bad : {"4x", "1e3", "-1", "", "2147483648"})
+    EXPECT_THROW(resolve_with(bad), Error) << '"' << bad << '"';
+  try {
+    resolve_with("4x");
+    ADD_FAILURE() << "4x did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("REVFT_THREADS"), std::string::npos);
+  }
+  EXPECT_EQ(resolve_thread_count(5), 5);  // an explicit count wins
+  if (saved != nullptr)
+    ::setenv("REVFT_THREADS", restore.c_str(), 1);
+  else
+    ::unsetenv("REVFT_THREADS");
 }
 
 }  // namespace

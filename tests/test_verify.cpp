@@ -329,7 +329,6 @@ TEST(VerifyCertify, GlobalRailGapFoundStatically) {
   CheckedMachineOptions opts;
   opts.rails = RailGranularity::kGlobal;
   opts.zero_checks = false;
-  opts.trust_entry_zeros = false;
   opts.check_every = 1;
   const auto program = CheckedMachine1d(3, true, opts).compile(logical);
   const auto mc = verify::certify_machine_program(program, logical);
