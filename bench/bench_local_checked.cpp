@@ -27,8 +27,7 @@
 #include "ft/detect_experiment.h"
 #include "ft/experiments.h"
 #include "local/checked_machine.h"
-#include "local/machine1d.h"
-#include "local/machine2d.h"
+#include "local/machine.h"
 #include "noise/lanes.h"
 #include "support/table.h"
 
@@ -49,15 +48,13 @@ Circuit scattered_workload() {
   return logical;
 }
 
-/// Checked 1D / 2D machine programs (with initialization) for the
+using enum BlockLayout;
+
+/// Checked machine programs on `layout` (with initialization) for the
 /// bench's few workload/options combinations.
-CheckedMachineProgram compile_1d(const Circuit& logical,
-                                 const CheckedMachineOptions& opts = {}) {
-  return CheckedMachine1d(logical.width(), true, opts).compile(logical);
-}
-CheckedMachineProgram compile_2d(const Circuit& logical,
-                                 const CheckedMachineOptions& opts = {}) {
-  return CheckedMachine2d(logical.width(), true, opts).compile(logical);
+CheckedMachineProgram compile(BlockLayout layout, const Circuit& logical,
+                              const CheckedMachineOptions& opts = {}) {
+  return CheckedMachine(layout, logical.width(), true, opts).compile(logical);
 }
 
 /// A routing-free contrast: every operand already adjacent.
@@ -102,14 +99,14 @@ void print_free_checking(benchutil::JsonResultWriter& json) {
 
   AsciiTable table({"machine / workload", "ops", "routing ops", "free",
                     "rails", "rail ops", "gate ovh", "ckpt / zero"});
-  add_stats_row(table, json, "1d_scattered", compile_1d(scattered));
+  add_stats_row(table, json, "1d_scattered", compile(k1d, scattered));
   add_stats_row(table, json, "1d_scattered_global",
-                compile_1d(scattered, global));
-  add_stats_row(table, json, "1d_adjacent", compile_1d(adjacent));
-  add_stats_row(table, json, "2d_scattered", compile_2d(scattered));
+                compile(k1d, scattered, global));
+  add_stats_row(table, json, "1d_adjacent", compile(k1d, adjacent));
+  add_stats_row(table, json, "2d_scattered", compile(k2d, scattered));
   add_stats_row(table, json, "2d_scattered_global",
-                compile_2d(scattered, global));
-  add_stats_row(table, json, "2d_adjacent", compile_2d(adjacent));
+                compile(k2d, scattered, global));
+  add_stats_row(table, json, "2d_adjacent", compile(k2d, adjacent));
   std::printf("%s", table.str().c_str());
   std::printf(
       "every routing op is SWAP/SWAP3 — self-checking for free at ANY rail\n"
@@ -131,8 +128,8 @@ void print_census(benchutil::JsonResultWriter& json) {
   logical.toffoli(2, 1, 0);  // routed single cycle
 
   AsciiTable table({"outcome", "1D machine", "2D machine"});
-  const auto census1 = machine_detection_census(compile_1d(logical), logical);
-  const auto census2 = machine_detection_census(compile_2d(logical), logical);
+  const auto census1 = machine_detection_census(compile(k1d, logical), logical);
+  const auto census2 = machine_detection_census(compile(k2d, logical), logical);
   table.add_row({"fault sites", std::to_string(census1.fault_sites),
                  std::to_string(census2.fault_sites)});
   table.add_row({"scenarios simulated", std::to_string(census1.scenarios),
@@ -194,7 +191,7 @@ void print_partition_comparison(benchutil::JsonResultWriter& json) {
     opts.rails = config.rails;
     opts.zero_checks = config.zero_checks;
     opts.check_every = config.zero_checks ? 0 : 1;  // equal observation density
-    const CheckedMachineProgram program = compile_1d(logical, opts);
+    const CheckedMachineProgram program = compile(k1d, logical, opts);
     const auto census = machine_detection_census(program, logical);
     table.add_row({config.label, AsciiTable::cell(program.checked.circuit.size()),
                    AsciiTable::cell(census.detected_harmful),
@@ -226,8 +223,8 @@ void print_g_sweep(benchutil::JsonResultWriter& json) {
   CheckedMachineExperiment::Config config;
   config.trials = trials;
   config.seed = benchutil::seed_from_env();
-  const CheckedMachineExperiment exp1d(compile_1d(logical), logical, config);
-  const CheckedMachineExperiment exp2d(compile_2d(logical), logical, config);
+  const CheckedMachineExperiment exp1d(compile(k1d, logical), logical, config);
+  const CheckedMachineExperiment exp2d(compile(k2d, logical), logical, config);
   std::printf("workload: %zu scattered gates on 10 encoded bits, %llu "
               "trials/point\n",
               logical.size(), static_cast<unsigned long long>(trials));
@@ -283,7 +280,7 @@ void print_g_sweep(benchutil::JsonResultWriter& json) {
   // thing against that number.
   CheckedMachineOptions global;
   global.rails = RailGranularity::kGlobal;
-  const CheckedMachineExperiment exp_global(compile_1d(logical, global),
+  const CheckedMachineExperiment exp_global(compile(k1d, logical, global),
                                               logical, config);
   const std::uint64_t ops_global = exp_global.program().checked.circuit.size();
   const std::uint64_t blocks = exp1d.program().stats.rails;
@@ -349,7 +346,7 @@ void print_determinism(benchutil::JsonResultWriter& json) {
   CheckedMachineExperiment::Config config;
   config.trials = 100000;
   config.seed = benchutil::seed_from_env();
-  const CheckedMachineExperiment exp(compile_1d(logical), logical, config);
+  const CheckedMachineExperiment exp(compile(k1d, logical), logical, config);
 
   detect::DetectionEstimate results[3];
   const int thread_counts[3] = {1, 3, 8};
@@ -409,7 +406,7 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
       "engine throughput (no paper analogue); ISA-aware bar");
 
   const Circuit logical = scattered_workload();
-  const CheckedMachineProgram program = compile_1d(logical);
+  const CheckedMachineProgram program = compile(k1d, logical);
   const std::uint64_t ops = program.stats.total_ops;
   const double gs[] = {1e-3, 1e-4, 1e-5};
   const char* g_tag[] = {"g1e3", "g1e4", "g1e5"};
@@ -545,14 +542,14 @@ void print_overhead(benchutil::JsonResultWriter& json) {
       "acceptance bar: checked <= 1.5x the unchecked machine");
 
   const Circuit logical = scattered_workload();
-  const Machine1dProgram p1 = Machine1d(10).compile(logical);
-  const Machine2dProgram p2 = Machine2d(10).compile(logical);
-  const CheckedMachineProgram c1 = compile_1d(logical);
-  const CheckedMachineProgram c2 = compile_2d(logical);
+  const MachineProgram p1 = Machine1d(10).compile(logical);
+  const MachineProgram p2 = Machine2d(10).compile(logical);
+  const CheckedMachineProgram c1 = compile(k1d, logical);
+  const CheckedMachineProgram c2 = compile(k2d, logical);
   CheckedMachineOptions global;
   global.rails = RailGranularity::kGlobal;
-  const CheckedMachineProgram g1 = compile_1d(logical, global);
-  const CheckedMachineProgram g2 = compile_2d(logical, global);
+  const CheckedMachineProgram g1 = compile(k1d, logical, global);
+  const CheckedMachineProgram g2 = compile(k2d, logical, global);
   std::printf("workload: %zu scattered gates, 10 encoded bits; 1D %zu ops "
               "-> %zu checked (10 rails), 2D %zu ops -> %zu checked\n",
               logical.size(), p1.physical.size(), c1.checked.circuit.size(),
@@ -574,8 +571,8 @@ void print_overhead(benchutil::JsonResultWriter& json) {
 
 void BM_CheckedMachine1dApply(benchmark::State& state) {
   const Circuit logical = scattered_workload();
-  const Machine1dProgram plain = Machine1d(10).compile(logical);
-  const CheckedMachineProgram program = compile_1d(logical);
+  const MachineProgram plain = Machine1d(10).compile(logical);
+  const CheckedMachineProgram program = compile(k1d, logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
@@ -594,7 +591,7 @@ BENCHMARK(BM_CheckedMachine1dApply);
 
 void BM_UncheckedMachine1dApply(benchmark::State& state) {
   const Circuit logical = scattered_workload();
-  const Machine1dProgram plain = Machine1d(10).compile(logical);
+  const MachineProgram plain = Machine1d(10).compile(logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(plain.physical.width());
   for (auto _ : state) {

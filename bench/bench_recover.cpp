@@ -40,14 +40,12 @@ using namespace revft;
 
 namespace {
 
-/// Checked 1D / 2D machine programs (with initialization) under `opts`.
-CheckedMachineProgram compile_1d(const Circuit& logical,
-                                 const CheckedMachineOptions& opts) {
-  return CheckedMachine1d(logical.width(), true, opts).compile(logical);
-}
-CheckedMachineProgram compile_2d(const Circuit& logical,
-                                 const CheckedMachineOptions& opts) {
-  return CheckedMachine2d(logical.width(), true, opts).compile(logical);
+using enum BlockLayout;
+
+/// Checked machine programs on `layout` (with initialization) under `opts`.
+CheckedMachineProgram compile(BlockLayout layout, const Circuit& logical,
+                              const CheckedMachineOptions& opts) {
+  return CheckedMachine(layout, logical.width(), true, opts).compile(logical);
 }
 
 /// Same scattered 10-bit workload as bench_local_checked: heavy
@@ -94,8 +92,8 @@ bool print_plan(const RecoveryExperiment& exp1d, const RecoveryExperiment& exp2d
   // shipped scheduled one on the identical workload.
   CheckedMachineOptions legacy = recovering_machine_options();
   legacy.schedule.enabled = false;
-  const CheckedMachineProgram legacy1d = compile_1d(logical, legacy);
-  const CheckedMachineProgram legacy2d = compile_2d(logical, legacy);
+  const CheckedMachineProgram legacy1d = compile(k1d, logical, legacy);
+  const CheckedMachineProgram legacy2d = compile(k2d, logical, legacy);
 
   AsciiTable table({"machine", "checked ops", "segments", "rails", "components",
                     "multi-comp segs", "mean max share", "worst share"});
@@ -255,7 +253,7 @@ void print_determinism(const RecoveryExperiment& exp,
 void BM_RecoveringMachine1d(benchmark::State& state) {
   const Circuit logical = scattered_workload();
   const CheckedMachineProgram program =
-      compile_1d(logical, recovering_machine_options());
+      compile(k1d, logical, recovering_machine_options());
   const recover::SegmentPlan plan = recover::build_segment_plan(program.checked);
   const auto policy = recover::RetryPolicy::block_local();
   const auto truth = machine_truth_table(logical);
@@ -285,7 +283,7 @@ BENCHMARK(BM_RecoveringMachine1d);
 void BM_CheckedMachine1dApplyBaseline(benchmark::State& state) {
   const Circuit logical = scattered_workload();
   const CheckedMachineProgram program =
-      compile_1d(logical, recovering_machine_options());
+      compile(k1d, logical, recovering_machine_options());
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
@@ -318,9 +316,9 @@ int main(int argc, char** argv) {
   // determinism key, and the cross-PR JSON trajectory pins the W=1
   // stream (the SIMD sweep lives in bench_local_checked).
   const RecoveryExperiment exp1d(
-      compile_1d(logical, recovering_machine_options()), logical, config);
+      compile(k1d, logical, recovering_machine_options()), logical, config);
   const RecoveryExperiment exp2d(
-      compile_2d(logical, recovering_machine_options()), logical, config);
+      compile(k2d, logical, recovering_machine_options()), logical, config);
   // Model inputs: the plain checked engine on the SAME programs, same
   // budget — its DetectionEstimate feeds detect::retry_cost_model.
   CheckedMachineExperiment::Config det_config;

@@ -11,8 +11,8 @@
 //
 // Run:  ./checked_machine [trials]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "ft/experiments.h"
 #include "local/checked_machine.h"
 #include "support/table.h"
@@ -20,8 +20,7 @@
 using namespace revft;
 
 int main(int argc, char** argv) {
-  const std::uint64_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 100000;
+  const std::uint64_t trials = u64_arg(argc, argv, 1, "trials", 100000);
 
   // The logical program: operands deliberately far apart.
   Circuit logical(5);

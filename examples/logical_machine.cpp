@@ -10,19 +10,18 @@
 //
 // Run:  ./logical_machine [trials]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "ft/machine_kernel.h"
 #include "local/lattice.h"
-#include "local/machine1d.h"
+#include "local/machine.h"
 #include "noise/parallel_mc.h"
 #include "support/table.h"
 
 using namespace revft;
 
 int main(int argc, char** argv) {
-  const std::uint64_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 100000;
+  const std::uint64_t trials = u64_arg(argc, argv, 1, "trials", 100000);
 
   // The logical program: operands deliberately far apart.
   Circuit logical(5);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "example_args.h"
 #include "detect/checker.h"
 #include "detect/retry_model.h"
 #include "ft/experiments.h"
@@ -27,8 +28,7 @@
 using namespace revft;
 
 int main(int argc, char** argv) {
-  const std::uint64_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 100000;
+  const std::uint64_t trials = u64_arg(argc, argv, 1, "trials", 100000);
 
   Circuit logical(5);
   logical.maj(4, 2, 0).toffoli(0, 3, 4).majinv(2, 1, 4).swap3(0, 2, 4);

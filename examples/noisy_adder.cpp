@@ -14,9 +14,9 @@
 //
 // Run:  ./noisy_adder [trials]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "example_args.h"
 #include "ft/concat.h"
 #include "ft/machine_kernel.h"
 #include "noise/parallel_mc.h"
@@ -77,8 +77,7 @@ double success_rate(const Variant& v, double g, std::uint64_t trials,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 200000;
+  const std::uint64_t trials = u64_arg(argc, argv, 1, "trials", 200000);
 
   const RippleAdder adder = cuccaro_adder(kBits);
   std::printf("Cuccaro %u-bit adder: %zu gates on %u bits (one MAJ per bit "

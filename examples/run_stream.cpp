@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "example_args.h"
 #include "ft/experiments.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
@@ -83,8 +84,7 @@ void finish(const telemetry::ConvergenceTrajectory& traj) {
 int main(int argc, char** argv) {
   const std::string engine = argc > 1 ? argv[1] : "plain";
   const double g = argc > 2 ? std::strtod(argv[2], nullptr) : 0.05;
-  const std::uint64_t trials =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 200000;
+  const std::uint64_t trials = u64_arg(argc, argv, 3, "trials", 200000);
   const double target = argc > 4 ? std::strtod(argv[4], nullptr)
                                  : (engine == "plain" ? 0.2 : 0.02);
 

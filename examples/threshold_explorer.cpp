@@ -13,12 +13,14 @@
 // Examples:
 //   ./threshold_explorer nonlocal 2 500000
 //   ./threshold_explorer 1d
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "example_args.h"
 #include "analysis/threshold.h"
 #include "ft/experiments.h"
 #include "local/scheme1d.h"
@@ -60,9 +62,9 @@ void report(const std::vector<SweepSample>& samples, int G) {
 
 int main(int argc, char** argv) {
   const std::string scheme = argc > 1 ? argv[1] : "nonlocal";
-  const int level = argc > 2 ? std::atoi(argv[2]) : 1;
-  const std::uint64_t trials =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 200000;
+  const int level =
+      static_cast<int>(u64_arg(argc, argv, 2, "level", 1, INT_MAX));
+  const std::uint64_t trials = u64_arg(argc, argv, 3, "trials", 200000);
   std::vector<double> gs;
   for (int i = 4; i < argc; ++i) gs.push_back(std::strtod(argv[i], nullptr));
   if (gs.empty()) gs = default_sweep();

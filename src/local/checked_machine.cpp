@@ -33,33 +33,32 @@ detect::ParityRailOptions boundary_rail_options(
   return rail;
 }
 
-CheckedMachineProgram check_machine_program(
-    const Circuit& physical, const std::vector<std::uint32_t>& slot_of_logical,
-    const std::vector<std::array<std::uint32_t, 3>>& input_cells,
-    const std::vector<std::array<std::uint32_t, 3>>& output_cells,
-    const std::vector<RecoveryBoundary>& boundaries,
-    const std::vector<std::pair<std::size_t, std::size_t>>& routing_spans,
-    const CheckedMachineOptions& opts) {
+CheckedMachineProgram check_machine_program(const MachineProgram& program,
+                                            const CheckedMachineOptions& opts) {
+  const Circuit& physical = program.physical;
   REVFT_CHECK_MSG(!physical.empty(), "check_machine_program: empty program");
 
   CheckedMachineProgram out;
-  out.logical_bits = static_cast<std::uint32_t>(slot_of_logical.size());
-  out.slot_of_logical = slot_of_logical;
-  out.input_cells = input_cells;
-  out.output_cells = output_cells;
+  out.logical_bits = static_cast<std::uint32_t>(program.slot_of_logical.size());
+  out.slot_of_logical = program.slot_of_logical;
+  out.input_cells = program.entry_cells;
+  out.output_cells = program.data_cells;
+  out.block_transpositions = program.block_transpositions;
+  out.routing_cell_swaps = program.routing_cell_swaps;
+  out.gate_cycles = program.gate_cycles;
+  out.recovery_stages = program.recovery_stages;
 
-  for (const RecoveryBoundary& boundary : boundaries)
+  for (const RecoveryBoundary& boundary : program.recovery_boundaries)
     REVFT_CHECK_MSG(boundary.op_index < physical.size(),
                     "check_machine_program: boundary op out of range");
   // Every cell that is not an entry data cell is an ancilla, zero by
   // the machines' preparation contract.
   std::vector<std::uint32_t> data_bits;
-  for (const auto& cw : input_cells)
+  for (const auto& cw : program.entry_cells)
     data_bits.insert(data_bits.end(), cw.begin(), cw.end());
   out.checked = detect::to_parity_rail(
-      physical,
-      boundary_rail_options(boundaries, data_bits, physical.width(), opts));
-
+      physical, boundary_rail_options(program.recovery_boundaries, data_bits,
+                                      physical.width(), opts));
   // Free-checking accounting: a gate is self-checking for free when it
   // queued no rail compensation — the routing fabric always (SWAP and
   // SWAP3 migrate rail membership instead of compensating, at any
@@ -70,7 +69,7 @@ CheckedMachineProgram check_machine_program(
   out.stats.total_ops = physical.size();
   out.stats.compensated_ops = out.checked.compensated_ops;
   out.stats.free_ops = physical.size() - out.checked.compensated_ops;
-  for (const auto& [first, last] : routing_spans) {
+  for (const auto& [first, last] : program.routing_spans) {
     REVFT_CHECK_MSG(first <= last && last < physical.size(),
                     "check_machine_program: bad routing span");
     out.stats.routing_ops += last - first + 1;
@@ -82,54 +81,15 @@ CheckedMachineProgram check_machine_program(
   return out;
 }
 
-namespace {
+CheckedMachine::CheckedMachine(BlockLayout layout, std::uint32_t logical_bits,
+                               bool with_init, CheckedMachineOptions opts)
+    : base_(layout, logical_bits, with_init, opts.schedule.enabled),
+      opts_(opts) {}
 
-std::vector<std::array<std::uint32_t, 3>> entry_cells(
-    std::uint32_t logical_bits, const std::array<std::uint32_t, 3>& offsets) {
-  std::vector<std::array<std::uint32_t, 3>> cells;
-  cells.reserve(logical_bits);
-  for (std::uint32_t i = 0; i < logical_bits; ++i)
-    cells.push_back(
-        {9 * i + offsets[0], 9 * i + offsets[1], 9 * i + offsets[2]});
-  return cells;
-}
-
-}  // namespace
-
-CheckedMachine1d::CheckedMachine1d(std::uint32_t logical_bits, bool with_init,
-                                   CheckedMachineOptions opts)
-    : base_(logical_bits, with_init, opts.schedule.enabled), opts_(opts) {}
-
-CheckedMachineProgram CheckedMachine1d::compile(const Circuit& logical) const {
-  Machine1dProgram program = base_.compile(logical);
+CheckedMachineProgram CheckedMachine::compile(const Circuit& logical) const {
+  MachineProgram program = base_.compile(logical);
   schedule_program(program, opts_.schedule);
-  CheckedMachineProgram out = check_machine_program(
-      program.physical, program.slot_of_logical,
-      entry_cells(base_.logical_bits(), {0, 3, 6}), program.data_cells,
-      program.recovery_boundaries, program.routing_spans, opts_);
-  out.block_transpositions = program.block_transpositions;
-  out.routing_cell_swaps = program.routing_cell_swaps;
-  out.gate_cycles = program.gate_cycles;
-  out.recovery_stages = program.recovery_stages;
-  return out;
-}
-
-CheckedMachine2d::CheckedMachine2d(std::uint32_t logical_bits, bool with_init,
-                                   CheckedMachineOptions opts)
-    : base_(logical_bits, with_init, opts.schedule.enabled), opts_(opts) {}
-
-CheckedMachineProgram CheckedMachine2d::compile(const Circuit& logical) const {
-  Machine2dProgram program = base_.compile(logical);
-  schedule_program(program, opts_.schedule);
-  CheckedMachineProgram out = check_machine_program(
-      program.physical, program.slot_of_logical,
-      entry_cells(base_.logical_bits(), {0, 1, 2}), program.data_cells,
-      program.recovery_boundaries, program.routing_spans, opts_);
-  out.block_transpositions = program.block_transpositions;
-  out.routing_cell_swaps = program.routing_cell_swaps;
-  out.gate_cycles = program.gate_cycles;
-  out.recovery_stages = program.recovery_stages;
-  return out;
+  return check_machine_program(program, opts_);
 }
 
 }  // namespace revft

@@ -55,8 +55,7 @@
 #include <vector>
 
 #include "detect/rail.h"
-#include "local/machine1d.h"
-#include "local/machine2d.h"
+#include "local/machine.h"
 #include "local/schedule.h"
 
 namespace revft {
@@ -179,50 +178,39 @@ detect::ParityRailOptions boundary_rail_options(
     const std::vector<std::uint32_t>& entry_data_bits, std::uint32_t width,
     const CheckedMachineOptions& opts);
 
-/// Rail-transform an already-compiled machine program. The generic
-/// core shared by both machines: checkpoint + zero check per recovery
-/// boundary, stats from the routing spans. `input_cells` supplies the
-/// entry-arrangement data cells (9*i + {0,3,6} for 1D, 9*i + {0,1,2}
-/// for 2D).
-CheckedMachineProgram check_machine_program(
-    const Circuit& physical, const std::vector<std::uint32_t>& slot_of_logical,
-    const std::vector<std::array<std::uint32_t, 3>>& input_cells,
-    const std::vector<std::array<std::uint32_t, 3>>& output_cells,
-    const std::vector<RecoveryBoundary>& boundaries,
-    const std::vector<std::pair<std::size_t, std::size_t>>& routing_spans,
-    const CheckedMachineOptions& opts);
+/// Rail-transform an already-compiled machine program: checkpoint +
+/// zero check per recovery boundary, stats from the routing spans, the
+/// cost counters carried over.
+CheckedMachineProgram check_machine_program(const MachineProgram& program,
+                                            const CheckedMachineOptions& opts);
 
-/// Compile-and-check conveniences: the 1D / 2D machine compilers with
-/// the rail threaded through every program they emit.
-class CheckedMachine1d {
+/// Compile-and-check convenience: the block-machine compiler with the
+/// rail threaded through every program it emits (compile, schedule,
+/// rail transform).
+class CheckedMachine {
  public:
-  explicit CheckedMachine1d(std::uint32_t logical_bits, bool with_init = true,
-                            CheckedMachineOptions opts = {});
+  CheckedMachine(BlockLayout layout, std::uint32_t logical_bits,
+                 bool with_init = true, CheckedMachineOptions opts = {});
 
   std::uint32_t logical_bits() const noexcept { return base_.logical_bits(); }
-  std::uint32_t cells() const noexcept { return base_.cells(); }
-  const Machine1d& base() const noexcept { return base_; }
 
   CheckedMachineProgram compile(const Circuit& logical) const;
 
  private:
-  Machine1d base_;
+  Machine base_;
   CheckedMachineOptions opts_;
 };
 
-class CheckedMachine2d {
- public:
+/// The two geometries by name.
+struct CheckedMachine1d : CheckedMachine {
+  explicit CheckedMachine1d(std::uint32_t logical_bits, bool with_init = true,
+                            CheckedMachineOptions opts = {})
+      : CheckedMachine(BlockLayout::k1d, logical_bits, with_init, opts) {}
+};
+struct CheckedMachine2d : CheckedMachine {
   explicit CheckedMachine2d(std::uint32_t logical_bits, bool with_init = true,
-                            CheckedMachineOptions opts = {});
-
-  std::uint32_t logical_bits() const noexcept { return base_.logical_bits(); }
-  const Machine2d& base() const noexcept { return base_; }
-
-  CheckedMachineProgram compile(const Circuit& logical) const;
-
- private:
-  Machine2d base_;
-  CheckedMachineOptions opts_;
+                            CheckedMachineOptions opts = {})
+      : CheckedMachine(BlockLayout::k2d, logical_bits, with_init, opts) {}
 };
 
 }  // namespace revft

@@ -1,7 +1,6 @@
 #include "local/schedule.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 #include <vector>
 
@@ -108,16 +107,13 @@ std::vector<Atom> parse_atoms(
   return out;
 }
 
-/// Generic core shared by the 1D and 2D entry points. `clean_offsets`
-/// are the block-relative ancilla cells that are provably zero
-/// whenever a block is at rest (between cycles / at a wave edge) —
-/// {1,2,4,5,7,8} for the 1D Fig 7 layout, {3..8} for the 2D top-row
-/// layout.
-ScheduleStats schedule_impl(
-    Circuit& physical, std::vector<RecoveryBoundary>& boundaries,
-    std::vector<std::pair<std::size_t, std::size_t>>& spans,
-    const std::array<std::uint32_t, 6>& clean_offsets,
-    const ScheduleOptions& opts) {
+}  // namespace
+
+ScheduleStats schedule_program(MachineProgram& program,
+                               const ScheduleOptions& opts) {
+  Circuit& physical = program.physical;
+  std::vector<RecoveryBoundary>& boundaries = program.recovery_boundaries;
+  auto& spans = program.routing_spans;
   ScheduleStats stats;
   if (!opts.enabled || physical.empty()) return stats;
 
@@ -202,7 +198,7 @@ ScheduleStats schedule_impl(
       RecoveryBoundary cut;
       cut.op_index = op_index;
       cut.first_op = op_index;
-      for (const std::uint32_t off : clean_offsets)
+      for (const std::uint32_t off : program.rest_clean)
         cut.clean_cells.push_back(9 * t + off);
       cuts.push_back(std::move(cut));
       touched[t] = 0;
@@ -295,23 +291,6 @@ ScheduleStats schedule_impl(
                      return x.op_index < y.op_index;
                    });
   return stats;
-}
-
-constexpr std::array<std::uint32_t, 6> kClean1d = {1, 2, 4, 5, 7, 8};
-constexpr std::array<std::uint32_t, 6> kClean2d = {3, 4, 5, 6, 7, 8};
-
-}  // namespace
-
-ScheduleStats schedule_program(Machine1dProgram& program,
-                               const ScheduleOptions& opts) {
-  return schedule_impl(program.physical, program.recovery_boundaries,
-                       program.routing_spans, kClean1d, opts);
-}
-
-ScheduleStats schedule_program(Machine2dProgram& program,
-                               const ScheduleOptions& opts) {
-  return schedule_impl(program.physical, program.recovery_boundaries,
-                       program.routing_spans, kClean2d, opts);
 }
 
 }  // namespace revft

@@ -56,8 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "local/machine1d.h"
-#include "local/machine2d.h"
+#include "local/machine.h"
 
 namespace revft {
 
@@ -81,13 +80,12 @@ struct ScheduleStats {
   std::size_t batched_stages = 0;  ///< stage boundaries whose checkpoint deferred
 };
 
-/// Reschedule a compiled 1D / 2D machine program in place: reorders
-/// routing into waves, inserts interior recovery boundaries, and
+/// Reschedule a compiled machine program in place: reorders routing
+/// into waves, inserts interior recovery boundaries (zero-checking the
+/// program's at-rest clean cells, MachineProgram::rest_clean), and
 /// rewrites routing_spans / recovery_boundaries to match. No-op when
 /// opts.enabled is false.
-ScheduleStats schedule_program(Machine1dProgram& program,
-                               const ScheduleOptions& opts = {});
-ScheduleStats schedule_program(Machine2dProgram& program,
+ScheduleStats schedule_program(MachineProgram& program,
                                const ScheduleOptions& opts = {});
 
 }  // namespace revft

@@ -137,6 +137,42 @@ TEST(CheckedMachineCensus, NotAndInitProgramsAreFaultSecure) {
   }
 }
 
+// Every armed option combination is fault-secure, not just the
+// defaults: layout x init x rail granularity x per-boundary rail
+// checks x scheduling, with the boundary zero checks on, over routed
+// and unrouted cycles and the NOT / init boundaries — 128 censuses.
+// (With zero_checks off some combinations leak by design; the tests
+// below pin that ablation.)
+TEST(CheckedMachineCensus, EveryArmedOptionCombinationIsFaultSecure) {
+  std::vector<Circuit> programs(4, Circuit(3));
+  programs[0].toffoli(0, 1, 2);
+  programs[1].toffoli(2, 1, 0);
+  programs[2].not_(1).init3(0, 1, 2).not_(0);
+  programs[3].init3(0, 1, 2).toffoli(0, 1, 2);
+  int censuses = 0;
+  for (unsigned combo = 0; combo < 32; ++combo) {
+    const bool two_d = combo & 1u, with_init = combo & 2u;
+    CheckedMachineOptions opts;
+    opts.rails = (combo & 4u) ? RailGranularity::kPerBlock
+                              : RailGranularity::kGlobal;
+    opts.rail_check_every_boundary = combo & 8u;
+    opts.schedule.enabled = combo & 16u;
+    ASSERT_TRUE(opts.zero_checks);
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+      const Circuit& logical = programs[p];
+      const auto census = machine_detection_census(
+          two_d ? CheckedMachine2d(3, with_init, opts).compile(logical)
+                : CheckedMachine1d(3, with_init, opts).compile(logical),
+          logical);
+      EXPECT_GT(census.scenarios, 0u);
+      EXPECT_EQ(census.silent_harmful, 0u)
+          << "combo " << combo << " program " << p;
+      ++censuses;
+    }
+  }
+  EXPECT_EQ(censuses, 128);
+}
+
 // Negative control — the finding that motivates both the zero checks
 // and the rail partition: with the recovery-boundary zero checks
 // disabled, the GLOBAL-rail 1D machine is NOT fault-secure. An
@@ -234,25 +270,21 @@ TEST(CheckedMachineSchedule, ScheduleOffMatchesTheRawCompilerBitForBit) {
 
   {
     const auto via_checked = CheckedMachine1d(3, true, off).compile(logical);
-    const Machine1dProgram raw = Machine1d(3).compile(logical);
+    const MachineProgram raw = Machine1d(3).compile(logical);
     std::vector<std::array<std::uint32_t, 3>> entry;
     for (std::uint32_t i = 0; i < 3; ++i)
       entry.push_back({9 * i + 0, 9 * i + 3, 9 * i + 6});
-    expect_equal(via_checked,
-                 check_machine_program(raw.physical, raw.slot_of_logical, entry,
-                                       raw.data_cells, raw.recovery_boundaries,
-                                       raw.routing_spans, off));
+    EXPECT_EQ(raw.entry_cells, entry);
+    expect_equal(via_checked, check_machine_program(raw, off));
   }
   {
     const auto via_checked = CheckedMachine2d(3, true, off).compile(logical);
-    const Machine2dProgram raw = Machine2d(3).compile(logical);
+    const MachineProgram raw = Machine2d(3).compile(logical);
     std::vector<std::array<std::uint32_t, 3>> entry;
     for (std::uint32_t i = 0; i < 3; ++i)
       entry.push_back({9 * i + 0, 9 * i + 1, 9 * i + 2});
-    expect_equal(via_checked,
-                 check_machine_program(raw.physical, raw.slot_of_logical, entry,
-                                       raw.data_cells, raw.recovery_boundaries,
-                                       raw.routing_spans, off));
+    EXPECT_EQ(raw.entry_cells, entry);
+    expect_equal(via_checked, check_machine_program(raw, off));
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include "code/repetition.h"
 #include "local/lattice.h"
-#include "local/machine1d.h"
+#include "local/machine.h"
 #include "rev/simulator.h"
 #include "support/error.h"
 
@@ -14,7 +14,7 @@ namespace {
 
 /// Run a compiled program on encoded inputs and decode every logical
 /// bit from its final block slot.
-unsigned run_program(const Machine1dProgram& program, std::uint32_t bits,
+unsigned run_program(const MachineProgram& program, std::uint32_t bits,
                      unsigned input) {
   StateVector sv(program.physical.width());
   // Inputs load into the initial arrangement: logical bit i in slot i.

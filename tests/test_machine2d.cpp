@@ -6,14 +6,15 @@
 
 #include "code/repetition.h"
 #include "local/lattice.h"
-#include "local/machine2d.h"
+#include "local/machine.h"
+#include "local/scheme2d.h"
 #include "rev/simulator.h"
 #include "support/error.h"
 
 namespace revft {
 namespace {
 
-unsigned run_program(const Machine2dProgram& program, std::uint32_t bits,
+unsigned run_program(const MachineProgram& program, std::uint32_t bits,
                      unsigned input) {
   StateVector sv(program.physical.width());
   // Initial layout: logical bit i in slot i, data along block row 0 =
@@ -38,7 +39,7 @@ void expect_program_correct(const Circuit& logical) {
   LocalityOptions strict;
   strict.allow_nonlocal_init = false;
   EXPECT_TRUE(check_locality_2d(program.physical, 3 * logical.width(),
-                                Machine2d::kCols, strict)
+                                Cycle2d::kCols, strict)
                   .ok)
       << "2D programs must be strictly local, init included";
   for (unsigned input = 0; input < (1u << logical.width()); ++input) {

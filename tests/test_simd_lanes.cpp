@@ -34,7 +34,7 @@
 #include "ft/machine_kernel.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
-#include "local/machine1d.h"
+#include "local/machine.h"
 #include "noise/lanes.h"
 #include "noise/packed_sim.h"
 #include "noise/parallel_mc.h"
