@@ -92,6 +92,16 @@ Timing time_interleaved(const std::vector<TimedBody>& variants, int reps,
   return timing;
 }
 
+Circuit scattered_workload() {
+  Circuit logical(10);
+  logical.maj(9, 4, 0)
+      .toffoli(0, 7, 9)
+      .majinv(4, 1, 8)
+      .fredkin(2, 6, 9)
+      .swap3(0, 5, 9);
+  return logical;
+}
+
 const char* target_isa() {
 #if defined(__AVX512F__)
   return "avx512f";

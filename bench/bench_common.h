@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "rev/circuit.h"
 #include "support/json.h"
 
 namespace revft::benchutil {
@@ -41,6 +42,13 @@ std::uint64_t trials_from_env(std::uint64_t fallback);
 std::uint64_t seed_from_env();
 // (REVFT_THREADS is read by the engine itself — resolve_thread_count
 // in noise/parallel_mc.h — whenever a config leaves threads at 0.)
+
+/// The shared machine workload of the checked, recovering, streaming
+/// and telemetry benches: five gates whose operands are scattered
+/// across a 10-bit machine, so the compiler routes heavily — the
+/// regime the §3 schemes (and their rails) are built for, and the one
+/// where checking is nearly free.
+Circuit scattered_workload();
 
 /// Print a section header for one reproduced table/figure.
 void print_header(const std::string& title, const std::string& paper_ref);

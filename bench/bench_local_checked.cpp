@@ -35,19 +35,6 @@ using namespace revft;
 
 namespace {
 
-/// The headline workload: operands deliberately scattered across a
-/// 10-bit machine so the compiler routes heavily — the regime the §3
-/// schemes are built for, and the one where checking is nearly free.
-Circuit scattered_workload() {
-  Circuit logical(10);
-  logical.maj(9, 4, 0)
-      .toffoli(0, 7, 9)
-      .majinv(4, 1, 8)
-      .fredkin(2, 6, 9)
-      .swap3(0, 5, 9);
-  return logical;
-}
-
 using enum BlockLayout;
 
 /// Checked machine programs on `layout` (with initialization) for the
@@ -92,7 +79,7 @@ void print_free_checking(benchutil::JsonResultWriter& json) {
       "Free checking: the routing fabric is parity-preserving",
       "§3 + arXiv:1008.3340 (parity-preserving synthesis)");
 
-  const Circuit scattered = scattered_workload();
+  const Circuit scattered = benchutil::scattered_workload();
   const Circuit adjacent = adjacent_workload();
   CheckedMachineOptions global;
   global.rails = RailGranularity::kGlobal;
@@ -219,7 +206,7 @@ void print_g_sweep(benchutil::JsonResultWriter& json) {
       "checked packed engine (post-selection economics)");
 
   const std::uint64_t trials = benchutil::trials_from_env(200000);
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   CheckedMachineExperiment::Config config;
   config.trials = trials;
   config.seed = benchutil::seed_from_env();
@@ -342,7 +329,7 @@ void print_determinism(benchutil::JsonResultWriter& json) {
       "Checked-machine determinism: outcome counts vs REVFT_THREADS",
       "engine contract (no paper analogue)");
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   CheckedMachineExperiment::Config config;
   config.trials = 100000;
   config.seed = benchutil::seed_from_env();
@@ -405,7 +392,7 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
       "Multi-word packed kernel: checked throughput vs lane_words",
       "engine throughput (no paper analogue); ISA-aware bar");
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program = compile(k1d, logical);
   const std::uint64_t ops = program.stats.total_ops;
   const double gs[] = {1e-3, 1e-4, 1e-5};
@@ -541,7 +528,7 @@ void print_overhead(benchutil::JsonResultWriter& json) {
       "Checked-machine kernel overhead (per original op, 64 lanes)",
       "acceptance bar: checked <= 1.5x the unchecked machine");
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const MachineProgram p1 = Machine1d(10).compile(logical);
   const MachineProgram p2 = Machine2d(10).compile(logical);
   const CheckedMachineProgram c1 = compile(k1d, logical);
@@ -570,7 +557,7 @@ void print_overhead(benchutil::JsonResultWriter& json) {
 // --- google-benchmark kernels ---------------------------------------
 
 void BM_CheckedMachine1dApply(benchmark::State& state) {
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const MachineProgram plain = Machine1d(10).compile(logical);
   const CheckedMachineProgram program = compile(k1d, logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
@@ -590,7 +577,7 @@ void BM_CheckedMachine1dApply(benchmark::State& state) {
 BENCHMARK(BM_CheckedMachine1dApply);
 
 void BM_UncheckedMachine1dApply(benchmark::State& state) {
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const MachineProgram plain = Machine1d(10).compile(logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(plain.physical.width());
@@ -604,7 +591,7 @@ void BM_UncheckedMachine1dApply(benchmark::State& state) {
 BENCHMARK(BM_UncheckedMachine1dApply);
 
 void BM_CheckedMachineCompile1d(benchmark::State& state) {
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachine1d machine(10);
   for (auto _ : state) benchmark::DoNotOptimize(machine.compile(logical));
 }

@@ -48,18 +48,6 @@ CheckedMachineProgram compile(BlockLayout layout, const Circuit& logical,
   return CheckedMachine(layout, logical.width(), true, opts).compile(logical);
 }
 
-/// Same scattered 10-bit workload as bench_local_checked: heavy
-/// routing, the regime the §3 machines (and their rails) are built for.
-Circuit scattered_workload() {
-  Circuit logical(10);
-  logical.maj(9, 4, 0)
-      .toffoli(0, 7, 9)
-      .majinv(4, 1, 8)
-      .fredkin(2, 6, 9)
-      .swap3(0, 5, 9);
-  return logical;
-}
-
 // --- segment-plan accounting -----------------------------------------
 
 void add_plan_row(AsciiTable& table, benchutil::JsonResultWriter& json,
@@ -251,7 +239,7 @@ void print_determinism(const RecoveryExperiment& exp,
 // --- google-benchmark kernels ----------------------------------------
 
 void BM_RecoveringMachine1d(benchmark::State& state) {
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program =
       compile(k1d, logical, recovering_machine_options());
   const recover::SegmentPlan plan = recover::build_segment_plan(program.checked);
@@ -281,7 +269,7 @@ void BM_RecoveringMachine1d(benchmark::State& state) {
 BENCHMARK(BM_RecoveringMachine1d);
 
 void BM_CheckedMachine1dApplyBaseline(benchmark::State& state) {
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program =
       compile(k1d, logical, recovering_machine_options());
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
@@ -308,7 +296,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = benchutil::seed_from_env();
   benchutil::stamp_run_meta(json, trials, seed);
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   RecoveryExperiment::Config config;
   config.trials = trials;
   config.seed = seed;

@@ -46,17 +46,6 @@ using namespace revft;
 
 namespace {
 
-/// Same scattered 10-bit workload as bench_local_checked/bench_recover.
-Circuit scattered_workload() {
-  Circuit logical(10);
-  logical.maj(9, 4, 0)
-      .toffoli(0, 7, 9)
-      .majinv(4, 1, 8)
-      .fredkin(2, 6, 9)
-      .swap3(0, 5, 9);
-  return logical;
-}
-
 std::string g_label(double g) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", g);
@@ -200,7 +189,7 @@ void print_certification(benchutil::JsonResultWriter& json,
   constexpr double kBound = 0.02;
   constexpr double kG = 1e-3;
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program =
       CheckedMachine1d(logical.width(), true, recovering_machine_options())
           .compile(logical);

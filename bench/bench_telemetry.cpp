@@ -7,11 +7,10 @@
 //      benchutil::time_interleaved ns/op on the checked and
 //      recovering machine kernels, three ways — no trace pointer at
 //      all (baseline), a null-sink ShardTrace (hooks reached, one
-//      branch each), and a full ring sink with metrics. Bars: null
-//      sink <= 1.03x the baseline, enabled tracing <= 1.25x (both
-//      recorded in the JSON; CI enforces them via telemetry_check
-//      --enforce-bars).
-//   2. DETERMINISM: the merged metrics registry and event stream are
+//      branch each), and a full ring sink. Bars: null sink <= 1.03x
+//      the baseline, enabled tracing <= 1.25x (both recorded in the
+//      JSON; CI enforces them via telemetry_check --enforce-bars).
+//   2. DETERMINISM: the merged histograms and event stream are
 //      bit-identical across REVFT_THREADS {1, 3, 8} for both the
 //      detection and the recovery pipeline (Trace::deterministic_equal
 //      — wall-clock ticks excluded by construction).
@@ -51,18 +50,6 @@ using namespace revft;
 
 namespace {
 
-/// Same scattered 10-bit workload as bench_local_checked /
-/// bench_recover: heavy routing, the regime the machines are built for.
-Circuit scattered_workload() {
-  Circuit logical(10);
-  logical.maj(9, 4, 0)
-      .toffoli(0, 7, 9)
-      .majinv(4, 1, 8)
-      .fredkin(2, 6, 9)
-      .swap3(0, 5, 9);
-  return logical;
-}
-
 /// The census workload: small enough (3 encoded bits) that the
 /// exhaustive single-fault census is instant, routed enough that the
 /// per-block rails see distinct traffic.
@@ -76,7 +63,7 @@ Circuit census_workload() {
 
 // Each engine is timed three ways in one time_interleaved() call:
 // variant 0 has no trace pointer at all (baseline), variant 1 a
-// null-sink ShardTrace, variant 2 a full ring sink with metrics.
+// null-sink ShardTrace, variant 2 a full ring sink.
 
 /// The checked (detection) engine: one span call = `trials` trials.
 benchutil::Timing measure_checked_overhead(const CheckedMachineProgram& program,
@@ -182,7 +169,7 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
       "Telemetry hook overhead per original machine op (64 lanes)",
       "acceptance bars: null sink <= 1.03x baseline, tracing <= 1.25x");
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program =
       CheckedMachine1d(logical.width(), true, recovering_machine_options())
           .compile(logical);
@@ -242,10 +229,10 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
   }
   std::printf("%s", table.str().c_str());
   std::printf(
-      "every engine hook is gated on the trace pointer at batch/boundary\n"
-      "granularity (never per gate), and the null sink reduces emit() to\n"
-      "one predictable branch — so an untraced run executes the same\n"
-      "instruction stream the engines had before telemetry existed.\n");
+      "every span loop emits through one SpanEvents hook at batch/boundary\n"
+      "granularity (never per gate); with no trace or the null sink each\n"
+      "call is one predictable branch, and every count lives in the\n"
+      "engine's estimate, so an untraced run does the same per-lane work.\n");
   return all_pass;
 }
 
@@ -253,10 +240,10 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
 
 bool print_determinism(benchutil::JsonResultWriter& json) {
   benchutil::print_header(
-      "Telemetry determinism: merged metrics + events vs REVFT_THREADS",
+      "Telemetry determinism: merged histograms + events vs REVFT_THREADS",
       "engine contract (no paper analogue) — ticks excluded by design");
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program =
       CheckedMachine1d(logical.width(), true, recovering_machine_options())
           .compile(logical);
@@ -284,7 +271,7 @@ bool print_determinism(benchutil::JsonResultWriter& json) {
   const bool rec_ok = rec_traces[0].deterministic_equal(rec_traces[1]) &&
                       rec_traces[0].deterministic_equal(rec_traces[2]);
 
-  AsciiTable table({"pipeline", "events", "emitted", "dropped", "metrics",
+  AsciiTable table({"pipeline", "events", "emitted", "dropped", "histograms",
                     "bit-identical {1,3,8}"});
   table.add_row({"detect", AsciiTable::cell(static_cast<std::uint64_t>(det_traces[0].events().size())),
                  AsciiTable::cell(det_traces[0].emitted()),
@@ -425,7 +412,7 @@ void print_recovery_profile(benchutil::JsonResultWriter& json) {
       "Segment replay profile of a traced recovery run",
       "ROADMAP scheduling item — straddling ops are WHY segments replay big");
 
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   RecoveryExperiment::Config config;
   config.trials = benchutil::trials_from_env(100000);
   config.seed = benchutil::seed_from_env();
@@ -507,7 +494,7 @@ void BM_EmitEventNullSink(benchmark::State& state) {
 BENCHMARK(BM_EmitEventNullSink);
 
 void BM_TracedCheckedMachine1d(benchmark::State& state) {
-  const Circuit logical = scattered_workload();
+  const Circuit logical = benchutil::scattered_workload();
   const CheckedMachineProgram program =
       CheckedMachine1d(logical.width(), true, recovering_machine_options())
           .compile(logical);

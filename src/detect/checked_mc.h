@@ -204,13 +204,12 @@ inline void zero_check_words(const PackedState& state,
 /// batching and lane accounting, but every trial lands in one of the
 /// four DetectionEstimate buckets.
 ///
-/// `trace` (nullable) receives per-batch telemetry: detect.* counters
-/// (trials, detected per rail, zero checks) plus kRailFired /
-/// kZeroCheckFired events carrying the per-rail fired lane masks and
-/// one kBatchAccept event per batch. Events fire at most once per
-/// (batch, rail), so the stream is bounded by the batch count, and
-/// every hook is gated on the pointer — an untraced run executes the
-/// identical instruction stream.
+/// `trace` (nullable) receives, through telemetry::SpanEvents, the
+/// per-rail fired lane masks as kRailFired events, the zero-check
+/// fired masks as kZeroCheckFired events (one per nonzero lane word)
+/// and one kBatchAccept per batch lane word. Events fire at most once
+/// per (batch, rail, word), so the stream is bounded by the batch
+/// count; the counts live in the returned estimate only.
 template <typename PrepareFn, typename ClassifyFn>
 DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
                                       const CheckedCircuit& checked,
@@ -219,32 +218,14 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
                                       ClassifyFn&& classify,
                                       telemetry::ShardTrace* trace = nullptr) {
   DetectionEstimate est;
-  est.rail_detected.assign(checked.rails.size(), 0);
+  const std::size_t rails = checked.rails.size();
+  est.rail_detected.assign(rails, 0);
+  const telemetry::SpanEvents events(trace);
   const unsigned lane_words = state.lane_words();
   const std::uint64_t lanes_per_batch = 64ULL * lane_words;
-  std::vector<std::uint64_t> detected_words(lane_words, 0);
-  std::vector<std::uint64_t> fired((checked.rails.size() + 1) * lane_words, 0);
-  const bool tracing = trace != nullptr && trace->enabled();
-  std::uint64_t* m_batches = nullptr;
-  std::uint64_t* m_trials = nullptr;
-  std::uint64_t* m_detected = nullptr;
-  std::uint64_t* m_zero = nullptr;
-  std::vector<std::uint64_t>* m_rail = nullptr;
-  if (tracing) {
-    // Register everything before taking handles (registration may
-    // reallocate the registry; plain bumps never do).
-    trace->metrics().counter("detect.batches");
-    trace->metrics().counter("detect.trials");
-    trace->metrics().counter("detect.detected");
-    trace->metrics().counter("detect.zero_check_fired");
-    trace->metrics().counter_vec("detect.rail_fired", checked.rails.size());
-    m_batches = &trace->metrics().counter("detect.batches");
-    m_trials = &trace->metrics().counter("detect.trials");
-    m_detected = &trace->metrics().counter("detect.detected");
-    m_zero = &trace->metrics().counter("detect.zero_check_fired");
-    m_rail = &trace->metrics().counter_vec("detect.rail_fired",
-                                           checked.rails.size());
-  }
+  LaneMask detected(lane_words);
+  // Per-rail fired masks, then the zero checks': fired[r*W + w].
+  std::vector<std::uint64_t> fired((rails + 1) * lane_words, 0);
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;
   for (std::uint64_t b = 0; b < batches; ++b) {
@@ -255,13 +236,12 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
             : static_cast<int>(lanes_per_batch);
     state.clear();
     prepare(state, sim.rng(), batch);
-    apply_noisy_checked_words(sim, state, checked, detected_words.data(),
+    apply_noisy_checked_words(sim, state, checked, detected.data(),
                               fired.data());
     for (int lane = 0; lane < lanes_this_batch; ++lane) {
       ++est.trials;
       const bool wrong = classify(state, lane, batch);
-      if ((detected_words[static_cast<unsigned>(lane) >> 6] >> (lane & 63)) &
-          1u) {
+      if (detected.test(static_cast<unsigned>(lane))) {
         ++est.detected;
         if (wrong) ++est.detected_failures;
       } else if (wrong) {
@@ -270,63 +250,24 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
     }
     const LaneMask live = LaneMask::first_n(
         lane_words, static_cast<std::uint64_t>(lanes_this_batch));
-    std::uint64_t any_detected = 0;
-    for (unsigned w = 0; w < lane_words; ++w) any_detected |= detected_words[w];
-    if (any_detected != 0) {
-      for (std::size_t r = 0; r < checked.rails.size(); ++r)
+    if (detected.any()) {
+      // Rails first, then the zero checks (slot `rails`).
+      for (std::size_t r = 0; r <= rails; ++r) {
+        LaneMask lanes = live;
         for (unsigned w = 0; w < lane_words; ++w)
-          est.rail_detected[r] += static_cast<std::uint64_t>(
-              std::popcount(fired[r * lane_words + w] & live.word(w)));
-      for (unsigned w = 0; w < lane_words; ++w)
-        est.zero_check_detected += static_cast<std::uint64_t>(std::popcount(
-            fired[checked.rails.size() * lane_words + w] & live.word(w)));
-      if (tracing) {
-        for (std::size_t r = 0; r < checked.rails.size(); ++r) {
-          for (unsigned w = 0; w < lane_words; ++w) {
-            const std::uint64_t lanes = fired[r * lane_words + w] & live.word(w);
-            if (lanes == 0) continue;
-            (*m_rail)[r] += static_cast<std::uint64_t>(std::popcount(lanes));
-            telemetry::Event ev;
-            ev.kind = telemetry::EventKind::kRailFired;
-            ev.shard = trace->shard_index();
-            ev.rail = static_cast<std::uint16_t>(r);
-            ev.batch = batch;
-            ev.lanes = lanes;
-            trace->emit(ev);
-          }
-        }
-        for (unsigned w = 0; w < lane_words; ++w) {
-          const std::uint64_t zero_lanes =
-              fired[checked.rails.size() * lane_words + w] & live.word(w);
-          if (zero_lanes == 0) continue;
-          *m_zero += static_cast<std::uint64_t>(std::popcount(zero_lanes));
-          telemetry::Event ev;
-          ev.kind = telemetry::EventKind::kZeroCheckFired;
-          ev.shard = trace->shard_index();
-          ev.batch = batch;
-          ev.lanes = zero_lanes;
-          trace->emit(ev);
+          lanes.word(w) &= fired[r * lane_words + w];
+        if (r < rails) {
+          est.rail_detected[r] += lanes.popcount();
+          events.emit_words(telemetry::EventKind::kRailFired, batch, lanes, 0,
+                            static_cast<std::uint16_t>(r));
+        } else {
+          est.zero_check_detected += lanes.popcount();
+          events.emit_words(telemetry::EventKind::kZeroCheckFired, batch,
+                            lanes);
         }
       }
     }
-    if (tracing) {
-      ++*m_batches;
-      *m_trials += static_cast<std::uint64_t>(lanes_this_batch);
-      for (unsigned w = 0; w < lane_words; ++w) {
-        *m_detected += static_cast<std::uint64_t>(
-            std::popcount(detected_words[w] & live.word(w)));
-      }
-      for (unsigned w = 0; w < lane_words; ++w) {
-        const std::uint64_t ok = live.word(w) & ~detected_words[w];
-        telemetry::Event ev;
-        ev.kind = telemetry::EventKind::kBatchAccept;
-        ev.shard = trace->shard_index();
-        ev.batch = batch;
-        ev.lanes = ok;
-        ev.value = static_cast<std::uint64_t>(std::popcount(ok));
-        trace->emit(ev);
-      }
-    }
+    events.batch_accept(batch, LaneMask(live).remove(detected));
   }
   return est;
 }

@@ -76,6 +76,10 @@ Circuit DetectVsCorrectExperiment::scrambler_round() {
 
 namespace {
 
+/// Checkpoint density of the detection arm, in original (pre-rail)
+/// ops between invariant evaluations.
+constexpr std::size_t kDetectionCheckEvery = 6;
+
 Circuit repeat_rounds(const Circuit& round, int rounds) {
   Circuit chain(round.width());
   for (int r = 0; r < rounds; ++r) chain.append(round);
@@ -109,7 +113,7 @@ DetectVsCorrectExperiment::DetectVsCorrectExperiment(
   // Detection arm: railed ops per round measured the same way (the
   // 3-op encoder is charged once, not per round).
   detect::ParityRailOptions rail_opts;
-  rail_opts.check_every = config.check_every;
+  rail_opts.check_every = kDetectionCheckEvery;
   const std::uint64_t one_round_railed =
       detect::to_parity_rail(round, rail_opts).circuit.size();
   const std::uint64_t encoder_ops = round.width();

@@ -43,9 +43,6 @@ struct DetectVsCorrectConfig {
   /// realized counts — correction_ops()/detection_ops() — differ by
   /// at most one round from the target.
   std::uint64_t gate_budget = 2000;
-  /// Checkpoint density of the detection arm, in original (pre-rail)
-  /// ops between invariant evaluations.
-  std::size_t check_every = 6;
   /// Charge gate error to recovery initializations (G = 11 regime).
   bool noisy_init = true;
   std::uint64_t trials = 100000;

@@ -107,6 +107,11 @@ std::vector<Atom> parse_atoms(
   return out;
 }
 
+/// Cut after a routing wave only when it packs at least this many
+/// territory-disjoint transpositions; smaller waves flow forward into
+/// the next segment instead of forming a 1.0-share sliver.
+constexpr std::size_t kMinWaveCut = 2;
+
 }  // namespace
 
 ScheduleStats schedule_program(MachineProgram& program,
@@ -228,7 +233,7 @@ ScheduleStats schedule_program(MachineProgram& program,
                  atoms[a + group].kind == Atom::Kind::kTransposition &&
                  atoms[a + group].wave == at.wave)
             ++group;
-          if (group >= opts.min_wave_cut) {
+          if (group >= kMinWaveCut) {
             cut_at(atoms[a - 1].last);
             ++stats.chain_cuts;
             pending_singletons = false;
@@ -241,7 +246,7 @@ ScheduleStats schedule_program(MachineProgram& program,
             atoms[a + 1].kind != Atom::Kind::kTransposition ||
             atoms[a + 1].wave != at.wave;
         if (wave_ends) {
-          if (wave_size >= opts.min_wave_cut) {
+          if (wave_size >= kMinWaveCut) {
             cut_at(at.last);
             ++stats.wave_cuts;
             pending_singletons = false;

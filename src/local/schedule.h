@@ -14,7 +14,7 @@
 //     greedy schedule groups them into waves, so a routing chain that
 //     marched one block at a time becomes layers of parallel,
 //     territory-disjoint exchanges;
-//   * INTERIOR CUTS — after every wave of >= min_wave_cut disjoint
+//   * INTERIOR CUTS — after every wave of >= 2 disjoint
 //     transpositions, and after every cycle core (interleave /
 //     transversal gate / uninterleave — the ancillas are provably zero
 //     again there), the pass places per-territory recovery boundaries
@@ -39,7 +39,7 @@
 // flow into a cuttable wave: the chain conflicts with the wave (else
 // packing would have merged them), so it would glue the wave's
 // disjoint components into one. When pending singletons precede a
-// wave of >= min_wave_cut transpositions, the pass seals the chain
+// wave of >= 2 transpositions, the pass seals the chain
 // with a cut just before the wave (stats.chain_cuts) — the chain
 // segment stays glued (serial routing is glued by construction), but
 // the wave keeps its 1/k share.
@@ -64,10 +64,6 @@ struct ScheduleOptions {
   /// Master switch. Off = the legacy (PR 5) layout, bit-identical to
   /// the unscheduled compiler output.
   bool enabled = true;
-  /// Cut after a routing wave only when it packs at least this many
-  /// territory-disjoint transpositions; smaller waves flow forward
-  /// into the next segment instead of forming a 1.0-share sliver.
-  std::size_t min_wave_cut = 2;
 };
 
 /// What the pass did — surfaced for tests and the bench tables.

@@ -9,7 +9,6 @@
 // run_parallel_mc with threads = 1.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
 #include "noise/packed_sim.h"
@@ -29,13 +28,11 @@ namespace detail {
 /// Only the first (trials % lanes_per_batch) lanes of the last batch
 /// are counted, so the estimate covers exactly `trials` trials.
 ///
-/// `trace` (nullable) receives per-batch telemetry: mc.batches /
-/// mc.trials / mc.failures counters plus one kBatchAccept event per
-/// batch *lane word* whose lane mask names the non-failing counted
-/// lanes of that word (exactly one event per batch at lane_words=1 —
-/// the legacy stream). Every hook is gated on the pointer, so an
-/// untraced run executes the same per-lane work as before telemetry
-/// existed.
+/// `trace` (nullable) receives one kBatchAccept event per batch *lane
+/// word* whose lane mask names the non-failing counted lanes of that
+/// word (exactly one event per batch at lane_words=1 — the legacy
+/// stream), emitted through telemetry::SpanEvents; the counts live in
+/// the returned estimate only.
 template <typename PrepareFn, typename ClassifyFn>
 BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
                               const Circuit& circuit, std::uint64_t first_batch,
@@ -43,20 +40,7 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
                               ClassifyFn&& classify,
                               telemetry::ShardTrace* trace = nullptr) {
   BernoulliEstimate est;
-  const bool tracing = trace != nullptr && trace->enabled();
-  std::uint64_t* m_batches = nullptr;
-  std::uint64_t* m_trials = nullptr;
-  std::uint64_t* m_failures = nullptr;
-  if (tracing) {
-    // Register everything before taking handles: the registry may
-    // reallocate on registration, never on a plain bump.
-    trace->metrics().counter("mc.batches");
-    trace->metrics().counter("mc.trials");
-    trace->metrics().counter("mc.failures");
-    m_batches = &trace->metrics().counter("mc.batches");
-    m_trials = &trace->metrics().counter("mc.trials");
-    m_failures = &trace->metrics().counter("mc.failures");
-  }
+  const telemetry::SpanEvents events(trace);
   const unsigned lane_words = state.lane_words();
   const std::uint64_t lanes_per_batch = 64ULL * lane_words;
   const std::uint64_t batches =
@@ -70,31 +54,16 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
     state.clear();
     prepare(state, sim.rng(), batch);
     sim.apply_noisy(state, circuit);
-    LaneMask wrong(lane_words);
+    LaneMask ok = LaneMask::first_n(
+        lane_words, static_cast<std::uint64_t>(lanes_this_batch));
     for (int lane = 0; lane < lanes_this_batch; ++lane) {
       ++est.trials;
       if (classify(state, lane, batch)) {
         ++est.failures;
-        if (tracing) wrong.set(static_cast<unsigned>(lane));
+        ok.reset(static_cast<unsigned>(lane));
       }
     }
-    if (tracing) {
-      const LaneMask live = LaneMask::first_n(
-          lane_words, static_cast<std::uint64_t>(lanes_this_batch));
-      ++*m_batches;
-      *m_trials += static_cast<std::uint64_t>(lanes_this_batch);
-      *m_failures += wrong.popcount();
-      for (unsigned w = 0; w < lane_words; ++w) {
-        const std::uint64_t ok = live.word(w) & ~wrong.word(w);
-        telemetry::Event ev;
-        ev.kind = telemetry::EventKind::kBatchAccept;
-        ev.shard = trace->shard_index();
-        ev.batch = batch;
-        ev.lanes = ok;
-        ev.value = static_cast<std::uint64_t>(std::popcount(ok));
-        trace->emit(ev);
-      }
-    }
+    events.batch_accept(batch, ok);
   }
   return est;
 }

@@ -236,7 +236,7 @@ inline auto mc_range(const Circuit& circuit) {
 /// shard running its whole batch range. See the file comment for the
 /// kernel-factory contract and the determinism guarantee. `trace`
 /// (nullable) collects per-shard telemetry, absorbed in shard-index
-/// order — the event stream and metrics inherit the bit-identical-
+/// order — the event stream inherits the bit-identical-
 /// across-REVFT_THREADS guarantee.
 template <typename KernelFactory>
 BernoulliEstimate run_parallel_mc(const Circuit& circuit,

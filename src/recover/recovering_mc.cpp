@@ -12,99 +12,25 @@ namespace revft::recover {
 
 namespace {
 
-int popcount(std::uint64_t mask) { return std::popcount(mask); }
-
-/// Pre-registered metric handles plus the event sink, resolved once
-/// per span so the hot path bumps raw integers (registration can
-/// reallocate the registry; plain bumps never do). Null trace = no
-/// hooks anywhere.
-struct TraceHooks {
-  telemetry::ShardTrace* trace = nullptr;
-  std::uint64_t* batches = nullptr;
-  std::uint64_t* trials = nullptr;
-  std::uint64_t* local_retries = nullptr;
-  std::uint64_t* restarts = nullptr;
-  std::uint64_t* fallbacks = nullptr;
-  std::vector<std::uint64_t>* rail_events = nullptr;
-  std::vector<std::uint64_t>* seg_replays = nullptr;
-  std::vector<std::uint64_t>* seg_replay_ops = nullptr;
-  telemetry::Histogram* replays_per_batch = nullptr;
-
-  static TraceHooks resolve(telemetry::ShardTrace* trace,
-                            std::size_t rails, std::size_t segments) {
-    TraceHooks h;
-    if (trace == nullptr || !trace->enabled()) return h;
-    telemetry::MetricsRegistry& m = trace->metrics();
-    m.counter("recover.batches");
-    m.counter("recover.trials");
-    m.counter("recover.local_retries");
-    m.counter("recover.program_restarts");
-    m.counter("recover.fallbacks");
-    m.counter_vec("recover.rail_events", rails);
-    m.counter_vec("recover.segment.replays", segments);
-    m.counter_vec("recover.segment.replay_ops", segments);
-    m.histogram("recover.replays_per_batch", {0, 1, 2, 4, 8, 16, 32});
-    h.trace = trace;
-    h.batches = &m.counter("recover.batches");
-    h.trials = &m.counter("recover.trials");
-    h.local_retries = &m.counter("recover.local_retries");
-    h.restarts = &m.counter("recover.program_restarts");
-    h.fallbacks = &m.counter("recover.fallbacks");
-    h.rail_events = &m.counter_vec("recover.rail_events", rails);
-    h.seg_replays = &m.counter_vec("recover.segment.replays", segments);
-    h.seg_replay_ops = &m.counter_vec("recover.segment.replay_ops", segments);
-    h.replays_per_batch =
-        &m.histogram("recover.replays_per_batch", {0, 1, 2, 4, 8, 16, 32});
-    return h;
-  }
-
-  void emit(telemetry::EventKind kind, std::uint64_t batch,
-            std::uint32_t segment, std::uint16_t rail, std::uint64_t lanes,
-            std::uint64_t value) const {
-    telemetry::Event ev;
-    ev.kind = kind;
-    ev.shard = trace->shard_index();
-    ev.rail = rail;
-    ev.segment = segment;
-    ev.batch = batch;
-    ev.lanes = lanes;
-    ev.value = value;
-    trace->emit(ev);
-  }
-
-  /// Emit one event per nonzero lane word of `lanes` — the multi-word
-  /// generalization of a single masked emit (identical stream at
-  /// lane_words = 1, where the caller only invokes this on a nonzero
-  /// mask).
-  void emit_mask(telemetry::EventKind kind, std::uint64_t batch,
-                 std::uint32_t segment, std::uint16_t rail,
-                 const LaneMask& lanes, std::uint64_t value) const {
-    for (unsigned w = 0; w < lanes.words(); ++w)
-      if (lanes.word(w) != 0)
-        emit(kind, batch, segment, rail, lanes.word(w), value);
-  }
-};
-
 /// Evaluate the checks of `seg` on `s` for every component in `watch`
 /// (a component bitmask), ORing per-lane fired masks into comp_fired
 /// (pre-zeroed, W words per component, component-major). When `est` is
 /// non-null the per-rail / zero-check event counters are bumped for
-/// lanes in `count_mask` — and, when `hooks` traces, the matching
-/// kRailFired / kZeroCheckFired events fire (counting pass only:
-/// replay and restart re-evaluations pass a null est and stay silent,
-/// so the event stream matches the estimate's attribution exactly).
-/// Checkpoint membership is read off checked.checkpoint_spans, which
-/// build_segment_plan guarantees align with the checkpoints. The rail
-/// and zero-check words come from the checked engine's evaluators.
+/// lanes in `count_mask` and the matching kRailFired / kZeroCheckFired
+/// events go to `events` (counting pass only: replay and restart
+/// re-evaluations pass a null est and stay silent, so the event stream
+/// matches the estimate's attribution exactly). Checkpoint membership
+/// is read off checked.checkpoint_spans, which build_segment_plan
+/// guarantees align with the checkpoints. The rail and zero-check words
+/// come from the checked engine's evaluators.
 template <unsigned W>
 void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const PackedState& s, std::uint64_t watch,
                    std::uint64_t* comp_fired, RecoveryEstimate* est,
                    const LaneMask& count_mask,
-                   const TraceHooks* hooks = nullptr,
+                   const telemetry::SpanEvents& events =
+                       telemetry::SpanEvents(nullptr),
                    std::uint32_t seg_index = 0, std::uint64_t batch = 0) {
-  const bool tracing = est != nullptr && hooks != nullptr &&
-                       hooks->trace != nullptr;
   if (seg.checkpoint >= 0) {
     const detect::CheckpointSpan& span =
         checked.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
@@ -116,18 +42,11 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                                               span.group(r), violated);
       for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= violated[w];
       if (est != nullptr) {
-        std::uint64_t counted_total = 0;
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t counted = violated[w] & count_mask.word(w);
-          counted_total += static_cast<std::uint64_t>(popcount(counted));
-          if (tracing && counted != 0) {
-            (*hooks->rail_events)[r] +=
-                static_cast<std::uint64_t>(popcount(counted));
-            hooks->emit(telemetry::EventKind::kRailFired, batch, seg_index,
-                        static_cast<std::uint16_t>(r), counted, 0);
-          }
-        }
-        est->rail_events[r] += counted_total;
+        LaneMask counted = count_mask;
+        for (unsigned w = 0; w < W; ++w) counted.word(w) &= violated[w];
+        est->rail_events[r] += counted.popcount();
+        events.emit_words(telemetry::EventKind::kRailFired, batch, counted,
+                          seg_index, static_cast<std::uint16_t>(r));
       }
     }
   }
@@ -139,14 +58,12 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
         s, checked.zero_checks[seg.zero_checks[k]].bits, mask);
     for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= mask[w];
     if (est != nullptr) {
-      for (unsigned w = 0; w < W; ++w) {
-        const std::uint64_t counted = mask[w] & count_mask.word(w);
-        est->zero_check_events += static_cast<std::uint64_t>(popcount(counted));
-        if (tracing && counted != 0)
-          hooks->emit(telemetry::EventKind::kZeroCheckFired, batch, seg_index,
-                      static_cast<std::uint16_t>(seg.zero_checks[k]), counted,
-                      0);
-      }
+      LaneMask counted = count_mask;
+      for (unsigned w = 0; w < W; ++w) counted.word(w) &= mask[w];
+      est->zero_check_events += counted.popcount();
+      events.emit_words(telemetry::EventKind::kZeroCheckFired, batch, counted,
+                        seg_index,
+                        static_cast<std::uint16_t>(seg.zero_checks[k]));
     }
   }
 }
@@ -184,9 +101,13 @@ RecoveryEstimate recovering_span(
   const Circuit& circuit = checked.circuit;
   RecoveryEstimate est;
   est.rail_events.assign(checked.rails.size(), 0);
-  const TraceHooks hooks = TraceHooks::resolve(trace, checked.rails.size(),
-                                               plan.segments.size());
-  const TraceHooks* hp = hooks.trace != nullptr ? &hooks : nullptr;
+  est.segment_replays.assign(plan.segments.size(), 0);
+  est.segment_replay_ops.assign(plan.segments.size(), 0);
+  const telemetry::SpanEvents events(trace);
+  telemetry::Histogram* replays_per_batch =
+      events.on() ? &trace->metrics().histogram("recover.replays_per_batch",
+                                                {0, 1, 2, 4, 8, 16, 32})
+                  : nullptr;
 
   const std::uint64_t lanes_per_batch = 64ULL * W;
   const LaneMask no_lanes(W);
@@ -236,7 +157,7 @@ RecoveryEstimate recovering_span(
       est.ops_main += seg.op_count() * active.popcount();
       comp_fired.assign(n_comp * W, 0);
       eval_boundary<W>(checked, seg, state, ~0ULL, comp_fired.data(), &est,
-                       active, hp, seg_id, batch);
+                       active, events, seg_id, batch);
       const LaneMask fired_any =
           fired_lanes<W>(comp_fired.data(), all_components(n_comp)) & active;
       if (fired_any.any()) {
@@ -285,16 +206,13 @@ RecoveryEstimate recovering_span(
               const std::uint64_t consumers = outstanding.popcount();
               est.ops_local += charged_ops;
               est.local_retries += consumers;
+              est.segment_replay_ops[si] += charged_ops;
+              est.segment_replays[si] += consumers;
               batch_replays += consumers;
-              if (hp != nullptr) {
-                *hooks.local_retries += consumers;
-                (*hooks.seg_replays)[si] += consumers;
-                (*hooks.seg_replay_ops)[si] += charged_ops;
-                hooks.emit_mask(telemetry::EventKind::kCheckpointRestore,
-                                batch, seg_id, 0, outstanding, 0);
-                hooks.emit_mask(telemetry::EventKind::kSegmentReplay, batch,
-                                seg_id, 0, outstanding, pass_ops);
-              }
+              events.emit_words(telemetry::EventKind::kCheckpointRestore,
+                                batch, outstanding, seg_id);
+              events.emit_words(telemetry::EventKind::kSegmentReplay, batch,
+                                outstanding, seg_id, 0, pass_ops);
               comp_fired.assign(n_comp * W, 0);
               eval_boundary<W>(checked, seg, scratch, replay_set,
                                comp_fired.data(), nullptr, no_lanes);
@@ -320,11 +238,8 @@ RecoveryEstimate recovering_span(
             // Whatever is still outstanding exhausted its attempts.
             if (outstanding.any()) {
               est.fallbacks += outstanding.popcount();
-              if (hp != nullptr) {
-                *hooks.fallbacks += outstanding.popcount();
-                hooks.emit_mask(telemetry::EventKind::kEscalationRestart,
-                                batch, seg_id, 0, outstanding, 0);
-              }
+              events.emit_words(telemetry::EventKind::kEscalationRestart,
+                                batch, outstanding, seg_id);
               restart_pending |= outstanding;
               active.remove(outstanding);
             }
@@ -354,7 +269,6 @@ RecoveryEstimate recovering_span(
     }
     while (pending.any()) {
       est.program_restarts += pending.popcount();
-      if (hp != nullptr) *hooks.restarts += pending.popcount();
       entry_cp.restore_all(scratch);
       LaneMask still_clean = LaneMask::ones(W);
       for (const Segment& seg : plan.segments) {
@@ -389,16 +303,8 @@ RecoveryEstimate recovering_span(
       pending.remove(exhausted);
     }
     est.rejected += rejected.popcount();
-    if (hp != nullptr) {
-      ++*hooks.batches;
-      *hooks.trials += static_cast<std::uint64_t>(lanes_this_batch);
-      hooks.replays_per_batch->record(batch_replays);
-      for (unsigned w = 0; w < W; ++w)
-        hooks.emit(telemetry::EventKind::kBatchAccept, batch, 0, 0,
-                   accepted_lanes.word(w),
-                   static_cast<std::uint64_t>(
-                       std::popcount(accepted_lanes.word(w))));
-    }
+    if (replays_per_batch != nullptr) replays_per_batch->record(batch_replays);
+    events.batch_accept(batch, accepted_lanes);
   }
   return est;
 }

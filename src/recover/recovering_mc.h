@@ -67,17 +67,17 @@ using ClassifyFn =
 /// (not a template) — the segment walk is involved enough that one
 /// canonical definition beats inlining per kernel type.
 ///
-/// `trace` (nullable) receives the full per-boundary story: recover.*
-/// counters (per-rail events, per-segment replays and replayed ops,
-/// restarts, a replays-per-batch histogram) plus kRailFired /
-/// kZeroCheckFired / kCheckpointRestore / kSegmentReplay /
-/// kEscalationRestart / kBatchAccept events stamped with segment and
-/// rail ids. Each union replay emits one kCheckpointRestore and one
-/// kSegmentReplay per nonzero word of its outstanding-lane mask, the
-/// replay's value being the ops the pass executed. Hooks fire at
-/// boundary/replay granularity (never per gate) and are all gated on
-/// the pointer, so an untraced run pays one predictable branch per
-/// boundary.
+/// `trace` (nullable) receives the full per-boundary story through
+/// telemetry::SpanEvents: kRailFired / kZeroCheckFired /
+/// kCheckpointRestore / kSegmentReplay / kEscalationRestart /
+/// kBatchAccept events stamped with segment and rail ids, plus a
+/// replays-per-batch histogram. Each union replay emits one
+/// kCheckpointRestore and one kSegmentReplay per nonzero word of its
+/// outstanding-lane mask, the replay's value being the ops the pass
+/// executed. Every count — per-rail events, per-segment replays and
+/// replayed ops, restarts — lives in the returned estimate only. Hooks
+/// fire at boundary/replay granularity (never per gate); untraced,
+/// each is one predictable branch.
 RecoveryEstimate run_recovering_mc_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,

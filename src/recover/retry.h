@@ -84,6 +84,11 @@ struct RecoveryEstimate {
   std::uint64_t ops_main = 0;     ///< first-pass execution
   std::uint64_t ops_local = 0;    ///< block-local component replays
   std::uint64_t ops_restart = 0;  ///< whole-program restarts
+  /// Per-segment split of local_retries and ops_local: the replay
+  /// attempts that landed on segment s, and the ops they charged —
+  /// the segment table of telemetry::RunReport.
+  std::vector<std::uint64_t> segment_replays;
+  std::vector<std::uint64_t> segment_replay_ops;
 
   std::uint64_t ops_total() const noexcept {
     return ops_main + ops_local + ops_restart;
@@ -129,8 +134,9 @@ struct RecoveryEstimate {
                          : std::numeric_limits<double>::infinity();
   }
 
-  /// Exact integer merge (shard combination); per-rail counters merge
-  /// element-wise, an empty accumulator adopts the other side's shape.
+  /// Exact integer merge (shard combination); per-rail and per-segment
+  /// counters merge element-wise, an empty accumulator adopts the other
+  /// side's shape.
   RecoveryEstimate& operator+=(const RecoveryEstimate& other) {
     trials += other.trials;
     accepted += other.accepted;
@@ -140,18 +146,24 @@ struct RecoveryEstimate {
     local_retries += other.local_retries;
     program_restarts += other.program_restarts;
     fallbacks += other.fallbacks;
-    if (rail_events.size() < other.rail_events.size())
-      rail_events.resize(other.rail_events.size(), 0);
-    for (std::size_t r = 0; r < other.rail_events.size(); ++r)
-      rail_events[r] += other.rail_events[r];
+    add_slots(rail_events, other.rail_events);
     zero_check_events += other.zero_check_events;
     ops_main += other.ops_main;
     ops_local += other.ops_local;
     ops_restart += other.ops_restart;
+    add_slots(segment_replays, other.segment_replays);
+    add_slots(segment_replay_ops, other.segment_replay_ops);
     return *this;
   }
 
   bool operator==(const RecoveryEstimate&) const = default;
+
+ private:
+  static void add_slots(std::vector<std::uint64_t>& mine,
+                        const std::vector<std::uint64_t>& theirs) {
+    if (mine.size() < theirs.size()) mine.resize(theirs.size(), 0);
+    for (std::size_t i = 0; i < theirs.size(); ++i) mine[i] += theirs[i];
+  }
 };
 
 }  // namespace revft::recover

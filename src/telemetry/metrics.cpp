@@ -6,59 +6,22 @@
 
 namespace revft::telemetry {
 
-Metric& MetricsRegistry::find_or_create(const std::string& name,
-                                        MetricKind kind) {
-  for (Metric& m : entries_) {
-    if (m.name == name) {
-      REVFT_CHECK_MSG(m.kind == kind,
-                      "metric '" + name + "' re-registered with another kind");
-      return m;
-    }
-  }
-  Metric m;
-  m.name = name;
-  m.kind = kind;
-  entries_.push_back(std::move(m));
-  return entries_.back();
-}
-
-std::uint64_t& MetricsRegistry::counter(const std::string& name) {
-  return find_or_create(name, MetricKind::kCounter).value;
-}
-
-std::uint64_t& MetricsRegistry::gauge(const std::string& name) {
-  Metric& m = find_or_create(name, MetricKind::kGauge);
-  m.gauge_set = true;
-  return m.value;
-}
-
-void MetricsRegistry::set_gauge(const std::string& name, std::uint64_t value) {
-  gauge(name) = value;
-}
-
-std::vector<std::uint64_t>& MetricsRegistry::counter_vec(
-    const std::string& name, std::size_t size) {
-  Metric& m = find_or_create(name, MetricKind::kCounterVec);
-  if (m.slots.empty()) m.slots.resize(size, 0);
-  REVFT_CHECK_MSG(m.slots.size() == size,
-                  "counter vector '" + name + "' re-registered with another size");
-  return m.slots;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<std::uint64_t> bounds) {
   REVFT_CHECK_MSG(std::is_sorted(bounds.begin(), bounds.end()) &&
                       std::adjacent_find(bounds.begin(), bounds.end()) ==
                           bounds.end(),
                   "histogram '" + name + "' bounds must be strictly increasing");
-  Metric& m = find_or_create(name, MetricKind::kHistogram);
-  if (m.histogram.counts.empty()) {
-    m.histogram.bounds = std::move(bounds);
-    m.histogram.counts.assign(m.histogram.bounds.size() + 1, 0);
-  } else {
+  for (Metric& m : entries_) {
+    if (m.name != name) continue;
     REVFT_CHECK_MSG(m.histogram.bounds == bounds,
                     "histogram '" + name + "' re-registered with other bounds");
+    return m.histogram;
   }
+  Metric& m = entries_.emplace_back();
+  m.name = name;
+  m.histogram.bounds = std::move(bounds);
+  m.histogram.counts.assign(m.histogram.bounds.size() + 1, 0);
   return m.histogram;
 }
 
@@ -96,69 +59,31 @@ const Metric* MetricsRegistry::find(const std::string& name) const noexcept {
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const Metric& theirs : other.entries_) {
-    switch (theirs.kind) {
-      case MetricKind::kCounter:
-        counter(theirs.name) += theirs.value;
-        break;
-      case MetricKind::kGauge: {
-        Metric& m = find_or_create(theirs.name, MetricKind::kGauge);
-        if (theirs.gauge_set) {
-          m.value = theirs.value;
-          m.gauge_set = true;
-        }
-        break;
-      }
-      case MetricKind::kCounterVec: {
-        std::vector<std::uint64_t>& mine =
-            counter_vec(theirs.name, theirs.slots.size());
-        for (std::size_t i = 0; i < mine.size(); ++i) mine[i] += theirs.slots[i];
-        break;
-      }
-      case MetricKind::kHistogram: {
-        Histogram& mine = histogram(theirs.name, theirs.histogram.bounds);
-        for (std::size_t i = 0; i < mine.counts.size(); ++i) {
-          mine.counts[i] += theirs.histogram.counts[i];
-        }
-        mine.count += theirs.histogram.count;
-        mine.sum += theirs.histogram.sum;
-        mine.min = std::min(mine.min, theirs.histogram.min);
-        mine.max = std::max(mine.max, theirs.histogram.max);
-        break;
-      }
-    }
+    Histogram& mine = histogram(theirs.name, theirs.histogram.bounds);
+    for (std::size_t i = 0; i < mine.counts.size(); ++i)
+      mine.counts[i] += theirs.histogram.counts[i];
+    mine.count += theirs.histogram.count;
+    mine.sum += theirs.histogram.sum;
+    mine.min = std::min(mine.min, theirs.histogram.min);
+    mine.max = std::max(mine.max, theirs.histogram.max);
   }
 }
 
 json::Value MetricsRegistry::to_json() const {
   json::Value obj = json::Value::object();
   for (const Metric& m : entries_) {
-    switch (m.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        obj.set(m.name, m.value);
-        break;
-      case MetricKind::kCounterVec: {
-        json::Value arr = json::Value::array();
-        for (std::uint64_t v : m.slots) arr.push_back(v);
-        obj.set(m.name, std::move(arr));
-        break;
-      }
-      case MetricKind::kHistogram: {
-        json::Value h = json::Value::object();
-        json::Value bounds = json::Value::array();
-        for (std::uint64_t b : m.histogram.bounds) bounds.push_back(b);
-        json::Value counts = json::Value::array();
-        for (std::uint64_t c : m.histogram.counts) counts.push_back(c);
-        h.set("bounds", std::move(bounds));
-        h.set("counts", std::move(counts));
-        h.set("count", m.histogram.count);
-        h.set("sum", m.histogram.sum);
-        if (m.histogram.count > 0) h.set("min", m.histogram.min);
-        h.set("max", m.histogram.max);
-        obj.set(m.name, std::move(h));
-        break;
-      }
-    }
+    json::Value h = json::Value::object();
+    json::Value bounds = json::Value::array();
+    for (std::uint64_t b : m.histogram.bounds) bounds.push_back(b);
+    json::Value counts = json::Value::array();
+    for (std::uint64_t c : m.histogram.counts) counts.push_back(c);
+    h.set("bounds", std::move(bounds));
+    h.set("counts", std::move(counts));
+    h.set("count", m.histogram.count);
+    h.set("sum", m.histogram.sum);
+    if (m.histogram.count > 0) h.set("min", m.histogram.min);
+    h.set("max", m.histogram.max);
+    obj.set(m.name, std::move(h));
   }
   return obj;
 }

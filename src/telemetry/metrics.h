@@ -1,24 +1,25 @@
 // revft/telemetry/metrics.h
 //
-// The metrics registry of the telemetry subsystem: named counters,
-// gauges, counter VECTORS (one slot per rail / per segment — the
-// per-block profile's backbone) and fixed-bucket histograms.
+// The metrics registry of the telemetry subsystem: named fixed-bucket
+// histograms of per-batch distributions (e.g. replays per batch) —
+// what an Estimate cannot hold. Counts are not kept here: every count
+// a run produces lives, exactly, in its engine's Estimate.
 //
 // Determinism contract — the same discipline every Estimate in this
 // repo follows, generalized to open-ended metric sets: each shard of
 // the thread-sharded Monte-Carlo engines owns a PRIVATE registry, and
 // the per-shard registries merge IN SHARD ORDER after all workers
 // finish (telemetry::Trace::absorb). Every merge is exact integer
-// accumulation (counters, vector slots, histogram buckets add;
-// gauges keep the later shard's last write), so the merged registry
-// is bit-identical for a fixed seed regardless of REVFT_THREADS —
-// ctest-enforced across {1,3,8} in tests/test_telemetry.cpp.
+// accumulation (buckets, count and sum add; min/max combine), so the
+// merged registry is bit-identical for a fixed seed regardless of
+// REVFT_THREADS — ctest-enforced across {1,3,8} in
+// tests/test_telemetry.cpp.
 //
-// Registration is by name with slot handles returned for the hot
-// path: instrumentation looks a metric up once per shard (a string
-// search over a handful of entries) and then bumps raw integers.
-// Names double as the JSON keys of the exported registry, so keep
-// them stable: "engine.metric[.qualifier]".
+// Registration is by name with a reference returned for the hot path:
+// instrumentation looks a histogram up once per span (a string search
+// over a handful of entries) and then records into it. Names double as
+// the JSON keys of the exported registry, so keep them stable:
+// "engine.metric[.qualifier]".
 #pragma once
 
 #include <cstdint>
@@ -67,60 +68,41 @@ struct Histogram {
   bool operator==(const Histogram&) const = default;
 };
 
-/// One named metric slot. `kind` decides which payload is live and
-/// how merge() combines two shards' slots.
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kCounterVec, kHistogram };
-
+/// One named histogram.
 struct Metric {
   std::string name;
-  MetricKind kind = MetricKind::kCounter;
-  std::uint64_t value = 0;       ///< counter total / gauge last write
-  bool gauge_set = false;        ///< gauge: written at least once
-  std::vector<std::uint64_t> slots;  ///< counter-vector payload
   Histogram histogram;
 
   bool operator==(const Metric&) const = default;
 };
 
-/// Ordered name -> metric map. Registration order is serialization
+/// Ordered name -> histogram map. Registration order is serialization
 /// order; merge() unions by name (entries absent on one side are
-/// adopted), so shards that touched different metric subsets still
-/// combine deterministically.
+/// adopted), so shards that touched different histograms still combine
+/// deterministically.
 class MetricsRegistry {
  public:
-  /// Find-or-create. Re-registration with a different kind (or, for
-  /// counter vectors, a different size; for histograms, different
-  /// bounds) is a contract violation and throws.
-  std::uint64_t& counter(const std::string& name);
-  std::uint64_t& gauge(const std::string& name);
-  std::vector<std::uint64_t>& counter_vec(const std::string& name,
-                                          std::size_t size);
+  /// Find-or-create. Re-registration with different bounds is a
+  /// contract violation and throws; so are bounds that are not
+  /// strictly increasing. The reference stays valid until a new name
+  /// is registered.
   Histogram& histogram(const std::string& name,
                        std::vector<std::uint64_t> bounds);
-
-  /// Write `value` to a gauge (records that it was set, so merge
-  /// knows a later shard's write wins over an earlier one's).
-  void set_gauge(const std::string& name, std::uint64_t value);
 
   /// Read-only lookup; nullptr when absent.
   const Metric* find(const std::string& name) const noexcept;
   const std::vector<Metric>& entries() const noexcept { return entries_; }
-  bool empty() const noexcept { return entries_.empty(); }
 
   /// Shard-order merge (exact integer accumulation; see file comment).
-  /// `other` is the LATER shard: its gauge writes win.
   void merge(const MetricsRegistry& other);
 
-  /// Export as a JSON object: counters/gauges as numbers, counter
-  /// vectors as arrays, histograms as {bounds, counts, count, sum,
-  /// min, max} (min omitted when empty).
+  /// Export as a JSON object: each histogram as {bounds, counts, count,
+  /// sum, min, max} (min omitted when empty).
   json::Value to_json() const;
 
   bool operator==(const MetricsRegistry&) const = default;
 
  private:
-  Metric& find_or_create(const std::string& name, MetricKind kind);
-
   std::vector<Metric> entries_;
 };
 

@@ -63,22 +63,16 @@ RunReport build_run_report(const std::string& name,
                    });
 
   if (plan != nullptr) {
-    const Metric* replays =
-        trace != nullptr ? trace->metrics().find("recover.segment.replays")
-                         : nullptr;
-    const Metric* replay_ops =
-        trace != nullptr ? trace->metrics().find("recover.segment.replay_ops")
-                         : nullptr;
     for (std::size_t s = 0; s < plan->segments.size(); ++s) {
       const recover::Segment& seg = plan->segments[s];
       SegmentProfile row;
       row.segment = static_cast<std::uint32_t>(s);
       row.begin = seg.begin;
       row.end = seg.end;
-      if (replays != nullptr && s < replays->slots.size())
-        row.replays = replays->slots[s];
-      if (replay_ops != nullptr && s < replay_ops->slots.size())
-        row.replay_ops = replay_ops->slots[s];
+      if (recovery != nullptr && s < recovery->segment_replays.size()) {
+        row.replays = recovery->segment_replays[s];
+        row.replay_ops = recovery->segment_replay_ops[s];
+      }
       row.max_component_share = max_component_share(seg);
       row.straddling_ops = seg.straddling_ops;
       report.segments.push_back(std::move(row));

@@ -14,12 +14,13 @@
 //     deterministic) — bench_telemetry cross-checks this ordering
 //     against the exhaustive single-fault census;
 //   * a SEGMENT TABLE: per segment the op span, replay attempts and
-//     replayed ops (from the trace's recover.segment.* counter
-//     vectors), the static worst-component replay share, and the
+//     replayed ops (RecoveryEstimate::segment_replays /
+//     segment_replay_ops, so the table fills with or without a trace),
+//     the static worst-component replay share, and the
 //     STRADDLING OPS — the gluers (Segment::straddling_ops) that chain
 //     replay components together and are therefore WHY a poorly
 //     localized segment replays more than 1/B of its ops;
-//   * the merged metrics registry and event-stream accounting.
+//   * the merged histograms and event-stream accounting (with a trace).
 //
 // Everything in the exported JSON is derived from deterministic
 // payloads, so REPORT_<name>.json is bit-identical across
@@ -89,11 +90,10 @@ struct RunReport {
 /// Assemble a report. Exactly one of `detection` / `recovery` should
 /// be non-null (both null yields an empty rail table; if both are
 /// given the recovery estimate wins — it is the richer signal).
-/// `plan` (nullable) fills the segment table's static columns;
-/// `trace` (nullable) fills the metrics snapshot, the event
-/// accounting, and the per-segment replay counters (which live in the
-/// trace's "recover.segment.replays" / "recover.segment.replay_ops"
-/// counter vectors).
+/// `plan` (nullable) fills the segment table: its static columns from
+/// the plan, its replay columns from the recovery estimate (zero for a
+/// detection run). `trace` (nullable) fills the histogram snapshot and
+/// the event accounting.
 RunReport build_run_report(const std::string& name,
                            const detect::CheckedCircuit& checked,
                            const detect::DetectionEstimate* detection,

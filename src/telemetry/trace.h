@@ -10,21 +10,29 @@
 // determinism comparison ignores (Event/ShardTrace operator== never
 // look at it).
 //
+// Counts are not kept here. Every count a run produces — trials,
+// failures, detections, retries, per-rail and per-segment tallies —
+// lives in its engine's Estimate, exact and merged the same way; the
+// trace keeps what an Estimate cannot hold: the event stream and
+// per-batch histograms (telemetry/metrics.h).
+//
 // Sinks:
 //   * ShardTrace — a per-shard ring buffer. Preallocated at
 //     make_shard() time; emit() is a bounds check plus a struct store,
 //     with no allocation on the hot path. Capacity 0 is the NULL SINK:
-//     emit() is a single predictable branch, and every engine hook is
-//     itself gated on `trace != nullptr`, so a run without telemetry
-//     executes the exact same instruction stream as before this
-//     subsystem existed (ctest-guarded: disabled overhead <= 3%).
-//     When the ring wraps, the OLDEST events are dropped (dropped_
-//     counts them) — the metrics registry still sees everything, so
-//     totals never lie even when the event window does.
+//     emit() is a single predictable branch. When the ring wraps, the
+//     OLDEST events are dropped (dropped_ counts them) — the Estimate
+//     still counts everything, so totals never lie even when the event
+//     window does.
+//   * SpanEvents — the one hook every engine's span loop emits
+//     through, resolved once per span. With a null or null-sink trace
+//     each of its calls is one branch, so a run without telemetry
+//     executes the same per-lane work as one that never had it
+//     (bench_telemetry holds the disabled overhead <= 3%, CI-enforced).
 //   * Trace — the per-run session. Hands out ShardTraces, absorbs
 //     them IN SHARD-INDEX ORDER after the workers join (same merge
 //     discipline as every Estimate in this repo), and owns the merged
-//     MetricsRegistry + event stream that report.h and chrome_trace.h
+//     histograms + event stream that report.h and chrome_trace.h
 //     consume.
 //
 // Trial identity: the packed engines process 64 lanes per batch, so
@@ -32,10 +40,12 @@
 // set bit of `lanes`. Scalar engines use lanes == 1u<<0.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "noise/lanes.h"
 #include "telemetry/metrics.h"
 
 namespace revft::telemetry {
@@ -69,8 +79,8 @@ struct Event {
 
 /// Tracing configuration, fixed at Trace construction.
 struct TraceConfig {
-  /// Ring capacity per shard, in events. 0 = null sink (metrics and
-  /// events both off; hooks reduce to one branch).
+  /// Ring capacity per shard, in events. 0 = null sink (events and
+  /// histograms both off; hooks reduce to one branch).
   std::size_t ring_capacity = 1 << 16;
   /// Record wall-clock ticks alongside events (for Chrome export).
   /// Never affects the deterministic payload.
@@ -130,6 +140,57 @@ class ShardTrace {
   bool clock_ = false;
 };
 
+/// The event hook of an engine's span loop — the only way run_mc_span,
+/// run_checked_mc_span and the recovering span emit. Built once per
+/// span from the shard's (nullable) ShardTrace; a null or null-sink
+/// trace leaves it off, and every call is then one branch. Events
+/// carry the shard index of the sink they land in.
+class SpanEvents {
+ public:
+  explicit SpanEvents(ShardTrace* trace) noexcept
+      : trace_(trace != nullptr && trace->enabled() ? trace : nullptr) {}
+
+  bool on() const noexcept { return trace_ != nullptr; }
+
+  /// One event; fields that do not apply to `kind` stay 0.
+  void emit(EventKind kind, std::uint64_t batch, std::uint64_t lanes,
+            std::uint32_t segment = 0, std::uint16_t rail = 0,
+            std::uint64_t value = 0) const noexcept {
+    if (trace_ == nullptr) return;
+    Event ev;
+    ev.kind = kind;
+    ev.shard = trace_->shard_index();
+    ev.rail = rail;
+    ev.segment = segment;
+    ev.batch = batch;
+    ev.lanes = lanes;
+    ev.value = value;
+    trace_->emit(ev);
+  }
+
+  /// One event per nonzero lane word of `lanes`, in word order.
+  void emit_words(EventKind kind, std::uint64_t batch, const LaneMask& lanes,
+                  std::uint32_t segment = 0, std::uint16_t rail = 0,
+                  std::uint64_t value = 0) const {
+    if (trace_ == nullptr) return;
+    for (unsigned w = 0; w < lanes.words(); ++w)
+      if (lanes.word(w) != 0)
+        emit(kind, batch, lanes.word(w), segment, rail, value);
+  }
+
+  /// One kBatchAccept per lane word — empty words included — naming
+  /// the word's accepted lanes, valued by their count.
+  void batch_accept(std::uint64_t batch, const LaneMask& accepted) const {
+    if (trace_ == nullptr) return;
+    for (unsigned w = 0; w < accepted.words(); ++w)
+      emit(EventKind::kBatchAccept, batch, accepted.word(w), 0, 0,
+           static_cast<std::uint64_t>(std::popcount(accepted.word(w))));
+  }
+
+ private:
+  ShardTrace* trace_;
+};
+
 /// Per-run tracing session. Lifecycle:
 ///   Trace trace(config);
 ///   auto shards = trace.make_shards(n);     // before spawning workers
@@ -147,7 +208,7 @@ class Trace {
   /// concurrent workers touch disjoint elements).
   std::vector<ShardTrace> make_shards(std::size_t count) const;
 
-  /// Merge per-shard traces in shard-index order: metrics merge
+  /// Merge per-shard traces in shard-index order: histograms merge
   /// exactly, events concatenate. Call once per engine run; repeated
   /// calls accumulate (a run with a detection phase and a recovery
   /// phase absorbs twice).
@@ -160,7 +221,7 @@ class Trace {
   std::uint64_t emitted() const noexcept { return emitted_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Deterministic-payload equality: metrics + events, NEVER ticks.
+  /// Deterministic-payload equality: histograms + events, NEVER ticks.
   bool deterministic_equal(const Trace& other) const noexcept {
     return metrics_ == other.metrics_ && events_ == other.events_;
   }

@@ -253,7 +253,9 @@ LintReport lint_checked_circuit(const detect::CheckedCircuit& checked,
   lint_coverage(checked, report);
   lint_dataflow(checked, data_entry, opts, report);
   const bool membership_ok = lint_membership(checked, report);
-  if (opts.replay_components && membership_ok && checked.check_bits.empty())
+  // The segment-plan pass (kGluedReplayComponents) skips circuits with
+  // embedded checker bits, which build_segment_plan rejects.
+  if (membership_ok && checked.check_bits.empty())
     lint_replay(checked, report);
   return report;
 }

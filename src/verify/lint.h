@@ -94,10 +94,6 @@ struct LintReport {
 
 struct LintOptions {
   DataflowOptions dataflow;
-  /// Run the segment-plan pass (kGluedReplayComponents). Skipped
-  /// automatically for circuits with embedded checker bits, which
-  /// build_segment_plan rejects.
-  bool replay_components = true;
 };
 
 /// Lint a checked circuit against an entry binding (the same binding

@@ -168,39 +168,40 @@ TEST(TelemetryMetrics, EmptyHistogramHasSentinelMin) {
 
 // --- registry contract ------------------------------------------------
 
-TEST(TelemetryMetrics, KindMismatchThrows) {
+TEST(TelemetryMetrics, BoundsMismatchThrows) {
   MetricsRegistry reg;
-  reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), Error);
-  reg.counter_vec("v", 3);
-  EXPECT_THROW(reg.counter_vec("v", 4), Error);  // size change
   reg.histogram("h", {1, 2});
+  EXPECT_NO_THROW(reg.histogram("h", {1, 2}));  // same bounds: found
   EXPECT_THROW(reg.histogram("h", {1, 3}), Error);  // bounds change
+  EXPECT_THROW(reg.histogram("g", {2, 2}), Error);  // not increasing
+  EXPECT_EQ(reg.entries().size(), 1u);
 }
 
 TEST(TelemetryMetrics, MergeIsExactIntegerAccumulation) {
   MetricsRegistry a;
-  a.counter("c") = 7;
-  a.counter_vec("v", 3) = {1, 2, 3};
-  a.set_gauge("g", 10);
   a.histogram("h", {4}).record(3);
+  a.histogram("h", {4}).record(5);
 
   MetricsRegistry b;
-  b.counter("c") = 5;
-  b.counter_vec("v", 3) = {10, 20, 30};
-  b.set_gauge("g", 99);
   b.histogram("h", {4}).record(7);
-  b.counter("only_b") = 2;
+  b.histogram("only_b", {1}).record(1);
 
   a.merge(b);
-  EXPECT_EQ(a.find("c")->value, 12u);
-  EXPECT_EQ(a.find("v")->slots, (std::vector<std::uint64_t>{11, 22, 33}));
-  EXPECT_EQ(a.find("g")->value, 99u);  // later shard's gauge wins
-  EXPECT_EQ(a.find("h")->histogram.count, 2u);
-  EXPECT_EQ(a.find("h")->histogram.counts[0], 1u);  // 3 <= 4
-  EXPECT_EQ(a.find("h")->histogram.counts[1], 1u);  // 7 overflow
+  const Histogram& h = a.find("h")->histogram;
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.sum, 15u);
+  EXPECT_EQ(h.counts[0], 1u);  // 3 <= 4
+  EXPECT_EQ(h.counts[1], 2u);  // 5, 7 overflow
+  EXPECT_EQ(h.min, 3u);
+  EXPECT_EQ(h.max, 7u);
   ASSERT_NE(a.find("only_b"), nullptr);  // union adopts absent entries
-  EXPECT_EQ(a.find("only_b")->value, 2u);
+  EXPECT_EQ(a.find("only_b")->histogram.count, 1u);
+  EXPECT_THROW(a.merge([] {
+                 MetricsRegistry c;
+                 c.histogram("h", {8});
+                 return c;
+               }()),
+               Error);  // same name, other bounds
 }
 
 // --- ring-buffer event sink -------------------------------------------
@@ -263,8 +264,9 @@ TEST(TelemetryTrace, AbsorbMergesInShardIndexOrder) {
   shards[0].emit(make_event(0));
   shards[1].emit(make_event(10));
   shards[0].emit(make_event(1));
-  shards[0].metrics().counter("c") = 1;
-  shards[2].metrics().counter("c") = 4;
+  shards[0].metrics().histogram("h", {2}).record(1);
+  shards[2].metrics().histogram("h", {2}).record(4);
+  shards[2].metrics().histogram("g", {2}).record(0);
   trace.absorb(shards);
 
   ASSERT_EQ(trace.events().size(), 4u);
@@ -272,7 +274,11 @@ TEST(TelemetryTrace, AbsorbMergesInShardIndexOrder) {
   EXPECT_EQ(trace.events()[1].batch, 1u);
   EXPECT_EQ(trace.events()[2].batch, 10u);  // ...then shard 1, shard 2
   EXPECT_EQ(trace.events()[3].batch, 20u);
-  EXPECT_EQ(trace.metrics().find("c")->value, 5u);
+  const Histogram& h = trace.metrics().find("h")->histogram;
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.sum, 5u);
+  EXPECT_EQ(trace.metrics().entries()[0].name, "h");  // shard 0's first
+  EXPECT_EQ(trace.metrics().entries()[1].name, "g");
   EXPECT_EQ(trace.emitted(), 4u);
 }
 
@@ -305,10 +311,6 @@ TEST(TelemetryDeterminism, DetectionTraceBitIdenticalAcrossThreads) {
   EXPECT_EQ(ests[0], ests[1]);
   EXPECT_EQ(ests[0], ests[2]);
   EXPECT_GT(traces[0].emitted(), 0u);
-  // The trace's counters agree with the estimate's exact counts.
-  EXPECT_EQ(traces[0].metrics().find("detect.trials")->value, ests[0].trials);
-  EXPECT_EQ(traces[0].metrics().find("detect.rail_fired")->slots,
-            ests[0].rail_detected);
 }
 
 TEST(TelemetryDeterminism, RecoveryTraceBitIdenticalAcrossThreads) {
@@ -331,11 +333,6 @@ TEST(TelemetryDeterminism, RecoveryTraceBitIdenticalAcrossThreads) {
   EXPECT_EQ(ests[0], ests[1]);
   EXPECT_EQ(ests[0], ests[2]);
   EXPECT_GT(traces[0].emitted(), 0u);
-  EXPECT_EQ(traces[0].metrics().find("recover.trials")->value, ests[0].trials);
-  EXPECT_EQ(traces[0].metrics().find("recover.rail_events")->slots,
-            ests[0].rail_events);
-  EXPECT_EQ(traces[0].metrics().find("recover.local_retries")->value,
-            ests[0].local_retries);
 }
 
 // --- Chrome-trace export ----------------------------------------------
@@ -433,7 +430,7 @@ TEST(TelemetryReport, HotSpotRankingMatchesCensus2d) {
 
 // --- RunReport assembly -----------------------------------------------
 
-TEST(TelemetryReport, RecoveryReportFillsSegmentTableFromTrace) {
+TEST(TelemetryReport, RecoveryReportFillsSegmentTableFromEstimate) {
   const Circuit logical = scattered_workload();
   const auto program =
       CheckedMachine1d(10, true, recovering_machine_options()).compile(logical);
@@ -460,6 +457,26 @@ TEST(TelemetryReport, RecoveryReportFillsSegmentTableFromTrace) {
   EXPECT_EQ(parsed.value.find("source")->as_string(), "rail_events");
   EXPECT_EQ(parsed.value.find("rails")->size(),
             program.checked.rails.size());
+
+  // The segment table needs no trace: an untraced run of the same seed
+  // fills the same rows, and they split the estimate's replay totals.
+  const auto untraced = exp.run(3e-3, recover::RetryPolicy::block_local(), 1);
+  EXPECT_EQ(untraced, est);
+  const telemetry::RunReport bare = telemetry::build_run_report(
+      "recover_report", program.checked, nullptr, &untraced, &exp.plan(),
+      nullptr);
+  ASSERT_EQ(bare.segments.size(), report.segments.size());
+  std::uint64_t bare_replays = 0;
+  std::uint64_t bare_replay_ops = 0;
+  for (std::size_t s = 0; s < bare.segments.size(); ++s) {
+    EXPECT_EQ(bare.segments[s].replays, report.segments[s].replays);
+    EXPECT_EQ(bare.segments[s].replay_ops, report.segments[s].replay_ops);
+    bare_replays += bare.segments[s].replays;
+    bare_replay_ops += bare.segments[s].replay_ops;
+  }
+  EXPECT_GT(untraced.local_retries, 0u);
+  EXPECT_EQ(bare_replays, untraced.local_retries);
+  EXPECT_EQ(bare_replay_ops, untraced.ops_local);
 }
 
 }  // namespace

@@ -1,0 +1,217 @@
+// Exact pins of the traced output of all three Monte-Carlo engines.
+// Each traced run is reduced to one FNV-1a fingerprint over its merged
+// event stream (every Event field, in order), the trace's emitted and
+// dropped counts, the estimate's exact counts and — for the checked
+// and recovering engines — the RunReport's rail rows (fired, hot
+// ranking) and segment rows (replays, replayed ops). The plain engine,
+// the checked 1D machine and the recovering 1D machine under all three
+// retry policies each run at lane_words 1 and 8, so a change to any
+// span loop's instrumentation that moves, drops or reorders a single
+// event, or changes a count, fails here.
+// deterministic_equal only compares runs with each other; this suite
+// pins their content.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "ft/experiments.h"
+#include "ft/machine_kernel.h"
+#include "ft/recover_experiment.h"
+#include "local/checked_machine.h"
+#include "noise/parallel_mc.h"
+#include "telemetry/report.h"
+#include "telemetry/trace.h"
+
+namespace revft {
+namespace {
+
+constexpr double kG = 1e-3;
+constexpr std::uint64_t kTrials = 20000;
+constexpr int kThreads = 3;
+constexpr std::size_t kRing = 1 << 18;
+
+/// 64-bit FNV-1a over little-endian 8-byte words.
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add_all(const std::vector<std::uint64_t>& values) {
+    add(values.size());
+    for (const std::uint64_t v : values) add(v);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+Circuit scattered_workload() {
+  Circuit logical(10);
+  logical.maj(9, 4, 0)
+      .toffoli(0, 7, 9)
+      .majinv(4, 1, 8)
+      .fredkin(2, 6, 9)
+      .swap3(0, 5, 9);
+  return logical;
+}
+
+/// The merged event stream plus the emitted/dropped accounting.
+void add_trace(Fnv1a& h, const telemetry::Trace& trace) {
+  h.add(trace.events().size());
+  for (const telemetry::Event& e : trace.events()) {
+    h.add(static_cast<std::uint64_t>(e.kind));
+    h.add(e.shard);
+    h.add(e.rail);
+    h.add(e.segment);
+    h.add(e.batch);
+    h.add(e.lanes);
+    h.add(e.value);
+  }
+  h.add(trace.emitted());
+  h.add(trace.dropped());
+}
+
+/// The report's rail rows (fired + hot ranking) and segment rows.
+void add_report(Fnv1a& h, const telemetry::RunReport& report) {
+  h.add(report.rails.size());
+  for (const telemetry::RailProfile& r : report.rails) h.add(r.fired);
+  h.add(report.hot_rails.size());
+  for (const std::uint32_t r : report.hot_rails) h.add(r);
+  h.add(report.segments.size());
+  for (const telemetry::SegmentProfile& s : report.segments) {
+    h.add(s.replays);
+    h.add(s.replay_ops);
+  }
+}
+
+telemetry::TraceConfig ring() {
+  telemetry::TraceConfig cfg;
+  cfg.ring_capacity = kRing;
+  return cfg;
+}
+
+std::uint64_t plain_fingerprint(unsigned lane_words) {
+  const Circuit logical = scattered_workload();
+  const MachineWorkloadKernel kernel = make_circuit_kernel(logical);
+  ParallelMcOptions opts;
+  opts.trials = kTrials;
+  opts.threads = kThreads;
+  opts.lane_words = lane_words;
+  telemetry::Trace trace(ring());
+  const BernoulliEstimate est = run_parallel_mc(
+      logical, NoiseModel::uniform(kG), opts,
+      [&kernel](std::uint64_t) { return kernel; }, &trace);
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_GT(trace.emitted(), 0u);
+  Fnv1a h;
+  add_trace(h, trace);
+  h.add(est.trials);
+  h.add(est.failures);
+  return h.value();
+}
+
+std::uint64_t checked_fingerprint(unsigned lane_words) {
+  const Circuit logical = scattered_workload();
+  CheckedMachineExperiment::Config config;
+  config.trials = kTrials;
+  config.lane_words = lane_words;
+  const CheckedMachineExperiment exp(CheckedMachine1d(10).compile(logical),
+                                     logical, config);
+  telemetry::Trace trace(ring());
+  const detect::DetectionEstimate est = exp.run(kG, kThreads, &trace);
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_GT(trace.emitted(), 0u);
+  Fnv1a h;
+  add_trace(h, trace);
+  h.add(est.trials);
+  h.add(est.detected);
+  h.add(est.detected_failures);
+  h.add(est.silent_failures);
+  h.add_all(est.rail_detected);
+  h.add(est.zero_check_detected);
+  add_report(h, telemetry::build_run_report("pin", exp.program().checked, &est,
+                                            nullptr, nullptr, &trace));
+  return h.value();
+}
+
+std::uint64_t recovery_fingerprint(const recover::RetryPolicy& policy,
+                                   unsigned lane_words) {
+  const Circuit logical = scattered_workload();
+  RecoveryExperiment::Config config;
+  config.trials = kTrials;
+  config.lane_words = lane_words;
+  const RecoveryExperiment exp(
+      CheckedMachine1d(10, true, recovering_machine_options()).compile(logical),
+      logical, config);
+  telemetry::Trace trace(ring());
+  const recover::RecoveryEstimate est = exp.run(kG, policy, kThreads, &trace);
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_GT(trace.emitted(), 0u);
+  Fnv1a h;
+  add_trace(h, trace);
+  h.add(est.trials);
+  h.add(est.accepted);
+  h.add(est.rejected);
+  h.add(est.silent_failures);
+  h.add(est.detected_trials);
+  h.add(est.local_retries);
+  h.add(est.program_restarts);
+  h.add(est.fallbacks);
+  h.add_all(est.rail_events);
+  h.add(est.zero_check_events);
+  h.add(est.ops_main);
+  h.add(est.ops_local);
+  h.add(est.ops_restart);
+  add_report(h, telemetry::build_run_report("pin", exp.program().checked,
+                                            nullptr, &est, &exp.plan(),
+                                            &trace));
+  return h.value();
+}
+
+/// Prints the measured fingerprint on mismatch, so a deliberate change
+/// can be re-pinned from the failure message.
+void expect_pin(const char* name, std::uint64_t got, std::uint64_t want) {
+  EXPECT_EQ(got, want) << name << ": got 0x" << std::hex << got;
+}
+
+TEST(TracePins, PlainEngine) {
+  expect_pin("plain W=1", plain_fingerprint(1), 0x426f35cae2a855b4ull);
+  expect_pin("plain W=8", plain_fingerprint(8), 0x765c6b777d345502ull);
+}
+
+TEST(TracePins, CheckedMachine1d) {
+  expect_pin("checked W=1", checked_fingerprint(1), 0x371b1a9c6831e533ull);
+  expect_pin("checked W=8", checked_fingerprint(8), 0xf8f5a63d26d7c66bull);
+}
+
+TEST(TracePins, RecoveringNoRetry) {
+  const auto policy = recover::RetryPolicy::no_retry();
+  expect_pin("no_retry W=1", recovery_fingerprint(policy, 1),
+             0x1c85287ea2b01754ull);
+  expect_pin("no_retry W=8", recovery_fingerprint(policy, 8),
+             0x4b65aad8f5a1cfe0ull);
+}
+
+TEST(TracePins, RecoveringWholeProgram) {
+  const auto policy = recover::RetryPolicy::whole_program();
+  expect_pin("whole_program W=1", recovery_fingerprint(policy, 1),
+             0x7b2ab48d5bf0fddaull);
+  expect_pin("whole_program W=8", recovery_fingerprint(policy, 8),
+             0xc6fe4afe97bfee60ull);
+}
+
+TEST(TracePins, RecoveringBlockLocal) {
+  const auto policy = recover::RetryPolicy::block_local();
+  expect_pin("block_local W=1", recovery_fingerprint(policy, 1),
+             0x75ee7de5d503b367ull);
+  expect_pin("block_local W=8", recovery_fingerprint(policy, 8),
+             0x22fb1aefbd9fbe7dull);
+}
+
+}  // namespace
+}  // namespace revft
