@@ -17,11 +17,12 @@
 // estimates (pinned by tests/test_simd_lanes.cpp).
 //
 // Exactness note: lane failure masks are drawn from an *exact*
-// Bernoulli(g) stream (geometric gap sampling at small g, per-lane
-// threshold comparison otherwise), so small-g tails — the regime the
-// threshold theorem lives in — carry no approximation bias. The
-// geometric gap counter spans word and batch boundaries, so widening
-// the batch never perturbs the failure statistics.
+// Bernoulli(g) stream (geometric gap sampling at small g, the bit-plane
+// threshold draw of Xoshiro256::next_bernoulli_mask otherwise), so
+// small-g tails — the regime the threshold theorem lives in — carry no
+// approximation bias. The geometric gap counter spans word and batch
+// boundaries, so widening the batch never perturbs the failure
+// statistics.
 #pragma once
 
 #include <cstdint>
@@ -107,12 +108,13 @@ class PackedState {
 
 /// Exact Bernoulli(p) bit stream producing 64-lane mask words. Uses
 /// geometric gap sampling when p is small (about one RNG draw per
-/// failure instead of 64 per word) and per-lane threshold comparison
-/// otherwise. Both paths are exact. Drawing a W-word batch via
-/// next_masks() consumes the identical RNG stream as W successive
-/// next_mask() calls — the gap counter carries across word boundaries
-/// — so lane_words enters the determinism key only through how many
-/// words each gate draws, never through the sampling math.
+/// failure) and the bit-plane threshold draw otherwise (about 7.34 RNG
+/// draws per word, Xoshiro256::next_bernoulli_mask). Both paths are
+/// exact. Drawing a W-word batch via next_masks() consumes the
+/// identical RNG stream as W successive next_mask() calls — the gap
+/// counter carries across word boundaries — so lane_words enters the
+/// determinism key only through how many words each gate draws, never
+/// through the sampling math.
 class BernoulliMaskStream {
  public:
   BernoulliMaskStream(double p, Xoshiro256* rng);

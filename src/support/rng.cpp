@@ -41,16 +41,26 @@ std::uint64_t Xoshiro256::next_below(std::uint64_t bound) noexcept {
 std::uint64_t Xoshiro256::next_bernoulli_mask(double p) noexcept {
   if (p <= 0.0) return 0;
   if (p >= 1.0) return ~0ULL;
-  // Compare one fresh 64-bit draw per lane against p scaled to 2^64.
-  // 2^64 * p fits in a uint64 after the clamps above; the half-ulp
-  // rounding here is far below Monte-Carlo resolution.
+  // Each lane's verdict is u < threshold for its own uniform 64-bit u;
+  // 2^64 * p fits in a uint64 after the clamps above, and the half-ulp
+  // rounding here is far below Monte-Carlo resolution. The u are drawn
+  // lazily as bit-planes, most significant bit first: draw k supplies
+  // bit 63-k of all 64 lanes at once. A lane is decided at the first
+  // bit where u and threshold differ (u=0, t=1 means u < threshold);
+  // a lane that matches all 64 bits has u == threshold and stays 0.
+  // Lanes are undecided after k planes with probability 2^-k each, so
+  // a mask costs sum_k [1 - (1 - 2^-k)^64] ~= 7.34 draws for every p.
   const auto threshold =
       static_cast<std::uint64_t>(p * 18446744073709551616.0 /* 2^64 */);
-  std::uint64_t mask = 0;
-  for (int lane = 0; lane < 64; ++lane) {
-    mask |= static_cast<std::uint64_t>(next() < threshold) << lane;
+  std::uint64_t out = 0;
+  std::uint64_t undecided = ~0ULL;
+  for (int b = 63; b >= 0 && undecided != 0; --b) {
+    const std::uint64_t u = next();
+    const std::uint64_t tbit = 0 - ((threshold >> b) & 1ULL);
+    out |= undecided & ~u & tbit;
+    undecided &= ~(u ^ tbit);
   }
-  return mask;
+  return out;
 }
 
 }  // namespace revft

@@ -67,7 +67,11 @@ class Xoshiro256 {
 
   /// 64 independent Bernoulli(p) draws packed into one word: bit t is 1
   /// with probability p. This is the per-lane gate-failure mask used by
-  /// the bit-parallel Monte-Carlo engine (noise/packed_sim.h).
+  /// the bit-parallel Monte-Carlo engine (noise/packed_sim.h). Lane t's
+  /// verdict is exactly u_t < p * 2^64 for a uniform 64-bit u_t, but
+  /// the u_t are drawn as bit-planes, most significant first, one
+  /// next() per plane for all 64 lanes, stopping once every lane
+  /// differs from the threshold: about 7.34 draws per mask for any p.
   std::uint64_t next_bernoulli_mask(double p) noexcept;
 
   /// Derive an independent child seed (for spawning per-thread or

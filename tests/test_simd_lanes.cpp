@@ -103,12 +103,14 @@ TEST(LaneMask, SetResetRemoveAndOperators) {
 
 // --- mask-stream pinning (legacy values, recorded pre-widening) -------
 
+// The threshold-path words were re-recorded when the one-draw-per-lane
+// comparison became the bit-plane draw: same law, different stream.
+// BitPlaneDrawIsExactThresholdComparison below carries the proof.
 TEST(MaskStream, ThresholdPathPinnedToLegacyStream) {
   Xoshiro256 rng(42);
   BernoulliMaskStream s(0.2, &rng);
-  const std::uint64_t expected[4] = {0x50202000300001ULL, 0x6824359801006027ULL,
-                                     0x2914984444204210ULL,
-                                     0x805108082420802ULL};
+  const std::uint64_t expected[4] = {0x283245192400081ULL, 0x209000460c403008ULL,
+                                     0x20a00a81284a100ULL, 0x404ca1223a8200ULL};
   for (const std::uint64_t e : expected) EXPECT_EQ(s.next_mask(), e);
 }
 
@@ -128,7 +130,7 @@ TEST(MaskStream, GeometricPathPinnedToLegacyStream) {
 
 TEST(MaskStream, BatchedDrawMatchesSequentialDraws) {
   for (const unsigned W : {2u, 4u, 8u}) {
-    for (const double p : {0.0005, 0.01, 0.2}) {
+    for (const double p : {0.0005, 0.01, 0.03, 0.05, 0.08, 0.2}) {
       Xoshiro256 ra(123), rb(123);
       BernoulliMaskStream batched(p, &ra), sequential(p, &rb);
       std::uint64_t batch[kMaxLaneWords];
@@ -164,6 +166,113 @@ TEST(MaskStream, GeometricGapStatisticsSpanWordBoundaries) {
   const double lanes = static_cast<double>(rounds) * 512.0;
   const double sigma = std::sqrt(p * (1.0 - p) * lanes);
   EXPECT_NEAR(static_cast<double>(set_bits), p * lanes, 5.0 * sigma);
+}
+
+// --- exactness of the bit-plane threshold draw -----------------------
+//
+// Xoshiro256::next_bernoulli_mask draws bit-plane k of all 64 lanes'
+// uniforms with its k-th next() and stops once every lane differs from
+// the threshold. A twin generator on the same seed replays those
+// planes, so the test can rebuild every lane's 64-bit uniform and
+// check the verdict against the plain comparison u < threshold.
+
+std::uint64_t mask_threshold(double p) {
+  return static_cast<std::uint64_t>(p * 18446744073709551616.0 /* 2^64 */);
+}
+
+/// Mean and variance of the number of planes one mask draws. A lane is
+/// undecided after k planes with probability 2^-k whatever p is, so
+/// P(planes > k) = 1 - (1 - 2^-k)^64.
+struct PlaneCountLaw {
+  double mean = 0.0, var = 0.0;
+};
+PlaneCountLaw plane_count_law() {
+  double mean = 0.0, second = 0.0;
+  for (int k = 0; k < 64; ++k) {
+    const double tail = 1.0 - std::pow(1.0 - std::ldexp(1.0, -k), 64);
+    mean += tail;
+    second += (2.0 * k + 1.0) * tail;
+  }
+  return {mean, second - mean * mean};
+}
+
+/// Replays one mask's planes on `twin`: fills u[lane] with the bits the
+/// mask read, most significant first, and returns how many planes that
+/// took (until every lane's prefix differs from the threshold's).
+int replay_planes(Xoshiro256& twin, std::uint64_t threshold,
+                  std::array<std::uint64_t, 64>& u) {
+  u.fill(0);
+  std::uint64_t undecided = ~0ULL;
+  int planes = 0;
+  for (int b = 63; b >= 0 && undecided != 0; --b) {
+    const std::uint64_t plane = twin.next();
+    ++planes;
+    for (int lane = 0; lane < 64; ++lane) {
+      u[lane] |= ((plane >> lane) & 1ULL) << b;
+      if ((u[lane] >> b) != (threshold >> b)) undecided &= ~(1ULL << lane);
+    }
+  }
+  return planes;
+}
+
+TEST(MaskStream, BitPlaneDrawIsExactThresholdComparison) {
+  const PlaneCountLaw law = plane_count_law();
+  EXPECT_NEAR(law.mean, 7.344, 1e-3);
+  const int masks = 10000;
+  for (const double p :
+       {0.03, 0.05, 0.08, 0.2, 0.5, 0.9, 1.0 - 0x1.0p-53}) {
+    const std::uint64_t threshold = mask_threshold(p);
+    Xoshiro256 rng(77), twin(77), filler(78);
+    std::array<std::uint64_t, 64> u{};
+    std::uint64_t planes_total = 0;
+    for (int i = 0; i < masks; ++i) {
+      const std::uint64_t mask = rng.next_bernoulli_mask(p);
+      const int planes = replay_planes(twin, threshold, u);
+      planes_total += static_cast<std::uint64_t>(planes);
+      for (int lane = 0; lane < 64; ++lane) {
+        // The low bits the mask never read cannot change the verdict.
+        if (planes < 64) u[lane] |= filler.next() >> planes;
+        ASSERT_EQ((mask >> lane) & 1ULL, u[lane] < threshold ? 1ULL : 0ULL)
+            << "p=" << p << " mask " << i << " lane " << lane;
+      }
+      // The mask read exactly the planes the twin replayed.
+      Xoshiro256 after_mask = rng, after_twin = twin;
+      ASSERT_EQ(after_mask.next(), after_twin.next())
+          << "p=" << p << " mask " << i << " drew a different plane count";
+    }
+    const double mean_planes = static_cast<double>(planes_total) / masks;
+    EXPECT_NEAR(mean_planes, law.mean, 5.0 * std::sqrt(law.var / masks))
+        << "p=" << p;
+  }
+}
+
+TEST(MaskStream, BitPlaneTieLaneStaysClear) {
+  // Find a seed whose first 64 planes give some lane a uniform u with
+  // at most 53 significant bits, so p = u / 2^64 is exact and that
+  // lane ties the threshold on every plane: all 64 planes are drawn,
+  // and u == threshold must leave the lane clear (u < threshold fails).
+  for (std::uint64_t seed = 1; seed < 10000; ++seed) {
+    Xoshiro256 planes(seed);
+    std::array<std::uint64_t, 64> u{};
+    for (int b = 63; b >= 0; --b) {
+      const std::uint64_t plane = planes.next();
+      for (int lane = 0; lane < 64; ++lane)
+        u[lane] |= ((plane >> lane) & 1ULL) << b;
+    }
+    for (int tie = 0; tie < 64; ++tie) {
+      if (u[tie] == 0 || (u[tie] & 0x7ffULL) != 0) continue;
+      const double p = std::ldexp(static_cast<double>(u[tie]), -64);
+      ASSERT_EQ(mask_threshold(p), u[tie]);
+      Xoshiro256 rng(seed);
+      const std::uint64_t mask = rng.next_bernoulli_mask(p);
+      for (int lane = 0; lane < 64; ++lane)
+        EXPECT_EQ((mask >> lane) & 1ULL, u[lane] < u[tie] ? 1ULL : 0ULL)
+            << "seed " << seed << " tie lane " << tie << " lane " << lane;
+      EXPECT_EQ(rng.next(), planes.next()) << "seed " << seed;
+      return;
+    }
+  }
+  FAIL() << "no seed below 10000 gives a lane an exact-double uniform";
 }
 
 // --- ideal kernels vs the scalar reference, every width ---------------
