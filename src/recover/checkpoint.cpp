@@ -58,4 +58,32 @@ void blend_cells_lanes(PackedState& dst, const PackedState& src,
   }
 }
 
+void copy_lane(PackedState& state, unsigned from, const LaneMask& to) {
+  REVFT_CHECK_MSG(to.words() == state.lane_words() && from < to.lanes(),
+                  "copy_lane: lane geometry mismatch");
+  const unsigned W = state.lane_words();
+  for (std::uint32_t cell = 0; cell < state.width(); ++cell) {
+    std::uint64_t* d = state.words(cell);
+    const std::uint64_t fill = 0 - ((d[from >> 6] >> (from & 63u)) & 1u);
+    for (unsigned w = 0; w < W; ++w) {
+      const std::uint64_t m = to.word(w);
+      d[w] = (d[w] & ~m) | (fill & m);
+    }
+  }
+}
+
+void move_lane(PackedState& dst, unsigned to, const PackedState& src,
+               unsigned from) {
+  REVFT_CHECK_MSG(dst.width() == src.width(), "move_lane: width mismatch");
+  REVFT_CHECK_MSG(dst.lane_words() == src.lane_words() &&
+                      to < dst.lanes() && from < src.lanes(),
+                  "move_lane: lane geometry mismatch");
+  const std::uint64_t bit = 1ULL << (to & 63u);
+  for (std::uint32_t cell = 0; cell < dst.width(); ++cell) {
+    std::uint64_t& d = dst.words(cell)[to >> 6];
+    const std::uint64_t v = (src.words(cell)[from >> 6] >> (from & 63u)) & 1u;
+    d = (d & ~bit) | (v << (to & 63u));
+  }
+}
+
 }  // namespace revft::recover

@@ -12,8 +12,10 @@
 // footprint cells, because every other cell is still vouched for by
 // its own passed checks. Trial t lives in bit t%64 of lane word t/64
 // of every cell, so both move lanes under a LaneMask of lane_words
-// words. Nothing here draws randomness, so the sharded determinism
-// contract of the Monte-Carlo engines is untouched.
+// words; a restart pass fans one lane out into idle lanes and moves a
+// winning attempt back into its owner's lane, a word per cell each.
+// Nothing here draws randomness, so the sharded determinism contract
+// of the Monte-Carlo engines is untouched.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +49,10 @@ class PackedCheckpoint {
 };
 
 /// Blend lanes of `src` into `dst` for every cell: lanes set in
-/// `lane_mask` take src's bits, the rest keep dst's. The whole-program
-/// merge: an accepted restart's final state is folded back into the
-/// main state for exactly the lanes that consumed it. lane_mask.words()
-/// must equal the states' lane_words().
+/// `lane_mask` take src's bits, the rest keep dst's. lane_mask.words()
+/// must equal the states' lane_words(). The engine merges restarts one
+/// lane at a time (move_lane); this is the masked form tests check
+/// move_lane against.
 void blend_lanes(PackedState& dst, const PackedState& src,
                  const LaneMask& lane_mask);
 
@@ -60,5 +62,18 @@ void blend_lanes(PackedState& dst, const PackedState& src,
 void blend_cells_lanes(PackedState& dst, const PackedState& src,
                        const std::vector<std::uint32_t>& cells,
                        const LaneMask& lane_mask);
+
+/// Copy lane `from` of `state` into every lane set in `to`, for every
+/// cell — the restart fan-out: idle lanes of a restart pass take a
+/// pending lane's entry state and run further attempts of it.
+/// to.words() must equal state.lane_words(); `from` may be in `to`.
+void copy_lane(PackedState& state, unsigned from, const LaneMask& to);
+
+/// Move lane `from` of `src` into lane `to` of `dst`, for every cell;
+/// every other lane of dst keeps its bits. The restart merge: the
+/// winning attempt's final state lands in the lane that owns the
+/// trial. With from == to this is blend_lanes over that one lane.
+void move_lane(PackedState& dst, unsigned to, const PackedState& src,
+               unsigned from);
 
 }  // namespace revft::recover

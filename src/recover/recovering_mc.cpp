@@ -84,6 +84,14 @@ LaneMask fired_lanes(const std::uint64_t* comp_fired, std::uint64_t comps) {
   return fired;
 }
 
+/// Calls f(lane) for every lane set in `mask`, in ascending order.
+template <typename F>
+void for_each_lane(const LaneMask& mask, const F& f) {
+  for (unsigned w = 0; w < mask.words(); ++w)
+    for (std::uint64_t bits = mask.word(w); bits != 0; bits &= bits - 1)
+      f(64 * w + static_cast<unsigned>(std::countr_zero(bits)));
+}
+
 /// run_recovering_mc_span at a compile-time lane width, so the boundary
 /// checks of every first pass, replay and restart run fixed-trip word
 /// loops (the same per-width dispatch as the gate kernels).
@@ -119,6 +127,14 @@ RecoveryEstimate recovering_span(
   // whose fired set contains component c.
   std::vector<LaneMask> member;
   std::vector<int> program_left(lanes_per_batch, 0);
+  // Restart passes: the pending lanes (owners), each lane's next lane
+  // running an attempt of the same trial (-1 ends the chain), the last
+  // lane of each owner's chain, and the ops each attempt lane paid.
+  std::vector<unsigned> owners;
+  owners.reserve(lanes_per_batch);
+  std::vector<int> next_attempt(lanes_per_batch, -1);
+  std::vector<unsigned> chain_tail(lanes_per_batch, 0);
+  std::vector<std::uint64_t> attempt_ops(lanes_per_batch, 0);
 
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;
@@ -260,47 +276,95 @@ RecoveryEstimate recovering_span(
     }
 
     // --- whole-program restarts (kWholeProgram, and kBlockLocal
-    // fallbacks): full re-runs from the entry checkpoint, one attempt
-    // per pending lane per pass ----------------------------------------
+    // fallbacks): full re-runs from the entry checkpoint. One pass runs
+    // each pending lane's next attempts side by side — attempt 1 in its
+    // own lane, attempts 2, 3, ... in the batch's idle lanes, handed out
+    // in ascending lane order, round robin, up to the lane's
+    // program_left. Attempts are i.i.d. given the entry state and mask
+    // lanes are independent, so taking the first clean attempt in
+    // attempt order and charging only the attempts up to it has the law
+    // of one attempt per pass ------------------------------------------
     LaneMask pending = restart_pending;
     if (pending.any() && policy.max_program_attempts <= 0) {
       rejected |= pending;
       pending.clear();
     }
     while (pending.any()) {
-      est.program_restarts += pending.popcount();
       entry_cp.restore_all(scratch);
-      LaneMask still_clean = LaneMask::ones(W);
+      owners.clear();
+      for_each_lane(pending, [&](unsigned lane) {
+        owners.push_back(lane);
+        next_attempt[lane] = -1;
+        chain_tail[lane] = lane;
+      });
+      LaneMask used = pending;
+      unsigned idle = 0;  // next candidate idle lane
+      for (int handed = 1; idle < lanes_per_batch; ++handed) {
+        bool any_handed = false;
+        for (const unsigned owner : owners) {
+          if (program_left[owner] <= handed) continue;
+          while (idle < lanes_per_batch && pending.test(idle)) ++idle;
+          if (idle == lanes_per_batch) break;
+          next_attempt[chain_tail[owner]] = static_cast<int>(idle);
+          next_attempt[idle] = -1;
+          chain_tail[owner] = idle;
+          used.set(idle++);
+          any_handed = true;
+        }
+        if (!any_handed) break;
+      }
+      for (const unsigned owner : owners) {
+        LaneMask extra(W);
+        for (int l = next_attempt[owner]; l >= 0; l = next_attempt[l])
+          extra.set(static_cast<unsigned>(l));
+        if (extra.any()) copy_lane(scratch, owner, extra);
+      }
+
+      LaneMask still_clean = used;
+      std::uint64_t ops_run = 0;
       for (const Segment& seg : plan.segments) {
         sim.apply_noisy_span(scratch, circuit, seg.begin, seg.end + 1);
-        // A lane pays each segment until its first fired boundary —
-        // the point a physical whole-program retry would abort at.
-        est.ops_restart += seg.op_count() * (pending & still_clean).popcount();
+        ops_run += seg.op_count();
         comp_fired.assign(seg.components.size() * W, 0);
         eval_boundary<W>(checked, seg, scratch, ~0ULL, comp_fired.data(),
                          nullptr, no_lanes);
-        still_clean.remove(fired_lanes<W>(
-            comp_fired.data(), all_components(seg.components.size())));
-        if ((pending & still_clean).none()) break;  // every pending lane failed
+        // An attempt pays each segment up to its first fired boundary —
+        // the point a physical whole-program retry would abort at.
+        const LaneMask fired =
+            fired_lanes<W>(comp_fired.data(),
+                           all_components(seg.components.size())) &
+            still_clean;
+        for_each_lane(fired, [&](unsigned l) { attempt_ops[l] = ops_run; });
+        still_clean.remove(fired);
+        if (still_clean.none()) break;  // every attempt failed
       }
-      const LaneMask accepted_now = pending & still_clean;
-      if (accepted_now.any()) {
-        blend_lanes(state, scratch, accepted_now);
-        accepted_lanes |= accepted_now & live;
-        for (int lane = 0; lane < lanes_this_batch; ++lane) {
-          if (!accepted_now.test(static_cast<unsigned>(lane))) continue;
-          ++est.accepted;
-          if (classify(state, lane, batch)) ++est.silent_failures;
+      for_each_lane(still_clean,
+                    [&](unsigned l) { attempt_ops[l] = ops_run; });
+
+      LaneMask accepted_now(W);
+      for (const unsigned owner : owners) {
+        for (int l = static_cast<int>(owner); l >= 0; l = next_attempt[l]) {
+          const unsigned lane = static_cast<unsigned>(l);
+          ++est.program_restarts;
+          est.ops_restart += attempt_ops[lane];
+          --program_left[owner];
+          if (still_clean.test(lane)) {
+            move_lane(state, owner, scratch, lane);
+            accepted_now.set(owner);
+            break;
+          }
         }
-        pending.remove(accepted_now);
+        if (!accepted_now.test(owner) && program_left[owner] <= 0)
+          rejected.set(owner);
       }
-      LaneMask exhausted(W);
-      for (unsigned lane = 0; lane < lanes_per_batch; ++lane) {
-        if (!pending.test(lane)) continue;
-        if (--program_left[lane] <= 0) exhausted.set(lane);
-      }
-      rejected |= exhausted;
-      pending.remove(exhausted);
+      accepted_lanes |= accepted_now & live;
+      for_each_lane(accepted_now, [&](unsigned lane) {
+        ++est.accepted;
+        if (classify(state, static_cast<int>(lane), batch))
+          ++est.silent_failures;
+      });
+      pending.remove(accepted_now);
+      pending.remove(rejected);
     }
     est.rejected += rejected.popcount();
     if (replays_per_batch != nullptr) replays_per_batch->record(batch_replays);

@@ -19,7 +19,11 @@
 //     cells their checks read, so a replay a lane does not need never
 //     touches what the lane is judged or blended on); lanes that
 //     exhaust local attempts (or any fired lane under kWholeProgram)
-//     restart from the entry checkpoint in end-of-batch passes;
+//     restart from the entry checkpoint in end-of-batch passes, and one
+//     pass runs a pending lane's next attempts side by side: attempt 1
+//     in its own lane, further attempts in the batch's idle lanes
+//     (recover/checkpoint.h copy_lane), the first clean one in attempt
+//     order moved back into the lane (move_lane);
 //   * every attempt draws FRESH fault randomness from the shard's own
 //     simulator stream (the per-kind Bernoulli streams just keep
 //     going), so retries are real re-executions under the same noise
@@ -27,11 +31,13 @@
 //
 // Cost accounting is per trial, the way an independent physical run
 // would pay: a lane is charged the segment ops it executed, the ops of
-// ITS fired components on every replay attempt it consumed, and the
-// restart ops up to ITS first
+// ITS fired components on every replay attempt it consumed, and, for
+// every restart attempt it consumed, that attempt's ops up to its first
 // fired boundary — even though the packed vehicle executes all lanes
-// together. E[ops/accept] read off a RecoveryEstimate is therefore the
-// measured counterpart of detect::RetryCostModel.
+// together. Attempts after a lane's first clean one are discarded
+// uncharged, as if they had never run. E[ops/accept] read off a
+// RecoveryEstimate is therefore the measured counterpart of
+// detect::RetryCostModel.
 //
 // Determinism: all retry processing happens inside a shard using the
 // shard's own simulator, each union replay runs its components in

@@ -36,8 +36,10 @@
 #include "recover/checkpoint.h"
 #include "recover/plan.h"
 #include "recover/recovering_mc.h"
+#include "recovery_pins.h"
 #include "rev/simulator.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace revft {
 namespace {
@@ -373,6 +375,61 @@ TEST(Checkpoint, PackedBlendIsPerLaneAndPerCell) {
   moved.restore_all(restored);
   EXPECT_EQ(restored.word(0), a.word(0));
   EXPECT_EQ(restored.word(1), a.word(1));
+}
+
+// The lane moves of a restart pass: copy_lane fans one lane out into a
+// mask of lanes, move_lane moves one lane of one state into one lane of
+// another. Both touch exactly the named lanes of every cell, across
+// word boundaries, and a move onto the same lane is a one-lane blend.
+TEST(Checkpoint, LaneMovesTouchExactlyTheNamedLanes) {
+  for (const unsigned W : {1u, 8u}) {
+    std::vector<unsigned> named = {0, 63};
+    if (W == 8) named.insert(named.end(), {64, 511});
+    Xoshiro256 rng(W);
+    PackedState a(5, W), b(5, W);
+    for (std::uint32_t cell = 0; cell < 5; ++cell)
+      for (unsigned w = 0; w < W; ++w) {
+        a.words(cell)[w] = rng.next();
+        b.words(cell)[w] = rng.next();
+      }
+    LaneMask to(W);
+    for (const unsigned lane : named) to.set(lane);
+    const int lanes = static_cast<int>(64 * W);
+    for (const unsigned from : named) {
+      const int v = static_cast<int>(from);
+      PackedState fanned = a;
+      recover::copy_lane(fanned, from, to);
+      for (std::uint32_t cell = 0; cell < 5; ++cell)
+        for (int lane = 0; lane < lanes; ++lane)
+          ASSERT_EQ(fanned.bit_lane(cell, lane),
+                    to.test(static_cast<unsigned>(lane))
+                        ? a.bit_lane(cell, v)
+                        : a.bit_lane(cell, lane))
+              << "copy_lane W=" << W << " from " << from << " lane " << lane;
+
+      for (const unsigned target : named) {
+        PackedState moved = a;
+        recover::move_lane(moved, target, b, from);
+        for (std::uint32_t cell = 0; cell < 5; ++cell)
+          for (int lane = 0; lane < lanes; ++lane)
+            ASSERT_EQ(moved.bit_lane(cell, lane),
+                      lane == static_cast<int>(target)
+                          ? b.bit_lane(cell, v)
+                          : a.bit_lane(cell, lane))
+                << "move_lane W=" << W << " " << from << " -> " << target
+                << " lane " << lane;
+        if (target != from) continue;
+        LaneMask one(W);
+        one.set(from);
+        PackedState blended = a;
+        recover::blend_lanes(blended, b, one);
+        for (std::uint32_t cell = 0; cell < 5; ++cell)
+          for (unsigned w = 0; w < W; ++w)
+            EXPECT_EQ(moved.words(cell)[w], blended.words(cell)[w])
+                << "W=" << W << " lane " << from;
+      }
+    }
+  }
 }
 
 // --- the repair theorem on the shipped engine ------------------------
@@ -759,6 +816,105 @@ TEST(RecoveringMcEconomics, PerRailCountersNameSuspectBlocks) {
   ASSERT_EQ(bl.rail_events.size(), 6u);
   for (std::size_t r = 0; r < bl.rail_events.size(); ++r)
     EXPECT_GT(bl.rail_events[r], 0u) << "rail " << r;
+}
+
+// --- whole-program restarts under load ------------------------------
+//
+// A restart pass runs each pending trial's next attempts side by side
+// in the batch's idle lanes and takes the first clean one in attempt
+// order. Under kWholeProgram every detected trial restarts and every
+// undetected one is accepted on its first pass, so the law of one
+// attempt per pass leaves these identities:
+//   detected == restart accepts + rejected;
+//   a rejected trial consumed exactly max_program_attempts attempts and
+//   a restart accept between 1 and max_program_attempts;
+// and every count within 5 sigma of the estimate recorded when a pass
+// ran one attempt per pending trial (`before`). Restarts dominate the
+// cost here: ops_restart exceeds ops_main at both g.
+TEST(RecoveringMcRestarts, SideBySideAttemptsKeepTheLaw) {
+  const Circuit logical = scattered6();
+  const auto program =
+      CheckedMachine1d(6, true, recovering_machine_options()).compile(logical);
+  const auto policy = recover::RetryPolicy::whole_program();
+  const auto attempts =
+      static_cast<std::uint64_t>(policy.max_program_attempts);
+  const std::uint64_t ops = program.checked.circuit.size();
+  const std::vector<std::uint64_t> none(14, 0);
+  const struct {
+    unsigned lane_words;
+    double g;
+    recover::RecoveryEstimate before;
+  } cases[] = {
+      {1, 1e-3,
+       {.trials = 20000, .accepted = 19702, .rejected = 298,
+        .silent_failures = 0, .detected_trials = 12629, .local_retries = 0,
+        .program_restarts = 33254, .fallbacks = 0,
+        .rail_events = {3226, 1808, 2938, 1686, 738, 3587},
+        .zero_check_events = 12119, .ops_main = 15401291, .ops_local = 0,
+        .ops_restart = 25690143, .segment_replays = none,
+        .segment_replay_ops = none}},
+      {1, 3e-3,
+       {.trials = 20000, .accepted = 7556, .rejected = 12444,
+        .silent_failures = 0, .detected_trials = 19003, .local_retries = 0,
+        .program_restarts = 127262, .fallbacks = 0,
+        .rail_events = {5562, 2790, 4095, 2300, 1529, 5870},
+        .zero_check_events = 19370, .ops_main = 8511525, .ops_local = 0,
+        .ops_restart = 54613002, .segment_replays = none,
+        .segment_replay_ops = none}},
+      {8, 1e-3,
+       {.trials = 20000, .accepted = 19685, .rejected = 315,
+        .silent_failures = 0, .detected_trials = 12654, .local_retries = 0,
+        .program_restarts = 33241, .fallbacks = 0,
+        .rail_events = {3328, 1853, 2857, 1761, 745, 3492},
+        .zero_check_events = 12135, .ops_main = 15410431, .ops_local = 0,
+        .ops_restart = 25638190, .segment_replays = none,
+        .segment_replay_ops = none}},
+      {8, 3e-3,
+       {.trials = 20000, .accepted = 7595, .rejected = 12405,
+        .silent_failures = 0, .detected_trials = 18939, .local_retries = 0,
+        .program_restarts = 127108, .fallbacks = 0,
+        .rail_events = {5591, 2714, 4308, 2282, 1525, 6041},
+        .zero_check_events = 19314, .ops_main = 8591692, .ops_local = 0,
+        .ops_restart = 54492139, .segment_replays = none,
+        .segment_replay_ops = none}},
+  };
+  for (const auto& c : cases) {
+    const std::string what = "W=" + std::to_string(c.lane_words) +
+                             " g=" + std::to_string(c.g);
+    RecoveryExperiment::Config config;
+    config.trials = 20000;
+    config.seed = 0x1a3f5ULL;
+    config.lane_words = c.lane_words;
+    const RecoveryExperiment exp(program, logical, config);
+    const auto e = exp.run(c.g, policy, 1);
+    ASSERT_EQ(e.trials, config.trials) << what;
+    ASSERT_GE(e.accepted + e.detected_trials, e.trials) << what;
+    const std::uint64_t restart_accepts =
+        e.accepted - (e.trials - e.detected_trials);
+    EXPECT_EQ(e.fallbacks, 0u) << what;
+    EXPECT_EQ(e.detected_trials, restart_accepts + e.rejected) << what;
+    EXPECT_GE(e.program_restarts, attempts * e.rejected + restart_accepts)
+        << what;
+    EXPECT_LE(e.program_restarts, attempts * e.detected_trials) << what;
+    EXPECT_GT(e.ops_restart, e.ops_main) << what;
+    test::expect_recovery_within_5_sigma(e, c.before, ops, what);
+  }
+
+  // At g = 3e-2 no restart of this 1162-op program comes back clean, so
+  // every detected trial is rejected after exactly max_program_attempts
+  // attempts, and each attempt pays only up to its first fired check.
+  RecoveryExperiment::Config config;
+  config.trials = 4000;
+  config.seed = 0x1a3f5ULL;
+  for (const unsigned W : {1u, 8u}) {
+    config.lane_words = W;
+    const RecoveryExperiment exp(program, logical, config);
+    const auto e = exp.run(3e-2, policy, 1);
+    ASSERT_EQ(e.accepted + e.detected_trials, e.trials) << "W=" << W;
+    EXPECT_EQ(e.rejected, e.detected_trials) << "W=" << W;
+    EXPECT_EQ(e.program_restarts, attempts * e.rejected) << "W=" << W;
+    EXPECT_LT(e.ops_restart, e.program_restarts * ops) << "W=" << W;
+  }
 }
 
 }  // namespace

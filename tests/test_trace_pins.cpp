@@ -20,6 +20,7 @@
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
 #include "noise/parallel_mc.h"
+#include "recovery_pins.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
 
@@ -139,8 +140,16 @@ std::uint64_t checked_fingerprint(unsigned lane_words) {
   return h.value();
 }
 
-std::uint64_t recovery_fingerprint(const recover::RetryPolicy& policy,
-                                   unsigned lane_words) {
+/// A recovering run's fingerprint, with its estimate and the checked
+/// circuit's op count for the 5-sigma bands.
+struct RecoveryRun {
+  std::uint64_t fingerprint;
+  recover::RecoveryEstimate est;
+  std::uint64_t program_ops;
+};
+
+RecoveryRun recovery_run(const recover::RetryPolicy& policy,
+                         unsigned lane_words) {
   const Circuit logical = scattered_workload();
   RecoveryExperiment::Config config;
   config.trials = kTrials;
@@ -170,7 +179,7 @@ std::uint64_t recovery_fingerprint(const recover::RetryPolicy& policy,
   add_report(h, telemetry::build_run_report("pin", exp.program().checked,
                                             nullptr, &est, &exp.plan(),
                                             &trace));
-  return h.value();
+  return {h.value(), est, exp.program().checked.circuit.size()};
 }
 
 /// Prints the measured fingerprint on mismatch, so a deliberate change
@@ -191,26 +200,72 @@ TEST(TracePins, CheckedMachine1d) {
 
 TEST(TracePins, RecoveringNoRetry) {
   const auto policy = recover::RetryPolicy::no_retry();
-  expect_pin("no_retry W=1", recovery_fingerprint(policy, 1),
+  expect_pin("no_retry W=1", recovery_run(policy, 1).fingerprint,
              0x1c85287ea2b01754ull);
-  expect_pin("no_retry W=8", recovery_fingerprint(policy, 8),
+  expect_pin("no_retry W=8", recovery_run(policy, 8).fingerprint,
              0x4b65aad8f5a1cfe0ull);
+}
+
+// The whole-program and block-local pins were re-recorded when restart
+// attempts began to run side by side in a batch's idle lanes: the law
+// of every count is unchanged, the RNG order is not. A fingerprint
+// cannot be compared statistically, so each run's counts must also lie
+// within 5 sigma of the estimate recorded before that change.
+void expect_recovery_pin(const char* name, const recover::RetryPolicy& policy,
+                         unsigned lane_words, std::uint64_t want,
+                         const recover::RecoveryEstimate& before) {
+  const RecoveryRun run = recovery_run(policy, lane_words);
+  expect_pin(name, run.fingerprint, want);
+  test::expect_recovery_within_5_sigma(run.est, before, run.program_ops,
+                                       name);
 }
 
 TEST(TracePins, RecoveringWholeProgram) {
   const auto policy = recover::RetryPolicy::whole_program();
-  expect_pin("whole_program W=1", recovery_fingerprint(policy, 1),
-             0x7b2ab48d5bf0fddaull);
-  expect_pin("whole_program W=8", recovery_fingerprint(policy, 8),
-             0xc6fe4afe97bfee60ull);
+  expect_recovery_pin(
+      "whole_program W=1", policy, 1, 0x8b676ace9591e458ull,
+      {.trials = 20000, .accepted = 14128, .rejected = 5872,
+       .silent_failures = 0, .detected_trials = 17432, .local_retries = 0,
+       .program_restarts = 90934, .fallbacks = 0,
+       .rail_events = {3566, 1554, 1262, 732, 2008, 1256, 1519, 1893, 1624,
+                       4383},
+       .zero_check_events = 17335, .ops_main = 21471012, .ops_local = 0,
+       .ops_restart = 97762109, .segment_replays = {},
+       .segment_replay_ops = {}});
+  expect_recovery_pin(
+      "whole_program W=8", policy, 8, 0x6947426c2161e40full,
+      {.trials = 20000, .accepted = 14241, .rejected = 5759,
+       .silent_failures = 1, .detected_trials = 17391, .local_retries = 0,
+       .program_restarts = 90417, .fallbacks = 0,
+       .rail_events = {3602, 1577, 1262, 741, 2055, 1244, 1441, 1891, 1689,
+                       4278},
+       .zero_check_events = 17243, .ops_main = 21623183, .ops_local = 0,
+       .ops_restart = 97378626, .segment_replays = {},
+       .segment_replay_ops = {}});
 }
 
 TEST(TracePins, RecoveringBlockLocal) {
   const auto policy = recover::RetryPolicy::block_local();
-  expect_pin("block_local W=1", recovery_fingerprint(policy, 1),
-             0x75ee7de5d503b367ull);
-  expect_pin("block_local W=8", recovery_fingerprint(policy, 8),
-             0x22fb1aefbd9fbe7dull);
+  expect_recovery_pin(
+      "block_local W=1", policy, 1, 0xdb9e1d9bab9498d1ull,
+      {.trials = 20000, .accepted = 19944, .rejected = 56,
+       .silent_failures = 0, .detected_trials = 17482, .local_retries = 41768,
+       .program_restarts = 974, .fallbacks = 197,
+       .rail_events = {7389, 3671, 3760, 1343, 4326, 3757, 4065, 4040, 4094,
+                       8173},
+       .zero_check_events = 39005, .ops_main = 47958927,
+       .ops_local = 2450198, .ops_restart = 1068341, .segment_replays = {},
+       .segment_replay_ops = {}});
+  expect_recovery_pin(
+      "block_local W=8", policy, 8, 0x20047437fd021398ull,
+      {.trials = 20000, .accepted = 19941, .rejected = 59,
+       .silent_failures = 1, .detected_trials = 17405, .local_retries = 41462,
+       .program_restarts = 904, .fallbacks = 176,
+       .rail_events = {7433, 3733, 3660, 1221, 4201, 3676, 4055, 3915, 4119,
+                       8197},
+       .zero_check_events = 39013, .ops_main = 47984756,
+       .ops_local = 2422387, .ops_restart = 993486, .segment_replays = {},
+       .segment_replay_ops = {}});
 }
 
 }  // namespace
