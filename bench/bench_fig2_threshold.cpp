@@ -20,8 +20,8 @@
 
 #include "analysis/threshold.h"
 #include "bench_common.h"
+#include "detect/checker.h"
 #include "ft/experiments.h"
-#include "noise/injection.h"
 #include "noise/parallel_mc.h"
 #include "support/table.h"
 
@@ -128,7 +128,7 @@ void print_pair_census() {
     }
     return false;
   };
-  const auto census = pair_fault_census(module.physical, inputs, is_error);
+  const auto census = detect::pair_fault_census(module.physical, inputs, is_error);
   std::printf(
       "\nexhaustive pair-fault census of the level-1 module (27 ops):\n"
       "  op pairs: %llu, scenarios: %llu, fatal: %llu\n"

@@ -7,9 +7,10 @@ namespace revft::detect {
 namespace {
 
 // One instantiation per lane width, so the rail and zero-check
-// evaluators (checked_mc.h detail) run fixed-trip word loops.
-template <unsigned W>
-void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
+// evaluators (checked_mc.h detail) run fixed-trip word loops, and per
+// simulator: the noisy PackedSimulator or a ScriptedPass.
+template <unsigned W, typename Sim>
+void apply_noisy_checked_impl(Sim& sim, PackedState& state,
                               const CheckedCircuit& checked,
                               std::uint64_t* __restrict__ detected,
                               std::uint64_t* __restrict__ fired_masks) {
@@ -66,7 +67,8 @@ void apply_noisy_checked_impl(PackedSimulator& sim, PackedState& state,
 
 }  // namespace
 
-void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
+template <typename Sim>
+void apply_noisy_checked_words(Sim& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks) {
@@ -91,6 +93,30 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
       return;
   }
   REVFT_CHECK_MSG(false, "apply_noisy_checked_words: bad lane_words");
+}
+
+template void apply_noisy_checked_words(PackedSimulator&, PackedState&,
+                                        const CheckedCircuit&, std::uint64_t*,
+                                        std::uint64_t*);
+template void apply_noisy_checked_words(ScriptedPass&, PackedState&,
+                                        const CheckedCircuit&, std::uint64_t*,
+                                        std::uint64_t*);
+
+DetectionEstimate run_scripted_checked(
+    const CheckedCircuit& checked, std::span<const FaultScenario> scenarios,
+    unsigned lane_words,
+    const std::function<bool(const StateVector&, std::size_t)>& wrong) {
+  ScriptedPass script(checked.circuit, checked.data_width, scenarios,
+                      lane_words, wrong);
+  PackedState state(checked.circuit.width(), lane_words);
+  return detail::run_checked_mc_span(
+      script, state, checked, /*first_batch=*/0, scenarios.size(),
+      [&script](PackedState& s, Xoshiro256&, std::uint64_t batch) {
+        script.prepare(s, batch);
+      },
+      [&script](const PackedState& s, int lane, std::uint64_t batch) {
+        return script.classify(s, lane, batch);
+      });
 }
 
 }  // namespace revft::detect

@@ -30,12 +30,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "detect/rail.h"
+#include "noise/injection.h"
 #include "noise/parallel_mc.h"
 
 namespace revft::detect {
@@ -161,11 +163,25 @@ struct DetectionEstimate {
 /// contract carries over. Rail checkpoints are evaluated off
 /// CheckedCircuit::checkpoint_spans; a circuit whose spans do not align
 /// with its checkpoints (only a hand-assembled one — to_parity_rail
-/// records one per checkpoint) is rejected.
-void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
+/// records one per checkpoint) is rejected. `sim` is a PackedSimulator,
+/// or a ScriptedPass (noise/injection.h) whose first pass injects its
+/// batch's scripted faults; checked_mc.cpp instantiates both.
+template <typename Sim>
+void apply_noisy_checked_words(Sim& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks = nullptr);
+
+/// The one fault walker: each scenario (data-width input) runs in its
+/// own lane of the checked walk above, 64 * lane_words per batch, with
+/// its faults scripted into a noiseless pass. `wrong(final_state,
+/// scenario)` judges each lane's checked-width state; true counts a
+/// failure, detected or silent. Throws revft::Error naming an invalid
+/// scenario.
+DetectionEstimate run_scripted_checked(
+    const CheckedCircuit& checked, std::span<const FaultScenario> scenarios,
+    unsigned lane_words,
+    const std::function<bool(const StateVector&, std::size_t)>& wrong);
 
 namespace detail {
 
@@ -202,7 +218,8 @@ inline void zero_check_words(const PackedState& state,
 
 /// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
 /// batching and lane accounting, but every trial lands in one of the
-/// four DetectionEstimate buckets.
+/// four DetectionEstimate buckets. `sim` is a PackedSimulator, or
+/// run_scripted_checked's ScriptedPass.
 ///
 /// `trace` (nullable) receives, through telemetry::SpanEvents, the
 /// per-rail fired lane masks as kRailFired events, the zero-check
@@ -210,8 +227,8 @@ inline void zero_check_words(const PackedState& state,
 /// and one kBatchAccept per batch lane word. Events fire at most once
 /// per (batch, rail, word), so the stream is bounded by the batch
 /// count; the counts live in the returned estimate only.
-template <typename PrepareFn, typename ClassifyFn>
-DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
+template <typename Sim, typename PrepareFn, typename ClassifyFn>
+DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
                                       const CheckedCircuit& checked,
                                       std::uint64_t first_batch,
                                       std::uint64_t trials, PrepareFn&& prepare,

@@ -1,101 +1,27 @@
 #include "detect/checker.h"
 
+#include <algorithm>
+
+#include "detect/checked_mc.h"
 #include "support/error.h"
 
 namespace revft::detect {
 
-namespace {
-
-/// The one scalar op walk behind checked_run_with_faults and the
-/// census: runs ops [first, end) on result.state, overwriting the
-/// operands of every op whose `corrupted(i)` is >= 0 with that local
-/// value, and evaluates the zero checks and rail checkpoints from
-/// cursors `zc` / `cp` (the first entries with op_index >= first).
-/// Embedded check bits are inspected at the end; every other field of
-/// `result` is reset first. A full run walks from op 0; the census
-/// walks a fault's suffix from the clean pre-op state, which needs no
-/// prefix replay because a fault-free prefix never fires a check.
-template <typename CorruptedFn>
-void walk_checked(const CheckedCircuit& checked, std::size_t first,
-                  std::size_t zc, std::size_t cp, CorruptedFn&& corrupted,
-                  CheckedRunResult& result) {
-  const Circuit& circuit = checked.circuit;
-  StateVector& state = result.state;
-  result.detected = false;
-  result.first_violation = 0;
-  result.first_violated_rail = 0;
-  result.zero_check_fired = false;
-  result.rail_fired.assign(checked.rails.size(), 0);
-  bool any_rail_fired = false;
-  for (std::size_t i = first; i < circuit.size(); ++i) {
-    const Gate& g = circuit.op(i);
-    const int v = corrupted(i);
-    if (v < 0) {
-      state.apply(g);
-    } else {
-      for (int k = 0; k < g.arity(); ++k)
-        state.set_bit(g.bits[static_cast<std::size_t>(k)],
-                      static_cast<std::uint8_t>((v >> k) & 1));
-    }
-    for (; zc < checked.zero_checks.size() &&
-           checked.zero_checks[zc].op_index == i;
-         ++zc)
-      for (const std::uint32_t bit : checked.zero_checks[zc].bits)
-        if (state.bit(bit) != 0) {
-          result.detected = true;
-          result.zero_check_fired = true;
-        }
-    for (; cp < checked.checkpoints.size() && checked.checkpoints[cp] == i;
-         ++cp) {
-      const CheckpointSpan& span = checked.checkpoint_spans[cp];
-      for (std::size_t r = 0; r < checked.rails.size(); ++r) {
-        const std::uint32_t rail_bit = checked.rails[r].rail_bit;
-        if (rail_invariant(state, rail_bit, span.group(r)) == 0) continue;
-        if (!any_rail_fired) {
-          result.first_violation = cp;
-          result.first_violated_rail = r;
-          any_rail_fired = true;
-        }
-        result.rail_fired[r] = 1;
-        result.detected = true;
-      }
-    }
-  }
-  // Embedded checker outputs: any check bit left set is a detection.
-  if (!result.detected) {
-    for (std::size_t k = 0; k < checked.check_bits.size(); ++k) {
-      if (state.bit(checked.check_bits[k]) != 0) {
-        result.detected = true;
-        result.first_violation = k;
-        break;
-      }
-    }
-  }
-}
-
-}  // namespace
+constexpr unsigned kCensusLaneWords = 8;  // 512 scenarios per batch
 
 CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
                                          const StateVector& data_input,
                                          const std::vector<FaultSpec>& faults) {
-  const Circuit& circuit = checked.circuit;
-  // Index faults by op (same validation as noise/apply_with_faults).
-  std::vector<int> corrupted_at(circuit.size(), -1);
-  for (const FaultSpec& f : faults) {
-    REVFT_CHECK_MSG(f.op_index < circuit.size(),
-                    "fault op_index " << f.op_index << " out of range");
-    REVFT_CHECK_MSG(corrupted_at[f.op_index] < 0,
-                    "duplicate fault on op " << f.op_index);
-    REVFT_CHECK_MSG(f.corrupted_local < (1u << circuit.op(f.op_index).arity()),
-                    "corrupted_local " << f.corrupted_local
-                                       << " exceeds arity");
-    corrupted_at[f.op_index] = static_cast<int>(f.corrupted_local);
-  }
-  CheckedRunResult result{widen_input(checked, data_input), false, 0, {}, 0,
-                          false};
-  walk_checked(
-      checked, 0, 0, 0, [&](std::size_t i) { return corrupted_at[i]; },
-      result);
+  CheckedRunResult result{StateVector(0), false, {}};
+  const FaultScenario scenario{data_input, faults};
+  const DetectionEstimate est = run_scripted_checked(
+      checked, {&scenario, 1}, 1,
+      [&result](const StateVector& state, std::size_t) {
+        result.state = state;
+        return false;
+      });
+  result.detected = est.detected != 0;
+  result.rail_fired.assign(est.rail_detected.begin(), est.rail_detected.end());
   return result;
 }
 
@@ -134,62 +60,82 @@ DetectionCensus single_fault_detection_census(
     values_at[f.op_index].push_back(f.corrupted_local);
   }
   DetectionCensus census;
-  census.rail_detected.assign(checked.rails.size(), 0);
-  for (std::size_t i = 0; i < circuit.size(); ++i)
-    if (!values_at[i].empty()) ++census.fault_sites;
+  for (const auto& values : values_at)
+    if (!values.empty()) ++census.fault_sites;
 
-  // Hoisted enumeration: one clean forward walk per input supplies the
-  // pre-op state of every fault site and the check cursors there, so
-  // each scenario re-simulates only its suffix instead of the whole
-  // circuit (and skips the per-scenario fault indexing and input
-  // widening of a checked_run_with_faults loop). Exactly that loop's
-  // classification, at roughly half the gate applications.
-  CheckedRunResult run{StateVector(0), false, 0, {}, 0, false};
+  // A clean pass per input prunes each site's benign value (it
+  // re-simulates to the fault-free run); the rest stream to the walker
+  // one batch at a time, each lane's buffers reused.
+  DetectionEstimate est;
+  est.rail_detected.assign(checked.rails.size(), 0);
+  std::vector<FaultScenario> batch(64 * kCensusLaneWords);
+  std::vector<FaultSpec> faults;
   for (std::size_t in = 0; in < data_inputs.size(); ++in) {
-    StateVector clean = widen_input(checked, data_inputs[in]);
-    std::size_t zc = 0;
-    std::size_t cp = 0;
-    for (std::size_t i = 0; i < circuit.size(); ++i) {
-      const Gate& g = circuit.op(i);
-      if (!values_at[i].empty()) {
-        const int n = g.arity();
-        unsigned local = 0;
-        for (int k = 0; k < n; ++k)
-          local |= static_cast<unsigned>(
-                       clean.bit(g.bits[static_cast<std::size_t>(k)]))
-                   << k;
-        const unsigned correct = gate_apply_local(g.kind, local);
-        for (const unsigned v : values_at[i]) {
-          if (v == correct) {  // re-simulates to the clean run
-            ++census.benign_skipped;
-            continue;
-          }
-          ++census.scenarios;
-          run.state = clean;
-          walk_checked(
-              checked, i, zc, cp,
-              [i, v](std::size_t op) {
-                return op == i ? static_cast<int>(v) : -1;
-              },
-              run);
-          const bool wrong = is_error(run.state, in);
-          if (run.detected)
-            ++(wrong ? census.detected_harmful : census.detected_harmless);
-          else
-            ++(wrong ? census.silent_harmful : census.harmless);
-          for (std::size_t r = 0; r < run.rail_fired.size(); ++r)
-            census.rail_detected[r] += run.rail_fired[r];
-        }
+    faults.clear();
+    for (const FaultSpec& f : enumerate_single_faults(
+             circuit, widen_input(checked, data_inputs[in]), true))
+      for (const unsigned v : values_at[f.op_index])
+        if (v == f.corrupted_local) faults.push_back(f);
+    census.benign_skipped += scenarios.size() - faults.size();
+    for (std::size_t first = 0; first < faults.size(); first += batch.size()) {
+      const std::size_t n = std::min(batch.size(), faults.size() - first);
+      for (std::size_t k = 0; k < n; ++k) {
+        batch[k].input = data_inputs[in];
+        batch[k].faults.assign(1, faults[first + k]);
       }
-      clean.apply(g);
-      while (zc < checked.zero_checks.size() &&
-             checked.zero_checks[zc].op_index == i)
-        ++zc;
-      while (cp < checked.checkpoints.size() && checked.checkpoints[cp] == i)
-        ++cp;
+      est += run_scripted_checked(
+          checked, {batch.data(), n}, kCensusLaneWords,
+          [&](const StateVector& state, std::size_t) {
+            return is_error(state, in);
+          });
     }
   }
+  census.scenarios = est.trials;
+  census.harmless = est.accepted() - est.silent_failures;
+  census.detected_harmless = est.false_alarms();
+  census.detected_harmful = est.detected_failures;
+  census.silent_harmful = est.silent_failures;
+  census.rail_detected = est.rail_detected;
   return census;
+}
+
+PairCensusResult pair_fault_census(
+    const Circuit& circuit, const std::vector<StateVector>& prepared_inputs,
+    const std::function<bool(const StateVector&, std::size_t)>& is_error) {
+  REVFT_CHECK_MSG(!prepared_inputs.empty(), "pair_fault_census: no inputs");
+  CheckedCircuit plain;
+  plain.circuit = circuit;
+  plain.data_width = circuit.width();
+  const std::size_t inputs = prepared_inputs.size();
+  PairCensusResult result;
+  std::vector<FaultScenario> batch;
+  for (std::size_t i = 0; i < circuit.size(); ++i) {
+    const unsigned vi_count = 1u << circuit.op(i).arity();
+    for (std::size_t j = i + 1; j < circuit.size(); ++j) {
+      const unsigned vj_count = 1u << circuit.op(j).arity();
+      ++result.pairs_total;
+      // Scenario s: input s % inputs, value combo s / inputs.
+      batch.resize(std::size_t{vi_count} * vj_count * inputs);
+      for (std::size_t s = 0; s < batch.size(); ++s) {
+        const auto combo = static_cast<unsigned>(s / inputs);
+        batch[s].input = prepared_inputs[s % inputs];
+        batch[s].faults = {{i, combo / vj_count}, {j, combo % vj_count}};
+      }
+      const std::uint64_t fatal_combos =
+          run_scripted_checked(plain, batch, kCensusLaneWords,
+                               [&](const StateVector& state, std::size_t s) {
+                                 return is_error(state, s % inputs);
+                               })
+              .silent_failures;
+      result.scenarios_total += batch.size();
+      result.scenarios_fatal += fatal_combos;
+      result.quadratic_coefficient +=
+          static_cast<double>(fatal_combos) /
+          (static_cast<double>(vi_count) * static_cast<double>(vj_count) *
+           static_cast<double>(inputs));
+    }
+  }
+  return result;
 }
 
 }  // namespace revft::detect

@@ -1,11 +1,13 @@
 // revft/detect/checker.h
 //
-// Online error detection for the scalar reference engine, and the
-// exhaustive single-fault detection census — the detection analogue of
-// noise/injection's pair-fault census. Instead of *sampling* the
-// detected / silent split, the census enumerates every single-fault
-// scenario of a checked circuit (every op, every corrupted local
-// value, every supplied input) and classifies each one exactly:
+// Single checked runs and the exhaustive fault censuses, all on the
+// one fault walker (detect::run_scripted_checked: scripted faults in
+// the packed checked engine's lanes). The single-fault detection
+// census is the detection analogue of the pair-fault census below.
+// Instead of *sampling* the detected / silent split, it enumerates
+// every single-fault scenario of a checked circuit (every op, every
+// corrupted local value, every supplied input) and classifies each one
+// exactly:
 //
 //   harmless          — output still correct, no alarm
 //   detected_harmless — alarm raised, output correct anyway
@@ -32,24 +34,16 @@
 
 namespace revft::detect {
 
-/// Outcome of one checked scalar run.
+/// Outcome of one checked run.
 struct CheckedRunResult {
   StateVector state;  ///< final state at the checked circuit's width
   bool detected = false;
-  /// Index into CheckedCircuit::checkpoints of the first violated
-  /// checkpoint (meaningful only when detected).
-  std::size_t first_violation = 0;
   /// Per-rail alarm flags, sized rails.size(): rail_fired[r] != 0 when
   /// rail r's invariant I_r was violated at some checkpoint. This is
   /// the localization payoff of a rail partition — under the checked
   /// machines' per-block partition the fired rail names the suspect
   /// block, so a retry can re-run one block instead of the program.
   std::vector<std::uint8_t> rail_fired;
-  /// Rail index of the first rail violation (meaningful only when some
-  /// rail fired; zero-check-only detections leave it 0).
-  std::size_t first_violated_rail = 0;
-  /// True when some registered ZeroCheck saw a nonzero bit.
-  bool zero_check_fired = false;
 };
 
 /// Run the checked circuit fault-free on a data-width input (rail and
@@ -58,12 +52,11 @@ CheckedRunResult checked_run(const CheckedCircuit& checked,
                              const StateVector& data_input);
 
 /// Same, with deterministic fault injection (op indices refer to
-/// checked.circuit). Every rail invariant I_r = rail_r ^ XOR(group_r)
-/// is evaluated at every checkpoint (recording which rails fired) and
-/// every registered ZeroCheck's bits are inspected at its position;
-/// embedded check bits are also inspected at the end when present.
-/// first_violation refers to rail checkpoints only (it stays 0 for a
-/// pure zero-check detection).
+/// checked.circuit): one lane of run_scripted_checked. Every rail
+/// invariant I_r = rail_r ^ XOR(group_r) is evaluated at every
+/// checkpoint (recording which rails fired) and every registered
+/// ZeroCheck's bits are inspected at its position; embedded check bits
+/// are also inspected at the end when present.
 CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
                                          const StateVector& data_input,
                                          const std::vector<FaultSpec>& faults);
@@ -122,5 +115,37 @@ DetectionCensus single_fault_detection_census(
     const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
     const std::function<bool(const StateVector&, std::size_t)>& is_error,
     const std::vector<FaultSpec>& scenarios);
+
+/// Exhaustive PAIR-fault census: for every unordered pair of ops and
+/// every combination of corrupted values (and every input the caller
+/// supplies), decide whether the double fault defeats the circuit.
+///
+/// This measures the exact quadratic error coefficient of a
+/// fault-tolerant construction. The paper bounds it by C(G,2) per
+/// encoded bit (every pair assumed fatal, §2.2); the census computes
+/// the true count:
+///
+///   P[logical error] = c2 g^2 + O(g^3),
+///   c2 = sum over op pairs (i<j) of P[fatal | both fail]
+///      = sum over pairs of (fatal value combos) / 2^(arity_i+arity_j)
+///
+/// averaged over the supplied inputs. (Single faults are assumed
+/// non-fatal — true for the level-1 non-local and 2D constructions;
+/// callers for 1D should also run the single-fault census.)
+struct PairCensusResult {
+  std::uint64_t pairs_total = 0;        ///< op pairs examined
+  std::uint64_t scenarios_total = 0;    ///< (pair, values, input) cases
+  std::uint64_t scenarios_fatal = 0;
+  /// Exact quadratic coefficient c2 (averaged over inputs).
+  double quadratic_coefficient = 0.0;
+};
+
+/// `is_error(final_state, input_index)` decides logical failure.
+/// Inputs are given as prepared StateVectors (one per logical input).
+/// The circuit runs on the fault walker as a CheckedCircuit with no
+/// rails or checks.
+PairCensusResult pair_fault_census(
+    const Circuit& circuit, const std::vector<StateVector>& prepared_inputs,
+    const std::function<bool(const StateVector&, std::size_t)>& is_error);
 
 }  // namespace revft::detect

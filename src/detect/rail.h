@@ -40,10 +40,10 @@
 // triple, a conditional Fredkin swap) are compensated per rail with
 // the exact parity delta of each group's operand subset.
 //
-// Checkpoints are recorded op positions; the online checkers
-// (detect/checker.h for the scalar engine, detect/checked_mc.h for
-// the 64-lane packed engine) evaluate every I_r there without adding
-// gates, and report which rail fired. Optionally the transform also
+// Checkpoints are recorded op positions; the online checker of the
+// packed engine (detect/checked_mc.h, which also runs the single
+// checked runs and censuses of detect/checker.h) evaluates every I_r
+// there without adding gates, and reports which rail fired. Optionally the transform also
 // *embeds* checker sub-circuits built from the existing CNOT
 // primitive, which copy the XOR of all rail invariants into dedicated
 // check bits so detection is visible in the circuit's own outputs

@@ -1,6 +1,7 @@
 #include "noise/injection.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.h"
 
@@ -35,6 +36,75 @@ StateVector apply_with_faults(const Circuit& circuit, StateVector input,
                     static_cast<std::uint8_t>((v >> k) & 1u));
   }
   return input;
+}
+
+ScriptedPass::ScriptedPass(
+    const Circuit& circuit, std::uint32_t input_width,
+    std::span<const FaultScenario> scenarios, unsigned lane_words,
+    std::function<bool(const StateVector&, std::size_t)> wrong)
+    : circuit_(circuit),
+      input_width_(input_width),
+      scenarios_(scenarios),
+      lanes_per_batch_(64ULL * lane_words),
+      wrong_(std::move(wrong)),
+      out_(circuit.width()) {}
+
+void ScriptedPass::prepare(PackedState& s, std::uint64_t batch) {
+  faults_.clear();
+  const std::size_t base = batch * lanes_per_batch_;
+  const std::size_t end = std::min(scenarios_.size(), base + lanes_per_batch_);
+  for (std::size_t i = base; i < end; ++i) {
+    const FaultScenario& sc = scenarios_[i];
+    const int lane = static_cast<int>(i - base);
+    REVFT_CHECK_MSG(sc.input.width() == input_width_,
+                    "scenario " << i << ": input width " << sc.input.width()
+                                << ", expected " << input_width_);
+    for (std::uint32_t bit = 0; bit < input_width_; ++bit)
+      if (sc.input.bit(bit) != 0) s.set_bit_lane(bit, lane, true);
+    const std::size_t lane_first = faults_.size();
+    for (const FaultSpec& f : sc.faults) {
+      REVFT_CHECK_MSG(f.op_index < circuit_.size(),
+                      "scenario " << i << ": fault op_index " << f.op_index
+                                  << " out of range");
+      REVFT_CHECK_MSG(
+          f.corrupted_local < (1u << circuit_.op(f.op_index).arity()),
+          "scenario " << i << ": corrupted_local " << f.corrupted_local
+                      << " exceeds the arity of op " << f.op_index);
+      for (std::size_t k = lane_first; k < faults_.size(); ++k)
+        REVFT_CHECK_MSG(faults_[k].op != f.op_index,
+                        "scenario " << i << ": duplicate fault on op "
+                                    << f.op_index);
+      faults_.push_back({f.op_index, lane, f.corrupted_local});
+    }
+  }
+  std::stable_sort(faults_.begin(), faults_.end());
+}
+
+void ScriptedPass::apply_noisy_span(PackedState& s, const Circuit& c,
+                                    std::size_t first, std::size_t last) {
+  REVFT_DASSERT(&c == &circuit_);
+  auto it = std::lower_bound(faults_.begin(), faults_.end(),
+                             LaneFault{first, 0, 0});
+  std::size_t pos = first;
+  for (; it != faults_.end() && it->op < last; ++it) {
+    if (it->op >= pos) {
+      sim_.apply_noisy_span(s, c, pos, it->op + 1);
+      pos = it->op + 1;
+    }
+    const Gate& g = c.op(it->op);
+    for (int k = 0; k < g.arity(); ++k)
+      s.set_bit_lane(g.bits[static_cast<std::size_t>(k)], it->lane,
+                     ((it->value >> k) & 1u) != 0);
+  }
+  sim_.apply_noisy_span(s, c, pos, last);
+}
+
+bool ScriptedPass::classify(const PackedState& s, int lane,
+                            std::uint64_t batch) {
+  for (std::uint32_t bit = 0; bit < s.width(); ++bit)
+    out_.set_bit(bit, s.bit_lane(bit, lane));
+  return wrong_(out_,
+                batch * lanes_per_batch_ + static_cast<std::size_t>(lane));
 }
 
 FaultSites count_fault_sites(const Circuit& circuit) {
@@ -78,40 +148,6 @@ std::vector<FaultSpec> enumerate_single_faults(const Circuit& circuit,
     state.apply(g);
   }
   return out;
-}
-
-PairCensusResult pair_fault_census(
-    const Circuit& circuit, const std::vector<StateVector>& prepared_inputs,
-    const std::function<bool(const StateVector&, std::size_t)>& is_error) {
-  REVFT_CHECK_MSG(!prepared_inputs.empty(), "pair_fault_census: no inputs");
-  PairCensusResult result;
-  const std::size_t n = circuit.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned vi_count = 1u << circuit.op(i).arity();
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const unsigned vj_count = 1u << circuit.op(j).arity();
-      ++result.pairs_total;
-      std::uint64_t fatal_combos = 0;
-      for (unsigned vi = 0; vi < vi_count; ++vi) {
-        for (unsigned vj = 0; vj < vj_count; ++vj) {
-          for (std::size_t in = 0; in < prepared_inputs.size(); ++in) {
-            ++result.scenarios_total;
-            const StateVector out = apply_with_faults(
-                circuit, prepared_inputs[in], {{i, vi}, {j, vj}});
-            if (is_error(out, in)) {
-              ++result.scenarios_fatal;
-              ++fatal_combos;
-            }
-          }
-        }
-      }
-      result.quadratic_coefficient +=
-          static_cast<double>(fatal_combos) /
-          (static_cast<double>(vi_count) * static_cast<double>(vj_count) *
-           static_cast<double>(prepared_inputs.size()));
-    }
-  }
-  return result;
 }
 
 }  // namespace revft

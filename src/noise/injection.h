@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "noise/packed_sim.h"
 #include "rev/circuit.h"
 #include "rev/simulator.h"
 
@@ -25,6 +27,59 @@ namespace revft {
 struct FaultSpec {
   std::size_t op_index;
   unsigned corrupted_local;
+};
+
+/// One scripted scenario: an input and the faults its lane suffers on
+/// the FIRST pass only (each op at most once, corrupted_local <
+/// 2^arity).
+struct FaultScenario {
+  StateVector input{0};
+  std::vector<FaultSpec> faults;
+};
+
+/// The one fault walker's first pass: scenario 64 * lane_words * b + l
+/// runs in lane l of batch b on a noiseless simulator, so its scripted
+/// faults are the only ones. detect::run_scripted_checked and
+/// recover::run_scripted_recovering drive it from their callbacks.
+class ScriptedPass {
+ public:
+  /// `scenarios` must outlive the pass; each input is `input_width`
+  /// bits, loaded into the low bits of its lane.
+  ScriptedPass(const Circuit& circuit, std::uint32_t input_width,
+               std::span<const FaultScenario> scenarios, unsigned lane_words,
+               std::function<bool(const StateVector&, std::size_t)> wrong);
+
+  /// Loads batch `batch` into the cleared state and collects its faults.
+  /// Throws revft::Error naming the scenario on a wrong input width, an
+  /// op out of range, a value >= 2^arity or a second fault on one op.
+  void prepare(PackedState& s, std::uint64_t batch);
+  /// Ops [first, last) of the pass's circuit `c`, each scripted op's
+  /// operands then overwritten in its lane: the engines' first pass.
+  void apply_noisy_span(PackedState& s, const Circuit& c, std::size_t first,
+                        std::size_t last);
+  /// wrong(lane's final state, scenario index).
+  bool classify(const PackedState& s, int lane, std::uint64_t batch);
+
+  /// The noiseless simulator (replays and restarts run on it).
+  PackedSimulator& sim() { return sim_; }
+  Xoshiro256& rng() { return sim_.rng(); }
+
+ private:
+  struct LaneFault {
+    std::size_t op;
+    int lane;
+    unsigned value;
+    bool operator<(const LaneFault& o) const { return op < o.op; }
+  };
+
+  PackedSimulator sim_{NoiseModel::uniform(0.0), /*seed=*/0};
+  const Circuit& circuit_;
+  std::uint32_t input_width_;
+  std::span<const FaultScenario> scenarios_;
+  std::size_t lanes_per_batch_;
+  std::function<bool(const StateVector&, std::size_t)> wrong_;
+  std::vector<LaneFault> faults_;  // the current batch's, by op
+  StateVector out_;
 };
 
 /// Run `circuit` on `input`, injecting the given faults (sorted or
@@ -59,35 +114,5 @@ std::vector<FaultSpec> enumerate_single_faults(const Circuit& circuit);
 std::vector<FaultSpec> enumerate_single_faults(const Circuit& circuit,
                                                const StateVector& input,
                                                bool skip_benign);
-
-/// Exhaustive PAIR-fault census: for every unordered pair of ops and
-/// every combination of corrupted values (and every input the caller
-/// supplies), decide whether the double fault defeats the circuit.
-///
-/// This measures the exact quadratic error coefficient of a
-/// fault-tolerant construction. The paper bounds it by C(G,2) per
-/// encoded bit (every pair assumed fatal, §2.2); the census computes
-/// the true count:
-///
-///   P[logical error] = c2 g^2 + O(g^3),
-///   c2 = sum over op pairs (i<j) of P[fatal | both fail]
-///      = sum over pairs of (fatal value combos) / 2^(arity_i+arity_j)
-///
-/// averaged over the supplied inputs. (Single faults are assumed
-/// non-fatal — true for the level-1 non-local and 2D constructions;
-/// callers for 1D should also run the single-fault census.)
-struct PairCensusResult {
-  std::uint64_t pairs_total = 0;        ///< op pairs examined
-  std::uint64_t scenarios_total = 0;    ///< (pair, values, input) cases
-  std::uint64_t scenarios_fatal = 0;
-  /// Exact quadratic coefficient c2 (averaged over inputs).
-  double quadratic_coefficient = 0.0;
-};
-
-/// `is_error(final_state, input_index)` decides logical failure.
-/// Inputs are given as prepared StateVectors (one per logical input).
-PairCensusResult pair_fault_census(
-    const Circuit& circuit, const std::vector<StateVector>& prepared_inputs,
-    const std::function<bool(const StateVector&, std::size_t)>& is_error);
 
 }  // namespace revft

@@ -75,9 +75,12 @@ bool may_write(const Gate& g, const std::vector<char>& watched) {
 /// same segment as the rail checkpoint, a violation is caught while
 /// the snapshot that can fix it still exists; split, the rail fires
 /// one (tiny) segment late and every local replay would fall back to a
-/// whole-program restart. Deferred evaluation reads the same values —
-/// the cells provably cannot change — so detection on fault-free runs
-/// is untouched.
+/// whole-program restart. On fault-free runs the deferred check reads
+/// the same values, as no op in between writes its cells. A FAULTED op
+/// in between overwrites every operand, read-only ones included
+/// (writes_mask skips those), so under a single fault deferral can only
+/// add detections; a second fault can also clean a dirtied cell.
+/// ScriptedRepair.DeferredZeroChecksOnlyAddDetections pins the gap.
 std::vector<char> merge_boundaries(const detect::CheckedCircuit& checked) {
   const Circuit& circuit = checked.circuit;
   std::vector<char> delimits(circuit.size(), 0);

@@ -95,17 +95,16 @@ void for_each_lane(const LaneMask& mask, const F& f) {
 /// run_recovering_mc_span at a compile-time lane width, so the boundary
 /// checks of every first pass, replay and restart run fixed-trip word
 /// loops (the same per-width dispatch as the gate kernels).
-/// `first_pass(state, first, last)` applies ops [first, last) of a
-/// batch's first pass: the noisy span in production, the span plus
-/// scripted faults in run_scripted_recovering. Replays and restarts
-/// always run on `sim`.
+/// `first_pass.apply_noisy_span` runs a batch's first pass: `sim`
+/// itself in production, the ScriptedPass in run_scripted_recovering.
+/// Replays and restarts always run on `sim`.
 template <unsigned W, typename FirstPass>
 RecoveryEstimate recovering_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const ClassifyFn& classify,
-    telemetry::ShardTrace* trace, const FirstPass& first_pass) {
+    telemetry::ShardTrace* trace, FirstPass& first_pass) {
   const Circuit& circuit = checked.circuit;
   RecoveryEstimate est;
   est.rail_events.assign(checked.rails.size(), 0);
@@ -169,7 +168,7 @@ RecoveryEstimate recovering_span(
       const Segment& seg = plan.segments[si];
       const std::uint32_t seg_id = static_cast<std::uint32_t>(si);
       const std::size_t n_comp = seg.components.size();
-      first_pass(state, seg.begin, seg.end + 1);
+      first_pass.apply_noisy_span(state, circuit, seg.begin, seg.end + 1);
       est.ops_main += seg.op_count() * active.popcount();
       comp_fired.assign(n_comp * W, 0);
       eval_boundary<W>(checked, seg, state, ~0ULL, comp_fired.data(), &est,
@@ -360,6 +359,7 @@ RecoveryEstimate recovering_span(
       accepted_lanes |= accepted_now & live;
       for_each_lane(accepted_now, [&](unsigned lane) {
         ++est.accepted;
+        ++est.restart_accepts;
         if (classify(state, static_cast<int>(lane), batch))
           ++est.silent_failures;
       });
@@ -381,7 +381,7 @@ RecoveryEstimate dispatch_span(
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const ClassifyFn& classify,
-    telemetry::ShardTrace* trace, const FirstPass& first_pass) {
+    telemetry::ShardTrace* trace, FirstPass& first_pass) {
   REVFT_CHECK_MSG(plan.total_ops == checked.circuit.size(),
                   "run_recovering_mc_span: plan built for a different circuit");
   REVFT_CHECK_MSG(
@@ -406,15 +406,6 @@ RecoveryEstimate dispatch_span(
   return {};
 }
 
-/// One scripted fault of the current batch: `lane` suffers `value` on
-/// op `op` of its first pass.
-struct LaneFault {
-  std::size_t op;
-  int lane;
-  unsigned value;
-  bool operator<(const LaneFault& o) const { return op < o.op; }
-};
-
 }  // namespace
 
 RecoveryEstimate run_recovering_mc_span(
@@ -423,13 +414,8 @@ RecoveryEstimate run_recovering_mc_span(
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace) {
-  const Circuit& circuit = checked.circuit;
-  return dispatch_span(
-      sim, state, checked, plan, policy, first_batch, trials, prepare,
-      classify, trace,
-      [&sim, &circuit](PackedState& s, std::size_t first, std::size_t last) {
-        sim.apply_noisy_span(s, circuit, first, last);
-      });
+  return dispatch_span(sim, state, checked, plan, policy, first_batch, trials,
+                       prepare, classify, trace, sim);
 }
 
 RecoveryEstimate run_scripted_recovering(
@@ -437,73 +423,19 @@ RecoveryEstimate run_scripted_recovering(
     const RetryPolicy& policy, const std::vector<FaultScenario>& scenarios,
     unsigned lane_words,
     const std::function<bool(const StateVector&, std::size_t)>& wrong) {
-  const Circuit& circuit = checked.circuit;
-  const std::size_t lanes_per_batch = 64ULL * lane_words;
-  // p = 0: every mask is zero and no randomness is drawn, so replays
-  // and restarts run fault-free.
-  PackedSimulator sim(NoiseModel::uniform(0.0), /*seed=*/0);
-  PackedState state(circuit.width(), lane_words);
-  // prepare runs once per batch before its first pass: it loads each
-  // lane's input and collects the batch's faults, ordered by op.
-  std::vector<LaneFault> batch_faults;
-  const PrepareFn prepare = [&](PackedState& s, Xoshiro256&,
-                                std::uint64_t batch) {
-    batch_faults.clear();
-    const std::size_t base = batch * lanes_per_batch;
-    for (std::size_t i = base;
-         i < std::min(scenarios.size(), base + lanes_per_batch); ++i) {
-      const FaultScenario& sc = scenarios[i];
-      const int lane = static_cast<int>(i - base);
-      const StateVector wide = detect::widen_input(checked, sc.input);
-      for (std::uint32_t bit = 0; bit < s.width(); ++bit)
-        if (wide.bit(bit) != 0) s.set_bit_lane(bit, lane, true);
-      const std::size_t lane_first = batch_faults.size();
-      for (const FaultSpec& f : sc.faults) {
-        REVFT_CHECK_MSG(f.op_index < circuit.size(),
-                        "scenario " << i << ": fault op_index " << f.op_index
-                                    << " out of range");
-        REVFT_CHECK_MSG(
-            f.corrupted_local < (1u << circuit.op(f.op_index).arity()),
-            "scenario " << i << ": corrupted_local " << f.corrupted_local
-                        << " exceeds the arity of op " << f.op_index);
-        for (std::size_t k = lane_first; k < batch_faults.size(); ++k)
-          REVFT_CHECK_MSG(batch_faults[k].op != f.op_index,
-                          "scenario " << i << ": duplicate fault on op "
-                                      << f.op_index);
-        batch_faults.push_back({f.op_index, lane, f.corrupted_local});
-      }
-    }
-    std::stable_sort(batch_faults.begin(), batch_faults.end());
-  };
-  const ClassifyFn classify = [&](const PackedState& s, int lane,
-                                  std::uint64_t batch) {
-    StateVector out(s.width());
-    for (std::uint32_t bit = 0; bit < s.width(); ++bit)
-      out.set_bit(bit, s.bit_lane(bit, lane));
-    return wrong(out, batch * lanes_per_batch + static_cast<std::size_t>(lane));
-  };
-  // The first pass splits each span after every scripted op and
-  // overwrites the faulted lane's operand bits with its scripted value.
-  const auto scripted_pass = [&](PackedState& s, std::size_t first,
-                                 std::size_t last) {
-    auto it = std::lower_bound(batch_faults.begin(), batch_faults.end(),
-                               LaneFault{first, 0, 0});
-    std::size_t pos = first;
-    for (; it != batch_faults.end() && it->op < last; ++it) {
-      if (it->op >= pos) {
-        sim.apply_noisy_span(s, circuit, pos, it->op + 1);
-        pos = it->op + 1;
-      }
-      const Gate& g = circuit.op(it->op);
-      for (int k = 0; k < g.arity(); ++k)
-        s.set_bit_lane(g.bits[static_cast<std::size_t>(k)], it->lane,
-                       ((it->value >> k) & 1u) != 0);
-    }
-    sim.apply_noisy_span(s, circuit, pos, last);
-  };
-  return dispatch_span(sim, state, checked, plan, policy, /*first_batch=*/0,
-                       scenarios.size(), prepare, classify, /*trace=*/nullptr,
-                       scripted_pass);
+  ScriptedPass script(checked.circuit, checked.data_width, scenarios,
+                      lane_words, wrong);
+  PackedState state(checked.circuit.width(), lane_words);
+  return dispatch_span(
+      script.sim(), state, checked, plan, policy, /*first_batch=*/0,
+      scenarios.size(),
+      [&script](PackedState& s, Xoshiro256&, std::uint64_t batch) {
+        script.prepare(s, batch);
+      },
+      [&script](const PackedState& s, int lane, std::uint64_t batch) {
+        return script.classify(s, lane, batch);
+      },
+      /*trace=*/nullptr, script);
 }
 
 }  // namespace revft::recover

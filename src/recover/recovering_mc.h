@@ -91,19 +91,12 @@ RecoveryEstimate run_recovering_mc_span(
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace = nullptr);
 
-/// One scripted scenario of run_scripted_recovering: a data-width
-/// input and the faults its lane suffers on the FIRST pass only
-/// (noise/injection FaultSpecs naming checked.circuit ops; each op at
-/// most once, corrupted_local < 2^arity).
-struct FaultScenario {
-  StateVector input{0};
-  std::vector<FaultSpec> faults;
-};
-
-/// The repair theorem's harness: every scenario runs in its own lane of
-/// the same segment walk run_recovering_mc_span ships (64 * lane_words
+/// The repair theorem's harness: every scenario (data-width input,
+/// FaultSpecs naming checked.circuit ops) runs in its own lane of the
+/// same segment walk run_recovering_mc_span ships (64 * lane_words
 /// scenarios per batch), on a noiseless simulator whose first pass
-/// injects the scripted faults — so replays and restarts run
+/// injects the scripted faults (noise/injection.h ScriptedPass, the
+/// checked engine's fault walker too) — so replays and restarts run
 /// fault-free, and enumerating every single-fault scenario proves the
 /// MECHANISM repairs what the checks detect (tests/test_recover.cpp).
 /// `wrong(final_state, scenario)` is called once per accepted scenario

@@ -69,6 +69,7 @@ struct RecoveryEstimate {
   std::uint64_t local_retries = 0;     ///< component replay attempts
   std::uint64_t program_restarts = 0;  ///< whole-program attempts
   std::uint64_t fallbacks = 0;         ///< local events escalated to restart
+  std::uint64_t restart_accepts = 0;   ///< trials accepted by a restart
   /// Detection events attributed to rail r on still-active trials (a
   /// trial can fire several rails at one boundary and fire at several
   /// boundaries) — the per-rail retry counters of the protocol.
@@ -146,6 +147,7 @@ struct RecoveryEstimate {
     local_retries += other.local_retries;
     program_restarts += other.program_restarts;
     fallbacks += other.fallbacks;
+    restart_accepts += other.restart_accepts;
     add_slots(rail_events, other.rail_events);
     zero_check_events += other.zero_check_events;
     ops_main += other.ops_main;

@@ -30,6 +30,7 @@ inline void expect_same_recovery(const recover::RecoveryEstimate& got,
   EXPECT_EQ(got.local_retries, want.local_retries) << what;
   EXPECT_EQ(got.program_restarts, want.program_restarts) << what;
   EXPECT_EQ(got.fallbacks, want.fallbacks) << what;
+  EXPECT_EQ(got.restart_accepts, want.restart_accepts) << what;
   EXPECT_EQ(got.rail_events, want.rail_events) << what;
   EXPECT_EQ(got.zero_check_events, want.zero_check_events) << what;
   EXPECT_EQ(got.ops_main, want.ops_main) << what;

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/threshold.h"
+#include "detect/checker.h"
 #include "ft/concat.h"
 #include "ft/ec_circuit.h"
-#include "noise/injection.h"
 #include "rev/simulator.h"
 #include "code/repetition.h"
 #include "support/error.h"
@@ -20,7 +20,7 @@ TEST(PairCensus, CountsAllPairs) {
   Circuit c(3);
   c.maj(0, 1, 2).not_(0).cnot(0, 1);
   std::vector<StateVector> inputs{StateVector(3, 0)};
-  const auto census = pair_fault_census(
+  const auto census = detect::pair_fault_census(
       c, inputs, [](const StateVector&, std::size_t) { return false; });
   EXPECT_EQ(census.pairs_total, 3u);
   // Pairs: (maj,not): 8*2=16; (maj,cnot): 8*4=32; (not,cnot): 2*4=8.
@@ -33,7 +33,7 @@ TEST(PairCensus, AllFatalGivesPairCount) {
   Circuit c(3);
   c.maj(0, 1, 2).cnot(0, 1).not_(2).swap(1, 2);
   std::vector<StateVector> inputs{StateVector(3, 0), StateVector(3, 5)};
-  const auto census = pair_fault_census(
+  const auto census = detect::pair_fault_census(
       c, inputs, [](const StateVector&, std::size_t) { return true; });
   // Every pair fully fatal: coefficient = number of pairs = C(4,2).
   EXPECT_DOUBLE_EQ(census.quadratic_coefficient, 6.0);
@@ -42,7 +42,7 @@ TEST(PairCensus, AllFatalGivesPairCount) {
 TEST(PairCensus, RequiresInputs) {
   Circuit c(2);
   c.cnot(0, 1);
-  EXPECT_THROW(pair_fault_census(c, {},
+  EXPECT_THROW(detect::pair_fault_census(c, {},
                                  [](const StateVector&, std::size_t) {
                                    return false;
                                  }),
@@ -60,7 +60,7 @@ TEST(PairCensus, Fig2StageCoefficientBelowPaperBound) {
       sv.set_bit(bit, static_cast<std::uint8_t>(logical));
     inputs.push_back(std::move(sv));
   }
-  const auto census = pair_fault_census(
+  const auto census = detect::pair_fault_census(
       stage.circuit, inputs, [&](const StateVector& out, std::size_t input) {
         const int expected = static_cast<int>(input);
         const int decoded = majority3(out.bit(stage.after.data[0]),
@@ -93,7 +93,7 @@ TEST(PairCensus, Level1ModuleCoefficientMatchesKnownValue) {
     }
     inputs.push_back(std::move(sv));
   }
-  const auto census = pair_fault_census(
+  const auto census = detect::pair_fault_census(
       module.physical, inputs, [&](const StateVector& out, std::size_t input) {
         const unsigned expected = gate_apply_local(
             GateKind::kToffoli, static_cast<unsigned>(input));

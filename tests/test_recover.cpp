@@ -28,7 +28,9 @@
 #include <vector>
 
 #include "code/repetition.h"
+#include "detect/checked_mc.h"
 #include "detect/checker.h"
+#include "ft/detect_experiment.h"
 #include "ft/experiments.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
@@ -467,7 +469,7 @@ void expect_totals(const recover::RecoveryEstimate& est,
 /// Scripted scenarios of one checked machine program, with the logical
 /// input of each so a failure can name it.
 struct ScenarioSet {
-  std::vector<recover::FaultScenario> scenarios;
+  std::vector<FaultScenario> scenarios;
   std::vector<unsigned> logical_input;
 
   std::string name(std::size_t i) const {
@@ -671,6 +673,55 @@ TEST(ScriptedRepair, TotalsIdenticalAtW1AndW8) {
   }
 }
 
+// The segment plan may defer a zero check to the end of its segment
+// (recover/plan.cpp merge_boundaries). No fault-free op in between
+// writes its cells, but a faulted op overwrites every operand, read-only
+// ones included, so under one fault the deferred check can only see
+// MORE: every scenario the census (checks at their registered op)
+// detects, kNoRetry rejects too. The scenarios only the deferred checks
+// catch are pinned.
+TEST(ScriptedRepair, DeferredZeroChecksOnlyAddDetections) {
+  const Circuit logical = routed_toffoli3();
+  const auto program =
+      CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
+  const auto plan = recover::build_segment_plan(program.checked);
+  const ScenarioSet set = make_scenarios(program, kAllInputs, true);
+  std::vector<char> accepted(set.scenarios.size(), 0);
+  recover::run_scripted_recovering(
+      program.checked, plan, recover::RetryPolicy::no_retry(), set.scenarios,
+      8, [&](const StateVector&, std::size_t i) {
+        accepted[i] = 1;
+        return false;
+      });
+  std::uint64_t census_detected = 0;
+  std::uint64_t deferred_only = 0;
+  std::vector<std::size_t> deferred_ops;
+  for (std::size_t i = 0; i < set.scenarios.size(); ++i) {
+    const FaultScenario& sc = set.scenarios[i];
+    if (detect::checked_run_with_faults(program.checked, sc.input, sc.faults)
+            .detected) {
+      ++census_detected;
+      EXPECT_FALSE(accepted[i]) << "census-only detection: " << set.name(i);
+    } else if (!accepted[i]) {
+      ++deferred_only;
+      deferred_ops.push_back(sc.faults.front().op_index);
+    }
+  }
+  EXPECT_EQ(census_detected,
+            machine_detection_census(program, logical).detected());
+  std::sort(deferred_ops.begin(), deferred_ops.end());
+  deferred_ops.erase(std::unique(deferred_ops.begin(), deferred_ops.end()),
+                     deferred_ops.end());
+  // 27 (op, value) pairs on each of the 8 inputs, all on the ops after
+  // the last zero check, which the plan defers to the final boundary.
+  EXPECT_EQ(census_detected, 12136u);
+  EXPECT_EQ(deferred_only, 216u);
+  EXPECT_EQ(deferred_ops,
+            (std::vector<std::size_t>{235, 236, 237, 238, 239, 240, 241, 242,
+                                      243}));
+  EXPECT_EQ(program.checked.zero_checks.back().op_index, 234u);
+}
+
 TEST(ScriptedRepair, RejectsInvalidScenarios) {
   const Circuit logical = routed_toffoli3();
   const auto program =
@@ -683,14 +734,26 @@ TEST(ScriptedRepair, RejectsInvalidScenarios) {
   const auto never_wrong = [](const StateVector&, std::size_t) {
     return false;
   };
+  // Op out of range, a second fault on one op, a value of 2^arity. The
+  // restricted census takes each FaultSpec as its own scenario, so only
+  // the duplicate is valid there.
   for (const std::vector<FaultSpec>& faults :
        {std::vector<FaultSpec>{{n, 0}},
         std::vector<FaultSpec>{{0, 1}, {0, 0}},
         std::vector<FaultSpec>{{0, 1u << arity}}}) {
+    const std::vector<FaultScenario> scenarios = {{sv, {}}, {sv, faults}};
     EXPECT_THROW(recover::run_scripted_recovering(
                      program.checked, plan, recover::RetryPolicy::block_local(),
-                     {{sv, {}}, {sv, faults}}, 1, never_wrong),
+                     scenarios, 1, never_wrong),
                  Error);
+    EXPECT_THROW(detect::run_scripted_checked(program.checked, scenarios, 1,
+                                              never_wrong),
+                 Error);
+    if (faults.size() == 1) {
+      EXPECT_THROW(detect::single_fault_detection_census(
+                       program.checked, {sv}, never_wrong, faults),
+                   Error);
+    }
   }
 }
 
@@ -825,7 +888,8 @@ TEST(RecoveringMcEconomics, PerRailCountersNameSuspectBlocks) {
 // order. Under kWholeProgram every detected trial restarts and every
 // undetected one is accepted on its first pass, so the law of one
 // attempt per pass leaves these identities:
-//   detected == restart accepts + rejected;
+//   accepted == undetected + restart_accepts;
+//   detected == restart_accepts + rejected;
 //   a rejected trial consumed exactly max_program_attempts attempts and
 //   a restart accept between 1 and max_program_attempts;
 // and every count within 5 sigma of the estimate recorded when a pass
@@ -888,12 +952,11 @@ TEST(RecoveringMcRestarts, SideBySideAttemptsKeepTheLaw) {
     const RecoveryExperiment exp(program, logical, config);
     const auto e = exp.run(c.g, policy, 1);
     ASSERT_EQ(e.trials, config.trials) << what;
-    ASSERT_GE(e.accepted + e.detected_trials, e.trials) << what;
-    const std::uint64_t restart_accepts =
-        e.accepted - (e.trials - e.detected_trials);
+    EXPECT_EQ(e.accepted, e.trials - e.detected_trials + e.restart_accepts)
+        << what;
     EXPECT_EQ(e.fallbacks, 0u) << what;
-    EXPECT_EQ(e.detected_trials, restart_accepts + e.rejected) << what;
-    EXPECT_GE(e.program_restarts, attempts * e.rejected + restart_accepts)
+    EXPECT_EQ(e.detected_trials, e.restart_accepts + e.rejected) << what;
+    EXPECT_GE(e.program_restarts, attempts * e.rejected + e.restart_accepts)
         << what;
     EXPECT_LE(e.program_restarts, attempts * e.detected_trials) << what;
     EXPECT_GT(e.ops_restart, e.ops_main) << what;
@@ -911,9 +974,20 @@ TEST(RecoveringMcRestarts, SideBySideAttemptsKeepTheLaw) {
     const RecoveryExperiment exp(program, logical, config);
     const auto e = exp.run(3e-2, policy, 1);
     ASSERT_EQ(e.accepted + e.detected_trials, e.trials) << "W=" << W;
+    EXPECT_EQ(e.restart_accepts, 0u) << "W=" << W;
     EXPECT_EQ(e.rejected, e.detected_trials) << "W=" << W;
     EXPECT_EQ(e.program_restarts, attempts * e.rejected) << "W=" << W;
     EXPECT_LT(e.ops_restart, e.program_restarts * ops) << "W=" << W;
+  }
+
+  // Under kBlockLocal only a fallback restarts, and it ends accepted by
+  // a restart or rejected.
+  for (const unsigned W : {1u, 8u}) {
+    config.lane_words = W;
+    const RecoveryExperiment exp(program, logical, config);
+    const auto e = exp.run(3e-3, recover::RetryPolicy::block_local(), 1);
+    EXPECT_GT(e.restart_accepts, 0u) << "W=" << W;
+    EXPECT_EQ(e.fallbacks, e.restart_accepts + e.rejected) << "W=" << W;
   }
 }
 

@@ -436,7 +436,10 @@ TEST(WideEngine, LaneWords1ReproducesLegacyRecoveringEstimate) {
 // With at most one whole-program attempt per trial a restart pass has
 // no second attempt to place in an idle lane, so the pass is the one a
 // restart always ran: these estimates were recorded before restart
-// attempts ran side by side and must reproduce field for field.
+// attempts ran side by side and must reproduce field for field. Their
+// restart_accepts, counted since, is accepted - (trials -
+// detected_trials) under whole-program and fallbacks - rejected under
+// block-local.
 TEST(WideEngine, SingleProgramAttemptEstimatesAreUnchanged) {
   const Circuit logical = scattered10();
   const std::vector<std::uint64_t> none(27, 0);
@@ -448,7 +451,7 @@ TEST(WideEngine, SingleProgramAttemptEstimatesAreUnchanged) {
       {1, recover::RetryPolicy::whole_program(1),
        {.trials = 20000, .accepted = 4752, .rejected = 15248,
         .silent_failures = 0, .detected_trials = 17475, .local_retries = 0,
-        .program_restarts = 17475, .fallbacks = 0,
+        .program_restarts = 17475, .fallbacks = 0, .restart_accepts = 2227,
         .rail_events = {3676, 1658, 1271, 709, 2072, 1202, 1518, 1894, 1605,
                         4396},
         .zero_check_events = 17268, .ops_main = 21507127, .ops_local = 0,
@@ -458,6 +461,7 @@ TEST(WideEngine, SingleProgramAttemptEstimatesAreUnchanged) {
        {.trials = 20000, .accepted = 19820, .rejected = 180,
         .silent_failures = 1, .detected_trials = 17379,
         .local_retries = 41483, .program_restarts = 206, .fallbacks = 206,
+        .restart_accepts = 26,
         .rail_events = {7352, 3653, 3552, 1387, 4245, 3637, 4003, 3989, 4068,
                         8105},
         .zero_check_events = 38842, .ops_main = 47946277,
@@ -474,7 +478,7 @@ TEST(WideEngine, SingleProgramAttemptEstimatesAreUnchanged) {
       {8, recover::RetryPolicy::whole_program(1),
        {.trials = 20000, .accepted = 4760, .rejected = 15240,
         .silent_failures = 1, .detected_trials = 17470, .local_retries = 0,
-        .program_restarts = 17470, .fallbacks = 0,
+        .program_restarts = 17470, .fallbacks = 0, .restart_accepts = 2230,
         .rail_events = {3668, 1573, 1218, 758, 2095, 1289, 1456, 1799, 1692,
                         4297},
         .zero_check_events = 17386, .ops_main = 21445630, .ops_local = 0,
@@ -484,6 +488,7 @@ TEST(WideEngine, SingleProgramAttemptEstimatesAreUnchanged) {
        {.trials = 20000, .accepted = 19850, .rejected = 150,
         .silent_failures = 1, .detected_trials = 17401,
         .local_retries = 41281, .program_restarts = 168, .fallbacks = 168,
+        .restart_accepts = 18,
         .rail_events = {7478, 3733, 3575, 1338, 4120, 3743, 4095, 3977, 3977,
                         8039},
         .zero_check_events = 38728, .ops_main = 47988363,

@@ -353,48 +353,88 @@ TEST(VerifyCertify, GlobalRailGapFoundStatically) {
   expect_machine_certificate_agrees(program, logical, 0.0);
 }
 
-// --- the hoisted and restricted censuses ----------------------------
+// --- the packed census against a scalar reference ---------------------
 
-/// Compare the hoisted census against the naive per-scenario loop it
-/// replaced (one checked_run_with_faults per pruned single fault) on
-/// every count, the per-rail detections included. The two enter the
-/// shared checker walk differently: the naive loop from op 0, the
-/// census from the fault op with its prefix cursors.
-void expect_hoisted_census_matches_naive(
+/// One single-fault checked run on the scalar simulator, written apart
+/// from the packed walker the census uses: op `fault.op_index` has its
+/// operands overwritten instead of applied, zero checks are read right
+/// after their op, rail invariants at every checkpoint and embedded
+/// check bits at the end.
+detect::CheckedRunResult scalar_checked_run(
+    const detect::CheckedCircuit& checked, const StateVector& data_input,
+    const FaultSpec& fault) {
+  detect::CheckedRunResult run{detect::widen_input(checked, data_input),
+                               false,
+                               std::vector<std::uint8_t>(checked.rails.size())};
+  StateVector& state = run.state;
+  std::size_t zc = 0;
+  std::size_t cp = 0;
+  for (std::size_t i = 0; i < checked.circuit.size(); ++i) {
+    const Gate& g = checked.circuit.op(i);
+    if (i == fault.op_index) {
+      for (int k = 0; k < g.arity(); ++k)
+        state.set_bit(g.bits[static_cast<std::size_t>(k)],
+                      static_cast<std::uint8_t>((fault.corrupted_local >> k) &
+                                                1u));
+    } else {
+      state.apply(g);
+    }
+    for (; zc < checked.zero_checks.size() &&
+           checked.zero_checks[zc].op_index == i;
+         ++zc)
+      for (const std::uint32_t bit : checked.zero_checks[zc].bits)
+        if (state.bit(bit) != 0) run.detected = true;
+    for (; cp < checked.checkpoints.size() && checked.checkpoints[cp] == i;
+         ++cp)
+      for (std::size_t r = 0; r < checked.rails.size(); ++r)
+        if (detect::rail_invariant(state, checked.rails[r].rail_bit,
+                                   checked.checkpoint_spans[cp].group(r)) !=
+            0) {
+          run.rail_fired[r] = 1;
+          run.detected = true;
+        }
+  }
+  for (const std::uint32_t bit : checked.check_bits)
+    if (state.bit(bit) != 0) run.detected = true;
+  return run;
+}
+
+/// The census against one scalar reference run per pruned single
+/// fault, on every count, the per-rail detections included.
+void expect_packed_census_matches_scalar(
     const detect::CheckedCircuit& checked,
     const std::vector<StateVector>& inputs,
     const std::function<bool(const StateVector&, std::size_t)>& is_error) {
-  const auto hoisted =
+  const auto packed =
       detect::single_fault_detection_census(checked, inputs, is_error);
 
-  detect::DetectionCensus naive;
+  detect::DetectionCensus scalar;
   const FaultSites sites = count_fault_sites(checked.circuit);
-  naive.fault_sites = sites.sites;
-  naive.rail_detected.assign(checked.rails.size(), 0);
+  scalar.fault_sites = sites.sites;
+  scalar.rail_detected.assign(checked.rails.size(), 0);
   for (std::size_t in = 0; in < inputs.size(); ++in) {
     const StateVector wide = detect::widen_input(checked, inputs[in]);
     const auto faults = enumerate_single_faults(checked.circuit, wide, true);
-    naive.benign_skipped += sites.scenarios - faults.size();
+    scalar.benign_skipped += sites.scenarios - faults.size();
     for (const FaultSpec& fault : faults) {
-      ++naive.scenarios;
-      const auto run =
-          detect::checked_run_with_faults(checked, inputs[in], {fault});
+      ++scalar.scenarios;
+      const auto run = scalar_checked_run(checked, inputs[in], fault);
       const bool wrong = is_error(run.state, in);
       if (run.detected)
-        ++(wrong ? naive.detected_harmful : naive.detected_harmless);
+        ++(wrong ? scalar.detected_harmful : scalar.detected_harmless);
       else
-        ++(wrong ? naive.silent_harmful : naive.harmless);
+        ++(wrong ? scalar.silent_harmful : scalar.harmless);
       for (std::size_t r = 0; r < run.rail_fired.size(); ++r)
-        naive.rail_detected[r] += run.rail_fired[r];
+        scalar.rail_detected[r] += run.rail_fired[r];
     }
   }
-  EXPECT_GT(hoisted.total_rail_detected(), 0u);  // not a vacuous compare
-  expect_census_counts_eq(naive, hoisted);
-  EXPECT_EQ(naive.fault_sites, hoisted.fault_sites);
-  EXPECT_EQ(naive.rail_detected, hoisted.rail_detected);
+  EXPECT_GT(packed.total_rail_detected(), 0u);  // not a vacuous compare
+  expect_census_counts_eq(scalar, packed);
+  EXPECT_EQ(scalar.fault_sites, packed.fault_sites);
+  EXPECT_EQ(scalar.rail_detected, packed.rail_detected);
 }
 
-TEST(VerifyCensus, HoistedCensusMatchesNaiveLoop) {
+TEST(VerifyCensus, PackedCensusMatchesScalarReference) {
   const CycleFixture fix;
   std::vector<StateVector> inputs;
   for (int logical = 0; logical <= 1; ++logical) {
@@ -409,7 +449,16 @@ TEST(VerifyCensus, HoistedCensusMatchesNaiveLoop) {
                     out.bit(fix.stage.after.data[2]);
     return (sum >= 2) != (input != 0);
   };
-  expect_hoisted_census_matches_naive(fix.checked, inputs, is_error);
+  expect_packed_census_matches_scalar(fix.checked, inputs, is_error);
+
+  // With embedded checkers, so the end-of-run check bits count too.
+  detect::ParityRailOptions embedded;
+  embedded.check_every = 1;
+  embedded.embed_checkers = true;
+  const auto with_checkers =
+      detect::to_parity_rail(fix.stage.circuit, embedded);
+  ASSERT_FALSE(with_checkers.check_bits.empty());
+  expect_packed_census_matches_scalar(with_checkers, inputs, is_error);
 
   // The checked 1D machine: several rails, membership migrated by
   // SWAP/SWAP3 routing, zero checks between rail checkpoints.
@@ -417,6 +466,7 @@ TEST(VerifyCensus, HoistedCensusMatchesNaiveLoop) {
   logical.toffoli(2, 1, 0);
   const auto program = CheckedMachine1d(3).compile(logical);
   ASSERT_GT(program.checked.rails.size(), 1u);
+  ASSERT_FALSE(program.checked.zero_checks.empty());
   std::vector<StateVector> machine_inputs;
   std::vector<std::uint64_t> expected;
   for (std::uint64_t a = 0; a < 8; ++a) {
@@ -435,7 +485,7 @@ TEST(VerifyCensus, HoistedCensusMatchesNaiveLoop) {
     }
     return false;
   };
-  expect_hoisted_census_matches_naive(program.checked, machine_inputs,
+  expect_packed_census_matches_scalar(program.checked, machine_inputs,
                                       machine_error);
 }
 
