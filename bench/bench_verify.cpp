@@ -1,15 +1,15 @@
 // bench_verify — static certificates vs the exhaustive census.
 //
-// The certifier of src/verify/ reaches the census' verdict by pushing
-// symbolic fault deltas through the GF(2) dataflow ONCE per
+// The certifier of src/verify/ takes the census' inputs as the lanes of
+// one word and reaches the census' counts with ONE delta-cone walk per
 // (op, value) pair, where the census runs every (op, value, input)
 // scenario through the packed fault walker, 512 per batch. This bench
 // prices that trade on the checked machine programs:
 //
 //   1. the headline table: certificate vs census CPU time on the
-//      checked 1D and 2D machine programs and their ratio, with the
-//      residue fraction the census still has to settle (0 on these
-//      programs: the forms never exceed the budgets);
+//      checked 1D and 2D machine programs and their ratio, and the
+//      census_agreement_within_0 bar per machine (1 iff every
+//      certificate count equals the census count; CI enforces it);
 //   2. lint counts over the standard constructions;
 //   3. google-benchmark kernels: dataflow, certificate and census on
 //      the MAJ cycle.
@@ -17,6 +17,7 @@
 // Emits BENCH_verify.json.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -50,61 +51,49 @@ Circuit workload() {
 
 // --- certificate vs census ------------------------------------------
 
+/// The census' scenario-count fields, in one comparable array (the
+/// certifier leaves rail_detected empty).
+std::array<std::uint64_t, 7> count_fields(const detect::DetectionCensus& c) {
+  return {c.fault_sites,       c.scenarios,        c.benign_skipped,
+          c.harmless,          c.detected_harmless, c.detected_harmful,
+          c.silent_harmful};
+}
+
 void bench_certificate(const char* label, const CheckedMachineProgram& program,
                        const Circuit& logical, AsciiTable& table,
                        benchutil::JsonResultWriter& json) {
   // One call of each takes up to seconds: a single timed repetition.
-  verify::MachineCertification mc;
+  verify::FaultSecurityCertificate cert;
   detect::DetectionCensus census;
   const benchutil::Timing t = benchutil::time_interleaved(
-      {{1.0, [&] { mc = verify::certify_machine_program(program, logical); }},
+      {{1.0, [&] { cert = verify::certify_machine_program(program, logical); }},
        {1.0, [&] { census = machine_detection_census(program, logical); }}},
       1, 1);
   const double t_cert = t.ns_per_unit[0] * 1e-9;
   const double t_census = t.ns_per_unit[1] * 1e-9;
-
-  const auto& cert = mc.certificate;
   const double speedup = t.ratio[1];
-  const double residue_fraction =
-      cert.value_scenarios
-          ? static_cast<double>(cert.residue.size()) /
-                static_cast<double>(cert.value_scenarios)
-          : 0.0;
-  table.add_row({label, AsciiTable::cell(cert.fault_sites),
+  const bool agree = count_fields(cert.counts) == count_fields(census);
+  table.add_row({label, AsciiTable::cell(cert.counts.fault_sites),
                  AsciiTable::cell(census.scenarios),
-                 AsciiTable::fixed(cert.site_coverage(), 4),
-                 AsciiTable::fixed(residue_fraction, 4),
                  AsciiTable::sci(t_cert, 2), AsciiTable::sci(t_census, 2),
-                 AsciiTable::fixed(speedup, 1),
+                 AsciiTable::fixed(speedup, 1), agree ? "yes" : "NO",
                  census.fault_secure() ? "yes" : "NO"});
-  json.add(label, "fault_sites", cert.fault_sites);
+  json.add(label, "fault_sites", cert.counts.fault_sites);
   json.add(label, "census_scenarios", census.scenarios);
-  json.add(label, "site_coverage", cert.site_coverage());
-  json.add(label, "value_coverage", cert.value_coverage());
-  json.add(label, "residue_scenarios",
-           static_cast<std::uint64_t>(cert.residue.size()));
-  json.add(label, "residue_fraction", residue_fraction);
   json.add(label, "certify_seconds", t_cert);
   json.add(label, "census_seconds", t_census);
   json.add(label, "speedup", speedup);
   json.add(label, "fault_secure", census.fault_secure() ? 1.0 : 0.0);
+  json.add(label, "census_agreement_within_0", agree ? 1.0 : 0.0);
 }
 
 // --- lint counts -----------------------------------------------------
 
 void bench_lint(const CheckedMachineProgram& p1d,
-                const CheckedMachineProgram& p2d, const Circuit& logical,
+                const CheckedMachineProgram& p2d,
                 benchutil::JsonResultWriter& json) {
   benchutil::print_header("Lint pass over the standard constructions",
                           "verify/lint.h — static diagnostics, no simulation");
-  const auto machine_entry = [&](const CheckedMachineProgram& program) {
-    std::vector<verify::Poly> entry(program.checked.data_width,
-                                    verify::Poly::zero());
-    for (std::uint32_t j = 0; j < logical.width(); ++j)
-      for (const auto cell : program.input_cells[j])
-        entry[cell] = verify::Poly::var(static_cast<int>(j));
-    return entry;
-  };
   const EcStage stage = make_fig2_ec(true);
   detect::ParityRailOptions cycle_opts;
   cycle_opts.check_every = 1;
@@ -123,9 +112,9 @@ void bench_lint(const CheckedMachineProgram& p1d,
        verify::lint_checked_circuit(
            detect::to_parity_rail(stage.circuit, cycle_opts), cycle_entry)},
       {"machine_1d",
-       verify::lint_checked_circuit(p1d.checked, machine_entry(p1d))},
+       verify::lint_checked_circuit(p1d.checked, verify::machine_entry(p1d))},
       {"machine_2d",
-       verify::lint_checked_circuit(p2d.checked, machine_entry(p2d))},
+       verify::lint_checked_circuit(p2d.checked, verify::machine_entry(p2d))},
   };
   AsciiTable table({"construction", "errors", "warnings", "infos"});
   for (const Row& row : rows) {
@@ -168,14 +157,13 @@ BENCHMARK(BM_DataflowMajCycle);
 void BM_CertifyMajCycle(benchmark::State& state) {
   const EcStage stage = make_fig2_ec(true);
   const auto checked = cycle_checked();
-  std::vector<verify::Poly> entry(9, verify::Poly::zero());
-  for (const auto bit : stage.before.data)
-    entry[bit] = verify::Poly::var(0);
+  std::vector<StateVector> inputs(2, StateVector(9));
+  for (const auto bit : stage.before.data) inputs[1].set_bit(bit, 1);
   for (auto _ : state) {
     const auto cert = verify::certify_single_faults(
-        checked, entry, {0, 1},
+        checked, inputs,
         {{stage.after.data[0], stage.after.data[1], stage.after.data[2]}});
-    benchmark::DoNotOptimize(cert.certified_values);
+    benchmark::DoNotOptimize(cert.counts.scenarios);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(checked.circuit.size()));
@@ -200,15 +188,14 @@ int main(int argc, char** argv) {
 
   benchutil::print_header(
       "Static fault-security certificates vs the exhaustive census",
-      "src/verify/ — same verdict, symbolic derivation");
-  AsciiTable table({"program", "sites", "census scen.", "site cov.",
-                    "residue frac", "certify s", "census s", "speedup",
-                    "secure"});
+      "src/verify/ — the census' counts, one delta-cone walk per fault");
+  AsciiTable table({"program", "sites", "census scen.", "certify s",
+                    "census s", "speedup", "agree", "secure"});
   bench_certificate("certify_1d", p1d, logical, table, json);
   bench_certificate("certify_2d", p2d, logical, table, json);
   std::printf("%s\n", table.str().c_str());
 
-  bench_lint(p1d, p2d, logical, json);
+  bench_lint(p1d, p2d, json);
   json.write();
 
   std::printf("-- kernel timings --\n");

@@ -64,15 +64,6 @@ std::vector<verify::Poly> cycle_entry(const EcStage& stage) {
   return entry;
 }
 
-std::vector<verify::Poly> machine_entry(const CheckedMachineProgram& program) {
-  std::vector<verify::Poly> entry(program.checked.data_width,
-                                  verify::Poly::zero());
-  for (std::uint32_t j = 0; j < program.logical_bits; ++j)
-    for (const auto cell : program.input_cells[j])
-      entry[cell] = verify::Poly::var(static_cast<int>(j));
-  return entry;
-}
-
 }  // namespace
 
 int main() {
@@ -118,7 +109,7 @@ int main() {
   const auto program = CheckedMachine1d(3).compile(logical);
   print_report("checked 1D machine (toffoli workload)",
                verify::lint_checked_circuit(program.checked,
-                                            machine_entry(program)));
+                                            verify::machine_entry(program)));
 
   // checkpoint_spans doctored behind the transform's back: the first
   // cells of rails 0 and 1 trade groups at the first checkpoint.
@@ -129,7 +120,7 @@ int main() {
     std::swap(span.bits[first[0]], span.bits[first[1]]);
     print_report("checked 1D machine with doctored checkpoint_spans",
                  verify::lint_checked_circuit(doctored,
-                                              machine_entry(program)));
+                                              verify::machine_entry(program)));
   }
   return 0;
 }

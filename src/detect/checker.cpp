@@ -33,35 +33,12 @@ CheckedRunResult checked_run(const CheckedCircuit& checked,
 DetectionCensus single_fault_detection_census(
     const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
     const std::function<bool(const StateVector&, std::size_t)>& is_error) {
-  // Every (op, value) scenario: fault_sites comes out as the op count,
-  // the same accounting as noise/injection's count_fault_sites, so
-  // "scenarios + benign == inputs x Σ 2^arity" is an identity the tests
-  // can assert rather than a coincidence.
-  return single_fault_detection_census(
-      checked, data_inputs, is_error, enumerate_single_faults(checked.circuit));
-}
-
-DetectionCensus single_fault_detection_census(
-    const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
-    const std::function<bool(const StateVector&, std::size_t)>& is_error,
-    const std::vector<FaultSpec>& scenarios) {
   REVFT_CHECK_MSG(!data_inputs.empty(),
                   "single_fault_detection_census: no inputs");
   const Circuit& circuit = checked.circuit;
-  // Group the requested (op, value) scenarios by op.
-  std::vector<std::vector<unsigned>> values_at(circuit.size());
-  for (const FaultSpec& f : scenarios) {
-    REVFT_CHECK_MSG(f.op_index < circuit.size(),
-                    "restricted census: op_index " << f.op_index
-                                                   << " out of range");
-    REVFT_CHECK_MSG(
-        f.corrupted_local < (1u << circuit.op(f.op_index).arity()),
-        "restricted census: corrupted_local exceeds arity");
-    values_at[f.op_index].push_back(f.corrupted_local);
-  }
+  const FaultSites sites = count_fault_sites(circuit);
   DetectionCensus census;
-  for (const auto& values : values_at)
-    if (!values.empty()) ++census.fault_sites;
+  census.fault_sites = sites.sites;
 
   // A clean pass per input prunes each site's benign value (it
   // re-simulates to the fault-free run); the rest stream to the walker
@@ -69,14 +46,10 @@ DetectionCensus single_fault_detection_census(
   DetectionEstimate est;
   est.rail_detected.assign(checked.rails.size(), 0);
   std::vector<FaultScenario> batch(64 * kCensusLaneWords);
-  std::vector<FaultSpec> faults;
   for (std::size_t in = 0; in < data_inputs.size(); ++in) {
-    faults.clear();
-    for (const FaultSpec& f : enumerate_single_faults(
-             circuit, widen_input(checked, data_inputs[in]), true))
-      for (const unsigned v : values_at[f.op_index])
-        if (v == f.corrupted_local) faults.push_back(f);
-    census.benign_skipped += scenarios.size() - faults.size();
+    const std::vector<FaultSpec> faults = enumerate_single_faults(
+        circuit, widen_input(checked, data_inputs[in]), true);
+    census.benign_skipped += sites.scenarios - faults.size();
     for (std::size_t first = 0; first < faults.size(); first += batch.size()) {
       const std::size_t n = std::min(batch.size(), faults.size() - first);
       for (std::size_t k = 0; k < n; ++k) {

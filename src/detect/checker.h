@@ -96,25 +96,15 @@ struct DetectionCensus {
 /// Enumerate every single fault of checked.circuit for every input
 /// (the benign value of each site and input is skipped and counted,
 /// as enumerate_single_faults' skip_benign path prunes it) and
-/// classify the outcomes — the restricted census below over every
-/// scenario. `is_error(final_state, input index)` judges logical
-/// failure on the full-width final state.
+/// classify the outcomes. fault_sites is count_fault_sites(circuit)
+/// .sites, so "scenarios + benign == inputs x Σ 2^arity" is an identity
+/// the tests can assert. `is_error(final_state, input index)` judges
+/// logical failure on the full-width final state. verify/certify.h
+/// computes the same counts without running a scenario, and the tests
+/// require the two to agree field by field.
 DetectionCensus single_fault_detection_census(
     const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
     const std::function<bool(const StateVector&, std::size_t)>& is_error);
-
-/// Restricted census: classify only the given (op, value) scenarios,
-/// each across every input (benign combinations are skipped and
-/// counted, as in the full census). This is the dynamic half of the
-/// static/dynamic split in src/verify/: the certifier proves most
-/// scenarios symbolically and hands the residue here, and
-///   full_census == certificate.static_counts + restricted(residue)
-/// field-by-field is the cross-check the tests enforce. fault_sites
-/// counts the distinct op indices present in `scenarios`.
-DetectionCensus single_fault_detection_census(
-    const CheckedCircuit& checked, const std::vector<StateVector>& data_inputs,
-    const std::function<bool(const StateVector&, std::size_t)>& is_error,
-    const std::vector<FaultSpec>& scenarios);
 
 /// Exhaustive PAIR-fault census: for every unordered pair of ops and
 /// every combination of corrupted values (and every input the caller

@@ -42,25 +42,14 @@ detect::DetectionCensus machine_detection_census(
   REVFT_CHECK_MSG(bits == program.logical_bits && bits <= 16,
                   "machine_detection_census: program/logical mismatch");
   std::vector<StateVector> inputs;
-  std::vector<unsigned> expected;
-  for (unsigned input = 0; input < (1u << bits); ++input) {
-    StateVector sv(program.checked.data_width);
-    for (std::uint32_t i = 0; i < bits; ++i)
-      for (const auto bit : program.input_cells[i])
-        sv.set_bit(bit, static_cast<std::uint8_t>((input >> i) & 1u));
-    inputs.push_back(std::move(sv));
-    expected.push_back(static_cast<unsigned>(simulate(logical, input)));
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t x = 0; x < (1ull << bits); ++x) {
+    inputs.push_back(machine_data_input(program, x));
+    expected.push_back(simulate(logical, x));
   }
   return detect::single_fault_detection_census(
       program.checked, inputs, [&](const StateVector& out, std::size_t in) {
-        for (std::uint32_t i = 0; i < bits; ++i) {
-          const auto& cw = program.output_cells[i];
-          const int decoded =
-              majority3(out.bit(cw[0]), out.bit(cw[1]), out.bit(cw[2]));
-          if (decoded != static_cast<int>((expected[in] >> i) & 1u))
-            return true;
-        }
-        return false;
+        return machine_decode(program, out) != expected[in];
       });
 }
 

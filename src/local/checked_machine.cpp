@@ -81,6 +81,26 @@ CheckedMachineProgram check_machine_program(const MachineProgram& program,
   return out;
 }
 
+StateVector machine_data_input(const CheckedMachineProgram& program,
+                               std::uint64_t x) {
+  StateVector data(program.checked.data_width);
+  for (std::uint32_t j = 0; j < program.logical_bits; ++j)
+    for (const std::uint32_t cell : program.input_cells[j])
+      data.set_bit(cell, static_cast<std::uint8_t>((x >> j) & 1u));
+  return data;
+}
+
+std::uint64_t machine_decode(const CheckedMachineProgram& program,
+                             const StateVector& state) {
+  std::uint64_t value = 0;
+  for (std::uint32_t j = 0; j < program.logical_bits; ++j) {
+    const auto& cw = program.output_cells[j];
+    if (state.bit(cw[0]) + state.bit(cw[1]) + state.bit(cw[2]) >= 2)
+      value |= 1ull << j;
+  }
+  return value;
+}
+
 CheckedMachine::CheckedMachine(BlockLayout layout, std::uint32_t logical_bits,
                                bool with_init, CheckedMachineOptions opts)
     : base_(layout, logical_bits, with_init, opts.schedule.enabled),

@@ -164,6 +164,17 @@ struct CheckedMachineProgram {
   std::uint64_t recovery_stages = 0;
 };
 
+/// The data-width entry state of logical input `x`: bit j of x on
+/// logical bit j's three input cells, every other data cell zero.
+StateVector machine_data_input(const CheckedMachineProgram& program,
+                               std::uint64_t x);
+
+/// The logical value a final state carries: bit j is the majority of
+/// logical bit j's three output cells. A run is wrong when this
+/// differs from simulate(logical, x).
+std::uint64_t machine_decode(const CheckedMachineProgram& program,
+                             const StateVector& state);
+
 /// Build the rail options every boundary-armed workload (checked
 /// machines, cycle experiments) shares: one zero check per boundary,
 /// optional per-boundary rail checkpoints, the rail partition derived

@@ -3,29 +3,29 @@
 #include <algorithm>
 #include <bit>
 
+#include "detect/checked_mc.h"
+#include "noise/packed_sim.h"
 #include "support/error.h"
 
 namespace revft::verify {
 
 namespace {
 
-/// Everything the per-scenario walks share, precomputed once: the
-/// clean CONCRETE trajectory per input (operand values around every
-/// op, observable values, exit values — all as bit-per-input masks),
-/// the per-checkpoint cell→rail maps, and the clean-fire suffix (what
-/// the observables at positions >= p would report on an undamaged
-/// state — zero on any sane configuration, but carried exactly so the
-/// certificate never assumes it).
+/// Everything the per-scenario walks share, precomputed once from one
+/// noiseless packed pass with input i in lane i: the clean operand
+/// values around every op, the observable values and the exit values
+/// (each a lane word over the inputs), the per-checkpoint cell→rail
+/// maps, and the clean-fire suffix (what the observables at positions
+/// >= p would report on an undamaged state — zero on any sane
+/// configuration, but carried exactly so the certificate never assumes
+/// it).
 struct CleanContext {
   const detect::CheckedCircuit& checked;
   std::size_t num_inputs = 0;
   std::uint64_t all_mask = 0;
 
-  /// benign_mask[op][v] = inputs where corrupting op's output to v is
-  /// benign (v == the clean local output there).
-  std::vector<std::array<std::uint64_t, 8>> benign_mask;
-  /// Packed clean value of op i's k-th operand cell just before /
-  /// just after the op executes.
+  /// Clean lane word of op i's k-th operand cell just before / just
+  /// after the op executes.
   std::vector<std::array<std::uint64_t, 3>> clean_before_op;
   std::vector<std::array<std::uint64_t, 3>> clean_after_op;
   /// clean_zc[z][j] = clean values of zero check z's j-th bit.
@@ -45,17 +45,32 @@ struct CleanContext {
   /// at p still observes downstream.
   std::vector<std::uint64_t> clean_fire_suffix;
 
-  CleanContext(const detect::CheckedCircuit& c, const std::vector<Poly>& entry,
-               const std::vector<std::uint64_t>& assignments)
+  CleanContext(const detect::CheckedCircuit& c,
+               const std::vector<StateVector>& data_inputs)
       : checked(c) {
     const Circuit& circuit = checked.circuit;
     const std::size_t size = circuit.size();
-    num_inputs = assignments.size();
+    num_inputs = data_inputs.size();
     REVFT_CHECK_MSG(num_inputs >= 1 && num_inputs <= 64,
                     "certify: need 1..64 inputs, got " << num_inputs);
     all_mask = num_inputs == 64 ? ~0ull : (1ull << num_inputs) - 1;
 
-    benign_mask.assign(size, {});
+    // Lanes past the last input carry whatever the gates make of zero;
+    // every word read below is masked to the input lanes.
+    PackedState state(circuit.width(), 1);
+    for (std::size_t in = 0; in < num_inputs; ++in) {
+      REVFT_CHECK_MSG(data_inputs[in].width() == checked.data_width,
+                      "certify: input " << in << " has width "
+                                        << data_inputs[in].width()
+                                        << ", expected " << checked.data_width);
+      for (std::uint32_t cell = 0; cell < checked.data_width; ++cell)
+        if (data_inputs[in].bit(cell))
+          state.set_bit_lane(cell, static_cast<int>(in), true);
+    }
+    const auto lanes = [&](std::uint32_t cell) {
+      return state.word(cell) & all_mask;
+    };
+
     clean_before_op.assign(size, {});
     clean_after_op.assign(size, {});
     clean_zc.resize(checked.zero_checks.size());
@@ -63,55 +78,33 @@ struct CleanContext {
       clean_zc[z].assign(checked.zero_checks[z].bits.size(), 0);
     clean_inv.assign(checked.checkpoints.size(),
                      std::vector<std::uint64_t>(checked.rails.size(), 0));
-    clean_exit.assign(circuit.width(), 0);
-
-    // One concrete clean walk per input, folding the operand values
-    // and every observable into the per-input bitmasks.
-    for (std::size_t in = 0; in < num_inputs; ++in) {
-      const std::uint64_t x = assignments[in];
-      const std::uint64_t in_bit = 1ull << in;
-      StateVector data(checked.data_width);
-      for (std::uint32_t cell = 0; cell < checked.data_width; ++cell)
-        data.set_bit(cell, entry[cell].eval(x) ? 1 : 0);
-      StateVector state = detect::widen_input(checked, data);
-      std::size_t zc = 0;
-      std::size_t cp = 0;
-      for (std::size_t i = 0; i < size; ++i) {
-        const Gate& g = circuit.op(i);
-        const int n = g.arity();
-        unsigned local = 0;
-        for (int k = 0; k < n; ++k) {
-          const std::size_t sk = static_cast<std::size_t>(k);
-          const unsigned bit =
-              static_cast<unsigned>(state.bit(g.bits[sk]));
-          local |= bit << k;
-          if (bit) clean_before_op[i][sk] |= in_bit;
+    std::size_t zc = 0;
+    std::size_t cp = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      const Gate& g = circuit.op(i);
+      const auto n = static_cast<std::size_t>(g.arity());
+      for (std::size_t k = 0; k < n; ++k)
+        clean_before_op[i][k] = lanes(g.bits[k]);
+      PackedSimulator::apply_ideal(state, g);
+      for (std::size_t k = 0; k < n; ++k)
+        clean_after_op[i][k] = lanes(g.bits[k]);
+      for (; zc < checked.zero_checks.size() &&
+             checked.zero_checks[zc].op_index == i;
+           ++zc)
+        for (std::size_t j = 0; j < clean_zc[zc].size(); ++j)
+          clean_zc[zc][j] = lanes(checked.zero_checks[zc].bits[j]);
+      for (; cp < checked.checkpoints.size() && checked.checkpoints[cp] == i;
+           ++cp)
+        for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+          detect::detail::rail_invariant_words<1>(
+              state, checked.rails[r].rail_bit,
+              checked.checkpoint_spans[cp].group(r), &clean_inv[cp][r]);
+          clean_inv[cp][r] &= all_mask;
         }
-        benign_mask[i][gate_apply_local(g.kind, local)] |= in_bit;
-        state.apply(g);
-        for (int k = 0; k < n; ++k) {
-          const std::size_t sk = static_cast<std::size_t>(k);
-          if (state.bit(g.bits[sk])) clean_after_op[i][sk] |= in_bit;
-        }
-        while (zc < checked.zero_checks.size() &&
-               checked.zero_checks[zc].op_index == i) {
-          const auto& bits = checked.zero_checks[zc].bits;
-          for (std::size_t j = 0; j < bits.size(); ++j)
-            if (state.bit(bits[j])) clean_zc[zc][j] |= in_bit;
-          ++zc;
-        }
-        while (cp < checked.checkpoints.size() &&
-               checked.checkpoints[cp] == i) {
-          for (std::size_t r = 0; r < checked.rails.size(); ++r)
-            if (detect::rail_invariant(state, checked.rails[r].rail_bit,
-                                       checked.checkpoint_spans[cp].group(r)))
-              clean_inv[cp][r] |= in_bit;
-          ++cp;
-        }
-      }
-      for (std::uint32_t cell = 0; cell < circuit.width(); ++cell)
-        if (state.bit(cell)) clean_exit[cell] |= in_bit;
     }
+    clean_exit.resize(circuit.width());
+    for (std::uint32_t cell = 0; cell < circuit.width(); ++cell)
+      clean_exit[cell] = lanes(cell);
 
     cell_rail.assign(checked.checkpoints.size(),
                      std::vector<std::int8_t>(circuit.width(), -1));
@@ -239,13 +232,10 @@ std::uint64_t anf_eval_packed(GateKind kind, int out,
 }  // namespace
 
 FaultSecurityCertificate certify_single_faults(
-    const detect::CheckedCircuit& checked, const std::vector<Poly>& data_entry,
-    const std::vector<std::uint64_t>& assignments,
-    const std::vector<std::array<std::uint32_t, 3>>& codewords,
-    const DataflowOptions& /*opts*/) {
-  for (const Poly& p : data_entry)
-    REVFT_CHECK_MSG(!p.is_top(), "certify: top form in the entry binding");
-  const CleanContext ctx(checked, data_entry, assignments);
+    const detect::CheckedCircuit& checked,
+    const std::vector<StateVector>& data_inputs,
+    const std::vector<std::array<std::uint32_t, 3>>& codewords) {
+  const CleanContext ctx(checked, data_inputs);
   const Circuit& circuit = checked.circuit;
   const std::size_t size = circuit.size();
 
@@ -261,10 +251,8 @@ FaultSecurityCertificate certify_single_faults(
   }
 
   FaultSecurityCertificate cert;
-  const FaultSites sites = count_fault_sites(circuit);
-  cert.fault_sites = sites.sites;
-  cert.value_scenarios = sites.scenarios;
-  cert.static_counts.fault_sites = sites.sites;
+  detect::DetectionCensus& counts = cert.counts;
+  counts.fault_sites = count_fault_sites(circuit).sites;
 
   DeltaWalk walk(circuit.width(), checked.rails.size());
   const std::size_t num_inputs = ctx.num_inputs;
@@ -277,12 +265,16 @@ FaultSecurityCertificate certify_single_faults(
       walk.reset();
       // Seed the cone: operand k's faulted value is the constant bit
       // v_k on every lane, so its delta is that constant XOR the clean
-      // post-op value.
+      // post-op value. `nb` collects the non-benign lanes: the fault
+      // is benign where no seed is set (v is the clean output there).
+      std::uint64_t nb = 0;
       for (int k = 0; k < n; ++k) {
         const std::size_t sk = static_cast<std::size_t>(k);
         const std::uint64_t faulted =
             ((v >> k) & 1u) ? ctx.all_mask : 0ull;
-        walk.set_delta(g.bits[sk], faulted ^ ctx.clean_after_op[i][sk]);
+        const std::uint64_t delta = faulted ^ ctx.clean_after_op[i][sk];
+        nb |= delta;
+        walk.set_delta(g.bits[sk], delta);
       }
       std::uint64_t detected = 0;
       std::uint64_t wrong = 0;
@@ -347,21 +339,18 @@ FaultSecurityCertificate certify_single_faults(
           wrong |= ((fa & fb) | (fa & fc) | (fb & fc)) ^ clean_maj[w];
         }
       }
-      ++cert.certified_values;
-      const std::uint64_t benign = ctx.benign_mask[i][v] & ctx.all_mask;
-      const std::uint64_t nb = ~benign & ctx.all_mask;
-      cert.static_counts.benign_skipped +=
+      const std::uint64_t benign = ctx.all_mask & ~nb;
+      counts.benign_skipped +=
           static_cast<std::uint64_t>(std::popcount(benign));
-      cert.static_counts.scenarios +=
-          static_cast<std::uint64_t>(std::popcount(nb));
-      cert.static_counts.detected_harmful +=
+      counts.scenarios += static_cast<std::uint64_t>(std::popcount(nb));
+      counts.detected_harmful +=
           static_cast<std::uint64_t>(std::popcount(nb & detected & wrong));
-      cert.static_counts.detected_harmless +=
+      counts.detected_harmless +=
           static_cast<std::uint64_t>(std::popcount(nb & detected & ~wrong));
-      cert.static_counts.harmless +=
+      counts.harmless +=
           static_cast<std::uint64_t>(std::popcount(nb & ~detected & ~wrong));
       const std::uint64_t silent = nb & ~detected & wrong;
-      cert.static_counts.silent_harmful +=
+      counts.silent_harmful +=
           static_cast<std::uint64_t>(std::popcount(silent));
       for (std::size_t in = 0; in < num_inputs; ++in)
         if ((silent >> in) & 1ull) {
@@ -370,66 +359,47 @@ FaultSecurityCertificate certify_single_faults(
             cert.insecure_examples.push_back({{i, v}, in});
         }
     }
-    ++cert.certified_sites;
   }
   return cert;
 }
 
-MachineCertification certify_machine_program(
-    const CheckedMachineProgram& program, const Circuit& logical,
-    const DataflowOptions& opts) {
+FaultSecurityCertificate certify_machine_program(
+    const CheckedMachineProgram& program, const Circuit& logical) {
   REVFT_CHECK_MSG(program.logical_bits == logical.width(),
                   "certify_machine_program: logical width mismatch");
   REVFT_CHECK_MSG(program.logical_bits <= 6,
                   "certify_machine_program: logical_bits "
                       << program.logical_bits << " > 6 (need <= 64 inputs)");
-  const std::uint32_t bits = program.logical_bits;
-  const std::uint64_t num_inputs = 1ull << bits;
-
-  // Entry binding: variable j replicated on logical bit j's three
-  // input cells, every other data cell zero (the census' preparation,
-  // symbolically).
-  std::vector<Poly> entry(program.checked.data_width, Poly::zero());
-  for (std::uint32_t j = 0; j < bits; ++j)
-    for (const std::uint32_t cell : program.input_cells[j])
-      entry[cell] = Poly::var(static_cast<int>(j));
-
-  MachineCertification out;
-  std::vector<std::uint64_t> assignments(num_inputs);
+  const std::uint64_t num_inputs = 1ull << program.logical_bits;
+  std::vector<StateVector> data_inputs;
+  std::vector<FaultScenario> clean_runs;
   for (std::uint64_t x = 0; x < num_inputs; ++x) {
-    assignments[x] = x;
-    StateVector data(program.checked.data_width);
-    for (std::uint32_t j = 0; j < bits; ++j)
-      for (const std::uint32_t cell : program.input_cells[j])
-        data.set_bit(cell, static_cast<std::uint8_t>((x >> j) & 1ull));
-    out.data_inputs.push_back(std::move(data));
-    out.expected.push_back(simulate(logical, x));
+    data_inputs.push_back(machine_data_input(program, x));
+    clean_runs.push_back({data_inputs.back(), {}});
   }
 
   // The certifier judges "wrong" against the CLEAN majority; assert
   // once that the clean program really computes `logical`, so that
   // judgment coincides with the census' is_error.
-  for (std::uint64_t x = 0; x < num_inputs; ++x) {
-    const detect::CheckedRunResult clean =
-        detect::checked_run(program.checked, out.data_inputs[x]);
-    REVFT_CHECK_MSG(!clean.detected,
-                    "certify_machine_program: clean run raised an alarm");
-    for (std::uint32_t j = 0; j < bits; ++j) {
-      const auto& cells = program.output_cells[j];
-      const int maj = clean.state.bit(cells[0]) + clean.state.bit(cells[1]) +
-                      clean.state.bit(cells[2]);
-      REVFT_CHECK_MSG((maj >= 2) == (((out.expected[x] >> j) & 1ull) != 0),
-                      "certify_machine_program: clean program disagrees with "
-                      "the logical circuit on input "
-                          << x << ", bit " << j);
-    }
-  }
+  std::size_t first_wrong = num_inputs;
+  const detect::DetectionEstimate clean = detect::run_scripted_checked(
+      program.checked, clean_runs, 1,
+      [&](const StateVector& state, std::size_t x) {
+        const bool wrong =
+            machine_decode(program, state) != simulate(logical, x);
+        if (wrong) first_wrong = std::min(first_wrong, x);
+        return wrong;
+      });
+  REVFT_CHECK_MSG(clean.detected == 0,
+                  "certify_machine_program: clean run raised an alarm");
+  REVFT_CHECK_MSG(first_wrong == num_inputs,
+                  "certify_machine_program: clean program disagrees with "
+                  "the logical circuit on input "
+                      << first_wrong);
 
-  std::vector<std::array<std::uint32_t, 3>> codewords(
-      program.output_cells.begin(), program.output_cells.end());
-  out.certificate = certify_single_faults(program.checked, entry, assignments,
-                                          codewords, opts);
-  return out;
+  return certify_single_faults(
+      program.checked, data_inputs,
+      {program.output_cells.begin(), program.output_cells.end()});
 }
 
 }  // namespace revft::verify

@@ -13,10 +13,11 @@
 // facts (ancilla promises) tighten everything automatically because a
 // zero polynomial annihilates the nonlinear monomials it feeds.
 //
-// This is the static foundation of src/verify/: the certifier
-// (verify/certify.h) pushes symbolic fault deltas through these forms,
-// and the linter (verify/lint.h) compares them against the checked
-// circuit's claimed invariants. It generalizes — and is cross-checked
+// This is the symbolic half of src/verify/: the linter
+// (verify/lint.h) compares these forms against the checked circuit's
+// claimed invariants. The certifier (verify/certify.h) shares only the
+// per-kind ANFs, evaluated on packed lane words of concrete inputs
+// rather than on forms. It generalizes — and is cross-checked
 // against — the ad-hoc known-zero dataflow inside detect/rail.cpp,
 // which only tracks the zero/unknown distinction.
 //
@@ -49,9 +50,9 @@ struct DataflowOptions {
 /// Sparse canonical ANF over GF(2): a sorted vector of monomial masks
 /// (bit v of a mask = entry variable v participates; mask 0 is the
 /// constant 1), XOR-combined. Canonical form means polynomial identity
-/// is vector equality and algebraic cancellation is exact — the
-/// property the certifier's delta cones rely on. The explicit top
-/// value means "unknown Boolean function of the entry variables".
+/// is vector equality and algebraic cancellation is exact. The
+/// explicit top value means "unknown Boolean function of the entry
+/// variables".
 class Poly {
  public:
   /// The zero polynomial.

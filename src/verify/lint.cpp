@@ -8,6 +8,14 @@
 
 namespace revft::verify {
 
+std::vector<Poly> machine_entry(const CheckedMachineProgram& program) {
+  std::vector<Poly> entry(program.checked.data_width, Poly::zero());
+  for (std::uint32_t j = 0; j < program.logical_bits; ++j)
+    for (const std::uint32_t cell : program.input_cells[j])
+      entry[cell] = Poly::var(static_cast<int>(j));
+  return entry;
+}
+
 const char* lint_code_name(LintCode code) noexcept {
   switch (code) {
     case LintCode::kRailCoverageHole:

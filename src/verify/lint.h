@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "detect/rail.h"
+#include "local/checked_machine.h"
 #include "verify/dataflow.h"
 
 namespace revft::verify {
@@ -92,12 +93,17 @@ struct LintReport {
   bool clean() const noexcept { return findings.empty(); }
 };
 
+/// A machine program's entry binding: variable j on logical bit j's
+/// three input cells, every other data cell zero (the symbolic
+/// machine_data_input).
+std::vector<Poly> machine_entry(const CheckedMachineProgram& program);
+
 struct LintOptions {
   DataflowOptions dataflow;
 };
 
-/// Lint a checked circuit against an entry binding (the same binding
-/// the certifier uses; identity_entry(data_width) when nothing is
+/// Lint a checked circuit against an entry binding (machine_entry for
+/// a machine program; identity_entry(data_width) when nothing is
 /// known about the inputs — fewer zero facts simply mean fewer
 /// provable checks).
 LintReport lint_checked_circuit(const detect::CheckedCircuit& checked,

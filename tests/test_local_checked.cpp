@@ -9,10 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "code/repetition.h"
 #include "detect/checker.h"
 #include "detect/parity.h"
 #include "ft/detect_experiment.h"
@@ -23,6 +23,7 @@
 #include "noise/injection.h"
 #include "rev/simulator.h"
 #include "support/error.h"
+#include "verify/certify.h"
 
 namespace revft {
 namespace {
@@ -50,21 +51,12 @@ void expect_clean_and_correct(const Machine& machine, const Circuit& logical) {
   const auto program = machine.compile(logical);
   EXPECT_GT(program.stats.checkpoints, 0u);
   EXPECT_GT(program.stats.zero_checks, 0u);
-  for (unsigned input = 0; input < (1u << logical.width()); ++input) {
-    StateVector sv(program.checked.data_width);
-    for (std::uint32_t i = 0; i < logical.width(); ++i)
-      for (const auto bit : program.input_cells[i])
-        sv.set_bit(bit, static_cast<std::uint8_t>((input >> i) & 1u));
-    const auto run = detect::checked_run(program.checked, sv);
+  for (std::uint64_t input = 0; input < (1u << logical.width()); ++input) {
+    const auto run = detect::checked_run(
+        program.checked, machine_data_input(program, input));
     EXPECT_FALSE(run.detected) << "false alarm on input " << input;
-    const unsigned expected = static_cast<unsigned>(simulate(logical, input));
-    for (std::uint32_t i = 0; i < logical.width(); ++i) {
-      const auto& cw = program.output_cells[i];
-      EXPECT_EQ(majority3(run.state.bit(cw[0]), run.state.bit(cw[1]),
-                          run.state.bit(cw[2])),
-                static_cast<int>((expected >> i) & 1u))
-          << "input " << input << " logical bit " << i;
-    }
+    EXPECT_EQ(machine_decode(program, run.state), simulate(logical, input))
+        << "input " << input;
   }
 }
 
@@ -137,12 +129,22 @@ TEST(CheckedMachineCensus, NotAndInitProgramsAreFaultSecure) {
   }
 }
 
+/// The census' scenario-count fields in one comparable array (the
+/// certifier leaves rail_detected empty).
+std::array<std::uint64_t, 7> count_fields(const detect::DetectionCensus& c) {
+  return {c.fault_sites,       c.scenarios,        c.benign_skipped,
+          c.harmless,          c.detected_harmless, c.detected_harmful,
+          c.silent_harmful};
+}
+
 // Every armed option combination is fault-secure, not just the
 // defaults: layout x init x rail granularity x per-boundary rail
 // checks x scheduling, with the boundary zero checks on, over routed
-// and unrouted cycles and the NOT / init boundaries — 128 censuses.
-// (With zero_checks off some combinations leak by design; the tests
-// below pin that ablation.)
+// and unrouted cycles and the NOT / init boundaries — 128 censuses,
+// each with a certificate that must equal it. (With zero_checks off
+// some combinations leak by design; the tests below and
+// VerifyCertify.UnarmedOptionCombinationsAgreeWithCensus pin that
+// ablation.)
 TEST(CheckedMachineCensus, EveryArmedOptionCombinationIsFaultSecure) {
   std::vector<Circuit> programs(4, Circuit(3));
   programs[0].toffoli(0, 1, 2);
@@ -160,12 +162,17 @@ TEST(CheckedMachineCensus, EveryArmedOptionCombinationIsFaultSecure) {
     ASSERT_TRUE(opts.zero_checks);
     for (std::size_t p = 0; p < programs.size(); ++p) {
       const Circuit& logical = programs[p];
-      const auto census = machine_detection_census(
+      const auto program =
           two_d ? CheckedMachine2d(3, with_init, opts).compile(logical)
-                : CheckedMachine1d(3, with_init, opts).compile(logical),
-          logical);
+                : CheckedMachine1d(3, with_init, opts).compile(logical);
+      const auto census = machine_detection_census(program, logical);
       EXPECT_GT(census.scenarios, 0u);
       EXPECT_EQ(census.silent_harmful, 0u)
+          << "combo " << combo << " program " << p;
+      // The certifier must reach the census' counts exactly.
+      EXPECT_EQ(count_fields(
+                    verify::certify_machine_program(program, logical).counts),
+                count_fields(census))
           << "combo " << combo << " program " << p;
       ++censuses;
     }
@@ -342,20 +349,11 @@ TEST(CheckedMachineCensus, PerBlockRailsCatchInterleaveFaultsGlobalRailMisses) {
 
   std::uint64_t rescued_swap_faults = 0;  // silent+harmful -> detected
   for (unsigned input = 0; input < 8; ++input) {
-    StateVector sv(global_program.checked.data_width);
-    for (std::uint32_t i = 0; i < 3; ++i)
-      for (const auto bit : global_program.input_cells[i])
-        sv.set_bit(bit, static_cast<std::uint8_t>((input >> i) & 1u));
-    const unsigned expected = static_cast<unsigned>(simulate(logical, input));
+    const StateVector sv = machine_data_input(global_program, input);
+    const std::uint64_t expected = simulate(logical, input);
     const auto wrong = [&](const CheckedMachineProgram& program,
                            const StateVector& out) {
-      for (std::uint32_t i = 0; i < 3; ++i) {
-        const auto& cw = program.output_cells[i];
-        if (majority3(out.bit(cw[0]), out.bit(cw[1]), out.bit(cw[2])) !=
-            static_cast<int>((expected >> i) & 1u))
-          return true;
-      }
-      return false;
+      return machine_decode(program, out) != expected;
     };
     for (std::size_t op = 0; op < physical.size(); ++op) {
       const GateKind kind = physical.op(op).kind;

@@ -22,12 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "code/repetition.h"
 #include "detect/checked_mc.h"
 #include "detect/checker.h"
 #include "ft/detect_experiment.h"
@@ -42,6 +42,7 @@
 #include "rev/simulator.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "verify/certify.h"
 
 namespace revft {
 namespace {
@@ -56,27 +57,6 @@ Circuit scattered6() {
   Circuit logical(6);
   logical.maj(5, 2, 0).toffoli(0, 3, 5).majinv(2, 1, 4).swap3(0, 2, 5);
   return logical;
-}
-
-StateVector machine_input(const CheckedMachineProgram& program, unsigned input) {
-  StateVector sv(program.checked.data_width);
-  for (std::uint32_t i = 0; i < program.logical_bits; ++i)
-    for (const auto bit : program.input_cells[i])
-      sv.set_bit(bit, static_cast<std::uint8_t>((input >> i) & 1u));
-  return sv;
-}
-
-bool output_correct(const CheckedMachineProgram& program,
-                    const Circuit& logical, const StateVector& state,
-                    unsigned input) {
-  const unsigned expected = static_cast<unsigned>(simulate(logical, input));
-  for (std::uint32_t i = 0; i < program.logical_bits; ++i) {
-    const auto& cw = program.output_cells[i];
-    if (majority3(state.bit(cw[0]), state.bit(cw[1]), state.bit(cw[2])) !=
-        static_cast<int>((expected >> i) & 1u))
-      return false;
-  }
-  return true;
 }
 
 // --- segment-plan structure ------------------------------------------
@@ -489,7 +469,7 @@ ScenarioSet make_scenarios(const CheckedMachineProgram& program,
                            bool with_faults) {
   ScenarioSet set;
   for (const unsigned input : inputs) {
-    const StateVector sv = machine_input(program, input);
+    const StateVector sv = machine_data_input(program, input);
     if (!with_faults) {
       set.scenarios.push_back({sv, {}});
       set.logical_input.push_back(input);
@@ -521,8 +501,8 @@ recover::RecoveryEstimate run_scripted(const CheckedMachineProgram& program,
       program.checked, plan, policy, set.scenarios, lane_words,
       [&](const StateVector& state, std::size_t i) {
         accepted[i] = 1;
-        const bool correct =
-            output_correct(program, logical, state, set.logical_input[i]);
+        const bool correct = machine_decode(program, state) ==
+                             simulate(logical, set.logical_input[i]);
         EXPECT_TRUE(correct) << "wrong output: " << set.name(i);
         return !correct;
       });
@@ -727,16 +707,14 @@ TEST(ScriptedRepair, RejectsInvalidScenarios) {
   const auto program =
       CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
   const auto plan = recover::build_segment_plan(program.checked);
-  const StateVector sv = machine_input(program, 0);
+  const StateVector sv = machine_data_input(program, 0);
   const std::size_t n = program.checked.circuit.size();
   const unsigned arity =
       static_cast<unsigned>(program.checked.circuit.op(0).arity());
   const auto never_wrong = [](const StateVector&, std::size_t) {
     return false;
   };
-  // Op out of range, a second fault on one op, a value of 2^arity. The
-  // restricted census takes each FaultSpec as its own scenario, so only
-  // the duplicate is valid there.
+  // Op out of range, a second fault on one op, a value of 2^arity.
   for (const std::vector<FaultSpec>& faults :
        {std::vector<FaultSpec>{{n, 0}},
         std::vector<FaultSpec>{{0, 1}, {0, 0}},
@@ -749,11 +727,16 @@ TEST(ScriptedRepair, RejectsInvalidScenarios) {
     EXPECT_THROW(detect::run_scripted_checked(program.checked, scenarios, 1,
                                               never_wrong),
                  Error);
-    if (faults.size() == 1) {
-      EXPECT_THROW(detect::single_fault_detection_census(
-                       program.checked, {sv}, never_wrong, faults),
-                   Error);
-    }
+  }
+  // The certifier's inputs: none, more than 64, one of the wrong width.
+  const std::vector<std::array<std::uint32_t, 3>> codewords(
+      program.output_cells.begin(), program.output_cells.end());
+  for (const std::vector<StateVector>& inputs :
+       {std::vector<StateVector>{}, std::vector<StateVector>(65, sv),
+        std::vector<StateVector>{sv, StateVector(sv.width() + 1)}}) {
+    EXPECT_THROW(
+        verify::certify_single_faults(program.checked, inputs, codewords),
+        Error);
   }
 }
 

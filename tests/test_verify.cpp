@@ -1,16 +1,18 @@
 // Tests for src/verify/: the GF(2) polynomial engine and its
 // brute-force equivalence with the simulator over every gate kind, the
 // static dataflow's invariant discovery on the MAJ recovery cycle, the
-// symbolic fault-security certifier (pinned residue, field-by-field
-// agreement with the exhaustive census on the cycle and the checked
-// 1D/2D machine programs), the restricted census, and the lint pass on
-// clean and deliberately doctored configurations.
+// fault-security certifier (census == certificate field by field on
+// the cycle, the checked 1D/2D machine programs and every unarmed
+// option combination, with each kept counterexample replayed), the
+// packed census against a scalar reference, and the lint pass on clean
+// and deliberately doctored configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "detect/checker.h"
@@ -186,6 +188,8 @@ struct CycleFixture {
   EcStage stage = make_fig2_ec(/*with_init=*/true);
   detect::CheckedCircuit checked;
   std::vector<Poly> entry;
+  /// The census' inputs: logical 0 and 1 on the data triple.
+  std::vector<StateVector> inputs{StateVector(9), StateVector(9)};
 
   explicit CycleFixture(
       const std::vector<std::vector<std::uint32_t>>& partition = {}) {
@@ -194,8 +198,14 @@ struct CycleFixture {
     opts.rail_partition = partition;
     checked = detect::to_parity_rail(stage.circuit, opts);
     entry.assign(9, Poly::zero());
-    for (const std::uint32_t bit : stage.before.data)
+    for (const std::uint32_t bit : stage.before.data) {
       entry[bit] = Poly::var(0);
+      inputs[1].set_bit(bit, 1);
+    }
+  }
+
+  std::vector<std::array<std::uint32_t, 3>> codewords() const {
+    return {{stage.after.data[0], stage.after.data[1], stage.after.data[2]}};
   }
 };
 
@@ -225,6 +235,7 @@ TEST(VerifyDataflow, MajCycleInvariantsProvenStatically) {
 
 void expect_census_counts_eq(const detect::DetectionCensus& a,
                              const detect::DetectionCensus& b) {
+  EXPECT_EQ(a.fault_sites, b.fault_sites);
   EXPECT_EQ(a.scenarios, b.scenarios);
   EXPECT_EQ(a.benign_skipped, b.benign_skipped);
   EXPECT_EQ(a.harmless, b.harmless);
@@ -233,124 +244,109 @@ void expect_census_counts_eq(const detect::DetectionCensus& a,
   EXPECT_EQ(a.silent_harmful, b.silent_harmful);
 }
 
-detect::DetectionCensus census_sum(const detect::DetectionCensus& a,
-                                   const detect::DetectionCensus& b) {
-  detect::DetectionCensus sum = a;
-  sum.scenarios += b.scenarios;
-  sum.benign_skipped += b.benign_skipped;
-  sum.harmless += b.harmless;
-  sum.detected_harmless += b.detected_harmless;
-  sum.detected_harmful += b.detected_harmful;
-  sum.silent_harmful += b.silent_harmful;
-  return sum;
-}
-
-TEST(VerifyCertify, MajCycleCertificatePinned) {
+TEST(VerifyCertify, MajCycleCertificateEqualsCensus) {
   const CycleFixture fix;
-  const auto cert = verify::certify_single_faults(
-      fix.checked, fix.entry, {0, 1},
-      {{fix.stage.after.data[0], fix.stage.after.data[1],
-        fix.stage.after.data[2]}});
-
-  // Over ONE entry variable every form stays within any budget, so the
-  // certificate decides every scenario: the residue is exactly empty —
-  // pinned, the census has nothing left to do.
-  EXPECT_EQ(cert.residue.size(), 0u);
-  EXPECT_EQ(cert.certified_sites, cert.fault_sites);
-  EXPECT_DOUBLE_EQ(cert.site_coverage(), 1.0);
+  const auto cert =
+      verify::certify_single_faults(fix.checked, fix.inputs, fix.codewords());
   EXPECT_TRUE(cert.statically_secure());
-
-  // The certificate must agree with the exhaustive dynamic census
-  // field by field (the residue census adds nothing here).
-  const auto full = checked_maj_cycle_census(/*embed_checkers=*/false);
-  expect_census_counts_eq(full, cert.static_counts);
-  EXPECT_EQ(full.fault_sites, cert.static_counts.fault_sites);
+  EXPECT_TRUE(cert.insecure_examples.empty());
+  expect_census_counts_eq(checked_maj_cycle_census(/*embed_checkers=*/false),
+                          cert.counts);
 }
 
 TEST(VerifyCertify, MajCyclePartitionedCertificateAgreesToo) {
   const std::vector<std::vector<std::uint32_t>> blocks = {
       {0, 1, 2}, {3, 4, 5}, {6, 7, 8}};
   const CycleFixture fix(blocks);
-  const auto cert = verify::certify_single_faults(
-      fix.checked, fix.entry, {0, 1},
-      {{fix.stage.after.data[0], fix.stage.after.data[1],
-        fix.stage.after.data[2]}});
-  EXPECT_EQ(cert.residue.size(), 0u);
-  const auto full = checked_maj_cycle_census(false, blocks);
-  expect_census_counts_eq(full, cert.static_counts);
+  const auto cert =
+      verify::certify_single_faults(fix.checked, fix.inputs, fix.codewords());
+  expect_census_counts_eq(checked_maj_cycle_census(false, blocks),
+                          cert.counts);
 }
 
-/// The acceptance-criterion harness: certify a machine program, check
-/// coverage, and enforce full == static + restricted(residue).
-void expect_machine_certificate_agrees(const CheckedMachineProgram& program,
-                                       const Circuit& logical,
-                                       double min_site_coverage) {
-  const auto mc = verify::certify_machine_program(program, logical);
-  const auto& cert = mc.certificate;
-  EXPECT_GE(cert.site_coverage(), min_site_coverage);
-
-  const auto full = machine_detection_census(program, logical);
-  const auto is_error = [&](const StateVector& out, std::size_t in) {
-    for (std::uint32_t i = 0; i < logical.width(); ++i) {
-      const auto& cw = program.output_cells[i];
-      const int sum = out.bit(cw[0]) + out.bit(cw[1]) + out.bit(cw[2]);
-      if ((sum >= 2) != (((mc.expected[in] >> i) & 1ull) != 0)) return true;
-    }
-    return false;
-  };
-  const auto residue = detect::single_fault_detection_census(
-      program.checked, mc.data_inputs, is_error, cert.residue);
-  expect_census_counts_eq(full, census_sum(cert.static_counts, residue));
-  // And the security verdicts coincide.
-  EXPECT_EQ(full.fault_secure(),
-            cert.statically_secure() && residue.silent_harmful == 0);
+/// The certificate's contract on a machine program: census ==
+/// certificate field by field, and every kept counterexample replays
+/// through checked_run_with_faults as silent and harmful.
+verify::FaultSecurityCertificate expect_machine_certificate_agrees(
+    const CheckedMachineProgram& program, const Circuit& logical) {
+  const auto cert = verify::certify_machine_program(program, logical);
+  const auto census = machine_detection_census(program, logical);
+  expect_census_counts_eq(census, cert.counts);
+  EXPECT_EQ(census.fault_secure(), cert.statically_secure());
+  EXPECT_EQ(cert.insecure_examples.size(),
+            std::min<std::uint64_t>(
+                cert.counts.silent_harmful,
+                verify::FaultSecurityCertificate::kMaxInsecureExamples));
+  for (const auto& ex : cert.insecure_examples) {
+    const auto run = detect::checked_run_with_faults(
+        program.checked, machine_data_input(program, ex.input), {ex.fault});
+    EXPECT_FALSE(run.detected) << "op " << ex.fault.op_index << " input "
+                               << ex.input;
+    EXPECT_NE(machine_decode(program, run.state),
+              simulate(logical, ex.input))
+        << "op " << ex.fault.op_index << " input " << ex.input;
+  }
+  return cert;
 }
 
-TEST(VerifyCertify, Checked1dMachineMostlyStatic) {
+TEST(VerifyCertify, Checked1dMachineCertificateEqualsCensus) {
   Circuit logical(3);
   logical.toffoli(2, 1, 0);
   const auto program = CheckedMachine1d(3).compile(logical);
-  expect_machine_certificate_agrees(program, logical, 0.90);
+  expect_machine_certificate_agrees(program, logical);
+  // The clean-run check refuses a circuit the program does not compute.
+  Circuit other(3);
+  other.toffoli(0, 1, 2);
+  EXPECT_THROW(verify::certify_machine_program(program, other), Error);
 }
 
-TEST(VerifyCertify, Checked2dMachineMostlyStatic) {
+TEST(VerifyCertify, Checked2dMachineCertificateEqualsCensus) {
   Circuit logical(3);
   logical.toffoli(2, 1, 0);
-  const auto program = CheckedMachine2d(3).compile(logical);
-  expect_machine_certificate_agrees(program, logical, 0.90);
+  expect_machine_certificate_agrees(CheckedMachine2d(3).compile(logical),
+                                    logical);
 }
 
 TEST(VerifyCertify, GlobalRailGapFoundStatically) {
   // The negative control of test_local_checked: a global rail with no
   // zero checks is NOT fault-secure in 1D. The certificate must find
-  // concrete silent-harmful scenarios, and agree with the census.
+  // concrete silent-harmful scenarios, each replaying silent and
+  // harmful, and agree with the census.
   Circuit logical(3);
   logical.toffoli(2, 1, 0);
   CheckedMachineOptions opts;
   opts.rails = RailGranularity::kGlobal;
   opts.zero_checks = false;
   opts.check_every = 1;
-  const auto program = CheckedMachine1d(3, true, opts).compile(logical);
-  const auto mc = verify::certify_machine_program(program, logical);
-  EXPECT_GT(mc.certificate.static_counts.silent_harmful, 0u);
-  EXPECT_FALSE(mc.certificate.statically_secure());
-  ASSERT_FALSE(mc.certificate.insecure_examples.empty());
-  // Replay one statically found counterexample dynamically: silent and
-  // harmful, exactly as certified.
-  const auto& ex = mc.certificate.insecure_examples.front();
-  const auto run = detect::checked_run_with_faults(
-      program.checked, mc.data_inputs[ex.input], {ex.fault});
-  EXPECT_FALSE(run.detected);
-  bool wrong = false;
-  for (std::uint32_t i = 0; i < logical.width(); ++i) {
-    const auto& cw = program.output_cells[i];
-    const int sum = run.state.bit(cw[0]) + run.state.bit(cw[1]) +
-                    run.state.bit(cw[2]);
-    if ((sum >= 2) != (((mc.expected[ex.input] >> i) & 1ull) != 0))
-      wrong = true;
+  const auto cert = expect_machine_certificate_agrees(
+      CheckedMachine1d(3, true, opts).compile(logical), logical);
+  EXPECT_GT(cert.counts.silent_harmful, 0u);
+  EXPECT_FALSE(cert.statically_secure());
+  EXPECT_FALSE(cert.insecure_examples.empty());
+}
+
+// The unarmed half of the checked machines' option sweep (the armed
+// half is CheckedMachineCensus.EveryArmedOptionCombinationIsFaultSecure):
+// zero checks off x rails {global, per-block} x {1D, 2D} x check_every
+// {0, 1}. Some of these leak by design; whatever the census finds, the
+// certificate must find too, and each of its counterexamples is real.
+TEST(VerifyCertify, UnarmedOptionCombinationsAgreeWithCensus) {
+  Circuit logical(3);
+  logical.toffoli(2, 1, 0);
+  for (unsigned combo = 0; combo < 8; ++combo) {
+    CheckedMachineOptions opts;
+    opts.zero_checks = false;
+    opts.rails = (combo & 1u) ? RailGranularity::kPerBlock
+                              : RailGranularity::kGlobal;
+    opts.check_every = (combo & 4u) ? 1 : 0;
+    SCOPED_TRACE("combo " + std::to_string(combo));
+    const auto cert = expect_machine_certificate_agrees(
+        (combo & 2u) ? CheckedMachine2d(3, true, opts).compile(logical)
+                     : CheckedMachine1d(3, true, opts).compile(logical),
+        logical);
+    // Only the global-rail 1D machine leaks (the interleave gap).
+    EXPECT_EQ(cert.statically_secure(), combo != 0 && combo != 4);
   }
-  EXPECT_TRUE(wrong);
-  expect_machine_certificate_agrees(program, logical, 0.0);
 }
 
 // --- the packed census against a scalar reference ---------------------
@@ -430,26 +426,18 @@ void expect_packed_census_matches_scalar(
   }
   EXPECT_GT(packed.total_rail_detected(), 0u);  // not a vacuous compare
   expect_census_counts_eq(scalar, packed);
-  EXPECT_EQ(scalar.fault_sites, packed.fault_sites);
   EXPECT_EQ(scalar.rail_detected, packed.rail_detected);
 }
 
 TEST(VerifyCensus, PackedCensusMatchesScalarReference) {
   const CycleFixture fix;
-  std::vector<StateVector> inputs;
-  for (int logical = 0; logical <= 1; ++logical) {
-    StateVector sv(9);
-    for (const auto bit : fix.stage.before.data)
-      sv.set_bit(bit, static_cast<std::uint8_t>(logical));
-    inputs.push_back(std::move(sv));
-  }
   const auto is_error = [&](const StateVector& out, std::size_t input) {
     const int sum = out.bit(fix.stage.after.data[0]) +
                     out.bit(fix.stage.after.data[1]) +
                     out.bit(fix.stage.after.data[2]);
     return (sum >= 2) != (input != 0);
   };
-  expect_packed_census_matches_scalar(fix.checked, inputs, is_error);
+  expect_packed_census_matches_scalar(fix.checked, fix.inputs, is_error);
 
   // With embedded checkers, so the end-of-run check bits count too.
   detect::ParityRailOptions embedded;
@@ -458,7 +446,7 @@ TEST(VerifyCensus, PackedCensusMatchesScalarReference) {
   const auto with_checkers =
       detect::to_parity_rail(fix.stage.circuit, embedded);
   ASSERT_FALSE(with_checkers.check_bits.empty());
-  expect_packed_census_matches_scalar(with_checkers, inputs, is_error);
+  expect_packed_census_matches_scalar(with_checkers, fix.inputs, is_error);
 
   // The checked 1D machine: several rails, membership migrated by
   // SWAP/SWAP3 routing, zero checks between rail checkpoints.
@@ -468,49 +456,13 @@ TEST(VerifyCensus, PackedCensusMatchesScalarReference) {
   ASSERT_GT(program.checked.rails.size(), 1u);
   ASSERT_FALSE(program.checked.zero_checks.empty());
   std::vector<StateVector> machine_inputs;
-  std::vector<std::uint64_t> expected;
-  for (std::uint64_t a = 0; a < 8; ++a) {
-    StateVector sv(program.checked.data_width);
-    for (std::uint32_t j = 0; j < 3; ++j)
-      for (const std::uint32_t cell : program.input_cells[j])
-        sv.set_bit(cell, static_cast<std::uint8_t>((a >> j) & 1u));
-    machine_inputs.push_back(std::move(sv));
-    expected.push_back(simulate(logical, a));
-  }
-  const auto machine_error = [&](const StateVector& out, std::size_t in) {
-    for (std::uint32_t i = 0; i < 3; ++i) {
-      const auto& cw = program.output_cells[i];
-      const int sum = out.bit(cw[0]) + out.bit(cw[1]) + out.bit(cw[2]);
-      if ((sum >= 2) != (((expected[in] >> i) & 1u) != 0)) return true;
-    }
-    return false;
-  };
-  expect_packed_census_matches_scalar(program.checked, machine_inputs,
-                                      machine_error);
-}
-
-TEST(VerifyCensus, RestrictedOverAllScenariosEqualsFull) {
-  const CycleFixture fix;
-  std::vector<StateVector> inputs;
-  for (int logical = 0; logical <= 1; ++logical) {
-    StateVector sv(9);
-    for (const auto bit : fix.stage.before.data)
-      sv.set_bit(bit, static_cast<std::uint8_t>(logical));
-    inputs.push_back(std::move(sv));
-  }
-  const auto is_error = [&](const StateVector& out, std::size_t input) {
-    const int sum = out.bit(fix.stage.after.data[0]) +
-                    out.bit(fix.stage.after.data[1]) +
-                    out.bit(fix.stage.after.data[2]);
-    return (sum >= 2) != (input != 0);
-  };
-  const auto full =
-      detect::single_fault_detection_census(fix.checked, inputs, is_error);
-  const auto all = enumerate_single_faults(fix.checked.circuit);
-  const auto restricted = detect::single_fault_detection_census(
-      fix.checked, inputs, is_error, all);
-  expect_census_counts_eq(full, restricted);
-  EXPECT_EQ(full.fault_sites, restricted.fault_sites);
+  for (std::uint64_t x = 0; x < 8; ++x)
+    machine_inputs.push_back(machine_data_input(program, x));
+  expect_packed_census_matches_scalar(
+      program.checked, machine_inputs,
+      [&](const StateVector& out, std::size_t in) {
+        return machine_decode(program, out) != simulate(logical, in);
+      });
 }
 
 // --- lint ------------------------------------------------------------
@@ -524,11 +476,8 @@ TEST(VerifyLint, CleanConstructionsHaveNoErrors) {
   Circuit logical(3);
   logical.toffoli(2, 1, 0);
   const auto program = CheckedMachine1d(3).compile(logical);
-  std::vector<Poly> entry(program.checked.data_width, Poly::zero());
-  for (std::uint32_t j = 0; j < 3; ++j)
-    for (const std::uint32_t cell : program.input_cells[j])
-      entry[cell] = Poly::var(static_cast<int>(j));
-  const auto report = verify::lint_checked_circuit(program.checked, entry);
+  const auto report = verify::lint_checked_circuit(
+      program.checked, verify::machine_entry(program));
   EXPECT_EQ(report.errors(), 0u);
 }
 
@@ -592,11 +541,8 @@ TEST(VerifyLint, DoctoredMembershipIsAnError) {
   std::swap(*g0, *g1);
   std::sort(g0, g1);
   std::sort(g1, g2);
-  std::vector<Poly> entry(doctored.data_width, Poly::zero());
-  for (std::uint32_t j = 0; j < 3; ++j)
-    for (const std::uint32_t cell : program.input_cells[j])
-      entry[cell] = Poly::var(static_cast<int>(j));
-  const auto report = verify::lint_checked_circuit(doctored, entry);
+  const auto report =
+      verify::lint_checked_circuit(doctored, verify::machine_entry(program));
   EXPECT_GT(count_code(report, verify::LintCode::kMembershipMismatch), 0u);
   EXPECT_GT(report.errors(), 0u);
 }
@@ -621,11 +567,8 @@ TEST(VerifyLint, GluedReplayComponentsSurfaceStraddlers) {
   Circuit logical(3);
   logical.toffoli(2, 1, 0);
   const auto program = CheckedMachine1d(3).compile(logical);
-  std::vector<Poly> entry(program.checked.data_width, Poly::zero());
-  for (std::uint32_t j = 0; j < 3; ++j)
-    for (const std::uint32_t cell : program.input_cells[j])
-      entry[cell] = Poly::var(static_cast<int>(j));
-  const auto report = verify::lint_checked_circuit(program.checked, entry);
+  const auto report = verify::lint_checked_circuit(
+      program.checked, verify::machine_entry(program));
   const auto plan = recover::build_segment_plan(program.checked);
   std::size_t glued_segments = 0;
   for (const auto& seg : plan.segments) {
