@@ -29,6 +29,7 @@
 #include "local/checked_machine.h"
 #include "local/machine.h"
 #include "noise/lanes.h"
+#include "support/error.h"
 #include "support/table.h"
 
 using namespace revft;
@@ -482,6 +483,9 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
 double measure_overhead(const Circuit& physical,
                         const CheckedMachineProgram& program, const char* label,
                         benchutil::JsonResultWriter& json) {
+  // Both kernels run the same original ops: the checked program wraps
+  // exactly the unchecked one.
+  REVFT_CHECK(physical.size() == program.stats.total_ops);
   const double g = 1e-3;
   const double ops = static_cast<double>(physical.size());
 
@@ -529,8 +533,8 @@ void print_overhead(benchutil::JsonResultWriter& json) {
       "acceptance bar: checked <= 1.5x the unchecked machine");
 
   const Circuit logical = benchutil::scattered_workload();
-  const MachineProgram p1 = Machine1d(10).compile(logical);
-  const MachineProgram p2 = Machine2d(10).compile(logical);
+  const MachineProgram p1 = Machine(k1d, 10).compile(logical);
+  const MachineProgram p2 = Machine(k2d, 10).compile(logical);
   const CheckedMachineProgram c1 = compile(k1d, logical);
   const CheckedMachineProgram c2 = compile(k2d, logical);
   CheckedMachineOptions global;
@@ -558,7 +562,6 @@ void print_overhead(benchutil::JsonResultWriter& json) {
 
 void BM_CheckedMachine1dApply(benchmark::State& state) {
   const Circuit logical = benchutil::scattered_workload();
-  const MachineProgram plain = Machine1d(10).compile(logical);
   const CheckedMachineProgram program = compile(k1d, logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(program.checked.circuit.width());
@@ -572,13 +575,14 @@ void BM_CheckedMachine1dApply(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
   // Items = ORIGINAL ops x lanes, comparable to the unchecked kernel.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(plain.physical.size()) * 64);
+                          static_cast<std::int64_t>(program.stats.total_ops) *
+                          64);
 }
 BENCHMARK(BM_CheckedMachine1dApply);
 
 void BM_UncheckedMachine1dApply(benchmark::State& state) {
   const Circuit logical = benchutil::scattered_workload();
-  const MachineProgram plain = Machine1d(10).compile(logical);
+  const MachineProgram plain = Machine(k1d, 10).compile(logical);
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(plain.physical.width());
   for (auto _ : state) {

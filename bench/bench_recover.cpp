@@ -72,38 +72,27 @@ void add_plan_row(AsciiTable& table, benchutil::JsonResultWriter& json,
 }
 
 bool print_plan(const RecoveryExperiment& exp1d, const RecoveryExperiment& exp2d,
-                const Circuit& logical, benchutil::JsonResultWriter& json) {
+                benchutil::JsonResultWriter& json) {
   benchutil::print_header(
       "Segment plans: what a block-local retry actually replays",
       "recover/plan.h — routing entangles blocks into replay components");
-  // Before/after: the legacy (schedule-off, PR 5) layout next to the
-  // shipped scheduled one on the identical workload.
-  CheckedMachineOptions legacy = recovering_machine_options();
-  legacy.schedule.enabled = false;
-  const CheckedMachineProgram legacy1d = compile(k1d, logical, legacy);
-  const CheckedMachineProgram legacy2d = compile(k2d, logical, legacy);
-
   AsciiTable table({"machine", "checked ops", "segments", "rails", "components",
                     "multi-comp segs", "mean max share", "worst share"});
-  add_plan_row(table, json, "plan_1d_legacy", legacy1d,
-               recover::build_segment_plan(legacy1d.checked));
   add_plan_row(table, json, "plan_1d", exp1d.program(), exp1d.plan());
-  add_plan_row(table, json, "plan_2d_legacy", legacy2d,
-               recover::build_segment_plan(legacy2d.checked));
   add_plan_row(table, json, "plan_2d", exp2d.program(), exp2d.plan());
   std::printf("%s", table.str().c_str());
   std::printf(
       "the model prices a block replay at 1/B of the program; the mechanism\n"
       "must replay the routing-connected COMPONENT from the last accepted\n"
       "boundary — 'share' columns show the worst component per segment, so\n"
-      "1.0 means some segment's routing glues every block together. The\n"
-      "legacy rows reproduce that pathology (every segment replays whole);\n"
-      "the scheduled rows show what the partition-aware pass buys: wave-\n"
-      "packed routing cut at territory-disjoint waves and batched EC\n"
-      "stages, so the mean worst-component share drops toward 1/B.\n");
+      "1.0 means some segment's routing glues every block together (every\n"
+      "segment of the unscheduled layout scored 1.0 here). The machine\n"
+      "compiler's scheduling pass wave-packs routing, cuts at territory-\n"
+      "disjoint waves and batches EC stages, so the mean worst-component\n"
+      "share drops toward 1/B.\n");
 
-  // The scheduling acceptance bar: the scheduled 1D plan's mean share
-  // must sit at or below 0.6 (the legacy layout scores 1.0).
+  // The scheduling acceptance bar: the 1D plan's mean share must sit
+  // at or below 0.6 (the unscheduled layout scored 1.0).
   const bool bar = exp1d.plan().mean_max_replay_share() <= 0.6;
   std::printf("scheduled 1d mean max replay share <= 0.6: %s (%.3f)\n",
               bar ? "PASS" : "FAIL", exp1d.plan().mean_max_replay_share());
@@ -315,7 +304,7 @@ int main(int argc, char** argv) {
   const CheckedMachineExperiment det1d(exp1d.program(), logical, det_config);
   const CheckedMachineExperiment det2d(exp2d.program(), logical, det_config);
 
-  const bool plan_bar = print_plan(exp1d, exp2d, logical, json);
+  const bool plan_bar = print_plan(exp1d, exp2d, json);
   const bool all_pass = print_economics(exp1d, exp2d, det1d, det2d, json);
   print_determinism(exp1d, json);
   json.add("summary", "economics_bar_all_pass", all_pass ? 1.0 : 0.0);

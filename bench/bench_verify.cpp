@@ -7,7 +7,8 @@
 // prices that trade on the checked machine programs:
 //
 //   1. the headline table: certificate vs census CPU time on the
-//      checked 1D and 2D machine programs and their ratio, and the
+//      checked 1D and 2D machine programs and their ratio (medians of
+//      five interleaved repetitions, with the min-max spread), and the
 //      census_agreement_within_0 bar per machine (1 iff every
 //      certificate count equals the census count; CI enforces it);
 //   2. lint counts over the standard constructions;
@@ -17,8 +18,10 @@
 // Emits BENCH_verify.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 #include "detect/checker.h"
@@ -62,21 +65,44 @@ std::array<std::uint64_t, 7> count_fields(const detect::DetectionCensus& c) {
 void bench_certificate(const char* label, const CheckedMachineProgram& program,
                        const Circuit& logical, AsciiTable& table,
                        benchutil::JsonResultWriter& json) {
-  // One call of each takes up to seconds: a single timed repetition.
+  // One call of each takes about 0.1-0.2 s, so one repetition says
+  // little. Five repetitions, each one time_interleaved call timing
+  // both once (the order alternating between repetitions); the table
+  // reports medians and the min-max spread.
+  constexpr int kReps = 5;
   verify::FaultSecurityCertificate cert;
   detect::DetectionCensus census;
-  const benchutil::Timing t = benchutil::time_interleaved(
-      {{1.0, [&] { cert = verify::certify_machine_program(program, logical); }},
-       {1.0, [&] { census = machine_detection_census(program, logical); }}},
-      1, 1);
-  const double t_cert = t.ns_per_unit[0] * 1e-9;
-  const double t_census = t.ns_per_unit[1] * 1e-9;
-  const double speedup = t.ratio[1];
+  const benchutil::TimedBody certify{
+      1.0, [&] { cert = verify::certify_machine_program(program, logical); }};
+  const benchutil::TimedBody run_census{
+      1.0, [&] { census = machine_detection_census(program, logical); }};
+  std::vector<double> cert_s, census_s, speedups;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const std::size_t c = rep % 2;  // certify's slot this repetition
+    const benchutil::Timing t = benchutil::time_interleaved(
+        c == 0 ? std::vector{certify, run_census}
+               : std::vector{run_census, certify},
+        1, 1);
+    cert_s.push_back(t.ns_per_unit[c] * 1e-9);
+    census_s.push_back(t.ns_per_unit[1 - c] * 1e-9);
+    speedups.push_back(census_s.back() / cert_s.back());
+  }
+  for (auto* v : {&cert_s, &census_s, &speedups})
+    std::sort(v->begin(), v->end());
+  const auto median_and_spread = [](const std::vector<double>& v) {
+    return AsciiTable::fixed(v[kReps / 2], 3) + " (" +
+           AsciiTable::fixed(v[0], 3) + "-" +
+           AsciiTable::fixed(v[kReps - 1], 3) + ")";
+  };
+  const double t_cert = cert_s[kReps / 2];
+  const double t_census = census_s[kReps / 2];
+  const double speedup = speedups[kReps / 2];
   const bool agree = count_fields(cert.counts) == count_fields(census);
   table.add_row({label, AsciiTable::cell(cert.counts.fault_sites),
                  AsciiTable::cell(census.scenarios),
-                 AsciiTable::sci(t_cert, 2), AsciiTable::sci(t_census, 2),
-                 AsciiTable::fixed(speedup, 1), agree ? "yes" : "NO",
+                 median_and_spread(cert_s), median_and_spread(census_s),
+                 median_and_spread(speedups),
+                 agree ? "yes" : "NO",
                  census.fault_secure() ? "yes" : "NO"});
   json.add(label, "fault_sites", cert.counts.fault_sites);
   json.add(label, "census_scenarios", census.scenarios);
@@ -189,8 +215,9 @@ int main(int argc, char** argv) {
   benchutil::print_header(
       "Static fault-security certificates vs the exhaustive census",
       "src/verify/ — the census' counts, one delta-cone walk per fault");
-  AsciiTable table({"program", "sites", "census scen.", "certify s",
-                    "census s", "speedup", "agree", "secure"});
+  AsciiTable table({"program", "sites", "census scen.",
+                    "certify s (min-max)", "census s (min-max)",
+                    "speedup (min-max)", "agree", "secure"});
   bench_certificate("certify_1d", p1d, logical, table, json);
   bench_certificate("certify_2d", p2d, logical, table, json);
   std::printf("%s\n", table.str().c_str());

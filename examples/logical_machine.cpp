@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   Circuit logical(5);
   logical.maj(4, 2, 0).toffoli(0, 3, 4).majinv(2, 1, 4).swap3(0, 2, 4);
 
-  const Machine1d machine(5);
+  const Machine machine(BlockLayout::k1d, 5);
   const auto program = machine.compile(logical);
 
   std::printf("logical program: %zu gates on %u encoded bits\n",

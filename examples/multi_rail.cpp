@@ -23,6 +23,7 @@
 #include "local/checked_machine.h"
 #include "noise/injection.h"
 #include "rev/simulator.h"
+#include "support/error.h"
 #include "support/table.h"
 
 using namespace revft;
@@ -45,7 +46,6 @@ int main(int argc, char** argv) {
       CheckedMachine1d(5, true, rails_only).compile(logical);
   const auto global_program =
       CheckedMachine1d(5, true, global_only).compile(logical);
-  const Circuit& physical = Machine1d(5).compile(logical).physical;
 
   std::printf("1D machine, 5 encoded bits: %llu physical ops, %llu rails, "
               "%llu rail ops (%.3fx)\n\n",
@@ -56,23 +56,29 @@ int main(int argc, char** argv) {
 
   // 1. Find and show an interleave fault the global rail misses: a
   // corrupted routing/interleave SWAP whose damage lands in two
-  // different blocks' groups.
-  StateVector input(block_program.checked.data_width);
-  for (std::uint32_t i = 0; i < 5; ++i)
-    for (const auto bit : block_program.input_cells[i])
-      input.set_bit(bit, 1);
+  // different blocks' groups. Both programs wrap the machine program's
+  // ops; source_position maps its op `op` into each rail form, and the
+  // printed "physical op" is that index.
+  const Circuit physical =
+      Machine(BlockLayout::k1d, 5).compile(logical).physical;
+  const StateVector input = machine_data_input(block_program, 0x1f);
+  const detect::CheckedCircuit& block_checked = block_program.checked;
+  const detect::CheckedCircuit& global_checked = global_program.checked;
   bool shown = false;
-  for (std::size_t op = 0; op < physical.size() && !shown; ++op) {
-    const GateKind kind = physical.op(op).kind;
+  for (std::size_t op = 0; op < block_checked.source_position.size() && !shown;
+       ++op) {
+    const Gate& gate = block_checked.circuit.op(block_checked.source_position[op]);
+    REVFT_CHECK(physical.op(op) == gate);
+    REVFT_CHECK(global_checked.circuit.op(global_checked.source_position[op]) ==
+                gate);
+    const GateKind kind = gate.kind;
     if (kind != GateKind::kSwap && kind != GateKind::kSwap3) continue;
-    for (unsigned v = 0; v < (1u << physical.op(op).arity()) && !shown; ++v) {
+    for (unsigned v = 0; v < (1u << gate.arity()) && !shown; ++v) {
       const auto global_run = detect::checked_run_with_faults(
-          global_program.checked, input,
-          {{global_program.checked.source_position[op], v}});
+          global_checked, input, {{global_checked.source_position[op], v}});
       if (global_run.detected) continue;
       const auto block_run = detect::checked_run_with_faults(
-          block_program.checked, input,
-          {{block_program.checked.source_position[op], v}});
+          block_checked, input, {{block_checked.source_position[op], v}});
       int fired = 0;
       for (const auto f : block_run.rail_fired) fired += f != 0;
       if (!block_run.detected || fired < 2) continue;

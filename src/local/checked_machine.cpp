@@ -103,13 +103,10 @@ std::uint64_t machine_decode(const CheckedMachineProgram& program,
 
 CheckedMachine::CheckedMachine(BlockLayout layout, std::uint32_t logical_bits,
                                bool with_init, CheckedMachineOptions opts)
-    : base_(layout, logical_bits, with_init, opts.schedule.enabled),
-      opts_(opts) {}
+    : base_(layout, logical_bits, with_init), opts_(opts) {}
 
 CheckedMachineProgram CheckedMachine::compile(const Circuit& logical) const {
-  MachineProgram program = base_.compile(logical);
-  schedule_program(program, opts_.schedule);
-  return check_machine_program(program, opts_);
+  return check_machine_program(base_.compile(logical), opts_);
 }
 
 }  // namespace revft

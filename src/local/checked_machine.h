@@ -56,7 +56,6 @@
 
 #include "detect/rail.h"
 #include "local/machine.h"
-#include "local/schedule.h"
 
 namespace revft {
 
@@ -111,14 +110,6 @@ struct CheckedMachineOptions {
   /// Extra periodic rail checkpoints every N original ops on top of
   /// the boundary checkpoints (0 = boundaries + final only).
   std::size_t check_every = 0;
-  /// Partition-aware scheduling pass (local/schedule.h), run on the
-  /// compiled program before the rail transform: wave-packs routing
-  /// and places interior recovery boundaries aligned with the
-  /// rail-block territories so replay components stop gluing across
-  /// blocks. Default ON; set schedule.enabled = false for the legacy
-  /// (pre-scheduling) layout, bit-identical to the PR 5 compiler
-  /// output — the pinned-census regression configuration.
-  ScheduleOptions schedule;
 };
 
 /// Self-checking accounting of one compiled program.
@@ -196,8 +187,8 @@ CheckedMachineProgram check_machine_program(const MachineProgram& program,
                                             const CheckedMachineOptions& opts);
 
 /// Compile-and-check convenience: the block-machine compiler with the
-/// rail threaded through every program it emits (compile, schedule,
-/// rail transform).
+/// rail threaded through every program it emits (Machine::compile,
+/// then check_machine_program).
 class CheckedMachine {
  public:
   CheckedMachine(BlockLayout layout, std::uint32_t logical_bits,

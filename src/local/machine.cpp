@@ -2,6 +2,7 @@
 
 #include "local/lattice.h"
 #include "local/router.h"
+#include "local/schedule.h"
 #include "local/scheme1d.h"
 #include "local/scheme2d.h"
 #include "support/error.h"
@@ -76,11 +77,10 @@ Geometry make_geometry(BlockLayout layout, bool with_init) {
 class Compiler {
  public:
   Compiler(BlockLayout layout, std::uint32_t logical_bits, bool with_init,
-           bool balanced_routing, MachineProgram& program)
+           MachineProgram& program)
       : layout_(layout),
         bits_(logical_bits),
         with_init_(with_init),
-        balanced_routing_(balanced_routing),
         geo_(make_geometry(layout, with_init)),
         program_(program) {
     program_.rest_clean = geo_.rest().clean_after;
@@ -156,9 +156,7 @@ class Compiler {
     // Gather the operand blocks consecutive in order (p, q, r); the
     // block-level schedule (inversion-count optimal) executes as
     // block transpositions.
-    const auto target = balanced_routing_
-                            ? gather_triple_target_balanced(logical_at_, p, q, r)
-                            : gather_triple_target(logical_at_, p, q, r);
+    const auto target = gather_triple_target(logical_at_, p, q, r);
     for (const SwapOp& s : route_line(logical_at_, target))
       transpose_blocks(s.a);
     REVFT_CHECK(slot_of_[p] + 1 == slot_of_[q] && slot_of_[q] + 1 == slot_of_[r]);
@@ -205,7 +203,6 @@ class Compiler {
   BlockLayout layout_;
   std::uint32_t bits_;
   bool with_init_;
-  bool balanced_routing_;
   Geometry geo_;
   MachineProgram& program_;
   std::vector<std::uint32_t> slot_of_;    // logical -> slot
@@ -215,11 +212,8 @@ class Compiler {
 }  // namespace
 
 Machine::Machine(BlockLayout layout, std::uint32_t logical_bits,
-                 bool with_init, bool balanced_routing)
-    : layout_(layout),
-      logical_bits_(logical_bits),
-      with_init_(with_init),
-      balanced_routing_(balanced_routing) {
+                 bool with_init)
+    : layout_(layout), logical_bits_(logical_bits), with_init_(with_init) {
   REVFT_CHECK_MSG(logical_bits >= 3, "Machine: need at least 3 logical bits");
 }
 
@@ -230,10 +224,10 @@ MachineProgram Machine::compile(const Circuit& logical) const {
                                                      << logical_bits_);
   MachineProgram program;
   program.physical = Circuit(cells());
-  Compiler compiler(layout_, logical_bits_, with_init_, balanced_routing_,
-                    program);
+  Compiler compiler(layout_, logical_bits_, with_init_, program);
   for (const Gate& g : logical.ops()) compiler.emit(g);
   compiler.finish();
+  schedule_program(program);
   return program;
 }
 

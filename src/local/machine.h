@@ -10,9 +10,10 @@
 //   * a logical 3-bit gate routes the operand blocks until they are
 //     adjacent in operand order ("when it is necessary to operate on
 //     pairs of remote bits, we must first move them close together by
-//     a series of SWAP operations"), runs the §3 cycle (interleave /
-//     transversal gate / uninterleave / recovery) and then the
-//     layout's per-block post-cycle stages;
+//     a series of SWAP operations"; gather_triple_target in
+//     local/router.h picks where they meet), runs the §3 cycle
+//     (interleave / transversal gate / uninterleave / recovery) and
+//     then the layout's per-block post-cycle stages;
 //   * logical NOT is transversal on the data cells (no routing),
 //     followed by the layout's recovery stages;
 //   * logical initialization resets whole blocks in place.
@@ -46,6 +47,12 @@
 // gate routes from the current arrangement (slot_of_logical maps
 // logical bits to final block slots). The compiled program is
 // nearest-neighbour throughout (1D init3 exempt, as §3.2 counts it).
+//
+// compile() ends with the scheduling pass (local/schedule.h), which
+// wave-packs the routing and adds interior boundaries. There is one
+// layout: the unchecked program is, op for op, the original-op
+// sequence its checked program wraps (CheckedMachine::compile is the
+// rail transform of this output).
 #pragma once
 
 #include <array>
@@ -98,38 +105,21 @@ struct MachineProgram {
 /// with 3-bit gates, e.g. CNOT = Toffoli with a constant-1 bit.)
 class Machine {
  public:
-  /// A machine with `logical_bits` >= 3 encoded bits. With
-  /// `balanced_routing` the gather target of each 3-bit gate is chosen
-  /// by gather_triple_target_balanced (fewest serial routing steps)
-  /// instead of the legacy q-anchored target — same contract, more
-  /// wave parallelism for the scheduling pass to cut along. Off by
-  /// default: the pinned unscheduled layout uses the legacy target.
+  /// A machine with `logical_bits` >= 3 encoded bits.
   Machine(BlockLayout layout, std::uint32_t logical_bits,
-          bool with_init = true, bool balanced_routing = false);
+          bool with_init = true);
 
   std::uint32_t logical_bits() const noexcept { return logical_bits_; }
   std::uint32_t cells() const noexcept { return logical_bits_ * 9; }
 
-  /// Compile; throws revft::Error on unsupported ops.
+  /// Compile and schedule (local/schedule.h); throws revft::Error on
+  /// unsupported ops.
   MachineProgram compile(const Circuit& logical) const;
 
  private:
   BlockLayout layout_;
   std::uint32_t logical_bits_;
   bool with_init_;
-  bool balanced_routing_;
-};
-
-/// The two geometries by name.
-struct Machine1d : Machine {
-  explicit Machine1d(std::uint32_t logical_bits, bool with_init = true,
-                     bool balanced_routing = false)
-      : Machine(BlockLayout::k1d, logical_bits, with_init, balanced_routing) {}
-};
-struct Machine2d : Machine {
-  explicit Machine2d(std::uint32_t logical_bits, bool with_init = true,
-                     bool balanced_routing = false)
-      : Machine(BlockLayout::k2d, logical_bits, with_init, balanced_routing) {}
 };
 
 }  // namespace revft

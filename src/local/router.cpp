@@ -130,7 +130,7 @@ std::vector<std::uint32_t> triple_target_at(
   return target;
 }
 
-/// Legacy anchor: insert where q currently sits.
+/// Tie-break anchor: insert where q currently sits.
 std::uint32_t insert_at_q(const std::vector<std::uint32_t>& current,
                           std::uint32_t p, std::uint32_t q, std::uint32_t r) {
   const auto n = static_cast<std::uint32_t>(current.size());
@@ -183,16 +183,6 @@ std::vector<std::uint32_t> gather_triple_target(
   REVFT_CHECK_MSG(n >= 3, "gather_triple_target: need >= 3 items");
   REVFT_CHECK_MSG(p != q && q != r && p != r,
                   "gather_triple_target: items must be distinct");
-  return triple_target_at(current, p, q, r, insert_at_q(current, p, q, r));
-}
-
-std::vector<std::uint32_t> gather_triple_target_balanced(
-    const std::vector<std::uint32_t>& current, std::uint32_t p,
-    std::uint32_t q, std::uint32_t r) {
-  const auto n = static_cast<std::uint32_t>(current.size());
-  REVFT_CHECK_MSG(n >= 3, "gather_triple_target_balanced: need >= 3 items");
-  REVFT_CHECK_MSG(p != q && q != r && p != r,
-                  "gather_triple_target_balanced: items must be distinct");
   const std::uint32_t anchor = insert_at_q(current, p, q, r);
   std::uint32_t best = anchor;
   std::size_t best_singletons = 0, best_swaps = 0;

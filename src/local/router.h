@@ -50,25 +50,17 @@ void apply_swaps(std::vector<std::uint32_t>& arrangement,
                  const std::vector<SwapOp>& swaps);
 
 /// Target arrangement for gathering three items (p, q, r) into
-/// consecutive positions in that order, centred where q currently
-/// sits, with every other item keeping its relative order. Used by
-/// the block-routing machines (§3: "move them close together").
+/// consecutive positions in that order, with every other item keeping
+/// its relative order — how the block machines "move them close
+/// together" (§3). The insert position minimizes the number of SERIAL
+/// routing steps: a transposition schedule wave-packs into disjoint
+/// territory waves (local/schedule.h), and anchoring the triple where
+/// q sits would drag the far operand across the line alone — a chain
+/// of singleton waves that any replay plan must glue into one
+/// component. Every insert position is scored by (singleton waves,
+/// total swaps, distance from q's position), so the displacement
+/// splits across the operands and they march concurrently.
 std::vector<std::uint32_t> gather_triple_target(
-    const std::vector<std::uint32_t>& current, std::uint32_t p,
-    std::uint32_t q, std::uint32_t r);
-
-/// Parallelism-aware gather target: same contract as
-/// gather_triple_target (operands consecutive in order, bystanders
-/// keep relative order), but the insert position is chosen to minimize
-/// the number of SERIAL routing steps instead of anchoring at q. A
-/// transposition schedule wave-packs into disjoint territory waves
-/// (local/schedule.h); anchoring at q drags the far operand across the
-/// line alone — a chain of singleton waves that any replay plan must
-/// glue into one component. Scanning every insert position and scoring
-/// (singleton waves, total swaps, distance from the q anchor) splits
-/// the displacement across the operands so they march concurrently.
-/// Used by the machines when the scheduling pass is enabled.
-std::vector<std::uint32_t> gather_triple_target_balanced(
     const std::vector<std::uint32_t>& current, std::uint32_t p,
     std::uint32_t q, std::uint32_t r);
 

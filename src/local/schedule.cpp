@@ -114,13 +114,11 @@ constexpr std::size_t kMinWaveCut = 2;
 
 }  // namespace
 
-ScheduleStats schedule_program(MachineProgram& program,
-                               const ScheduleOptions& opts) {
+void schedule_program(MachineProgram& program) {
   Circuit& physical = program.physical;
   std::vector<RecoveryBoundary>& boundaries = program.recovery_boundaries;
   auto& spans = program.routing_spans;
-  ScheduleStats stats;
-  if (!opts.enabled || physical.empty()) return stats;
+  if (physical.empty()) return;
 
   std::vector<Atom> atoms = parse_atoms(physical, boundaries, spans);
 
@@ -142,15 +140,12 @@ ScheduleStats schedule_program(MachineProgram& program,
     while (run_end + 1 < atoms.size() &&
            atoms[run_end + 1].kind == Atom::Kind::kTransposition)
       ++run_end;
-    std::size_t max_wave = 0;
     for (std::size_t j = a; j <= run_end; ++j) {
       atoms[j].wave = 0;
       for (std::size_t k = a; k < j; ++k)
         if (intersects(atoms[j].territories, atoms[k].territories))
           atoms[j].wave = std::max(atoms[j].wave, atoms[k].wave + 1);
-      max_wave = std::max(max_wave, atoms[j].wave);
     }
-    stats.waves += max_wave + 1;
     // Stable order by wave; rebuild the run's op order and each
     // atom's new position (the run stays op-contiguous).
     std::vector<std::size_t> by_wave;
@@ -163,10 +158,7 @@ ScheduleStats schedule_program(MachineProgram& program,
     std::vector<Atom> reordered;
     for (const std::size_t j : by_wave) {
       const std::size_t len = atoms[j].last - atoms[j].first + 1;
-      if (pos != atoms[j].first) {
-        moved = true;
-        stats.moved_ops += len;
-      }
+      if (pos != atoms[j].first) moved = true;
       for (std::size_t i = 0; i < len; ++i)
         order[pos + i] = atoms[j].first + i;
       Atom shifted = std::move(atoms[j]);
@@ -235,7 +227,6 @@ ScheduleStats schedule_program(MachineProgram& program,
             ++group;
           if (group >= kMinWaveCut) {
             cut_at(atoms[a - 1].last);
-            ++stats.chain_cuts;
             pending_singletons = false;
           }
         }
@@ -248,7 +239,6 @@ ScheduleStats schedule_program(MachineProgram& program,
         if (wave_ends) {
           if (wave_size >= kMinWaveCut) {
             cut_at(at.last);
-            ++stats.wave_cuts;
             pending_singletons = false;
           } else {
             pending_singletons = true;
@@ -260,7 +250,6 @@ ScheduleStats schedule_program(MachineProgram& program,
       case Atom::Kind::kCore: {
         mark(at);
         cut_at(at.last);
-        ++stats.core_cuts;
         pending_singletons = false;
         break;
       }
@@ -275,7 +264,6 @@ ScheduleStats schedule_program(MachineProgram& program,
             batch_territories.clear();
           } else {
             boundaries[batch_prev].rail_checkpoint = false;
-            ++stats.batched_stages;
           }
         }
         batch_prev = at.boundary;
@@ -295,7 +283,6 @@ ScheduleStats schedule_program(MachineProgram& program,
                    [](const RecoveryBoundary& x, const RecoveryBoundary& y) {
                      return x.op_index < y.op_index;
                    });
-  return stats;
 }
 
 }  // namespace revft

@@ -1,13 +1,14 @@
 // revft/local/schedule.h
 //
-// Partition-aware scheduling: a post-compile pass over the §3 machine
-// programs that breaks the whole-segment replay pathology of
-// recover/plan.h (mean_max_replay_share = 1.0). The compilers emit
-// routing as one serial chain of block transpositions and register
-// recovery boundaries only at stage ends, so every segment's SWAP
-// traffic glues all B rail territories into one union-find component —
-// block-local retry then replays the whole segment. This pass
-// restructures the program around the rail-block territories:
+// Partition-aware scheduling: the last pass of Machine::compile, run
+// on every §3 machine program. It breaks the whole-segment replay
+// pathology of recover/plan.h (mean_max_replay_share = 1.0). The
+// compiler emits routing as one serial chain of block transpositions
+// and registers recovery boundaries only at stage ends, so every
+// segment's SWAP traffic would glue all B rail territories into one
+// union-find component — block-local retry would then replay the whole
+// segment. This pass restructures the program around the rail-block
+// territories:
 //
 //   * WAVE PACKING — consecutive block transpositions with disjoint
 //     territory windows commute (they act on disjoint cells); an ASAP
@@ -39,10 +40,9 @@
 // flow into a cuttable wave: the chain conflicts with the wave (else
 // packing would have merged them), so it would glue the wave's
 // disjoint components into one. When pending singletons precede a
-// wave of >= 2 transpositions, the pass seals the chain
-// with a cut just before the wave (stats.chain_cuts) — the chain
-// segment stays glued (serial routing is glued by construction), but
-// the wave keeps its 1/k share.
+// wave of >= 2 transpositions, the pass seals the chain with a cut
+// just before the wave — the chain segment stays glued (serial
+// routing is glued by construction), but the wave keeps its 1/k share.
 //
 // Soundness: wave packing permutes only provably-commuting ops (the
 // reordered region computes the same permutation), and cuts add only
@@ -53,35 +53,14 @@
 // the exhaustive single-fault repair theorem on it.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-
 #include "local/machine.h"
 
 namespace revft {
 
-struct ScheduleOptions {
-  /// Master switch. Off = the legacy (PR 5) layout, bit-identical to
-  /// the unscheduled compiler output.
-  bool enabled = true;
-};
-
-/// What the pass did — surfaced for tests and the bench tables.
-struct ScheduleStats {
-  std::size_t waves = 0;           ///< routing waves formed
-  std::size_t moved_ops = 0;       ///< ops repositioned by wave packing
-  std::size_t wave_cuts = 0;       ///< cut boundaries placed after waves
-  std::size_t chain_cuts = 0;      ///< cuts sealing singleton chains off a wave
-  std::size_t core_cuts = 0;       ///< cut boundaries placed after cycle cores
-  std::size_t batched_stages = 0;  ///< stage boundaries whose checkpoint deferred
-};
-
 /// Reschedule a compiled machine program in place: reorders routing
 /// into waves, inserts interior recovery boundaries (zero-checking the
 /// program's at-rest clean cells, MachineProgram::rest_clean), and
-/// rewrites routing_spans / recovery_boundaries to match. No-op when
-/// opts.enabled is false.
-ScheduleStats schedule_program(MachineProgram& program,
-                               const ScheduleOptions& opts = {});
+/// rewrites routing_spans / recovery_boundaries to match.
+void schedule_program(MachineProgram& program);
 
 }  // namespace revft

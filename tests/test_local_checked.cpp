@@ -139,8 +139,8 @@ std::array<std::uint64_t, 7> count_fields(const detect::DetectionCensus& c) {
 
 // Every armed option combination is fault-secure, not just the
 // defaults: layout x init x rail granularity x per-boundary rail
-// checks x scheduling, with the boundary zero checks on, over routed
-// and unrouted cycles and the NOT / init boundaries — 128 censuses,
+// checks, with the boundary zero checks on, over routed and unrouted
+// cycles and the NOT / init boundaries — 64 censuses,
 // each with a certificate that must equal it. (With zero_checks off
 // some combinations leak by design; the tests below and
 // VerifyCertify.UnarmedOptionCombinationsAgreeWithCensus pin that
@@ -152,13 +152,12 @@ TEST(CheckedMachineCensus, EveryArmedOptionCombinationIsFaultSecure) {
   programs[2].not_(1).init3(0, 1, 2).not_(0);
   programs[3].init3(0, 1, 2).toffoli(0, 1, 2);
   int censuses = 0;
-  for (unsigned combo = 0; combo < 32; ++combo) {
+  for (unsigned combo = 0; combo < 16; ++combo) {
     const bool two_d = combo & 1u, with_init = combo & 2u;
     CheckedMachineOptions opts;
     opts.rails = (combo & 4u) ? RailGranularity::kPerBlock
                               : RailGranularity::kGlobal;
     opts.rail_check_every_boundary = combo & 8u;
-    opts.schedule.enabled = combo & 16u;
     ASSERT_TRUE(opts.zero_checks);
     for (std::size_t p = 0; p < programs.size(); ++p) {
       const Circuit& logical = programs[p];
@@ -177,7 +176,7 @@ TEST(CheckedMachineCensus, EveryArmedOptionCombinationIsFaultSecure) {
       ++censuses;
     }
   }
-  EXPECT_EQ(censuses, 128);
+  EXPECT_EQ(censuses, 64);
 }
 
 // Negative control — the finding that motivates both the zero checks
@@ -227,41 +226,41 @@ TEST(CheckedMachineCensus, PerBlockRailsAloneAreFaultSecureIn1d) {
   EXPECT_GT(census.detected_harmful, 0u);
 }
 
-// The PR 2/3 configuration — single global rail, boundary zero checks,
-// elision, scheduling opted out — reproduces its census counts
-// bit-for-bit: the partition refactor must not move a single scenario
-// for the trivial partition. (Counts pinned from
-// BENCH_local_checked.json as emitted by PR 3.)
-TEST(CheckedMachineCensus, GlobalRailCensusCountsPinned) {
-  Circuit logical(3);
-  logical.toffoli(2, 1, 0);  // the routed cycle bench_local_checked prints
-  CheckedMachineOptions opts;
-  opts.rails = RailGranularity::kGlobal;
-  opts.schedule.enabled = false;  // the pre-scheduling PR 2/3 layout
-  const auto census1 = machine_detection_census(
-      CheckedMachine1d(3, /*with_init=*/true, opts).compile(logical), logical);
-  EXPECT_EQ(census1.scenarios, 12352u);
-  EXPECT_EQ(census1.detected_harmful, 168u);
-  EXPECT_EQ(census1.silent_harmful, 0u);
-  const auto census2 = machine_detection_census(
-      CheckedMachine2d(3, /*with_init=*/true, opts).compile(logical), logical);
-  EXPECT_EQ(census2.scenarios, 7080u);
-  EXPECT_EQ(census2.detected_harmful, 0u);
-  EXPECT_EQ(census2.silent_harmful, 0u);
-}
-
-// Opt-out bit-compatibility: with schedule.enabled = false the checked
-// machines reproduce the PR 5 pipeline EXACTLY — the raw compiler
-// output (legacy q-anchored gather targets, no wave packing, no
-// interior cuts) fed straight into the rail transform. Gate-for-gate
-// circuit equality, same checkpoints, same zero checks. This is the
-// regression pin that lets the scheduling pass default ON: anyone who
-// needs the old layout gets it bit-identical, not approximately.
-TEST(CheckedMachineSchedule, ScheduleOffMatchesTheRawCompilerBitForBit) {
+// The routed cycle bench_local_checked prints, pinned at either rail
+// granularity: the same scenario space and harmful set, fault-secure
+// either way.
+TEST(CheckedMachineCensus, RoutedCycleCensusCountsPinned) {
   Circuit logical(3);
   logical.toffoli(2, 1, 0);
-  CheckedMachineOptions off;
-  off.schedule.enabled = false;
+  for (const RailGranularity rails :
+       {RailGranularity::kGlobal, RailGranularity::kPerBlock}) {
+    CheckedMachineOptions opts;
+    opts.rails = rails;
+    const auto census1 = machine_detection_census(
+        CheckedMachine1d(3, /*with_init=*/true, opts).compile(logical),
+        logical);
+    EXPECT_EQ(census1.scenarios, 12352u);
+    EXPECT_EQ(census1.detected_harmful, 168u);
+    EXPECT_EQ(census1.silent_harmful, 0u);
+    EXPECT_TRUE(census1.fault_secure());
+    const auto census2 = machine_detection_census(
+        CheckedMachine2d(3, /*with_init=*/true, opts).compile(logical),
+        logical);
+    EXPECT_EQ(census2.scenarios, 7080u);
+    EXPECT_EQ(census2.detected_harmful, 0u);
+    EXPECT_EQ(census2.silent_harmful, 0u);
+    EXPECT_TRUE(census2.fault_secure());
+  }
+}
+
+// CheckedMachine::compile is exactly the rail transform of the
+// machine program: gate-for-gate circuit equality, same checkpoints,
+// same zero checks. The entry cells are the layouts' documented data
+// offsets in the initial slots.
+TEST(CheckedMachineCompile, IsTheRailTransformOfTheMachineProgram) {
+  Circuit logical(3);
+  logical.toffoli(2, 1, 0);
+  const CheckedMachineOptions opts;
 
   const auto expect_equal = [](const CheckedMachineProgram& a,
                                const CheckedMachineProgram& b) {
@@ -276,49 +275,22 @@ TEST(CheckedMachineSchedule, ScheduleOffMatchesTheRawCompilerBitForBit) {
   };
 
   {
-    const auto via_checked = CheckedMachine1d(3, true, off).compile(logical);
-    const MachineProgram raw = Machine1d(3).compile(logical);
+    const auto via_checked = CheckedMachine1d(3, true, opts).compile(logical);
+    const MachineProgram raw = Machine(BlockLayout::k1d, 3).compile(logical);
     std::vector<std::array<std::uint32_t, 3>> entry;
     for (std::uint32_t i = 0; i < 3; ++i)
       entry.push_back({9 * i + 0, 9 * i + 3, 9 * i + 6});
     EXPECT_EQ(raw.entry_cells, entry);
-    expect_equal(via_checked, check_machine_program(raw, off));
+    expect_equal(via_checked, check_machine_program(raw, opts));
   }
   {
-    const auto via_checked = CheckedMachine2d(3, true, off).compile(logical);
-    const MachineProgram raw = Machine2d(3).compile(logical);
+    const auto via_checked = CheckedMachine2d(3, true, opts).compile(logical);
+    const MachineProgram raw = Machine(BlockLayout::k2d, 3).compile(logical);
     std::vector<std::array<std::uint32_t, 3>> entry;
     for (std::uint32_t i = 0; i < 3; ++i)
       entry.push_back({9 * i + 0, 9 * i + 1, 9 * i + 2});
     EXPECT_EQ(raw.entry_cells, entry);
-    expect_equal(via_checked, check_machine_program(raw, off));
-  }
-}
-
-// Scheduling must not move the census: wave packing permutes only
-// commuting ops and cuts only ADD checks, so the scenario space and
-// the harmful set are invariant, and fault security survives. Both
-// layouts pin the same counts — the scheduled program proves the same
-// theorem the legacy one did.
-TEST(CheckedMachineSchedule, CensusCountsInvariantUnderScheduling) {
-  Circuit logical(3);
-  logical.toffoli(2, 1, 0);
-  CheckedMachineOptions legacy;
-  legacy.schedule.enabled = false;
-  const CheckedMachineOptions scheduled;  // default: schedule ON
-  for (const auto& opts : {legacy, scheduled}) {
-    const auto census1 = machine_detection_census(
-        CheckedMachine1d(3, true, opts).compile(logical), logical);
-    EXPECT_EQ(census1.scenarios, 12352u);
-    EXPECT_EQ(census1.detected_harmful, 168u);
-    EXPECT_EQ(census1.silent_harmful, 0u);
-    EXPECT_TRUE(census1.fault_secure());
-    const auto census2 = machine_detection_census(
-        CheckedMachine2d(3, true, opts).compile(logical), logical);
-    EXPECT_EQ(census2.scenarios, 7080u);
-    EXPECT_EQ(census2.detected_harmful, 0u);
-    EXPECT_EQ(census2.silent_harmful, 0u);
-    EXPECT_TRUE(census2.fault_secure());
+    expect_equal(via_checked, check_machine_program(raw, opts));
   }
 }
 
@@ -343,7 +315,8 @@ TEST(CheckedMachineCensus, PerBlockRailsCatchInterleaveFaultsGlobalRailMisses) {
       CheckedMachine1d(3, true, global_opts).compile(logical);
   const auto block_program =
       CheckedMachine1d(3, true, block_opts).compile(logical);
-  const Circuit& physical = Machine1d(3).compile(logical).physical;
+  const Circuit physical =
+      Machine(BlockLayout::k1d, 3).compile(logical).physical;
   ASSERT_EQ(global_program.checked.source_position.size(), physical.size());
   ASSERT_EQ(block_program.checked.source_position.size(), physical.size());
 
@@ -387,7 +360,7 @@ TEST(CheckedMachineCensus, PerBlockRailsCatchInterleaveFaultsGlobalRailMisses) {
 
 // --- routing is parity-preserving for every gate kind ----------------
 
-// Machine2d::compile of a one-gate logical circuit (operands reversed
+// Machine::compile of a one-gate logical circuit (operands reversed
 // to force routing) produces routing segments that are 100%
 // parity-preserving — the structural fact that makes the routing
 // fabric self-checking for free. Guards against any future routing
@@ -432,19 +405,20 @@ TEST(CheckedMachineProperty, RoutingSegmentsParityPreservingForAllKinds) {
     logical.push(g);
     if (arity == 2) {
       // 2-bit logical gates are not in the §3 constructions.
-      EXPECT_THROW(Machine2d(4).compile(logical), Error) << gate_name(kind);
-      EXPECT_THROW(Machine1d(4).compile(logical), Error) << gate_name(kind);
+      for (const BlockLayout layout : {BlockLayout::k1d, BlockLayout::k2d})
+        EXPECT_THROW(Machine(layout, 4).compile(logical), Error)
+            << gate_name(kind);
       continue;
     }
     // NOT is transversal and init resets in place — only 3-bit
     // reversible gates route.
     const bool routes = arity == 3 && gate_is_reversible(kind);
-    const auto p2 = Machine2d(4).compile(logical);
-    expect_routing_parity_preserving(p2.physical, p2.routing_spans,
-                                     p2.routing_cell_swaps, kind, routes);
-    const auto p1 = Machine1d(4).compile(logical);
-    expect_routing_parity_preserving(p1.physical, p1.routing_spans,
-                                     p1.routing_cell_swaps, kind, routes);
+    for (const BlockLayout layout : {BlockLayout::k1d, BlockLayout::k2d}) {
+      const auto program = Machine(layout, 4).compile(logical);
+      expect_routing_parity_preserving(program.physical, program.routing_spans,
+                                       program.routing_cell_swaps, kind,
+                                       routes);
+    }
   }
 }
 

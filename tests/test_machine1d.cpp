@@ -32,7 +32,7 @@ unsigned run_program(const MachineProgram& program, std::uint32_t bits,
 }
 
 void expect_program_correct(const Circuit& logical) {
-  const Machine1d machine(logical.width());
+  const Machine machine(BlockLayout::k1d, logical.width());
   const auto program = machine.compile(logical);
   EXPECT_TRUE(check_locality_1d(program.physical).ok)
       << "compiled program must be nearest-neighbour";
@@ -46,7 +46,7 @@ void expect_program_correct(const Circuit& logical) {
 TEST(Machine1d, AdjacentOperandsNeedNoRouting) {
   Circuit logical(3);
   logical.toffoli(0, 1, 2);
-  const auto program = Machine1d(3).compile(logical);
+  const auto program = Machine(BlockLayout::k1d, 3).compile(logical);
   EXPECT_EQ(program.block_transpositions, 0u);
   EXPECT_EQ(program.routing_cell_swaps, 0u);
   EXPECT_EQ(program.gate_cycles, 1u);
@@ -61,7 +61,7 @@ TEST(Machine1d, AdjacentGateComputesCorrectly) {
 TEST(Machine1d, ReversedOperandsRouteAndCompute) {
   Circuit logical(3);
   logical.toffoli(2, 1, 0);  // operand order reversed on the line
-  const auto program = Machine1d(3).compile(logical);
+  const auto program = Machine(BlockLayout::k1d, 3).compile(logical);
   EXPECT_GT(program.block_transpositions, 0u);
   expect_program_correct(logical);
 }
@@ -75,7 +75,7 @@ TEST(Machine1d, RemoteOperandsAcrossTheLine) {
 TEST(Machine1d, BlockTranspositionCosts81Swaps) {
   Circuit logical(3);
   logical.toffoli(1, 0, 2);  // one adjacent transposition needed
-  const auto program = Machine1d(3).compile(logical);
+  const auto program = Machine(BlockLayout::k1d, 3).compile(logical);
   EXPECT_EQ(program.block_transpositions, 1u);
   EXPECT_EQ(program.routing_cell_swaps, 81u);
 }
@@ -89,7 +89,7 @@ TEST(Machine1d, MultiGateProgramWithLazyRouting) {
 TEST(Machine1d, TransversalNotNeedsNoRouting) {
   Circuit logical(3);
   logical.not_(1).toffoli(0, 1, 2);
-  const auto program = Machine1d(3).compile(logical);
+  const auto program = Machine(BlockLayout::k1d, 3).compile(logical);
   expect_program_correct(logical);
   // NOT adds one recovery stage; the toffoli adds three more.
   EXPECT_EQ(program.recovery_stages, 4u);
@@ -98,7 +98,7 @@ TEST(Machine1d, TransversalNotNeedsNoRouting) {
 TEST(Machine1d, LogicalInitResets) {
   Circuit logical(4);
   logical.init3(0, 1, 2);
-  const Machine1d machine(4);
+  const Machine machine(BlockLayout::k1d, 4);
   const auto program = machine.compile(logical);
   for (unsigned input = 0; input < 16; ++input) {
     const unsigned out = run_program(program, 4, input);
@@ -111,7 +111,7 @@ TEST(Machine1d, LogicalInitResets) {
 TEST(Machine1d, SlotMapTracksFinalPositions) {
   Circuit logical(4);
   logical.toffoli(3, 1, 0);
-  const auto program = Machine1d(4).compile(logical);
+  const auto program = Machine(BlockLayout::k1d, 4).compile(logical);
   // The operands end adjacent in order (3,1,0); slot map must be a
   // permutation covering all blocks.
   std::vector<bool> seen(4, false);
@@ -125,12 +125,12 @@ TEST(Machine1d, SlotMapTracksFinalPositions) {
 }
 
 TEST(Machine1d, RejectsUnsupportedAndMalformed) {
-  EXPECT_THROW(Machine1d(2), Error);  // too small
+  EXPECT_THROW(Machine(BlockLayout::k1d, 2), Error);  // too small
   Circuit logical(4);
   logical.cnot(0, 1);  // 2-bit logical gates unsupported by §3.2 cycle
-  EXPECT_THROW(Machine1d(4).compile(logical), Error);
+  EXPECT_THROW(Machine(BlockLayout::k1d, 4).compile(logical), Error);
   Circuit wrong_width(3);
-  EXPECT_THROW(Machine1d(4).compile(wrong_width), Error);
+  EXPECT_THROW(Machine(BlockLayout::k1d, 4).compile(wrong_width), Error);
 }
 
 TEST(Machine1d, WiderMachineExhaustive) {
@@ -145,8 +145,8 @@ TEST(Machine1d, RoutingCostGrowsWithDistance) {
   Circuit near(5), far(5);
   near.toffoli(0, 1, 2);
   far.toffoli(0, 3, 4);
-  const auto near_program = Machine1d(5).compile(near);
-  const auto far_program = Machine1d(5).compile(far);
+  const auto near_program = Machine(BlockLayout::k1d, 5).compile(near);
+  const auto far_program = Machine(BlockLayout::k1d, 5).compile(far);
   EXPECT_GT(far_program.block_transpositions,
             near_program.block_transpositions);
 }

@@ -34,7 +34,7 @@ unsigned run_program(const MachineProgram& program, std::uint32_t bits,
 }
 
 void expect_program_correct(const Circuit& logical) {
-  const Machine2d machine(logical.width());
+  const Machine machine(BlockLayout::k2d, logical.width());
   const auto program = machine.compile(logical);
   LocalityOptions strict;
   strict.allow_nonlocal_init = false;
@@ -52,7 +52,7 @@ void expect_program_correct(const Circuit& logical) {
 TEST(Machine2d, AdjacentOperandsNeedNoRouting) {
   Circuit logical(3);
   logical.toffoli(0, 1, 2);
-  const auto program = Machine2d(3).compile(logical);
+  const auto program = Machine(BlockLayout::k2d, 3).compile(logical);
   EXPECT_EQ(program.block_transpositions, 0u);
   EXPECT_EQ(program.gate_cycles, 1u);
   // 3 cycle recovery stages + 3 re-orientation stages.
@@ -68,7 +68,7 @@ TEST(Machine2d, AdjacentGateComputesCorrectly) {
 TEST(Machine2d, BlockTranspositionCosts27Swaps) {
   Circuit logical(3);
   logical.toffoli(1, 0, 2);
-  const auto program = Machine2d(3).compile(logical);
+  const auto program = Machine(BlockLayout::k2d, 3).compile(logical);
   EXPECT_EQ(program.block_transpositions, 1u);
   EXPECT_EQ(program.routing_cell_swaps, 27u)
       << "one third of the 1D machine's 81: columns move in parallel";
@@ -97,7 +97,7 @@ TEST(Machine2d, TransversalNotPreservesOrientation) {
 TEST(Machine2d, LogicalInitResets) {
   Circuit logical(4);
   logical.init3(1, 2, 3);
-  const auto program = Machine2d(4).compile(logical);
+  const auto program = Machine(BlockLayout::k2d, 4).compile(logical);
   for (unsigned input = 0; input < 16; ++input) {
     const unsigned out = run_program(program, 4, input);
     EXPECT_EQ(out & 0b1110u, 0u) << input;
@@ -109,15 +109,15 @@ TEST(Machine2d, CheaperRoutingThanMachine1d) {
   // Same logical program: the strip routes at 1/3 the swap cost.
   Circuit logical(5);
   logical.toffoli(4, 2, 0);
-  const auto program = Machine2d(5).compile(logical);
+  const auto program = Machine(BlockLayout::k2d, 5).compile(logical);
   EXPECT_EQ(program.routing_cell_swaps, program.block_transpositions * 27);
 }
 
 TEST(Machine2d, RejectsUnsupportedAndMalformed) {
-  EXPECT_THROW(Machine2d(2), Error);
+  EXPECT_THROW(Machine(BlockLayout::k2d, 2), Error);
   Circuit logical(4);
   logical.swap(0, 1);
-  EXPECT_THROW(Machine2d(4).compile(logical), Error);
+  EXPECT_THROW(Machine(BlockLayout::k2d, 4).compile(logical), Error);
 }
 
 TEST(Machine2d, WiderMachineExhaustive) {

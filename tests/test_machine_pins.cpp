@@ -4,11 +4,11 @@
 // slot map, the data cells, every recovery boundary, the routing spans
 // and the cost counters — and, for checked programs, the rail-form
 // circuit, its checkpoints and zero checks, the entry/exit cells and
-// the checking stats. Five logical programs run on both layouts under
-// every compiler switch (init, balanced routing; for checked programs
-// also scheduling and rail granularity), so a refactor of the
-// compiler, the scheduling pass or the rail transform that moves a
-// single gate, operand or boundary anywhere fails here.
+// the checking stats. Five logical programs run on both layouts with
+// and without initialization (checked programs also under both rail
+// granularities), so a refactor of the compiler, the scheduling pass
+// or the rail transform that moves a single gate, operand or boundary
+// anywhere fails here.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -129,71 +129,41 @@ std::vector<Circuit> pinned_programs() {
   return out;
 }
 
-// Index = (two_d << 2) | (with_init << 1) | balanced.
-constexpr std::uint64_t kPlainPins[5][8] = {
-    {0xf3840b91e491cc12ull, 0xf3840b91e491cc12ull,
-     0x8bd8919307e239f1ull, 0x8bd8919307e239f1ull,
-     0xc5b60a5805ba528dull, 0xc5b60a5805ba528dull,
-     0xdd06b73f801a9103ull, 0xdd06b73f801a9103ull},
-    {0xa5027ea72bb40e93ull, 0xa5027ea72bb40e93ull,
-     0x6770f135912b77f8ull, 0x6770f135912b77f8ull,
-     0xdf8b7d93eeaa6887ull, 0xdf8b7d93eeaa6887ull,
-     0x7699b18a8d1709c9ull, 0x7699b18a8d1709c9ull},
-    {0xe0c75d8d9eb1ff11ull, 0xe0c75d8d9eb1ff11ull,
-     0xec3d2fb27ad244a7ull, 0xec3d2fb27ad244a7ull,
-     0xeda5e11ced892f01ull, 0xeda5e11ced892f01ull,
-     0xc9a47efbbf38ed0dull, 0xc9a47efbbf38ed0dull},
-    {0x81bab657150d2282ull, 0xbb49fe6dcc44b1a2ull,
-     0xe8824a7c2cceef9cull, 0xf76828f780ec93d8ull,
-     0xb0d2905ce9b9ded0ull, 0x1624a9b11848134bull,
-     0x04f05fda89eb9c7cull, 0xf8b814d5a9bb5150ull},
-    {0x159d739947477b66ull, 0x3fbdb4da2c88afc3ull,
-     0x774badb06541d42dull, 0xcf8781173342f5daull,
-     0xb83137e04406f4c0ull, 0xd1ffeeb33734ae7eull,
-     0xe19bda2042782e82ull, 0x86f4db628dcbaca3ull},
+// Index = (two_d << 1) | with_init.
+constexpr std::uint64_t kPlainPins[5][4] = {
+    {0xd0156ae1750b1f5bull, 0x58e15847162b4238ull,
+     0x8e02ec00cc8f2c20ull, 0xb57d5d13b40a0eaeull},
+    {0x94bd1b5933977bfaull, 0x089054628e2d1211ull,
+     0x3be23532aaa14beaull, 0xc8aebfc72c0c72a4ull},
+    {0x993af39bab09f070ull, 0xa4b0c5c0872a3606ull,
+     0xa1272fb8ec01c520ull, 0x7d25cd97bdb1832cull},
+    {0xbb8a08ea9c7d6400ull, 0x261b44dfe48a8fc2ull,
+     0x02746d47a6e5b3cdull, 0x3995098b95208f76ull},
+    {0x1a7c1c77d1d7b2f1ull, 0xfbd5f6056be6c9b4ull,
+     0x3c9f3bcd6e0be2bcull, 0x36cc0d767e59212dull},
 };
 
-// Index = (two_d << 3) | (with_init << 2) | (schedule << 1) | per_block.
-constexpr std::uint64_t kCheckedPins[5][16] = {
-    {0x932c727aacf95388ull, 0x5ce4e5709ab5b36eull,
-     0x3b3b523b2384c039ull, 0x32e4bd54d9792b5full,
-     0x7d47c0e4fed11197ull, 0xcd14d219cdcb41f1ull,
+// Index = (two_d << 2) | (with_init << 1) | per_block.
+constexpr std::uint64_t kCheckedPins[5][8] = {
+    {0x3b3b523b2384c039ull, 0x32e4bd54d9792b5full,
      0x8b9cac0df2abaea6ull, 0xbfa0ac77cf985a40ull,
-     0x3f50f9cd78af9c96ull, 0x762fd9bb510af7d1ull,
      0x28b224c88130e06full, 0x99992bab4ee1cfe8ull,
-     0x800c36775778941aull, 0xb70a2c2ec557cfddull,
      0x02ff300cdef1e0e3ull, 0x8abfa2d78ddbbce4ull},
-    {0x7604ebd3effa4d7full, 0x26be93ce59bfe53full,
-     0x658584302aa79951ull, 0x80acd0dbdc0eeb91ull,
-     0xfe35fed9e33155dcull, 0xccefa42ccb2dda5cull,
+    {0x658584302aa79951ull, 0x80acd0dbdc0eeb91ull,
      0xd9524e974d648df2ull, 0xcf0270344af8f672ull,
-     0xecfb334b4361074eull, 0x0c6a1a6dee6aa7efull,
      0xd9ec3a83d3bec97dull, 0x68054483f5395edcull,
-     0x2be1e120aac973f6ull, 0x528ed96c467cbd97ull,
      0x981d860295329305ull, 0x855f801afc884f64ull},
     {0x935165286f672e54ull, 0xd65768626162e756ull,
-     0x935165286f672e54ull, 0xd65768626162e756ull,
-     0x9147df4e7c91815eull, 0xb6ca19844a29069cull,
      0x9147df4e7c91815eull, 0xb6ca19844a29069cull,
      0xcfeecfafe28cbee5ull, 0x725bb0f63d98a09cull,
-     0xcfeecfafe28cbee5ull, 0x725bb0f63d98a09cull,
-     0x58772a7c952280f5ull, 0xa879a3f40f0f3fccull,
      0x58772a7c952280f5ull, 0xa879a3f40f0f3fccull},
-    {0x31c784b66d09b529ull, 0xd63e6a545b5baa9aull,
-     0x4a7cc11aa0c94091ull, 0xb3793893e76c8dddull,
-     0x19c997a0611aba45ull, 0x0e7135bd3e96e299ull,
+    {0x4a7cc11aa0c94091ull, 0xb3793893e76c8dddull,
      0x7c3ff86eea7ce0c3ull, 0x8576a0ca4858d89eull,
-     0x4be2d28c104ff240ull, 0x38d7f7bb4fb0df03ull,
      0x4c9ddf8d9ff102e0ull, 0x00f009c5d08e6fe8ull,
-     0xca86a18d446aabfeull, 0xa1a1cce7afc1539eull,
      0x7c8c9697769379fdull, 0xe171b02da1755540ull},
-    {0xf0659342d683fbbeull, 0x72a64821c448237cull,
-     0x0e4dda106bb6366dull, 0x74be09a489b42bc7ull,
-     0x16b1aab465e902d1ull, 0x6c47c1ca5b3fa61bull,
+    {0x0e4dda106bb6366dull, 0x74be09a489b42bc7ull,
      0x6e94aa8e7a645f23ull, 0xef1575e4e53befbdull,
-     0x12e2445d546d64c5ull, 0x0f151fefba6fc40full,
      0x9550bf0ee15c9d3eull, 0x7c35312fcda49b19ull,
-     0xc52d4e4ea74e47c7ull, 0x79400be82223a9ccull,
      0x23e4dee7a61519e4ull, 0x9b9d3082753e7eb6ull},
 };
 
@@ -204,18 +174,19 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
+BlockLayout layout_of(bool two_d) {
+  return two_d ? BlockLayout::k2d : BlockLayout::k1d;
+}
+
 TEST(MachinePins, CompiledProgramsBitExact) {
   const auto programs = pinned_programs();
   for (std::size_t p = 0; p < programs.size(); ++p) {
     const Circuit& logical = programs[p];
-    for (unsigned index = 0; index < 8; ++index) {
-      const bool two_d = (index >> 2) & 1u, with_init = (index >> 1) & 1u,
-                 balanced = index & 1u;
-      const std::uint64_t got =
-          two_d ? fingerprint(Machine2d(logical.width(), with_init, balanced)
-                                  .compile(logical))
-                : fingerprint(Machine1d(logical.width(), with_init, balanced)
-                                  .compile(logical));
+    for (unsigned index = 0; index < 4; ++index) {
+      const bool two_d = (index >> 1) & 1u, with_init = index & 1u;
+      const std::uint64_t got = fingerprint(
+          Machine(layout_of(two_d), logical.width(), with_init)
+              .compile(logical));
       EXPECT_EQ(got, kPlainPins[p][index])
           << "program " << p << " index " << index << " got " << hex(got);
     }
@@ -226,19 +197,49 @@ TEST(MachinePins, CheckedProgramsBitExact) {
   const auto programs = pinned_programs();
   for (std::size_t p = 0; p < programs.size(); ++p) {
     const Circuit& logical = programs[p];
-    for (unsigned index = 0; index < 16; ++index) {
-      const bool two_d = (index >> 3) & 1u, with_init = (index >> 2) & 1u;
+    for (unsigned index = 0; index < 8; ++index) {
+      const bool two_d = (index >> 2) & 1u, with_init = (index >> 1) & 1u;
       CheckedMachineOptions opts;
-      opts.schedule.enabled = (index >> 1) & 1u;
       opts.rails = (index & 1u) ? RailGranularity::kPerBlock
                                 : RailGranularity::kGlobal;
-      const std::uint64_t got =
-          two_d ? fingerprint(CheckedMachine2d(logical.width(), with_init, opts)
-                                  .compile(logical))
-                : fingerprint(CheckedMachine1d(logical.width(), with_init, opts)
-                                  .compile(logical));
+      const std::uint64_t got = fingerprint(
+          CheckedMachine(layout_of(two_d), logical.width(), with_init, opts)
+              .compile(logical));
       EXPECT_EQ(got, kCheckedPins[p][index])
           << "program " << p << " index " << index << " got " << hex(got);
+    }
+  }
+}
+
+// One layout: the checked program wraps exactly the unchecked one.
+// Every original op of the rail form, read through source_position, is
+// the unchecked program's op at the same index, and the checking stats
+// count exactly those ops — so a fault named at an unchecked op index
+// lands on the same gate in the checked program.
+TEST(MachinePins, CheckedProgramWrapsTheUncheckedProgram) {
+  const auto programs = pinned_programs();
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    const Circuit& logical = programs[p];
+    for (unsigned index = 0; index < 8; ++index) {
+      const bool two_d = (index >> 2) & 1u, with_init = (index >> 1) & 1u;
+      CheckedMachineOptions opts;
+      opts.rails = (index & 1u) ? RailGranularity::kPerBlock
+                                : RailGranularity::kGlobal;
+      const Circuit physical =
+          Machine(layout_of(two_d), logical.width(), with_init)
+              .compile(logical)
+              .physical;
+      const CheckedMachineProgram checked =
+          CheckedMachine(layout_of(two_d), logical.width(), with_init, opts)
+              .compile(logical);
+      EXPECT_EQ(checked.stats.total_ops, physical.size())
+          << "program " << p << " index " << index;
+      ASSERT_EQ(checked.checked.source_position.size(), physical.size())
+          << "program " << p << " index " << index;
+      for (std::size_t i = 0; i < physical.size(); ++i)
+        ASSERT_EQ(checked.checked.circuit.op(checked.checked.source_position[i]),
+                  physical.op(i))
+            << "program " << p << " index " << index << " op " << i;
     }
   }
 }

@@ -213,39 +213,21 @@ TEST(SegmentPlan, ZeroCheckBitsBelongToTheComponentFootprint) {
 
 // --- partition-aware scheduling: the replay-share payoff -------------
 
-// The scheduling pass (local/schedule.h) exists to break the
-// whole-segment replay pathology. Pinned both ways: opting out
-// reproduces the PR 5 layout's pathology exactly (every segment's
-// worst component IS the segment — mean_max_replay_share 1.0), and the
-// scheduled default splits routing and batches EC stages so the mean
-// share drops strictly below it on the same workload.
+// The scheduling pass (local/schedule.h) breaks the whole-segment
+// replay pathology, where every segment's worst component is the
+// segment itself (share 1.0): routing splits and EC stages batch, and
+// the mean share sits at pinned absolute values well below 1.
 TEST(SegmentPlan, SchedulingBreaksTheWholeSegmentReplayPathology) {
   const Circuit logical = routed_toffoli3();
-  CheckedMachineOptions legacy = recovering_machine_options();
-  legacy.schedule.enabled = false;
-
-  const auto legacy1d = recover::build_segment_plan(
-      CheckedMachine1d(3, true, legacy).compile(logical).checked);
-  EXPECT_EQ(legacy1d.segments.size(), 3u);
-  EXPECT_DOUBLE_EQ(legacy1d.mean_max_replay_share(), 1.0);
-  const auto legacy2d = recover::build_segment_plan(
-      CheckedMachine2d(3, true, legacy).compile(logical).checked);
-  EXPECT_EQ(legacy2d.segments.size(), 6u);
-  EXPECT_DOUBLE_EQ(legacy2d.mean_max_replay_share(), 1.0);
-
   const auto sched1d = recover::build_segment_plan(
       CheckedMachine1d(3, true, recovering_machine_options())
           .compile(logical)
           .checked);
-  EXPECT_LT(sched1d.mean_max_replay_share(),
-            legacy1d.mean_max_replay_share());
   EXPECT_NEAR(sched1d.mean_max_replay_share(), 2.0 / 3.0, 1e-12);
   const auto sched2d = recover::build_segment_plan(
       CheckedMachine2d(3, true, recovering_machine_options())
           .compile(logical)
           .checked);
-  EXPECT_LT(sched2d.mean_max_replay_share(),
-            legacy2d.mean_max_replay_share());
   EXPECT_NEAR(sched2d.mean_max_replay_share(), 5.0 / 9.0, 1e-12);
 }
 
@@ -574,13 +556,10 @@ void expect_every_single_fault_repaired(
          "per-block rails exist for";
 }
 
-// The theorem instances run on the SCHEDULED programs — the shipped
-// recovering configuration keeps the scheduling pass on, so the
-// wave-packed, interior-cut layout is what gets exhaustively repaired
-// (the assertion below keeps that coverage from silently rotting if
-// the default ever flips).
+// The theorem instances run on the scheduled programs, the one layout
+// Machine::compile emits: the wave-packed, interior-cut layout is what
+// gets exhaustively repaired.
 TEST(ScriptedRepair, EverySingleFaultRepaired1d) {
-  ASSERT_TRUE(recovering_machine_options().schedule.enabled);
   expect_every_single_fault_repaired(
       CheckedMachine1d(3, true, recovering_machine_options()),
       routed_toffoli3(),
@@ -599,22 +578,6 @@ TEST(ScriptedRepair, EverySingleFaultRepaired2d) {
       {7080, 7080, 7080, 0, 0, 0, 0, 7080, 1799568, 6144, {2000, 2000, 2000}},
       {7080, 7080, 7080, 0, 0, 7224, 72, 72, 1361064, 6144,
        {2000, 2000, 2000}});
-}
-
-// And the legacy layout stays repairable on opt-out: the scheduling
-// knob changes localization economics, never correctness, in either
-// position.
-TEST(ScriptedRepair, EverySingleFaultRepairedWithScheduleOff1d) {
-  CheckedMachineOptions legacy = recovering_machine_options();
-  legacy.schedule.enabled = false;
-  expect_every_single_fault_repaired(
-      CheckedMachine1d(3, true, legacy), routed_toffoli3(),
-      {12352, 10824, 1528, 10824, 0, 0, 0, 0, 2717312, 5680,
-       {4192, 4464, 3328}},
-      {12352, 10824, 12352, 0, 0, 0, 0, 10824, 5358368, 5680,
-       {4192, 4464, 3328}},
-      {12352, 10824, 12352, 0, 0, 11624, 400, 400, 4997408, 5680,
-       {4192, 4464, 3328}});
 }
 
 // Whole-program retry also repairs everything, by exactly one restart
