@@ -70,6 +70,7 @@ Timing time_interleaved(const std::vector<TimedBody>& variants, int reps,
   Timing timing;
   timing.ns_per_unit.assign(n, 0.0);
   timing.ratio.assign(n, 1.0);
+  timing.rep_ns.assign(n, {});
   for (const TimedBody& v : variants) v.body();  // untimed warm-up
 
   std::vector<std::vector<double>> ratios(n);
@@ -84,6 +85,7 @@ Timing time_interleaved(const std::vector<TimedBody>& variants, int reps,
     }
     for (std::size_t v = 0; v < n; ++v) {
       if (rep == 0 || t[v] < timing.ns_per_unit[v]) timing.ns_per_unit[v] = t[v];
+      timing.rep_ns[v].push_back(t[v]);
       if (t[0] > 0.0) ratios[v].push_back(t[v] / t[0]);
     }
   }

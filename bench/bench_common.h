@@ -64,6 +64,7 @@ struct TimedBody {
 struct Timing {
   std::vector<double> ns_per_unit;  ///< minimum over repetitions
   std::vector<double> ratio;        ///< median per-rep ns/unit over variant 0
+  std::vector<std::vector<double>> rep_ns;  ///< [variant][rep] ns/unit
 };
 
 /// The one timer behind every timed bar. Each variant gets one untimed
@@ -82,7 +83,8 @@ struct Timing {
 ///   * the median of the per-repetition ratios discards the repetitions
 ///     a noisy neighbour stomped on.
 ///
-/// Bars use `ratio`; `ns_per_unit` is the usual best-observed figure.
+/// Bars use `ratio`; `ns_per_unit` is the usual best-observed figure,
+/// and `rep_ns` keeps every repetition's, for medians and spreads.
 /// With reps = 1 the ratio is the single measurement's.
 Timing time_interleaved(const std::vector<TimedBody>& variants, int reps,
                         int iters);

@@ -244,8 +244,8 @@ void BM_RecoveringMachine1d(benchmark::State& state) {
         [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
           kernel.prepare(s, rng, b);
         },
-        [&kernel](const PackedState& s, int lane, std::uint64_t b) {
-          return kernel.classify(s, lane, b);
+        [&kernel](const PackedState& s, std::uint64_t b, LaneMask& wrong) {
+          kernel.classify_words(s, b, wrong);
         });
     benchmark::DoNotOptimize(est.accepted);
   }

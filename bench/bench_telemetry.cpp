@@ -100,8 +100,8 @@ benchutil::Timing measure_checked_overhead(const CheckedMachineProgram& program,
         [&ctx](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
           ctx.kernel.prepare(s, rng, b);
         },
-        [&ctx](const PackedState& s, int lane, std::uint64_t b) {
-          return ctx.kernel.classify(s, lane, b);
+        [&ctx](const PackedState& s, std::uint64_t b, LaneMask& wrong) {
+          ctx.kernel.classify_words(s, b, wrong);
         },
         shard);
     benchmark::DoNotOptimize(est.detected);
@@ -149,8 +149,8 @@ benchutil::Timing measure_recover_overhead(const CheckedMachineProgram& program,
         [&ctx](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
           ctx.kernel.prepare(s, rng, b);
         },
-        [&ctx](const PackedState& s, int lane, std::uint64_t b) {
-          return ctx.kernel.classify(s, lane, b);
+        [&ctx](const PackedState& s, std::uint64_t b, LaneMask& wrong) {
+          ctx.kernel.classify_words(s, b, wrong);
         },
         shard);
     benchmark::DoNotOptimize(est.accepted);
@@ -511,8 +511,8 @@ void BM_TracedCheckedMachine1d(benchmark::State& state) {
         [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
           kernel.prepare(s, rng, b);
         },
-        [&kernel](const PackedState& s, int lane, std::uint64_t b) {
-          return kernel.classify(s, lane, b);
+        [&kernel](const PackedState& s, std::uint64_t b, LaneMask& wrong) {
+          kernel.classify_words(s, b, wrong);
         },
         &shards[0]);
     benchmark::DoNotOptimize(est.detected);

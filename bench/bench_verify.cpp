@@ -66,25 +66,20 @@ void bench_certificate(const char* label, const CheckedMachineProgram& program,
                        const Circuit& logical, AsciiTable& table,
                        benchutil::JsonResultWriter& json) {
   // One call of each takes about 0.1-0.2 s, so one repetition says
-  // little. Five repetitions, each one time_interleaved call timing
-  // both once (the order alternating between repetitions); the table
-  // reports medians and the min-max spread.
+  // little. One time_interleaved call times both in five repetitions
+  // (the order alternating between them); the table reports medians
+  // and the min-max spread.
   constexpr int kReps = 5;
   verify::FaultSecurityCertificate cert;
   detect::DetectionCensus census;
-  const benchutil::TimedBody certify{
-      1.0, [&] { cert = verify::certify_machine_program(program, logical); }};
-  const benchutil::TimedBody run_census{
-      1.0, [&] { census = machine_detection_census(program, logical); }};
+  const benchutil::Timing t = benchutil::time_interleaved(
+      {{1.0, [&] { cert = verify::certify_machine_program(program, logical); }},
+       {1.0, [&] { census = machine_detection_census(program, logical); }}},
+      kReps, 1);
   std::vector<double> cert_s, census_s, speedups;
   for (int rep = 0; rep < kReps; ++rep) {
-    const std::size_t c = rep % 2;  // certify's slot this repetition
-    const benchutil::Timing t = benchutil::time_interleaved(
-        c == 0 ? std::vector{certify, run_census}
-               : std::vector{run_census, certify},
-        1, 1);
-    cert_s.push_back(t.ns_per_unit[c] * 1e-9);
-    census_s.push_back(t.ns_per_unit[1 - c] * 1e-9);
+    cert_s.push_back(t.rep_ns[0][static_cast<std::size_t>(rep)] * 1e-9);
+    census_s.push_back(t.rep_ns[1][static_cast<std::size_t>(rep)] * 1e-9);
     speedups.push_back(census_s.back() / cert_s.back());
   }
   for (auto* v : {&cert_s, &census_s, &speedups})

@@ -217,9 +217,11 @@ inline void zero_check_words(const PackedState& state,
 }
 
 /// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
-/// batching and lane accounting, but every trial lands in one of the
-/// four DetectionEstimate buckets. `sim` is a PackedSimulator, or
-/// run_scripted_checked's ScriptedPass.
+/// batching, lane accounting and judge (revft::detail::judge_lanes, once
+/// per batch over the counted lanes), but every trial lands in one of
+/// the four DetectionEstimate buckets, each a popcount of the wrong and
+/// detected masks. `sim` is a PackedSimulator, or run_scripted_checked's
+/// ScriptedPass.
 ///
 /// `trace` (nullable) receives, through telemetry::SpanEvents, the
 /// per-rail fired lane masks as kRailFired events, the zero-check
@@ -247,26 +249,22 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
       (trials + lanes_per_batch - 1) / lanes_per_batch;
   for (std::uint64_t b = 0; b < batches; ++b) {
     const std::uint64_t batch = first_batch + b;
-    const int lanes_this_batch =
+    const std::uint64_t lanes_this_batch =
         (b + 1 == batches && trials % lanes_per_batch != 0)
-            ? static_cast<int>(trials % lanes_per_batch)
-            : static_cast<int>(lanes_per_batch);
+            ? trials % lanes_per_batch
+            : lanes_per_batch;
     state.clear();
     prepare(state, sim.rng(), batch);
     apply_noisy_checked_words(sim, state, checked, detected.data(),
                               fired.data());
-    for (int lane = 0; lane < lanes_this_batch; ++lane) {
-      ++est.trials;
-      const bool wrong = classify(state, lane, batch);
-      if (detected.test(static_cast<unsigned>(lane))) {
-        ++est.detected;
-        if (wrong) ++est.detected_failures;
-      } else if (wrong) {
-        ++est.silent_failures;
-      }
-    }
-    const LaneMask live = LaneMask::first_n(
-        lane_words, static_cast<std::uint64_t>(lanes_this_batch));
+    const LaneMask live = LaneMask::first_n(lane_words, lanes_this_batch);
+    const LaneMask wrong =
+        revft::detail::judge_lanes(classify, state, batch, live);
+    const LaneMask detected_live = detected & live;
+    est.trials += lanes_this_batch;
+    est.detected += detected_live.popcount();
+    est.detected_failures += (wrong & detected_live).popcount();
+    est.silent_failures += LaneMask(wrong).remove(detected).popcount();
     if (detected.any()) {
       // Rails first, then the zero checks (slot `rails`).
       for (std::size_t r = 0; r <= rails; ++r) {
@@ -303,8 +301,8 @@ inline auto checked_range(const CheckedCircuit& checked) {
 
 /// Thread-sharded checked Monte-Carlo run: one round of the shard
 /// driver. Same kernel-factory contract as run_parallel_mc (prepare
-/// leaves rail and check bits zero; classify judges the lane's
-/// *output*) and the same determinism guarantee, now for all four
+/// leaves rail and check bits zero; the judge reads the lanes'
+/// *outputs*) and the same determinism guarantee, now for all four
 /// outcome counts — and for `trace` (nullable), absorbed in
 /// shard-index order.
 template <typename KernelFactory>

@@ -25,14 +25,4 @@ bool parity_preserving(GateKind kind) noexcept {
   return false;  // unreachable
 }
 
-int total_parity(const StateVector& state, std::uint32_t first,
-                 std::uint32_t count) {
-  REVFT_CHECK_MSG(first + count <= state.width(),
-                  "total_parity: range exceeds state width");
-  int p = 0;
-  for (std::uint32_t i = 0; i < count; ++i)
-    p ^= static_cast<int>(state.bit(first + i));
-  return p;
-}
-
 }  // namespace revft::detect

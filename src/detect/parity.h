@@ -30,8 +30,4 @@ inline unsigned local_parity(unsigned local, int bits) noexcept {
 /// kNot, kCnot, kToffoli, kMaj, kMajInv and kInit3 do not.
 bool parity_preserving(GateKind kind) noexcept;
 
-/// XOR of bits [first, first + count) of a state vector.
-int total_parity(const StateVector& state, std::uint32_t first,
-                 std::uint32_t count);
-
 }  // namespace revft::detect

@@ -15,7 +15,9 @@ AncillaEntropyResult measure_ec_ancilla_entropy(double g, bool noisy_init,
   NoiseModel model = NoiseModel::uniform(g);
   if (!noisy_init) model.with_perfect_init();
 
-  std::vector<std::uint64_t> counts(64, 0);  // joint over 6 discarded bits
+  AncillaEntropyResult result;
+  std::vector<std::uint64_t>& counts = result.counts;
+  counts.assign(64, 0);  // joint over 6 discarded bits
 
   ParallelMcOptions opts;
   opts.trials = trials;
@@ -40,7 +42,6 @@ AncillaEntropyResult measure_ec_ancilla_entropy(double g, bool noisy_init,
   (void)run_parallel_mc(stage.circuit, model, opts,
                         per_shard_kernel(prepare, classify));
 
-  AncillaEntropyResult result;
   result.trials = trials;
   result.noisy_ops = noisy_init ? stage.circuit.size()
                                 : stage.circuit.histogram().total_reversible();

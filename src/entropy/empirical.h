@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace revft {
 
@@ -22,6 +23,7 @@ struct AncillaEntropyResult {
   double entropy_miller_madow = 0.0;  ///< bias-corrected
   std::uint64_t trials = 0;
   std::uint64_t noisy_ops = 0;  ///< fallible ops in the measured stage
+  std::vector<std::uint64_t> counts;  ///< trials per discarded pattern
 };
 
 /// Run the Fig 2 recovery stage on random clean codewords at gate

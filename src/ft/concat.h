@@ -48,10 +48,6 @@ struct CompiledModule {
   /// Final per-logical-bit block trees (data positions after all
   /// recovery rotations). Index = logical bit.
   std::vector<BlockTree> blocks;
-
-  std::uint32_t logical_width() const noexcept {
-    return static_cast<std::uint32_t>(blocks.size());
-  }
 };
 
 /// Compile `logical` (any circuit over the primitive gate set) into a

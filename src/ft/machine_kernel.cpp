@@ -1,5 +1,6 @@
 #include "ft/machine_kernel.h"
 
+#include <bit>
 #include <numeric>
 
 #include "rev/simulator.h"
@@ -17,16 +18,52 @@ std::vector<unsigned> machine_truth_table(const Circuit& logical) {
   return truth;
 }
 
-unsigned MachineWorkloadKernel::decode(const PackedState& state, int lane,
-                                       const std::uint32_t* cells,
-                                       std::uint32_t n) {
-  if (n == 1) return state.bit_lane(cells[0], lane);
-  if (n == 3) return vote(state, lane, cells);
+namespace {
+
+/// Repeated majority over consecutive triples of the n = 3^L cells at
+/// `cells`, all W lane words at once: out[i] is lane word i.
+void decode_words(const PackedState& state, const std::uint32_t* cells,
+                  std::uint32_t n, unsigned W, std::uint64_t* out) {
+  if (n == 1) {
+    const std::uint64_t* cell = state.words(cells[0]);
+    for (unsigned i = 0; i < W; ++i) out[i] = cell[i];
+    return;
+  }
   n /= 3;
-  const unsigned votes = decode(state, lane, cells, n) +
-                         decode(state, lane, cells + n, n) +
-                         decode(state, lane, cells + 2 * n, n);
-  return votes >= 2 ? 1u : 0u;
+  std::uint64_t a[kMaxLaneWords], b[kMaxLaneWords];
+  decode_words(state, cells, n, W, a);
+  decode_words(state, cells + n, n, W, b);
+  decode_words(state, cells + 2 * n, n, W, out);
+  for (unsigned i = 0; i < W; ++i)
+    out[i] = (a[i] & b[i]) | (out[i] & (a[i] ^ b[i]));
+}
+
+}  // namespace
+
+void MachineWorkloadKernel::classify_words(const PackedState& state,
+                                           std::uint64_t,
+                                           LaneMask& wrong) const {
+  const Io& w = *io;
+  const unsigned W = state.lane_words();
+  wrong = LaneMask(W);
+  std::uint64_t expected[kMaxLaneWords], decoded[kMaxLaneWords];
+  for (std::uint32_t k = 0; k < w.outputs; ++k) {
+    for (unsigned i = 0; i < W; ++i) expected[i] = 0;
+    for (std::uint32_t t = w.anf_start[k]; t < w.anf_start[k + 1]; ++t) {
+      std::uint64_t term[kMaxLaneWords];
+      for (unsigned i = 0; i < W; ++i) term[i] = ~0ULL;
+      for (std::uint32_t m = w.anf[t]; m != 0; m &= m - 1) {
+        const std::uint64_t* in =
+            lane_inputs.data() + std::countr_zero(m) * std::size_t{W};
+        for (unsigned i = 0; i < W; ++i) term[i] &= in[i];
+      }
+      for (unsigned i = 0; i < W; ++i) expected[i] ^= term[i];
+    }
+    decode_words(state, w.exit.data() + k * w.exit_stride, w.exit_stride, W,
+                 decoded);
+    for (unsigned i = 0; i < W; ++i)
+      wrong.data()[i] |= expected[i] ^ decoded[i];
+  }
 }
 
 MachineWorkloadKernel make_workload_kernel(std::uint32_t entry_stride,
@@ -54,7 +91,21 @@ MachineWorkloadKernel make_workload_kernel(std::uint32_t entry_stride,
   io.exit_stride = exit_stride;
   io.entry = std::move(entry);
   io.exit = std::move(exit);
-  io.truth = std::move(truth);
+  // Möbius transform over the packed words, in place: afterwards bit k
+  // of truth[m] is the coefficient of monomial m in output k's ANF.
+  const std::uint32_t size = static_cast<std::uint32_t>(truth.size());
+  for (std::uint32_t half = 1; half < size; half <<= 1)
+    for (std::uint32_t x = 0; x < size; x += 2 * half)
+      for (std::uint32_t y = x; y < x + half; ++y) truth[y + half] ^= truth[y];
+  std::vector<std::uint32_t> terms;  // monomials of some output's ANF
+  for (std::uint32_t m = 0; m < size; ++m)
+    if (truth[m] != 0) terms.push_back(m);
+  for (std::uint32_t k = 0; k < io.outputs; ++k) {
+    io.anf_start.push_back(static_cast<std::uint32_t>(io.anf.size()));
+    for (const std::uint32_t m : terms)
+      if ((truth[m] >> k) & 1u) io.anf.push_back(m);
+  }
+  io.anf_start.push_back(static_cast<std::uint32_t>(io.anf.size()));
   return MachineWorkloadKernel{
       std::make_shared<const MachineWorkloadKernel::Io>(std::move(io)), {}};
 }

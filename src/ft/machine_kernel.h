@@ -19,7 +19,12 @@
 //           of collect_data_leaves(block) reproduce decode_block(block)
 //           at level L (tests/test_block_tree.cpp).
 //   truth — 2^inputs expected output words (bit k = logical output k),
-//           indexed by the input word (bit k = logical input k).
+//           indexed by the input word (bit k = logical input k). The
+//           kernel keeps each output's algebraic normal form instead
+//           (one Möbius transform over the packed words at build), so
+//           classify_words evaluates a whole batch in word operations
+//           (MachineKernel.WordJudgeMatchesPerLaneReference checks it
+//           lane for lane against the per-lane decode).
 //
 // Input and output counts may differ: an adder draws its operands and
 // judges only its sum. prepare draws, for each logical input bit k in
@@ -53,8 +58,8 @@ std::vector<unsigned> machine_truth_table(const Circuit& logical);
 
 /// Per-shard kernel (the parallel engines' factory contract). Copies
 /// share the immutable Io; lane_inputs is each copy's private
-/// prepare→classify hand-off, bit-major (lane_inputs[k * W + w] holds
-/// lane word w of logical input bit k).
+/// prepare→classify_words hand-off, bit-major (lane_inputs[k * W + w]
+/// holds lane word w of logical input bit k).
 struct MachineWorkloadKernel {
   struct Io {
     std::uint32_t inputs = 0;
@@ -63,7 +68,10 @@ struct MachineWorkloadKernel {
     std::uint32_t exit_stride = 1;
     std::vector<std::uint32_t> entry;  ///< inputs * entry_stride cells
     std::vector<std::uint32_t> exit;   ///< outputs * exit_stride cells
-    std::vector<unsigned> truth;       ///< 2^inputs output words
+    /// Output k's ANF: the monomials anf[anf_start[k] .. anf_start[k+1])
+    /// (bit j = logical input j, 0 = the constant 1), XORed.
+    std::vector<std::uint32_t> anf;
+    std::vector<std::uint32_t> anf_start;  ///< outputs + 1 offsets
   };
 
   std::shared_ptr<const Io> io;
@@ -84,43 +92,13 @@ struct MachineWorkloadKernel {
     }
   }
 
-  bool classify(const PackedState& state, int lane, std::uint64_t) const {
-    const Io& w = *io;
-    const unsigned W = state.lane_words();
-    const unsigned wi = static_cast<unsigned>(lane) >> 6;
-    const unsigned sh = static_cast<unsigned>(lane) & 63u;
-    unsigned input = 0;
-    for (std::uint32_t k = 0; k < w.inputs; ++k)
-      input |= static_cast<unsigned>((lane_inputs[k * W + wi] >> sh) & 1u)
-               << k;
-    const unsigned expected = w.truth[input];
-    const std::uint32_t* cells = w.exit.data();
-    // Codeword exits (every machine and cycle) vote inline in a loop of
-    // their own: sharing the loop with the decode call cost a 3-cell
-    // classify ~10%, inlining decode's recursion 2x.
-    if (w.exit_stride == 3) {
-      for (std::uint32_t k = 0; k < w.outputs; ++k, cells += 3)
-        if (vote(state, lane, cells) != ((expected >> k) & 1u)) return true;
-      return false;
-    }
-    for (std::uint32_t k = 0; k < w.outputs; ++k, cells += w.exit_stride)
-      if (decode(state, lane, cells, w.exit_stride) != ((expected >> k) & 1u))
-        return true;
-    return false;
-  }
-
-  /// Majority of the three cells at `cells`.
-  static unsigned vote(const PackedState& state, int lane,
-                       const std::uint32_t* cells) {
-    const int votes = state.bit_lane(cells[0], lane) +
-                      state.bit_lane(cells[1], lane) +
-                      state.bit_lane(cells[2], lane);
-    return votes >= 2 ? 1u : 0u;
-  }
-
-  /// Repeated majority over consecutive triples of `n` = 3^L cells.
-  static unsigned decode(const PackedState& state, int lane,
-                         const std::uint32_t* cells, std::uint32_t n);
+  /// The word judge: sets, in `wrong`, every lane of the batch whose
+  /// decoded outputs differ from the truth table at its inputs. Each
+  /// expected output word is its ANF evaluated over the lane_inputs
+  /// words; each decoded word is the majority word (a & b) | (c &
+  /// (a ^ b)), repeated over the 3^L exit cells.
+  void classify_words(const PackedState& state, std::uint64_t,
+                      LaneMask& wrong) const;
 };
 
 /// The kernel of a described workload: `entry` and `exit` list

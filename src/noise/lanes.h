@@ -141,4 +141,12 @@ class LaneMask {
   unsigned n_;
 };
 
+/// Calls f(lane) for every lane set in `mask`, in ascending order.
+template <typename F>
+void for_each_lane(const LaneMask& mask, const F& f) {
+  for (unsigned w = 0; w < mask.words(); ++w)
+    for (std::uint64_t bits = mask.word(w); bits != 0; bits &= bits - 1)
+      f(64 * w + static_cast<unsigned>(std::countr_zero(bits)));
+}
+
 }  // namespace revft

@@ -33,8 +33,6 @@ class NoiseModel {
     return o >= 0.0 ? o : gate_error_;
   }
 
-  double base_error() const noexcept { return gate_error_; }
-
   /// Override the failure probability of one kind.
   NoiseModel& set_kind(GateKind kind, double p);
 

@@ -22,14 +22,18 @@
 //     accumulation, so even summation order is immaterial).
 //
 // Because per-batch callback state (e.g. the lane-input words the
-// classifier compares against) must not be shared across concurrently
+// judge compares against) must not be shared across concurrently
 // running shards, the parallel engine takes a *kernel factory* rather
-// than bare prepare/classify callables: factory(shard_index) returns a
-// fresh kernel object per shard with
+// than bare callables: factory(shard_index) returns a fresh kernel
+// object per shard with
 //   void prepare(PackedState&, Xoshiro256&, std::uint64_t batch);
+// and either a word judge marking every wrong lane of the batch at once
+//   void classify_words(const PackedState&, std::uint64_t, LaneMask&);
+// or a per-lane one, true counting a failure
 //   bool classify(const PackedState&, int lane, std::uint64_t batch);
-// (classify returning true counts a failure). The factory itself must
-// be safe to invoke concurrently.
+// which detail::judge_lanes calls once per counted lane. Every span
+// loop judges a batch once and tallies by popcount. The factory itself
+// must be safe to invoke concurrently.
 #pragma once
 
 #include <algorithm>
@@ -121,6 +125,22 @@ class RoundScheduler {
   std::size_t jobs_;
 };
 
+/// A kernel's judge as the span loops take it: its classify_words when
+/// it has one, else its per-lane classify (judge_lanes adapts it).
+template <typename Kernel>
+auto kernel_classify(Kernel& k) {
+  if constexpr (requires(const PackedState& s, LaneMask& wrong) {
+                  k.classify_words(s, std::uint64_t{0}, wrong);
+                })
+    return [&k](const PackedState& s, std::uint64_t batch, LaneMask& wrong) {
+      k.classify_words(s, batch, wrong);
+    };
+  else
+    return [&k](const PackedState& s, int lane, std::uint64_t batch) {
+      return k.classify(s, lane, batch);
+    };
+}
+
 /// What every engine binds per shard: a simulator seeded with the
 /// shard's child seed, its lane state, and the factory's kernel. The
 /// kernel is initialized straight from factory(shard.index), so it
@@ -138,17 +158,13 @@ struct ShardState {
         state(width, lane_words),
         kernel(factory(shard.index)) {}
 
-  /// The kernel as the span functions' prepare / classify callables.
+  /// The kernel as the span functions' prepare / judge callables.
   auto prepare_fn() {
     return [this](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
       kernel.prepare(s, rng, batch);
     };
   }
-  auto classify_fn() {
-    return [this](const PackedState& s, int lane, std::uint64_t batch) {
-      return kernel.classify(s, lane, batch);
-    };
-  }
+  auto classify_fn() { return kernel_classify(kernel); }
 };
 
 /// Round observer of a full run: never stops.
@@ -249,10 +265,10 @@ BernoulliEstimate run_parallel_mc(const Circuit& circuit,
       detail::mc_range(circuit), detail::never_stop);
 }
 
-/// Adapts bare prepare/classify callables into a kernel factory: each
-/// shard receives its own *copies*, so state captured by value is
-/// private per shard. Captures by reference must be either immutable
-/// or externally synchronized.
+/// Adapts bare prepare / per-lane classify callables into a kernel
+/// factory: each shard receives its own *copies*, so state captured by
+/// value is private per shard. Captures by reference must be either
+/// immutable or externally synchronized.
 template <typename PrepareFn, typename ClassifyFn>
 auto per_shard_kernel(PrepareFn prepare, ClassifyFn classify) {
   struct Kernel {

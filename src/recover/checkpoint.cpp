@@ -20,24 +20,6 @@ void PackedCheckpoint::restore_all(PackedState& state) const {
   if (width_ != 0) std::copy(words_.begin(), words_.end(), state.words(0));
 }
 
-void blend_lanes(PackedState& dst, const PackedState& src,
-                 const LaneMask& lane_mask) {
-  REVFT_CHECK_MSG(dst.width() == src.width(), "blend_lanes: width mismatch");
-  REVFT_CHECK_MSG(
-      dst.lane_words() == src.lane_words() &&
-          lane_mask.words() == dst.lane_words(),
-      "blend_lanes: lane_words mismatch");
-  const unsigned W = dst.lane_words();
-  for (std::uint32_t cell = 0; cell < dst.width(); ++cell) {
-    std::uint64_t* d = dst.words(cell);
-    const std::uint64_t* s = src.words(cell);
-    for (unsigned w = 0; w < W; ++w) {
-      const std::uint64_t m = lane_mask.word(w);
-      d[w] = (d[w] & ~m) | (s[w] & m);
-    }
-  }
-}
-
 void blend_cells_lanes(PackedState& dst, const PackedState& src,
                        const std::vector<std::uint32_t>& cells,
                        const LaneMask& lane_mask) {

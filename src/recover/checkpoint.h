@@ -48,17 +48,11 @@ class PackedCheckpoint {
   unsigned lane_words_ = 1;
 };
 
-/// Blend lanes of `src` into `dst` for every cell: lanes set in
-/// `lane_mask` take src's bits, the rest keep dst's. lane_mask.words()
-/// must equal the states' lane_words(). The engine merges restarts one
-/// lane at a time (move_lane); this is the masked form tests check
-/// move_lane against.
-void blend_lanes(PackedState& dst, const PackedState& src,
-                 const LaneMask& lane_mask);
-
-/// Same blend restricted to `cells` — the block-local merge: only the
-/// replayed component's footprint moves, every other cell keeps the
-/// already-accepted values.
+/// Blend lanes of `src` into `dst` on `cells`: lanes set in
+/// `lane_mask` take src's bits, the rest keep dst's — the block-local
+/// merge: only the replayed component's footprint moves, every other
+/// cell keeps the already-accepted values. lane_mask.words() must
+/// equal the states' lane_words().
 void blend_cells_lanes(PackedState& dst, const PackedState& src,
                        const std::vector<std::uint32_t>& cells,
                        const LaneMask& lane_mask);
@@ -72,7 +66,7 @@ void copy_lane(PackedState& state, unsigned from, const LaneMask& to);
 /// Move lane `from` of `src` into lane `to` of `dst`, for every cell;
 /// every other lane of dst keeps its bits. The restart merge: the
 /// winning attempt's final state lands in the lane that owns the
-/// trial. With from == to this is blend_lanes over that one lane.
+/// trial. With from == to this is a one-lane blend over every cell.
 void move_lane(PackedState& dst, unsigned to, const PackedState& src,
                unsigned from);
 

@@ -84,26 +84,18 @@ LaneMask fired_lanes(const std::uint64_t* comp_fired, std::uint64_t comps) {
   return fired;
 }
 
-/// Calls f(lane) for every lane set in `mask`, in ascending order.
-template <typename F>
-void for_each_lane(const LaneMask& mask, const F& f) {
-  for (unsigned w = 0; w < mask.words(); ++w)
-    for (std::uint64_t bits = mask.word(w); bits != 0; bits &= bits - 1)
-      f(64 * w + static_cast<unsigned>(std::countr_zero(bits)));
-}
-
 /// run_recovering_mc_span at a compile-time lane width, so the boundary
 /// checks of every first pass, replay and restart run fixed-trip word
 /// loops (the same per-width dispatch as the gate kernels).
 /// `first_pass.apply_noisy_span` runs a batch's first pass: `sim`
 /// itself in production, the ScriptedPass in run_scripted_recovering.
 /// Replays and restarts always run on `sim`.
-template <unsigned W, typename FirstPass>
+template <unsigned W, typename FirstPass, typename Classify>
 RecoveryEstimate recovering_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
-    const PrepareFn& prepare, const ClassifyFn& classify,
+    const PrepareFn& prepare, const Classify& classify,
     telemetry::ShardTrace* trace, FirstPass& first_pass) {
   const Circuit& circuit = checked.circuit;
   RecoveryEstimate est;
@@ -139,12 +131,11 @@ RecoveryEstimate recovering_span(
       (trials + lanes_per_batch - 1) / lanes_per_batch;
   for (std::uint64_t b = 0; b < batches; ++b) {
     const std::uint64_t batch = first_batch + b;
-    const int lanes_this_batch =
+    const std::uint64_t lanes_this_batch =
         (b + 1 == batches && trials % lanes_per_batch != 0)
-            ? static_cast<int>(trials % lanes_per_batch)
-            : static_cast<int>(lanes_per_batch);
-    const LaneMask live = LaneMask::first_n(
-        W, static_cast<std::uint64_t>(lanes_this_batch));
+            ? trials % lanes_per_batch
+            : lanes_per_batch;
+    const LaneMask live = LaneMask::first_n(W, lanes_this_batch);
     state.clear();
     prepare(state, sim.rng(), batch);
     entry_cp.capture(state);
@@ -265,14 +256,9 @@ RecoveryEstimate recovering_span(
       if (keep_boundaries) boundary_cp.capture(state);
     }
 
-    est.trials += static_cast<std::uint64_t>(lanes_this_batch);
+    est.trials += lanes_this_batch;
     est.detected_trials += detected_lanes.popcount();
     LaneMask accepted_lanes = active & live;
-    for (int lane = 0; lane < lanes_this_batch; ++lane) {
-      if (!active.test(static_cast<unsigned>(lane))) continue;
-      ++est.accepted;
-      if (classify(state, lane, batch)) ++est.silent_failures;
-    }
 
     // --- whole-program restarts (kWholeProgram, and kBlockLocal
     // fallbacks): full re-runs from the entry checkpoint. One pass runs
@@ -356,16 +342,17 @@ RecoveryEstimate recovering_span(
         if (!accepted_now.test(owner) && program_left[owner] <= 0)
           rejected.set(owner);
       }
-      accepted_lanes |= accepted_now & live;
-      for_each_lane(accepted_now, [&](unsigned lane) {
-        ++est.accepted;
-        ++est.restart_accepts;
-        if (classify(state, static_cast<int>(lane), batch))
-          ++est.silent_failures;
-      });
+      accepted_lanes |= accepted_now;
+      est.restart_accepts += accepted_now.popcount();
       pending.remove(accepted_now);
       pending.remove(rejected);
     }
+    // move_lane wrote only the owner lanes, so every accepted lane's
+    // final state is in `state`: one judgement covers them all.
+    est.accepted += accepted_lanes.popcount();
+    est.silent_failures +=
+        revft::detail::judge_lanes(classify, state, batch, accepted_lanes)
+            .popcount();
     est.rejected += rejected.popcount();
     if (replays_per_batch != nullptr) replays_per_batch->record(batch_replays);
     events.batch_accept(batch, accepted_lanes);
@@ -375,12 +362,12 @@ RecoveryEstimate recovering_span(
 
 /// Checks the plan and spans, then runs recovering_span at the
 /// state's lane width.
-template <typename FirstPass>
+template <typename FirstPass, typename Classify>
 RecoveryEstimate dispatch_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
-    const PrepareFn& prepare, const ClassifyFn& classify,
+    const PrepareFn& prepare, const Classify& classify,
     telemetry::ShardTrace* trace, FirstPass& first_pass) {
   REVFT_CHECK_MSG(plan.total_ops == checked.circuit.size(),
                   "run_recovering_mc_span: plan built for a different circuit");
@@ -407,6 +394,16 @@ RecoveryEstimate dispatch_span(
 }
 
 }  // namespace
+
+RecoveryEstimate run_recovering_mc_span(
+    PackedSimulator& sim, PackedState& state,
+    const detect::CheckedCircuit& checked, const SegmentPlan& plan,
+    const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
+    const PrepareFn& prepare, const JudgeFn& classify,
+    telemetry::ShardTrace* trace) {
+  return dispatch_span(sim, state, checked, plan, policy, first_batch, trials,
+                       prepare, classify, trace, sim);
+}
 
 RecoveryEstimate run_recovering_mc_span(
     PackedSimulator& sim, PackedState& state,

@@ -61,17 +61,25 @@
 namespace revft::recover {
 
 /// Batch-level callbacks, same contract as the other engines: prepare
-/// fills every lane of a cleared state (rails left zero); classify
-/// judges one lane's final output.
+/// fills every lane of a cleared state (rails left zero); a JudgeFn
+/// marks every wrong lane of a batch's final state at once
+/// (MachineWorkloadKernel::classify_words), a ClassifyFn judges one
+/// lane's final output (true means wrong).
 using PrepareFn =
     std::function<void(PackedState&, Xoshiro256&, std::uint64_t)>;
+using JudgeFn =
+    std::function<void(const PackedState&, std::uint64_t, LaneMask&)>;
 using ClassifyFn =
     std::function<bool(const PackedState&, int, std::uint64_t)>;
 
 /// The recovering counterpart of detail::run_checked_mc_span: one
 /// simulator, a contiguous batch range, retries included. Out-of-line
 /// (not a template) — the segment walk is involved enough that one
-/// canonical definition beats inlining per kernel type.
+/// canonical definition beats inlining per kernel type. A batch is
+/// judged once, at its end, over every accepted lane (first-pass and
+/// restart-accepted alike) through revft::detail::judge_lanes, and
+/// silent failures are that mask's popcount; `classify` is a word
+/// judge or a per-lane one.
 ///
 /// `trace` (nullable) receives the full per-boundary story through
 /// telemetry::SpanEvents: kRailFired / kZeroCheckFired /
@@ -84,6 +92,12 @@ using ClassifyFn =
 /// replayed ops, restarts — lives in the returned estimate only. Hooks
 /// fire at boundary/replay granularity (never per gate); untraced,
 /// each is one predictable branch.
+RecoveryEstimate run_recovering_mc_span(
+    PackedSimulator& sim, PackedState& state,
+    const detect::CheckedCircuit& checked, const SegmentPlan& plan,
+    const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
+    const PrepareFn& prepare, const JudgeFn& classify,
+    telemetry::ShardTrace* trace = nullptr);
 RecoveryEstimate run_recovering_mc_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
@@ -111,36 +125,6 @@ RecoveryEstimate run_scripted_recovering(
 
 namespace detail {
 
-/// A kernel bound once per shard into the std::function callbacks
-/// run_recovering_mc_span takes. The callbacks capture `this`, so the
-/// type is pinned: the shard driver initializes it in place from the
-/// factory's result, never copies or moves it.
-template <typename Kernel>
-struct BoundKernel {
-  Kernel kernel;
-  PrepareFn prepare{
-      [this](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-        kernel.prepare(s, rng, batch);
-      }};
-  ClassifyFn classify{[this](const PackedState& s, int lane,
-                             std::uint64_t batch) {
-    return kernel.classify(s, lane, batch);
-  }};
-
-  explicit BoundKernel(Kernel k) : kernel(std::move(k)) {}
-  BoundKernel(const BoundKernel&) = delete;
-  BoundKernel& operator=(const BoundKernel&) = delete;
-};
-
-/// factory(shard) wrapped to yield BoundKernels.
-template <typename KernelFactory>
-auto bind_kernels(KernelFactory& factory) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  return [&factory](std::uint64_t shard) {
-    return BoundKernel<Kernel>(factory(shard));
-  };
-}
-
 /// The recovering engine's shard binding: a batch range of
 /// run_recovering_mc_span. The shard's child seed drives both the
 /// first pass and every retry it spawns.
@@ -151,8 +135,8 @@ inline auto recovering_range(const detect::CheckedCircuit& checked,
                                     std::uint64_t trials,
                                     telemetry::ShardTrace* trace) {
     return run_recovering_mc_span(s.sim, s.state, checked, plan, policy,
-                                  first_batch, trials, s.kernel.prepare,
-                                  s.kernel.classify, trace);
+                                  first_batch, trials, s.prepare_fn(),
+                                  s.classify_fn(), trace);
   };
 }
 
@@ -170,9 +154,8 @@ RecoveryEstimate run_parallel_recovering_mc(
     const ParallelMcOptions& opts, KernelFactory&& factory,
     telemetry::Trace* trace = nullptr) {
   return revft::detail::run_rounds<RecoveryEstimate>(
-      model, checked.circuit.width(), opts, opts.batches_per_shard,
-      detail::bind_kernels(factory), trace,
-      detail::recovering_range(checked, plan, policy),
+      model, checked.circuit.width(), opts, opts.batches_per_shard, factory,
+      trace, detail::recovering_range(checked, plan, policy),
       revft::detail::never_stop);
 }
 

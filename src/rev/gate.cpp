@@ -1,6 +1,7 @@
 #include "rev/gate.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include "support/error.h"
 
@@ -151,6 +152,13 @@ unsigned gate_output_anf(GateKind kind, int out_bit) noexcept {
   static const AnfTable table;
   return table.anf[static_cast<std::size_t>(kind)]
                   [static_cast<std::size_t>(out_bit)];
+}
+
+std::ostream& operator<<(std::ostream& os, const Gate& gate) {
+  os << gate_name(gate.kind) << '(';
+  for (int i = 0; i < gate.arity(); ++i)
+    os << (i ? ", " : "") << gate.bits[static_cast<std::size_t>(i)];
+  return os << ')';
 }
 
 Gate Gate::inverse() const {

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace revft {
@@ -89,6 +90,10 @@ struct Gate {
 
   bool operator==(const Gate&) const = default;
 };
+
+/// Writes "toffoli(0, 1, 2)": the kind's mnemonic and its operands, so
+/// a failing gtest comparison of gates names them.
+std::ostream& operator<<(std::ostream& os, const Gate& gate);
 
 /// Construction helpers with operand-validity checks (distinct bits).
 Gate make_not(std::uint32_t a);

@@ -48,8 +48,6 @@ std::uint64_t checked_pow(std::uint64_t base, std::uint64_t exp) {
   return result;
 }
 
-double pow_double(double base, double exp) noexcept { return std::pow(base, exp); }
-
 bool pow_fits_u64(std::uint64_t base, std::uint64_t exp) noexcept {
   if (base <= 1 || exp == 0) return true;
   const double bits = static_cast<double>(exp) * std::log2(static_cast<double>(base));

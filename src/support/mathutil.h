@@ -20,10 +20,6 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k);
 /// Throws revft::Error on overflow.
 std::uint64_t checked_pow(std::uint64_t base, std::uint64_t exp);
 
-/// base^exp in double precision (never throws; used for the large-L
-/// asymptotic columns of the blow-up tables).
-double pow_double(double base, double exp) noexcept;
-
 /// True iff base^exp fits in uint64.
 bool pow_fits_u64(std::uint64_t base, std::uint64_t exp) noexcept;
 

@@ -57,9 +57,6 @@ class Xoshiro256 {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
-  /// Bernoulli(p) draw.
-  bool next_bernoulli(double p) noexcept { return next_double() < p; }
-
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   /// nearly-divisionless method (the modulo bias is negligible for the
   /// bound sizes used here, but we reject anyway for exactness).

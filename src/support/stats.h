@@ -43,9 +43,6 @@ struct BernoulliEstimate {
   /// failures / trials (0 when no trials) — the logical error rate in
   /// Monte-Carlo use. Wilson intervals below cover this same quantity.
   double rate() const noexcept;
-  /// Explicit alias of rate() for call sites where "which rate?"
-  /// should be unmistakable.
-  double error_rate() const noexcept { return rate(); }
 
   /// Wilson score interval at z standard deviations (z = 1.96 for 95%)
   /// on the failure probability. Well-behaved at rate 0 and 1, unlike
@@ -56,7 +53,7 @@ struct BernoulliEstimate {
   };
   Interval wilson(double z = 1.96) const noexcept;
   /// Explicit alias of wilson() for call sites where "which interval?"
-  /// should be unmistakable (mirrors error_rate() vs rate()).
+  /// should be unmistakable.
   Interval wilson_interval(double z = 1.96) const noexcept {
     return wilson(z);
   }

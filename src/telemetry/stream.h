@@ -174,8 +174,7 @@ StreamResult<recover::RecoveryEstimate> run_streaming_recovering_mc(
     const StreamOptions& opts, KernelFactory&& factory,
     Trace* trace = nullptr) {
   return detail::run_streaming_rounds<recover::RecoveryEstimate>(
-      "recovering", opts, model, checked.circuit.width(),
-      recover::detail::bind_kernels(factory), trace,
+      "recovering", opts, model, checked.circuit.width(), factory, trace,
       recover::detail::recovering_range(checked, plan, policy));
 }
 

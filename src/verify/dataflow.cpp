@@ -150,14 +150,6 @@ std::vector<std::uint32_t> DataflowResult::zero_cells() const {
   return out;
 }
 
-std::vector<std::uint32_t> DataflowResult::top_cells() const {
-  std::vector<std::uint32_t> out;
-  const auto& exit = exit_state();
-  for (std::uint32_t c = 0; c < exit.size(); ++c)
-    if (exit[c].is_top()) out.push_back(c);
-  return out;
-}
-
 std::vector<std::vector<std::uint32_t>> DataflowResult::equal_classes() const {
   // Canonical forms make equality-of-function equality-of-vector; a
   // map keyed on the monomial list groups cells for free. Zero cells
@@ -184,10 +176,6 @@ std::vector<Poly> identity_entry(std::uint32_t width) {
   return entry;
 }
 
-std::vector<Poly> zero_entry(std::uint32_t width) {
-  return std::vector<Poly>(width, Poly::zero());
-}
-
 std::vector<Poly> widen_entry(const detect::CheckedCircuit& checked,
                               const std::vector<Poly>& data_entry) {
   REVFT_CHECK_MSG(data_entry.size() == checked.data_width,
@@ -197,18 +185,6 @@ std::vector<Poly> widen_entry(const detect::CheckedCircuit& checked,
   std::vector<Poly> entry(checked.circuit.width(), Poly::zero());
   std::copy(data_entry.begin(), data_entry.end(), entry.begin());
   return entry;
-}
-
-const char* check_status_name(CheckStatus status) noexcept {
-  switch (status) {
-    case CheckStatus::kProven:
-      return "proven";
-    case CheckStatus::kViolated:
-      return "violated";
-    case CheckStatus::kUnknown:
-      return "unknown";
-  }
-  return "?";  // unreachable
 }
 
 std::size_t CheckedDataflow::proven_rail_invariants() const {

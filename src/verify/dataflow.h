@@ -72,7 +72,6 @@ class Poly {
   bool is_one() const noexcept {
     return !top_ && monomials_.size() == 1 && monomials_[0] == 0;
   }
-  bool is_constant() const noexcept { return is_zero() || is_one(); }
 
   /// Largest monomial degree (0 for constants, including zero).
   int degree() const noexcept;
@@ -126,8 +125,6 @@ struct DataflowResult {
   // --- invariant discovery over the exit state ---
   /// Cells proven identically zero at exit.
   std::vector<std::uint32_t> zero_cells() const;
-  /// Cells whose exit form is top (no claim possible).
-  std::vector<std::uint32_t> top_cells() const;
   /// Groups (size >= 2) of cells with identical non-top, non-zero exit
   /// forms — every pair in a group is a discovered equality invariant
   /// (e.g. the three cells of an undamaged repetition codeword).
@@ -135,14 +132,13 @@ struct DataflowResult {
 };
 
 /// Walk the circuit symbolically. `entry` must have one form per
-/// circuit bit (use identity_entry / zero_entry / widen_entry).
+/// circuit bit (use identity_entry / widen_entry).
 DataflowResult analyze_dataflow(const Circuit& circuit,
                                 std::vector<Poly> entry,
                                 const DataflowOptions& opts = {});
 
-/// Entry bindings: cell i = x_i (requires width <= 64) / all-zero.
+/// Entry binding: cell i = x_i (requires width <= 64).
 std::vector<Poly> identity_entry(std::uint32_t width);
-std::vector<Poly> zero_entry(std::uint32_t width);
 
 /// Lift a data-width entry binding to a checked circuit's width with
 /// the rails and check bits zero — the symbolic widen_input.
@@ -154,8 +150,6 @@ std::vector<Poly> widen_entry(const detect::CheckedCircuit& checked,
 /// forms are exact, so this is a real counterexample, not
 /// conservatism); kUnknown = a top form intruded.
 enum class CheckStatus : std::uint8_t { kProven, kViolated, kUnknown };
-
-const char* check_status_name(CheckStatus status) noexcept;
 
 /// One (checkpoint, rail) invariant I_r = rail_r ^ XOR(group_r).
 struct RailInvariantReport {

@@ -117,7 +117,8 @@ TEST(BlockTree, CanonicalLeafPositions) {
 // The workload kernel (ft/machine_kernel.h) decodes an exit as repeated
 // majority over consecutive triples of collect_data_leaves(block); that
 // must be decode_block(block) at every level, including the rotated
-// blocks concat_compile returns.
+// blocks concat_compile returns. Judged against an all-zero truth
+// table, the word judge marks exactly the lanes that decode to 1.
 TEST(BlockTree, TripleMajorityOverDataLeavesIsDecodeBlock) {
   std::vector<BlockTree> blocks;
   for (const int level : {0, 1, 2})
@@ -137,18 +138,21 @@ TEST(BlockTree, TripleMajorityOverDataLeavesIsDecodeBlock) {
   for (const BlockTree& block : blocks) {
     const std::vector<std::uint32_t> leaves = collect_data_leaves(block);
     const auto width = static_cast<std::uint32_t>(block.base + block.span());
+    MachineWorkloadKernel kernel = make_workload_kernel(
+        1, {leaves[0]}, static_cast<std::uint32_t>(leaves.size()), leaves,
+        {0, 0});
+    kernel.lane_inputs.assign(1, 0);
     for (int round = 0; round < 8; ++round) {
       PackedState state(width);
       for (std::uint32_t bit = 0; bit < width; ++bit)
         state.word(bit) = rng.next();
+      LaneMask ones;
+      kernel.classify_words(state, 0, ones);
       for (int lane = 0; lane < 64; ++lane) {
         const int want = decode_block(block, [&](std::uint32_t bit) {
           return static_cast<int>(state.bit_lane(bit, lane));
         });
-        ASSERT_EQ(MachineWorkloadKernel::decode(
-                      state, lane, leaves.data(),
-                      static_cast<std::uint32_t>(leaves.size())),
-                  static_cast<unsigned>(want))
+        ASSERT_EQ(ones.test(static_cast<unsigned>(lane)), want != 0)
             << "level " << block.level << " base " << block.base;
       }
     }

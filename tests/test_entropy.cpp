@@ -152,6 +152,16 @@ TEST(Empirical, EntropyGrowsWithNoise) {
   EXPECT_LT(lo.entropy_plugin, hi.entropy_plugin);
 }
 
+// The histogram is a per-lane judge: the engine's adaptor calls it
+// once per counted trial, a partial last batch included.
+TEST(Empirical, HistogramCountsEveryTrialOnce) {
+  const auto r = measure_ec_ancilla_entropy(0.02, true, 3 * 64 + 37, 5);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t c : r.counts) sum += c;
+  EXPECT_EQ(r.counts.size(), 64u);
+  EXPECT_EQ(sum, r.trials);
+}
+
 TEST(Empirical, PerfectInitReducesOpCount) {
   const auto with_init = measure_ec_ancilla_entropy(0.01, true, 10000, 3);
   const auto perfect = measure_ec_ancilla_entropy(0.01, false, 10000, 3);

@@ -227,6 +227,11 @@ TEST(Gate, Init3InverseThrows) {
   EXPECT_THROW(make_init3(0, 1, 2).inverse(), Error);
 }
 
+TEST(Gate, PrintsKindAndOperands) {
+  EXPECT_EQ(::testing::PrintToString(make_toffoli(4, 0, 7)), "toffoli(4, 0, 7)");
+  EXPECT_EQ(::testing::PrintToString(make_not(3)), "not(3)");
+}
+
 TEST(Gate, TouchesAndMaxBit) {
   const Gate g = make_toffoli(2, 7, 4);
   EXPECT_TRUE(g.touches(2));

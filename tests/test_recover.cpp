@@ -312,6 +312,17 @@ TEST(SegmentPlan, RejectsMissingCheckpointSpans) {
 
 // --- checkpoint/restore primitives -----------------------------------
 
+/// The masked reference of move_lane: lanes set in `lane_mask` take
+/// src's bits in every cell, the rest keep dst's.
+void blend_lanes(PackedState& dst, const PackedState& src,
+                 const LaneMask& lane_mask) {
+  for (std::uint32_t cell = 0; cell < dst.width(); ++cell)
+    for (unsigned w = 0; w < dst.lane_words(); ++w) {
+      const std::uint64_t m = lane_mask.word(w);
+      dst.words(cell)[w] = (dst.words(cell)[w] & ~m) | (src.words(cell)[w] & m);
+    }
+}
+
 TEST(Checkpoint, PackedBlendIsPerLaneAndPerCell) {
   PackedState a(2), b(2);
   a.word(0) = 0xffff0000ffff0000ULL;
@@ -323,7 +334,7 @@ TEST(Checkpoint, PackedBlendIsPerLaneAndPerCell) {
   lane_mask.word(0) = lanes;
 
   PackedState dst = a;
-  recover::blend_lanes(dst, b, lane_mask);
+  blend_lanes(dst, b, lane_mask);
   EXPECT_EQ(dst.word(0), (a.word(0) & ~lanes) | (b.word(0) & lanes));
   EXPECT_EQ(dst.word(1), (a.word(1) & ~lanes) | (b.word(1) & lanes));
 
@@ -386,7 +397,7 @@ TEST(Checkpoint, LaneMovesTouchExactlyTheNamedLanes) {
         LaneMask one(W);
         one.set(from);
         PackedState blended = a;
-        recover::blend_lanes(blended, b, one);
+        blend_lanes(blended, b, one);
         for (std::uint32_t cell = 0; cell < 5; ++cell)
           for (unsigned w = 0; w < W; ++w)
             EXPECT_EQ(moved.words(cell)[w], blended.words(cell)[w])

@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/checked_mc.h"
@@ -41,6 +42,7 @@
 #include "recover/checkpoint.h"
 #include "recovery_pins.h"
 #include "rev/simulator.h"
+#include "rev/synthesis.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -595,6 +597,160 @@ TEST(WideEngine, RecoveringThreadCountInvariantWide) {
   }
 }
 
+// --- the word judge vs the per-lane reference -------------------------
+
+/// Majority decode of one lane over the n = 3^L cells at `cells`.
+unsigned decode_lane(const PackedState& s, int lane,
+                     const std::uint32_t* cells, std::uint32_t n) {
+  if (n == 1) return s.bit_lane(cells[0], lane);
+  n /= 3;
+  const unsigned votes = decode_lane(s, lane, cells, n) +
+                         decode_lane(s, lane, cells + n, n) +
+                         decode_lane(s, lane, cells + 2 * n, n);
+  return votes >= 2 ? 1u : 0u;
+}
+
+/// The per-lane judge the word judge replaced: gather the lane's input
+/// bits, look its expected outputs up in `truth` and compare each
+/// output's decoded exit cells.
+bool reference_wrong(const MachineWorkloadKernel& kernel,
+                     const std::vector<unsigned>& truth, const PackedState& s,
+                     int lane) {
+  const MachineWorkloadKernel::Io& io = *kernel.io;
+  const unsigned W = s.lane_words();
+  unsigned input = 0;
+  for (std::uint32_t k = 0; k < io.inputs; ++k)
+    input |= static_cast<unsigned>(
+                 (kernel.lane_inputs[k * W + lane / 64] >> (lane % 64)) & 1u)
+             << k;
+  for (std::uint32_t k = 0; k < io.outputs; ++k)
+    if (decode_lane(s, lane, io.exit.data() + k * io.exit_stride,
+                    io.exit_stride) != ((truth[input] >> k) & 1u))
+      return true;
+  return false;
+}
+
+// Every kernel shape: 1-cell exits (a bare circuit), 3-cell codewords
+// (the checked 2D machine), 3^L leaves (a level-2 module) and an adder
+// whose inputs and outputs differ. Noisy runs at two error rates give
+// lanes of both verdicts; the word judge, the judge the loops call
+// over a partial last-batch mask and the per-lane reference through
+// the same adaptor must all agree lane for lane.
+TEST(MachineKernel, WordJudgeMatchesPerLaneReference) {
+  struct Case {
+    const char* name;
+    Circuit circuit;  ///< run noisily over the prepared lanes
+    MachineWorkloadKernel kernel;
+    std::vector<unsigned> truth;
+  };
+  const Circuit logical = scattered10();
+  const std::vector<unsigned> truth10 = machine_truth_table(logical);
+  const CheckedMachineProgram machine = CheckedMachine2d(10).compile(logical);
+  Circuit toffoli(3);
+  toffoli.toffoli(0, 1, 2);
+  const CompiledModule module = concat_compile(toffoli, 2);
+  const RippleAdder adder = cuccaro_adder(2);
+  const CompiledModule adder_module = concat_compile(adder.circuit, 1);
+  std::vector<unsigned> sums;  // inputs a0, b0, a1, b1; outputs b, carry
+  for (unsigned in = 0; in < 16; ++in)
+    sums.push_back(((in & 1u) | ((in >> 1) & 2u)) +
+                   (((in >> 1) & 1u) | ((in >> 2) & 2u)));
+  std::vector<Case> cases;
+  cases.push_back({"circuit", logical, make_circuit_kernel(logical), truth10});
+  cases.push_back({"machine2d", machine.checked.circuit,
+                   make_machine_kernel(machine, truth10), truth10});
+  cases.push_back({"module L2", module.physical,
+                   make_module_kernel(module, {0, 1, 2}, {0, 1, 2},
+                                      machine_truth_table(toffoli)),
+                   machine_truth_table(toffoli)});
+  cases.push_back(
+      {"adder", adder_module.physical,
+       make_module_kernel(adder_module,
+                          {adder.a_bits[0], adder.b_bits[0], adder.a_bits[1],
+                           adder.b_bits[1]},
+                          {adder.b_bits[0], adder.b_bits[1], adder.carry_out},
+                          sums),
+       sums});
+  for (Case& c : cases) {
+    std::uint64_t wrong_lanes = 0, lanes_seen = 0;
+    for (const unsigned W : {1u, 8u}) {
+      for (const double g : {3e-3, 3e-2}) {
+        PackedSimulator sim(NoiseModel::uniform(g), 0x3dULL + W);
+        PackedState state(c.circuit.width(), W);
+        for (std::uint64_t batch = 0; batch < 4; ++batch) {
+          state.clear();
+          c.kernel.prepare(state, sim.rng(), batch);
+          sim.apply_noisy(state, c.circuit);
+          LaneMask wrong;
+          c.kernel.classify_words(state, batch, wrong);
+          ASSERT_EQ(wrong.words(), W);
+          for (unsigned lane = 0; lane < 64 * W; ++lane)
+            ASSERT_EQ(wrong.test(lane),
+                      reference_wrong(c.kernel, c.truth, state,
+                                      static_cast<int>(lane)))
+                << c.name << " W=" << W << " g=" << g << " lane " << lane;
+          const LaneMask live = LaneMask::first_n(W, 64 * W - 37);
+          const LaneMask judged = detail::judge_lanes(
+              detail::kernel_classify(c.kernel), state, batch, live);
+          const LaneMask reference = detail::judge_lanes(
+              [&](const PackedState& s, int lane, std::uint64_t) {
+                return reference_wrong(c.kernel, c.truth, s, lane);
+              },
+              state, batch, live);
+          EXPECT_TRUE(judged == (wrong & live)) << c.name << " W=" << W;
+          EXPECT_TRUE(judged == reference) << c.name << " W=" << W;
+          wrong_lanes += wrong.popcount();
+          lanes_seen += 64 * W;
+        }
+      }
+    }
+    EXPECT_GT(wrong_lanes, 0u) << c.name;
+    EXPECT_LT(wrong_lanes, lanes_seen) << c.name;
+  }
+}
+
+// The per-lane adaptor calls a per-lane judge once per counted lane,
+// in ascending lane order within a batch, batches in order — a partial
+// last batch included — and only on the lanes it is given.
+TEST(MachineKernel, PerLaneAdaptorCallsEachCountedLaneOnceInOrder) {
+  const unsigned W = 8;
+  const std::uint64_t lanes_per_batch = 64 * W;
+  const std::uint64_t trials = 3 * lanes_per_batch + 37;
+  std::vector<std::pair<std::uint64_t, int>> calls;
+  ParallelMcOptions opts;
+  opts.trials = trials;
+  opts.threads = 1;
+  opts.lane_words = W;
+  const auto est = run_parallel_mc(
+      Circuit(1), NoiseModel::uniform(0.0), opts,
+      per_shard_kernel([](PackedState&, Xoshiro256&, std::uint64_t) {},
+                       [&calls](const PackedState&, int lane,
+                                std::uint64_t batch) {
+                         calls.emplace_back(batch, lane);
+                         return lane % 3 == 0;
+                       }));
+  ASSERT_EQ(calls.size(), trials);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    ASSERT_EQ(calls[i].first, i / lanes_per_batch) << i;
+    ASSERT_EQ(calls[i].second, static_cast<int>(i % lanes_per_batch)) << i;
+  }
+  EXPECT_EQ(est.trials, trials);
+  EXPECT_EQ(est.failures, 3 * (lanes_per_batch / 3 + 1) + 13);
+
+  LaneMask lanes(W);
+  for (const unsigned lane : {511u, 3u, 64u, 200u}) lanes.set(lane);
+  std::vector<int> seen;
+  const LaneMask wrong = detail::judge_lanes(
+      [&seen](const PackedState&, int lane, std::uint64_t) {
+        seen.push_back(lane);
+        return lane % 2 == 0;
+      },
+      PackedState(1, W), 0, lanes);
+  EXPECT_EQ(seen, (std::vector<int>{3, 64, 200, 511}));
+  EXPECT_EQ(wrong.popcount(), 2u);
+  EXPECT_TRUE(wrong.test(64) && wrong.test(200));
+}
+
 // --- checkpoint spans vs the group walk -------------------------------
 
 /// Reference for the span evaluation: the same merged walk as
@@ -715,7 +871,7 @@ TEST(WideCheckpoint, LaneMaskBlendMovesExactlyTheMaskedLanes) {
   mask.set(64);   // crosses the word boundary
   mask.set(200);
 
-  recover::blend_lanes(dst, src, mask);
+  recover::blend_cells_lanes(dst, src, {0, 1, 2}, mask);
   for (std::uint32_t bit = 0; bit < 3; ++bit)
     for (int lane = 0; lane < static_cast<int>(64 * W); ++lane)
       EXPECT_EQ(dst.bit_lane(bit, lane), mask.test(lane) ? 1 : 0)
