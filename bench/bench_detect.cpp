@@ -233,7 +233,7 @@ void print_overhead(benchutil::JsonResultWriter& json) {
   const benchutil::Timing t = benchutil::time_interleaved(
       {{ops,
         [&] {
-          base_sim.apply_noisy(base_state, plain);
+          base_sim.apply_noisy_span(base_state, plain, 0, plain.size());
           benchmark::DoNotOptimize(base_state);
         }},
        {ops,
@@ -274,7 +274,7 @@ void BM_PackedNoisyMajApply(benchmark::State& state) {
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(c.width());
   for (auto _ : state) {
-    sim.apply_noisy(ps, c);
+    sim.apply_noisy_span(ps, c, 0, c.size());
     benchmark::DoNotOptimize(ps);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

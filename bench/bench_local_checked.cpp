@@ -499,7 +499,7 @@ double measure_overhead(const Circuit& physical,
   const benchutil::Timing t = benchutil::time_interleaved(
       {{ops,
         [&] {
-          base_sim.apply_noisy(base_state, physical);
+          base_sim.apply_noisy_span(base_state, physical, 0, physical.size());
           benchmark::DoNotOptimize(base_state);
         }},
        {ops,
@@ -586,7 +586,7 @@ void BM_UncheckedMachine1dApply(benchmark::State& state) {
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(plain.physical.width());
   for (auto _ : state) {
-    sim.apply_noisy(ps, plain.physical);
+    sim.apply_noisy_span(ps, plain.physical, 0, plain.physical.size());
     benchmark::DoNotOptimize(ps);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -120,7 +120,7 @@ void BM_PackedNoisyMajApply(benchmark::State& state) {
   PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
   PackedState ps(9);
   for (auto _ : state) {
-    sim.apply_noisy(ps, c);
+    sim.apply_noisy_span(ps, c, 0, c.size());
     benchmark::DoNotOptimize(ps);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

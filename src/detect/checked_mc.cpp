@@ -6,9 +6,10 @@ namespace revft::detect {
 
 namespace {
 
-// One instantiation per lane width, so the rail and zero-check
-// evaluators (checked_mc.h detail) run fixed-trip word loops, and per
-// simulator: the noisy PackedSimulator or a ScriptedPass.
+// One instantiation per lane width (with_lane_words picks it, as for
+// the gate kernels), so the rail and zero-check evaluators
+// (checked_mc.h detail) run fixed-trip word loops, and per simulator:
+// the noisy PackedSimulator or a ScriptedPass.
 template <unsigned W, typename Sim>
 void apply_noisy_checked_impl(Sim& sim, PackedState& state,
                               const CheckedCircuit& checked,
@@ -78,21 +79,11 @@ void apply_noisy_checked_words(Sim& sim, PackedState& state,
       checked.checkpoint_spans.size() == checked.checkpoints.size(),
       "apply_noisy_checked_words: checkpoint_spans do not match checkpoints (a "
       "CheckedCircuit's spans come from detect::to_parity_rail)");
-  switch (state.lane_words()) {
-    case 1:
-      apply_noisy_checked_impl<1>(sim, state, checked, detected, fired_masks);
-      return;
-    case 2:
-      apply_noisy_checked_impl<2>(sim, state, checked, detected, fired_masks);
-      return;
-    case 4:
-      apply_noisy_checked_impl<4>(sim, state, checked, detected, fired_masks);
-      return;
-    case 8:
-      apply_noisy_checked_impl<8>(sim, state, checked, detected, fired_masks);
-      return;
-  }
-  REVFT_CHECK_MSG(false, "apply_noisy_checked_words: bad lane_words");
+  with_lane_words(state.lane_words(), "apply_noisy_checked_words",
+                  [&](auto W) {
+                    apply_noisy_checked_impl<W>(sim, state, checked, detected,
+                                                fired_masks);
+                  });
 }
 
 template void apply_noisy_checked_words(PackedSimulator&, PackedState&,

@@ -257,6 +257,21 @@ void subset_compensation(CompensationEmitter& comp, const Gate& g,
 
 }  // namespace
 
+bool migrate_membership(const Gate& g, std::span<int> rail_of) {
+  if (g.kind != GateKind::kSwap && g.kind != GateKind::kSwap3) return true;
+  for (int k = 0; k < g.arity(); ++k)
+    if (g.bits[static_cast<std::size_t>(k)] >= rail_of.size()) return false;
+  if (g.kind == GateKind::kSwap) {
+    std::swap(rail_of[g.bits[0]], rail_of[g.bits[1]]);
+  } else {
+    const int at_a = rail_of[g.bits[0]];
+    rail_of[g.bits[0]] = rail_of[g.bits[1]];
+    rail_of[g.bits[1]] = rail_of[g.bits[2]];
+    rail_of[g.bits[2]] = at_a;
+  }
+  return true;
+}
+
 CheckedCircuit to_parity_rail(const Circuit& circuit,
                               const ParityRailOptions& opts) {
   REVFT_CHECK_MSG(circuit.width() >= 1, "to_parity_rail: empty circuit");
@@ -386,16 +401,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
       comp.flush_touching(g);
       out.push(g);
       checked.source_position.push_back(out.size() - 1);
-      if (g.kind == GateKind::kSwap) {
-        std::swap(rail_of[g.bits[0]], rail_of[g.bits[1]]);
-      } else {
-        // (a,b,c) -> (b,c,a): the value (and membership) at b lands
-        // on a, c's on b, a's on c.
-        const int at_a = rail_of[g.bits[0]];
-        rail_of[g.bits[0]] = rail_of[g.bits[1]];
-        rail_of[g.bits[1]] = rail_of[g.bits[2]];
-        rail_of[g.bits[2]] = at_a;
-      }
+      migrate_membership(g, rail_of);  // the input holds data bits only
     } else {
       // Which rails can this gate's action touch, and does it stay
       // inside one group? Inside one group the subset is the full

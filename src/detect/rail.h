@@ -200,6 +200,14 @@ inline int rail_invariant(const StateVector& state, std::uint32_t rail_bit,
   return parity;
 }
 
+/// Migrates rail membership through one op: a SWAP/SWAP3 moves its
+/// operands' values and their membership moves with them (SWAP3
+/// (a,b,c) -> (b,c,a): b's lands on a, c's on b, a's on c); any other
+/// kind leaves membership alone. rail_of[d] is data bit d's rail, or
+/// -1 when unwatched. Returns false, changing nothing, when a SWAP or
+/// SWAP3 operand lies outside the data bits (>= rail_of.size()).
+bool migrate_membership(const Gate& g, std::span<int> rail_of);
+
 /// A circuit rewritten into parity-rail form, plus the bookkeeping the
 /// online checkers need.
 struct CheckedCircuit {

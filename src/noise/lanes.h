@@ -17,14 +17,16 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 
 #include "support/error.h"
 
 namespace revft {
 
 /// Hard cap on the batch width: 8 words = 512 lanes, one AVX-512
-/// register row per cell. Templated gate kernels are instantiated for
-/// every valid width, so the set is closed: {1, 2, 4, 8}.
+/// register row per cell. with_lane_words instantiates every templated
+/// word loop for each valid width, so the set is closed: {1, 2, 4, 8}.
 inline constexpr unsigned kMaxLaneWords = 8;
 
 /// Valid widths are the power-of-two word counts up to kMaxLaneWords
@@ -32,6 +34,29 @@ inline constexpr unsigned kMaxLaneWords = 8;
 constexpr bool valid_lane_words(unsigned lane_words) noexcept {
   return lane_words == 1 || lane_words == 2 || lane_words == 4 ||
          lane_words == 8;
+}
+
+/// Runs f(std::integral_constant<unsigned, W>{}) with W = lane_words
+/// and returns its result: the one place a runtime batch width selects
+/// a compile-time instantiation (the gate kernels and the checked and
+/// recovering span loops), so each runs fixed-trip W-word loops.
+/// Throws revft::Error naming `who` unless valid_lane_words(lane_words).
+template <typename F>
+decltype(auto) with_lane_words(unsigned lane_words, const char* who, F&& f) {
+  switch (lane_words) {
+    case 1:
+      return f(std::integral_constant<unsigned, 1>{});
+    case 2:
+      return f(std::integral_constant<unsigned, 2>{});
+    case 4:
+      return f(std::integral_constant<unsigned, 4>{});
+    case 8:
+      return f(std::integral_constant<unsigned, 8>{});
+  }
+  std::string msg = who;
+  msg += ": bad lane_words ";
+  msg += std::to_string(lane_words);
+  throw Error(msg);
 }
 
 /// Per-lane bitmask of one batch: lane_words() words of 64 lanes each

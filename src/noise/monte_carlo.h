@@ -76,7 +76,7 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
             : lanes_per_batch;
     state.clear();
     prepare(state, sim.rng(), batch);
-    sim.apply_noisy(state, circuit);
+    sim.apply_noisy_span(state, circuit, 0, circuit.size());
     const LaneMask live = LaneMask::first_n(lane_words, lanes_this_batch);
     const LaneMask wrong = judge_lanes(classify, state, batch, live);
     est.trials += lanes_this_batch;

@@ -277,51 +277,17 @@ struct PackedKernels {
   }
 };
 
-template struct PackedKernels<1>;
-template struct PackedKernels<2>;
-template struct PackedKernels<4>;
-template struct PackedKernels<8>;
-
 void PackedSimulator::apply_ideal(PackedState& state, const Gate& g) {
-  switch (state.lane_words()) {
-    case 1:
-      PackedKernels<1>::ideal_gate(state, g);
-      return;
-    case 2:
-      PackedKernels<2>::ideal_gate(state, g);
-      return;
-    case 4:
-      PackedKernels<4>::ideal_gate(state, g);
-      return;
-    case 8:
-      PackedKernels<8>::ideal_gate(state, g);
-      return;
-  }
-  REVFT_CHECK_MSG(false, "apply_ideal: bad lane_words");
+  with_lane_words(state.lane_words(), "apply_ideal", [&](auto W) {
+    PackedKernels<W>::ideal_gate(state, g);
+  });
 }
 
 void PackedSimulator::apply_ideal(PackedState& state, const Circuit& c) {
   REVFT_CHECK_MSG(c.width() == state.width(), "apply_ideal: width mismatch");
-  switch (state.lane_words()) {
-    case 1:
-      PackedKernels<1>::ideal_circuit(state, c);
-      return;
-    case 2:
-      PackedKernels<2>::ideal_circuit(state, c);
-      return;
-    case 4:
-      PackedKernels<4>::ideal_circuit(state, c);
-      return;
-    case 8:
-      PackedKernels<8>::ideal_circuit(state, c);
-      return;
-  }
-  REVFT_CHECK_MSG(false, "apply_ideal: bad lane_words");
-}
-
-void PackedSimulator::apply_noisy(PackedState& state, const Circuit& c) {
-  REVFT_CHECK_MSG(c.width() == state.width(), "apply_noisy: width mismatch");
-  apply_noisy_span(state, c, 0, c.size());
+  with_lane_words(state.lane_words(), "apply_ideal", [&](auto W) {
+    PackedKernels<W>::ideal_circuit(state, c);
+  });
 }
 
 void PackedSimulator::apply_noisy_span(PackedState& state, const Circuit& c,
@@ -331,21 +297,9 @@ void PackedSimulator::apply_noisy_span(PackedState& state, const Circuit& c,
   REVFT_CHECK_MSG(first <= last && last <= c.size(),
                   "apply_noisy_span: bad range [" << first << ", " << last
                                                   << ")");
-  switch (state.lane_words()) {
-    case 1:
-      PackedKernels<1>::noisy_span(*this, state, c, first, last);
-      return;
-    case 2:
-      PackedKernels<2>::noisy_span(*this, state, c, first, last);
-      return;
-    case 4:
-      PackedKernels<4>::noisy_span(*this, state, c, first, last);
-      return;
-    case 8:
-      PackedKernels<8>::noisy_span(*this, state, c, first, last);
-      return;
-  }
-  REVFT_CHECK_MSG(false, "apply_noisy_span: bad lane_words");
+  with_lane_words(state.lane_words(), "apply_noisy_span", [&](auto W) {
+    PackedKernels<W>::noisy_span(*this, state, c, first, last);
+  });
 }
 
 void PackedSimulator::apply_noisy_ops(
@@ -356,21 +310,9 @@ void PackedSimulator::apply_noisy_ops(
   REVFT_CHECK_MSG(positions.empty() || positions.back() < c.size(),
                   "apply_noisy_ops: position " << positions.back()
                                                << " past the circuit end");
-  switch (state.lane_words()) {
-    case 1:
-      PackedKernels<1>::noisy_ops(*this, state, c, positions);
-      return;
-    case 2:
-      PackedKernels<2>::noisy_ops(*this, state, c, positions);
-      return;
-    case 4:
-      PackedKernels<4>::noisy_ops(*this, state, c, positions);
-      return;
-    case 8:
-      PackedKernels<8>::noisy_ops(*this, state, c, positions);
-      return;
-  }
-  REVFT_CHECK_MSG(false, "apply_noisy_ops: bad lane_words");
+  with_lane_words(state.lane_words(), "apply_noisy_ops", [&](auto W) {
+    PackedKernels<W>::noisy_ops(*this, state, c, positions);
+  });
 }
 
 }  // namespace revft

@@ -153,9 +153,10 @@ class BernoulliMaskStream {
 
 /// Applies circuits to PackedState, ideally or under a NoiseModel.
 /// The per-gate word loops are instantiated for each valid lane_words
-/// at compile time (the state's width selects the instantiation), so
-/// the W=4/W=8 bodies present the compiler straight-line 4- and
-/// 8-word array ops it turns into AVX2/AVX-512 vector code.
+/// at compile time (with_lane_words maps the state's width to its
+/// instantiation), so the W=4/W=8 bodies present the compiler
+/// straight-line 4- and 8-word array ops it turns into AVX2/AVX-512
+/// vector code.
 class PackedSimulator {
  public:
   /// Noisy simulator with explicit seed (reproducible).
@@ -166,12 +167,10 @@ class PackedSimulator {
   static void apply_ideal(PackedState& state, const Gate& g);
   static void apply_ideal(PackedState& state, const Circuit& c);
 
-  void apply_noisy(PackedState& state, const Circuit& c);
-
-  /// Apply ops [first, last) of `c` noisily. The checked engine
-  /// (detect/checked_mc) runs the segments between checkpoints through
-  /// this so per-gate cost matches the whole-circuit overload (the
-  /// inner loop lives in one TU and inlines the gate dispatch).
+  /// Apply ops [first, last) of `c` noisily; a whole circuit is the
+  /// span [0, c.size()). The checked engine (detect/checked_mc) runs
+  /// the segments between checkpoints through this (the inner loop
+  /// lives in one TU and inlines the gate dispatch).
   void apply_noisy_span(PackedState& state, const Circuit& c, std::size_t first,
                         std::size_t last);
 

@@ -158,7 +158,7 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
 
   // Membership walk state, seeded from the entry partition; rail bits
   // are static (data_width + r belongs to rail r; no transform output
-  // ever swaps one).
+  // ever swaps one, and the walk rejects an op that does).
   std::vector<int> rail_of(checked.data_width, -1);
   for (std::uint32_t r = 0; r < n_rails; ++r)
     for (const std::uint32_t bit : checked.rails[r].group)
@@ -222,15 +222,11 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
     }
     op_node.push_back(node);
 
-    // Migrate membership with moving values (mirrors rail.cpp).
-    if (g.kind == GateKind::kSwap) {
-      std::swap(rail_of[g.bits[0]], rail_of[g.bits[1]]);
-    } else if (g.kind == GateKind::kSwap3) {
-      const int at_a = rail_of[g.bits[0]];
-      rail_of[g.bits[0]] = rail_of[g.bits[1]];
-      rail_of[g.bits[1]] = rail_of[g.bits[2]];
-      rail_of[g.bits[2]] = at_a;
-    }
+    const bool migrated = detect::migrate_membership(g, rail_of);
+    REVFT_CHECK_MSG(migrated, "build_segment_plan: op "
+                                  << i << ' ' << g
+                                  << " moves a rail bit (rail bits are "
+                                     "static; only data bits migrate)");
 
     // Boundary? (merge_boundaries already folded deferrable
     // zero-check-only positions into the next delimiter.)

@@ -86,7 +86,7 @@ LaneMask fired_lanes(const std::uint64_t* comp_fired, std::uint64_t comps) {
 
 /// run_recovering_mc_span at a compile-time lane width, so the boundary
 /// checks of every first pass, replay and restart run fixed-trip word
-/// loops (the same per-width dispatch as the gate kernels).
+/// loops (with_lane_words picks the width, as for the gate kernels).
 /// `first_pass.apply_noisy_span` runs a batch's first pass: `sim`
 /// itself in production, the ScriptedPass in run_scripted_recovering.
 /// Replays and restarts always run on `sim`.
@@ -375,22 +375,12 @@ RecoveryEstimate dispatch_span(
       checked.checkpoint_spans.size() == checked.checkpoints.size(),
       "run_recovering_mc_span: checkpoint_spans do not match checkpoints (a "
       "CheckedCircuit's spans come from detect::to_parity_rail)");
-  switch (state.lane_words()) {
-    case 1:
-      return recovering_span<1>(sim, state, checked, plan, policy, first_batch,
-                                trials, prepare, classify, trace, first_pass);
-    case 2:
-      return recovering_span<2>(sim, state, checked, plan, policy, first_batch,
-                                trials, prepare, classify, trace, first_pass);
-    case 4:
-      return recovering_span<4>(sim, state, checked, plan, policy, first_batch,
-                                trials, prepare, classify, trace, first_pass);
-    case 8:
-      return recovering_span<8>(sim, state, checked, plan, policy, first_batch,
-                                trials, prepare, classify, trace, first_pass);
-  }
-  REVFT_CHECK_MSG(false, "run_recovering_mc_span: bad lane_words");
-  return {};
+  return with_lane_words(state.lane_words(), "run_recovering_mc_span",
+                         [&](auto W) {
+                           return recovering_span<W>(
+                               sim, state, checked, plan, policy, first_batch,
+                               trials, prepare, classify, trace, first_pass);
+                         });
 }
 
 }  // namespace

@@ -177,18 +177,9 @@ bool lint_membership(const detect::CheckedCircuit& checked,
   bool consistent = true;
   std::size_t cp = 0;
   for (std::size_t i = 0; i < checked.circuit.size(); ++i) {
-    const Gate& g = checked.circuit.op(i);
-    if (g.kind == GateKind::kSwap && g.bits[0] < checked.data_width &&
-        g.bits[1] < checked.data_width) {
-      std::swap(rail_of[g.bits[0]], rail_of[g.bits[1]]);
-    } else if (g.kind == GateKind::kSwap3 && g.bits[0] < checked.data_width &&
-               g.bits[1] < checked.data_width &&
-               g.bits[2] < checked.data_width) {
-      const int at_a = rail_of[g.bits[0]];
-      rail_of[g.bits[0]] = rail_of[g.bits[1]];
-      rail_of[g.bits[1]] = rail_of[g.bits[2]];
-      rail_of[g.bits[2]] = at_a;
-    }
+    // A swap that moves a rail bit migrates nothing here (the segment
+    // plan rejects it, so lint_replay stays silent).
+    detect::migrate_membership(checked.circuit.op(i), rail_of);
     while (cp < checked.checkpoints.size() && checked.checkpoints[cp] == i) {
       for (std::size_t r = 0; r < checked.rails.size(); ++r) {
         std::vector<std::uint32_t> walked;

@@ -134,7 +134,7 @@ TEST(PackedSim, NoiselessNoisyPathEqualsIdeal) {
     noisy.word(b) = 0x0f0f0f0f0f0f0f0fULL * (b + 1);
     ideal.word(b) = noisy.word(b);
   }
-  sim.apply_noisy(noisy, c);
+  sim.apply_noisy_span(noisy, c, 0, c.size());
   PackedSimulator::apply_ideal(ideal, c);
   for (std::uint32_t b = 0; b < 4; ++b) EXPECT_EQ(noisy.word(b), ideal.word(b));
   EXPECT_EQ(sim.faults_drawn(), 0u);
@@ -147,7 +147,7 @@ TEST(PackedSim, FaultRateMatchesModel) {
   PackedSimulator sim(NoiseModel::uniform(g), 0x7a57e);
   PackedState ps(3);
   const int reps = 2000;
-  for (int r = 0; r < reps; ++r) sim.apply_noisy(ps, c);
+  for (int r = 0; r < reps; ++r) sim.apply_noisy_span(ps, c, 0, c.size());
   const double expected = g * 100.0 * 64.0 * reps;
   const double observed = static_cast<double>(sim.faults_drawn());
   EXPECT_NEAR(observed / expected, 1.0, 0.03);
@@ -162,7 +162,7 @@ TEST(PackedSim, FailedGateRandomizesUniformly) {
   std::array<std::uint64_t, 8> histogram{};
   for (int rep = 0; rep < 2000; ++rep) {
     PackedState ps(3);
-    sim.apply_noisy(ps, c);
+    sim.apply_noisy_span(ps, c, 0, c.size());
     for (int lane = 0; lane < 64; ++lane) {
       const unsigned v = ps.bit_lane(0, lane) |
                          (ps.bit_lane(1, lane) << 1) |
@@ -182,8 +182,8 @@ TEST(PackedSim, SameSeedReproducesExactly) {
   const NoiseModel m = NoiseModel::uniform(0.05);
   PackedSimulator s1(m, 123), s2(m, 123);
   PackedState p1(3), p2(3);
-  s1.apply_noisy(p1, c);
-  s2.apply_noisy(p2, c);
+  s1.apply_noisy_span(p1, c, 0, c.size());
+  s2.apply_noisy_span(p2, c, 0, c.size());
   for (std::uint32_t b = 0; b < 3; ++b) EXPECT_EQ(p1.word(b), p2.word(b));
 }
 

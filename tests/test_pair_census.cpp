@@ -113,6 +113,12 @@ TEST(PairCensus, Level1ModuleCoefficientMatchesKnownValue) {
   // Regression band around the exact value (~11-12, consistent with
   // the MC fit of 11.5).
   EXPECT_NEAR(census.quadratic_coefficient, 11.5, 2.0);
+  // The exact census, pinned: 351 pairs x 64 fault values x 8 inputs,
+  // and c2 = fatal / (values x inputs) = 6600 / 512 is the coefficient
+  // bench_fig2_threshold prints.
+  EXPECT_EQ(census.scenarios_total, 179712u);
+  EXPECT_EQ(census.scenarios_fatal, 6600u);
+  EXPECT_DOUBLE_EQ(census.quadratic_coefficient, 12.890625);
 }
 
 TEST(ExactThreshold, TailDominatesQuadraticBound) {

@@ -143,7 +143,7 @@ TEST(Property, FullNoiseCoversLocalSpace) {
   bool seen[8] = {};
   for (int rep = 0; rep < 200; ++rep) {
     PackedState ps(3);
-    sim.apply_noisy(ps, c);
+    sim.apply_noisy_span(ps, c, 0, c.size());
     for (int lane = 0; lane < 64; ++lane) {
       const unsigned v = ps.bit_lane(0, lane) | (ps.bit_lane(1, lane) << 1) |
                          (ps.bit_lane(2, lane) << 2);

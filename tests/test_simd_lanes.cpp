@@ -680,7 +680,7 @@ TEST(MachineKernel, WordJudgeMatchesPerLaneReference) {
         for (std::uint64_t batch = 0; batch < 4; ++batch) {
           state.clear();
           c.kernel.prepare(state, sim.rng(), batch);
-          sim.apply_noisy(state, c.circuit);
+          sim.apply_noisy_span(state, c.circuit, 0, c.circuit.size());
           LaneMask wrong;
           c.kernel.classify_words(state, batch, wrong);
           ASSERT_EQ(wrong.words(), W);

@@ -575,6 +575,35 @@ TEST(VerifyLint, SpuriousZeroCheckIsAnError) {
   EXPECT_GT(report.errors(), 0u);
 }
 
+// Rail bits are static, so a SWAP that moves one has no membership to
+// migrate. The segment plan names the op (the membership table covers
+// the data bits only) and the linter skips the swap and returns.
+TEST(VerifyLint, SwapOfARailBitIsRejectedByThePlanAndSkippedByLint) {
+  Circuit logical(3);
+  logical.maj(0, 1, 2).cnot(0, 1);
+  detect::CheckedCircuit checked = detect::to_parity_rail(logical);
+  const std::uint32_t rail_bit = checked.rails[0].rail_bit;
+  // Op 0 is rail 0's encoder cnot(0, rail); make it swap(0, rail).
+  ASSERT_EQ(checked.circuit.op(0), make_cnot(0, rail_bit));
+  Circuit doctored(checked.circuit.width());
+  doctored.swap(0, rail_bit);
+  for (std::size_t i = 1; i < checked.circuit.size(); ++i)
+    doctored.push(checked.circuit.op(i));
+  checked.circuit = std::move(doctored);
+
+  try {
+    recover::build_segment_plan(checked);
+    FAIL() << "a plan was built over a swap of rail bit " << rail_bit;
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("op 0 swap(0, 3)"),
+              std::string::npos)
+        << err.what();
+  }
+  const auto report = verify::lint_checked_circuit(
+      checked, verify::identity_entry(checked.data_width));
+  EXPECT_EQ(count_code(report, verify::LintCode::kGluedReplayComponents), 0u);
+}
+
 TEST(VerifyLint, GluedReplayComponentsSurfaceStraddlers) {
   // The per-block 1D machine's routing glues rails within segments —
   // the mean_max_replay_share pathology. The lint must surface it with
