@@ -33,7 +33,7 @@ void print_census(benchutil::JsonResultWriter& json) {
 
   // The identical census that tests/test_detect.cpp gates on — one
   // definition (ft/detect_experiment) so proof and table cannot drift.
-  const auto census = checked_maj_cycle_census(/*embed_checkers=*/false);
+  const auto census = checked_maj_cycle_census();
 
   AsciiTable table({"outcome", "count"});
   table.add_row({"scenarios simulated", std::to_string(census.scenarios)});
@@ -63,9 +63,9 @@ void print_partition_census(benchutil::JsonResultWriter& json) {
       "multi-rail partition (ROADMAP) — detection is monotone in the "
       "partition");
 
-  const auto global_census = checked_maj_cycle_census(false);
-  const auto fine_census = checked_maj_cycle_census(
-      false, revft::detect::partition_into_blocks(9, 3));
+  const auto global_census = checked_maj_cycle_census();
+  const auto fine_census =
+      checked_maj_cycle_census(revft::detect::partition_into_blocks(9, 3));
 
   AsciiTable table({"outcome", "global rail", "per-block rails"});
   table.add_row({"scenarios simulated", std::to_string(global_census.scenarios),

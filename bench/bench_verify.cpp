@@ -193,7 +193,7 @@ BENCHMARK(BM_CertifyMajCycle);
 
 void BM_CensusMajCycle(benchmark::State& state) {
   for (auto _ : state) {
-    const auto census = checked_maj_cycle_census(false);
+    const auto census = checked_maj_cycle_census();
     benchmark::DoNotOptimize(census.scenarios);
   }
 }

@@ -92,11 +92,11 @@ void print_fault_demo() {
                          static_cast<std::size_t>(k)]))
                  << k;
     correct = gate_apply_local(GateKind::kMaj, correct);
-    const auto odd = detect::checked_run_with_faults(
+    const auto odd = detect::checked_run(
         checked, input, {{maj_op, correct ^ 0b001u}});
     std::printf("  flip 1 bit of MAJ's output  -> detected: %s\n",
                 odd.detected ? "YES (invariant broke)" : "no");
-    const auto even = detect::checked_run_with_faults(
+    const auto even = detect::checked_run(
         checked, input, {{maj_op, correct ^ 0b011u}});
     std::printf("  flip 2 bits of MAJ's output -> detected: %s\n",
                 even.detected ? "yes" : "NO (even weight: parity blind)");

@@ -74,10 +74,10 @@ int main(int argc, char** argv) {
     const GateKind kind = gate.kind;
     if (kind != GateKind::kSwap && kind != GateKind::kSwap3) continue;
     for (unsigned v = 0; v < (1u << gate.arity()) && !shown; ++v) {
-      const auto global_run = detect::checked_run_with_faults(
+      const auto global_run = detect::checked_run(
           global_checked, input, {{global_checked.source_position[op], v}});
       if (global_run.detected) continue;
-      const auto block_run = detect::checked_run_with_faults(
+      const auto block_run = detect::checked_run(
           block_checked, input, {{block_checked.source_position[op], v}});
       int fired = 0;
       for (const auto f : block_run.rail_fired) fired += f != 0;

@@ -60,10 +60,6 @@ void apply_noisy_checked_impl(Sim& sim, PackedState& state,
     }
   }
   sim.apply_noisy_span(state, checked.circuit, pos, checked.circuit.size());
-  for (const std::uint32_t cb : checked.check_bits) {
-    const std::uint64_t* __restrict__ src = state.words(cb);
-    for (unsigned w = 0; w < W; ++w) detected[w] |= src[w];
-  }
 }
 
 }  // namespace

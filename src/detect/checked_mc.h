@@ -67,7 +67,7 @@ struct DetectionEstimate {
   std::uint64_t accepted() const noexcept { return trials - detected; }
   /// Sum of rail_detected[] — total per-rail attributions. Can exceed
   /// `detected` (multi-rail trials) and undershoot it (zero-check-only
-  /// or embedded-check-bit detections carry no rail attribution).
+  /// detections carry no rail attribution).
   std::uint64_t total_detected() const noexcept {
     std::uint64_t sum = 0;
     for (std::uint64_t r : rail_detected) sum += r;
@@ -153,12 +153,11 @@ struct DetectionEstimate {
 /// write the per-lane detected mask: `detected` points at lane_words
 /// words, and bit t of lane word w is set when some checkpoint saw a
 /// rail invariant violated in lane 64w + t, or some ZeroCheck saw a
-/// nonzero bit there. Embedded check bits, when present, are folded in
-/// at the end. `fired_masks` (nullable) points at
+/// nonzero bit there. `fired_masks` (nullable) points at
 /// (rails.size() + 1) * lane_words words laid out rail-major —
 /// fired_masks[r * lane_words + w] is rail r's fired mask for lane
-/// word w, with the zero-check masks in the last slot group; embedded
-/// check-bit detections appear only in the combined mask. Consumes RNG
+/// word w, with the zero-check masks in the last slot group, so the
+/// combined mask is the OR of every slot. Consumes RNG
 /// identically for a fixed simulator state, so the sharded determinism
 /// contract carries over. Rail checkpoints are evaluated off
 /// CheckedCircuit::checkpoint_spans; a circuit whose spans do not align
@@ -301,7 +300,7 @@ inline auto checked_range(const CheckedCircuit& checked) {
 
 /// Thread-sharded checked Monte-Carlo run: one round of the shard
 /// driver. Same kernel-factory contract as run_parallel_mc (prepare
-/// leaves rail and check bits zero; the judge reads the lanes'
+/// leaves the rail bits zero; the judge reads the lanes'
 /// *outputs*) and the same determinism guarantee, now for all four
 /// outcome counts — and for `trace` (nullable), absorbed in
 /// shard-index order.

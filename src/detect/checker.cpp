@@ -9,9 +9,9 @@ namespace revft::detect {
 
 constexpr unsigned kCensusLaneWords = 8;  // 512 scenarios per batch
 
-CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
-                                         const StateVector& data_input,
-                                         const std::vector<FaultSpec>& faults) {
+CheckedRunResult checked_run(const CheckedCircuit& checked,
+                             const StateVector& data_input,
+                             const std::vector<FaultSpec>& faults) {
   CheckedRunResult result{StateVector(0), false, {}};
   const FaultScenario scenario{data_input, faults};
   const DetectionEstimate est = run_scripted_checked(
@@ -23,11 +23,6 @@ CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
   result.detected = est.detected != 0;
   result.rail_fired.assign(est.rail_detected.begin(), est.rail_detected.end());
   return result;
-}
-
-CheckedRunResult checked_run(const CheckedCircuit& checked,
-                             const StateVector& data_input) {
-  return checked_run_with_faults(checked, data_input, {});
 }
 
 DetectionCensus single_fault_detection_census(

@@ -46,20 +46,16 @@ struct CheckedRunResult {
   std::vector<std::uint8_t> rail_fired;
 };
 
-/// Run the checked circuit fault-free on a data-width input (rail and
-/// check bits are zeroed internally). A fault-free run never detects.
-CheckedRunResult checked_run(const CheckedCircuit& checked,
-                             const StateVector& data_input);
-
-/// Same, with deterministic fault injection (op indices refer to
+/// Run the checked circuit on a data-width input (the rails are zeroed
+/// internally) with deterministic fault injection (op indices refer to
 /// checked.circuit): one lane of run_scripted_checked. Every rail
 /// invariant I_r = rail_r ^ XOR(group_r) is evaluated at every
 /// checkpoint (recording which rails fired) and every registered
-/// ZeroCheck's bits are inspected at its position; embedded check bits
-/// are also inspected at the end when present.
-CheckedRunResult checked_run_with_faults(const CheckedCircuit& checked,
-                                         const StateVector& data_input,
-                                         const std::vector<FaultSpec>& faults);
+/// ZeroCheck's bits are inspected at its position. A fault-free run
+/// (no `faults`) never detects.
+CheckedRunResult checked_run(const CheckedCircuit& checked,
+                             const StateVector& data_input,
+                             const std::vector<FaultSpec>& faults = {});
 
 /// Exact classification of every single-fault scenario.
 struct DetectionCensus {

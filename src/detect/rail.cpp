@@ -278,14 +278,13 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
 
   CheckedCircuit checked;
   checked.data_width = circuit.width();
-  checked.parity_rail = circuit.width();
 
   // Resolve the partition: explicit groups, or the classic single
   // group over every data bit. rail_of[bit] = rail index or -1.
   std::vector<int> rail_of(circuit.width(), -1);
   if (opts.rail_partition.empty()) {
     RailInfo rail;
-    rail.rail_bit = checked.parity_rail;
+    rail.rail_bit = checked.data_width;
     rail.group.reserve(circuit.width());
     for (std::uint32_t d = 0; d < circuit.width(); ++d) rail.group.push_back(d);
     checked.rails.push_back(std::move(rail));
@@ -294,7 +293,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
     for (const auto& group : opts.rail_partition) {
       REVFT_CHECK_MSG(!group.empty(), "to_parity_rail: empty rail group");
       RailInfo rail;
-      rail.rail_bit = checked.parity_rail +
+      rail.rail_bit = checked.data_width +
                       static_cast<std::uint32_t>(checked.rails.size());
       rail.group = group;
       std::sort(rail.group.begin(), rail.group.end());
@@ -315,7 +314,6 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
 
   // The merged checkpoint schedule — periodic plus explicit positions,
   // minus the last op (folded into the unconditional final checkpoint).
-  // Its size decides the embedded width up front.
   std::vector<char> checkpoint_here(circuit.size(), 0);
   if (opts.check_every > 0)
     for (std::size_t i = opts.check_every - 1; i < circuit.size();
@@ -327,51 +325,31 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
     checkpoint_here[i] = 1;
   }
   if (!circuit.empty()) checkpoint_here[circuit.size() - 1] = 0;
-  std::size_t n_checkpoints = 1;  // final
-  for (const char flag : checkpoint_here) n_checkpoints += flag;
-  const std::uint32_t width =
-      circuit.width() + n_rails +
-      (opts.embed_checkers ? static_cast<std::uint32_t>(n_checkpoints) : 0);
-  Circuit out(width);
+  Circuit out(circuit.width() + n_rails);
   CompensationEmitter comp(out, checked.data_width, checked.rail_ops,
                            per_rail_ops);
 
-  std::uint32_t next_check_bit = checked.parity_rail + n_rails;
   auto checkpoint = [&] {
     comp.flush_all();  // the invariants must be current where checked
-    if (!out.empty()) {
-      checked.checkpoints.push_back(out.size() - 1);
-      // Snapshot the membership in force here, rail-major with each
-      // group ascending: the cells the online checkers must evaluate
-      // (SWAP/SWAP3 migrate rail_of below).
-      CheckpointSpan span;
-      span.rail_first.assign(n_rails + 1, 0);
-      for (std::uint32_t d = 0; d < checked.data_width; ++d)
-        if (rail_of[d] >= 0)
-          ++span.rail_first[static_cast<std::size_t>(rail_of[d]) + 1];
-      std::partial_sum(span.rail_first.begin(), span.rail_first.end(),
-                       span.rail_first.begin());
-      span.bits.resize(span.rail_first.back());
-      std::vector<std::uint32_t> next(span.rail_first.begin(),
-                                      span.rail_first.end() - 1);
-      for (std::uint32_t d = 0; d < checked.data_width; ++d)
-        if (rail_of[d] >= 0)
-          span.bits[next[static_cast<std::size_t>(rail_of[d])]++] = d;
-      checked.checkpoint_spans.push_back(std::move(span));
-    }
-    if (!opts.embed_checkers) return;
-    const std::uint32_t cb = next_check_bit++;
-    // Fold the XOR of the rail invariants: every WATCHED data bit plus
-    // every rail bit. Unwatched bits carry no invariant — folding them
-    // would alarm on their honest nonzero values.
-    for (std::uint32_t d = 0; d < checked.data_width; ++d) {
-      if (rail_of[d] < 0) continue;
-      out.cnot(d, cb);
-      ++checked.checker_ops;
-    }
-    for (const RailInfo& rail : checked.rails) out.cnot(rail.rail_bit, cb);
-    checked.checker_ops += n_rails;
-    checked.check_bits.push_back(cb);
+    if (out.empty()) return;
+    checked.checkpoints.push_back(out.size() - 1);
+    // Snapshot the membership in force here, rail-major with each group
+    // ascending: the cells the online checkers must evaluate (SWAP/SWAP3
+    // migrate rail_of below).
+    CheckpointSpan span;
+    span.rail_first.assign(n_rails + 1, 0);
+    for (std::uint32_t d = 0; d < checked.data_width; ++d)
+      if (rail_of[d] >= 0)
+        ++span.rail_first[static_cast<std::size_t>(rail_of[d]) + 1];
+    std::partial_sum(span.rail_first.begin(), span.rail_first.end(),
+                     span.rail_first.begin());
+    span.bits.resize(span.rail_first.back());
+    std::vector<std::uint32_t> next(span.rail_first.begin(),
+                                    span.rail_first.end() - 1);
+    for (std::uint32_t d = 0; d < checked.data_width; ++d)
+      if (rail_of[d] >= 0)
+        span.bits[next[static_cast<std::size_t>(rail_of[d])]++] = d;
+    checked.checkpoint_spans.push_back(std::move(span));
   };
 
   // Encoders: load each rail with the XOR of its group's input data

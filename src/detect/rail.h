@@ -43,17 +43,14 @@
 // Checkpoints are recorded op positions; the online checker of the
 // packed engine (detect/checked_mc.h, which also runs the single
 // checked runs and censuses of detect/checker.h) evaluates every I_r
-// there without adding gates, and reports which rail fired. Optionally the transform also
-// *embeds* checker sub-circuits built from the existing CNOT
-// primitive, which copy the XOR of all rail invariants into dedicated
-// check bits so detection is visible in the circuit's own outputs
-// (the gate-level construction of arXiv:1008.3340; the embedded bits
-// observe the combined invariant, not the per-rail split).
+// there without adding gates, and reports which rail fired. A checked
+// circuit is therefore its data bits plus one rail per group and
+// nothing else: every observation is an online read, never a gate.
 //
 // Detection is weaker than correction: a corruption of even weight
 // *within every group* leaves all I_r unchanged, and a fault inside a
 // compensated group of ops can be absorbed by its own compensation
-// gate (the checker hardware computes with the corrupted values).
+// gate (the rail hardware computes with the corrupted values).
 // Those escapes are exactly the `silent_failures` the detection
 // Monte-Carlo measures; for circuits of parity-preserving gates every
 // corruption that is odd in some group is provably caught (see
@@ -100,11 +97,6 @@ struct ParityRailOptions {
   /// subset, so every rail invariant holds on every state regardless
   /// of the partition's geometry.
   std::vector<std::vector<std::uint32_t>> rail_partition;
-  /// Also synthesize a checker sub-circuit per checkpoint: CNOTs that
-  /// fold every data rail plus every parity rail into a dedicated
-  /// check bit, which ideally stays 0 (the combined invariant — the
-  /// per-rail split is an online-checker refinement).
-  bool embed_checkers = false;
   /// Bits promised zero at circuit entry (a §3 machine's ancilla
   /// cells). The transform propagates zero-ness exactly through every
   /// gate kind and elides the encoder/compensation gates whose parity
@@ -213,9 +205,6 @@ bool migrate_membership(const Gate& g, std::span<int> rail_of);
 struct CheckedCircuit {
   Circuit circuit;
   std::uint32_t data_width = 0;   ///< original width; data rails are [0, data_width)
-  /// First rail's bit (== data_width). With the default one-group
-  /// partition this is THE parity rail; rails[] is the general story.
-  std::uint32_t parity_rail = 0;
   /// The rail partition: one entry per group, rail bits at
   /// [data_width, data_width + rails.size()).
   std::vector<RailInfo> rails;
@@ -236,30 +225,26 @@ struct CheckedCircuit {
   /// (before fusion; the transform's exact "not free" count — SWAPs
   /// never compensate, elided deltas don't count).
   std::uint64_t compensated_ops = 0;
-  /// One check bit per checkpoint when embed_checkers was set.
-  std::vector<std::uint32_t> check_bits;
-  /// For each ORIGINAL op, its position in `circuit` (compensation and
-  /// checker gates shift positions; this is the composition map layers
+  /// For each ORIGINAL op, its position in `circuit` (compensation
+  /// gates shift positions; this is the composition map layers
   /// above need to attach checks to construction landmarks).
   std::vector<std::size_t> source_position;
   /// Clean-cell checkpoints, sorted by op_index (see add_zero_check).
   std::vector<ZeroCheck> zero_checks;
   /// Added-gate accounting: encoder + compensation (summed over
-  /// rails[].rail_ops) vs checker CNOTs.
+  /// rails[].rail_ops).
   std::uint64_t rail_ops = 0;
-  std::uint64_t checker_ops = 0;
 };
 
 /// Rewrite `circuit` into parity-rail form. The input must have
 /// width >= 1; its gates keep their bit positions, the rails are
-/// appended at index width (one per partition group, partition order),
-/// check bits (if any) after them. Inputs enter with the rails and
-/// check bits zero — see widen_input.
+/// appended at index width (one per partition group, partition order).
+/// Inputs enter with the rails zero — see widen_input.
 CheckedCircuit to_parity_rail(const Circuit& circuit,
                               const ParityRailOptions& opts = {});
 
 /// Lift a data-width input state to the checked circuit's width (rails
-/// and check bits zeroed).
+/// zeroed).
 StateVector widen_input(const CheckedCircuit& checked,
                         const StateVector& data_input);
 
@@ -280,7 +265,7 @@ std::vector<std::vector<std::uint32_t>> partition_into_blocks(
 /// run every bit of `bits` is zero once that op has executed, so a
 /// nonzero bit there is proof of a fault. Checks must be registered in
 /// nondecreasing source order; bits must be data rails (< data_width —
-/// the rails and check bits have their own invariants).
+/// the rails have their own invariants).
 void add_zero_check(CheckedCircuit& checked, std::size_t source_op,
                     std::vector<std::uint32_t> bits);
 

@@ -11,12 +11,10 @@
 namespace revft {
 
 detect::DetectionCensus checked_maj_cycle_census(
-    bool embed_checkers,
     const std::vector<std::vector<std::uint32_t>>& rail_partition) {
   const EcStage stage = make_fig2_ec(/*with_init=*/true);
   detect::ParityRailOptions opts;
   opts.check_every = 1;
-  opts.embed_checkers = embed_checkers;
   opts.rail_partition = rail_partition;
   const auto checked = detect::to_parity_rail(stage.circuit, opts);
 
@@ -112,8 +110,8 @@ DetectVsCorrectExperiment::DetectVsCorrectExperiment(
              ops_per_round_det));
   const Circuit detection_chain = repeat_rounds(round, detection_rounds_);
   checked_ = detect::to_parity_rail(detection_chain, rail_opts);
-  // Data rails 0..2 carry the logical bits in and out; the rail and
-  // any check bits stay zero.
+  // Data rails 0..2 carry the logical bits in and out; the rail enters
+  // zero.
   detection_kernel_ = make_circuit_kernel(detection_chain);
 }
 

@@ -61,14 +61,12 @@ struct DetectVsCorrectPoint {
 /// ctest gate) and bench_detect (the printed table) so the two cannot
 /// drift apart: exhaustive single-fault classification of the
 /// parity-checked Fig 2 MAJ recovery cycle (checkpoint after every op
-/// group; optionally with embedded checker sub-circuits), over both
-/// logical inputs, where "error" means the recovered codeword
-/// majority-decodes wrong. fault_secure() must hold. `rail_partition`
-/// selects the rail layout (empty = the classic single rail; the
-/// refinement tests and bench_detect's partition table pass the three
-/// 3-cell majority blocks).
+/// group), over both logical inputs, where "error" means the recovered
+/// codeword majority-decodes wrong. fault_secure() must hold.
+/// `rail_partition` selects the rail layout (empty = the classic single
+/// rail; the refinement tests and bench_detect's partition table pass
+/// the three 3-cell majority blocks).
 detect::DetectionCensus checked_maj_cycle_census(
-    bool embed_checkers,
     const std::vector<std::vector<std::uint32_t>>& rail_partition = {});
 
 /// The machine-level analogue, likewise shared by

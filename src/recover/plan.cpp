@@ -145,9 +145,6 @@ double SegmentPlan::worst_replay_share() const {
 SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
   const Circuit& circuit = checked.circuit;
   REVFT_CHECK_MSG(!circuit.empty(), "build_segment_plan: empty circuit");
-  REVFT_CHECK_MSG(checked.check_bits.empty(),
-                  "build_segment_plan: embedded checker bits unsupported "
-                  "(the online engines evaluate checks without gates)");
   REVFT_CHECK_MSG(
       checked.checkpoint_spans.size() == checked.checkpoints.size(),
       "build_segment_plan: checkpoint_spans do not match checkpoints (a "

@@ -110,9 +110,8 @@ struct SegmentPlan {
   double worst_replay_share() const;
 };
 
-/// Build the plan. Requirements: a non-empty checked circuit with no
-/// embedded checker bits (the online engines evaluate checks without
-/// gates), checkpoint_spans aligned with checkpoints (the recovering
+/// Build the plan. Requirements: a non-empty checked circuit,
+/// checkpoint_spans aligned with checkpoints (the recovering
 /// engine evaluates rails from the spans only; to_parity_rail always
 /// builds them), and at most 64 components per segment (the packed
 /// engine names a segment's components in one 64-bit set — always true

@@ -407,7 +407,7 @@ RecoveryEstimate run_recovering_mc_span(
 
 RecoveryEstimate run_scripted_recovering(
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
-    const RetryPolicy& policy, const std::vector<FaultScenario>& scenarios,
+    const RetryPolicy& policy, std::span<const FaultScenario> scenarios,
     unsigned lane_words,
     const std::function<bool(const StateVector&, std::size_t)>& wrong) {
   ScriptedPass script(checked.circuit, checked.data_width, scenarios,

@@ -48,6 +48,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -119,7 +120,7 @@ RecoveryEstimate run_recovering_mc_span(
 /// invalid fault.
 RecoveryEstimate run_scripted_recovering(
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
-    const RetryPolicy& policy, const std::vector<FaultScenario>& scenarios,
+    const RetryPolicy& policy, std::span<const FaultScenario> scenarios,
     unsigned lane_words,
     const std::function<bool(const StateVector&, std::size_t)>& wrong);
 

@@ -40,9 +40,9 @@ struct CleanContext {
   /// First zero check / checkpoint with op_index >= p.
   std::vector<std::size_t> zc_start;
   std::vector<std::size_t> cp_start;
-  /// OR of every clean observable fire at positions >= p (embedded
-  /// check bits included); what a scenario whose deltas all cancelled
-  /// at p still observes downstream.
+  /// OR of every clean observable fire at positions >= p; what a
+  /// scenario whose deltas all cancelled at p still observes
+  /// downstream.
   std::vector<std::uint64_t> clean_fire_suffix;
 
   CleanContext(const detect::CheckedCircuit& c,
@@ -129,10 +129,7 @@ struct CleanContext {
         --cp_start[p];
     }
 
-    std::uint64_t check_bit_fire = 0;
-    for (const std::uint32_t cb : checked.check_bits)
-      check_bit_fire |= clean_exit[cb];
-    clean_fire_suffix.assign(size + 1, check_bit_fire);
+    clean_fire_suffix.assign(size + 1, 0);
     for (std::size_t p = size; p-- > 0;) {
       std::uint64_t fire = clean_fire_suffix[p + 1];
       for (std::size_t z = zc_start[p]; z < zc_start[p + 1]; ++z)
@@ -317,12 +314,6 @@ FaultSecurityCertificate certify_single_faults(
             }
           }
           observe_at(ctx, walk, j, detected);
-        }
-        // Embedded check bits (end-of-run observation).
-        for (const std::uint32_t cb : checked.check_bits) {
-          std::uint64_t fire = ctx.clean_exit[cb];
-          if (walk.is_dirty[cb]) fire ^= walk.dvals[cb];
-          detected |= fire;
         }
         // Wrongness: any codeword whose faulted majority decodes away
         // from the clean one.

@@ -10,7 +10,7 @@
 // packed in a word — through the circuit's GF(2) gate algebra (the
 // per-kind ANF of rev/gate.h), and evaluates every downstream
 // observable (zero checks, rail invariants at their migrated
-// memberships, embedded check bits) and the majority-decoded output
+// memberships) and the majority-decoded output
 // codewords on every input at once. The sparse walk touches only ops
 // that read a damaged cell, and exact cancellation retires deltas the
 // construction absorbs (a recovery MAJ fed a uniform codeword with one

@@ -141,7 +141,7 @@ DataflowResult analyze_dataflow(const Circuit& circuit,
 std::vector<Poly> identity_entry(std::uint32_t width);
 
 /// Lift a data-width entry binding to a checked circuit's width with
-/// the rails and check bits zero — the symbolic widen_input.
+/// the rails zero — the symbolic widen_input.
 std::vector<Poly> widen_entry(const detect::CheckedCircuit& checked,
                               const std::vector<Poly>& data_entry);
 

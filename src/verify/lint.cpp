@@ -251,11 +251,7 @@ LintReport lint_checked_circuit(const detect::CheckedCircuit& checked,
   LintReport report;
   lint_coverage(checked, report);
   lint_dataflow(checked, data_entry, opts, report);
-  const bool membership_ok = lint_membership(checked, report);
-  // The segment-plan pass (kGluedReplayComponents) skips circuits with
-  // embedded checker bits, which build_segment_plan rejects.
-  if (membership_ok && checked.check_bits.empty())
-    lint_replay(checked, report);
+  if (lint_membership(checked, report)) lint_replay(checked, report);
   return report;
 }
 

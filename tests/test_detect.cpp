@@ -142,24 +142,6 @@ TEST(DetectRail, DataSemanticsPreserved) {
   }
 }
 
-// Embedded checker sub-circuits reproduce the observer checkpoints: a
-// check bit ends set exactly when I != 0 at its checkpoint.
-TEST(DetectRail, EmbeddedCheckersStayZeroIdeally) {
-  Xoshiro256 rng(0xc0de);
-  const Circuit c = random_circuit(rng, 4, 16);
-  detect::ParityRailOptions opts;
-  opts.check_every = 4;
-  opts.embed_checkers = true;
-  const auto checked = detect::to_parity_rail(c, opts);
-  EXPECT_EQ(checked.check_bits.size(), checked.checkpoints.size());
-  EXPECT_GT(checked.checker_ops, 0u);
-  for (unsigned input = 0; input < 16; ++input) {
-    const auto run = detect::checked_run(checked, StateVector(4, input));
-    EXPECT_FALSE(run.detected);
-    for (auto cb : checked.check_bits) EXPECT_EQ(run.state.bit(cb), 0);
-  }
-}
-
 // The detection guarantee of the parity-preserving gate set
 // (arXiv:1008.3340): for ops with no rail compensation, every
 // odd-weight corruption is caught — the fault flips the conserved
@@ -199,8 +181,7 @@ TEST(DetectRail, OddWeightFaultsOnParityPreservingOpsAlwaysDetected) {
         if (detect::parity_preserving(g.kind)) {
           for (unsigned v = 0; v < (1u << n); ++v) {
             if (detect::local_parity(v ^ correct, n) != 1u) continue;
-            const auto run =
-                detect::checked_run_with_faults(checked, data, {{op, v}});
+            const auto run = detect::checked_run(checked, data, {{op, v}});
             EXPECT_TRUE(run.detected)
                 << "op " << op << " value " << v << " input " << input;
           }
@@ -230,9 +211,7 @@ TEST(DetectRail, KnownZeroElisionNeedsCoveringZeroChecks) {
 
   // Plain rail: caught at the final checkpoint.
   const auto plain = detect::to_parity_rail(c);
-  EXPECT_TRUE(
-      detect::checked_run_with_faults(plain, input, dirty_swap(plain))
-          .detected);
+  EXPECT_TRUE(detect::checked_run(plain, input, dirty_swap(plain)).detected);
 
   // Elision without zero checks: the cnot's elided compensation
   // cancels the flip — silent, and bit 0 ends corrupted.
@@ -240,7 +219,7 @@ TEST(DetectRail, KnownZeroElisionNeedsCoveringZeroChecks) {
   opts.known_zero = {1, 2};
   const auto elided = detect::to_parity_rail(c, opts);
   const auto elided_run =
-      detect::checked_run_with_faults(elided, input, dirty_swap(elided));
+      detect::checked_run(elided, input, dirty_swap(elided));
   EXPECT_FALSE(elided_run.detected);
   EXPECT_EQ(elided_run.state.bit(0), 0);
 
@@ -248,8 +227,7 @@ TEST(DetectRail, KnownZeroElisionNeedsCoveringZeroChecks) {
   opts.zero_checks = {{0, {1, 2}}};
   const auto guarded = detect::to_parity_rail(c, opts);
   EXPECT_TRUE(
-      detect::checked_run_with_faults(guarded, input, dirty_swap(guarded))
-          .detected);
+      detect::checked_run(guarded, input, dirty_swap(guarded)).detected);
 }
 
 // --- rail partitions -------------------------------------------------
@@ -337,24 +315,6 @@ TEST(DetectRailPartition, InvariantsHoldIdeallyOnRandomCircuits) {
   }
 }
 
-// Embedded checkers under a PARTIAL partition fold only the watched
-// bits: an unwatched bit's honest nonzero value must not trip the
-// check bit (regression — the checker once folded every data bit).
-TEST(DetectRailPartition, EmbeddedCheckersIgnoreUnwatchedBits) {
-  Circuit c(2);
-  c.cnot(0, 1);
-  detect::ParityRailOptions opts;
-  opts.rail_partition = {{0}};  // bit 1 unwatched
-  opts.embed_checkers = true;
-  const auto checked = detect::to_parity_rail(c, opts);
-  for (unsigned input = 0; input < 4; ++input) {
-    const auto run = detect::checked_run(checked, StateVector(2, input));
-    EXPECT_FALSE(run.detected) << "false alarm on fault-free input " << input;
-    for (const auto cb : checked.check_bits)
-      EXPECT_EQ(run.state.bit(cb), 0) << "input " << input;
-  }
-}
-
 TEST(DetectRailPartition, RejectsMalformedPartitions) {
   Circuit c(3);
   c.cnot(0, 1);
@@ -407,9 +367,9 @@ TEST(DetectRailPartition, RefinementDetectsSupersetOnMajCycle) {
     for (std::size_t op = 0; op < stage.circuit.size(); ++op) {
       const unsigned values = 1u << stage.circuit.op(op).arity();
       for (unsigned v = 0; v < values; ++v) {
-        const auto g_run = detect::checked_run_with_faults(
+        const auto g_run = detect::checked_run(
             global_rail, input, {{global_rail.source_position[op], v}});
-        const auto f_run = detect::checked_run_with_faults(
+        const auto f_run = detect::checked_run(
             fine, input, {{fine.source_position[op], v}});
         if (g_run.detected) {
           ++global_detected;
@@ -427,10 +387,10 @@ TEST(DetectRailPartition, RefinementDetectsSupersetOnMajCycle) {
 
 // The one-group default reproduces the PR 2 MAJ-cycle census counts
 // bit-for-bit (the values bench_detect has emitted since PR 2), and
-// the per-majority-block refinement stays fault-secure while
-// detecting at least as much.
+// the per-majority-block refinement is pinned exactly too: it stays
+// fault-secure while detecting at least as much.
 TEST(DetectRailPartition, MajCycleCensusCountsPinned) {
-  const auto census = checked_maj_cycle_census(/*embed_checkers=*/false);
+  const auto census = checked_maj_cycle_census();
   EXPECT_EQ(census.scenarios, 244u);
   EXPECT_EQ(census.benign_skipped, 52u);
   EXPECT_EQ(census.harmless, 96u);
@@ -438,10 +398,18 @@ TEST(DetectRailPartition, MajCycleCensusCountsPinned) {
   EXPECT_EQ(census.detected_harmful, 0u);
   EXPECT_EQ(census.silent_harmful, 0u);
 
-  const auto fine = checked_maj_cycle_census(
-      /*embed_checkers=*/false, detect::partition_into_blocks(9, 3));
+  const auto fine =
+      checked_maj_cycle_census(detect::partition_into_blocks(9, 3));
   EXPECT_TRUE(fine.fault_secure());
   EXPECT_GE(fine.detected(), census.detected());
+  EXPECT_EQ(fine.fault_sites, 32u);
+  EXPECT_EQ(fine.scenarios, 280u);
+  EXPECT_EQ(fine.benign_skipped, 64u);
+  EXPECT_EQ(fine.harmless, 78u);
+  EXPECT_EQ(fine.detected_harmless, 202u);
+  EXPECT_EQ(fine.detected_harmful, 0u);
+  EXPECT_EQ(fine.silent_harmful, 0u);
+  EXPECT_EQ(fine.rail_detected, (std::vector<std::uint64_t>{76, 96, 84}));
 }
 
 // Retry-cost model (post-selection economics): geometric retries at
@@ -552,19 +520,17 @@ TEST(DetectInjection, SkipBenignPrunesExactlyOnePerOp) {
 // --- the acceptance proof: parity-checked MAJ recovery cycle ---------
 
 // Every non-benign single fault in the checked MAJ cycle — including
-// faults on the encoder, compensation and checker gates the transform
-// added — is either detected or corrected by the majority vote.
+// faults on the encoder and compensation gates the transform added —
+// is either detected or corrected by the majority vote.
 // (checked_maj_cycle_census is the one shared definition; bench_detect
 // prints the same census.)
 TEST(DetectCensus, CheckedMajCycleIsFaultSecure) {
-  for (bool embed : {false, true}) {
-    const auto census = checked_maj_cycle_census(embed);
-    EXPECT_GT(census.scenarios, 200u) << "embed=" << embed;
-    EXPECT_GT(census.benign_skipped, 0u) << "embed=" << embed;
-    EXPECT_GT(census.detected(), 0u) << "embed=" << embed;
-    EXPECT_EQ(census.silent_harmful, 0u) << "embed=" << embed;
-    EXPECT_TRUE(census.fault_secure()) << "embed=" << embed;
-  }
+  const auto census = checked_maj_cycle_census();
+  EXPECT_GT(census.scenarios, 200u);
+  EXPECT_GT(census.benign_skipped, 0u);
+  EXPECT_GT(census.detected(), 0u);
+  EXPECT_EQ(census.silent_harmful, 0u);
+  EXPECT_TRUE(census.fault_secure());
 }
 
 // Negative control: an unencoded circuit is NOT fault-secure — some

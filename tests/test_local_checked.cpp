@@ -332,12 +332,12 @@ TEST(CheckedMachineCensus, PerBlockRailsCatchInterleaveFaultsGlobalRailMisses) {
       const GateKind kind = physical.op(op).kind;
       if (kind != GateKind::kSwap && kind != GateKind::kSwap3) continue;
       for (unsigned v = 0; v < (1u << physical.op(op).arity()); ++v) {
-        const auto g_run = detect::checked_run_with_faults(
+        const auto g_run = detect::checked_run(
             global_program.checked, sv,
             {{global_program.checked.source_position[op], v}});
         if (g_run.detected || !wrong(global_program, g_run.state))
           continue;  // not a silent-harmful escape of the global rail
-        const auto b_run = detect::checked_run_with_faults(
+        const auto b_run = detect::checked_run(
             block_program.checked, sv,
             {{block_program.checked.source_position[op], v}});
         if (b_run.detected) {

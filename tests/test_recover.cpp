@@ -281,15 +281,6 @@ TEST(SegmentPlan, StraddlingOpsAreSortedUniqueAndInBounds) {
   EXPECT_GT(total, 0u);  // routing glue exists on this workload
 }
 
-TEST(SegmentPlan, RejectsEmbeddedCheckerBits) {
-  Circuit c(3);
-  c.maj(0, 1, 2).majinv(0, 1, 2);
-  detect::ParityRailOptions opts;
-  opts.embed_checkers = true;
-  const auto checked = detect::to_parity_rail(c, opts);
-  EXPECT_THROW(recover::build_segment_plan(checked), Error);
-}
-
 // The recovering engine evaluates rail checks from checkpoint_spans
 // alone, so a checked circuit whose spans do not match its checkpoints
 // (hand-assembled, not produced by detect::to_parity_rail) is rejected
@@ -652,8 +643,7 @@ TEST(ScriptedRepair, DeferredZeroChecksOnlyAddDetections) {
   std::vector<std::size_t> deferred_ops;
   for (std::size_t i = 0; i < set.scenarios.size(); ++i) {
     const FaultScenario& sc = set.scenarios[i];
-    if (detect::checked_run_with_faults(program.checked, sc.input, sc.faults)
-            .detected) {
+    if (detect::checked_run(program.checked, sc.input, sc.faults).detected) {
       ++census_detected;
       EXPECT_FALSE(accepted[i]) << "census-only detection: " << set.name(i);
     } else if (!accepted[i]) {

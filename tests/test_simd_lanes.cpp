@@ -788,8 +788,6 @@ void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
     }
   }
   sim.apply_noisy_span(state, checked.circuit, pos, end);
-  for (const std::uint32_t cb : checked.check_bits)
-    for (unsigned w = 0; w < W; ++w) detected[w] |= state.words(cb)[w];
 }
 
 TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {

@@ -221,15 +221,15 @@ TEST(VerifyDataflow, MajCycleInvariantsProvenStatically) {
   // carry the logical bit — one equality class; the six syndrome
   // cells are proven clean.
   const auto& exit = df.flow.exit_state();
+  const std::uint32_t rail_bit = fix.checked.rails[0].rail_bit;
   for (const std::uint32_t bit : fix.stage.after.data)
     EXPECT_EQ(exit[bit], Poly::var(0)) << "cell " << bit;
-  EXPECT_EQ(exit[fix.checked.parity_rail], Poly::var(0));
+  EXPECT_EQ(exit[rail_bit], Poly::var(0));
   const auto zeros = df.flow.zero_cells();
   EXPECT_EQ(zeros.size(), 6u);  // the syndrome cells
   const auto classes = df.flow.equal_classes();
   ASSERT_EQ(classes.size(), 1u);
-  EXPECT_EQ(classes[0],
-            (std::vector<std::uint32_t>{0, 3, 6, fix.checked.parity_rail}));
+  EXPECT_EQ(classes[0], (std::vector<std::uint32_t>{0, 3, 6, rail_bit}));
 }
 
 // --- certifier -------------------------------------------------------
@@ -251,8 +251,7 @@ TEST(VerifyCertify, MajCycleCertificateEqualsCensus) {
       verify::certify_single_faults(fix.checked, fix.inputs, fix.codewords());
   EXPECT_TRUE(cert.statically_secure());
   EXPECT_TRUE(cert.insecure_examples.empty());
-  expect_census_counts_eq(checked_maj_cycle_census(/*embed_checkers=*/false),
-                          cert.counts);
+  expect_census_counts_eq(checked_maj_cycle_census(), cert.counts);
 }
 
 TEST(VerifyCertify, MajCyclePartitionedCertificateAgreesToo) {
@@ -261,13 +260,12 @@ TEST(VerifyCertify, MajCyclePartitionedCertificateAgreesToo) {
   const CycleFixture fix(blocks);
   const auto cert =
       verify::certify_single_faults(fix.checked, fix.inputs, fix.codewords());
-  expect_census_counts_eq(checked_maj_cycle_census(false, blocks),
-                          cert.counts);
+  expect_census_counts_eq(checked_maj_cycle_census(blocks), cert.counts);
 }
 
 /// The certificate's contract on a machine program: census ==
 /// certificate field by field, and every kept counterexample replays
-/// through checked_run_with_faults as silent and harmful.
+/// through checked_run as silent and harmful.
 verify::FaultSecurityCertificate expect_machine_certificate_agrees(
     const CheckedMachineProgram& program, const Circuit& logical) {
   const auto cert = verify::certify_machine_program(program, logical);
@@ -279,7 +277,7 @@ verify::FaultSecurityCertificate expect_machine_certificate_agrees(
                 cert.counts.silent_harmful,
                 verify::FaultSecurityCertificate::kMaxInsecureExamples));
   for (const auto& ex : cert.insecure_examples) {
-    const auto run = detect::checked_run_with_faults(
+    const auto run = detect::checked_run(
         program.checked, machine_data_input(program, ex.input), {ex.fault});
     EXPECT_FALSE(run.detected) << "op " << ex.fault.op_index << " input "
                                << ex.input;
@@ -370,8 +368,7 @@ TEST(VerifyCertify, UnarmedOptionCombinationsAgreeWithCensus) {
 /// One single-fault checked run on the scalar simulator, written apart
 /// from the packed walker the census uses: op `fault.op_index` has its
 /// operands overwritten instead of applied, zero checks are read right
-/// after their op, rail invariants at every checkpoint and embedded
-/// check bits at the end.
+/// after their op, rail invariants at every checkpoint.
 detect::CheckedRunResult scalar_checked_run(
     const detect::CheckedCircuit& checked, const StateVector& data_input,
     const FaultSpec& fault) {
@@ -406,8 +403,6 @@ detect::CheckedRunResult scalar_checked_run(
           run.detected = true;
         }
   }
-  for (const std::uint32_t bit : checked.check_bits)
-    if (state.bit(bit) != 0) run.detected = true;
   return run;
 }
 
@@ -454,15 +449,6 @@ TEST(VerifyCensus, PackedCensusMatchesScalarReference) {
     return (sum >= 2) != (input != 0);
   };
   expect_packed_census_matches_scalar(fix.checked, fix.inputs, is_error);
-
-  // With embedded checkers, so the end-of-run check bits count too.
-  detect::ParityRailOptions embedded;
-  embedded.check_every = 1;
-  embedded.embed_checkers = true;
-  const auto with_checkers =
-      detect::to_parity_rail(fix.stage.circuit, embedded);
-  ASSERT_FALSE(with_checkers.check_bits.empty());
-  expect_packed_census_matches_scalar(with_checkers, fix.inputs, is_error);
 
   // The checked 1D machine: several rails, membership migrated by
   // SWAP/SWAP3 routing, zero checks between rail checkpoints.
