@@ -1,15 +1,30 @@
 // revft/detect/checked_mc.h
 //
 // Online error detection inside the packed Monte-Carlo engine. A
-// checked circuit is applied noisily gate by gate; at every recorded
-// checkpoint every rail invariant I_r = rail_r ^ XOR(group_r) is
-// evaluated for all 64 * lane_words lanes at once — one word XOR per
-// group member plus one OR into the running `detected` mask, so a full
-// partition's checkpoint costs the same word work as the classic
-// single rail (the groups tile the data bits), and the per-rail fired
-// masks come out as a byproduct. The rail and zero-check evaluators
-// (detail::rail_invariant_words, detail::zero_check_words) are the
-// only packed ones; the recovering engine calls them too.
+// checked batch runs in three steps: draw, compact, walk.
+//
+//   draw    — the simulator draws the whole circuit's gate failures
+//             up front (PackedSimulator::draw_faults: the RNG words
+//             and order of a per-op noisy walk; a ScriptedPass hands
+//             over its scripted faults in the same FaultEvent shape).
+//   compact — the live lanes that drew a fault, plus one sentinel
+//             lane, are gathered into the narrowest lane width that
+//             holds them (detail::CheckedBatchWalk); the other lanes
+//             are never walked.
+//   walk    — the ideal gate kernels run with the events injected,
+//             routing folded into a renaming of cells to slots
+//             (WalkIndex, detect/rail.h), merged with the checks: at
+//             every recorded checkpoint every rail invariant
+//             I_r = rail_r ^ XOR(group_r) is evaluated for all lanes
+//             at once — one word XOR per group member plus one OR into
+//             the running `detected` mask, so a full partition's
+//             checkpoint costs the same word work as the classic
+//             single rail (the groups tile the data bits), and the
+//             per-rail fired masks come out as a byproduct.
+//
+// The rail and zero-check evaluators (detail::rail_invariant_words,
+// detail::zero_check_words) are the only packed ones; the recovering
+// engine calls them too.
 //
 // The detected masks are threaded through the thread-sharded engine
 // (noise/parallel_mc.h): every trial is classified into one of four
@@ -33,6 +48,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -149,27 +165,51 @@ struct DetectionEstimate {
   bool operator==(const DetectionEstimate&) const = default;
 };
 
-/// Apply checked.circuit noisily to a state of any lane_words() and
-/// write the per-lane detected mask: `detected` points at lane_words
-/// words, and bit t of lane word w is set when some checkpoint saw a
-/// rail invariant violated in lane 64w + t, or some ZeroCheck saw a
-/// nonzero bit there. `fired_masks` (nullable) points at
-/// (rails.size() + 1) * lane_words words laid out rail-major —
+namespace detail {
+
+/// The checked walk of `state`'s every lane: the ops of
+/// checked.circuit through the ideal gate kernels, each of `events`
+/// (in op order, lane words of `state`) injected right after its op,
+/// merged with the zero checks and rail checkpoints, routing run as
+/// checked.walk's renaming. Writes the masks as
+/// apply_noisy_checked_words documents. Throws revft::Error on a width
+/// mismatch, on spans that do not align with the checkpoints or on a
+/// stale checked.walk.
+void walk_checked(PackedState& state, const CheckedCircuit& checked,
+                  std::span<const FaultEvent> events, std::uint64_t* detected,
+                  std::uint64_t* fired_masks);
+
+}  // namespace detail
+
+/// Apply checked.circuit noisily to every lane of a state of any
+/// lane_words() and write the per-lane detected mask: `detected` points
+/// at lane_words words, and bit t of lane word w is set when some
+/// checkpoint saw a rail invariant violated in lane 64w + t, or some
+/// ZeroCheck saw a nonzero bit there. `fired_masks` (nullable) points
+/// at (rails.size() + 1) * lane_words words laid out rail-major —
 /// fired_masks[r * lane_words + w] is rail r's fired mask for lane
 /// word w, with the zero-check masks in the last slot group, so the
-/// combined mask is the OR of every slot. Consumes RNG
-/// identically for a fixed simulator state, so the sharded determinism
-/// contract carries over. Rail checkpoints are evaluated off
-/// CheckedCircuit::checkpoint_spans; a circuit whose spans do not align
-/// with its checkpoints (only a hand-assembled one — to_parity_rail
-/// records one per checkpoint) is rejected. `sim` is a PackedSimulator,
-/// or a ScriptedPass (noise/injection.h) whose first pass injects its
-/// batch's scripted faults; checked_mc.cpp instantiates both.
+/// combined mask is the OR of every slot. The circuit's faults are
+/// drawn first (sim.draw_faults), then walked (detail::walk_checked);
+/// the RNG words consumed and the final state are those of a per-op
+/// noisy walk, so the sharded determinism contract carries over. Rail
+/// checkpoints are evaluated off CheckedCircuit::checkpoint_spans; a
+/// circuit whose spans do not align with its checkpoints (only a
+/// hand-assembled one — to_parity_rail records one per checkpoint) is
+/// rejected, as is one whose WalkIndex does not match it. `sim`
+/// is a PackedSimulator, or a ScriptedPass (noise/injection.h) whose
+/// events are its batch's scripted faults.
 template <typename Sim>
 void apply_noisy_checked_words(Sim& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
-                               std::uint64_t* fired_masks = nullptr);
+                               std::uint64_t* fired_masks = nullptr) {
+  detail::walk_checked(state, checked,
+                       sim.draw_faults(checked.circuit, checked.walk.kinds, 0,
+                                       checked.circuit.size(),
+                                       state.lane_words()),
+                       detected, fired_masks);
+}
 
 /// The one fault walker: each scenario (data-width input) runs in its
 /// own lane of the checked walk above, 64 * lane_words per batch, with
@@ -215,19 +255,91 @@ inline void zero_check_words(const PackedState& state,
   }
 }
 
+/// One checked batch: draw, then walk only the lanes that need it.
+/// run() draws the batch's faults and walks the dirty lanes — the live
+/// lanes that drew a fault; every live lane of a ScriptedPass — plus
+/// the sentinel, the lowest live lane that is not dirty. Those lanes
+/// are gathered into the narrowest valid width that holds them and
+/// walked there, or walked in place when that is the batch's own
+/// width; their detected and fired masks and final values are then
+/// scattered back to their lane positions. The gather reads only the
+/// cells prepare set in a walked lane, the scatter writes only the
+/// cells the walk changed.
+class CheckedBatchWalk {
+ public:
+  CheckedBatchWalk(const CheckedCircuit& checked, unsigned lane_words);
+
+  /// Draws over the whole circuit (after prepare, so the RNG stream is
+  /// that of the per-op walk) and walks; `state` then holds the final
+  /// values of the walked lanes.
+  template <typename Sim>
+  void run(Sim& sim, PackedState& state, const LaneMask& live) {
+    const std::span<const FaultEvent> events =
+        sim.draw_faults(checked_.circuit, checked_.walk.kinds, 0,
+                        checked_.circuit.size(), lane_words_);
+    // A ScriptedPass lane is a scenario its caller judges, faulty or
+    // not (a certifier's clean runs are exactly the fault-free ones);
+    // only a sampled batch skips its fault-free lanes.
+    LaneMask dirty = live;
+    if constexpr (!std::is_same_v<Sim, ScriptedPass>) {
+      dirty.clear();
+      for (const FaultEvent& e : events) dirty.word(e.word) |= e.mask;
+      dirty &= live;
+    }
+    walk(state, events, live, dirty);
+  }
+
+  /// The dirty lanes plus the sentinel: the lanes judged.
+  const LaneMask& walked() const noexcept { return walked_; }
+  /// Walked lanes in which some check fired.
+  const LaneMask& detected() const noexcept { return detected_; }
+  /// Lane word w of slot r's fired lanes (r < rails: rail r; r ==
+  /// rails: the zero checks), within walked().
+  std::uint64_t fired(std::size_t slot, unsigned w) const {
+    return fired_[slot * lane_words_ + w];
+  }
+  /// Throws revft::Error naming the lane when the sentinel fired a
+  /// check or is in `wrong` — the premise that lets the span loop skip
+  /// the fault-free lanes does not hold.
+  void check_sentinel(const LaneMask& wrong, std::uint64_t batch) const;
+
+ private:
+  void walk(PackedState& state, std::span<const FaultEvent> events,
+            const LaneMask& live, const LaneMask& dirty);
+  void walk_compact(PackedState& state, std::span<const FaultEvent> events,
+                    unsigned compact_words);
+
+  const CheckedCircuit& checked_;
+  unsigned lane_words_;
+  LaneMask walked_;
+  LaneMask detected_;
+  std::vector<std::uint64_t> fired_;  // fired_[slot * W + w]
+  int sentinel_ = -1;
+};
+
 /// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
-/// batching, lane accounting and judge (revft::detail::judge_lanes, once
-/// per batch over the counted lanes), but every trial lands in one of
-/// the four DetectionEstimate buckets, each a popcount of the wrong and
-/// detected masks. `sim` is a PackedSimulator, or run_scripted_checked's
-/// ScriptedPass.
+/// batching, lane accounting and judge (revft::detail::judge_lanes,
+/// once per batch), but every trial lands in one of the four
+/// DetectionEstimate buckets, each a popcount of the wrong and
+/// detected masks. `sim` is a PackedSimulator, or
+/// run_scripted_checked's ScriptedPass.
+///
+/// Which lanes are walked: prepare still fills every lane, so the RNG
+/// stream is unchanged, but CheckedBatchWalk walks and the judge reads
+/// only the live lanes that drew a fault and the sentinel. The others
+/// tally as accepted, correct and undetected: a fault-free run of a
+/// checked circuit never fires a check, and its output is the ideal
+/// one. That premise is checked, not assumed: when the sentinel fires
+/// a check or is judged wrong, the engine throws revft::Error. A
+/// ScriptedPass batch walks and judges every scenario lane.
 ///
 /// `trace` (nullable) receives, through telemetry::SpanEvents, the
 /// per-rail fired lane masks as kRailFired events, the zero-check
 /// fired masks as kZeroCheckFired events (one per nonzero lane word)
-/// and one kBatchAccept per batch lane word. Events fire at most once
-/// per (batch, rail, word), so the stream is bounded by the batch
-/// count; the counts live in the returned estimate only.
+/// and one kBatchAccept per batch lane word, all at the lanes' batch
+/// positions. Events fire at most once per (batch, rail, word), so the
+/// stream is bounded by the batch count; the counts live in the
+/// returned estimate only.
 template <typename Sim, typename PrepareFn, typename ClassifyFn>
 DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
                                       const CheckedCircuit& checked,
@@ -241,9 +353,7 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
   const telemetry::SpanEvents events(trace);
   const unsigned lane_words = state.lane_words();
   const std::uint64_t lanes_per_batch = 64ULL * lane_words;
-  LaneMask detected(lane_words);
-  // Per-rail fired masks, then the zero checks': fired[r*W + w].
-  std::vector<std::uint64_t> fired((rails + 1) * lane_words, 0);
+  CheckedBatchWalk walk(checked, lane_words);
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;
   for (std::uint64_t b = 0; b < batches; ++b) {
@@ -254,22 +364,22 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
             : lanes_per_batch;
     state.clear();
     prepare(state, sim.rng(), batch);
-    apply_noisy_checked_words(sim, state, checked, detected.data(),
-                              fired.data());
     const LaneMask live = LaneMask::first_n(lane_words, lanes_this_batch);
+    walk.run(sim, state, live);
     const LaneMask wrong =
-        revft::detail::judge_lanes(classify, state, batch, live);
-    const LaneMask detected_live = detected & live;
+        revft::detail::judge_lanes(classify, state, batch, walk.walked());
+    walk.check_sentinel(wrong, batch);
+    const LaneMask& detected = walk.detected();
     est.trials += lanes_this_batch;
-    est.detected += detected_live.popcount();
-    est.detected_failures += (wrong & detected_live).popcount();
+    est.detected += detected.popcount();
+    est.detected_failures += (wrong & detected).popcount();
     est.silent_failures += LaneMask(wrong).remove(detected).popcount();
     if (detected.any()) {
       // Rails first, then the zero checks (slot `rails`).
       for (std::size_t r = 0; r <= rails; ++r) {
-        LaneMask lanes = live;
+        LaneMask lanes(lane_words);
         for (unsigned w = 0; w < lane_words; ++w)
-          lanes.word(w) &= fired[r * lane_words + w];
+          lanes.word(w) = walk.fired(r, w);
         if (r < rails) {
           est.rail_detected[r] += lanes.popcount();
           events.emit_words(telemetry::EventKind::kRailFired, batch, lanes, 0,

@@ -74,6 +74,7 @@ PairCensusResult pair_fault_census(
   CheckedCircuit plain;
   plain.circuit = circuit;
   plain.data_width = circuit.width();
+  index_walk(plain);
   const std::size_t inputs = prepared_inputs.size();
   PairCensusResult result;
   std::vector<FaultScenario> batch;

@@ -272,6 +272,27 @@ bool migrate_membership(const Gate& g, std::span<int> rail_of) {
   return true;
 }
 
+namespace {
+
+/// add_zero_check without the re-index (to_parity_rail indexes once,
+/// at the end).
+void push_zero_check(CheckedCircuit& checked, std::size_t source_op,
+                     std::vector<std::uint32_t> bits) {
+  REVFT_CHECK_MSG(source_op < checked.source_position.size(),
+                  "add_zero_check: source op " << source_op << " out of range");
+  REVFT_CHECK_MSG(!bits.empty(), "add_zero_check: no bits");
+  for (const std::uint32_t b : bits)
+    REVFT_CHECK_MSG(b < checked.data_width,
+                    "add_zero_check: bit " << b << " is not a data rail");
+  const std::size_t pos = checked.source_position[source_op];
+  REVFT_CHECK_MSG(
+      checked.zero_checks.empty() || checked.zero_checks.back().op_index <= pos,
+      "add_zero_check: checks must be registered in source order");
+  checked.zero_checks.push_back({pos, std::move(bits)});
+}
+
+}  // namespace
+
 CheckedCircuit to_parity_rail(const Circuit& circuit,
                               const ParityRailOptions& opts) {
   REVFT_CHECK_MSG(circuit.width() >= 1, "to_parity_rail: empty circuit");
@@ -423,7 +444,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
     while (next_zero_check < opts.zero_checks.size() &&
            opts.zero_checks[next_zero_check].op_index == i) {
       const ZeroCheck& check = opts.zero_checks[next_zero_check];
-      add_zero_check(checked, i, check.bits);
+      push_zero_check(checked, i, check.bits);
       zero.assert_zero(check.bits);
       ++next_zero_check;
     }
@@ -437,6 +458,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
   for (std::uint32_t r = 0; r < n_rails; ++r)
     checked.rails[r].rail_ops = per_rail_ops[r];
   checked.circuit = std::move(out);
+  index_walk(checked);
   return checked;
 }
 
@@ -470,17 +492,78 @@ std::vector<std::vector<std::uint32_t>> partition_into_blocks(
 
 void add_zero_check(CheckedCircuit& checked, std::size_t source_op,
                     std::vector<std::uint32_t> bits) {
-  REVFT_CHECK_MSG(source_op < checked.source_position.size(),
-                  "add_zero_check: source op " << source_op << " out of range");
-  REVFT_CHECK_MSG(!bits.empty(), "add_zero_check: no bits");
-  for (const std::uint32_t b : bits)
-    REVFT_CHECK_MSG(b < checked.data_width,
-                    "add_zero_check: bit " << b << " is not a data rail");
-  const std::size_t pos = checked.source_position[source_op];
+  push_zero_check(checked, source_op, std::move(bits));
+  index_walk(checked);
+}
+
+void index_walk(CheckedCircuit& checked) {
+  const Circuit& c = checked.circuit;
   REVFT_CHECK_MSG(
-      checked.zero_checks.empty() || checked.zero_checks.back().op_index <= pos,
-      "add_zero_check: checks must be registered in source order");
-  checked.zero_checks.push_back({pos, std::move(bits)});
+      checked.checkpoint_spans.size() == checked.checkpoints.size(),
+      "index_walk: checkpoint_spans do not match checkpoints");
+  WalkIndex x;
+  x.kinds = KindIndex(c);
+  // slot[cell]: the slot holding the cell after the ops so far.
+  std::vector<std::uint32_t> slot(c.width());
+  for (std::uint32_t i = 0; i < c.width(); ++i) slot[i] = i;
+  const std::size_t rails = checked.rails.size();
+  std::size_t zi = 0, ci = 0;
+  x.slot_ops.reserve(c.size());
+  x.data_ops.reserve(c.size());
+  x.data_ops_before.reserve(c.size() + 1);
+  x.data_ops_before.push_back(0);
+  x.zero_start.push_back(0);
+  x.rail_start.push_back(0);
+  const std::vector<Gate>& ops = c.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const auto& b = ops[i].bits;
+    if (ops[i].kind == GateKind::kSwap) {
+      std::swap(slot[b[0]], slot[b[1]]);
+    } else if (ops[i].kind == GateKind::kSwap3) {
+      // Left rotation: cell a takes cell b's value, b takes c's, c a's.
+      const std::uint32_t first = slot[b[0]];
+      slot[b[0]] = slot[b[1]];
+      slot[b[1]] = slot[b[2]];
+      slot[b[2]] = first;
+    }
+    Gate g = ops[i];
+    const auto arity = static_cast<std::size_t>(g.arity());
+    for (std::size_t k = 0; k < arity; ++k) g.bits[k] = slot[b[k]];
+    x.slot_ops.push_back(g);
+    if (g.kind != GateKind::kSwap && g.kind != GateKind::kSwap3)
+      x.data_ops.push_back(g);
+    x.data_ops_before.push_back(static_cast<std::uint32_t>(x.data_ops.size()));
+    for (; zi < checked.zero_checks.size() &&
+           checked.zero_checks[zi].op_index == i;
+         ++zi) {
+      for (const std::uint32_t cell : checked.zero_checks[zi].bits)
+        x.zero_bits.push_back(slot[cell]);
+      x.zero_start.push_back(static_cast<std::uint32_t>(x.zero_bits.size()));
+    }
+    for (; ci < checked.checkpoints.size() && checked.checkpoints[ci] == i;
+         ++ci)
+      for (std::size_t r = 0; r < rails; ++r) {
+        x.rail_bits.push_back(slot[checked.rails[r].rail_bit]);
+        for (const std::uint32_t cell : checked.checkpoint_spans[ci].group(r))
+          x.rail_bits.push_back(slot[cell]);
+        x.rail_start.push_back(static_cast<std::uint32_t>(x.rail_bits.size()));
+      }
+  }
+  REVFT_CHECK_MSG(zi == checked.zero_checks.size() &&
+                      ci == checked.checkpoints.size(),
+                  "index_walk: checks must be sorted, each after an op of "
+                  "the circuit");
+  std::vector<char> seen(c.width(), 0);
+  x.cycle_start.push_back(0);
+  for (std::uint32_t start = 0; start < c.width(); ++start) {
+    if (seen[start] != 0 || slot[start] == start) continue;
+    for (std::uint32_t cell = start; seen[cell] == 0; cell = slot[cell]) {
+      seen[cell] = 1;
+      x.cycles.push_back(cell);
+    }
+    x.cycle_start.push_back(static_cast<std::uint32_t>(x.cycles.size()));
+  }
+  checked.walk = std::move(x);
 }
 
 StateVector widen_input(const CheckedCircuit& checked,

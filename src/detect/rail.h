@@ -200,6 +200,35 @@ inline int rail_invariant(const StateVector& state, std::uint32_t rail_bit,
 /// SWAP3 operand lies outside the data bits (>= rail_of.size()).
 bool migrate_membership(const Gate& g, std::span<int> rail_of);
 
+/// What the checked engine's draw and walk read of a CheckedCircuit,
+/// derived from it once by index_walk instead of per batch.
+///
+/// Routing moves no data in the walk: a SWAP or SWAP3 only renames
+/// which storage slot holds which cell. So the walk runs the other ops
+/// on slots, reads every check's cells and every injected operand
+/// through the renaming in force at its op, and restores cell order at
+/// the end.
+struct WalkIndex {
+  KindIndex kinds;  ///< the circuit's ops by kind, for the fault draw
+  /// Op i with its operands renamed to their slots after op i.
+  std::vector<Gate> slot_ops;
+  /// The ops of slot_ops other than SWAP and SWAP3, in order.
+  std::vector<Gate> data_ops;
+  /// data_ops_before[i]: data_ops among ops [0, i); size ops + 1.
+  std::vector<std::uint32_t> data_ops_before;
+  /// Zero check z's cells as slots: zero_bits[zero_start[z] ..
+  /// zero_start[z + 1]).
+  std::vector<std::uint32_t> zero_bits, zero_start;
+  /// Entry k * rails + r: checkpoint k's rail r as slots — the rail
+  /// bit, then its group: rail_bits[rail_start[e] .. rail_start[e + 1]).
+  std::vector<std::uint32_t> rail_bits, rail_start;
+  /// The cycles of the final renaming: in cycle c0, c1, ... (each cell
+  /// listed once, fixed cells omitted) cell c_i ends in slot c_{i+1},
+  /// and the last cell in slot c0. cycles[cycle_start[k] ..
+  /// cycle_start[k + 1]) is cycle k.
+  std::vector<std::uint32_t> cycles, cycle_start;
+};
+
 /// A circuit rewritten into parity-rail form, plus the bookkeeping the
 /// online checkers need.
 struct CheckedCircuit {
@@ -231,6 +260,9 @@ struct CheckedCircuit {
   std::vector<std::size_t> source_position;
   /// Clean-cell checkpoints, sorted by op_index (see add_zero_check).
   std::vector<ZeroCheck> zero_checks;
+  /// The checked engine's index of everything above (index_walk);
+  /// the engine rejects a circuit whose index does not match it.
+  WalkIndex walk;
   /// Added-gate accounting: encoder + compensation (summed over
   /// rails[].rail_ops).
   std::uint64_t rail_ops = 0;
@@ -268,5 +300,10 @@ std::vector<std::vector<std::uint32_t>> partition_into_blocks(
 /// the rails have their own invariants).
 void add_zero_check(CheckedCircuit& checked, std::size_t source_op,
                     std::vector<std::uint32_t> bits);
+
+/// Rebuilds checked.walk from the circuit, its checkpoints (with their
+/// spans) and its zero checks. to_parity_rail and add_zero_check call
+/// it; a hand-assembled CheckedCircuit must, before a checked run.
+void index_walk(CheckedCircuit& checked);
 
 }  // namespace revft::detect

@@ -50,18 +50,19 @@ ScriptedPass::ScriptedPass(
       out_(circuit.width()) {}
 
 void ScriptedPass::prepare(PackedState& s, std::uint64_t batch) {
-  faults_.clear();
+  events_.clear();
   const std::size_t base = batch * lanes_per_batch_;
   const std::size_t end = std::min(scenarios_.size(), base + lanes_per_batch_);
   for (std::size_t i = base; i < end; ++i) {
     const FaultScenario& sc = scenarios_[i];
-    const int lane = static_cast<int>(i - base);
+    const auto lane = static_cast<std::uint32_t>(i - base);
     REVFT_CHECK_MSG(sc.input.width() == input_width_,
                     "scenario " << i << ": input width " << sc.input.width()
                                 << ", expected " << input_width_);
     for (std::uint32_t bit = 0; bit < input_width_; ++bit)
-      if (sc.input.bit(bit) != 0) s.set_bit_lane(bit, lane, true);
-    const std::size_t lane_first = faults_.size();
+      if (sc.input.bit(bit) != 0)
+        s.set_bit_lane(bit, static_cast<int>(lane), true);
+    const std::size_t lane_first = events_.size();
     for (const FaultSpec& f : sc.faults) {
       REVFT_CHECK_MSG(f.op_index < circuit_.size(),
                       "scenario " << i << ": fault op_index " << f.op_index
@@ -70,33 +71,44 @@ void ScriptedPass::prepare(PackedState& s, std::uint64_t batch) {
           f.corrupted_local < (1u << circuit_.op(f.op_index).arity()),
           "scenario " << i << ": corrupted_local " << f.corrupted_local
                       << " exceeds the arity of op " << f.op_index);
-      for (std::size_t k = lane_first; k < faults_.size(); ++k)
-        REVFT_CHECK_MSG(faults_[k].op != f.op_index,
+      for (std::size_t k = lane_first; k < events_.size(); ++k)
+        REVFT_CHECK_MSG(events_[k].op != f.op_index,
                         "scenario " << i << ": duplicate fault on op "
                                     << f.op_index);
-      faults_.push_back({f.op_index, lane, f.corrupted_local});
+      FaultEvent e{static_cast<std::uint32_t>(f.op_index), lane >> 6,
+                   1ULL << (lane & 63u), {}};
+      for (std::size_t k = 0; k < e.fresh.size(); ++k)
+        e.fresh[k] = ((f.corrupted_local >> k) & 1u) != 0 ? ~0ULL : 0;
+      events_.push_back(e);
     }
   }
-  std::stable_sort(faults_.begin(), faults_.end());
+  std::stable_sort(
+      events_.begin(), events_.end(),
+      [](const FaultEvent& a, const FaultEvent& b) { return a.op < b.op; });
+}
+
+std::span<const FaultEvent> ScriptedPass::events_in(std::size_t first,
+                                                    std::size_t last) const {
+  const auto by_op = [](const FaultEvent& e, std::size_t op) {
+    return e.op < op;
+  };
+  const auto lo =
+      std::lower_bound(events_.begin(), events_.end(), first, by_op);
+  const auto hi = std::lower_bound(lo, events_.end(), last, by_op);
+  return {lo, hi};
+}
+
+std::span<const FaultEvent> ScriptedPass::draw_faults(
+    [[maybe_unused]] const Circuit& c, const KindIndex&, std::size_t first,
+    std::size_t last, unsigned) const {
+  REVFT_DASSERT(&c == &circuit_);
+  return events_in(first, last);
 }
 
 void ScriptedPass::apply_noisy_span(PackedState& s, const Circuit& c,
                                     std::size_t first, std::size_t last) {
   REVFT_DASSERT(&c == &circuit_);
-  auto it = std::lower_bound(faults_.begin(), faults_.end(),
-                             LaneFault{first, 0, 0});
-  std::size_t pos = first;
-  for (; it != faults_.end() && it->op < last; ++it) {
-    if (it->op >= pos) {
-      sim_.apply_noisy_span(s, c, pos, it->op + 1);
-      pos = it->op + 1;
-    }
-    const Gate& g = c.op(it->op);
-    for (int k = 0; k < g.arity(); ++k)
-      s.set_bit_lane(g.bits[static_cast<std::size_t>(k)], it->lane,
-                     ((it->value >> k) & 1u) != 0);
-  }
-  sim_.apply_noisy_span(s, c, pos, last);
+  PackedSimulator::apply_events(s, c, first, last, events_in(first, last));
 }
 
 bool ScriptedPass::classify(const PackedState& s, int lane,

@@ -49,12 +49,22 @@ class ScriptedPass {
                std::span<const FaultScenario> scenarios, unsigned lane_words,
                std::function<bool(const StateVector&, std::size_t)> wrong);
 
-  /// Loads batch `batch` into the cleared state and collects its faults.
-  /// Throws revft::Error naming the scenario on a wrong input width, an
-  /// op out of range, a value >= 2^arity or a second fault on one op.
+  /// Loads batch `batch` into the cleared state and collects its faults
+  /// as FaultEvents (one per scripted fault: its lane, its value's bits
+  /// as the fresh words). Throws revft::Error naming the scenario on a
+  /// wrong input width, an op out of range, a value >= 2^arity or a
+  /// second fault on one op.
   void prepare(PackedState& s, std::uint64_t batch);
-  /// Ops [first, last) of the pass's circuit `c`, each scripted op's
-  /// operands then overwritten in its lane: the engines' first pass.
+  /// The batch's scripted faults on ops [first, last) of the pass's
+  /// circuit `c`, in op order — the same event list
+  /// PackedSimulator::draw_faults draws (the kind index and width are
+  /// its arguments and go unused here).
+  std::span<const FaultEvent> draw_faults(const Circuit& c,
+                                          const KindIndex& index,
+                                          std::size_t first, std::size_t last,
+                                          unsigned lane_words) const;
+  /// Ops [first, last) of `c` with the scripted faults injected: the
+  /// recovering engine's first pass.
   void apply_noisy_span(PackedState& s, const Circuit& c, std::size_t first,
                         std::size_t last);
   /// wrong(lane's final state, scenario index).
@@ -65,21 +75,17 @@ class ScriptedPass {
   Xoshiro256& rng() { return sim_.rng(); }
 
  private:
-  struct LaneFault {
-    std::size_t op;
-    int lane;
-    unsigned value;
-    bool operator<(const LaneFault& o) const { return op < o.op; }
-  };
-
   PackedSimulator sim_{NoiseModel::uniform(0.0), /*seed=*/0};
   const Circuit& circuit_;
   std::uint32_t input_width_;
   std::span<const FaultScenario> scenarios_;
   std::size_t lanes_per_batch_;
   std::function<bool(const StateVector&, std::size_t)> wrong_;
-  std::vector<LaneFault> faults_;  // the current batch's, by op
+  std::vector<FaultEvent> events_;  // the current batch's, by op
   StateVector out_;
+
+  std::span<const FaultEvent> events_in(std::size_t first,
+                                        std::size_t last) const;
 };
 
 /// Run `circuit` on `input`, injecting the given faults (sorted or

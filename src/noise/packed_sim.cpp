@@ -1,7 +1,9 @@
 #include "noise/packed_sim.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "noise/packed_kernels.h"
 #include "support/error.h"
 
 namespace revft {
@@ -26,8 +28,12 @@ BernoulliMaskStream::BernoulliMaskStream(double p, Xoshiro256* rng)
   // so it is already the cheaper one from about p = 0.008 (measured on
   // an x86-64 Xeon). The cutoff stays at 3% so that the estimates
   // pinned at g = 1e-2 and 2e-2 keep their RNG streams.
-  use_geometric_ = p > 0.0 && p < 0.03;
-  if (use_geometric_) {
+  // p = 0 takes the gap path too, with a gap that never runs out, so
+  // a noiseless stream stays on next_masks' inline draw-free branch.
+  use_geometric_ = p < 0.03;
+  if (p == 0.0) {
+    next_index_ = kNeverFails;
+  } else if (use_geometric_) {
     inv_log1m_p_ = 1.0 / std::log1p(-p);
     next_index_ = draw_gap();
   }
@@ -63,11 +69,13 @@ std::uint64_t BernoulliMaskStream::next_mask() {
 }
 
 // The inline fast path (no failure anywhere in the batch) already
-// handled the common case; here at least one lane fails, p is
-// degenerate, or the threshold path is active.
+// handled the common case; here at least one lane fails, p = 1, the
+// threshold path is active, or a noiseless stream's never-failing gap
+// has been counted down (after 2^64 lanes; it is reset).
 void BernoulliMaskStream::next_masks_slow(std::uint64_t* out, unsigned words) {
   if (p_ <= 0.0) {
     for (unsigned w = 0; w < words; ++w) out[w] = 0;
+    next_index_ = kNeverFails;
     return;
   }
   if (p_ >= 1.0) {
@@ -99,162 +107,57 @@ PackedSimulator::PackedSimulator(const NoiseModel& model, std::uint64_t seed)
     streams_.emplace_back(model_.error_for(static_cast<GateKind>(k)), &rng_);
 }
 
-// Gate kernels instantiated per lane width. W is a compile-time
-// constant, so every loop below is a fixed-trip-count word-array op
-// the compiler unrolls and vectorizes (one AVX2 op at W=4, one
-// AVX-512 op at W=8). Gate operands are validated distinct at
-// construction (rev/gate.h make_* helpers), so the per-operand
-// pointers never alias and __restrict__ is sound.
+// The noisy loops, per lane width on top of the ideal kernels
+// (noise/packed_kernels.h).
 template <unsigned W>
-struct PackedKernels {
-  static void ideal_gate(PackedState& state, const Gate& g) {
-    const auto& b = g.bits;
-    switch (g.kind) {
-      case GateKind::kNot: {
-        std::uint64_t* __restrict__ a = state.words(b[0]);
-        for (unsigned w = 0; w < W; ++w) a[w] = ~a[w];
-        return;
-      }
-      case GateKind::kCnot: {
-        const std::uint64_t* __restrict__ c = state.words(b[0]);
-        std::uint64_t* __restrict__ t = state.words(b[1]);
-        for (unsigned w = 0; w < W; ++w) t[w] ^= c[w];
-        return;
-      }
-      case GateKind::kSwap: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t t = x[w];
-          x[w] = y[w];
-          y[w] = t;
-        }
-        return;
-      }
-      case GateKind::kToffoli: {
-        const std::uint64_t* __restrict__ c1 = state.words(b[0]);
-        const std::uint64_t* __restrict__ c2 = state.words(b[1]);
-        std::uint64_t* __restrict__ t = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) t[w] ^= c1[w] & c2[w];
-        return;
-      }
-      case GateKind::kFredkin: {
-        const std::uint64_t* __restrict__ c = state.words(b[0]);
-        std::uint64_t* __restrict__ x = state.words(b[1]);
-        std::uint64_t* __restrict__ y = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t d = c[w] & (x[w] ^ y[w]);
-          x[w] ^= d;
-          y[w] ^= d;
-        }
-        return;
-      }
-      case GateKind::kSwap3: {
-        // Left rotation: new(a,b,c) = (old b, old c, old a).
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t t = x[w];
-          x[w] = y[w];
-          y[w] = z[w];
-          z[w] = t;
-        }
-        return;
-      }
-      case GateKind::kMaj: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          y[w] ^= x[w];
-          z[w] ^= x[w];
-          x[w] ^= y[w] & z[w];
-        }
-        return;
-      }
-      case GateKind::kMajInv: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          x[w] ^= y[w] & z[w];
-          y[w] ^= x[w];
-          z[w] ^= x[w];
-        }
-        return;
-      }
-      case GateKind::kInit3: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          x[w] = 0;
-          y[w] = 0;
-          z[w] = 0;
-        }
-        return;
-      }
-      case GateKind::kF2g: {
-        const std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          y[w] ^= x[w];
-          z[w] ^= x[w];
-        }
-        return;
-      }
-      case GateKind::kNft: {
-        // Lanes with the control set map (b,c) -> (~c, ~b); XORing both
-        // words with ~(b^c) under the control mask does exactly that.
-        const std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t d = x[w] & ~(y[w] ^ z[w]);
-          y[w] ^= d;
-          z[w] ^= d;
-        }
-        return;
-      }
-    }
-  }
+struct NoisyKernels {
+  using K = PackedKernels<W>;
 
-  static void ideal_circuit(PackedState& state, const Circuit& c) {
-    for (const Gate& g : c.ops()) ideal_gate(state, g);
+  /// One op's draw: its W fail masks and, when some lane fails, one
+  /// fresh word per (operand, failing word).
+  struct OpDraw {
+    std::uint64_t fail[W];
+    unsigned failing;           // words with a failing lane
+    unsigned failing_w[W];      // those words, ascending
+    std::uint64_t fresh[3][W];  // fresh[i][f]: operand i, failing_w[f]
+  };
+
+  /// The one per-op draw, shared by noisy_gate and draw_faults: the
+  /// masks from g's kind stream, then — only if some lane fails — the
+  /// fresh words in bit-major order over ascending failing words (at
+  /// W=1 the legacy one-draw-per-touched-bit stream). False when no
+  /// lane fails.
+  static bool draw_op(PackedSimulator& sim, const Gate& g, OpDraw& d) {
+    sim.streams_[static_cast<std::size_t>(g.kind)].next_masks(d.fail, W);
+    std::uint64_t any = 0;
+    for (unsigned w = 0; w < W; ++w) any |= d.fail[w];
+    if (any == 0) return false;
+    std::uint64_t pop = 0;
+    d.failing = 0;
+    for (unsigned w = 0; w < W; ++w) {
+      pop += static_cast<std::uint64_t>(__builtin_popcountll(d.fail[w]));
+      if (d.fail[w] != 0) d.failing_w[d.failing++] = w;
+    }
+    sim.faults_drawn_ += pop;
+    const int n = g.arity();
+    for (int i = 0; i < n; ++i)
+      for (unsigned f = 0; f < d.failing; ++f) d.fresh[i][f] = sim.rng_.next();
+    return true;
   }
 
   static void noisy_gate(PackedSimulator& sim, PackedState& state,
                          const Gate& g) {
-    ideal_gate(state, g);
-    std::uint64_t fail[W];
-    sim.streams_[static_cast<std::size_t>(g.kind)].next_masks(fail, W);
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < W; ++w) any |= fail[w];
-    if (any == 0) return;
-    std::uint64_t pop = 0;
-    // Failing words are sparse (usually exactly one); record them once
-    // so the injection below walks O(failing words) per bit instead of
-    // scanning all W words per bit.
-    unsigned failing = 0;
-    unsigned failing_w[W];
-    for (unsigned w = 0; w < W; ++w) {
-      pop += static_cast<std::uint64_t>(__builtin_popcountll(fail[w]));
-      if (fail[w] != 0) failing_w[failing++] = w;
-    }
-    sim.faults_drawn_ += pop;
+    K::ideal_gate(state, g);
+    OpDraw d;
+    if (!draw_op(sim, g, d)) return;
     // In failed lanes, every touched bit becomes uniformly random —
-    // independent of the correct output, per the paper's model. One
-    // fresh word per (bit, fail word) pair, drawn in bit-major order
-    // over ascending failing words — at W=1 this is exactly the legacy
-    // one-draw-per-touched-bit stream.
+    // independent of the correct output, per the paper's model.
     const int n = g.arity();
     for (int i = 0; i < n; ++i) {
       std::uint64_t* wp = state.words(g.bits[static_cast<std::size_t>(i)]);
-      for (unsigned f = 0; f < failing; ++f) {
-        const unsigned w = failing_w[f];
-        wp[w] = (wp[w] & ~fail[w]) | (sim.rng_.next() & fail[w]);
+      for (unsigned f = 0; f < d.failing; ++f) {
+        const unsigned w = d.failing_w[f];
+        wp[w] = (wp[w] & ~d.fail[w]) | (d.fresh[i][f] & d.fail[w]);
       }
     }
   }
@@ -275,6 +178,64 @@ struct PackedKernels {
       noisy_gate(sim, state, ops[i]);
     }
   }
+
+  /// draw_faults: the ops that can draw are merged across kinds in op
+  /// order. A kind's cursor sits on its next op that can fail: at a
+  /// gap rate the stream's counter jumps straight over the kind's
+  /// fault-free ops; at a bit-plane rate every op draws.
+  static void draw_faults(PackedSimulator& sim, const Circuit& c,
+                          const KindIndex& index, std::size_t first,
+                          std::size_t last, std::vector<FaultEvent>& out) {
+    struct Cursor {
+      const std::uint32_t* next;
+      const std::uint32_t* end;
+      BernoulliMaskStream* stream;
+    };
+    Cursor cursors[kNumGateKinds];
+    int live = 0;
+    for (int k = 0; k < kNumGateKinds; ++k) {
+      const std::span<const std::uint32_t> pos =
+          index.of(static_cast<GateKind>(k));
+      const std::uint32_t* lo = pos.data();
+      const std::uint32_t* hi = lo + pos.size();
+      if (first != 0) lo = std::lower_bound(lo, hi, first);
+      if (last != c.size()) hi = std::lower_bound(lo, hi, last);
+      if (lo == hi) continue;
+      BernoulliMaskStream& s = sim.streams_[static_cast<std::size_t>(k)];
+      lo += s.skip_clean(static_cast<std::uint64_t>(hi - lo), W);
+      if (lo != hi) cursors[live++] = {lo, hi, &s};
+    }
+    const std::vector<Gate>& ops = c.ops();
+    OpDraw d;
+    while (live > 0) {
+      int at = 0;
+      for (int k = 1; k < live; ++k)
+        if (*cursors[k].next < *cursors[at].next) at = k;
+      Cursor& cur = cursors[at];
+      const std::uint32_t op = *cur.next++;
+      if (draw_op(sim, ops[op], d))
+        for (unsigned f = 0; f < d.failing; ++f) {
+          const unsigned w = d.failing_w[f];
+          out.push_back({op, w, d.fail[w],
+                         {d.fresh[0][f], d.fresh[1][f], d.fresh[2][f]}});
+        }
+      cur.next += cur.stream->skip_clean(
+          static_cast<std::uint64_t>(cur.end - cur.next), W);
+      if (cur.next == cur.end) cur = cursors[--live];
+    }
+  }
+
+  static void apply_events(PackedState& state, const Circuit& c,
+                           std::size_t first, std::size_t last,
+                           std::span<const FaultEvent> events) {
+    const std::vector<Gate>& ops = c.ops();
+    auto e = events.begin();
+    for (std::size_t i = first; i < last; ++i) {
+      K::ideal_gate(state, ops[i]);
+      for (; e != events.end() && e->op == i; ++e)
+        K::inject(state, ops[i], *e);
+    }
+  }
 };
 
 void PackedSimulator::apply_ideal(PackedState& state, const Gate& g) {
@@ -286,7 +247,7 @@ void PackedSimulator::apply_ideal(PackedState& state, const Gate& g) {
 void PackedSimulator::apply_ideal(PackedState& state, const Circuit& c) {
   REVFT_CHECK_MSG(c.width() == state.width(), "apply_ideal: width mismatch");
   with_lane_words(state.lane_words(), "apply_ideal", [&](auto W) {
-    PackedKernels<W>::ideal_circuit(state, c);
+    for (const Gate& g : c.ops()) PackedKernels<W>::ideal_gate(state, g);
   });
 }
 
@@ -298,7 +259,7 @@ void PackedSimulator::apply_noisy_span(PackedState& state, const Circuit& c,
                   "apply_noisy_span: bad range [" << first << ", " << last
                                                   << ")");
   with_lane_words(state.lane_words(), "apply_noisy_span", [&](auto W) {
-    PackedKernels<W>::noisy_span(*this, state, c, first, last);
+    NoisyKernels<W>::noisy_span(*this, state, c, first, last);
   });
 }
 
@@ -311,7 +272,33 @@ void PackedSimulator::apply_noisy_ops(
                   "apply_noisy_ops: position " << positions.back()
                                                << " past the circuit end");
   with_lane_words(state.lane_words(), "apply_noisy_ops", [&](auto W) {
-    PackedKernels<W>::noisy_ops(*this, state, c, positions);
+    NoisyKernels<W>::noisy_ops(*this, state, c, positions);
+  });
+}
+
+std::span<const FaultEvent> PackedSimulator::draw_faults(
+    const Circuit& c, const KindIndex& index, std::size_t first,
+    std::size_t last, unsigned lane_words) {
+  REVFT_CHECK_MSG(index.size() == c.size(),
+                  "draw_faults: the kind index has "
+                      << index.size() << " ops, the circuit " << c.size());
+  REVFT_CHECK_MSG(first <= last && last <= c.size(),
+                  "draw_faults: bad range [" << first << ", " << last << ")");
+  events_.clear();
+  with_lane_words(lane_words, "draw_faults", [&](auto W) {
+    NoisyKernels<W>::draw_faults(*this, c, index, first, last, events_);
+  });
+  return events_;
+}
+
+void PackedSimulator::apply_events(PackedState& state, const Circuit& c,
+                                   std::size_t first, std::size_t last,
+                                   std::span<const FaultEvent> events) {
+  REVFT_CHECK_MSG(c.width() == state.width(), "apply_events: width mismatch");
+  REVFT_CHECK_MSG(first <= last && last <= c.size(),
+                  "apply_events: bad range [" << first << ", " << last << ")");
+  with_lane_words(state.lane_words(), "apply_events", [&](auto W) {
+    NoisyKernels<W>::apply_events(state, c, first, last, events);
   });
 }
 

@@ -23,9 +23,20 @@
 // approximation bias. The geometric gap counter spans word and batch
 // boundaries, so widening the batch never perturbs the failure
 // statistics.
+//
+// Draw order: op by op, each op's fail masks from its kind's stream,
+// then — if a lane fails — its fresh injection words. A state never
+// feeds back into a draw, so draw_faults may draw a whole span's
+// faults before any gate runs (the checked engine does) and still
+// consume exactly the RNG words apply_noisy_span would, in the same
+// order: one per-op draw serves both.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noise/lanes.h"
@@ -106,6 +117,16 @@ class PackedState {
   unsigned lane_words_;
 };
 
+/// One drawn gate failure: in lane word `word` of a batch, op `op`
+/// fails in the lanes of `mask`, and operand i of those lanes becomes
+/// the matching bits of fresh[i] (entries past the op's arity unused).
+struct FaultEvent {
+  std::uint32_t op;
+  std::uint32_t word;
+  std::uint64_t mask;
+  std::array<std::uint64_t, 3> fresh;
+};
+
 /// Exact Bernoulli(p) bit stream producing 64-lane mask words. Uses
 /// geometric gap sampling when p is small (about one RNG draw per
 /// failure) and the bit-plane threshold draw otherwise (about 7.34 RNG
@@ -138,9 +159,25 @@ class BernoulliMaskStream {
     next_masks_slow(out, words);
   }
 
+  /// Skips the leading masks of `words` words (a power of two), at
+  /// most `masks` of them, in which no lane fails, and returns how
+  /// many it skipped: the same as that many next_masks() calls, with
+  /// no RNG draw. Only the gap path can tell ahead of time (0 on the
+  /// bit-plane path and at p = 1).
+  std::uint64_t skip_clean(std::uint64_t masks, unsigned words) {
+    REVFT_DASSERT(std::has_single_bit(words));
+    if (!use_geometric_) return 0;
+    const int shift = 6 + std::countr_zero(words);  // log2(64 * words)
+    const std::uint64_t k = std::min(masks, next_index_ >> shift);
+    next_index_ -= k << shift;
+    return k;
+  }
+
   double p() const noexcept { return p_; }
 
  private:
+  static constexpr std::uint64_t kNeverFails = ~0ULL;  // p = 0's gap
+
   double p_;
   Xoshiro256* rng_;  // not owned
   bool use_geometric_;
@@ -181,6 +218,26 @@ class PackedSimulator {
   void apply_noisy_ops(PackedState& state, const Circuit& c,
                        const std::vector<std::size_t>& positions);
 
+  /// Draws the failures of ops [first, last) of `c` for a batch of
+  /// `lane_words` words without touching a state: one FaultEvent per
+  /// (op, failing lane word), in op order, valid until the next draw.
+  /// The RNG words, their order and faults_drawn() are exactly those
+  /// of apply_noisy_span over the same ops. `index` is KindIndex(c):
+  /// each kind's gap counter jumps over its fault-free ops, so the
+  /// cost is O(faults), not O(ops), at gap rates. Throws revft::Error
+  /// when `index` does not cover `c`.
+  std::span<const FaultEvent> draw_faults(const Circuit& c,
+                                          const KindIndex& index,
+                                          std::size_t first, std::size_t last,
+                                          unsigned lane_words);
+
+  /// Apply ops [first, last) of `c` ideally, then each of `events` (in
+  /// op order, within the span) right after its op: the faults of a
+  /// draw_faults call, or scripted ones (noise/injection.h).
+  static void apply_events(PackedState& state, const Circuit& c,
+                           std::size_t first, std::size_t last,
+                           std::span<const FaultEvent> events);
+
   /// Total number of (gate, lane) failures drawn so far — a cheap
   /// sanity diagnostic (its expectation is g * gates * lanes).
   std::uint64_t faults_drawn() const noexcept { return faults_drawn_; }
@@ -190,13 +247,14 @@ class PackedSimulator {
 
  private:
   template <unsigned W>
-  friend struct PackedKernels;
+  friend struct NoisyKernels;
 
   NoiseModel model_;
   Xoshiro256 rng_;
   std::uint64_t faults_drawn_ = 0;
   // One exact Bernoulli stream per gate kind (probabilities differ).
   std::vector<BernoulliMaskStream> streams_;
+  std::vector<FaultEvent> events_;  // the last draw_faults
 };
 
 }  // namespace revft

@@ -102,4 +102,17 @@ std::uint64_t Circuit::depth() const noexcept {
   return depth;
 }
 
+KindIndex::KindIndex(const Circuit& c) : positions_(c.size()) {
+  REVFT_CHECK_MSG(c.size() <= UINT32_MAX, "KindIndex: " << c.size() << " ops");
+  for (const Gate& g : c.ops())
+    ++start_[static_cast<std::size_t>(g.kind) + 1];
+  for (int k = 0; k < kNumGateKinds; ++k) start_[k + 1] += start_[k];
+  std::array<std::uint32_t, kNumGateKinds> next{};
+  std::copy(start_.begin(), start_.end() - 1, next.begin());
+  const std::vector<Gate>& ops = c.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    positions_[next[static_cast<std::size_t>(ops[i].kind)]++] =
+        static_cast<std::uint32_t>(i);
+}
+
 }  // namespace revft

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rev/gate.h"
@@ -105,6 +106,29 @@ class Circuit {
  private:
   std::uint32_t width_ = 0;
   std::vector<Gate> ops_;
+};
+
+/// A circuit's op positions grouped by gate kind, ascending within
+/// each kind: what lets PackedSimulator::draw_faults jump each kind's
+/// gap counter over that kind's fault-free ops. Built once per circuit
+/// (a CheckedCircuit keeps one in its WalkIndex).
+class KindIndex {
+ public:
+  KindIndex() = default;
+  /// Throws revft::Error past 2^32 ops.
+  explicit KindIndex(const Circuit& c);
+
+  /// Positions of the ops of `kind`, ascending.
+  std::span<const std::uint32_t> of(GateKind kind) const {
+    const auto k = static_cast<std::size_t>(kind);
+    return {positions_.data() + start_[k], start_[k + 1] - start_[k]};
+  }
+  /// Ops indexed (the circuit's size).
+  std::size_t size() const noexcept { return positions_.size(); }
+
+ private:
+  std::array<std::uint32_t, kNumGateKinds + 1> start_{};
+  std::vector<std::uint32_t> positions_;
 };
 
 }  // namespace revft

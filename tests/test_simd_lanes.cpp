@@ -25,6 +25,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +47,7 @@
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/stats.h"
+#include "telemetry/trace.h"
 
 namespace revft {
 namespace {
@@ -149,6 +151,49 @@ TEST(MaskStream, BatchedDrawMatchesSequentialDraws) {
       for (int i = 0; i < 16; ++i)
         ASSERT_EQ(batched.next_mask(), sequential.next_mask());
     }
+  }
+}
+
+// p = 0 rides the gap path with a gap that never runs out: every draw
+// takes next_masks' inline draw-free branch and no RNG word moves.
+TEST(MaskStream, NoiselessStreamDrawsNothing) {
+  Xoshiro256 rng(5), untouched(5);
+  BernoulliMaskStream s(0.0, &rng);
+  std::uint64_t batch[kMaxLaneWords];
+  for (int round = 0; round < 1000; ++round) {
+    s.next_masks(batch, 8);
+    for (unsigned w = 0; w < 8; ++w) ASSERT_EQ(batch[w], 0u);
+  }
+  EXPECT_EQ(s.skip_clean(1000000, 8), 1000000u);
+  EXPECT_EQ(s.next_mask(), 0u);
+  EXPECT_EQ(rng.next(), untouched.next());
+}
+
+// skip_clean jumps the gap counter exactly as that many draw-free
+// next_masks calls would, and stops at the first mask with a failure.
+TEST(MaskStream, SkipCleanMatchesDrawFreeMasks) {
+  for (const unsigned W : {1u, 2u, 4u, 8u}) {
+    Xoshiro256 ra(77), rb(77);
+    BernoulliMaskStream skipping(1e-3, &ra), drawing(1e-3, &rb);
+    std::uint64_t a[kMaxLaneWords], b[kMaxLaneWords];
+    for (int round = 0; round < 200; ++round) {
+      const std::uint64_t skipped = skipping.skip_clean(1000, W);
+      for (std::uint64_t k = 0; k < skipped; ++k) {
+        drawing.next_masks(b, W);
+        for (unsigned w = 0; w < W; ++w) ASSERT_EQ(b[w], 0u);
+      }
+      skipping.next_masks(a, W);
+      drawing.next_masks(b, W);
+      std::uint64_t any = 0;
+      for (unsigned w = 0; w < W; ++w) {
+        ASSERT_EQ(a[w], b[w]) << "W=" << W << " round=" << round;
+        any |= a[w];
+      }
+      if (skipped < 1000) {
+        ASSERT_NE(any, 0u);
+      }
+    }
+    EXPECT_EQ(ra.next(), rb.next());
   }
 }
 
@@ -753,15 +798,20 @@ TEST(MachineKernel, PerLaneAdaptorCallsEachCountedLaneOnceInOrder) {
 
 // --- checkpoint spans vs the group walk -------------------------------
 
-/// Reference for the span evaluation: the same merged walk as
-/// apply_noisy_checked_words (identical simulator calls, so identical
-/// RNG consumption), but evaluating each rail word by word off
-/// CheckpointSpan::group instead of through the engine's evaluator.
+/// Reference for the checked walk: the per-op noisy walk the engine
+/// ran before it drew each batch's faults first — the simulator's
+/// span loop between checks (identical RNG consumption), each rail
+/// evaluated word by word off CheckpointSpan::group instead of through
+/// the engine's evaluator. `fired` (nullable) gets the per-rail masks,
+/// then the zero checks', laid out like apply_noisy_checked_words'.
 void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
                                     const detect::CheckedCircuit& checked,
-                                    std::uint64_t* detected) {
+                                    std::uint64_t* detected,
+                                    std::uint64_t* fired = nullptr) {
   const unsigned W = state.lane_words();
+  const std::size_t rails = checked.rails.size();
   std::fill(detected, detected + W, 0);
+  if (fired != nullptr) std::fill(fired, fired + (rails + 1) * W, 0);
   const std::size_t end = checked.circuit.size();
   const std::size_t n_cp = checked.checkpoints.size();
   const std::size_t n_zc = checked.zero_checks.size();
@@ -774,15 +824,19 @@ void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
     pos = stop + 1;
     for (; zi < n_zc && checked.zero_checks[zi].op_index == stop; ++zi)
       for (const std::uint32_t bit : checked.zero_checks[zi].bits)
-        for (unsigned w = 0; w < W; ++w) detected[w] |= state.words(bit)[w];
+        for (unsigned w = 0; w < W; ++w) {
+          detected[w] |= state.words(bit)[w];
+          if (fired != nullptr) fired[rails * W + w] |= state.words(bit)[w];
+        }
     for (; ci < n_cp && checked.checkpoints[ci] == stop; ++ci) {
       const detect::CheckpointSpan& span = checked.checkpoint_spans[ci];
-      for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+      for (std::size_t r = 0; r < rails; ++r) {
         for (unsigned w = 0; w < W; ++w) {
           std::uint64_t acc = state.words(checked.rails[r].rail_bit)[w];
           for (const std::uint32_t bit : span.group(r))
             acc ^= state.words(bit)[w];
           detected[w] |= acc;
+          if (fired != nullptr) fired[r * W + w] |= acc;
         }
       }
     }
@@ -835,6 +889,231 @@ TEST(CheckpointSpans, ApplyRejectsMissingSpans) {
               std::string::npos)
         << err.what();
   }
+}
+
+// --- draw, compact, walk ----------------------------------------------
+
+/// The scattered workload on the checked 2D machine — perfbench's
+/// machine2d_checked_w8 program: 1248 ops, most of them routing, 119
+/// zero checks and one rail checkpoint over 10 rails.
+const CheckedMachineProgram& checked_2d_program() {
+  static const CheckedMachineProgram program =
+      CheckedMachine2d(10, true).compile(scattered10());
+  return program;
+}
+
+// The draw-then-walk engine against the per-op reference walk, from
+// identical random states (every cell random, so checks fire too):
+// the faults drawn up front must be the ones the per-op walk draws,
+// word for word, on the gap path (g < 0.03, including the never-failing
+// p = 0 gap) and the bit-plane path (g = 3e-2), with and without
+// failing inits.
+TEST(CheckedWalk, DrawThenWalkMatchesPerOpWalk) {
+  const detect::CheckedCircuit& checked = checked_2d_program().checked;
+  const std::size_t slots = checked.rails.size() + 1;
+  for (const bool noisy_init : {true, false})
+    for (const double g : {0.0, 1e-5, 1e-3, 3e-2})
+      for (const unsigned W : {1u, 2u, 4u, 8u}) {
+        NoiseModel model = NoiseModel::uniform(g);
+        if (!noisy_init) model.with_perfect_init();
+        PackedSimulator sim_a(model, 2029), sim_b(model, 2029);
+        PackedState a(checked.circuit.width(), W);
+        PackedState b(checked.circuit.width(), W);
+        Xoshiro256 fill(W * 1000 + static_cast<unsigned>(noisy_init));
+        std::uint64_t det_a[kMaxLaneWords], det_b[kMaxLaneWords];
+        std::vector<std::uint64_t> fired_a(slots * W), fired_b(slots * W);
+        for (int round = 0; round < 6; ++round) {
+          for (std::uint32_t bit = 0; bit < a.width(); ++bit)
+            for (unsigned w = 0; w < W; ++w)
+              a.words(bit)[w] = b.words(bit)[w] = fill.next();
+          detect::apply_noisy_checked_words(sim_a, a, checked, det_a,
+                                            fired_a.data());
+          apply_noisy_checked_group_walk(sim_b, b, checked, det_b,
+                                         fired_b.data());
+          const std::string where = "noisy_init=" + std::to_string(noisy_init) +
+                                    " g=" + std::to_string(g) +
+                                    " W=" + std::to_string(W) +
+                                    " round=" + std::to_string(round);
+          for (unsigned w = 0; w < W; ++w)
+            ASSERT_EQ(det_a[w], det_b[w]) << where;
+          ASSERT_EQ(fired_a, fired_b) << where;
+          for (std::uint32_t bit = 0; bit < a.width(); ++bit)
+            for (unsigned w = 0; w < W; ++w)
+              ASSERT_EQ(a.words(bit)[w], b.words(bit)[w])
+                  << where << " bit=" << bit;
+          ASSERT_EQ(sim_a.faults_drawn(), sim_b.faults_drawn()) << where;
+        }
+        EXPECT_EQ(sim_a.rng().next(), sim_b.rng().next())
+            << "noisy_init=" << noisy_init << " g=" << g << " W=" << W;
+      }
+}
+
+/// 64-bit FNV-1a over a traced run's events — test_trace_pins' shape.
+std::uint64_t trace_fingerprint(const telemetry::Trace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  add(trace.events().size());
+  for (const telemetry::Event& e : trace.events()) {
+    add(static_cast<std::uint64_t>(e.kind));
+    add(e.shard);
+    add(e.rail);
+    add(e.segment);
+    add(e.batch);
+    add(e.lanes);
+    add(e.value);
+  }
+  add(trace.emitted());
+  add(trace.dropped());
+  return h;
+}
+
+// The span loop walks only the lanes that drew a fault (plus one
+// sentinel), compacted to the narrowest width that holds them, and
+// counts every other lane accepted and correct. These estimates and
+// trace fingerprints were recorded on the engine that walked and judged
+// every lane. The rates put the dirty lanes of a W=8 batch near 0, 64,
+// 128, 256 and all 512 (g = 3e-3); 40963 trials leave a last batch of
+// 3 live lanes at W=8 and at W=1, so some batches have no clean lane.
+TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
+  struct Pin {
+    bool noisy_init;
+    unsigned lane_words;
+    double g;
+    detect::DetectionEstimate est;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {true, 8, 1e-5,
+       {40963, 393, 0, 0,
+        {22, 32, 14, 13, 36, 11, 19, 28, 27, 35},
+        361},
+       0x846ecc53464552adull},
+      {true, 8, 1e-4,
+       {40963, 3851, 6, 0,
+        {319, 278, 139, 123, 325, 156, 235, 247, 325, 533},
+        3599},
+       0xd566d57c2fa8f4baull},
+      {true, 8, 3e-4,
+       {40963, 10816, 18, 0,
+        {994, 735, 356, 355, 1015, 411, 690, 680, 916, 1508},
+        10178},
+       0x441bf5b386b07027ull},
+      {true, 8, 1e-3,
+       {40963, 26225, 264, 0,
+        {3023, 2455, 1241, 1074, 3181, 1301, 2168, 2060, 2970, 4766},
+        25135},
+       0xfa82d8a6d65d99b8ull},
+      {true, 8, 3e-3,
+       {40963, 39004, 2073, 1,
+        {7991, 6570, 3469, 3271, 8358, 3656, 5816, 5649, 7620, 11020},
+        38532},
+       0xe80468ab4054eeb6ull},
+      {true, 1, 1e-5,
+       {40963, 419, 0, 0,
+        {30, 23, 16, 14, 29, 16, 24, 21, 33, 66},
+        392},
+       0x52b11c0784378c09ull},
+      {true, 1, 1e-4,
+       {40963, 3912, 3, 0,
+        {321, 262, 137, 102, 344, 132, 233, 214, 312, 495},
+        3666},
+       0x239c39cb0ae77b0aull},
+      {true, 1, 3e-4,
+       {40963, 10860, 26, 0,
+        {971, 777, 347, 364, 1046, 402, 671, 674, 981, 1548},
+        10190},
+       0x5fae47bc91c4080bull},
+      {true, 1, 1e-3,
+       {40963, 26099, 245, 1,
+        {3146, 2451, 1246, 1092, 3237, 1297, 2205, 2070, 2904, 4686},
+        25048},
+       0xfd8d071dbf3679d2ull},
+      {true, 1, 3e-3,
+       {40963, 39049, 2126, 1,
+        {8015, 6508, 3474, 3384, 8232, 3728, 5866, 5646, 7472, 11043},
+        38563},
+       0xdc5fc600ea2f2feaull},
+      {false, 8, 3e-4,
+       {40963, 10226, 26, 0,
+        {910, 693, 322, 348, 992, 352, 679, 657, 873, 1478},
+        9598},
+       0x032259a98e25df72ull},
+      {false, 1, 3e-4,
+       {40963, 10270, 36, 0,
+        {880, 730, 362, 360, 965, 334, 619, 656, 841, 1473},
+        9586},
+       0x3225c23898dc2437ull},
+  };
+  for (const Pin& pin : pins) {
+    CheckedMachineExperiment::Config config;
+    config.noisy_init = pin.noisy_init;
+    config.trials = pin.est.trials;
+    config.lane_words = pin.lane_words;
+    const CheckedMachineExperiment exp(checked_2d_program(), scattered10(),
+                                       config);
+    telemetry::TraceConfig ring;
+    ring.ring_capacity = 1 << 20;
+    telemetry::Trace trace(ring);
+    const detect::DetectionEstimate est = exp.run(pin.g, 2, &trace);
+    EXPECT_EQ(est, pin.est) << "noisy_init=" << pin.noisy_init
+                            << " W=" << pin.lane_words << " g=" << pin.g;
+    EXPECT_EQ(trace.dropped(), 0u);
+    EXPECT_EQ(trace_fingerprint(trace), pin.fingerprint)
+        << "noisy_init=" << pin.noisy_init << " W=" << pin.lane_words
+        << " g=" << pin.g << ": got 0x" << std::hex
+        << trace_fingerprint(trace);
+  }
+}
+
+/// Runs the checked 2D machine's span loop on `kernel` at g = 1e-5 and
+/// returns the error it throws ("" when it throws none). `stuck_cell`
+/// (optional) is set in every lane after prepare.
+std::string span_error(const MachineWorkloadKernel& kernel,
+                       std::optional<std::uint32_t> stuck_cell = {}) {
+  const detect::CheckedCircuit& checked = checked_2d_program().checked;
+  PackedSimulator sim(NoiseModel::uniform(1e-5), 17);
+  PackedState state(checked.circuit.width(), 8);
+  MachineWorkloadKernel k = kernel;
+  try {
+    detect::detail::run_checked_mc_span(
+        sim, state, checked, 0, 4 * 512,
+        [&](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
+          k.prepare(s, rng, b);
+          if (stuck_cell) s.fill_bit(*stuck_cell, true);
+        },
+        detail::kernel_classify(k));
+  } catch (const Error& err) {
+    return err.what();
+  }
+  return "";
+}
+
+// The premise behind skipping the fault-free lanes is checked on the
+// sentinel lane: a judge that calls a fault-free output wrong, or a
+// check that fires without a fault, makes the engine throw instead of
+// counting the skipped lanes accepted and correct.
+TEST(CheckedCompaction, SentinelCatchesABrokenPremise) {
+  const CheckedMachineProgram& program = checked_2d_program();
+  std::vector<unsigned> truth = machine_truth_table(scattered10());
+  const MachineWorkloadKernel good = make_machine_kernel(program, truth);
+  EXPECT_EQ(span_error(good), "");
+
+  for (unsigned& t : truth) t ^= 1u;  // output 0 is wrong on every input
+  const std::string judged = span_error(make_machine_kernel(program, truth));
+  EXPECT_NE(judged.find("drew no fault but was judged wrong"),
+            std::string::npos)
+      << judged;
+
+  // Rail 0 entering at 1: its invariant fires in every lane.
+  const std::string fired =
+      span_error(good, program.checked.rails[0].rail_bit);
+  EXPECT_NE(fired.find("drew no fault but fired a check"), std::string::npos)
+      << fired;
 }
 
 // --- multi-word checkpoint and blends ---------------------------------
