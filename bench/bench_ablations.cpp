@@ -13,8 +13,6 @@
 //     redundancy at matched reliability;
 //  D. peephole optimization — removing fault locations from a routed
 //     workload measurably lowers its logical error rate.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/threshold.h"
@@ -208,38 +206,13 @@ void ablation_optimizer() {
               g, before, after, 100.0 * (1.0 - after / before));
 }
 
-void BM_OptimizeAdderWorkload(benchmark::State& state) {
-  const RippleAdder adder = cuccaro_adder(8);
-  Circuit doubled = adder.circuit;
-  doubled.append(adder.circuit.inverse());
-  for (auto _ : state) benchmark::DoNotOptimize(optimize(doubled));
-}
-BENCHMARK(BM_OptimizeAdderWorkload);
-
-void BM_NandMuxUnit(benchmark::State& state) {
-  NandMultiplexConfig config;
-  config.bundle_size = 999;
-  const NandMultiplexer mux(config);
-  Xoshiro256 rng(9);
-  PackedBundle x = mux.constant_bundle(true);
-  const PackedBundle ones = mux.constant_bundle(true);
-  for (auto _ : state) {
-    x = mux.nand(x, ones, 0.02, rng);
-    benchmark::DoNotOptimize(x);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_NandMuxUnit);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   ablation_memory();
   ablation_swap_packing();
   ablation_baseline();
   ablation_optimizer();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

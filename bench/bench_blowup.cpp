@@ -9,8 +9,6 @@
 //  3. the paper's worked example: G = 9, g = ρ/10, T = 10⁶  →  L = 2,
 //     441 gates per gate, 81 bits per bit; and the asymptotic
 //     exponents log2(27) ≈ 4.75 and log2(9) ≈ 3.17.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/blowup.h"
@@ -86,22 +84,10 @@ void print_reproduction() {
       gate_blowup_exponent(11), bit_blowup_exponent());
 }
 
-void BM_ConcatCompile(benchmark::State& state) {
-  Circuit logical(3);
-  logical.toffoli(0, 1, 2);
-  const int level = static_cast<int>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(concat_compile(logical, level));
-  state.SetLabel("level " + std::to_string(level));
-}
-BENCHMARK(BM_ConcatCompile)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_reproduction();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -56,6 +56,16 @@ std::uint64_t trials_from_env(std::uint64_t fallback) {
 
 std::uint64_t seed_from_env() { return env_u64("REVFT_SEED", 0xD5A2005ULL); }
 
+void reject_args(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "%s: unexpected argument(s):", argv[0]);
+  for (int i = 1; i < argc; ++i) std::fprintf(stderr, " \"%s\"", argv[i]);
+  std::fprintf(stderr,
+               "\nbench binaries take no arguments; set REVFT_TRIALS, "
+               "REVFT_SEED, REVFT_THREADS or REVFT_JSON_DIR instead\n");
+  std::exit(2);
+}
+
 void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());

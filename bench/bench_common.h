@@ -1,14 +1,15 @@
 // bench/bench_common.h
 //
 // Shared scaffolding for the paper-reproduction bench binaries. Each
-// binary first prints its reproduction table ([paper] vs [measured]
-// columns), emits a machine-readable BENCH_<name>.json results file,
-// then runs its google-benchmark kernel timings.
+// binary prints its reproduction tables ([paper] vs [measured]
+// columns) and most emit a machine-readable BENCH_<name>.json results
+// file. They take no command-line arguments (reject_args()); the
+// environment knobs below configure them.
 //
 // Two harness pieces live here so every binary uses the same ones:
 //   * time_interleaved() — the one timer behind every timed acceptance
 //     bar (kernel overheads, tracing hooks, SIMD speedup, certificate
-//     vs census);
+//     vs census), with do_not_optimize() as its compiler barrier;
 //   * JsonResultWriter — the BENCH_<name>.json document, written
 //     through provenance::write_artifact like every other artifact.
 //
@@ -50,6 +51,11 @@ std::uint64_t seed_from_env();
 /// where checking is nearly free.
 Circuit scattered_workload();
 
+/// Exits with status 2, naming the arguments, when a bench binary is
+/// given any: they are configured by the REVFT_* variables only, and a
+/// stray flag should fail loudly rather than be ignored.
+void reject_args(int argc, char** argv);
+
 /// Print a section header for one reproduced table/figure.
 void print_header(const std::string& title, const std::string& paper_ref);
 
@@ -88,6 +94,15 @@ struct Timing {
 /// With reps = 1 the ratio is the single measurement's.
 Timing time_interleaved(const std::vector<TimedBody>& variants, int reps,
                         int iters);
+
+/// Compiler barrier for timed bodies: `value` must be materialized in
+/// memory, and the asm counts as reading and writing all memory, so the
+/// work that produced `value` (or anything it points to) cannot be
+/// dropped, sunk or hoisted out of the timed loop. Emits no instruction.
+template <class T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "m"(value) : "memory");
+}
 
 /// The widest SIMD tier this binary was compiled for ("avx512f",
 /// "avx2" or "sse2") — the compile-time answer, what the

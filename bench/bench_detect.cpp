@@ -8,8 +8,6 @@
 // engine, then times the detection kernels against the plain noisy-MAJ
 // baseline (the acceptance bar: checked overhead <= 2x per original
 // op, checkpoint evaluation included).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -234,7 +232,7 @@ void print_overhead(benchutil::JsonResultWriter& json) {
       {{ops,
         [&] {
           base_sim.apply_noisy_span(base_state, plain, 0, plain.size());
-          benchmark::DoNotOptimize(base_state);
+          benchutil::do_not_optimize(base_state);
         }},
        {ops,
         [&] {
@@ -242,10 +240,10 @@ void print_overhead(benchutil::JsonResultWriter& json) {
           detect::apply_noisy_checked_words(checked_sim, checked_state,
                                             checked, &detected);
           mask_acc ^= detected;
-          benchmark::DoNotOptimize(checked_state);
+          benchutil::do_not_optimize(checked_state);
         }}},
       15, 400);
-  benchmark::DoNotOptimize(mask_acc);
+  benchutil::do_not_optimize(mask_acc);
 
   const double noisy_ns = t.ns_per_unit[0];
   const double checked_ns = t.ns_per_unit[1];
@@ -267,45 +265,10 @@ void print_overhead(benchutil::JsonResultWriter& json) {
   json.add("kernel", "overhead_within_2x", ratio <= 2.0 ? 1.0 : 0.0);
 }
 
-// --- google-benchmark kernels ---------------------------------------
-
-void BM_PackedNoisyMajApply(benchmark::State& state) {
-  const Circuit c = maj_chain_workload();
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(c.width());
-  for (auto _ : state) {
-    sim.apply_noisy_span(ps, c, 0, c.size());
-    benchmark::DoNotOptimize(ps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.size()) * 64);
-}
-BENCHMARK(BM_PackedNoisyMajApply);
-
-void BM_PackedCheckedMajApply(benchmark::State& state) {
-  const Circuit plain = maj_chain_workload();
-  const auto checked = checked_maj_workload();
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(checked.circuit.width());
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    std::uint64_t detected = 0;
-    detect::apply_noisy_checked_words(sim, ps, checked, &detected);
-    acc ^= detected;
-    benchmark::DoNotOptimize(ps);
-  }
-  benchmark::DoNotOptimize(acc);
-  // Items = ORIGINAL ops x lanes, so items/s is directly comparable to
-  // the baseline above: the gap is the full price of detection.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(plain.size()) * 64);
-}
-BENCHMARK(BM_PackedCheckedMajApply);
-
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   benchutil::JsonResultWriter json("detect");
   print_census(json);
   print_partition_census(json);
@@ -313,8 +276,5 @@ int main(int argc, char** argv) {
   print_determinism(json);
   print_overhead(json);
   json.write();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

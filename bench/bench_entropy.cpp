@@ -11,8 +11,6 @@
 //     (footnote 4) — verified by brute force;
 //   * measured: the joint entropy of the six bits the Fig 2 stage
 //     discards, sitting between the analytic lower and upper bounds.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.h"
@@ -120,24 +118,11 @@ void print_measured() {
       "as g approaches the threshold.\n");
 }
 
-void BM_AncillaEntropyMeasurement(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(measure_ec_ancilla_entropy(1e-2, true, 64000, 1));
-}
-BENCHMARK(BM_AncillaEntropyMeasurement);
-
-void BM_BruteForceNandOptimum(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(optimal_nand_garbage_entropy());
-}
-BENCHMARK(BM_BruteForceNandOptimum);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_analytic();
   print_measured();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

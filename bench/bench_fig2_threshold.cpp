@@ -13,8 +13,6 @@
 // provide an existence proof"), so the measured pseudo-threshold must
 // land above them — that is the reproduced claim, together with the
 // quadratic shape.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -159,25 +157,10 @@ void print_reproduction() {
   json.write();
 }
 
-void BM_Level1CycleMc(benchmark::State& state) {
-  LogicalGateExperimentConfig config;
-  config.level = 1;
-  config.trials = 64 * 100;
-  const LogicalGateExperiment exp(config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exp.run(1e-2));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(config.trials));
-}
-BENCHMARK(BM_Level1CycleMc);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_reproduction();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

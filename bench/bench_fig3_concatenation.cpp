@@ -6,8 +6,6 @@
 // doubly-exponential suppression below threshold, degradation above.
 // Absolute paper bounds use ρ = 1/165 (G = 11); the measured curves
 // sit below them because the paper's counting is a worst-case bound.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -83,32 +81,10 @@ void print_reproduction() {
   std::printf("\nat g = %.0e (below threshold):\n%s", g, rec.str().c_str());
 }
 
-void BM_ConcatCompileLevel2(benchmark::State& state) {
-  Circuit logical(3);
-  logical.toffoli(0, 1, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(concat_compile(logical, 2));
-  }
-}
-BENCHMARK(BM_ConcatCompileLevel2);
-
-void BM_Level2NoisyTrial(benchmark::State& state) {
-  LogicalGateExperimentConfig config;
-  config.level = 2;
-  config.trials = 64 * 20;
-  const LogicalGateExperiment exp(config);
-  for (auto _ : state) benchmark::DoNotOptimize(exp.run(2e-2));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(config.trials));
-}
-BENCHMARK(BM_Level2NoisyTrial);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_reproduction();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -12,8 +12,6 @@
 //   * exhaustive single-fault tolerance of the whole 2D cycle;
 //   * Monte-Carlo: the 2D cycle's logical error is modestly above the
 //     non-local cycle's (extra routing ops), both quadratic in g.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/threshold.h"
@@ -155,25 +153,11 @@ void print_monte_carlo() {
       "ratio reflects the (14/9)^2 ~ 2.4x accounting prediction loosely.\n");
 }
 
-void BM_Cycle2dMc(benchmark::State& state) {
-  const Cycle2d cycle = make_cycle_2d(GateKind::kToffoli, true);
-  CodewordCycleExperiment::Config config;
-  config.trials = 64 * 100;
-  const CodewordCycleExperiment exp(cycle.circuit, cycle.data_before,
-                                    cycle.data_after, config);
-  for (auto _ : state) benchmark::DoNotOptimize(exp.run(1e-2));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(config.trials));
-}
-BENCHMARK(BM_Cycle2dMc);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_construction();
   print_monte_carlo();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 //     10+8+6 to merge b2, totalling 45; at most 24 touch one codeword
 //     (= 12 SWAP3 in the paper's per-codeword packing); interleave
 //     followed by its reverse is the identity.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.h"
@@ -104,31 +102,10 @@ void print_reproduction() {
               identity ? "yes" : "NO");
 }
 
-void BM_RouteLine(benchmark::State& state) {
-  const std::vector<std::uint32_t> line_order{0, 3, 6, 1, 4, 7, 2, 5, 8};
-  const std::vector<std::uint32_t> decode_order{0, 1, 2, 3, 4, 5, 6, 7, 8};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(route_line(line_order, decode_order));
-}
-BENCHMARK(BM_RouteLine);
-
-void BM_MakeInterleave1d(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(make_interleave_1d());
-}
-BENCHMARK(BM_MakeInterleave1d);
-
-void BM_PackSwap3(benchmark::State& state) {
-  const auto swaps = make_interleave_1d().swaps;
-  for (auto _ : state) benchmark::DoNotOptimize(pack_swap3(swaps));
-}
-BENCHMARK(BM_PackSwap3);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_reproduction();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

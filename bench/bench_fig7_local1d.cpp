@@ -20,8 +20,6 @@
 // levels below 1D) removes the linear term: with any inner encoding, a
 // single physical fault can no longer corrupt a whole code bit of two
 // codewords at once.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/threshold.h"
@@ -196,32 +194,12 @@ void print_monte_carlo() {
       "restores a quadratic silent-error floor — see bench_local_checked.\n");
 }
 
-void BM_Cycle1dMc(benchmark::State& state) {
-  const Cycle1d cycle = make_cycle_1d(GateKind::kToffoli, true);
-  CodewordCycleExperiment::Config config;
-  config.trials = 64 * 100;
-  const CodewordCycleExperiment exp(cycle.circuit, cycle.data, cycle.data,
-                                    config);
-  for (auto _ : state) benchmark::DoNotOptimize(exp.run(1e-2));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(config.trials));
-}
-BENCHMARK(BM_Cycle1dMc);
-
-void BM_MakeCycle1d(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(make_cycle_1d(GateKind::kToffoli, true));
-}
-BENCHMARK(BM_MakeCycle1d);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_construction();
   print_fault_census();
   print_monte_carlo();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -14,8 +14,6 @@
 // enforces — then times the checked kernel against the unchecked
 // machine program (the acceptance bar: checked <= 1.5x per original
 // op, checkpoint and zero-check evaluation included).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <string>
@@ -423,11 +421,11 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
                             detect::apply_noisy_checked_words(
                                 sims[i], states[i], program.checked, detected);
                             acc ^= detected[0];
-                            benchmark::DoNotOptimize(states[i]);
+                            benchutil::do_not_optimize(states[i]);
                           }});
     }
     timing[j] = benchutil::time_interleaved(variants, 15, 40);
-    benchmark::DoNotOptimize(acc);
+    benchutil::do_not_optimize(acc);
   }
   const auto speedup = [&](int j, int i) { return 1.0 / timing[j].ratio[i]; };
 
@@ -500,7 +498,7 @@ double measure_overhead(const Circuit& physical,
       {{ops,
         [&] {
           base_sim.apply_noisy_span(base_state, physical, 0, physical.size());
-          benchmark::DoNotOptimize(base_state);
+          benchutil::do_not_optimize(base_state);
         }},
        {ops,
         [&] {
@@ -508,10 +506,10 @@ double measure_overhead(const Circuit& physical,
           detect::apply_noisy_checked_words(checked_sim, checked_state,
                                             program.checked, &detected);
           mask_acc ^= detected;
-          benchmark::DoNotOptimize(checked_state);
+          benchutil::do_not_optimize(checked_state);
         }}},
       15, 80);
-  benchmark::DoNotOptimize(mask_acc);
+  benchutil::do_not_optimize(mask_acc);
 
   const double plain_ns = t.ns_per_unit[0];
   const double checked_ns = t.ns_per_unit[1];
@@ -558,52 +556,10 @@ void print_overhead(benchutil::JsonResultWriter& json) {
       "global rail.\n");
 }
 
-// --- google-benchmark kernels ---------------------------------------
-
-void BM_CheckedMachine1dApply(benchmark::State& state) {
-  const Circuit logical = benchutil::scattered_workload();
-  const CheckedMachineProgram program = compile(k1d, logical);
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(program.checked.circuit.width());
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    std::uint64_t detected = 0;
-    detect::apply_noisy_checked_words(sim, ps, program.checked, &detected);
-    acc ^= detected;
-    benchmark::DoNotOptimize(ps);
-  }
-  benchmark::DoNotOptimize(acc);
-  // Items = ORIGINAL ops x lanes, comparable to the unchecked kernel.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(program.stats.total_ops) *
-                          64);
-}
-BENCHMARK(BM_CheckedMachine1dApply);
-
-void BM_UncheckedMachine1dApply(benchmark::State& state) {
-  const Circuit logical = benchutil::scattered_workload();
-  const MachineProgram plain = Machine(k1d, 10).compile(logical);
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(plain.physical.width());
-  for (auto _ : state) {
-    sim.apply_noisy_span(ps, plain.physical, 0, plain.physical.size());
-    benchmark::DoNotOptimize(ps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(plain.physical.size()) * 64);
-}
-BENCHMARK(BM_UncheckedMachine1dApply);
-
-void BM_CheckedMachineCompile1d(benchmark::State& state) {
-  const Circuit logical = benchutil::scattered_workload();
-  const CheckedMachine1d machine(10);
-  for (auto _ : state) benchmark::DoNotOptimize(machine.compile(logical));
-}
-BENCHMARK(BM_CheckedMachineCompile1d);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   benchutil::JsonResultWriter json("local_checked");
   print_free_checking(json);
   print_census(json);
@@ -613,8 +569,5 @@ int main(int argc, char** argv) {
   print_simd_sweep(json);
   print_overhead(json);
   json.write();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -14,13 +14,9 @@
 //      whole-program, block-local} vs the modeled numbers, with the
 //      acceptance bar block-local <= whole-program checked in-line;
 //   3. thread-count determinism of the full protocol (retries, rail
-//      counters and op accounting included);
-//   4. google-benchmark kernels: the recovering engine vs the plain
-//      checked engine per original op.
+//      counters and op accounting included).
 //
 // Emits BENCH_recover.json.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,7 +26,6 @@
 #include "detect/checked_mc.h"
 #include "detect/retry_model.h"
 #include "ft/experiments.h"
-#include "ft/machine_kernel.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
 #include "recover/recovering_mc.h"
@@ -225,61 +220,10 @@ void print_determinism(const RecoveryExperiment& exp,
   json.add("determinism", "total_retries", results[0].total_retries());
 }
 
-// --- google-benchmark kernels ----------------------------------------
-
-void BM_RecoveringMachine1d(benchmark::State& state) {
-  const Circuit logical = benchutil::scattered_workload();
-  const CheckedMachineProgram program =
-      compile(k1d, logical, recovering_machine_options());
-  const recover::SegmentPlan plan = recover::build_segment_plan(program.checked);
-  const auto policy = recover::RetryPolicy::block_local();
-  const auto truth = machine_truth_table(logical);
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(program.checked.circuit.width());
-  MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
-  std::uint64_t batch = 0;
-  for (auto _ : state) {
-    const auto est = recover::run_recovering_mc_span(
-        sim, ps, program.checked, plan, policy, batch++, 64,
-        [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
-          kernel.prepare(s, rng, b);
-        },
-        [&kernel](const PackedState& s, std::uint64_t b, LaneMask& wrong) {
-          kernel.classify_words(s, b, wrong);
-        });
-    benchmark::DoNotOptimize(est.accepted);
-  }
-  // Items = ORIGINAL machine ops x lanes, comparable to the checked
-  // engine kernels of bench_local_checked.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(program.stats.total_ops) *
-                          64);
-}
-BENCHMARK(BM_RecoveringMachine1d);
-
-void BM_CheckedMachine1dApplyBaseline(benchmark::State& state) {
-  const Circuit logical = benchutil::scattered_workload();
-  const CheckedMachineProgram program =
-      compile(k1d, logical, recovering_machine_options());
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(program.checked.circuit.width());
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    std::uint64_t detected = 0;
-    detect::apply_noisy_checked_words(sim, ps, program.checked, &detected);
-    acc ^= detected;
-    benchmark::DoNotOptimize(ps);
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(program.stats.total_ops) *
-                          64);
-}
-BENCHMARK(BM_CheckedMachine1dApplyBaseline);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   benchutil::JsonResultWriter json("recover");
   const std::uint64_t trials = benchutil::trials_from_env(100000);
   const std::uint64_t seed = benchutil::seed_from_env();
@@ -310,9 +254,5 @@ int main(int argc, char** argv) {
   json.add("summary", "economics_bar_all_pass", all_pass ? 1.0 : 0.0);
   json.add("summary", "plan_bar_pass", plan_bar ? 1.0 : 0.0);
   json.write();
-
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

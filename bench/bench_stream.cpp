@@ -16,16 +16,14 @@
 //      on the silent/delivered error rate falls under the target —
 //      the BoykinR05 §4 use case (certify p < bound, don't pinpoint);
 //   3. determinism: the STOPPED estimate and the whole trajectory
-//      bit-identical across worker counts {1, 3, 8};
-//   4. google-benchmark kernels: the streaming round loop vs the
-//      plain sharded engine on the same no-stop workload (the cost of
-//      observation).
+//      bit-identical across worker counts {1, 3, 8}.
+//
+// The cost of observation (round times, pool efficiency) is perfbench's
+// telemetry.* metrics.
 //
 // Emits BENCH_stream.json, one CONV_*.json per streamed point (the
 // winning savings point carries the embedded bar), and a Chrome-trace
 // counter series TRACE_stream_conv.json for the headline point.
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <cstdio>
 #include <string>
@@ -33,11 +31,9 @@
 
 #include "bench_common.h"
 #include "ft/experiments.h"
-#include "ft/machine_kernel.h"
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
 #include "noise/lanes.h"
-#include "rev/gate.h"
 #include "support/provenance.h"
 #include "support/table.h"
 #include "telemetry/stream.h"
@@ -311,58 +307,10 @@ void print_determinism(benchutil::JsonResultWriter& json, std::uint64_t trials,
   json.add("determinism", "failures", runs[0].estimate.failures);
 }
 
-// --- 4. google-benchmark kernels --------------------------------------
-
-/// The test_stream workload: random inputs on the bare Toffoli,
-/// failure = any output bit wrong (make_circuit_kernel).
-Circuit bare_toffoli() {
-  Circuit c(3);
-  c.push(Gate{GateKind::kToffoli, {0, 1, 2}});
-  return c;
-}
-
-constexpr std::uint64_t kKernelTrials = 1u << 16;
-
-void BM_StreamingPlainNoStop(benchmark::State& state) {
-  const Circuit circuit = bare_toffoli();
-  const NoiseModel model = NoiseModel::uniform(1e-2);
-  telemetry::StreamOptions opts;
-  opts.mc.trials = kKernelTrials;
-  opts.mc.seed = benchutil::seed_from_env();
-  opts.mc.batches_per_shard = 64;
-  opts.wall_clock = false;  // time the loop, not the profiler of the loop
-  const MachineWorkloadKernel kernel = make_circuit_kernel(circuit);
-  for (auto _ : state) {
-    const auto run = telemetry::run_streaming_mc(
-        circuit, model, opts, [&](std::uint64_t) { return kernel; });
-    benchmark::DoNotOptimize(run.estimate.failures);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kKernelTrials));
-}
-BENCHMARK(BM_StreamingPlainNoStop);
-
-void BM_ParallelPlainBaseline(benchmark::State& state) {
-  const Circuit circuit = bare_toffoli();
-  const NoiseModel model = NoiseModel::uniform(1e-2);
-  ParallelMcOptions opts;
-  opts.trials = kKernelTrials;
-  opts.seed = benchutil::seed_from_env();
-  opts.batches_per_shard = 64;
-  const MachineWorkloadKernel kernel = make_circuit_kernel(circuit);
-  for (auto _ : state) {
-    const auto est = run_parallel_mc(
-        circuit, model, opts, [&](std::uint64_t) { return kernel; });
-    benchmark::DoNotOptimize(est.failures);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kKernelTrials));
-}
-BENCHMARK(BM_ParallelPlainBaseline);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   benchutil::JsonResultWriter json("stream");
   const std::uint64_t trials = benchutil::trials_from_env(200000);
   const std::uint64_t seed = benchutil::seed_from_env();
@@ -373,9 +321,5 @@ int main(int argc, char** argv) {
   print_determinism(json, trials, seed);
   json.add("summary", "savings_bar_pass", bar ? 1.0 : 0.0);
   json.write();
-
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

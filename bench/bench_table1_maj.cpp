@@ -1,16 +1,12 @@
 // bench_table1_maj — reproduces Table 1 and Fig 1.
 //
 // Prints the MAJ truth table computed by the gate-level simulator next
-// to the published rows, verifies the Fig 1 decomposition (2 CNOT +
-// 1 Toffoli) is functionally identical, then times the simulation
-// kernels (scalar and 64-lane packed) on MAJ-heavy workloads.
-#include <benchmark/benchmark.h>
-
+// to the published rows and verifies the Fig 1 decomposition (2 CNOT +
+// 1 Toffoli) is functionally identical.
 #include <cstdio>
 #include <string>
 
 #include "bench_common.h"
-#include "noise/packed_sim.h"
 #include "rev/render.h"
 #include "rev/simulator.h"
 #include "rev/synthesis.h"
@@ -75,65 +71,10 @@ void print_reproduction() {
               }());
 }
 
-// --- kernels ---------------------------------------------------------
-
-void BM_ScalarMajApply(benchmark::State& state) {
-  Circuit c(9);
-  for (int rep = 0; rep < 100; ++rep) {
-    c.maj(0, 1, 2).maj(3, 4, 5).maj(6, 7, 8);
-    c.majinv(0, 1, 2).majinv(3, 4, 5).majinv(6, 7, 8);
-  }
-  StateVector sv(9, 0b101101101u);
-  for (auto _ : state) {
-    sv.apply(c);
-    benchmark::DoNotOptimize(sv);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.size()));
-}
-BENCHMARK(BM_ScalarMajApply);
-
-void BM_PackedMajApply(benchmark::State& state) {
-  Circuit c(9);
-  for (int rep = 0; rep < 100; ++rep) {
-    c.maj(0, 1, 2).maj(3, 4, 5).maj(6, 7, 8);
-    c.majinv(0, 1, 2).majinv(3, 4, 5).majinv(6, 7, 8);
-  }
-  PackedState ps(9);
-  for (std::uint32_t b = 0; b < 9; ++b) ps.word(b) = 0x123456789abcdefULL * (b + 1);
-  for (auto _ : state) {
-    PackedSimulator::apply_ideal(ps, c);
-    benchmark::DoNotOptimize(ps);
-  }
-  // 64 lanes per pass.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.size()) * 64);
-}
-BENCHMARK(BM_PackedMajApply);
-
-void BM_PackedNoisyMajApply(benchmark::State& state) {
-  Circuit c(9);
-  for (int rep = 0; rep < 100; ++rep) {
-    c.maj(0, 1, 2).maj(3, 4, 5).maj(6, 7, 8);
-    c.majinv(0, 1, 2).majinv(3, 4, 5).majinv(6, 7, 8);
-  }
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(9);
-  for (auto _ : state) {
-    sim.apply_noisy_span(ps, c, 0, c.size());
-    benchmark::DoNotOptimize(ps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.size()) * 64);
-}
-BENCHMARK(BM_PackedNoisyMajApply);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_reproduction();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

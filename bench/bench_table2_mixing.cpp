@@ -6,8 +6,6 @@
 // The published numbers correspond to the perfect-init presets
 // (ρ₂ = 1/273, ρ₁ = 1/2109); the with-init variant is shown alongside
 // (see DESIGN.md on the init-convention mismatch).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/mixing.h"
@@ -77,19 +75,10 @@ void print_reproduction() {
       "assumes.\n");
 }
 
-void BM_MixingTable(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        table2_rows(threshold_for_ops(14), threshold_for_ops(38), 5));
-}
-BENCHMARK(BM_MixingTable);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   print_reproduction();
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

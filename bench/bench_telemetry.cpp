@@ -24,8 +24,6 @@
 // REPORT_telemetry_recover_1d.json, and Chrome-trace files
 // TRACE_telemetry_{1d,recover_1d}.json (open in Perfetto or
 // chrome://tracing).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -104,7 +102,7 @@ benchutil::Timing measure_checked_overhead(const CheckedMachineProgram& program,
           ctx.kernel.classify_words(s, b, wrong);
         },
         shard);
-    benchmark::DoNotOptimize(est.detected);
+    benchutil::do_not_optimize(est.detected);
   };
 
   const double units = static_cast<double>(ops);
@@ -153,7 +151,7 @@ benchutil::Timing measure_recover_overhead(const CheckedMachineProgram& program,
           ctx.kernel.classify_words(s, b, wrong);
         },
         shard);
-    benchmark::DoNotOptimize(est.accepted);
+    benchutil::do_not_optimize(est.accepted);
   };
 
   const double units = static_cast<double>(ops);
@@ -466,66 +464,10 @@ void print_recovery_profile(benchutil::JsonResultWriter& json) {
                 trace_path.c_str());
 }
 
-// --- google-benchmark kernels -----------------------------------------
-
-void BM_EmitEvent(benchmark::State& state) {
-  telemetry::Trace trace;
-  auto shards = trace.make_shards(1);
-  telemetry::Event e;
-  e.kind = telemetry::EventKind::kRailFired;
-  std::uint64_t batch = 0;
-  for (auto _ : state) {
-    e.batch = batch++;
-    shards[0].emit(e);
-  }
-  benchmark::DoNotOptimize(shards[0].emitted());
-}
-BENCHMARK(BM_EmitEvent);
-
-void BM_EmitEventNullSink(benchmark::State& state) {
-  telemetry::TraceConfig cfg;
-  cfg.ring_capacity = 0;
-  telemetry::Trace trace(cfg);
-  auto shards = trace.make_shards(1);
-  telemetry::Event e;
-  for (auto _ : state) shards[0].emit(e);
-  benchmark::DoNotOptimize(shards[0].emitted());
-}
-BENCHMARK(BM_EmitEventNullSink);
-
-void BM_TracedCheckedMachine1d(benchmark::State& state) {
-  const Circuit logical = benchutil::scattered_workload();
-  const CheckedMachineProgram program =
-      CheckedMachine1d(logical.width(), true, recovering_machine_options())
-          .compile(logical);
-  const auto truth = machine_truth_table(logical);
-  PackedSimulator sim(NoiseModel::uniform(1e-3), benchutil::seed_from_env());
-  PackedState ps(program.checked.circuit.width());
-  MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
-  telemetry::Trace trace;
-  auto shards = trace.make_shards(1);
-  std::uint64_t batch = 0;
-  for (auto _ : state) {
-    const auto est = detect::detail::run_checked_mc_span(
-        sim, ps, program.checked, batch++, 64,
-        [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
-          kernel.prepare(s, rng, b);
-        },
-        [&kernel](const PackedState& s, std::uint64_t b, LaneMask& wrong) {
-          kernel.classify_words(s, b, wrong);
-        },
-        &shards[0]);
-    benchmark::DoNotOptimize(est.detected);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(program.stats.total_ops) *
-                          64);
-}
-BENCHMARK(BM_TracedCheckedMachine1d);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   benchutil::JsonResultWriter json("telemetry");
   benchutil::stamp_run_meta(json, benchutil::trials_from_env(100000),
                             benchutil::seed_from_env());
@@ -538,9 +480,5 @@ int main(int argc, char** argv) {
   json.add("summary", "determinism_all_pass", determinism_ok ? 1.0 : 0.0);
   json.add("summary", "profiles_all_pass", profiles_ok ? 1.0 : 0.0);
   json.write();
-
-  std::printf("\n-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

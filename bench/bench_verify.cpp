@@ -11,13 +11,9 @@
 //      five interleaved repetitions, with the min-max spread), and the
 //      census_agreement_within_0 bar per machine (1 iff every
 //      certificate count equals the census count; CI enforces it);
-//   2. lint counts over the standard constructions;
-//   3. google-benchmark kernels: dataflow, certificate and census on
-//      the MAJ cycle.
+//   2. lint counts over the standard constructions.
 //
 // Emits BENCH_verify.json.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -152,56 +148,10 @@ void bench_lint(const CheckedMachineProgram& p1d,
       "the routing-glued replay components BENCH_recover prices.\n\n");
 }
 
-// --- google-benchmark kernels ----------------------------------------
-
-detect::CheckedCircuit cycle_checked() {
-  const EcStage stage = make_fig2_ec(true);
-  detect::ParityRailOptions opts;
-  opts.check_every = 1;
-  return detect::to_parity_rail(stage.circuit, opts);
-}
-
-void BM_DataflowMajCycle(benchmark::State& state) {
-  const auto checked = cycle_checked();
-  std::vector<verify::Poly> entry(9, verify::Poly::zero());
-  for (const std::uint32_t bit : {0u, 1u, 2u})
-    entry[bit] = verify::Poly::var(0);
-  for (auto _ : state) {
-    const auto df = verify::analyze_checked(checked, entry);
-    benchmark::DoNotOptimize(df.rail_reports.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(checked.circuit.size()));
-}
-BENCHMARK(BM_DataflowMajCycle);
-
-void BM_CertifyMajCycle(benchmark::State& state) {
-  const EcStage stage = make_fig2_ec(true);
-  const auto checked = cycle_checked();
-  std::vector<StateVector> inputs(2, StateVector(9));
-  for (const auto bit : stage.before.data) inputs[1].set_bit(bit, 1);
-  for (auto _ : state) {
-    const auto cert = verify::certify_single_faults(
-        checked, inputs,
-        {{stage.after.data[0], stage.after.data[1], stage.after.data[2]}});
-    benchmark::DoNotOptimize(cert.counts.scenarios);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(checked.circuit.size()));
-}
-BENCHMARK(BM_CertifyMajCycle);
-
-void BM_CensusMajCycle(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto census = checked_maj_cycle_census();
-    benchmark::DoNotOptimize(census.scenarios);
-  }
-}
-BENCHMARK(BM_CensusMajCycle);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchutil::reject_args(argc, argv);
   benchutil::JsonResultWriter json("verify");
   const Circuit logical = workload();
   const auto p1d = CheckedMachine1d(logical.width()).compile(logical);
@@ -219,9 +169,5 @@ int main(int argc, char** argv) {
 
   bench_lint(p1d, p2d, json);
   json.write();
-
-  std::printf("-- kernel timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

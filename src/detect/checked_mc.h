@@ -73,9 +73,8 @@ struct DetectionEstimate {
   /// Naming note: this counts TRIALS (each trial contributes at most 1
   /// to entry r), while RecoveryEstimate::rail_events counts EVENTS (a
   /// trial retrying at several boundaries contributes several). The
-  /// adaptivity-facing signal both feed is rail_detected_rate(r) here
-  /// and RecoveryEstimate::rail_event_rate(r) there — and the merged
-  /// per-block view is telemetry::RunReport's rail table.
+  /// per-trial signal is rail_detected_rate(r) here; the merged
+  /// per-block view of both is telemetry::RunReport's rail table.
   std::vector<std::uint64_t> rail_detected;
   /// Trials in which some registered ZeroCheck fired.
   std::uint64_t zero_check_detected = 0;

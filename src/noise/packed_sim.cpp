@@ -53,21 +53,6 @@ std::uint64_t BernoulliMaskStream::draw_gap() {
   return static_cast<std::uint64_t>(gap);
 }
 
-std::uint64_t BernoulliMaskStream::next_mask() {
-  if (p_ <= 0.0) return 0;
-  if (p_ >= 1.0) return ~0ULL;
-  if (use_geometric_) {
-    std::uint64_t mask = 0;
-    while (next_index_ < 64) {
-      mask |= 1ULL << next_index_;
-      next_index_ += 1 + draw_gap();
-    }
-    next_index_ -= 64;
-    return mask;
-  }
-  return rng_->next_bernoulli_mask(p_);
-}
-
 // The inline fast path (no failure anywhere in the batch) already
 // handled the common case; here at least one lane fails, p = 1, the
 // threshold path is active, or a noiseless stream's never-failing gap
@@ -84,10 +69,10 @@ void BernoulliMaskStream::next_masks_slow(std::uint64_t* out, unsigned words) {
   }
   if (use_geometric_) {
     // Walk the gap chain once across the whole batch. Equivalent to
-    // per-word next_mask() calls — those track the same global lane
-    // index, just rebased by 64 per word — with the same draws in the
-    // same order, so the RNG stream is bit-identical; the cost is
-    // O(failures in the batch) instead of O(words).
+    // one-word calls — those track the same global lane index, just
+    // rebased by 64 per word — with the same draws in the same order,
+    // so the RNG stream is bit-identical; the cost is O(failures in
+    // the batch) instead of O(words).
     const std::uint64_t batch_lanes = 64ULL * words;
     for (unsigned w = 0; w < words; ++w) out[w] = 0;
     while (next_index_ < batch_lanes) {

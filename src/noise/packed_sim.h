@@ -140,7 +140,12 @@ class BernoulliMaskStream {
  public:
   BernoulliMaskStream(double p, Xoshiro256* rng);
 
-  std::uint64_t next_mask();
+  /// One 64-lane mask: a one-word next_masks() draw.
+  std::uint64_t next_mask() {
+    std::uint64_t mask = 0;
+    next_masks(&mask, 1);
+    return mask;
+  }
 
   /// Draw `words` consecutive 64-lane masks into out[0..words).
   /// Bit-identical to calling next_mask() `words` times. The draw-free

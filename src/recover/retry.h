@@ -75,10 +75,9 @@ struct RecoveryEstimate {
   /// boundaries) — the per-rail retry counters of the protocol.
   ///
   /// Naming note: this counts EVENTS, while the detection engine's
-  /// DetectionEstimate::rail_detected counts TRIALS. The
-  /// adaptivity-facing per-block signal is rail_event_rate(r) (events
-  /// per trial, can exceed 1); telemetry::RunReport merges both views
-  /// into one per-block table.
+  /// DetectionEstimate::rail_detected counts TRIALS; events per trial
+  /// can exceed 1. telemetry::RunReport merges both views into one
+  /// per-block table.
   std::vector<std::uint64_t> rail_events;
   std::uint64_t zero_check_events = 0;
   /// Per-trial fallible ops actually executed, split by phase.
@@ -105,16 +104,6 @@ struct RecoveryEstimate {
     std::uint64_t sum = 0;
     for (const std::uint64_t count : rail_events) sum += count;
     return sum;
-  }
-  /// Detection events attributed to rail r per trial — THE
-  /// adaptivity-facing per-block fault-rate signal (see rail_events;
-  /// can exceed 1 when trials retry repeatedly). Zero for a rail this
-  /// estimate never recorded.
-  double rail_event_rate(std::size_t r) const noexcept {
-    return trials != 0 && r < rail_events.size()
-               ? static_cast<double>(rail_events[r]) /
-                     static_cast<double>(trials)
-               : 0.0;
   }
   double acceptance_rate() const noexcept {
     return trials != 0 ? static_cast<double>(accepted) /

@@ -9,9 +9,8 @@
 // ConvergenceSnapshot (rate + Wilson half-width of the engine's
 // headline estimate), feeds the live on_snapshot callback, and
 // evaluates the EarlyStopPolicy. The price is one pool barrier per
-// batch: with several workers and small batches a never-stop stream
-// is several times slower than the one-round full run, which stays
-// the way to spend a whole budget.
+// batch (perfbench's telemetry.round_p50_us and pool_efficiency report
+// it), so the one-round full run stays the way to spend a whole budget.
 //
 // Determinism: each shard's simulator persists across rounds, so a
 // no-stop streaming run reproduces the full run's estimate bit for
@@ -20,7 +19,8 @@
 // decision, and therefore the stopped estimate (trials consumed,
 // failures, rail counters — everything) are bit-identical across
 // REVFT_THREADS (ctest-enforced across {1,3,8}). Wall-clock is
-// confined to WallProfile, which deterministic_equal ignores.
+// confined to WallProfile — every run records one round duration per
+// snapshot there — which deterministic_equal ignores.
 //
 // The headline estimate each engine converges on:
 //   plain       failures / trials            (logical error rate)
@@ -59,9 +59,6 @@ struct StreamOptions {
   std::function<void(const ConvergenceSnapshot&,
                      const ConvergenceTrajectory&)>
       on_snapshot;
-  /// Record per-round wall durations into the trajectory's
-  /// WallProfile (never into the deterministic payload).
-  bool wall_clock = true;
 };
 
 /// A streaming run's outcome: the engine's full estimate (stopped or
@@ -113,20 +110,18 @@ StreamResult<Estimate> run_streaming_rounds(const char* engine,
               opts.mc.lane_words};
   traj.policy = opts.stop;
 
-  Clock::time_point t0 = opts.wall_clock ? Clock::now() : Clock::time_point{};
+  Clock::time_point t0 = Clock::now();
   result.estimate = revft::detail::run_rounds<Estimate>(
       model, width, opts.mc, 1, factory, trace,
       std::forward<RunRange>(run_range),
       [&](std::uint64_t round, const Estimate& total) {
-        if (opts.wall_clock) {
-          traj.wall.round_seconds.push_back(
-              std::chrono::duration<double>(Clock::now() - t0).count());
-        }
+        traj.wall.round_seconds.push_back(
+            std::chrono::duration<double>(Clock::now() - t0).count());
         const BernoulliEstimate headline = headline_estimate(total);
         traj.record(round, total.trials, headline);
         if (opts.on_snapshot) opts.on_snapshot(traj.snapshots.back(), traj);
         traj.stop_reason = decide_stop(opts.stop, total.trials, headline);
-        if (opts.wall_clock) t0 = Clock::now();
+        t0 = Clock::now();
         return traj.stop_reason != StopReason::kNone;
       });
   if (traj.stop_reason == StopReason::kNone)

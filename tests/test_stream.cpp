@@ -231,7 +231,6 @@ telemetry::StreamResult<BernoulliEstimate> stopped_plain_run(
   opts.stop.target_rel_half_width = 0.2;
   opts.stop.min_failures = 30;
   opts.stop.min_trials = 1024;
-  opts.wall_clock = false;
   return telemetry::run_streaming_mc(
       bare_toffoli(), NoiseModel::uniform(0.05), opts,
       [](std::uint64_t) { return ToffoliKernel{}; });
@@ -278,7 +277,6 @@ TEST(StreamChecked, StoppedEstimateBitIdenticalAcrossThreads) {
     opts.mc.batches_per_shard = 64;
     opts.stop.target_upper_bound = 0.02;  // certify the silent rate
     opts.stop.min_trials = 4096;
-    opts.wall_clock = false;
     return exp.run_streaming(0.01, opts);
   };
 
@@ -310,7 +308,6 @@ TEST(StreamRecovering, StoppedEstimateBitIdenticalAcrossThreads) {
     opts.mc.batches_per_shard = 64;
     opts.stop.target_upper_bound = 0.02;  // certify delivered quality
     opts.stop.min_trials = 4096;
-    opts.wall_clock = false;
     return exp.run_streaming(0.01, policy, opts);
   };
 
@@ -349,7 +346,6 @@ TEST(StreamTrajectory, OnSnapshotFiresOncePerRound) {
   StreamOptions opts;
   opts.mc = plain_mc_options();
   opts.mc.threads = 2;
-  opts.wall_clock = false;
   opts.on_snapshot = [&](const ConvergenceSnapshot& snap,
                          const ConvergenceTrajectory& traj) {
     EXPECT_EQ(snap.round, calls);
@@ -368,6 +364,26 @@ TEST(StreamTrajectory, WallProfileIsExcludedFromDeterministicEqual) {
   a.trajectory.wall.round_seconds = {1.0, 2.0};
   b.trajectory.wall.round_seconds = {9.0};
   EXPECT_TRUE(a.trajectory.deterministic_equal(b.trajectory));
+}
+
+TEST(StreamTrajectory, WallProfileRecordsOneRoundPerSnapshot) {
+  StreamOptions full;
+  full.mc = plain_mc_options();
+  full.mc.threads = 2;  // default policy: runs the whole budget
+  const auto exhausted = telemetry::run_streaming_mc(
+      bare_toffoli(), NoiseModel::uniform(0.05), full,
+      [](std::uint64_t) { return ToffoliKernel{}; });
+  ASSERT_EQ(exhausted.stop_reason(), StopReason::kExhausted);
+  const auto stopped = stopped_plain_run(2);
+  ASSERT_TRUE(stopped.stopped_early());
+
+  for (const auto* traj : {&exhausted.trajectory, &stopped.trajectory}) {
+    ASSERT_FALSE(traj->snapshots.empty());
+    EXPECT_EQ(traj->wall.round_seconds.size(), traj->snapshots.size());
+    for (const double s : traj->wall.round_seconds) EXPECT_GE(s, 0.0);
+  }
+  EXPECT_LT(stopped.trajectory.snapshots.size(),
+            exhausted.trajectory.snapshots.size());
 }
 
 // --- artifact shapes --------------------------------------------------
