@@ -8,8 +8,6 @@
 //     (rail-coverage-hole);
 //   * the cycle railed WITHOUT the known-zero promise, so encoder
 //     compensation provably never toggles (dead-compensation);
-//   * checkpoint_spans doctored behind the transform's back
-//     (membership-mismatch);
 //   * a zero check asserted on a cell that provably carries data
 //     (spurious-check);
 //   * the checked 1D machine, whose routing glues rails into shared
@@ -111,16 +109,5 @@ int main() {
                verify::lint_checked_circuit(program.checked,
                                             verify::machine_entry(program)));
 
-  // checkpoint_spans doctored behind the transform's back: the first
-  // cells of rails 0 and 1 trade groups at the first checkpoint.
-  auto doctored = program.checked;
-  auto& span = doctored.checkpoint_spans.front();
-  const auto& first = span.rail_first;
-  if (first.size() >= 3 && first[0] < first[1] && first[1] < first[2]) {
-    std::swap(span.bits[first[0]], span.bits[first[1]]);
-    print_report("checked 1D machine with doctored checkpoint_spans",
-                 verify::lint_checked_circuit(doctored,
-                                              verify::machine_entry(program)));
-  }
   return 0;
 }

@@ -66,12 +66,10 @@ void walk_checked_impl(PackedState& state, const CheckedCircuit& checked,
     }
     for (; ci < n_cp && checked.checkpoints[ci] == stop; ++ci) {
       for (std::size_t r = 0; r < n_rails; ++r) {
-        const std::uint32_t* bits =
-            x.rail_bits.data() + x.rail_start[ci * n_rails + r];
-        const std::uint32_t* bits_end =
-            x.rail_bits.data() + x.rail_start[ci * n_rails + r + 1];
+        // A rail's slots are the same at every checkpoint (WalkIndex).
         std::uint64_t acc[W];
-        rail_invariant_words<W>(state, bits[0], {bits + 1, bits_end}, acc);
+        rail_invariant_words<W>(state, checked.rails[r].rail_bit,
+                                checked.rails[r].group, acc);
         for (unsigned w = 0; w < W; ++w) detected[w] |= acc[w];
         if (fired_masks != nullptr)
           for (unsigned w = 0; w < W; ++w) fired_masks[r * W + w] |= acc[w];
@@ -112,18 +110,6 @@ void walk_checked(PackedState& state, const CheckedCircuit& checked,
                   std::uint64_t* fired_masks) {
   REVFT_CHECK_MSG(checked.circuit.width() == state.width(),
                   "apply_noisy_checked_words: width mismatch");
-  REVFT_CHECK_MSG(
-      checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "apply_noisy_checked_words: checkpoint_spans do not match checkpoints (a "
-      "CheckedCircuit's spans come from detect::to_parity_rail)");
-  const WalkIndex& x = checked.walk;
-  REVFT_CHECK_MSG(
-      x.slot_ops.size() == checked.circuit.size() &&
-          x.zero_start.size() == checked.zero_checks.size() + 1 &&
-          x.rail_start.size() ==
-              checked.checkpoints.size() * checked.rails.size() + 1,
-      "apply_noisy_checked_words: the walk index does not match the circuit "
-      "(detect::index_walk builds it)");
   with_lane_words(state.lane_words(), "apply_noisy_checked_words",
                   [&](auto W) {
                     walk_checked_impl<W>(state, checked, events, detected,

@@ -15,7 +15,8 @@
 //             routing folded into a renaming of cells to slots
 //             (WalkIndex, detect/rail.h), merged with the checks: at
 //             every recorded checkpoint every rail invariant
-//             I_r = rail_r ^ XOR(group_r) is evaluated for all lanes
+//             I_r = rail_r ^ XOR(group_r), on the rail's fixed slot
+//             set, is evaluated for all lanes
 //             at once — one word XOR per group member plus one OR into
 //             the running `detected` mask, so a full partition's
 //             checkpoint costs the same word work as the classic
@@ -172,8 +173,7 @@ namespace detail {
 /// merged with the zero checks and rail checkpoints, routing run as
 /// checked.walk's renaming. Writes the masks as
 /// apply_noisy_checked_words documents. Throws revft::Error on a width
-/// mismatch, on spans that do not align with the checkpoints or on a
-/// stale checked.walk.
+/// mismatch; its callers check checked.walk (check_walk_index).
 void walk_checked(PackedState& state, const CheckedCircuit& checked,
                   std::span<const FaultEvent> events, std::uint64_t* detected,
                   std::uint64_t* fired_masks);
@@ -191,11 +191,11 @@ void walk_checked(PackedState& state, const CheckedCircuit& checked,
 /// combined mask is the OR of every slot. The circuit's faults are
 /// drawn first (sim.draw_faults), then walked (detail::walk_checked);
 /// the RNG words consumed and the final state are those of a per-op
-/// noisy walk, so the sharded determinism contract carries over. Rail
-/// checkpoints are evaluated off CheckedCircuit::checkpoint_spans; a
-/// circuit whose spans do not align with its checkpoints (only a
-/// hand-assembled one — to_parity_rail records one per checkpoint) is
-/// rejected, as is one whose WalkIndex does not match it. `sim`
+/// noisy walk, so the sharded determinism contract carries over. At
+/// every checkpoint each rail is evaluated on its fixed slot set (its
+/// rail bit and entry group, WalkIndex); a circuit whose index does
+/// not match it (a hand-assembled one that never ran index_walk) is
+/// rejected (check_walk_index). `sim`
 /// is a PackedSimulator, or a ScriptedPass (noise/injection.h) whose
 /// events are its batch's scripted faults.
 template <typename Sim>
@@ -203,6 +203,7 @@ void apply_noisy_checked_words(Sim& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks = nullptr) {
+  check_walk_index(checked, "apply_noisy_checked_words");
   detail::walk_checked(state, checked,
                        sim.draw_faults(checked.circuit, checked.walk.kinds, 0,
                                        checked.circuit.size(),
@@ -352,6 +353,7 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
   const telemetry::SpanEvents events(trace);
   const unsigned lane_words = state.lane_words();
   const std::uint64_t lanes_per_batch = 64ULL * lane_words;
+  check_walk_index(checked, "run_checked_mc_span");
   CheckedBatchWalk walk(checked, lane_words);
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;

@@ -1,7 +1,8 @@
 #include "detect/rail.h"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <sstream>
 
 #include "detect/parity.h"
 #include "support/error.h"
@@ -352,25 +353,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
 
   auto checkpoint = [&] {
     comp.flush_all();  // the invariants must be current where checked
-    if (out.empty()) return;
-    checked.checkpoints.push_back(out.size() - 1);
-    // Snapshot the membership in force here, rail-major with each group
-    // ascending: the cells the online checkers must evaluate (SWAP/SWAP3
-    // migrate rail_of below).
-    CheckpointSpan span;
-    span.rail_first.assign(n_rails + 1, 0);
-    for (std::uint32_t d = 0; d < checked.data_width; ++d)
-      if (rail_of[d] >= 0)
-        ++span.rail_first[static_cast<std::size_t>(rail_of[d]) + 1];
-    std::partial_sum(span.rail_first.begin(), span.rail_first.end(),
-                     span.rail_first.begin());
-    span.bits.resize(span.rail_first.back());
-    std::vector<std::uint32_t> next(span.rail_first.begin(),
-                                    span.rail_first.end() - 1);
-    for (std::uint32_t d = 0; d < checked.data_width; ++d)
-      if (rail_of[d] >= 0)
-        span.bits[next[static_cast<std::size_t>(rail_of[d])]++] = d;
-    checked.checkpoint_spans.push_back(std::move(span));
+    if (!out.empty()) checked.checkpoints.push_back(out.size() - 1);
   };
 
   // Encoders: load each rail with the XOR of its group's input data
@@ -496,30 +479,109 @@ void add_zero_check(CheckedCircuit& checked, std::size_t source_op,
   index_walk(checked);
 }
 
+namespace {
+
+// Out of line, so the error path costs index_walk's op loop nothing.
+[[noreturn, gnu::cold]] void throw_moves_rail_bit(std::size_t i,
+                                                  const Gate& g) {
+  std::ostringstream msg;
+  msg << "index_walk: op " << i << ' ' << g
+      << " moves a rail bit (rail bits are static; only data bits migrate)";
+  throw Error(msg.str());
+}
+
+/// rail_at[s]: the rail whose entry group holds data slot s, or -1
+/// (unwatched). Checks that each rail bit lies past the data bits and
+/// that the groups are disjoint data bits.
+std::vector<int> rail_of_slot(const CheckedCircuit& checked) {
+  const std::uint32_t n_data = checked.data_width;
+  const std::uint32_t width = checked.circuit.width();
+  REVFT_CHECK_MSG(n_data <= width, "index_walk: data_width "
+                                       << n_data << " exceeds the width");
+  std::vector<int> rail_at(n_data, -1);
+  for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+    const std::uint32_t rail_bit = checked.rails[r].rail_bit;
+    REVFT_CHECK_MSG(rail_bit >= n_data && rail_bit < width,
+                    "index_walk: rail " << r << " bit " << rail_bit
+                                        << " is not a rail bit");
+    for (const std::uint32_t s : checked.rails[r].group) {
+      REVFT_CHECK_MSG(s < n_data && rail_at[s] < 0,
+                      "index_walk: rail " << r << " group bit " << s
+                                          << " is not a data bit of its own");
+      rail_at[s] = static_cast<int>(r);
+    }
+  }
+  return rail_at;
+}
+
+/// One checkpoint's span: data cell d belongs to the rail whose entry
+/// group holds slot[d]; rail-major, each group ascending by cell.
+/// rail_first is the CSR offsets (the group sizes never change).
+void fill_span(CheckpointSpan& span,
+               const std::vector<std::uint32_t>& rail_first,
+               const std::vector<int>& rail_at,
+               const std::vector<std::uint32_t>& slot,
+               std::vector<std::uint32_t>& next) {
+  span.rail_first = rail_first;
+  span.bits.resize(rail_first.back());
+  std::copy(rail_first.begin(), rail_first.end() - 1, next.begin());
+  for (std::uint32_t d = 0; d < rail_at.size(); ++d)
+    if (const int r = rail_at[slot[d]]; r >= 0)
+      span.bits[next[static_cast<std::size_t>(r)]++] = d;
+}
+
+}  // namespace
+
 void index_walk(CheckedCircuit& checked) {
   const Circuit& c = checked.circuit;
-  REVFT_CHECK_MSG(
-      checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "index_walk: checkpoint_spans do not match checkpoints");
+  const std::uint32_t n_data = checked.data_width;
+  const std::size_t rails = checked.rails.size();
+  // Routing only renames slots, so slot s < n_data holds data cell s's
+  // entry value for the whole walk: each rail is one fixed slot set,
+  // and each checkpoint's span reads it back through the renaming in
+  // force there.
+  const std::vector<int> rail_at = rail_of_slot(checked);
+  std::vector<std::uint32_t> rail_first(rails + 1, 0);
+  for (std::size_t r = 0; r < rails; ++r)
+    rail_first[r + 1] =
+        rail_first[r] +
+        static_cast<std::uint32_t>(checked.rails[r].group.size());
+  // Re-indexing (add_zero_check) refills the spans in place.
+  std::vector<CheckpointSpan> spans = std::move(checked.checkpoint_spans);
+  spans.resize(checked.checkpoints.size());
+  std::vector<std::uint32_t> next(rails);
   WalkIndex x;
   x.kinds = KindIndex(c);
   // slot[cell]: the slot holding the cell after the ops so far.
   std::vector<std::uint32_t> slot(c.width());
   for (std::uint32_t i = 0; i < c.width(); ++i) slot[i] = i;
-  const std::size_t rails = checked.rails.size();
   std::size_t zi = 0, ci = 0;
   x.slot_ops.reserve(c.size());
   x.data_ops.reserve(c.size());
   x.data_ops_before.reserve(c.size() + 1);
   x.data_ops_before.push_back(0);
   x.zero_start.push_back(0);
-  x.rail_start.push_back(0);
+  // Each kind's arity, looked up without a call per op.
+  std::array<std::uint8_t, kNumGateKinds> arity_of{};
+  for (int k = 0; k < kNumGateKinds; ++k)
+    arity_of[static_cast<std::size_t>(k)] =
+        static_cast<std::uint8_t>(gate_arity(static_cast<GateKind>(k)));
+  // The check lists as locals: the pushes below could alias them.
+  const ZeroCheck* const zcs = checked.zero_checks.data();
+  const std::size_t* const cps = checked.checkpoints.data();
+  const std::size_t n_zc = checked.zero_checks.size();
+  const std::size_t n_cp = checked.checkpoints.size();
   const std::vector<Gate>& ops = c.ops();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const auto& b = ops[i].bits;
+    const bool routing =
+        ops[i].kind == GateKind::kSwap || ops[i].kind == GateKind::kSwap3;
     if (ops[i].kind == GateKind::kSwap) {
+      if (std::max(b[0], b[1]) >= n_data) throw_moves_rail_bit(i, ops[i]);
       std::swap(slot[b[0]], slot[b[1]]);
     } else if (ops[i].kind == GateKind::kSwap3) {
+      if (std::max({b[0], b[1], b[2]}) >= n_data)
+        throw_moves_rail_bit(i, ops[i]);
       // Left rotation: cell a takes cell b's value, b takes c's, c a's.
       const std::uint32_t first = slot[b[0]];
       slot[b[0]] = slot[b[1]];
@@ -527,30 +589,20 @@ void index_walk(CheckedCircuit& checked) {
       slot[b[2]] = first;
     }
     Gate g = ops[i];
-    const auto arity = static_cast<std::size_t>(g.arity());
+    const std::size_t arity = arity_of[static_cast<std::size_t>(g.kind)];
     for (std::size_t k = 0; k < arity; ++k) g.bits[k] = slot[b[k]];
     x.slot_ops.push_back(g);
-    if (g.kind != GateKind::kSwap && g.kind != GateKind::kSwap3)
-      x.data_ops.push_back(g);
+    if (!routing) x.data_ops.push_back(g);
     x.data_ops_before.push_back(static_cast<std::uint32_t>(x.data_ops.size()));
-    for (; zi < checked.zero_checks.size() &&
-           checked.zero_checks[zi].op_index == i;
-         ++zi) {
-      for (const std::uint32_t cell : checked.zero_checks[zi].bits)
+    for (; zi < n_zc && zcs[zi].op_index == i; ++zi) {
+      for (const std::uint32_t cell : zcs[zi].bits)
         x.zero_bits.push_back(slot[cell]);
       x.zero_start.push_back(static_cast<std::uint32_t>(x.zero_bits.size()));
     }
-    for (; ci < checked.checkpoints.size() && checked.checkpoints[ci] == i;
-         ++ci)
-      for (std::size_t r = 0; r < rails; ++r) {
-        x.rail_bits.push_back(slot[checked.rails[r].rail_bit]);
-        for (const std::uint32_t cell : checked.checkpoint_spans[ci].group(r))
-          x.rail_bits.push_back(slot[cell]);
-        x.rail_start.push_back(static_cast<std::uint32_t>(x.rail_bits.size()));
-      }
+    for (; ci < n_cp && cps[ci] == i; ++ci)
+      fill_span(spans[ci], rail_first, rail_at, slot, next);
   }
-  REVFT_CHECK_MSG(zi == checked.zero_checks.size() &&
-                      ci == checked.checkpoints.size(),
+  REVFT_CHECK_MSG(zi == n_zc && ci == n_cp,
                   "index_walk: checks must be sorted, each after an op of "
                   "the circuit");
   std::vector<char> seen(c.width(), 0);
@@ -564,6 +616,17 @@ void index_walk(CheckedCircuit& checked) {
     x.cycle_start.push_back(static_cast<std::uint32_t>(x.cycles.size()));
   }
   checked.walk = std::move(x);
+  checked.checkpoint_spans = std::move(spans);
+}
+
+void check_walk_index(const CheckedCircuit& checked, const char* caller) {
+  const WalkIndex& x = checked.walk;
+  REVFT_CHECK_MSG(
+      x.slot_ops.size() == checked.circuit.size() &&
+          x.zero_start.size() == checked.zero_checks.size() + 1 &&
+          checked.checkpoint_spans.size() == checked.checkpoints.size(),
+      caller << ": the walk index does not match the circuit "
+                "(detect::index_walk builds it)");
 }
 
 StateVector widen_input(const CheckedCircuit& checked,

@@ -33,9 +33,12 @@
 // groups therefore follow the *data*: under the checked machines'
 // per-block partition each rail tracks one logical block wherever
 // routing carries it, which is exactly the localization a
-// block-granular retry wants. Each checkpoint records the membership
-// in force there (CheckedCircuit::checkpoint_spans) so the online
-// checkers evaluate the right cells. Gates that are not unconditional
+// block-granular retry wants. In the checked walk (WalkIndex) routing
+// is a renaming of cells to slots, so each rail is one fixed slot set:
+// its rail bit plus its entry group. index_walk is the one place that
+// derives the cells each rail covers at a checkpoint
+// (CheckedCircuit::checkpoint_spans), by reading that set back through
+// the renaming in force there. Gates that are not unconditional
 // permutations and straddle groups (a transversal gate on a gathered
 // triple, a conditional Fredkin swap) are compensated per rail with
 // the exact parity delta of each group's operand subset.
@@ -150,24 +153,28 @@ struct ZeroCheck {
 };
 
 /// One parity rail of a checked circuit: the data bits whose XOR it
-/// carries at ENTRY (membership migrates through SWAP/SWAP3 — the
-/// per-checkpoint truth lives in CheckedCircuit::checkpoint_spans),
-/// the circuit bit holding the running parity, and the
-/// encoder/compensation gates attributed to it.
+/// carries at ENTRY, the circuit bit holding the running parity, and
+/// the encoder/compensation gates attributed to it. Membership
+/// migrates through SWAP/SWAP3 in cell space, but in the checked walk
+/// (WalkIndex) the rail bit plus the entry group is the rail's one
+/// fixed slot set; index_walk derives the per-checkpoint cells from
+/// it (CheckedCircuit::checkpoint_spans).
 struct RailInfo {
-  /// Data bits of the rail's group at circuit entry, ascending.
-  /// Disjoint across rails.
+  /// Data bits of the rail's group at circuit entry, ascending, and
+  /// its slots for the whole walk. Disjoint across rails.
   std::vector<std::uint32_t> group;
   /// Circuit bit carrying the group's running parity
-  /// (data_width + rail index).
+  /// (data_width + rail index). No SWAP/SWAP3 moves it (index_walk
+  /// rejects one that does), so it is its own slot too.
   std::uint32_t rail_bit = 0;
   /// Encoder + compensation gates emitted for this rail.
   std::uint64_t rail_ops = 0;
 };
 
-/// Rail membership at one checkpoint, in CSR form: every watched data
-/// bit of the checkpoint, rail-major, so the online checkers stream
-/// one contiguous array instead of chasing per-group vectors.
+/// Rail membership at one checkpoint, in cell space and CSR form:
+/// every watched data bit of the checkpoint, rail-major, so the
+/// cell-space readers stream one contiguous array instead of chasing
+/// per-group vectors. index_walk derives it.
 struct CheckpointSpan {
   /// Watched data bits at this checkpoint, rail-major: rail r's group
   /// occupies bits[rail_first[r] .. rail_first[r+1]), ascending.
@@ -205,9 +212,11 @@ bool migrate_membership(const Gate& g, std::span<int> rail_of);
 ///
 /// Routing moves no data in the walk: a SWAP or SWAP3 only renames
 /// which storage slot holds which cell. So the walk runs the other ops
-/// on slots, reads every check's cells and every injected operand
+/// on slots, reads every zero check's cells and every injected operand
 /// through the renaming in force at its op, and restores cell order at
-/// the end.
+/// the end. A rail's membership moves with the data, so in slot space
+/// it never moves: at every checkpoint rail r reads the fixed slots
+/// rails[r].rail_bit and rails[r].group, and needs no entry here.
 struct WalkIndex {
   KindIndex kinds;  ///< the circuit's ops by kind, for the fault draw
   /// Op i with its operands renamed to their slots after op i.
@@ -219,9 +228,6 @@ struct WalkIndex {
   /// Zero check z's cells as slots: zero_bits[zero_start[z] ..
   /// zero_start[z + 1]).
   std::vector<std::uint32_t> zero_bits, zero_start;
-  /// Entry k * rails + r: checkpoint k's rail r as slots — the rail
-  /// bit, then its group: rail_bits[rail_start[e] .. rail_start[e + 1]).
-  std::vector<std::uint32_t> rail_bits, rail_start;
   /// The cycles of the final renaming: in cycle c0, c1, ... (each cell
   /// listed once, fixed cells omitted) cell c_i ends in slot c_{i+1},
   /// and the last cell in slot c0. cycles[cycle_start[k] ..
@@ -241,14 +247,15 @@ struct CheckedCircuit {
   /// run.
   std::vector<std::size_t> checkpoints;
   /// checkpoint_spans[k].group(r) = the data bits rail r covers at
-  /// checkpoint k (SWAP/SWAP3 migrate membership with the data, so
-  /// the groups a checker must evaluate depend on where the
-  /// checkpoint sits). One entry per checkpoint, aligned with
-  /// `checkpoints`; the last entry is the exit membership — under the
-  /// checked machines' per-block partition, rail r's exit group is
-  /// wherever routing left block r. to_parity_rail records it; the
-  /// engines reject a hand-assembled circuit whose spans do not align
-  /// with its checkpoints.
+  /// checkpoint k: the cells whose slot lies in rail r's entry group
+  /// (SWAP/SWAP3 migrate membership with the data, so the cells
+  /// depend on where the checkpoint sits). One entry per checkpoint,
+  /// aligned with `checkpoints`; the last entry is the exit
+  /// membership — under the checked machines' per-block partition,
+  /// rail r's exit group is wherever routing left block r. Derived by
+  /// index_walk and written nowhere else; the cell-space readers (the
+  /// recovering engine, the certifier, dataflow) reject a circuit that
+  /// was not indexed (check_walk_index).
   std::vector<CheckpointSpan> checkpoint_spans;
   /// Original ops that queued at least one rail-compensation gate
   /// (before fusion; the transform's exact "not free" count — SWAPs
@@ -261,7 +268,7 @@ struct CheckedCircuit {
   /// Clean-cell checkpoints, sorted by op_index (see add_zero_check).
   std::vector<ZeroCheck> zero_checks;
   /// The checked engine's index of everything above (index_walk);
-  /// the engine rejects a circuit whose index does not match it.
+  /// every engine rejects a circuit whose index does not match it.
   WalkIndex walk;
   /// Added-gate accounting: encoder + compensation (summed over
   /// rails[].rail_ops).
@@ -301,9 +308,19 @@ std::vector<std::vector<std::uint32_t>> partition_into_blocks(
 void add_zero_check(CheckedCircuit& checked, std::size_t source_op,
                     std::vector<std::uint32_t> bits);
 
-/// Rebuilds checked.walk from the circuit, its checkpoints (with their
-/// spans) and its zero checks. to_parity_rail and add_zero_check call
-/// it; a hand-assembled CheckedCircuit must, before a checked run.
+/// Rebuilds checked.walk and checked.checkpoint_spans from the
+/// circuit, its rails, checkpoints and zero checks — the only code
+/// that derives rail membership. to_parity_rail and add_zero_check
+/// call it; a hand-assembled CheckedCircuit must, before a checked
+/// run. Throws revft::Error on a SWAP/SWAP3 that moves a rail bit (any
+/// bit >= data_width), on overlapping or out-of-range rail groups and
+/// on unsorted checks.
 void index_walk(CheckedCircuit& checked);
+
+/// Throws revft::Error, naming `caller` and index_walk, unless
+/// checked.walk and checked.checkpoint_spans match the circuit, its
+/// zero checks and its checkpoints — the one guard of every reader of
+/// them.
+void check_walk_index(const CheckedCircuit& checked, const char* caller);
 
 }  // namespace revft::detect

@@ -145,10 +145,6 @@ double SegmentPlan::worst_replay_share() const {
 SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
   const Circuit& circuit = checked.circuit;
   REVFT_CHECK_MSG(!circuit.empty(), "build_segment_plan: empty circuit");
-  REVFT_CHECK_MSG(
-      checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "build_segment_plan: checkpoint_spans do not match checkpoints (a "
-      "CheckedCircuit's spans come from detect::to_parity_rail)");
   const std::uint32_t n_rails =
       static_cast<std::uint32_t>(checked.rails.size());
   const int orphan = static_cast<int>(n_rails);  // unwatched-cell node
@@ -234,23 +230,7 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
     Segment seg;
     seg.begin = seg_begin;
     seg.end = i;
-    if (at_checkpoint) {
-      seg.checkpoint = static_cast<int>(next_checkpoint);
-      // Cross-check the walk against the transform's recorded
-      // membership — the invariant the restore path depends on.
-      const detect::CheckpointSpan& span =
-          checked.checkpoint_spans[next_checkpoint];
-      for (std::uint32_t r = 0; r < n_rails; ++r) {
-        std::vector<std::uint32_t> here;
-        for (std::uint32_t d = 0; d < checked.data_width; ++d)
-          if (rail_of[d] == static_cast<int>(r)) here.push_back(d);
-        REVFT_CHECK_MSG(std::ranges::equal(here, span.group(r)),
-                        "build_segment_plan: membership walk diverged from "
-                        "checkpoint_spans at checkpoint "
-                            << next_checkpoint << ", rail " << r);
-      }
-      ++next_checkpoint;
-    }
+    if (at_checkpoint) seg.checkpoint = static_cast<int>(next_checkpoint++);
     std::vector<int> zero_check_node;
     while (next_zero_check < checked.zero_checks.size() &&
            checked.zero_checks[next_zero_check].op_index <= i) {

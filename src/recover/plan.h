@@ -21,9 +21,9 @@
 //
 //   * every op is attributed to the rail groups its operands belong to
 //     at the moment it executes (membership migrates through
-//     SWAP/SWAP3 exactly as in detect/rail.cpp — the walk here mirrors
-//     that transform and cross-checks itself against
-//     CheckedCircuit::checkpoint_spans at every checkpoint);
+//     SWAP/SWAP3, detect::migrate_membership; the cells a rail covers
+//     at a checkpoint come from detect::index_walk, which derives them
+//     from the same moves);
 //   * ops whose operands span several groups union those groups — a
 //     routing swap carrying block r past block q entangles r and q,
 //     because replaying r's traffic rewrites cells q's values pass
@@ -110,16 +110,13 @@ struct SegmentPlan {
   double worst_replay_share() const;
 };
 
-/// Build the plan. Requirements: a non-empty checked circuit,
-/// checkpoint_spans aligned with checkpoints (the recovering
-/// engine evaluates rails from the spans only; to_parity_rail always
-/// builds them), and at most 64 components per segment (the packed
-/// engine names a segment's components in one 64-bit set — always true
-/// for the per-block machines, whose component count is bounded by
-/// rails + 1).
-/// The walk re-derives rail membership op by op and checks it against
-/// checkpoint_spans at every checkpoint, so a drift between the
-/// transform and this analysis fails loudly at build time.
+/// Build the plan. Requirements: a non-empty checked circuit ending at
+/// its final checkpoint, no SWAP/SWAP3 that moves a rail bit, and at
+/// most 64 components per segment (the packed engine names a segment's
+/// components in one 64-bit set — always true for the per-block
+/// machines, whose component count is bounded by rails + 1). The plan
+/// reads no checkpoint_spans; the recovering engine, which does,
+/// checks them itself (detect::check_walk_index).
 SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked);
 
 }  // namespace revft::recover

@@ -19,10 +19,11 @@ namespace {
 /// lanes in `count_mask` and the matching kRailFired / kZeroCheckFired
 /// events go to `events` (counting pass only: replay and restart
 /// re-evaluations pass a null est and stay silent, so the event stream
-/// matches the estimate's attribution exactly). Checkpoint membership
-/// is read off checked.checkpoint_spans, which build_segment_plan
-/// guarantees align with the checkpoints. The rail and zero-check words
-/// come from the checked engine's evaluators.
+/// matches the estimate's attribution exactly). The engine runs in
+/// cell space, so each rail reads the cells it covers at the
+/// checkpoint, as detect::index_walk derived them
+/// (checked.checkpoint_spans). The rail and zero-check words come from
+/// the checked engine's evaluators.
 template <unsigned W>
 void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const PackedState& s, std::uint64_t watch,
@@ -360,7 +361,7 @@ RecoveryEstimate recovering_span(
   return est;
 }
 
-/// Checks the plan and spans, then runs recovering_span at the
+/// Checks the plan and the walk index, then runs recovering_span at the
 /// state's lane width.
 template <typename FirstPass, typename Classify>
 RecoveryEstimate dispatch_span(
@@ -371,10 +372,7 @@ RecoveryEstimate dispatch_span(
     telemetry::ShardTrace* trace, FirstPass& first_pass) {
   REVFT_CHECK_MSG(plan.total_ops == checked.circuit.size(),
                   "run_recovering_mc_span: plan built for a different circuit");
-  REVFT_CHECK_MSG(
-      checked.checkpoint_spans.size() == checked.checkpoints.size(),
-      "run_recovering_mc_span: checkpoint_spans do not match checkpoints (a "
-      "CheckedCircuit's spans come from detect::to_parity_rail)");
+  detect::check_walk_index(checked, "run_recovering_mc_span");
   return with_lane_words(state.lane_words(), "run_recovering_mc_span",
                          [&](auto W) {
                            return recovering_span<W>(

@@ -48,6 +48,7 @@ struct CleanContext {
   CleanContext(const detect::CheckedCircuit& c,
                const std::vector<StateVector>& data_inputs)
       : checked(c) {
+    detect::check_walk_index(checked, "certify_single_faults");
     const Circuit& circuit = checked.circuit;
     const std::size_t size = circuit.size();
     num_inputs = data_inputs.size();

@@ -75,6 +75,8 @@ struct FaultSecurityCertificate {
 /// "wrong" (the faulted majority vs the clean majority, exactly the
 /// is_error the machine censuses use — callers must ensure the clean
 /// run IS correct, which certify_machine_program asserts dynamically).
+/// Throws revft::Error on a circuit detect::index_walk has not indexed
+/// (detect::check_walk_index).
 FaultSecurityCertificate certify_single_faults(
     const detect::CheckedCircuit& checked,
     const std::vector<StateVector>& data_inputs,

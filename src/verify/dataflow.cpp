@@ -209,12 +209,13 @@ bool CheckedDataflow::all_proven() const {
 CheckedDataflow analyze_checked(const detect::CheckedCircuit& checked,
                                 const std::vector<Poly>& data_entry,
                                 const DataflowOptions& opts) {
+  detect::check_walk_index(checked, "analyze_checked");
   CheckedDataflow out;
   out.flow =
       analyze_dataflow(checked.circuit, widen_entry(checked, data_entry), opts);
 
-  // Rail invariants, each against the membership in force at its
-  // checkpoint (SWAP/SWAP3 migrate groups — rail.h).
+  // Rail invariants, each against the cells the rail covers at its
+  // checkpoint (SWAP/SWAP3 migrate groups; index_walk derives them).
   for (std::size_t k = 0; k < checked.checkpoints.size(); ++k) {
     const auto& after = out.flow.before[checked.checkpoints[k] + 1];
     for (std::size_t r = 0; r < checked.rails.size(); ++r) {

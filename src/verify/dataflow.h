@@ -183,8 +183,10 @@ struct CheckedDataflow {
 
 /// Analyze checked.circuit from a data-width entry binding (widened
 /// internally) and statically verify every rail invariant at every
-/// checkpoint (against that checkpoint's migrated membership) and
-/// every registered zero check.
+/// checkpoint (against that checkpoint's migrated membership,
+/// checked.checkpoint_spans) and every registered zero check. Throws
+/// revft::Error on a circuit detect::index_walk has not indexed
+/// (detect::check_walk_index).
 CheckedDataflow analyze_checked(const detect::CheckedCircuit& checked,
                                 const std::vector<Poly>& data_entry,
                                 const DataflowOptions& opts = {});

@@ -1,6 +1,5 @@
 #include "verify/lint.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "recover/plan.h"
@@ -22,8 +21,6 @@ const char* lint_code_name(LintCode code) noexcept {
       return "rail-coverage-hole";
     case LintCode::kDeadCompensation:
       return "dead-compensation";
-    case LintCode::kMembershipMismatch:
-      return "membership-mismatch";
     case LintCode::kUnprovenZeroCheck:
       return "unproven-zero-check";
     case LintCode::kUnprovenRailInvariant:
@@ -164,52 +161,7 @@ void lint_dataflow(const detect::CheckedCircuit& checked,
   }
 }
 
-/// Pass 3: re-derive the SWAP/SWAP3 membership migration and compare
-/// against the recorded checkpoint_spans. Returns true when
-/// consistent (the segment-plan pass depends on it — build_segment_plan
-/// hard-fails on drift, the linter reports instead).
-bool lint_membership(const detect::CheckedCircuit& checked,
-                     LintReport& report) {
-  std::vector<int> rail_of(checked.data_width, -1);
-  for (std::size_t r = 0; r < checked.rails.size(); ++r)
-    for (const std::uint32_t bit : checked.rails[r].group)
-      rail_of[bit] = static_cast<int>(r);
-  bool consistent = true;
-  std::size_t cp = 0;
-  for (std::size_t i = 0; i < checked.circuit.size(); ++i) {
-    // A swap that moves a rail bit migrates nothing here (the segment
-    // plan rejects it, so lint_replay stays silent).
-    detect::migrate_membership(checked.circuit.op(i), rail_of);
-    while (cp < checked.checkpoints.size() && checked.checkpoints[cp] == i) {
-      for (std::size_t r = 0; r < checked.rails.size(); ++r) {
-        std::vector<std::uint32_t> walked;
-        for (std::uint32_t d = 0; d < checked.data_width; ++d)
-          if (rail_of[d] == static_cast<int>(r)) walked.push_back(d);
-        const auto recorded = checked.checkpoint_spans[cp].group(r);
-        if (std::ranges::equal(walked, recorded)) continue;
-        consistent = false;
-        LintFinding finding;
-        finding.code = LintCode::kMembershipMismatch;
-        finding.severity = LintSeverity::kError;
-        finding.position = i;
-        // Symmetric difference: the cells the two sides disagree on.
-        std::set_symmetric_difference(walked.begin(), walked.end(),
-                                      recorded.begin(), recorded.end(),
-                                      std::back_inserter(finding.cells));
-        std::ostringstream msg;
-        msg << "checkpoint " << cp << " rail " << r << ": recorded group "
-            << "disagrees with the migration walk on "
-            << finding.cells.size() << " cell(s)";
-        finding.message = msg.str();
-        report.findings.push_back(std::move(finding));
-      }
-      ++cp;
-    }
-  }
-  return consistent;
-}
-
-/// Pass 4: segment-plan localization — rails glued into one replay
+/// Pass 3: segment-plan localization — rails glued into one replay
 /// component by straddling ops.
 void lint_replay(const detect::CheckedCircuit& checked, LintReport& report) {
   recover::SegmentPlan plan;
@@ -251,7 +203,7 @@ LintReport lint_checked_circuit(const detect::CheckedCircuit& checked,
   LintReport report;
   lint_coverage(checked, report);
   lint_dataflow(checked, data_entry, opts, report);
-  if (lint_membership(checked, report)) lint_replay(checked, report);
+  lint_replay(checked, report);
   return report;
 }
 

@@ -6,9 +6,8 @@
 // static — the dataflow engine supplies the proofs, the segment plan
 // supplies the replay structure, and no scenario is ever simulated.
 //
-//   error    — the configuration is inconsistent or misfires on clean
-//              runs (membership drift, a check that provably fires
-//              fault-free);
+//   error    — the configuration misfires on clean runs (a check that
+//              provably fires fault-free);
 //   warning  — detection or localization is weaker than the
 //              construction suggests (uncovered cells, unprovable zero
 //              checks, rails glued into one replay component);
@@ -41,10 +40,6 @@ enum class LintCode : std::uint8_t {
   /// provably zero on every fault-free run — dead weight the
   /// known-zero elision would have removed (info).
   kDeadCompensation,
-  /// checkpoint_spans disagrees with the SWAP/SWAP3 membership
-  /// migration walk — the checkers are evaluating the wrong cells
-  /// (error).
-  kMembershipMismatch,
   /// A registered zero check on cells the dataflow cannot prove clean:
   /// the check's soundness rests on construction knowledge the
   /// analysis cannot replay (warning).

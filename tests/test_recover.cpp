@@ -281,26 +281,6 @@ TEST(SegmentPlan, StraddlingOpsAreSortedUniqueAndInBounds) {
   EXPECT_GT(total, 0u);  // routing glue exists on this workload
 }
 
-// The recovering engine evaluates rail checks from checkpoint_spans
-// alone, so a checked circuit whose spans do not match its checkpoints
-// (hand-assembled, not produced by detect::to_parity_rail) is rejected
-// at plan time instead of read out of bounds during a run.
-TEST(SegmentPlan, RejectsMissingCheckpointSpans) {
-  Circuit c(3);
-  c.maj(0, 1, 2).majinv(0, 1, 2);
-  detect::CheckedCircuit checked = detect::to_parity_rail(c);
-  EXPECT_NO_THROW(recover::build_segment_plan(checked));
-  checked.checkpoint_spans.clear();
-  try {
-    recover::build_segment_plan(checked);
-    FAIL() << "a plan was built without checkpoint_spans";
-  } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find("to_parity_rail"),
-              std::string::npos)
-        << err.what();
-  }
-}
-
 // --- checkpoint/restore primitives -----------------------------------
 
 /// The masked reference of move_lane: lanes set in `lane_mask` take

@@ -844,11 +844,34 @@ void apply_noisy_checked_group_walk(PackedSimulator& sim, PackedState& state,
   sim.apply_noisy_span(state, checked.circuit, pos, end);
 }
 
-TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
-  Circuit logical(4);
-  logical.toffoli(0, 1, 2).maj(1, 2, 3);
-  const auto checked = CheckedMachine1d(4).compile(logical).checked;
+/// Dense random SWAP/SWAP3 routing over four 3-bit rail groups with a
+/// checkpoint after every op: membership moves between all of them.
+detect::CheckedCircuit chained_routing_circuit() {
+  Xoshiro256 rng(0x5eed5a11ULL);
+  Circuit routing(12);
+  for (int i = 0; i < 200; ++i) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(12));
+    auto b = static_cast<std::uint32_t>(rng.next_below(12));
+    while (b == a) b = static_cast<std::uint32_t>(rng.next_below(12));
+    if (rng.next_below(2) == 0) {
+      routing.swap(a, b);
+    } else {
+      auto c = static_cast<std::uint32_t>(rng.next_below(12));
+      while (c == a || c == b) c = static_cast<std::uint32_t>(rng.next_below(12));
+      routing.swap3(a, b, c);
+    }
+  }
+  detect::ParityRailOptions opts;
+  opts.check_every = 1;
+  opts.rail_partition = detect::partition_into_blocks(12, 3);
+  return detect::to_parity_rail(routing, opts);
+}
 
+// The reference reads each checkpoint's cells (checkpoint_spans, which
+// migrate); the engine reads each rail's fixed slot set. They must
+// agree wherever membership moves between checkpoints.
+void expect_engine_matches_group_walk(const char* name,
+                                      const detect::CheckedCircuit& checked) {
   for (const unsigned W : {1u, 4u}) {
     PackedSimulator sim_a(NoiseModel::uniform(3e-3), 2024);
     PackedSimulator sim_b(NoiseModel::uniform(3e-3), 2024);
@@ -859,36 +882,30 @@ TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
       detect::apply_noisy_checked_words(sim_a, state_a, checked, det_a);
       apply_noisy_checked_group_walk(sim_b, state_b, checked, det_b);
       for (unsigned w = 0; w < W; ++w)
-        ASSERT_EQ(det_a[w], det_b[w]) << "W=" << W << " round=" << round;
+        ASSERT_EQ(det_a[w], det_b[w])
+            << name << " W=" << W << " round=" << round;
       for (std::uint32_t bit = 0; bit < state_a.width(); ++bit)
         for (unsigned w = 0; w < W; ++w)
-          ASSERT_EQ(state_a.words(bit)[w], state_b.words(bit)[w]);
+          ASSERT_EQ(state_a.words(bit)[w], state_b.words(bit)[w]) << name;
       state_a.clear();
       state_b.clear();
     }
   }
 }
 
-// The checked engine evaluates rail checkpoints from checkpoint_spans
-// alone, so a circuit whose spans do not match its checkpoints
-// (hand-assembled, not produced by detect::to_parity_rail) is rejected
-// instead of read out of bounds.
-TEST(CheckpointSpans, ApplyRejectsMissingSpans) {
+TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
   Circuit logical(4);
   logical.toffoli(0, 1, 2).maj(1, 2, 3);
-  detect::CheckedCircuit checked = CheckedMachine1d(4).compile(logical).checked;
-  checked.checkpoint_spans.clear();
-  PackedSimulator sim(NoiseModel::uniform(3e-3), 2024);
-  PackedState state(checked.circuit.width(), 1);
-  std::uint64_t detected = 0;
-  try {
-    detect::apply_noisy_checked_words(sim, state, checked, &detected);
-    FAIL() << "a checked circuit ran without checkpoint_spans";
-  } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find("to_parity_rail"),
-              std::string::npos)
-        << err.what();
-  }
+  expect_engine_matches_group_walk(
+      "1D machine", CheckedMachine1d(4).compile(logical).checked);
+  CheckedMachineOptions every_boundary;
+  every_boundary.rail_check_every_boundary = true;
+  const auto boundaries =
+      CheckedMachine1d(4, true, every_boundary).compile(logical).checked;
+  ASSERT_GT(boundaries.checkpoints.size(), 1u);
+  expect_engine_matches_group_walk("1D machine, every boundary", boundaries);
+  expect_engine_matches_group_walk("chained routing",
+                                   chained_routing_circuit());
 }
 
 // --- draw, compact, walk ----------------------------------------------

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "detect/checked_mc.h"
 #include "detect/checker.h"
 #include "detect/rail.h"
 #include "ft/detect_experiment.h"
@@ -23,6 +24,7 @@
 #include "local/checked_machine.h"
 #include "noise/injection.h"
 #include "recover/plan.h"
+#include "recover/recovering_mc.h"
 #include "rev/circuit.h"
 #include "rev/simulator.h"
 #include "support/error.h"
@@ -527,28 +529,6 @@ TEST(VerifyLint, DeadCompensationFoundWithoutKnownZeroElision) {
             unelided);
 }
 
-TEST(VerifyLint, DoctoredMembershipIsAnError) {
-  Circuit logical(3);
-  logical.toffoli(2, 1, 0);
-  const auto program = CheckedMachine1d(3).compile(logical);
-  detect::CheckedCircuit doctored = program.checked;
-  // Swap two cells between the first checkpoint's first two groups.
-  auto& span = doctored.checkpoint_spans.front();
-  ASSERT_GE(span.rail_first.size(), 3u);
-  const auto g0 = span.bits.begin() + span.rail_first[0];
-  const auto g1 = span.bits.begin() + span.rail_first[1];
-  const auto g2 = span.bits.begin() + span.rail_first[2];
-  ASSERT_LT(g0, g1);
-  ASSERT_LT(g1, g2);
-  std::swap(*g0, *g1);
-  std::sort(g0, g1);
-  std::sort(g1, g2);
-  const auto report =
-      verify::lint_checked_circuit(doctored, verify::machine_entry(program));
-  EXPECT_GT(count_code(report, verify::LintCode::kMembershipMismatch), 0u);
-  EXPECT_GT(report.errors(), 0u);
-}
-
 TEST(VerifyLint, SpuriousZeroCheckIsAnError) {
   const CycleFixture fix;
   detect::CheckedCircuit doctored = fix.checked;
@@ -562,8 +542,9 @@ TEST(VerifyLint, SpuriousZeroCheckIsAnError) {
 }
 
 // Rail bits are static, so a SWAP that moves one has no membership to
-// migrate. The segment plan names the op (the membership table covers
-// the data bits only) and the linter skips the swap and returns.
+// migrate. index_walk and the segment plan name the op (membership
+// covers the data bits only) and the linter skips the swap and
+// returns.
 TEST(VerifyLint, SwapOfARailBitIsRejectedByThePlanAndSkippedByLint) {
   Circuit logical(3);
   logical.maj(0, 1, 2).cnot(0, 1);
@@ -577,17 +558,82 @@ TEST(VerifyLint, SwapOfARailBitIsRejectedByThePlanAndSkippedByLint) {
     doctored.push(checked.circuit.op(i));
   checked.circuit = std::move(doctored);
 
-  try {
-    recover::build_segment_plan(checked);
-    FAIL() << "a plan was built over a swap of rail bit " << rail_bit;
-  } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find("op 0 swap(0, 3)"),
-              std::string::npos)
-        << err.what();
+  for (const bool plan : {false, true}) {
+    try {
+      if (plan) {
+        recover::build_segment_plan(checked);
+      } else {
+        detect::CheckedCircuit reindexed = checked;
+        detect::index_walk(reindexed);
+      }
+      FAIL() << (plan ? "a plan was built" : "the walk was indexed")
+             << " over a swap of rail bit " << rail_bit;
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what())
+                    .find("op 0 swap(0, 3) moves a rail bit"),
+                std::string::npos)
+          << err.what();
+    }
   }
   const auto report = verify::lint_checked_circuit(
       checked, verify::identity_entry(checked.data_width));
   EXPECT_EQ(count_code(report, verify::LintCode::kGluedReplayComponents), 0u);
+}
+
+// The CheckedCircuit readers all rely on detect::index_walk: the
+// checked engine on its slots, the recovering engine, the certifier
+// and dataflow on the checkpoint_spans it derives. A circuit assembled
+// by hand and never indexed is rejected by each of them, naming
+// index_walk, instead of read out of bounds; indexed, each one runs.
+TEST(CheckedIndex, EveryReaderRejectsAnUnindexedCircuit) {
+  // Data bits 0..2, rail bit 3: the encoder, then MAJ and MAJ⁻¹ (whose
+  // compensations cancel), checked once at the end.
+  detect::CheckedCircuit checked;
+  checked.data_width = 3;
+  checked.circuit = Circuit(4);
+  checked.circuit.cnot(0, 3).cnot(1, 3).cnot(2, 3).maj(0, 1, 2).majinv(0, 1, 2);
+  checked.rails = {{{0, 1, 2}, 3, 3}};
+  checked.checkpoints = {checked.circuit.size() - 1};
+  const recover::SegmentPlan plan = recover::build_segment_plan(checked);
+  const std::vector<StateVector> inputs{StateVector(3)};
+
+  const auto readers = [&](const detect::CheckedCircuit& c) {
+    std::vector<std::pair<const char*, std::function<void()>>> calls;
+    calls.emplace_back("apply_noisy_checked_words", [&c] {
+      PackedSimulator sim(NoiseModel::uniform(1e-2), 7);
+      PackedState state(c.circuit.width(), 1);
+      std::uint64_t detected = 0;
+      detect::apply_noisy_checked_words(sim, state, c, &detected);
+    });
+    calls.emplace_back("run_recovering_mc_span", [&c, &plan] {
+      PackedSimulator sim(NoiseModel::uniform(1e-2), 7);
+      PackedState state(c.circuit.width(), 1);
+      recover::run_recovering_mc_span(
+          sim, state, c, plan, recover::RetryPolicy::block_local(), 0, 64,
+          [](PackedState&, Xoshiro256&, std::uint64_t) {},
+          [](const PackedState&, int, std::uint64_t) { return false; });
+    });
+    calls.emplace_back("certify_single_faults", [&c, &inputs] {
+      verify::certify_single_faults(c, inputs, {{0, 1, 2}});
+    });
+    calls.emplace_back("analyze_checked", [&c] {
+      verify::analyze_checked(c, verify::identity_entry(3));
+    });
+    return calls;
+  };
+  for (const auto& [name, call] : readers(checked)) {
+    try {
+      call();
+      ADD_FAILURE() << name << " ran on a circuit index_walk never indexed";
+    } catch (const Error& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find(name), std::string::npos) << name << ": " << what;
+      EXPECT_NE(what.find("index_walk"), std::string::npos) << what;
+    }
+  }
+  detect::index_walk(checked);
+  for (const auto& [name, call] : readers(checked))
+    EXPECT_NO_THROW(call()) << name;
 }
 
 TEST(VerifyLint, GluedReplayComponentsSurfaceStraddlers) {
