@@ -9,7 +9,9 @@
 // Usage:
 //   ./run_stream [engine] [g] [trials] [target]
 //     engine : plain | checked | recovering       (default plain)
-//     g      : physical error rate                (default 0.05)
+//     g      : physical error rate                (default: plain 0.05,
+//              checked/recovering 1e-3 — at 0.05 the 1D machine
+//              accepts no recovering trial)
 //     trials : trial budget                       (default 200000)
 //     target : plain  — relative half-width target (default 0.2,
 //              "know p_L to within 20%");
@@ -22,6 +24,7 @@
 //
 // Artifacts land in $REVFT_JSON_DIR ("." by default, "" disables):
 // CONV_<engine>_stream.json and TRACE_<engine>_stream_conv.json.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -54,6 +57,20 @@ void print_snapshot(const telemetry::ConvergenceSnapshot& snap) {
   std::fflush(stdout);
 }
 
+/// The silent rate among accepted trials, or "no trial accepted" —
+/// with none accepted there is no rate to report, not a rate of 0.
+void print_error(const char* what, std::uint64_t silent,
+                 std::uint64_t accepted) {
+  if (accepted == 0) {
+    std::printf("%s error: no trial accepted\n", what);
+    return;
+  }
+  std::printf("%s error = %.4e  (%llu silent / %llu accepted)\n", what,
+              static_cast<double>(silent) / static_cast<double>(accepted),
+              static_cast<unsigned long long>(silent),
+              static_cast<unsigned long long>(accepted));
+}
+
 void finish(const telemetry::ConvergenceTrajectory& traj) {
   std::printf("stop: %s after %llu rounds, %llu / %llu trials (%.1f%% of "
               "budget)\n",
@@ -83,7 +100,8 @@ void finish(const telemetry::ConvergenceTrajectory& traj) {
 
 int main(int argc, char** argv) {
   const std::string engine = argc > 1 ? argv[1] : "plain";
-  const double g = argc > 2 ? std::strtod(argv[2], nullptr) : 0.05;
+  const double g = argc > 2 ? std::strtod(argv[2], nullptr)
+                            : (engine == "plain" ? 0.05 : 1e-3);
   const std::uint64_t trials = u64_arg(argc, argv, 3, "trials", 200000);
   const double target = argc > 4 ? std::strtod(argv[4], nullptr)
                                  : (engine == "plain" ? 0.2 : 0.02);
@@ -134,12 +152,9 @@ int main(int argc, char** argv) {
                 "certify post-selected error < %g\n",
                 g, static_cast<unsigned long long>(trials), target);
     const auto result = exp.run_streaming(g, stream);
-    std::printf("post-selected error = %.4e  (%llu silent / %llu accepted, "
-                "detected rate %.4f)\n",
-                result.estimate.post_selected_error_rate(),
-                static_cast<unsigned long long>(result.estimate.silent_failures),
-                static_cast<unsigned long long>(result.estimate.accepted()),
-                result.estimate.detected_rate());
+    print_error("post-selected", result.estimate.silent_failures,
+                result.estimate.accepted());
+    std::printf("detected rate %.4f\n", result.estimate.detected_rate());
     finish(result.trajectory);
   } else if (engine == "recovering") {
     stream.stop.target_upper_bound = target;
@@ -157,14 +172,9 @@ int main(int argc, char** argv) {
                 g, static_cast<unsigned long long>(trials), target);
     const auto result =
         exp.run_streaming(g, recover::RetryPolicy::block_local(), stream);
-    std::printf("delivered error = %.4e  (%llu silent / %llu accepted, "
-                "%llu local retries, %llu restarts)\n",
-                result.estimate.accepted == 0
-                    ? 0.0
-                    : static_cast<double>(result.estimate.silent_failures) /
-                          static_cast<double>(result.estimate.accepted),
-                static_cast<unsigned long long>(result.estimate.silent_failures),
-                static_cast<unsigned long long>(result.estimate.accepted),
+    print_error("delivered", result.estimate.silent_failures,
+                result.estimate.accepted);
+    std::printf("%llu local retries, %llu restarts\n",
                 static_cast<unsigned long long>(result.estimate.local_retries),
                 static_cast<unsigned long long>(
                     result.estimate.program_restarts));

@@ -6,7 +6,7 @@
 #include <memory>
 #include <string>
 
-#include "noise/packed_kernels.h"
+#include "detect/slot_walk.h"
 
 namespace revft::detect {
 
@@ -76,16 +76,7 @@ void walk_checked_impl(PackedState& state, const CheckedCircuit& checked,
       }
     }
   }
-  // Undo the final renaming, one cycle of cells at a time.
-  for (std::size_t k = 0; k + 1 < x.cycle_start.size(); ++k) {
-    const std::uint32_t* cycle = x.cycles.data() + x.cycle_start[k];
-    const std::size_t len = x.cycle_start[k + 1] - x.cycle_start[k];
-    std::uint64_t first[W];
-    std::copy_n(state.words(cycle[0]), W, first);
-    for (std::size_t i = 0; i + 1 < len; ++i)
-      std::copy_n(state.words(cycle[i + 1]), W, state.words(cycle[i]));
-    std::copy_n(first, W, state.words(cycle[len - 1]));
-  }
+  undo_renaming<W>(state, x);
 }
 
 // Compaction buffers, overwritten by every walk_compact. They are per

@@ -207,8 +207,9 @@ inline int rail_invariant(const StateVector& state, std::uint32_t rail_bit,
 /// SWAP3 operand lies outside the data bits (>= rail_of.size()).
 bool migrate_membership(const Gate& g, std::span<int> rail_of);
 
-/// What the checked engine's draw and walk read of a CheckedCircuit,
-/// derived from it once by index_walk instead of per batch.
+/// What the checked and recovering engines' draws and walks read of a
+/// CheckedCircuit, derived from it once by index_walk instead of per
+/// batch (recover::build_segment_plan reads it too).
 ///
 /// Routing moves no data in the walk: a SWAP or SWAP3 only renames
 /// which storage slot holds which cell. So the walk runs the other ops
@@ -254,8 +255,8 @@ struct CheckedCircuit {
   /// membership — under the checked machines' per-block partition,
   /// rail r's exit group is wherever routing left block r. Derived by
   /// index_walk and written nowhere else; the cell-space readers (the
-  /// recovering engine, the certifier, dataflow) reject a circuit that
-  /// was not indexed (check_walk_index).
+  /// certifier, dataflow) reject a circuit that was not indexed
+  /// (check_walk_index). The engines read slots (WalkIndex) instead.
   std::vector<CheckpointSpan> checkpoint_spans;
   /// Original ops that queued at least one rail-compensation gate
   /// (before fusion; the transform's exact "not free" count — SWAPs

@@ -87,8 +87,10 @@ void ScriptedPass::prepare(PackedState& s, std::uint64_t batch) {
       [](const FaultEvent& a, const FaultEvent& b) { return a.op < b.op; });
 }
 
-std::span<const FaultEvent> ScriptedPass::events_in(std::size_t first,
-                                                    std::size_t last) const {
+std::span<const FaultEvent> ScriptedPass::draw_faults(
+    [[maybe_unused]] const Circuit& c, const KindIndex&, std::size_t first,
+    std::size_t last, unsigned) const {
+  REVFT_DASSERT(&c == &circuit_);
   const auto by_op = [](const FaultEvent& e, std::size_t op) {
     return e.op < op;
   };
@@ -96,19 +98,6 @@ std::span<const FaultEvent> ScriptedPass::events_in(std::size_t first,
       std::lower_bound(events_.begin(), events_.end(), first, by_op);
   const auto hi = std::lower_bound(lo, events_.end(), last, by_op);
   return {lo, hi};
-}
-
-std::span<const FaultEvent> ScriptedPass::draw_faults(
-    [[maybe_unused]] const Circuit& c, const KindIndex&, std::size_t first,
-    std::size_t last, unsigned) const {
-  REVFT_DASSERT(&c == &circuit_);
-  return events_in(first, last);
-}
-
-void ScriptedPass::apply_noisy_span(PackedState& s, const Circuit& c,
-                                    std::size_t first, std::size_t last) {
-  REVFT_DASSERT(&c == &circuit_);
-  PackedSimulator::apply_events(s, c, first, last, events_in(first, last));
 }
 
 bool ScriptedPass::classify(const PackedState& s, int lane,

@@ -57,16 +57,14 @@ class ScriptedPass {
   void prepare(PackedState& s, std::uint64_t batch);
   /// The batch's scripted faults on ops [first, last) of the pass's
   /// circuit `c`, in op order — the same event list
-  /// PackedSimulator::draw_faults draws (the kind index and width are
-  /// its arguments and go unused here).
+  /// PackedSimulator::draw_faults draws over the whole-circuit index
+  /// (the index and width are its arguments and go unused here). The
+  /// checked engine's walk and the recovering engine's first pass
+  /// inject them.
   std::span<const FaultEvent> draw_faults(const Circuit& c,
                                           const KindIndex& index,
                                           std::size_t first, std::size_t last,
                                           unsigned lane_words) const;
-  /// Ops [first, last) of `c` with the scripted faults injected: the
-  /// recovering engine's first pass.
-  void apply_noisy_span(PackedState& s, const Circuit& c, std::size_t first,
-                        std::size_t last);
   /// wrong(lane's final state, scenario index).
   bool classify(const PackedState& s, int lane, std::uint64_t batch);
 
@@ -83,9 +81,6 @@ class ScriptedPass {
   std::function<bool(const StateVector&, std::size_t)> wrong_;
   std::vector<FaultEvent> events_;  // the current batch's, by op
   StateVector out_;
-
-  std::span<const FaultEvent> events_in(std::size_t first,
-                                        std::size_t last) const;
 };
 
 /// Run `circuit` on `input`, injecting the given faults (sorted or

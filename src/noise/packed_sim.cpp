@@ -154,16 +154,6 @@ struct NoisyKernels {
     for (std::size_t i = first; i < last; ++i) noisy_gate(sim, state, ops[i]);
   }
 
-  static void noisy_ops(PackedSimulator& sim, PackedState& state,
-                        const Circuit& c,
-                        const std::vector<std::size_t>& positions) {
-    const std::vector<Gate>& ops = c.ops();
-    for (const std::size_t i : positions) {
-      REVFT_DASSERT(i < ops.size());
-      noisy_gate(sim, state, ops[i]);
-    }
-  }
-
   /// draw_faults: the ops that can draw are merged across kinds in op
   /// order. A kind's cursor sits on its next op that can fail: at a
   /// gap rate the stream's counter jumps straight over the kind's
@@ -183,8 +173,10 @@ struct NoisyKernels {
           index.of(static_cast<GateKind>(k));
       const std::uint32_t* lo = pos.data();
       const std::uint32_t* hi = lo + pos.size();
-      if (first != 0) lo = std::lower_bound(lo, hi, first);
-      if (last != c.size()) hi = std::lower_bound(lo, hi, last);
+      if (lo == hi) continue;
+      // An index of the range itself (a segment's) needs no search.
+      if (*lo < first) lo = std::lower_bound(lo, hi, first);
+      if (lo != hi && hi[-1] >= last) hi = std::lower_bound(lo, hi, last);
       if (lo == hi) continue;
       BernoulliMaskStream& s = sim.streams_[static_cast<std::size_t>(k)];
       lo += s.skip_clean(static_cast<std::uint64_t>(hi - lo), W);
@@ -207,18 +199,6 @@ struct NoisyKernels {
       cur.next += cur.stream->skip_clean(
           static_cast<std::uint64_t>(cur.end - cur.next), W);
       if (cur.next == cur.end) cur = cursors[--live];
-    }
-  }
-
-  static void apply_events(PackedState& state, const Circuit& c,
-                           std::size_t first, std::size_t last,
-                           std::span<const FaultEvent> events) {
-    const std::vector<Gate>& ops = c.ops();
-    auto e = events.begin();
-    for (std::size_t i = first; i < last; ++i) {
-      K::ideal_gate(state, ops[i]);
-      for (; e != events.end() && e->op == i; ++e)
-        K::inject(state, ops[i], *e);
     }
   }
 };
@@ -248,25 +228,13 @@ void PackedSimulator::apply_noisy_span(PackedState& state, const Circuit& c,
   });
 }
 
-void PackedSimulator::apply_noisy_ops(
-    PackedState& state, const Circuit& c,
-    const std::vector<std::size_t>& positions) {
-  REVFT_CHECK_MSG(c.width() == state.width(),
-                  "apply_noisy_ops: width mismatch");
-  REVFT_CHECK_MSG(positions.empty() || positions.back() < c.size(),
-                  "apply_noisy_ops: position " << positions.back()
-                                               << " past the circuit end");
-  with_lane_words(state.lane_words(), "apply_noisy_ops", [&](auto W) {
-    NoisyKernels<W>::noisy_ops(*this, state, c, positions);
-  });
-}
-
 std::span<const FaultEvent> PackedSimulator::draw_faults(
     const Circuit& c, const KindIndex& index, std::size_t first,
     std::size_t last, unsigned lane_words) {
-  REVFT_CHECK_MSG(index.size() == c.size(),
-                  "draw_faults: the kind index has "
-                      << index.size() << " ops, the circuit " << c.size());
+  REVFT_CHECK_MSG(index.circuit_ops() == c.size(),
+                  "draw_faults: the kind index was built over "
+                      << index.circuit_ops() << " ops, the circuit has "
+                      << c.size());
   REVFT_CHECK_MSG(first <= last && last <= c.size(),
                   "draw_faults: bad range [" << first << ", " << last << ")");
   events_.clear();
@@ -274,17 +242,6 @@ std::span<const FaultEvent> PackedSimulator::draw_faults(
     NoisyKernels<W>::draw_faults(*this, c, index, first, last, events_);
   });
   return events_;
-}
-
-void PackedSimulator::apply_events(PackedState& state, const Circuit& c,
-                                   std::size_t first, std::size_t last,
-                                   std::span<const FaultEvent> events) {
-  REVFT_CHECK_MSG(c.width() == state.width(), "apply_events: width mismatch");
-  REVFT_CHECK_MSG(first <= last && last <= c.size(),
-                  "apply_events: bad range [" << first << ", " << last << ")");
-  with_lane_words(state.lane_words(), "apply_events", [&](auto W) {
-    NoisyKernels<W>::apply_events(state, c, first, last, events);
-  });
 }
 
 }  // namespace revft

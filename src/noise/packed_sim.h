@@ -209,39 +209,28 @@ class PackedSimulator {
   static void apply_ideal(PackedState& state, const Gate& g);
   static void apply_ideal(PackedState& state, const Circuit& c);
 
-  /// Apply ops [first, last) of `c` noisily; a whole circuit is the
-  /// span [0, c.size()). The checked engine (detect/checked_mc) runs
-  /// the segments between checkpoints through this (the inner loop
-  /// lives in one TU and inlines the gate dispatch).
+  /// Apply ops [first, last) of `c` noisily, op by op; a whole
+  /// circuit is the span [0, c.size()). The plain engine
+  /// (noise/monte_carlo.h) runs its circuits through this.
   void apply_noisy_span(PackedState& state, const Circuit& c, std::size_t first,
                         std::size_t last);
 
-  /// Apply the ops of `c` at `positions` (ascending) noisily, in that
-  /// order — the block-local replay of one component's ops
-  /// (recover::ReplayComponent::ops) with the same inlined per-gate
-  /// loop as apply_noisy_span.
-  void apply_noisy_ops(PackedState& state, const Circuit& c,
-                       const std::vector<std::size_t>& positions);
-
-  /// Draws the failures of ops [first, last) of `c` for a batch of
-  /// `lane_words` words without touching a state: one FaultEvent per
-  /// (op, failing lane word), in op order, valid until the next draw.
-  /// The RNG words, their order and faults_drawn() are exactly those
-  /// of apply_noisy_span over the same ops. `index` is KindIndex(c):
-  /// each kind's gap counter jumps over its fault-free ops, so the
-  /// cost is O(faults), not O(ops), at gap rates. Throws revft::Error
-  /// when `index` does not cover `c`.
+  /// Draws the failures of the ops `index` covers within [first, last)
+  /// for a batch of `lane_words` words, without touching a state: one
+  /// FaultEvent per (op, failing lane word), in op order, valid until
+  /// the next draw. `index` is a KindIndex over `c` of every op, of one
+  /// op span (a segment's) or of one op list (a replay component's,
+  /// drawn whole with [0, c.size())); a search narrows it to [first,
+  /// last) only when it reaches outside. The RNG
+  /// words, their order and faults_drawn() are exactly those of a
+  /// per-op noisy walk over the same ops in op order. Each kind's gap
+  /// counter jumps over its fault-free ops, so the cost is O(faults),
+  /// not O(ops), at gap rates. Throws revft::Error when `index` was
+  /// built over another circuit size.
   std::span<const FaultEvent> draw_faults(const Circuit& c,
                                           const KindIndex& index,
                                           std::size_t first, std::size_t last,
                                           unsigned lane_words);
-
-  /// Apply ops [first, last) of `c` ideally, then each of `events` (in
-  /// op order, within the span) right after its op: the faults of a
-  /// draw_faults call, or scripted ones (noise/injection.h).
-  static void apply_events(PackedState& state, const Circuit& c,
-                           std::size_t first, std::size_t last,
-                           std::span<const FaultEvent> events);
 
   /// Total number of (gate, lane) failures drawn so far — a cheap
   /// sanity diagnostic (its expectation is g * gates * lanes).

@@ -10,7 +10,9 @@
 // scratch copy a replay starts from) restores it wholesale; an
 // accepted block-local replay blends back only its component's
 // footprint cells, because every other cell is still vouched for by
-// its own passed checks. Trial t lives in bit t%64 of lane word t/64
+// its own passed checks. A "cell" here is a storage position of the
+// state: the recovering engine's state is in slot space, so it blends
+// a component's footprint slots. Trial t lives in bit t%64 of lane word t/64
 // of every cell, so both move lanes under a LaneMask of lane_words
 // words; a restart pass fans one lane out into idle lanes and moves a
 // winning attempt back into its owner's lane, a word per cell each.

@@ -111,6 +111,43 @@ std::vector<char> merge_boundaries(const detect::CheckedCircuit& checked) {
   return delimits;
 }
 
+/// The slot-space view of `comp` (plan.h): its data ops, kind index
+/// and footprint slots, off the walk index. `marked` (one entry per
+/// slot, all clear) and `slots` are scratch; `marked` is left clear.
+void index_component(const detect::CheckedCircuit& checked,
+                     const Segment& seg, std::uint32_t c,
+                     ReplayComponent& comp, std::vector<char>& marked,
+                     std::vector<std::uint32_t>& slots) {
+  const detect::WalkIndex& x = checked.walk;
+  slots.clear();
+  const auto add = [&](std::uint32_t slot) {
+    if (marked[slot] != 0) return;
+    marked[slot] = 1;
+    slots.push_back(slot);
+  };
+  comp.data_ops.reserve(comp.ops.size());
+  for (const std::size_t op : comp.ops) {
+    const Gate& g = x.slot_ops[op];
+    if (g.kind != GateKind::kSwap && g.kind != GateKind::kSwap3)
+      comp.data_ops.push_back(x.data_ops_before[op]);
+    for (int k = 0; k < g.arity(); ++k)
+      add(g.bits[static_cast<std::size_t>(k)]);
+  }
+  comp.kinds = KindIndex(checked.circuit, comp.ops);
+  for (const std::uint32_t r : comp.rails) {
+    for (const std::uint32_t slot : checked.rails[r].group) add(slot);
+    add(checked.rails[r].rail_bit);
+  }
+  for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
+    if (seg.component_of_zero_check[k] != c) continue;
+    const std::size_t z = seg.zero_checks[k];
+    for (std::uint32_t i = x.zero_start[z]; i < x.zero_start[z + 1]; ++i)
+      add(x.zero_bits[i]);
+  }
+  for (const std::uint32_t slot : slots) marked[slot] = 0;
+  comp.slots.assign(slots.begin(), slots.end());
+}
+
 }  // namespace
 
 double SegmentPlan::mean_max_replay_share() const {
@@ -142,9 +179,30 @@ double SegmentPlan::worst_replay_share() const {
   return worst;
 }
 
+namespace detail {
+
+void check_zero_fold(const Circuit& c, const detect::ZeroCheck& zc,
+                     std::size_t boundary) {
+  std::vector<char> checked_cell(c.width(), 0);
+  for (const std::uint32_t bit : zc.bits) checked_cell[bit] = 1;
+  for (std::size_t i = zc.op_index + 1; i <= boundary; ++i) {
+    const Gate& g = c.op(i);
+    if (g.kind != GateKind::kSwap && g.kind != GateKind::kSwap3) continue;
+    for (int k = 0; k < g.arity(); ++k)
+      REVFT_CHECK_MSG(checked_cell[g.bits[static_cast<std::size_t>(k)]] == 0,
+                      "build_segment_plan: op "
+                          << i << ' ' << g << " moves a cell of the zero check "
+                          << "after op " << zc.op_index
+                          << " before its boundary at op " << boundary);
+  }
+}
+
+}  // namespace detail
+
 SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
   const Circuit& circuit = checked.circuit;
   REVFT_CHECK_MSG(!circuit.empty(), "build_segment_plan: empty circuit");
+  detect::check_walk_index(checked, "build_segment_plan");
   const std::uint32_t n_rails =
       static_cast<std::uint32_t>(checked.rails.size());
   const int orphan = static_cast<int>(n_rails);  // unwatched-cell node
@@ -177,6 +235,8 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
   std::vector<int> op_node;            // node of each op in the segment
   std::vector<std::size_t> straddling;  // straddlers of the segment
   std::vector<int> entry_rail_of = rail_of;
+  std::vector<char> marked(circuit.width(), 0);
+  std::vector<std::uint32_t> slots;
   std::size_t seg_begin = 0;
 
   std::size_t next_checkpoint = 0;
@@ -230,11 +290,14 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
     Segment seg;
     seg.begin = seg_begin;
     seg.end = i;
+    seg.kinds = KindIndex(circuit, seg.begin, seg.end + 1);
     if (at_checkpoint) seg.checkpoint = static_cast<int>(next_checkpoint++);
     std::vector<int> zero_check_node;
     while (next_zero_check < checked.zero_checks.size() &&
            checked.zero_checks[next_zero_check].op_index <= i) {
-      const auto& bits = checked.zero_checks[next_zero_check].bits;
+      const detect::ZeroCheck& zc = checked.zero_checks[next_zero_check];
+      if (zc.op_index < i) detail::check_zero_fold(circuit, zc, i);
+      const auto& bits = zc.bits;
       // A fired zero check must name one component: union its bits'
       // groups (and anything that touched those cells).
       int zc_node = membership_node(bits[0]);
@@ -291,10 +354,12 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
       seg.components[component_of(touch_node[cell])].cells.push_back(cell);
       touch_node[cell] = -1;
     }
-    for (ReplayComponent& comp : seg.components) {
+    for (std::uint32_t c = 0; c < seg.components.size(); ++c) {
+      ReplayComponent& comp = seg.components[c];
       std::sort(comp.cells.begin(), comp.cells.end());
       comp.cells.erase(std::unique(comp.cells.begin(), comp.cells.end()),
                        comp.cells.end());
+      index_component(checked, seg, c, comp, marked, slots);
     }
     REVFT_CHECK_MSG(seg.components.size() <= 64,
                     "build_segment_plan: more than 64 components per segment");

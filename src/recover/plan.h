@@ -43,6 +43,14 @@
 // detect/retry_model.h assumes blocks replay independently, while the
 // mechanism must replay the routing-connected component — the measured
 // gap between the two is one of bench_recover's outputs.
+//
+// The attribution above runs in cell space; the recovering engine
+// runs in slot space (detect::WalkIndex), where routing moves no data.
+// So each component also carries its slot-space view, built once
+// here: its data ops as indices into the walk index, a kind index of
+// its ops for the replay's fault draw, and its footprint as slots.
+// Each segment carries a kind index of its ops for the first pass'
+// and restarts' draws.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +74,21 @@ struct ReplayComponent {
   /// boundary checkpoint, re-run `ops` in order, re-evaluate the
   /// component's checks.
   std::vector<std::uint32_t> cells;
+
+  // The same component in slot space (detect::WalkIndex), where the
+  // recovering engine replays it.
+
+  /// The non-routing ops of `ops`, as ascending indices into
+  /// checked.walk.data_ops: what a replay runs through the gate
+  /// kernels (routing is a renaming there and runs nothing).
+  std::vector<std::uint32_t> data_ops;
+  /// `ops` by gate kind: a replay draws the faults of every op, routing
+  /// included, through it (PackedSimulator::draw_faults).
+  KindIndex kinds;
+  /// The footprint as slots: the slots of `cells`, the same at segment
+  /// entry and end (a cell the component touches only ever holds a
+  /// slot of another cell it touches). Unique, unsorted.
+  std::vector<std::uint32_t> slots;
 };
 
 /// One op span between consecutive check positions.
@@ -91,6 +114,9 @@ struct Segment {
   /// exactly a segment whose straddlers chain every rail together).
   /// Surfaced by verify/lint.h as the scheduling pass' target list.
   std::vector<std::size_t> straddling_ops;
+  /// The segment's ops by gate kind: a first pass or restart draws the
+  /// segment's faults through it (PackedSimulator::draw_faults).
+  KindIndex kinds;
 
   std::uint64_t op_count() const noexcept {
     return static_cast<std::uint64_t>(end - begin + 1);
@@ -111,12 +137,29 @@ struct SegmentPlan {
 };
 
 /// Build the plan. Requirements: a non-empty checked circuit ending at
-/// its final checkpoint, no SWAP/SWAP3 that moves a rail bit, and at
-/// most 64 components per segment (the packed engine names a segment's
-/// components in one 64-bit set — always true for the per-block
-/// machines, whose component count is bounded by rails + 1). The plan
-/// reads no checkpoint_spans; the recovering engine, which does,
-/// checks them itself (detect::check_walk_index).
+/// its final checkpoint, with a matching walk index
+/// (detect::check_walk_index), no SWAP/SWAP3 that moves a rail bit,
+/// and at most 64 components per segment (the packed engine names a
+/// segment's components in one 64-bit set — always true for the
+/// per-block machines, whose component count is bounded by rails + 1).
+/// A zero check folded into a later boundary must keep its cells in
+/// place until it (detail::check_zero_fold). The plan reads no
+/// checkpoint_spans.
 SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked);
+
+namespace detail {
+
+/// Throws revft::Error unless no SWAP/SWAP3 among ops (zc.op_index,
+/// boundary] of `c` touches a cell of `zc`. The recovering engine
+/// reads a zero check at its boundary off the slots its cells held at
+/// its own op (WalkIndex::zero_bits), which is the cells' value at
+/// the boundary only when no routing moved them in between.
+/// build_segment_plan checks every zero check it folds; as its merge
+/// rule counts routing as a write of every operand, no plan it builds
+/// can fail this.
+void check_zero_fold(const Circuit& c, const detect::ZeroCheck& zc,
+                     std::size_t boundary);
+
+}  // namespace detail
 
 }  // namespace revft::recover

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "detect/checked_mc.h"
+#include "detect/slot_walk.h"
 #include "recover/checkpoint.h"
 #include "support/error.h"
 
@@ -12,18 +13,39 @@ namespace revft::recover {
 
 namespace {
 
-/// Evaluate the checks of `seg` on `s` for every component in `watch`
-/// (a component bitmask), ORing per-lane fired masks into comp_fired
-/// (pre-zeroed, W words per component, component-major). When `est` is
-/// non-null the per-rail / zero-check event counters are bumped for
-/// lanes in `count_mask` and the matching kRailFired / kZeroCheckFired
-/// events go to `events` (counting pass only: replay and restart
-/// re-evaluations pass a null est and stay silent, so the event stream
-/// matches the estimate's attribution exactly). The engine runs in
-/// cell space, so each rail reads the cells it covers at the
-/// checkpoint, as detect::index_walk derived them
-/// (checked.checkpoint_spans). The rail and zero-check words come from
-/// the checked engine's evaluators.
+/// The lanes of `count_mask` in which a check fired (`fired`, W
+/// words), emitted as `kind` events when traced; returns their count.
+template <unsigned W>
+std::uint64_t count_fired(const std::uint64_t* fired,
+                          const LaneMask& count_mask,
+                          const telemetry::SpanEvents& events,
+                          telemetry::EventKind kind, std::uint64_t batch,
+                          std::uint32_t seg_index, std::uint16_t check) {
+  std::uint64_t n = 0;
+  for (unsigned w = 0; w < W; ++w)
+    n += static_cast<std::uint64_t>(
+        std::popcount(count_mask.word(w) & fired[w]));
+  if (events.on()) {
+    LaneMask counted = count_mask;
+    for (unsigned w = 0; w < W; ++w) counted.word(w) &= fired[w];
+    events.emit_words(kind, batch, counted, seg_index, check);
+  }
+  return n;
+}
+
+/// Evaluate the checks of `seg` on the slot-space state `s` for every
+/// component in `watch` (a component bitmask), ORing per-lane fired
+/// masks into comp_fired (pre-zeroed, W words per component,
+/// component-major). When `est` is non-null the per-rail / zero-check
+/// event counters are bumped for lanes in `count_mask` and the
+/// matching kRailFired / kZeroCheckFired events go to `events`
+/// (counting pass only: replay and restart re-evaluations pass a null
+/// est and stay silent, so the event stream matches the estimate's
+/// attribution exactly). Each rail reads its fixed slot set
+/// (rails[r].rail_bit and rails[r].group) and each zero check the
+/// slots its cells held at its own op (WalkIndex::zero_bits), where
+/// they still are at the boundary (detail::check_zero_fold). The rail
+/// and zero-check words come from the checked engine's evaluators.
 template <unsigned W>
 void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const PackedState& s, std::uint64_t watch,
@@ -32,41 +54,79 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const telemetry::SpanEvents& events =
                        telemetry::SpanEvents(nullptr),
                    std::uint32_t seg_index = 0, std::uint64_t batch = 0) {
+  const detect::WalkIndex& x = checked.walk;
   if (seg.checkpoint >= 0) {
-    const detect::CheckpointSpan& span =
-        checked.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
     for (std::size_t r = 0; r < checked.rails.size(); ++r) {
       const std::uint32_t c = seg.component_of_rail[r];
       if (!((watch >> c) & 1ULL)) continue;
       std::uint64_t violated[W];
       detect::detail::rail_invariant_words<W>(s, checked.rails[r].rail_bit,
-                                              span.group(r), violated);
-      for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= violated[w];
-      if (est != nullptr) {
-        LaneMask counted = count_mask;
-        for (unsigned w = 0; w < W; ++w) counted.word(w) &= violated[w];
-        est->rail_events[r] += counted.popcount();
-        events.emit_words(telemetry::EventKind::kRailFired, batch, counted,
-                          seg_index, static_cast<std::uint16_t>(r));
+                                              checked.rails[r].group, violated);
+      // Lanes already out of count_mask (rejected, or waiting to
+      // restart) keep firing on their stale state; only counted lanes
+      // can make a count.
+      std::uint64_t counted = 0;
+      for (unsigned w = 0; w < W; ++w) {
+        comp_fired[c * W + w] |= violated[w];
+        counted |= violated[w] & count_mask.word(w);
       }
+      if (est != nullptr && counted != 0)
+        est->rail_events[r] +=
+            count_fired<W>(violated, count_mask, events,
+                           telemetry::EventKind::kRailFired, batch, seg_index,
+                           static_cast<std::uint16_t>(r));
     }
   }
   for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
     const std::uint32_t c = seg.component_of_zero_check[k];
     if (!((watch >> c) & 1ULL)) continue;
+    const std::size_t z = seg.zero_checks[k];
     std::uint64_t mask[W];
     detect::detail::zero_check_words<W>(
-        s, checked.zero_checks[seg.zero_checks[k]].bits, mask);
-    for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= mask[w];
-    if (est != nullptr) {
-      LaneMask counted = count_mask;
-      for (unsigned w = 0; w < W; ++w) counted.word(w) &= mask[w];
-      est->zero_check_events += counted.popcount();
-      events.emit_words(telemetry::EventKind::kZeroCheckFired, batch, counted,
-                        seg_index,
-                        static_cast<std::uint16_t>(seg.zero_checks[k]));
+        s,
+        {x.zero_bits.data() + x.zero_start[z],
+         x.zero_bits.data() + x.zero_start[z + 1]},
+        mask);
+    std::uint64_t counted = 0;
+    for (unsigned w = 0; w < W; ++w) {
+      comp_fired[c * W + w] |= mask[w];
+      counted |= mask[w] & count_mask.word(w);
     }
+    if (est != nullptr && counted != 0)
+      est->zero_check_events +=
+          count_fired<W>(mask, count_mask, events,
+                         telemetry::EventKind::kZeroCheckFired, batch,
+                         seg_index, static_cast<std::uint16_t>(z));
   }
+}
+
+/// Walks segment `seg` of `s` in slot space, injecting the faults at
+/// the front of `events` (drawn or scripted, in op order) that fall in
+/// it, and drops those from `events`.
+template <unsigned W>
+void walk_segment(PackedState& s, const detect::WalkIndex& x,
+                  const Segment& seg, std::span<const FaultEvent>& events) {
+  detect::detail::SpanOps ops{x.data_ops.data(), x.data_ops_before[seg.begin]};
+  const FaultEvent* ev = events.data();
+  detect::detail::walk_span<W>(s, x, ops, seg.end + 1, ev,
+                               ev + events.size());
+  events = events.subspan(static_cast<std::size_t>(ev - events.data()));
+}
+
+/// One replay of `comp` on `s`: draw the faults of all its ops, routing
+/// included, in op order, then walk its data ops with them injected.
+template <unsigned W>
+void replay_component(PackedSimulator& sim, PackedState& s,
+                      const detect::CheckedCircuit& checked,
+                      const ReplayComponent& comp) {
+  const detect::WalkIndex& x = checked.walk;
+  const std::span<const FaultEvent> events = sim.draw_faults(
+      checked.circuit, comp.kinds, 0, checked.circuit.size(), W);
+  detect::detail::ListOps ops{x.data_ops.data(), comp.data_ops.data(),
+                              comp.data_ops.data() + comp.data_ops.size()};
+  const FaultEvent* ev = events.data();
+  detect::detail::walk_span<W>(s, x, ops, checked.circuit.size(), ev,
+                               ev + events.size());
 }
 
 /// Bitmask naming all `n` components of a segment (n <= 64).
@@ -85,20 +145,24 @@ LaneMask fired_lanes(const std::uint64_t* comp_fired, std::uint64_t comps) {
   return fired;
 }
 
-/// run_recovering_mc_span at a compile-time lane width, so the boundary
-/// checks of every first pass, replay and restart run fixed-trip word
-/// loops (with_lane_words picks the width, as for the gate kernels).
-/// `first_pass.apply_noisy_span` runs a batch's first pass: `sim`
-/// itself in production, the ScriptedPass in run_scripted_recovering.
-/// Replays and restarts always run on `sim`.
-template <unsigned W, typename FirstPass, typename Classify>
+/// run_recovering_mc_span at a compile-time lane width, so the walks
+/// and boundary checks of every first pass, replay and restart run
+/// fixed-trip word loops (with_lane_words picks the width, as for the
+/// gate kernels). Every pass draws first, then walks in slot space
+/// (detect/slot_walk.h): a batch's state stays in slot space from
+/// prepare to the judge, which reads it after one undo of the final
+/// renaming. A first pass draws its faults from `script` when
+/// non-null (run_scripted_recovering), else from `sim`; replays and
+/// restarts always draw from `sim`.
+template <unsigned W, typename Classify>
 RecoveryEstimate recovering_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const Classify& classify,
-    telemetry::ShardTrace* trace, FirstPass& first_pass) {
+    telemetry::ShardTrace* trace, const ScriptedPass* script) {
   const Circuit& circuit = checked.circuit;
+  const detect::WalkIndex& x = checked.walk;
   RecoveryEstimate est;
   est.rail_events.assign(checked.rails.size(), 0);
   est.segment_replays.assign(plan.segments.size(), 0);
@@ -156,11 +220,24 @@ RecoveryEstimate recovering_span(
     std::uint64_t batch_replays = 0;
 
     // --- first pass: segment walk with per-boundary reaction --------
+    // Block-local replays draw between segments, so that first pass
+    // draws segment by segment. Under the other policies nothing draws
+    // until the first pass is over, so it draws the whole circuit at
+    // once: the same RNG words in the same order, in one call.
+    const auto draw_first = [&](const KindIndex& kinds, std::size_t first,
+                                std::size_t last) {
+      return script != nullptr
+                 ? script->draw_faults(circuit, kinds, first, last, W)
+                 : sim.draw_faults(circuit, kinds, first, last, W);
+    };
+    std::span<const FaultEvent> drawn;
+    if (!keep_boundaries) drawn = draw_first(x.kinds, 0, circuit.size());
     for (std::size_t si = 0; si < plan.segments.size(); ++si) {
       const Segment& seg = plan.segments[si];
       const std::uint32_t seg_id = static_cast<std::uint32_t>(si);
       const std::size_t n_comp = seg.components.size();
-      first_pass.apply_noisy_span(state, circuit, seg.begin, seg.end + 1);
+      if (keep_boundaries) drawn = draw_first(seg.kinds, seg.begin, seg.end + 1);
+      walk_segment<W>(state, x, seg, drawn);
       est.ops_main += seg.op_count() * active.popcount();
       comp_fired.assign(n_comp * W, 0);
       eval_boundary<W>(checked, seg, state, ~0ULL, comp_fired.data(), &est,
@@ -205,10 +282,10 @@ RecoveryEstimate recovering_span(
               std::uint64_t charged_ops = 0;  // per lane, summed
               for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
                 const unsigned c = static_cast<unsigned>(std::countr_zero(m));
-                const std::vector<std::size_t>& ops = seg.components[c].ops;
-                sim.apply_noisy_ops(scratch, circuit, ops);
-                pass_ops += ops.size();
-                charged_ops += ops.size() * member[c].popcount();
+                const ReplayComponent& comp = seg.components[c];
+                replay_component<W>(sim, scratch, checked, comp);
+                pass_ops += comp.ops.size();
+                charged_ops += comp.ops.size() * member[c].popcount();
               }
               const std::uint64_t consumers = outstanding.popcount();
               est.ops_local += charged_ops;
@@ -235,7 +312,7 @@ RecoveryEstimate recovering_span(
                 const unsigned c = static_cast<unsigned>(std::countr_zero(m));
                 const LaneMask take = member[c] & clean;
                 if (take.none()) continue;
-                blend_cells_lanes(state, scratch, seg.components[c].cells,
+                blend_cells_lanes(state, scratch, seg.components[c].slots,
                                   take);
                 member[c].remove(take);
                 if (member[c].none()) replay_set &= ~(1ULL << c);
@@ -309,7 +386,9 @@ RecoveryEstimate recovering_span(
       LaneMask still_clean = used;
       std::uint64_t ops_run = 0;
       for (const Segment& seg : plan.segments) {
-        sim.apply_noisy_span(scratch, circuit, seg.begin, seg.end + 1);
+        std::span<const FaultEvent> drawn =
+            sim.draw_faults(circuit, seg.kinds, seg.begin, seg.end + 1, W);
+        walk_segment<W>(scratch, x, seg, drawn);
         ops_run += seg.op_count();
         comp_fired.assign(seg.components.size() * W, 0);
         eval_boundary<W>(checked, seg, scratch, ~0ULL, comp_fired.data(),
@@ -349,7 +428,9 @@ RecoveryEstimate recovering_span(
       pending.remove(rejected);
     }
     // move_lane wrote only the owner lanes, so every accepted lane's
-    // final state is in `state`: one judgement covers them all.
+    // final state is in `state`: one undo of the renaming and one
+    // judgement cover them all.
+    detect::detail::undo_renaming<W>(state, x);
     est.accepted += accepted_lanes.popcount();
     est.silent_failures +=
         revft::detail::judge_lanes(classify, state, batch, accepted_lanes)
@@ -363,21 +444,23 @@ RecoveryEstimate recovering_span(
 
 /// Checks the plan and the walk index, then runs recovering_span at the
 /// state's lane width.
-template <typename FirstPass, typename Classify>
+template <typename Classify>
 RecoveryEstimate dispatch_span(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
     const PrepareFn& prepare, const Classify& classify,
-    telemetry::ShardTrace* trace, FirstPass& first_pass) {
+    telemetry::ShardTrace* trace, const ScriptedPass* script) {
   REVFT_CHECK_MSG(plan.total_ops == checked.circuit.size(),
                   "run_recovering_mc_span: plan built for a different circuit");
+  REVFT_CHECK_MSG(state.width() == checked.circuit.width(),
+                  "run_recovering_mc_span: width mismatch");
   detect::check_walk_index(checked, "run_recovering_mc_span");
   return with_lane_words(state.lane_words(), "run_recovering_mc_span",
                          [&](auto W) {
                            return recovering_span<W>(
                                sim, state, checked, plan, policy, first_batch,
-                               trials, prepare, classify, trace, first_pass);
+                               trials, prepare, classify, trace, script);
                          });
 }
 
@@ -390,7 +473,7 @@ RecoveryEstimate run_recovering_mc_span(
     const PrepareFn& prepare, const JudgeFn& classify,
     telemetry::ShardTrace* trace) {
   return dispatch_span(sim, state, checked, plan, policy, first_batch, trials,
-                       prepare, classify, trace, sim);
+                       prepare, classify, trace, /*script=*/nullptr);
 }
 
 RecoveryEstimate run_recovering_mc_span(
@@ -400,7 +483,7 @@ RecoveryEstimate run_recovering_mc_span(
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace) {
   return dispatch_span(sim, state, checked, plan, policy, first_batch, trials,
-                       prepare, classify, trace, sim);
+                       prepare, classify, trace, /*script=*/nullptr);
 }
 
 RecoveryEstimate run_scripted_recovering(
@@ -420,7 +503,7 @@ RecoveryEstimate run_scripted_recovering(
       [&script](const PackedState& s, int lane, std::uint64_t batch) {
         return script.classify(s, lane, batch);
       },
-      /*trace=*/nullptr, script);
+      /*trace=*/nullptr, &script);
 }
 
 }  // namespace revft::recover

@@ -102,17 +102,37 @@ std::uint64_t Circuit::depth() const noexcept {
   return depth;
 }
 
-KindIndex::KindIndex(const Circuit& c) : positions_(c.size()) {
+template <typename OpAt>
+void KindIndex::fill(const Circuit& c, std::size_t n, OpAt op_at) {
   REVFT_CHECK_MSG(c.size() <= UINT32_MAX, "KindIndex: " << c.size() << " ops");
-  for (const Gate& g : c.ops())
-    ++start_[static_cast<std::size_t>(g.kind) + 1];
+  circuit_ops_ = c.size();
+  positions_.resize(n);
+  const std::vector<Gate>& ops = c.ops();
+  for (std::size_t j = 0; j < n; ++j)
+    ++start_[static_cast<std::size_t>(ops[op_at(j)].kind) + 1];
   for (int k = 0; k < kNumGateKinds; ++k) start_[k + 1] += start_[k];
   std::array<std::uint32_t, kNumGateKinds> next{};
   std::copy(start_.begin(), start_.end() - 1, next.begin());
-  const std::vector<Gate>& ops = c.ops();
-  for (std::size_t i = 0; i < ops.size(); ++i)
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i = op_at(j);
     positions_[next[static_cast<std::size_t>(ops[i].kind)]++] =
         static_cast<std::uint32_t>(i);
+  }
+}
+
+KindIndex::KindIndex(const Circuit& c, std::size_t first, std::size_t last) {
+  REVFT_CHECK_MSG(first <= last && last <= c.size(),
+                  "KindIndex: bad range [" << first << ", " << last << ")");
+  fill(c, last - first, [first](std::size_t j) { return first + j; });
+}
+
+KindIndex::KindIndex(const Circuit& c,
+                     std::span<const std::size_t> positions) {
+  REVFT_CHECK_MSG(
+      std::is_sorted(positions.begin(), positions.end()) &&
+          (positions.empty() || positions.back() < c.size()),
+      "KindIndex: positions must be ascending and within the circuit");
+  fill(c, positions.size(), [positions](std::size_t j) { return positions[j]; });
 }
 
 }  // namespace revft

@@ -108,27 +108,37 @@ class Circuit {
   std::vector<Gate> ops_;
 };
 
-/// A circuit's op positions grouped by gate kind, ascending within
+/// Op positions of a circuit grouped by gate kind, ascending within
 /// each kind: what lets PackedSimulator::draw_faults jump each kind's
-/// gap counter over that kind's fault-free ops. Built once per circuit
-/// (a CheckedCircuit keeps one in its WalkIndex).
+/// gap counter over that kind's fault-free ops. It indexes every op of
+/// the circuit (a CheckedCircuit keeps one in its WalkIndex), one op
+/// span (a recover::Segment's) or one op list (a replay component's).
 class KindIndex {
  public:
   KindIndex() = default;
-  /// Throws revft::Error past 2^32 ops.
-  explicit KindIndex(const Circuit& c);
+  /// Indexes every op of `c`. Throws revft::Error past 2^32 ops.
+  explicit KindIndex(const Circuit& c) : KindIndex(c, 0, c.size()) {}
+  /// Indexes ops [first, last) of `c`.
+  KindIndex(const Circuit& c, std::size_t first, std::size_t last);
+  /// Indexes the ops of `c` at `positions` (ascending, each < c.size()).
+  KindIndex(const Circuit& c, std::span<const std::size_t> positions);
 
-  /// Positions of the ops of `kind`, ascending.
+  /// Positions of the indexed ops of `kind`, ascending.
   std::span<const std::uint32_t> of(GateKind kind) const {
     const auto k = static_cast<std::size_t>(kind);
     return {positions_.data() + start_[k], start_[k + 1] - start_[k]};
   }
-  /// Ops indexed (the circuit's size).
-  std::size_t size() const noexcept { return positions_.size(); }
+  /// Ops of the circuit the index was built over.
+  std::size_t circuit_ops() const noexcept { return circuit_ops_; }
 
  private:
+  /// Indexes the `n` ops at op_at(0), ..., op_at(n - 1).
+  template <typename OpAt>
+  void fill(const Circuit& c, std::size_t n, OpAt op_at);
+
   std::array<std::uint32_t, kNumGateKinds + 1> start_{};
   std::vector<std::uint32_t> positions_;
+  std::size_t circuit_ops_ = 0;
 };
 
 }  // namespace revft

@@ -211,6 +211,92 @@ TEST(SegmentPlan, ZeroCheckBitsBelongToTheComponentFootprint) {
   }
 }
 
+// In slot space a component is its non-routing ops, its kind index and
+// its footprint as slots: the slots its cells hold at segment entry,
+// read off an independent replay of the routing. A cell the component
+// touches only ever holds a slot of another cell it touches, so the
+// same set is the cells' slots at segment end.
+TEST(SegmentPlan, SlotFootprintsAreTheCellFootprintsRenamed) {
+  for (const auto& program :
+       {CheckedMachine1d(6, true, recovering_machine_options())
+            .compile(scattered6()),
+        CheckedMachine2d(6, true, recovering_machine_options())
+            .compile(scattered6())}) {
+    const detect::CheckedCircuit& checked = program.checked;
+    const auto plan = recover::build_segment_plan(checked);
+    const Circuit& c = checked.circuit;
+    std::vector<std::uint32_t> slot(c.width());
+    for (std::uint32_t i = 0; i < c.width(); ++i) slot[i] = i;
+    for (const auto& seg : plan.segments) {
+      const std::vector<std::uint32_t> entry = slot;
+      for (std::size_t i = seg.begin; i <= seg.end; ++i) {
+        const Gate& g = c.op(i);
+        if (g.kind == GateKind::kSwap) {
+          std::swap(slot[g.bits[0]], slot[g.bits[1]]);
+        } else if (g.kind == GateKind::kSwap3) {
+          const std::uint32_t first = slot[g.bits[0]];
+          slot[g.bits[0]] = slot[g.bits[1]];
+          slot[g.bits[1]] = slot[g.bits[2]];
+          slot[g.bits[2]] = first;
+        }
+      }
+      for (const auto& comp : seg.components) {
+        std::vector<std::uint32_t> want_entry, want_end;
+        for (const std::uint32_t cell : comp.cells) {
+          want_entry.push_back(entry[cell]);
+          want_end.push_back(slot[cell]);
+        }
+        std::sort(want_entry.begin(), want_entry.end());
+        std::sort(want_end.begin(), want_end.end());
+        std::vector<std::uint32_t> got = comp.slots;
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want_entry) << "segment ending at op " << seg.end;
+        EXPECT_EQ(got, want_end) << "segment ending at op " << seg.end;
+        std::vector<std::uint32_t> data_ops;
+        std::size_t counted = 0;
+        for (const std::size_t op : comp.ops) {
+          const GateKind kind = c.op(op).kind;
+          if (kind != GateKind::kSwap && kind != GateKind::kSwap3)
+            data_ops.push_back(checked.walk.data_ops_before[op]);
+        }
+        for (int k = 0; k < kNumGateKinds; ++k)
+          counted += comp.kinds.of(static_cast<GateKind>(k)).size();
+        EXPECT_EQ(comp.data_ops, data_ops);
+        EXPECT_EQ(counted, comp.ops.size());
+      }
+    }
+  }
+}
+
+// The recovering engine reads a zero check at its boundary off the
+// slots its cells held at its own op, so a fold past routing that
+// moves a checked cell would read the wrong cells. The merge rule never
+// folds past such routing (it writes every operand); the guard that
+// build_segment_plan runs on every fold rejects one.
+TEST(SegmentPlan, ZeroCheckFoldPastRoutingOfItsCellsIsRejected) {
+  Circuit c(4);
+  c.cnot(0, 1).swap(1, 2).cnot(2, 3);
+  detect::CheckedCircuit checked = detect::to_parity_rail(c);
+  detect::add_zero_check(checked, 0, {1});
+  const detect::ZeroCheck& zc = checked.zero_checks[0];
+  const std::size_t last = checked.circuit.size() - 1;
+  const auto plan = recover::build_segment_plan(checked);
+  ASSERT_EQ(plan.segments.front().zero_checks,
+            std::vector<std::size_t>{0});
+  EXPECT_EQ(plan.segments.front().end, zc.op_index);  // not folded
+  try {
+    recover::detail::check_zero_fold(checked.circuit, zc, last);
+    ADD_FAILURE() << "a fold past SWAP(1, 2) was accepted";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("moves a cell of the zero check"),
+              std::string::npos)
+        << err.what();
+  }
+  // A check on a cell no routing moves folds as far as the boundary.
+  EXPECT_NO_THROW(recover::detail::check_zero_fold(
+      checked.circuit, detect::ZeroCheck{zc.op_index, {0}}, last));
+}
+
 // --- partition-aware scheduling: the replay-share payoff -------------
 
 // The scheduling pass (local/schedule.h) breaks the whole-segment
@@ -916,6 +1002,414 @@ TEST(RecoveringMcRestarts, SideBySideAttemptsKeepTheLaw) {
     EXPECT_GT(e.restart_accepts, 0u) << "W=" << W;
     EXPECT_EQ(e.fallbacks, e.restart_accepts + e.rejected) << "W=" << W;
   }
+}
+
+
+// --- the slot-space engine against the per-op cell-space one ---------
+//
+// Reference for the recovering engine: the engine as it ran before
+// every pass drew its faults first and walked in slot space. Every
+// pass runs op by op in cell space through the simulator's noisy span
+// loop (a replay op by op over its component's ops), each boundary
+// reads the checkpoint's cells (checkpoint_spans) and a zero check's
+// own cells, and an accepted replay blends its component's cells. The
+// first pass of a scripted run runs the ideal ops with the scripted
+// faults injected. The two must agree lane for lane: final states,
+// every estimate field and the RNG stream.
+
+/// One op of `c` on every lane of `s`, ideally, then `events`' faults
+/// on it — the scripted first pass, op by op.
+void apply_scripted_op(PackedState& s, const Circuit& c, std::size_t i,
+                       std::span<const FaultEvent>& events) {
+  const Gate& g = c.op(i);
+  PackedSimulator::apply_ideal(s, g);
+  for (; !events.empty() && events.front().op == i;
+       events = events.subspan(1)) {
+    const FaultEvent& e = events.front();
+    for (int k = 0; k < g.arity(); ++k) {
+      std::uint64_t& w = s.words(g.bits[static_cast<std::size_t>(k)])[e.word];
+      w = (w & ~e.mask) | (e.fresh[static_cast<std::size_t>(k)] & e.mask);
+    }
+  }
+}
+
+/// Checks of `seg` on the cell-space state `s` for the components in
+/// `watch`, ORed into comp_fired[c * W + w]; counted into `est` for the
+/// lanes of `count_mask` when `est` is non-null.
+void reference_eval(const detect::CheckedCircuit& checked,
+                    const recover::Segment& seg, const PackedState& s,
+                    std::uint64_t watch, std::vector<std::uint64_t>& comp_fired,
+                    recover::RecoveryEstimate* est,
+                    const LaneMask& count_mask) {
+  const unsigned W = s.lane_words();
+  const auto record = [&](std::uint32_t c, const std::uint64_t* fired,
+                          std::uint64_t& counter) {
+    for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= fired[w];
+    if (est == nullptr) return;
+    for (unsigned w = 0; w < W; ++w)
+      counter += static_cast<std::uint64_t>(
+          std::popcount(fired[w] & count_mask.word(w)));
+  };
+  std::uint64_t dummy = 0;
+  if (seg.checkpoint >= 0) {
+    const detect::CheckpointSpan& span =
+        checked.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
+    for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+      const std::uint32_t c = seg.component_of_rail[r];
+      if (((watch >> c) & 1u) == 0) continue;
+      std::uint64_t fired[kMaxLaneWords];
+      for (unsigned w = 0; w < W; ++w) {
+        fired[w] = s.words(checked.rails[r].rail_bit)[w];
+        for (const std::uint32_t bit : span.group(r))
+          fired[w] ^= s.words(bit)[w];
+      }
+      record(c, fired, est != nullptr ? est->rail_events[r] : dummy);
+    }
+  }
+  for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
+    const std::uint32_t c = seg.component_of_zero_check[k];
+    if (((watch >> c) & 1u) == 0) continue;
+    std::uint64_t fired[kMaxLaneWords] = {};
+    for (const std::uint32_t bit :
+         checked.zero_checks[seg.zero_checks[k]].bits)
+      for (unsigned w = 0; w < W; ++w) fired[w] |= s.words(bit)[w];
+    record(c, fired, est != nullptr ? est->zero_check_events : dummy);
+  }
+}
+
+/// The reference engine over a batch range, the same contract as
+/// run_recovering_mc_span (untraced; `judge` a word or per-lane judge).
+/// `script` (nullable) supplies the first pass' faults as in
+/// run_scripted_recovering.
+template <typename Judge>
+recover::RecoveryEstimate reference_recovering_span(
+    PackedSimulator& sim, PackedState& state,
+    const detect::CheckedCircuit& checked, const recover::SegmentPlan& plan,
+    const recover::RetryPolicy& policy, std::uint64_t first_batch,
+    std::uint64_t trials, const recover::PrepareFn& prepare,
+    const Judge& judge, const ScriptedPass* script = nullptr) {
+  const Circuit& circuit = checked.circuit;
+  const unsigned W = state.lane_words();
+  recover::RecoveryEstimate est;
+  est.rail_events.assign(checked.rails.size(), 0);
+  est.segment_replays.assign(plan.segments.size(), 0);
+  est.segment_replay_ops.assign(plan.segments.size(), 0);
+  const std::uint64_t lanes_per_batch = 64ULL * W;
+  const LaneMask no_lanes(W);
+  PackedState scratch(circuit.width(), W);
+  recover::PackedCheckpoint entry_cp, boundary_cp;
+  std::vector<std::uint64_t> comp_fired;
+  std::vector<LaneMask> member;
+  std::vector<int> program_left(lanes_per_batch, 0);
+  std::vector<unsigned> owners;
+  std::vector<int> next_attempt(lanes_per_batch, -1);
+  std::vector<unsigned> chain_tail(lanes_per_batch, 0);
+  std::vector<std::uint64_t> attempt_ops(lanes_per_batch, 0);
+  const auto fired_in = [&](std::uint64_t comps) {
+    LaneMask fired(W);
+    for (; comps != 0; comps &= comps - 1) {
+      const auto c = static_cast<unsigned>(std::countr_zero(comps));
+      for (unsigned w = 0; w < W; ++w) fired.word(w) |= comp_fired[c * W + w];
+    }
+    return fired;
+  };
+  const auto all = [](std::size_t n) {
+    return n >= 64 ? ~0ULL : (1ULL << n) - 1;
+  };
+  const std::uint64_t batches =
+      (trials + lanes_per_batch - 1) / lanes_per_batch;
+  for (std::uint64_t b = 0; b < batches; ++b) {
+    const std::uint64_t batch = first_batch + b;
+    const std::uint64_t lanes_this_batch =
+        (b + 1 == batches && trials % lanes_per_batch != 0)
+            ? trials % lanes_per_batch
+            : lanes_per_batch;
+    const LaneMask live = LaneMask::first_n(W, lanes_this_batch);
+    state.clear();
+    prepare(state, sim.rng(), batch);
+    entry_cp.capture(state);
+    boundary_cp.capture(state);
+    std::fill(program_left.begin(), program_left.end(),
+              policy.max_program_attempts);
+    LaneMask active = live;
+    LaneMask restart_pending(W), rejected(W), detected_lanes(W);
+    for (std::size_t si = 0; si < plan.segments.size(); ++si) {
+      const recover::Segment& seg = plan.segments[si];
+      const std::size_t n_comp = seg.components.size();
+      if (script != nullptr) {
+        std::span<const FaultEvent> events = script->draw_faults(
+            circuit, checked.walk.kinds, seg.begin, seg.end + 1, W);
+        for (std::size_t i = seg.begin; i <= seg.end; ++i)
+          apply_scripted_op(state, circuit, i, events);
+      } else {
+        sim.apply_noisy_span(state, circuit, seg.begin, seg.end + 1);
+      }
+      est.ops_main += seg.op_count() * active.popcount();
+      comp_fired.assign(n_comp * W, 0);
+      reference_eval(checked, seg, state, ~0ULL, comp_fired, &est, active);
+      const LaneMask fired_any = fired_in(all(n_comp)) & active;
+      if (fired_any.any()) {
+        detected_lanes |= fired_any;
+        if (policy.kind == recover::RetryPolicyKind::kNoRetry) {
+          rejected |= fired_any;
+          active.remove(fired_any);
+        } else if (policy.kind == recover::RetryPolicyKind::kWholeProgram) {
+          restart_pending |= fired_any;
+          active.remove(fired_any);
+        } else {
+          member.assign(n_comp, LaneMask(W));
+          std::uint64_t replay_set = 0;
+          for (std::size_t c = 0; c < n_comp; ++c) {
+            for (unsigned w = 0; w < W; ++w)
+              member[c].word(w) = comp_fired[c * W + w] & fired_any.word(w);
+            if (member[c].any()) replay_set |= 1ULL << c;
+          }
+          LaneMask outstanding = fired_any;
+          for (int attempt = 0;
+               attempt < policy.max_local_attempts && outstanding.any();
+               ++attempt) {
+            boundary_cp.restore_all(scratch);
+            std::uint64_t charged_ops = 0;
+            for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
+              const auto c = static_cast<unsigned>(std::countr_zero(m));
+              for (const std::size_t op : seg.components[c].ops)
+                sim.apply_noisy_span(scratch, circuit, op, op + 1);
+              charged_ops +=
+                  seg.components[c].ops.size() * member[c].popcount();
+            }
+            const std::uint64_t consumers = outstanding.popcount();
+            est.ops_local += charged_ops;
+            est.local_retries += consumers;
+            est.segment_replay_ops[si] += charged_ops;
+            est.segment_replays[si] += consumers;
+            comp_fired.assign(n_comp * W, 0);
+            reference_eval(checked, seg, scratch, replay_set, comp_fired,
+                           nullptr, no_lanes);
+            LaneMask clean = outstanding;
+            for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
+              const auto c = static_cast<unsigned>(std::countr_zero(m));
+              for (unsigned w = 0; w < W; ++w)
+                clean.word(w) &= ~(comp_fired[c * W + w] & member[c].word(w));
+            }
+            if (clean.none()) continue;
+            for (std::uint64_t m = replay_set; m != 0; m &= m - 1) {
+              const auto c = static_cast<unsigned>(std::countr_zero(m));
+              const LaneMask take = member[c] & clean;
+              if (take.none()) continue;
+              recover::blend_cells_lanes(state, scratch,
+                                         seg.components[c].cells, take);
+              member[c].remove(take);
+              if (member[c].none()) replay_set &= ~(1ULL << c);
+            }
+            outstanding.remove(clean);
+          }
+          if (outstanding.any()) {
+            est.fallbacks += outstanding.popcount();
+            restart_pending |= outstanding;
+            active.remove(outstanding);
+          }
+        }
+      }
+      boundary_cp.capture(state);
+    }
+    est.trials += lanes_this_batch;
+    est.detected_trials += detected_lanes.popcount();
+    LaneMask accepted_lanes = active & live;
+    LaneMask pending = restart_pending;
+    if (pending.any() && policy.max_program_attempts <= 0) {
+      rejected |= pending;
+      pending.clear();
+    }
+    while (pending.any()) {
+      entry_cp.restore_all(scratch);
+      owners.clear();
+      for_each_lane(pending, [&](unsigned lane) {
+        owners.push_back(lane);
+        next_attempt[lane] = -1;
+        chain_tail[lane] = lane;
+      });
+      LaneMask used = pending;
+      unsigned idle = 0;
+      for (int handed = 1; idle < lanes_per_batch; ++handed) {
+        bool any_handed = false;
+        for (const unsigned owner : owners) {
+          if (program_left[owner] <= handed) continue;
+          while (idle < lanes_per_batch && pending.test(idle)) ++idle;
+          if (idle == lanes_per_batch) break;
+          next_attempt[chain_tail[owner]] = static_cast<int>(idle);
+          next_attempt[idle] = -1;
+          chain_tail[owner] = idle;
+          used.set(idle++);
+          any_handed = true;
+        }
+        if (!any_handed) break;
+      }
+      for (const unsigned owner : owners) {
+        LaneMask extra(W);
+        for (int l = next_attempt[owner]; l >= 0; l = next_attempt[l])
+          extra.set(static_cast<unsigned>(l));
+        if (extra.any()) recover::copy_lane(scratch, owner, extra);
+      }
+      LaneMask still_clean = used;
+      std::uint64_t ops_run = 0;
+      for (const recover::Segment& seg : plan.segments) {
+        sim.apply_noisy_span(scratch, circuit, seg.begin, seg.end + 1);
+        ops_run += seg.op_count();
+        comp_fired.assign(seg.components.size() * W, 0);
+        reference_eval(checked, seg, scratch, ~0ULL, comp_fired, nullptr,
+                       no_lanes);
+        const LaneMask fired =
+            fired_in(all(seg.components.size())) & still_clean;
+        for_each_lane(fired, [&](unsigned l) { attempt_ops[l] = ops_run; });
+        still_clean.remove(fired);
+        if (still_clean.none()) break;
+      }
+      for_each_lane(still_clean,
+                    [&](unsigned l) { attempt_ops[l] = ops_run; });
+      LaneMask accepted_now(W);
+      for (const unsigned owner : owners) {
+        for (int l = static_cast<int>(owner); l >= 0; l = next_attempt[l]) {
+          const auto lane = static_cast<unsigned>(l);
+          ++est.program_restarts;
+          est.ops_restart += attempt_ops[lane];
+          --program_left[owner];
+          if (still_clean.test(lane)) {
+            recover::move_lane(state, owner, scratch, lane);
+            accepted_now.set(owner);
+            break;
+          }
+        }
+        if (!accepted_now.test(owner) && program_left[owner] <= 0)
+          rejected.set(owner);
+      }
+      accepted_lanes |= accepted_now;
+      est.restart_accepts += accepted_now.popcount();
+      pending.remove(accepted_now);
+      pending.remove(rejected);
+    }
+    est.accepted += accepted_lanes.popcount();
+    est.silent_failures +=
+        revft::detail::judge_lanes(judge, state, batch, accepted_lanes)
+            .popcount();
+    est.rejected += rejected.popcount();
+  }
+  return est;
+}
+
+// Sampled runs on the checked 1D machine, rails-only and with zero
+// checks, under every policy, on the gap path (including the
+// never-failing p = 0 stream) and the bit-plane path (g = 3e-2), at
+// W = 1 and 8, over two full batches and a partial one.
+TEST(SlotSpaceEngine, MatchesPerOpCellSpaceEngine) {
+  const Circuit logical = scattered6();
+  CheckedMachineOptions rails_only = recovering_machine_options();
+  rails_only.zero_checks = false;
+  for (const bool zero_checks : {false, true}) {
+    const auto program =
+        CheckedMachine1d(6, true,
+                         zero_checks ? recovering_machine_options()
+                                     : rails_only)
+            .compile(logical);
+    const detect::CheckedCircuit& checked = program.checked;
+    ASSERT_EQ(checked.zero_checks.empty(), !zero_checks);
+    const recover::SegmentPlan plan = recover::build_segment_plan(checked);
+    const MachineWorkloadKernel kernel =
+        make_machine_kernel(program, machine_truth_table(logical));
+    for (const unsigned W : {1u, 8u})
+      for (const double g : {0.0, 1e-3, 3e-2})
+        for (const auto& policy : {recover::RetryPolicy::no_retry(),
+                                   recover::RetryPolicy::whole_program(),
+                                   recover::RetryPolicy::block_local()}) {
+          const std::string what =
+              "zero_checks=" + std::to_string(zero_checks) +
+              " W=" + std::to_string(W) + " g=" + std::to_string(g) +
+              " policy=" + std::to_string(static_cast<int>(policy.kind));
+          const std::uint64_t trials = 2 * 64ULL * W + 37;
+          PackedSimulator sim_a(NoiseModel::uniform(g), 0x51075ULL);
+          PackedSimulator sim_b(NoiseModel::uniform(g), 0x51075ULL);
+          PackedState a(checked.circuit.width(), W);
+          PackedState b(checked.circuit.width(), W);
+          MachineWorkloadKernel ka = kernel, kb = kernel;
+          const auto prepare = [](MachineWorkloadKernel& k) {
+            return recover::PrepareFn(
+                [&k](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+                  k.prepare(s, rng, batch);
+                });
+          };
+          const auto judge = [](const MachineWorkloadKernel& k) {
+            return recover::JudgeFn([&k](const PackedState& s,
+                                         std::uint64_t batch,
+                                         LaneMask& wrong) {
+              k.classify_words(s, batch, wrong);
+            });
+          };
+          const auto got = recover::run_recovering_mc_span(
+              sim_a, a, checked, plan, policy, 5, trials, prepare(ka),
+              judge(ka));
+          const auto want = reference_recovering_span(
+              sim_b, b, checked, plan, policy, 5, trials, prepare(kb),
+              judge(kb));
+          test::expect_same_recovery(got, want, what);
+          for (std::uint32_t bit = 0; bit < a.width(); ++bit)
+            for (unsigned w = 0; w < W; ++w)
+              ASSERT_EQ(a.words(bit)[w], b.words(bit)[w])
+                  << what << " bit=" << bit << " word=" << w;
+          EXPECT_EQ(sim_a.faults_drawn(), sim_b.faults_drawn()) << what;
+          EXPECT_EQ(sim_a.rng().next(), sim_b.rng().next()) << what;
+          if (g == 3e-2 &&
+              policy.kind == recover::RetryPolicyKind::kBlockLocal) {
+            EXPECT_GT(got.local_retries, 0u) << what;
+            EXPECT_GT(got.program_restarts, 0u) << what;
+          }
+        }
+  }
+}
+
+// The scripted first pass: every single fault of the routed Toffoli
+// machine on two inputs, under every policy, at W = 1 and 2. Each
+// accepted scenario's final state must match too.
+TEST(SlotSpaceEngine, ScriptedRunMatchesPerOpCellSpaceEngine) {
+  const Circuit logical = routed_toffoli3();
+  const auto program =
+      CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
+  const detect::CheckedCircuit& checked = program.checked;
+  const recover::SegmentPlan plan = recover::build_segment_plan(checked);
+  const ScenarioSet set = make_scenarios(program, {3, 6}, true);
+  for (const unsigned W : {1u, 2u})
+    for (const auto& policy : {recover::RetryPolicy::no_retry(),
+                               recover::RetryPolicy::whole_program(),
+                               recover::RetryPolicy::block_local()}) {
+      const std::string what =
+          "W=" + std::to_string(W) +
+          " policy=" + std::to_string(static_cast<int>(policy.kind));
+      std::vector<StateVector> got_final(set.scenarios.size(),
+                                         StateVector(1));
+      std::vector<StateVector> want_final = got_final;
+      const auto got = recover::run_scripted_recovering(
+          checked, plan, policy, set.scenarios, W,
+          [&](const StateVector& s, std::size_t i) {
+            got_final[i] = s;
+            return false;
+          });
+      ScriptedPass script(checked.circuit, checked.data_width, set.scenarios,
+                          W, [&](const StateVector& s, std::size_t i) {
+                            want_final[i] = s;
+                            return false;
+                          });
+      PackedState state(checked.circuit.width(), W);
+      const auto want = reference_recovering_span(
+          script.sim(), state, checked, plan, policy, 0, set.scenarios.size(),
+          [&script](PackedState& s, Xoshiro256&, std::uint64_t batch) {
+            script.prepare(s, batch);
+          },
+          [&script](const PackedState& s, int lane, std::uint64_t batch) {
+            return script.classify(s, lane, batch);
+          },
+          &script);
+      test::expect_same_recovery(got, want, what);
+      for (std::size_t i = 0; i < set.scenarios.size(); ++i)
+        ASSERT_EQ(got_final[i], want_final[i]) << what << ": " << set.name(i);
+    }
 }
 
 }  // namespace

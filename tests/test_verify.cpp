@@ -581,10 +581,11 @@ TEST(VerifyLint, SwapOfARailBitIsRejectedByThePlanAndSkippedByLint) {
 }
 
 // The CheckedCircuit readers all rely on detect::index_walk: the
-// checked engine on its slots, the recovering engine, the certifier
-// and dataflow on the checkpoint_spans it derives. A circuit assembled
-// by hand and never indexed is rejected by each of them, naming
-// index_walk, instead of read out of bounds; indexed, each one runs.
+// checked and recovering engines and the segment plan on its slots,
+// the certifier and dataflow on the checkpoint_spans it derives. A
+// circuit assembled by hand and never indexed is rejected by each of
+// them, naming index_walk, instead of read out of bounds; indexed,
+// each one runs.
 TEST(CheckedIndex, EveryReaderRejectsAnUnindexedCircuit) {
   // Data bits 0..2, rail bit 3: the encoder, then MAJ and MAJ⁻¹ (whose
   // compensations cancel), checked once at the end.
@@ -594,7 +595,9 @@ TEST(CheckedIndex, EveryReaderRejectsAnUnindexedCircuit) {
   checked.circuit.cnot(0, 3).cnot(1, 3).cnot(2, 3).maj(0, 1, 2).majinv(0, 1, 2);
   checked.rails = {{{0, 1, 2}, 3, 3}};
   checked.checkpoints = {checked.circuit.size() - 1};
-  const recover::SegmentPlan plan = recover::build_segment_plan(checked);
+  detect::CheckedCircuit indexed = checked;
+  detect::index_walk(indexed);
+  const recover::SegmentPlan plan = recover::build_segment_plan(indexed);
   const std::vector<StateVector> inputs{StateVector(3)};
 
   const auto readers = [&](const detect::CheckedCircuit& c) {
@@ -605,6 +608,8 @@ TEST(CheckedIndex, EveryReaderRejectsAnUnindexedCircuit) {
       std::uint64_t detected = 0;
       detect::apply_noisy_checked_words(sim, state, c, &detected);
     });
+    calls.emplace_back("build_segment_plan",
+                       [&c] { recover::build_segment_plan(c); });
     calls.emplace_back("run_recovering_mc_span", [&c, &plan] {
       PackedSimulator sim(NoiseModel::uniform(1e-2), 7);
       PackedState state(c.circuit.width(), 1);
