@@ -22,37 +22,28 @@ void walk_checked_impl(PackedState& state, const CheckedCircuit& checked,
                        std::span<const FaultEvent> events,
                        std::uint64_t* __restrict__ detected,
                        std::uint64_t* __restrict__ fired_masks) {
-  using K = PackedKernels<W>;
   const WalkIndex& x = checked.walk;
   const std::size_t n_rails = checked.rails.size();
   if (fired_masks != nullptr)
     std::fill(fired_masks, fired_masks + (n_rails + 1) * W, 0);
   for (unsigned w = 0; w < W; ++w) detected[w] = 0;
-  // Three sorted streams stop the run of data ops: the fault events,
-  // the zero checks and the rail checkpoints. At a stop the op's
-  // events are injected first, then its checks OR the per-lane rail
-  // invariants — or a zero-checked word — into the masks; all of it on
-  // slots (WalkIndex).
+  // The walk stops at each check position (zero checks and rail
+  // checkpoints, merged in op order): walk_span runs the data ops up to
+  // it and injects the events up to it, then its checks OR the per-lane
+  // rail invariants — or a zero-checked word — into the masks; all of
+  // it on slots (WalkIndex).
   const std::size_t end = checked.circuit.size();
   const std::size_t n_cp = checked.checkpoints.size();
   const std::size_t n_zc = checked.zero_checks.size();
-  const Gate* const data_ops = x.data_ops.data();
+  SpanOps ops{x.data_ops.data(), 0};
   const FaultEvent* ev = events.data();
   const FaultEvent* const ev_end = ev + events.size();
-  std::size_t pos = 0, ci = 0, zi = 0;
-  for (;;) {
-    const std::size_t at_cp = ci < n_cp ? checked.checkpoints[ci] : end;
-    const std::size_t at_zc =
-        zi < n_zc ? checked.zero_checks[zi].op_index : end;
-    const std::size_t at_ev = ev != ev_end ? ev->op : end;
-    const std::size_t stop = std::min({at_cp, at_zc, at_ev, end});
-    const std::size_t run_end = stop < end ? stop + 1 : end;
-    K::ideal_ops(state, data_ops + x.data_ops_before[pos],
-                 data_ops + x.data_ops_before[run_end]);
-    pos = run_end;
-    if (stop == end) break;
-    for (; ev != ev_end && ev->op == stop; ++ev)
-      K::inject(state, x.slot_ops[stop], *ev);
+  std::size_t ci = 0, zi = 0;
+  while (ci < n_cp || zi < n_zc) {
+    const std::size_t stop =
+        std::min(ci < n_cp ? checked.checkpoints[ci] : end,
+                 zi < n_zc ? checked.zero_checks[zi].op_index : end);
+    walk_span<W>(state, x, ops, stop + 1, ev, ev_end);
     for (; zi < n_zc && checked.zero_checks[zi].op_index == stop; ++zi) {
       std::uint64_t zero_mask[W];
       zero_check_words<W>(state,
@@ -76,6 +67,7 @@ void walk_checked_impl(PackedState& state, const CheckedCircuit& checked,
       }
     }
   }
+  walk_span<W>(state, x, ops, end, ev, ev_end);
   undo_renaming<W>(state, x);
 }
 

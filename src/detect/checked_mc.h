@@ -25,8 +25,8 @@
 //
 // The rail and zero-check evaluators (detail::rail_invariant_words,
 // detail::zero_check_words) are the only packed ones; the recovering
-// engine calls them too, and walks every pass in slot space as well
-// (detect/slot_walk.h).
+// engine calls them too, and walks every pass in slot space with the
+// same span walker (detect/slot_walk.h).
 //
 // The detected masks are threaded through the thread-sharded engine
 // (noise/parallel_mc.h): every trial is classified into one of four

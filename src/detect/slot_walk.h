@@ -1,18 +1,15 @@
 // revft/detect/slot_walk.h
 //
-// The span walker of the recovering engine (recover/recovering_mc.cpp),
-// which runs every pass in slot space (WalkIndex, detect/rail.h) as
-// the checked walk does. A span's data ops run through the ideal gate
-// kernels; routing runs as the WalkIndex renaming and moves no data;
-// each drawn or scripted fault is injected right after its op, on the
-// op's slots (WalkIndex::slot_ops). The data ops come from a cursor: a
-// contiguous run of WalkIndex::data_ops (a segment) or a list of
-// indices into it (a replay component, recover/plan.h).
-//
-// The checked walk (detect/checked_mc.cpp) runs the same op-run and
-// inject steps merged into one loop with its check stops, and shares
-// undo_renaming: built on walk_span, its loop measured about 5% fewer
-// trials/s on the checked 2D machine. Internal to the engines.
+// The span walker of the checked and recovering engines
+// (detect/checked_mc.cpp, recover/recovering_mc.cpp), which run every
+// pass in slot space (WalkIndex, detect/rail.h). A span's data ops run
+// through the ideal gate kernels; routing runs as the WalkIndex
+// renaming and moves no data; each drawn or scripted fault is injected
+// right after its op, on the op's slots (WalkIndex::slot_ops). The
+// data ops come from a cursor: a contiguous run of WalkIndex::data_ops
+// (the checked walk between check stops, a segment) or a list of
+// indices into it (a replay component, recover/plan.h). Internal to
+// the engines.
 #pragma once
 
 #include <algorithm>

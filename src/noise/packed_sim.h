@@ -221,11 +221,11 @@ class PackedSimulator {
   /// the next draw. `index` is a KindIndex over `c` of every op, of one
   /// op span (a segment's) or of one op list (a replay component's,
   /// drawn whole with [0, c.size())); a search narrows it to [first,
-  /// last) only when it reaches outside. The RNG
-  /// words, their order and faults_drawn() are exactly those of a
-  /// per-op noisy walk over the same ops in op order. Each kind's gap
-  /// counter jumps over its fault-free ops, so the cost is O(faults),
-  /// not O(ops), at gap rates. Throws revft::Error when `index` was
+  /// last) only where it reaches outside. The RNG words, their order
+  /// and faults_drawn() are exactly those of a per-op noisy walk over
+  /// the same ops in op order. Each kind's gap counter jumps over its
+  /// fault-free ops, so the cost is O(faults), not O(ops), at gap
+  /// rates. Throws revft::Error when `index` was
   /// built over another circuit size.
   std::span<const FaultEvent> draw_faults(const Circuit& c,
                                           const KindIndex& index,

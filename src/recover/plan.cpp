@@ -234,7 +234,6 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
   std::vector<std::uint32_t> touched;  // cells with touch_node set
   std::vector<int> op_node;            // node of each op in the segment
   std::vector<std::size_t> straddling;  // straddlers of the segment
-  std::vector<int> entry_rail_of = rail_of;
   std::vector<char> marked(circuit.width(), 0);
   std::vector<std::uint32_t> slots;
   std::size_t seg_begin = 0;
@@ -330,37 +329,14 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
       const std::uint32_t c = component_of(static_cast<int>(r));
       seg.component_of_rail[r] = c;
       seg.components[c].rails.push_back(r);
-      // Footprint: the rail's entry-membership cells and its rail bit.
-      for (std::uint32_t d = 0; d < checked.data_width; ++d)
-        if (entry_rail_of[d] == static_cast<int>(r))
-          seg.components[c].cells.push_back(d);
-      seg.components[c].cells.push_back(checked.data_width + r);
     }
-    for (std::size_t k = 0; k < zero_check_node.size(); ++k) {
-      const std::uint32_t c = component_of(zero_check_node[k]);
-      seg.component_of_zero_check.push_back(c);
-      // The checked cells belong to the restore/merge footprint even
-      // when nothing in the segment touched them and no rail's entry
-      // membership covers them (an unwatched cell): the replay
-      // re-evaluates this check, so acceptance must blend the cells it
-      // read.
-      for (const std::uint32_t bit :
-           checked.zero_checks[seg.zero_checks[k]].bits)
-        seg.components[c].cells.push_back(bit);
-    }
+    for (const int node : zero_check_node)
+      seg.component_of_zero_check.push_back(component_of(node));
     for (std::size_t k = 0; k < op_node.size(); ++k)
       seg.components[component_of(op_node[k])].ops.push_back(seg.begin + k);
-    for (const std::uint32_t cell : touched) {
-      seg.components[component_of(touch_node[cell])].cells.push_back(cell);
-      touch_node[cell] = -1;
-    }
-    for (std::uint32_t c = 0; c < seg.components.size(); ++c) {
-      ReplayComponent& comp = seg.components[c];
-      std::sort(comp.cells.begin(), comp.cells.end());
-      comp.cells.erase(std::unique(comp.cells.begin(), comp.cells.end()),
-                       comp.cells.end());
-      index_component(checked, seg, c, comp, marked, slots);
-    }
+    for (const std::uint32_t cell : touched) touch_node[cell] = -1;
+    for (std::uint32_t c = 0; c < seg.components.size(); ++c)
+      index_component(checked, seg, c, seg.components[c], marked, slots);
     REVFT_CHECK_MSG(seg.components.size() <= 64,
                     "build_segment_plan: more than 64 components per segment");
     // Sorted-unique contract: lint findings and REPORT JSON emit this
@@ -377,7 +353,6 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
     touched.clear();
     op_node.clear();
     straddling.clear();
-    entry_rail_of = rail_of;
     seg_begin = i + 1;
   }
 

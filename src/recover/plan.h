@@ -49,8 +49,6 @@
 // So each component also carries its slot-space view, built once
 // here: its data ops as indices into the walk index, a kind index of
 // its ops for the replay's fault draw, and its footprint as slots.
-// Each segment carries a kind index of its ops for the first pass'
-// and restarts' draws.
 #pragma once
 
 #include <cstddef>
@@ -68,12 +66,6 @@ struct ReplayComponent {
   std::vector<std::uint32_t> rails;
   /// Positions (in checked.circuit) of the component's ops, ascending.
   std::vector<std::size_t> ops;
-  /// Restore/merge footprint: the rails' group cells at segment entry,
-  /// every cell the ops touch, and the rails' rail bits. Sorted,
-  /// unique. Replaying the component = restore these cells from the
-  /// boundary checkpoint, re-run `ops` in order, re-evaluate the
-  /// component's checks.
-  std::vector<std::uint32_t> cells;
 
   // The same component in slot space (detect::WalkIndex), where the
   // recovering engine replays it.
@@ -85,9 +77,14 @@ struct ReplayComponent {
   /// `ops` by gate kind: a replay draws the faults of every op, routing
   /// included, through it (PackedSimulator::draw_faults).
   KindIndex kinds;
-  /// The footprint as slots: the slots of `cells`, the same at segment
-  /// entry and end (a cell the component touches only ever holds a
-  /// slot of another cell it touches). Unique, unsorted.
+  /// Restore/merge footprint, as slots: those of the rails' group
+  /// cells at segment entry, of every cell the ops touch, of the rails'
+  /// rail bits and of the bits of the zero checks the component
+  /// evaluates. The set is the same at segment entry and end (a cell
+  /// the component touches only ever holds a slot of another cell it
+  /// touches). Unique, unsorted. Replaying the component = restore
+  /// these slots from the boundary checkpoint, re-run `ops` in order,
+  /// re-evaluate the component's checks.
   std::vector<std::uint32_t> slots;
 };
 
@@ -115,7 +112,8 @@ struct Segment {
   /// Surfaced by verify/lint.h as the scheduling pass' target list.
   std::vector<std::size_t> straddling_ops;
   /// The segment's ops by gate kind: a first pass or restart draws the
-  /// segment's faults through it (PackedSimulator::draw_faults).
+  /// segment's faults through it (PackedSimulator::draw_faults) with
+  /// no search of the circuit's index.
   KindIndex kinds;
 
   std::uint64_t op_count() const noexcept {

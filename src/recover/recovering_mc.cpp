@@ -13,26 +13,6 @@ namespace revft::recover {
 
 namespace {
 
-/// The lanes of `count_mask` in which a check fired (`fired`, W
-/// words), emitted as `kind` events when traced; returns their count.
-template <unsigned W>
-std::uint64_t count_fired(const std::uint64_t* fired,
-                          const LaneMask& count_mask,
-                          const telemetry::SpanEvents& events,
-                          telemetry::EventKind kind, std::uint64_t batch,
-                          std::uint32_t seg_index, std::uint16_t check) {
-  std::uint64_t n = 0;
-  for (unsigned w = 0; w < W; ++w)
-    n += static_cast<std::uint64_t>(
-        std::popcount(count_mask.word(w) & fired[w]));
-  if (events.on()) {
-    LaneMask counted = count_mask;
-    for (unsigned w = 0; w < W; ++w) counted.word(w) &= fired[w];
-    events.emit_words(kind, batch, counted, seg_index, check);
-  }
-  return n;
-}
-
 /// Evaluate the checks of `seg` on the slot-space state `s` for every
 /// component in `watch` (a component bitmask), ORing per-lane fired
 /// masks into comp_fired (pre-zeroed, W words per component,
@@ -62,19 +42,14 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
       std::uint64_t violated[W];
       detect::detail::rail_invariant_words<W>(s, checked.rails[r].rail_bit,
                                               checked.rails[r].group, violated);
-      // Lanes already out of count_mask (rejected, or waiting to
-      // restart) keep firing on their stale state; only counted lanes
-      // can make a count.
-      std::uint64_t counted = 0;
-      for (unsigned w = 0; w < W; ++w) {
-        comp_fired[c * W + w] |= violated[w];
-        counted |= violated[w] & count_mask.word(w);
+      for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= violated[w];
+      if (est != nullptr) {
+        LaneMask counted = count_mask;
+        for (unsigned w = 0; w < W; ++w) counted.word(w) &= violated[w];
+        est->rail_events[r] += counted.popcount();
+        events.emit_words(telemetry::EventKind::kRailFired, batch, counted,
+                          seg_index, static_cast<std::uint16_t>(r));
       }
-      if (est != nullptr && counted != 0)
-        est->rail_events[r] +=
-            count_fired<W>(violated, count_mask, events,
-                           telemetry::EventKind::kRailFired, batch, seg_index,
-                           static_cast<std::uint16_t>(r));
     }
   }
   for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
@@ -87,30 +62,26 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
         {x.zero_bits.data() + x.zero_start[z],
          x.zero_bits.data() + x.zero_start[z + 1]},
         mask);
-    std::uint64_t counted = 0;
-    for (unsigned w = 0; w < W; ++w) {
-      comp_fired[c * W + w] |= mask[w];
-      counted |= mask[w] & count_mask.word(w);
+    for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= mask[w];
+    if (est != nullptr) {
+      LaneMask counted = count_mask;
+      for (unsigned w = 0; w < W; ++w) counted.word(w) &= mask[w];
+      est->zero_check_events += counted.popcount();
+      events.emit_words(telemetry::EventKind::kZeroCheckFired, batch, counted,
+                        seg_index, static_cast<std::uint16_t>(z));
     }
-    if (est != nullptr && counted != 0)
-      est->zero_check_events +=
-          count_fired<W>(mask, count_mask, events,
-                         telemetry::EventKind::kZeroCheckFired, batch,
-                         seg_index, static_cast<std::uint16_t>(z));
   }
 }
 
-/// Walks segment `seg` of `s` in slot space, injecting the faults at
-/// the front of `events` (drawn or scripted, in op order) that fall in
-/// it, and drops those from `events`.
+/// Walks segment `seg` of `s` in slot space with the segment's faults
+/// (drawn or scripted, in op order) injected.
 template <unsigned W>
 void walk_segment(PackedState& s, const detect::WalkIndex& x,
-                  const Segment& seg, std::span<const FaultEvent>& events) {
+                  const Segment& seg, std::span<const FaultEvent> events) {
   detect::detail::SpanOps ops{x.data_ops.data(), x.data_ops_before[seg.begin]};
   const FaultEvent* ev = events.data();
   detect::detail::walk_span<W>(s, x, ops, seg.end + 1, ev,
                                ev + events.size());
-  events = events.subspan(static_cast<std::size_t>(ev - events.data()));
 }
 
 /// One replay of `comp` on `s`: draw the faults of all its ops, routing
@@ -220,24 +191,16 @@ RecoveryEstimate recovering_span(
     std::uint64_t batch_replays = 0;
 
     // --- first pass: segment walk with per-boundary reaction --------
-    // Block-local replays draw between segments, so that first pass
-    // draws segment by segment. Under the other policies nothing draws
-    // until the first pass is over, so it draws the whole circuit at
-    // once: the same RNG words in the same order, in one call.
-    const auto draw_first = [&](const KindIndex& kinds, std::size_t first,
-                                std::size_t last) {
-      return script != nullptr
-                 ? script->draw_faults(circuit, kinds, first, last, W)
-                 : sim.draw_faults(circuit, kinds, first, last, W);
-    };
-    std::span<const FaultEvent> drawn;
-    if (!keep_boundaries) drawn = draw_first(x.kinds, 0, circuit.size());
     for (std::size_t si = 0; si < plan.segments.size(); ++si) {
       const Segment& seg = plan.segments[si];
       const std::uint32_t seg_id = static_cast<std::uint32_t>(si);
       const std::size_t n_comp = seg.components.size();
-      if (keep_boundaries) drawn = draw_first(seg.kinds, seg.begin, seg.end + 1);
-      walk_segment<W>(state, x, seg, drawn);
+      const std::size_t first = seg.begin, last = seg.end + 1;
+      walk_segment<W>(
+          state, x, seg,
+          script != nullptr
+              ? script->draw_faults(circuit, seg.kinds, first, last, W)
+              : sim.draw_faults(circuit, seg.kinds, first, last, W));
       est.ops_main += seg.op_count() * active.popcount();
       comp_fired.assign(n_comp * W, 0);
       eval_boundary<W>(checked, seg, state, ~0ULL, comp_fired.data(), &est,
@@ -386,9 +349,9 @@ RecoveryEstimate recovering_span(
       LaneMask still_clean = used;
       std::uint64_t ops_run = 0;
       for (const Segment& seg : plan.segments) {
-        std::span<const FaultEvent> drawn =
-            sim.draw_faults(circuit, seg.kinds, seg.begin, seg.end + 1, W);
-        walk_segment<W>(scratch, x, seg, drawn);
+        walk_segment<W>(
+            scratch, x, seg,
+            sim.draw_faults(circuit, seg.kinds, seg.begin, seg.end + 1, W));
         ops_run += seg.op_count();
         comp_fired.assign(seg.components.size() * W, 0);
         eval_boundary<W>(checked, seg, scratch, ~0ULL, comp_fired.data(),

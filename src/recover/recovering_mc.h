@@ -33,14 +33,14 @@
 // (detect/checked_mc.h): it first draws its ops' faults
 // (PackedSimulator::draw_faults over a segment's or a replay
 // component's kind index, in op order — the RNG words of a per-op
-// walk), then walks them (detect/slot_walk.h). Data ops run through
-// the ideal gate kernels with the faults injected; SWAP and SWAP3
-// rename cells to slots and move no data. A batch's state stays in
-// slot space from prepare to the judge: each rail reads its fixed
-// slot set, each zero check its slots (WalkIndex::zero_bits), a
-// replay restores and blends its component's footprint slots
-// (ReplayComponent::slots), and the final renaming is undone once,
-// just before the judge.
+// walk), then walks them with the checked engine's span walker
+// (detect/slot_walk.h). Data ops run through the ideal gate kernels
+// with the faults injected; SWAP and SWAP3 rename cells to slots and
+// move no data. A batch's state stays in slot space from prepare to
+// the judge: each rail reads its fixed slot set, each zero check its
+// slots (WalkIndex::zero_bits), a replay restores and blends its
+// component's footprint slots (ReplayComponent::slots), and the final
+// renaming is undone once, just before the judge.
 //
 // Cost accounting is per trial, the way an independent physical run
 // would pay: a lane is charged the segment ops it executed, the ops of
@@ -48,10 +48,10 @@
 // every restart attempt it consumed, that attempt's ops up to its first
 // fired boundary — even though the packed vehicle executes all lanes
 // together. Every op counts, routing included: the machine pays for a
-// SWAP that the slot-space walk only renames. Attempts after a lane's first clean one are discarded
-// uncharged, as if they had never run. E[ops/accept] read off a
-// RecoveryEstimate is therefore the measured counterpart of
-// detect::RetryCostModel.
+// SWAP that the slot-space walk only renames. Attempts after a lane's
+// first clean one are discarded uncharged, as if they had never run.
+// E[ops/accept] read off a RecoveryEstimate is therefore the measured
+// counterpart of detect::RetryCostModel.
 //
 // Determinism: all retry processing happens inside a shard using the
 // shard's own simulator, each union replay runs its components in
@@ -103,8 +103,9 @@ using ClassifyFn =
 /// replays-per-batch histogram. Each union replay emits one
 /// kCheckpointRestore and one kSegmentReplay per nonzero word of its
 /// outstanding-lane mask, the replay's value being the ops of the
-/// components the pass replayed, routing included. Every count — per-rail events, per-segment replays and
-/// replayed ops, restarts — lives in the returned estimate only. Hooks
+/// components the pass replayed, routing included. Every count —
+/// per-rail events, per-segment replays and replayed ops, restarts —
+/// lives in the returned estimate only. Hooks
 /// fire at boundary/replay granularity (never per gate); untraced,
 /// each is one predictable branch.
 RecoveryEstimate run_recovering_mc_span(
@@ -126,8 +127,9 @@ RecoveryEstimate run_recovering_mc_span(
 /// scenarios per batch), on a noiseless simulator whose first pass
 /// draws the scripted faults (noise/injection.h ScriptedPass, the
 /// checked engine's fault walker too) in place of sampled ones — so
-/// replays and restarts run fault-free, and enumerating every single-fault scenario proves the
-/// MECHANISM repairs what the checks detect (tests/test_recover.cpp).
+/// replays and restarts run fault-free, and enumerating every
+/// single-fault scenario proves the MECHANISM repairs what the checks
+/// detect (tests/test_recover.cpp).
 /// `wrong(final_state, scenario)` is called once per accepted scenario
 /// with its lane's final state (checked-circuit width); true counts a
 /// silent failure. Throws revft::Error naming the scenario on an

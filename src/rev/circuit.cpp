@@ -132,7 +132,8 @@ KindIndex::KindIndex(const Circuit& c,
       std::is_sorted(positions.begin(), positions.end()) &&
           (positions.empty() || positions.back() < c.size()),
       "KindIndex: positions must be ascending and within the circuit");
-  fill(c, positions.size(), [positions](std::size_t j) { return positions[j]; });
+  fill(c, positions.size(),
+       [positions](std::size_t j) { return positions[j]; });
 }
 
 }  // namespace revft

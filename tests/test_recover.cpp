@@ -59,6 +59,48 @@ Circuit scattered6() {
   return logical;
 }
 
+/// The cell footprint of every replay component of `plan`, indexed
+/// [segment][component] and worked out from its definition
+/// (recover/plan.h): the cells of the component's rails' groups at
+/// segment entry (membership migrated through the routing before it)
+/// and their rail bits, the bits of the zero checks it evaluates and
+/// every cell its ops touch. Sorted, unique.
+std::vector<std::vector<std::vector<std::uint32_t>>> footprint_cells(
+    const detect::CheckedCircuit& checked, const recover::SegmentPlan& plan) {
+  std::vector<int> rail_of(checked.data_width, -1);
+  for (std::size_t r = 0; r < checked.rails.size(); ++r)
+    for (const std::uint32_t bit : checked.rails[r].group)
+      rail_of[bit] = static_cast<int>(r);
+  std::vector<std::vector<std::vector<std::uint32_t>>> out;
+  for (const recover::Segment& seg : plan.segments) {
+    auto& seg_cells = out.emplace_back(seg.components.size());
+    for (std::size_t c = 0; c < seg.components.size(); ++c) {
+      auto& cells = seg_cells[c];
+      for (const std::uint32_t r : seg.components[c].rails) {
+        for (std::uint32_t d = 0; d < checked.data_width; ++d)
+          if (rail_of[d] == static_cast<int>(r)) cells.push_back(d);
+        cells.push_back(checked.rails[r].rail_bit);
+      }
+      for (const std::size_t op : seg.components[c].ops) {
+        const Gate& g = checked.circuit.op(op);
+        for (int k = 0; k < g.arity(); ++k)
+          cells.push_back(g.bits[static_cast<std::size_t>(k)]);
+      }
+    }
+    for (std::size_t k = 0; k < seg.zero_checks.size(); ++k)
+      for (const std::uint32_t bit :
+           checked.zero_checks[seg.zero_checks[k]].bits)
+        seg_cells[seg.component_of_zero_check[k]].push_back(bit);
+    for (auto& cells : seg_cells) {
+      std::sort(cells.begin(), cells.end());
+      cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    }
+    for (std::size_t i = seg.begin; i <= seg.end; ++i)
+      detect::migrate_membership(checked.circuit.op(i), rail_of);
+  }
+  return out;
+}
+
 // --- segment-plan structure ------------------------------------------
 
 TEST(SegmentPlan, SegmentsTileTheCircuitAndComponentsPartitionIt) {
@@ -68,9 +110,11 @@ TEST(SegmentPlan, SegmentsTileTheCircuitAndComponentsPartitionIt) {
   const auto plan = recover::build_segment_plan(program.checked);
   ASSERT_FALSE(plan.segments.empty());
   EXPECT_EQ(plan.total_ops, program.checked.circuit.size());
+  const auto footprints = footprint_cells(program.checked, plan);
 
   std::size_t next = 0;
-  for (const auto& seg : plan.segments) {
+  for (std::size_t si = 0; si < plan.segments.size(); ++si) {
+    const auto& seg = plan.segments[si];
     EXPECT_EQ(seg.begin, next);
     ASSERT_GE(seg.end, seg.begin);
     next = seg.end + 1;
@@ -105,15 +149,15 @@ TEST(SegmentPlan, SegmentsTileTheCircuitAndComponentsPartitionIt) {
     // and rail bit (what the restore path rewrites must include what
     // the checks read).
     std::vector<int> cell_seen(program.checked.circuit.width(), 0);
-    for (const auto& comp : seg.components)
-      for (const auto cell : comp.cells) ++cell_seen[cell];
+    for (const auto& cells : footprints[si])
+      for (const auto cell : cells) ++cell_seen[cell];
     for (const auto count : cell_seen) EXPECT_LE(count, 1);
     if (seg.checkpoint >= 0) {
       const auto& span =
           program.checked
               .checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
       for (std::size_t r = 0; r < program.checked.rails.size(); ++r) {
-        const auto& cells = seg.components[seg.component_of_rail[r]].cells;
+        const auto& cells = footprints[si][seg.component_of_rail[r]];
         for (const auto bit : span.group(r))
           EXPECT_NE(std::find(cells.begin(), cells.end(), bit), cells.end())
               << "rail " << r << " group cell " << bit;
@@ -143,38 +187,40 @@ TEST(SegmentPlan, MachineBoundariesMergeZeroCheckAndCheckpoint) {
   }
 }
 
-/// Every cell a component's boundary checks read — each rail's rail bit
-/// and its checkpoint_spans bits, each zero check's bits — must lie in
-/// that component's restore/merge footprint. The packed engine blends
-/// an accepted lane back one component at a time, judged only on that
-/// component's checks, which is sound only under this property. Returns
-/// the number of check reads verified.
+/// Every slot a component's boundary checks read — each rail's rail bit
+/// and group slots, each zero check's slots (WalkIndex::zero_bits) —
+/// must lie in that component's restore/merge footprint
+/// (ReplayComponent::slots). The packed engine blends an accepted lane
+/// back one component at a time, judged only on that component's
+/// checks, which is sound only under this property. Returns the number
+/// of check reads verified.
 std::size_t expect_checks_read_own_footprint(
     const detect::CheckedCircuit& checked, const recover::SegmentPlan& plan) {
+  const detect::WalkIndex& x = checked.walk;
   std::size_t reads = 0;
   const auto expect_in = [&](const recover::Segment& seg, std::uint32_t c,
-                             std::uint32_t cell, const char* what) {
-    const auto& cells = seg.components[c].cells;
-    EXPECT_TRUE(std::binary_search(cells.begin(), cells.end(), cell))
-        << what << " reads cell " << cell << " outside component " << c
+                             std::uint32_t slot, const char* what) {
+    const auto& slots = seg.components[c].slots;
+    EXPECT_NE(std::find(slots.begin(), slots.end(), slot), slots.end())
+        << what << " reads slot " << slot << " outside component " << c
         << " of segment [" << seg.begin << ", " << seg.end << "]";
     ++reads;
   };
   for (const auto& seg : plan.segments) {
     if (seg.checkpoint >= 0) {
-      const auto& span =
-          checked.checkpoint_spans[static_cast<std::size_t>(seg.checkpoint)];
       for (std::size_t r = 0; r < checked.rails.size(); ++r) {
         const std::uint32_t c = seg.component_of_rail[r];
         expect_in(seg, c, checked.rails[r].rail_bit, "rail bit");
-        for (std::uint32_t i = span.rail_first[r]; i < span.rail_first[r + 1];
-             ++i)
-          expect_in(seg, c, span.bits[i], "rail check");
+        for (const std::uint32_t slot : checked.rails[r].group)
+          expect_in(seg, c, slot, "rail check");
       }
     }
-    for (std::size_t k = 0; k < seg.zero_checks.size(); ++k)
-      for (const auto bit : checked.zero_checks[seg.zero_checks[k]].bits)
-        expect_in(seg, seg.component_of_zero_check[k], bit, "zero check");
+    for (std::size_t k = 0; k < seg.zero_checks.size(); ++k) {
+      const std::size_t z = seg.zero_checks[k];
+      for (std::uint32_t i = x.zero_start[z]; i < x.zero_start[z + 1]; ++i)
+        expect_in(seg, seg.component_of_zero_check[k], x.zero_bits[i],
+                  "zero check");
+    }
   }
   return reads;
 }
@@ -212,10 +258,10 @@ TEST(SegmentPlan, ZeroCheckBitsBelongToTheComponentFootprint) {
 }
 
 // In slot space a component is its non-routing ops, its kind index and
-// its footprint as slots: the slots its cells hold at segment entry,
-// read off an independent replay of the routing. A cell the component
-// touches only ever holds a slot of another cell it touches, so the
-// same set is the cells' slots at segment end.
+// its footprint as slots: the slots its cells (footprint_cells) hold at
+// segment entry, read off an independent replay of the routing. A cell
+// the component touches only ever holds a slot of another cell it
+// touches, so the same set is the cells' slots at segment end.
 TEST(SegmentPlan, SlotFootprintsAreTheCellFootprintsRenamed) {
   for (const auto& program :
        {CheckedMachine1d(6, true, recovering_machine_options())
@@ -224,10 +270,12 @@ TEST(SegmentPlan, SlotFootprintsAreTheCellFootprintsRenamed) {
             .compile(scattered6())}) {
     const detect::CheckedCircuit& checked = program.checked;
     const auto plan = recover::build_segment_plan(checked);
+    const auto footprints = footprint_cells(checked, plan);
     const Circuit& c = checked.circuit;
     std::vector<std::uint32_t> slot(c.width());
     for (std::uint32_t i = 0; i < c.width(); ++i) slot[i] = i;
-    for (const auto& seg : plan.segments) {
+    for (std::size_t si = 0; si < plan.segments.size(); ++si) {
+      const auto& seg = plan.segments[si];
       const std::vector<std::uint32_t> entry = slot;
       for (std::size_t i = seg.begin; i <= seg.end; ++i) {
         const Gate& g = c.op(i);
@@ -240,9 +288,10 @@ TEST(SegmentPlan, SlotFootprintsAreTheCellFootprintsRenamed) {
           slot[g.bits[2]] = first;
         }
       }
-      for (const auto& comp : seg.components) {
+      for (std::size_t ci = 0; ci < seg.components.size(); ++ci) {
+        const auto& comp = seg.components[ci];
         std::vector<std::uint32_t> want_entry, want_end;
-        for (const std::uint32_t cell : comp.cells) {
+        for (const std::uint32_t cell : footprints[si][ci]) {
           want_entry.push_back(entry[cell]);
           want_end.push_back(slot[cell]);
         }
@@ -1012,10 +1061,10 @@ TEST(RecoveringMcRestarts, SideBySideAttemptsKeepTheLaw) {
 // pass runs op by op in cell space through the simulator's noisy span
 // loop (a replay op by op over its component's ops), each boundary
 // reads the checkpoint's cells (checkpoint_spans) and a zero check's
-// own cells, and an accepted replay blends its component's cells. The
-// first pass of a scripted run runs the ideal ops with the scripted
-// faults injected. The two must agree lane for lane: final states,
-// every estimate field and the RNG stream.
+// own cells, and an accepted replay blends its component's cells
+// (footprint_cells). The first pass of a scripted run runs the ideal
+// ops with the scripted faults injected. The two must agree lane for
+// lane: final states, every estimate field and the RNG stream.
 
 /// One op of `c` on every lane of `s`, ideally, then `events`' faults
 /// on it — the scripted first pass, op by op.
@@ -1094,6 +1143,7 @@ recover::RecoveryEstimate reference_recovering_span(
   est.rail_events.assign(checked.rails.size(), 0);
   est.segment_replays.assign(plan.segments.size(), 0);
   est.segment_replay_ops.assign(plan.segments.size(), 0);
+  const auto footprints = footprint_cells(checked, plan);
   const std::uint64_t lanes_per_batch = 64ULL * W;
   const LaneMask no_lanes(W);
   PackedState scratch(circuit.width(), W);
@@ -1197,7 +1247,7 @@ recover::RecoveryEstimate reference_recovering_span(
               const LaneMask take = member[c] & clean;
               if (take.none()) continue;
               recover::blend_cells_lanes(state, scratch,
-                                         seg.components[c].cells, take);
+                                         footprints[si][c], take);
               member[c].remove(take);
               if (member[c].none()) replay_set &= ~(1ULL << c);
             }

@@ -904,6 +904,15 @@ TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
       CheckedMachine1d(4, true, every_boundary).compile(logical).checked;
   ASSERT_GT(boundaries.checkpoints.size(), 1u);
   expect_engine_matches_group_walk("1D machine, every boundary", boundaries);
+  // A checked circuit need not end at a check: the walk also runs the
+  // ops after its last check stop.
+  detect::CheckedCircuit tail = boundaries;
+  tail.checkpoints.pop_back();
+  detect::index_walk(tail);
+  ASSERT_LT(std::max(tail.checkpoints.back(),
+                     tail.zero_checks.back().op_index) + 1,
+            tail.circuit.size());
+  expect_engine_matches_group_walk("1D machine, unchecked tail", tail);
   expect_engine_matches_group_walk("chained routing",
                                    chained_routing_circuit());
 }
