@@ -1,9 +1,8 @@
 #include "detect/checked_mc.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <memory>
+#include <cmath>
 #include <string>
 
 #include "detect/slot_walk.h"
@@ -71,21 +70,6 @@ void walk_checked_impl(PackedState& state, const CheckedCircuit& checked,
   undo_renaming<W>(state, x);
 }
 
-// Compaction buffers, overwritten by every walk_compact. They are per
-// thread, not per walker: a streaming run calls the span loop once per
-// batch, so a walker's own buffers would be reallocated every batch.
-struct CompactScratch {
-  // Compact lane j holds full lane lane_of[j]; rank_of inverts it.
-  std::array<std::uint16_t, 64 * kMaxLaneWords> lane_of{};
-  std::array<std::uint16_t, 64 * kMaxLaneWords> rank_of{};
-  std::array<std::unique_ptr<PackedState>, 4> state;  // by log2 width
-  std::vector<std::uint64_t> initial;
-  std::vector<FaultEvent> events;
-  std::vector<std::uint64_t> fired;
-};
-
-thread_local CompactScratch scratch;
-
 }  // namespace
 
 void walk_checked(PackedState& state, const CheckedCircuit& checked,
@@ -100,143 +84,205 @@ void walk_checked(PackedState& state, const CheckedCircuit& checked,
                   });
 }
 
+FirstFaultLaw::FirstFaultLaw(const WalkIndex& walk, const NoiseModel& model)
+    : walk_(walk), used_(walk.used_kinds.size()) {
+  const std::size_t ops = walk.slot_ops.size();
+  const std::uint32_t* count = walk.kinds_before.data() + ops * used_;
+  // The base: the kind with the most ops. A probe then reads the
+  // counts of only the kinds whose rate differs from the base's.
+  std::size_t base = 0;
+  for (std::size_t k = 0; k < used_; ++k) {
+    const double p = model.error_for(walk.used_kinds[k]);
+    if (p >= 1.0) {  // every trial faults
+      q_ = 1.0;
+      return;
+    }
+    if (count[k] > count[base]) base = k;
+  }
+  if (used_ == 0) return;
+  const double base_p = model.error_for(walk.used_kinds[base]);
+  base_hazard_ = -std::log1p(-base_p);
+  for (std::size_t k = 0; k < used_; ++k) {
+    const double p = model.error_for(walk.used_kinds[k]);
+    if (p != base_p)
+      others_[n_others_++] = {static_cast<std::uint32_t>(k), -std::log1p(-p)};
+  }
+  const double total = hazard_before(ops);
+  below_total_ = std::nextafter(total, 0.0);
+  q_ = -std::expm1(-total);
+}
+
+double FirstFaultLaw::hazard_before(std::size_t i) const {
+  // Integer counts, then one product per rate: each term and the sum
+  // grow with i, so the binary search below sees a monotone hazard.
+  const std::uint32_t* counts = walk_.kinds_before.data() + i * used_;
+  auto base = static_cast<std::int64_t>(i);
+  double h = 0.0;
+  for (std::size_t o = 0; o < n_others_; ++o) {
+    const std::uint32_t c = counts[others_[o].column];
+    base -= c;
+    h += others_[o].hazard * c;
+  }
+  return base_hazard_ * static_cast<double>(base) + h;
+}
+
+void FirstFaultLaw::draw(std::span<const double> u,
+                         std::uint32_t* first) const {
+  // Trial k's first fault is at the op j with hazard_before(j) <= t_k <
+  // hazard_before(j + 1), for t_k = -ln(1 - u_k q): the last i whose
+  // hazard is at most t_k, found by binary lifting. t_k stays below the
+  // total, so that i is an op. The trials' searches step in lockstep,
+  // so their dependency chains overlap.
+  const std::size_t n = u.size();
+  REVFT_DASSERT(n <= 64 * kMaxLaneWords);
+  double t[64 * kMaxLaneWords];
+  std::size_t at[64 * kMaxLaneWords];
+  for (std::size_t k = 0; k < n; ++k) {
+    t[k] = std::min(-std::log1p(-u[k] * q_), below_total_);
+    at[k] = 0;
+  }
+  const std::size_t ops = walk_.slot_ops.size();
+  for (std::size_t step = std::bit_floor(ops); step != 0; step >>= 1)
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t next = std::min(at[k] + step, ops);
+      // A product, not a branch: the outcome is a coin flip.
+      at[k] += (hazard_before(next) <= t[k]) * (next - at[k]);
+    }
+  for (std::size_t k = 0; k < n; ++k)
+    first[k] = static_cast<std::uint32_t>(at[k]);
+}
+
 CheckedBatchWalk::CheckedBatchWalk(const CheckedCircuit& checked,
                                    unsigned lane_words)
     : checked_(checked),
       lane_words_(lane_words),
-      walked_(lane_words),
+      walk_words_(lane_words),
+      judged_(lane_words),
       detected_(lane_words),
-      fired_((checked.rails.size() + 1) * lane_words, 0) {}
+      fired_((checked.rails.size() + 1) * lane_words, 0),
+      batch_lanes_(lane_words) {}
 
 void CheckedBatchWalk::walk(PackedState& state,
-                            std::span<const FaultEvent> events,
-                            const LaneMask& live, const LaneMask& dirty) {
-  const unsigned W = lane_words_;
-  walked_ = dirty;
-  // The sentinel: the lowest live lane that is not dirty.
-  sentinel_ = -1;
-  for (unsigned w = 0; w < W && sentinel_ < 0; ++w) {
-    const std::uint64_t clean = live.word(w) & ~walked_.word(w);
-    if (clean != 0) {
-      sentinel_ = static_cast<int>(64 * w) + std::countr_zero(clean);
-      walked_.set(static_cast<unsigned>(sentinel_));
-    }
-  }
-  const std::uint64_t n = walked_.popcount();
-  const unsigned compact_words = n <= 64 ? 1 : n <= 128 ? 2 : n <= 256 ? 4 : 8;
-  if (compact_words >= W) {
-    walk_checked(state, checked_, events, detected_.data(), fired_.data());
-  } else {
-    walk_compact(state, events, compact_words);
-  }
-  // Every count and event reads the walked lanes only.
-  detected_ &= walked_;
+                            std::span<const FaultEvent> events) {
+  walk_words_ = state.lane_words();
+  detected_ = LaneMask(walk_words_);
+  walk_checked(state, checked_, events, detected_.data(), fired_.data());
+  // Every count and event reads the judged lanes only.
+  detected_ &= judged_;
   for (std::size_t slot = 0; slot <= checked_.rails.size(); ++slot)
-    for (unsigned w = 0; w < W; ++w) fired_[slot * W + w] &= walked_.word(w);
+    for (unsigned w = 0; w < walk_words_; ++w)
+      fired_[slot * walk_words_ + w] &= judged_.word(w);
 }
 
-void CheckedBatchWalk::walk_compact(PackedState& state,
-                                    std::span<const FaultEvent> events,
-                                    unsigned cw) {
+void CheckedBatchWalk::walk_every_lane(PackedState& state, const LaneMask& live,
+                                       std::span<const FaultEvent> events) {
+  compact_ = nullptr;
+  sentinel_ = -1;
+  judged_ = live;
+  walk(state, events);
+}
+
+PackedState& CheckedBatchWalk::draw_lanes(Xoshiro256& rng, double q,
+                                          const LaneMask& live) {
   const unsigned W = lane_words_;
-  const std::uint32_t width = state.width();
-  CompactScratch& s = scratch;
-  // The walked lanes of full word runs[r].word are compact lanes
-  // [runs[r].first, runs[r].end), in lane order.
-  struct Run {
-    unsigned word, first, end;
-  };
-  Run runs[kMaxLaneWords];
-  unsigned n_runs = 0, n = 0;
-  for (unsigned w = 0; w < W; ++w) {
-    const unsigned first = n;
-    for (std::uint64_t bits = walked_.word(w); bits != 0; bits &= bits - 1) {
-      const unsigned lane =
-          64 * w + static_cast<unsigned>(std::countr_zero(bits));
-      s.lane_of[n] = static_cast<std::uint16_t>(lane);
-      s.rank_of[lane] = static_cast<std::uint16_t>(n);
-      ++n;
+  LaneMask faulty(W);
+  if (q > 0.0) BernoulliMaskStream(q, &rng).next_masks(faulty.data(), W);
+  faulty &= live;
+  batch_lanes_ = faulty;
+  // The sentinel: the lowest live lane that is not faulty. The live
+  // lanes are the batch's first ones, so every lane below it is faulty
+  // and its compact lane is its batch lane.
+  sentinel_ = -1;
+  for (unsigned w = 0; w < W && sentinel_ < 0; ++w) {
+    const std::uint64_t clean = live.word(w) & ~faulty.word(w);
+    if (clean != 0) {
+      sentinel_ = static_cast<int>(64 * w) + std::countr_zero(clean);
+      batch_lanes_.set(static_cast<unsigned>(sentinel_));
     }
-    if (n != first) runs[n_runs++] = {w, first, n};
   }
+  const std::uint64_t n = batch_lanes_.popcount();
+  const unsigned cw = n <= 64 ? 1 : n <= 128 ? 2 : n <= 256 ? 4 : 8;
+  judged_ = LaneMask::first_n(cw, n);
+  faulty_ = judged_;
+  if (sentinel_ >= 0) faulty_.reset(static_cast<unsigned>(sentinel_));
   std::unique_ptr<PackedState>& slot =
-      s.state[static_cast<std::size_t>(std::countr_zero(cw))];
-  if (slot == nullptr || slot->width() != width)
-    slot = std::make_unique<PackedState>(width, cw);
-  PackedState& compact = *slot;
-  // Gather the cells prepare set in some walked lane, lane by lane and
-  // one compact word at a time; every other cell is zero. Then keep a
-  // copy to diff against.
-  compact.clear();
-  for (std::uint32_t bit = 0; bit < width; ++bit) {
-    const std::uint64_t* src = state.words(bit);
-    std::uint64_t any = 0;
-    for (unsigned r = 0; r < n_runs; ++r)
-      any |= src[runs[r].word] & walked_.word(runs[r].word);
-    if (any == 0) continue;
-    std::uint64_t* dst = compact.words(bit);
-    for (unsigned w = 0, j = 0; w < cw; ++w) {
-      std::uint64_t acc = 0;
-      for (const unsigned end = std::min(n, 64 * (w + 1)); j < end; ++j) {
-        const unsigned lane = s.lane_of[j];
-        acc |= ((src[lane >> 6] >> (lane & 63u)) & 1u) << (j & 63u);
-      }
-      dst[w] = acc;
-    }
+      states_[static_cast<std::size_t>(std::countr_zero(cw))];
+  if (slot == nullptr)
+    slot = std::make_unique<PackedState>(checked_.circuit.width(), cw);
+  else
+    slot->clear();
+  compact_ = slot.get();
+  return *compact_;
+}
+
+void CheckedBatchWalk::draw_first_faults(Xoshiro256& rng,
+                                         const FirstFaultLaw& law) {
+  // Per faulty lane, in lane order: its inverse-CDF draw, then its
+  // fresh operand bits (bit i: operand i).
+  unsigned lanes[64 * kMaxLaneWords];
+  double u[64 * kMaxLaneWords];
+  std::uint64_t fresh[64 * kMaxLaneWords];
+  std::size_t n = 0;
+  for_each_lane(faulty_, [&](unsigned lane) {
+    lanes[n] = lane;
+    u[n] = rng.next_double();
+    fresh[n++] = rng.next();
+  });
+  std::uint32_t first[64 * kMaxLaneWords];
+  law.draw({u, n}, first);
+  forced_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    const unsigned lane = lanes[k];
+    const std::uint64_t bit = 1ULL << (lane & 63u);
+    first_op_[lane] = first[k];
+    forced_.push_back({first[k], lane >> 6, bit,
+                       {(fresh[k] & 1u) != 0 ? bit : 0,
+                        (fresh[k] & 2u) != 0 ? bit : 0,
+                        (fresh[k] & 4u) != 0 ? bit : 0}});
   }
-  const std::size_t cells = static_cast<std::size_t>(width) * cw;
-  s.initial.assign(compact.words(0), compact.words(0) + cells);
-  // The events, remapped lane by lane onto the compact words; lanes of
-  // one op landing in one compact word share an event.
-  s.events.clear();
-  for (const FaultEvent& e : events)
-    for (std::uint64_t lanes = e.mask & walked_.word(e.word); lanes != 0;
-         lanes &= lanes - 1) {
-      const unsigned b = static_cast<unsigned>(std::countr_zero(lanes));
-      const unsigned j = s.rank_of[64 * e.word + b];
-      const std::uint64_t bit = 1ULL << (j & 63u);
-      if (s.events.empty() || s.events.back().op != e.op ||
-          s.events.back().word != j >> 6)
-        s.events.push_back({e.op, j >> 6, 0, {}});
-      FaultEvent& c = s.events.back();
-      c.mask |= bit;
-      for (std::size_t i = 0; i < c.fresh.size(); ++i)
-        if (((e.fresh[i] >> b) & 1u) != 0) c.fresh[i] |= bit;
+  std::sort(forced_.begin(), forced_.end(),
+            [](const FaultEvent& a, const FaultEvent& b) {
+              return a.op != b.op ? a.op < b.op : a.word < b.word;
+            });
+}
+
+void CheckedBatchWalk::walk_faulty(std::span<const FaultEvent> stream) {
+  // The stream's faults after each faulty lane's first one, merged in
+  // op order with the forced first faults.
+  events_.clear();
+  auto forced = forced_.cbegin();
+  for (const FaultEvent& e : stream) {
+    std::uint64_t keep = 0;
+    for (std::uint64_t bits = e.mask & faulty_.word(e.word); bits != 0;
+         bits &= bits - 1) {
+      const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+      if (first_op_[64 * e.word + b] < e.op) keep |= 1ULL << b;
     }
-  const std::size_t slots = checked_.rails.size() + 1;
-  s.fired.resize(slots * cw);
-  std::uint64_t compact_detected[kMaxLaneWords];
-  walk_checked(compact, checked_, s.events, compact_detected,
-               s.fired.data());
-  // Scatter: the detected and fired masks lane by lane, and of the
-  // state only the cells the walk changed, one full word at a time.
-  const auto each_lane = [&](const std::uint64_t* words, auto&& f) {
-    for (unsigned w = 0; w < cw; ++w)
-      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
-        f(s.lane_of[64 * w + static_cast<unsigned>(std::countr_zero(bits))]);
-  };
-  detected_.clear();
-  each_lane(compact_detected, [&](unsigned lane) { detected_.set(lane); });
-  std::fill(fired_.begin(), fired_.end(), 0);
-  for (std::size_t r = 0; r < slots; ++r)
-    each_lane(s.fired.data() + r * cw, [&](unsigned lane) {
-      fired_[r * W + (lane >> 6)] |= 1ULL << (lane & 63u);
-    });
-  for (std::uint32_t bit = 0; bit < width; ++bit) {
-    const std::uint64_t* now = compact.words(bit);
-    const std::uint64_t* before = s.initial.data() + std::size_t{bit} * cw;
-    std::uint64_t diff[kMaxLaneWords];
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < cw; ++w) any |= diff[w] = now[w] ^ before[w];
-    if (any == 0) continue;
-    std::uint64_t* dst = state.words(bit);
-    for (unsigned r = 0; r < n_runs; ++r) {
-      std::uint64_t flip = 0;
-      for (unsigned j = runs[r].first; j < runs[r].end; ++j)
-        flip |= ((diff[j >> 6] >> (j & 63u)) & 1u) << (s.lane_of[j] & 63u);
-      dst[runs[r].word] ^= flip;
-    }
+    if (keep == 0) continue;
+    for (; forced != forced_.cend() && forced->op <= e.op; ++forced)
+      events_.push_back(*forced);
+    events_.push_back({e.op, e.word, keep, e.fresh});
   }
+  events_.insert(events_.end(), forced, forced_.cend());
+  walk(*compact_, events_);
+}
+
+LaneMask CheckedBatchWalk::fired(std::size_t slot) const {
+  LaneMask lanes(walk_words_);
+  for (unsigned w = 0; w < walk_words_; ++w)
+    lanes.word(w) = fired_[slot * walk_words_ + w];
+  return lanes;
+}
+
+LaneMask CheckedBatchWalk::at_batch(const LaneMask& walked) const {
+  if (compact_ == nullptr) return walked;
+  // Compact lane j is the j-th walked batch lane.
+  LaneMask out(lane_words_);
+  unsigned j = 0;
+  for_each_lane(batch_lanes_, [&](unsigned lane) {
+    if (walked.test(j++)) out.set(lane);
+  });
+  return out;
 }
 
 void CheckedBatchWalk::check_sentinel(const LaneMask& wrong,

@@ -1,27 +1,34 @@
 // revft/detect/checked_mc.h
 //
 // Online error detection inside the packed Monte-Carlo engine. A
-// checked batch runs in three steps: draw, compact, walk.
+// checked batch runs in two steps: draw, then walk.
 //
-//   draw    — the simulator draws the whole circuit's gate failures
-//             up front (PackedSimulator::draw_faults: the RNG words
-//             and order of a per-op noisy walk; a ScriptedPass hands
-//             over its scripted faults in the same FaultEvent shape).
-//   compact — the live lanes that drew a fault, plus one sentinel
-//             lane, are gathered into the narrowest lane width that
-//             holds them (detail::CheckedBatchWalk); the other lanes
-//             are never walked.
-//   walk    — the ideal gate kernels run with the events injected,
-//             routing folded into a renaming of cells to slots
-//             (WalkIndex, detect/rail.h), merged with the checks: at
-//             every recorded checkpoint every rail invariant
-//             I_r = rail_r ^ XOR(group_r), on the rail's fixed slot
-//             set, is evaluated for all lanes
-//             at once — one word XOR per group member plus one OR into
-//             the running `detected` mask, so a full partition's
-//             checkpoint costs the same word work as the classic
-//             single rail (the groups tile the data bits), and the
-//             per-rail fired masks come out as a byproduct.
+//   draw — where a trial faults with chance q <= 1/2 (the sparse
+//          regime, detail::FirstFaultLaw), the batch's faulty lanes
+//          are drawn first, each with its first fault forced and the
+//          simulator's faults after it, and only they and one sentinel
+//          lane are prepared, on a compact state of the narrowest width
+//          that holds them (detail::CheckedBatchWalk); the other lanes
+//          drew no fault and are never prepared or walked. Otherwise the
+//          simulator draws the whole batch's gate failures up front
+//          (PackedSimulator::draw_faults: the RNG words and order of a
+//          per-op noisy walk; a ScriptedPass hands over its scripted
+//          faults in the same FaultEvent shape).
+//   walk — the ideal gate kernels run with the events injected,
+//          routing folded into a renaming of cells to slots
+//          (WalkIndex, detect/rail.h), merged with the checks: at
+//          every recorded checkpoint every rail invariant
+//          I_r = rail_r ^ XOR(group_r), on the rail's fixed slot
+//          set, is evaluated for all lanes
+//          at once — one word XOR per group member plus one OR into
+//          the running `detected` mask, so a full partition's
+//          checkpoint costs the same word work as the classic
+//          single rail (the groups tile the data bits), and the
+//          per-rail fired masks come out as a byproduct.
+//
+// The sparse regime rests on a contract of every prepare callback:
+// each lane's input is i.i.d. and does not depend on the lane's
+// position, so the compact lanes' inputs have the law of the batch's.
 //
 // The rail and zero-check evaluators (detail::rail_invariant_words,
 // detail::zero_check_words) are the only packed ones; the recovering
@@ -45,10 +52,13 @@
 // number detection-vs-correction comparisons should use.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -256,66 +266,112 @@ inline void zero_check_words(const PackedState& state,
   }
 }
 
-/// One checked batch: draw, then walk only the lanes that need it.
-/// run() draws the batch's faults and walks the dirty lanes — the live
-/// lanes that drew a fault; every live lane of a ScriptedPass — plus
-/// the sentinel, the lowest live lane that is not dirty. Those lanes
-/// are gathered into the narrowest valid width that holds them and
-/// walked there, or walked in place when that is the batch's own
-/// width; their detected and fired masks and final values are then
-/// scattered back to their lane positions. The gather reads only the
-/// cells prepare set in a walked lane, the scatter writes only the
-/// cells the walk changed.
+/// A trial's first fault on a checked circuit under a model: q(), the
+/// chance that some op fails, 1 - prod(1 - p_op), and draw(), the op of
+/// the first failure given that there is one, from
+/// P(j) = p_j prod_{i<j} (1 - p_i) / q. Built per span call in
+/// O(kinds) from the model and the walk index's per-kind prefix counts
+/// (WalkIndex::kinds_before); a draw is one binary search, O(log ops).
+class FirstFaultLaw {
+ public:
+  FirstFaultLaw(const WalkIndex& walk, const NoiseModel& model);
+
+  double q() const noexcept { return q_; }
+  /// The first faulty op of each of up to 64 * kMaxLaneWords trials,
+  /// by inverse CDF at u[k], uniform in [0, 1), into first[k].
+  /// Requires q() > 0.
+  void draw(std::span<const double> u, std::uint32_t* first) const;
+
+ private:
+  /// -ln of the chance that no op before op i fails.
+  double hazard_before(std::size_t i) const;
+
+  struct Other {
+    std::uint32_t column;  // in WalkIndex::kinds_before
+    double hazard;
+  };
+
+  const WalkIndex& walk_;
+  std::size_t used_;
+  // -ln(1 - p) of the kind with the most ops, and of every used kind
+  // whose rate differs from it.
+  double base_hazard_ = 0.0;
+  std::array<Other, kNumGateKinds> others_{};
+  std::size_t n_others_ = 0;
+  double below_total_ = 0.0;  // the double below hazard_before(ops)
+  double q_ = 0.0;
+};
+
+/// One checked batch, walked one of two ways.
+///
+///   every lane — walk_every_lane walks the whole batch state with the
+///     batch's drawn (or scripted) faults. Every live lane is judged.
+///   faulty lanes — where a trial faults with chance q <= 1/2: the
+///     faulty lanes are drawn first (draw_lanes), Bernoulli(q) over the
+///     live lanes, and they and the sentinel, the lowest live lane
+///     that is not faulty, become the lanes of a compact state of the
+///     narrowest width that holds them, in batch-lane order. The
+///     caller prepares that state. draw_first_faults forces each
+///     faulty lane's first fault (FirstFaultLaw, with fresh operand
+///     bits); walk_faulty adds the simulator's faults that fall after
+///     it and walks. Only the compact lanes are judged; at_batch maps
+///     their masks back to their batch positions. The other live lanes
+///     drew no fault.
+///
+/// Lane masks read in the walked state's lanes: the batch's in the
+/// first way, the compact state's in the second.
 class CheckedBatchWalk {
  public:
   CheckedBatchWalk(const CheckedCircuit& checked, unsigned lane_words);
 
-  /// Draws over the whole circuit (after prepare, so the RNG stream is
-  /// that of the per-op walk) and walks; `state` then holds the final
-  /// values of the walked lanes.
-  template <typename Sim>
-  void run(Sim& sim, PackedState& state, const LaneMask& live) {
-    const std::span<const FaultEvent> events =
-        sim.draw_faults(checked_.circuit, checked_.walk.kinds, 0,
-                        checked_.circuit.size(), lane_words_);
-    // A ScriptedPass lane is a scenario its caller judges, faulty or
-    // not (a certifier's clean runs are exactly the fault-free ones);
-    // only a sampled batch skips its fault-free lanes.
-    LaneMask dirty = live;
-    if constexpr (!std::is_same_v<Sim, ScriptedPass>) {
-      dirty.clear();
-      for (const FaultEvent& e : events) dirty.word(e.word) |= e.mask;
-      dirty &= live;
-    }
-    walk(state, events, live, dirty);
-  }
+  void walk_every_lane(PackedState& state, const LaneMask& live,
+                       std::span<const FaultEvent> events);
 
-  /// The dirty lanes plus the sentinel: the lanes judged.
-  const LaneMask& walked() const noexcept { return walked_; }
-  /// Walked lanes in which some check fired.
+  /// Draws the faulty lanes among `live`, the batch's first lanes, and
+  /// returns the compact state, cleared.
+  PackedState& draw_lanes(Xoshiro256& rng, double q, const LaneMask& live);
+  void draw_first_faults(Xoshiro256& rng, const FirstFaultLaw& law);
+  /// `stream`: the simulator's faults over the whole circuit, drawn at
+  /// the compact width.
+  void walk_faulty(std::span<const FaultEvent> stream);
+
+  /// The lanes judged: the live lanes, or the faulty lanes and the
+  /// sentinel.
+  const LaneMask& judged() const noexcept { return judged_; }
+  /// Judged lanes in which some check fired.
   const LaneMask& detected() const noexcept { return detected_; }
-  /// Lane word w of slot r's fired lanes (r < rails: rail r; r ==
-  /// rails: the zero checks), within walked().
-  std::uint64_t fired(std::size_t slot, unsigned w) const {
-    return fired_[slot * lane_words_ + w];
-  }
+  /// Slot r's fired lanes (r < rails: rail r; r == rails: the zero
+  /// checks), within judged().
+  LaneMask fired(std::size_t slot) const;
+  /// A mask over the walked lanes at the lanes' batch positions.
+  LaneMask at_batch(const LaneMask& walked) const;
   /// Throws revft::Error naming the lane when the sentinel fired a
   /// check or is in `wrong` — the premise that lets the span loop skip
   /// the fault-free lanes does not hold.
   void check_sentinel(const LaneMask& wrong, std::uint64_t batch) const;
 
  private:
-  void walk(PackedState& state, std::span<const FaultEvent> events,
-            const LaneMask& live, const LaneMask& dirty);
-  void walk_compact(PackedState& state, std::span<const FaultEvent> events,
-                    unsigned compact_words);
+  void walk(PackedState& state, std::span<const FaultEvent> events);
 
   const CheckedCircuit& checked_;
   unsigned lane_words_;
-  LaneMask walked_;
+  unsigned walk_words_;  // lane words of the walked state
+  LaneMask judged_;
   LaneMask detected_;
-  std::vector<std::uint64_t> fired_;  // fired_[slot * W + w]
+  std::vector<std::uint64_t> fired_;  // fired_[slot * walk_words_ + w]
+  // The faulty-lane way: the compact state (null in the every-lane
+  // way), the batch lanes walked, the faulty compact lanes with each
+  // one's first faulty op, the sentinel (-1 for none; its compact lane
+  // is its batch lane), the forced first faults and the merged event
+  // list, and one compact state per width.
+  PackedState* compact_ = nullptr;
+  LaneMask batch_lanes_;
+  LaneMask faulty_;
+  std::array<std::uint32_t, 64 * kMaxLaneWords> first_op_{};
   int sentinel_ = -1;
+  std::vector<FaultEvent> forced_;
+  std::vector<FaultEvent> events_;
+  std::array<std::unique_ptr<PackedState>, 4> states_;  // by log2 width
 };
 
 /// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
@@ -325,14 +381,28 @@ class CheckedBatchWalk {
 /// detected masks. `sim` is a PackedSimulator, or
 /// run_scripted_checked's ScriptedPass.
 ///
-/// Which lanes are walked: prepare still fills every lane, so the RNG
-/// stream is unchanged, but CheckedBatchWalk walks and the judge reads
-/// only the live lanes that drew a fault and the sentinel. The others
-/// tally as accepted, correct and undetected: a fault-free run of a
-/// checked circuit never fires a check, and its output is the ideal
-/// one. That premise is checked, not assumed: when the sentinel fires
-/// a check or is judged wrong, the engine throws revft::Error. A
-/// ScriptedPass batch walks and judges every scenario lane.
+/// Which lanes are walked (CheckedBatchWalk): on a PackedSimulator
+/// whose trials fault with chance q <= 1/2 (FirstFaultLaw), a batch
+/// draws its faulty lanes first, Bernoulli(q) each, and prepares,
+/// walks and judges only them and a sentinel lane, on a compact state
+/// of the narrowest width that holds them. Each faulty lane's first
+/// fault is drawn from its law given that there is one, and the
+/// simulator's faults after it follow; that is the law of the direct
+/// draw, conditioned. The other live lanes tally as accepted, correct
+/// and undetected: a fault-free run of a checked circuit never fires a
+/// check, and its output is the ideal one. That premise is checked, not
+/// assumed: when the sentinel, walked in every batch, fires a check or
+/// is judged wrong, the engine throws revft::Error. Above q = 1/2 the
+/// faulty lanes would fill most of the batch; there, and for a
+/// ScriptedPass, every lane is prepared, drawn, walked and judged at
+/// the batch width.
+///
+/// The faulty-lane way relies on a contract of `prepare`: each lane's
+/// input is i.i.d. and does not depend on the lane's position, so a
+/// compact lane's input has the law of any batch lane's (every kernel
+/// in the tree draws its inputs as lane-parallel rng words). Its RNG
+/// stream differs from the every-lane one, so its estimates match
+/// that way's in law, not bit for bit.
 ///
 /// `trace` (nullable) receives, through telemetry::SpanEvents, the
 /// per-rail fired lane masks as kRailFired events, the zero-check
@@ -356,6 +426,15 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
   const std::uint64_t lanes_per_batch = 64ULL * lane_words;
   check_walk_index(checked, "run_checked_mc_span");
   CheckedBatchWalk walk(checked, lane_words);
+  std::optional<FirstFaultLaw> law;
+  if constexpr (std::is_same_v<Sim, PackedSimulator>) {
+    law.emplace(checked.walk, sim.model());
+    if (law->q() > 0.5) law.reset();
+  }
+  const auto draw = [&](unsigned words) {
+    return sim.draw_faults(checked.circuit, checked.walk.kinds, 0,
+                           checked.circuit.size(), words);
+  };
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;
   for (std::uint64_t b = 0; b < batches; ++b) {
@@ -364,12 +443,20 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
         (b + 1 == batches && trials % lanes_per_batch != 0)
             ? trials % lanes_per_batch
             : lanes_per_batch;
-    state.clear();
-    prepare(state, sim.rng(), batch);
     const LaneMask live = LaneMask::first_n(lane_words, lanes_this_batch);
-    walk.run(sim, state, live);
+    PackedState* walked = &state;
+    if (law) {
+      walked = &walk.draw_lanes(sim.rng(), law->q(), live);
+      prepare(*walked, sim.rng(), batch);
+      walk.draw_first_faults(sim.rng(), *law);
+      walk.walk_faulty(draw(walked->lane_words()));
+    } else {
+      state.clear();
+      prepare(state, sim.rng(), batch);
+      walk.walk_every_lane(state, live, draw(lane_words));
+    }
     const LaneMask wrong =
-        revft::detail::judge_lanes(classify, state, batch, walk.walked());
+        revft::detail::judge_lanes(classify, *walked, batch, walk.judged());
     walk.check_sentinel(wrong, batch);
     const LaneMask& detected = walk.detected();
     est.trials += lanes_this_batch;
@@ -379,21 +466,19 @@ DetectionEstimate run_checked_mc_span(Sim& sim, PackedState& state,
     if (detected.any()) {
       // Rails first, then the zero checks (slot `rails`).
       for (std::size_t r = 0; r <= rails; ++r) {
-        LaneMask lanes(lane_words);
-        for (unsigned w = 0; w < lane_words; ++w)
-          lanes.word(w) = walk.fired(r, w);
-        if (r < rails) {
-          est.rail_detected[r] += lanes.popcount();
-          events.emit_words(telemetry::EventKind::kRailFired, batch, lanes, 0,
-                            static_cast<std::uint16_t>(r));
-        } else {
-          est.zero_check_detected += lanes.popcount();
-          events.emit_words(telemetry::EventKind::kZeroCheckFired, batch,
-                            lanes);
-        }
+        const LaneMask lanes = walk.fired(r);
+        (r < rails ? est.rail_detected[r] : est.zero_check_detected) +=
+            lanes.popcount();
+        if (events.on())
+          events.emit_words(r < rails ? telemetry::EventKind::kRailFired
+                                      : telemetry::EventKind::kZeroCheckFired,
+                            batch, walk.at_batch(lanes), 0,
+                            static_cast<std::uint16_t>(r < rails ? r : 0));
       }
     }
-    events.batch_accept(batch, LaneMask(live).remove(detected));
+    if (events.on())
+      events.batch_accept(batch,
+                          LaneMask(live).remove(walk.at_batch(detected)));
   }
   return est;
 }

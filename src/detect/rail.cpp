@@ -615,6 +615,17 @@ void index_walk(CheckedCircuit& checked) {
     }
     x.cycle_start.push_back(static_cast<std::uint32_t>(x.cycles.size()));
   }
+  for (int k = 0; k < kNumGateKinds; ++k)
+    if (!x.kinds.of(static_cast<GateKind>(k)).empty())
+      x.used_kinds.push_back(static_cast<GateKind>(k));
+  const std::size_t used = x.used_kinds.size();
+  x.kinds_before.assign((ops.size() + 1) * used, 0);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::uint32_t* row = x.kinds_before.data() + i * used;
+    std::uint32_t* next_row = x.kinds_before.data() + (i + 1) * used;
+    for (std::size_t k = 0; k < used; ++k)
+      next_row[k] = row[k] + (x.used_kinds[k] == ops[i].kind ? 1 : 0);
+  }
   checked.walk = std::move(x);
   checked.checkpoint_spans = std::move(spans);
 }
@@ -623,6 +634,8 @@ void check_walk_index(const CheckedCircuit& checked, const char* caller) {
   const WalkIndex& x = checked.walk;
   REVFT_CHECK_MSG(
       x.slot_ops.size() == checked.circuit.size() &&
+          x.kinds_before.size() ==
+              (checked.circuit.size() + 1) * x.used_kinds.size() &&
           x.zero_start.size() == checked.zero_checks.size() + 1 &&
           checked.checkpoint_spans.size() == checked.checkpoints.size(),
       caller << ": the walk index does not match the circuit "

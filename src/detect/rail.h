@@ -234,6 +234,13 @@ struct WalkIndex {
   /// and the last cell in slot c0. cycles[cycle_start[k] ..
   /// cycle_start[k + 1]) is cycle k.
   std::vector<std::uint32_t> cycles, cycle_start;
+  /// The kinds the circuit uses, and kinds_before[i * used_kinds.size()
+  /// + k]: the ops of kind used_kinds[k] among ops [0, i), ops + 1
+  /// rows. Under a model they give the chance that no op before i
+  /// fails, which the checked engine draws first faults from
+  /// (detail::FirstFaultLaw, detect/checked_mc.h).
+  std::vector<GateKind> used_kinds;
+  std::vector<std::uint32_t> kinds_before;
 };
 
 /// A circuit rewritten into parity-rail form, plus the bookkeeping the

@@ -36,7 +36,13 @@
 // bit-for-bit contract (tests/test_recover.cpp, RecoveringMc.
 // NoRetryMatchesCheckedEngineBitForBit) hold only while every consumer
 // consumes randomness and judges outputs identically — separate copies
-// would drift silently.
+// would drift silently. That contract covers the checked engine's
+// every-lane batches: scripted runs, and sampled runs whose trials
+// fault with chance q > 1/2. Below that the checked engine prepares
+// only its faulty lanes, on a stream of its own, and matches the
+// recovering engine in law, not bit for bit (detect/checked_mc.h).
+// prepare draws each lane's inputs i.i.d., whatever the lane's
+// position, which is what lets it do so.
 #pragma once
 
 #include <cstdint>

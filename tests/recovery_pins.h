@@ -1,6 +1,7 @@
-// Pins of a RecoveryEstimate, exact and statistical. An exact pin
-// compares every field; a 5-sigma band compares two estimates of the
-// same experiment on different RNG streams. A change that keeps the
+// Pins of a RecoveryEstimate or a DetectionEstimate, exact and
+// statistical. An exact pin compares every field; a 5-sigma band
+// compares two estimates of the same experiment on different RNG
+// streams. A change that keeps the
 // protocol's law but reorders the random stream moves every exact
 // count; the suites keep the old counts as `before` and assert each new
 // count within 5 sigma of them (binomial for lane counts, Poisson for
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "detect/checked_mc.h"
 #include "recover/retry.h"
 
 namespace revft::test {
@@ -47,6 +49,40 @@ inline void expect_within_5_sigma(const std::string& name, double now,
                                   double before, double var) {
   EXPECT_LE(std::abs(now - before), 5.0 * std::sqrt(2.0 * var))
       << name << ": now " << now << " vs before " << before;
+}
+
+/// A trial count `now` within 5 sigma of `before` out of `trials`: the
+/// binomial variance at `before`, floored at one trial (the band of a
+/// zero count is otherwise empty).
+inline void expect_count_within_5_sigma(const std::string& name,
+                                        std::uint64_t now,
+                                        std::uint64_t before,
+                                        std::uint64_t trials) {
+  const double b = static_cast<double>(before);
+  expect_within_5_sigma(
+      name, static_cast<double>(now), b,
+      std::max(1.0, b * (1.0 - b / static_cast<double>(trials))));
+}
+
+/// Every count of `now` within 5 sigma of `before` (same trials). Each
+/// counts trials, per-rail counts included.
+inline void expect_detection_within_5_sigma(
+    const detect::DetectionEstimate& now,
+    const detect::DetectionEstimate& before, const std::string& what) {
+  EXPECT_EQ(now.trials, before.trials) << what;
+  const auto count = [&](const std::string& name, std::uint64_t n,
+                         std::uint64_t b) {
+    expect_count_within_5_sigma(what + " " + name, n, b, before.trials);
+  };
+  count("detected", now.detected, before.detected);
+  count("detected_failures", now.detected_failures, before.detected_failures);
+  count("silent_failures", now.silent_failures, before.silent_failures);
+  count("zero_check_detected", now.zero_check_detected,
+        before.zero_check_detected);
+  ASSERT_EQ(now.rail_detected.size(), before.rail_detected.size()) << what;
+  for (std::size_t r = 0; r < before.rail_detected.size(); ++r)
+    count("rail_detected[" + std::to_string(r) + "]", now.rail_detected[r],
+          before.rail_detected[r]);
 }
 
 /// Variance of a sum of `events` Poisson events worth `total` ops

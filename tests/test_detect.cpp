@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "detect/checked_mc.h"
@@ -18,6 +19,7 @@
 #include "detect/retry_model.h"
 #include "ft/detect_experiment.h"
 #include "ft/ec_circuit.h"
+#include "ft/machine_kernel.h"
 #include "local/checked_machine.h"
 #include "noise/injection.h"
 #include "rev/simulator.h"
@@ -703,6 +705,229 @@ TEST(DetectPacked, CountsBitIdenticalAcrossThreadCounts) {
   const auto p8 = run_scrambler_mc(0.01, 8, 1000);
   EXPECT_EQ(p1.trials, 1000u);
   EXPECT_EQ(p1, p8);
+}
+
+// --- the conditioned sampler: exact law ------------------------------
+//
+// Where a trial faults with chance q <= 1/2, the checked engine draws
+// the faulty lanes first and walks only them, each with a forced first
+// fault. Its rates must match those of the direct draw, which a forward
+// pass over the exact distribution gives on a small circuit.
+
+/// A 4-bit circuit of six kinds under a two-rail partition with a
+/// checkpoint after every second op: 6 cells, rails at 4 and 5.
+struct SmallChecked {
+  Circuit logical{4};
+  detect::CheckedCircuit checked;
+  SmallChecked() {
+    logical.toffoli(0, 1, 2).cnot(2, 3).swap(1, 3).maj(0, 1, 2).fredkin(
+        3, 0, 1);
+    logical.cnot(0, 3).majinv(2, 3, 1);
+    detect::ParityRailOptions opts;
+    opts.check_every = 2;
+    opts.rail_partition = {{0, 1}, {2, 3}};
+    checked = detect::to_parity_rail(logical, opts);
+  }
+};
+
+/// The per-op failure chances of `model` on `c`.
+std::vector<double> op_rates(const Circuit& c, const NoiseModel& model) {
+  std::vector<double> p;
+  for (const Gate& g : c.ops()) p.push_back(model.error_for(g.kind));
+  return p;
+}
+
+/// Per-kind rates that differ: CNOTs fail a quarter as often.
+NoiseModel mixed_model(double g) {
+  NoiseModel model = NoiseModel::uniform(g);
+  model.set_kind(GateKind::kCnot, g / 4);
+  return model;
+}
+
+struct ExactRates {
+  double detected = 0.0, silent = 0.0;
+};
+
+/// Exact detected and silent rates of `small` under `model` on uniform
+/// data inputs: a forward pass over the distribution of (input, state,
+/// detected flag), op by op — a failed op's operands become uniform —
+/// with the rail invariants read at every checkpoint.
+ExactRates exact_rates(const SmallChecked& small, const NoiseModel& model) {
+  const detect::CheckedCircuit& checked = small.checked;
+  const std::uint32_t d = checked.data_width;
+  const std::size_t states = std::size_t{1} << checked.circuit.width();
+  const std::size_t inputs = std::size_t{1} << d;
+  const auto at = [&](std::size_t x, std::size_t s, int det) {
+    return (x * states + s) * 2 + static_cast<std::size_t>(det);
+  };
+  std::vector<double> p(inputs * states * 2, 0.0), next(p.size());
+  for (std::size_t x = 0; x < inputs; ++x)
+    p[at(x, x, 0)] = 1.0 / static_cast<double>(inputs);
+  std::size_t cp = 0;
+  const std::vector<Gate>& ops = checked.circuit.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Gate& g = ops[i];
+    const int arity = g.arity();
+    const double fail = model.error_for(g.kind);
+    std::fill(next.begin(), next.end(), 0.0);
+    for (std::size_t x = 0; x < inputs; ++x)
+      for (std::size_t s = 0; s < states; ++s)
+        for (int det = 0; det < 2; ++det) {
+          const double m = p[at(x, s, det)];
+          if (m == 0.0) continue;
+          unsigned local = 0;
+          std::size_t rest = s;
+          for (int k = 0; k < arity; ++k) {
+            const std::uint32_t bit = g.bits[static_cast<std::size_t>(k)];
+            local |= static_cast<unsigned>((s >> bit) & 1u) << k;
+            rest &= ~(std::size_t{1} << bit);
+          }
+          const auto place = [&](unsigned v) {
+            std::size_t out = rest;
+            for (int k = 0; k < arity; ++k)
+              out |= static_cast<std::size_t>((v >> k) & 1u)
+                     << g.bits[static_cast<std::size_t>(k)];
+            return out;
+          };
+          next[at(x, place(gate_apply_local(g.kind, local)), det)] +=
+              (1.0 - fail) * m;
+          for (unsigned v = 0; v < (1u << arity); ++v)
+            next[at(x, place(v), det)] += fail * m / (1u << arity);
+        }
+    std::swap(p, next);
+    for (; cp < checked.checkpoints.size() && checked.checkpoints[cp] == i;
+         ++cp)
+      for (std::size_t x = 0; x < inputs; ++x)
+        for (std::size_t s = 0; s < states; ++s) {
+          int fired = 0;
+          for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+            int parity = static_cast<int>((s >> checked.rails[r].rail_bit) & 1u);
+            for (const std::uint32_t bit : checked.checkpoint_spans[cp].group(r))
+              parity ^= static_cast<int>((s >> bit) & 1u);
+            fired |= parity;
+          }
+          if (fired == 0) continue;
+          p[at(x, s, 1)] += p[at(x, s, 0)];
+          p[at(x, s, 0)] = 0.0;
+        }
+  }
+  const std::vector<unsigned> truth = machine_truth_table(small.logical);
+  ExactRates rates;
+  for (std::size_t x = 0; x < inputs; ++x)
+    for (std::size_t s = 0; s < states; ++s) {
+      rates.detected += p[at(x, s, 1)];
+      if ((s & (inputs - 1)) != truth[x]) rates.silent += p[at(x, s, 0)];
+    }
+  return rates;
+}
+
+/// |count - n p| <= 5 sigma of a Binomial(n, p) count.
+void expect_binomial(const std::string& what, std::uint64_t count,
+                     std::uint64_t n, double p) {
+  const double mean = static_cast<double>(n) * p;
+  EXPECT_LE(std::abs(static_cast<double>(count) - mean),
+            5.0 * std::sqrt(mean * (1.0 - p)))
+      << what << ": " << count << " vs " << mean;
+}
+
+// The engine's detected and silent rates against the exact ones, at
+// two rates with q <= 1/2: at 2e-3 the faulty lanes come from gap
+// draws, at 3e-2 from bit-plane draws, as do the gate faults after the
+// first.
+TEST(ConditionedSampler, RatesMatchTheExactLaw) {
+  const SmallChecked small;
+  const MachineWorkloadKernel kernel = make_circuit_kernel(small.logical);
+  for (const double g : {2e-3, 3e-2}) {
+    const NoiseModel model = mixed_model(g);
+    const detect::detail::FirstFaultLaw law(small.checked.walk, model);
+    double none = 1.0;
+    for (const double p : op_rates(small.checked.circuit, model))
+      none *= 1.0 - p;
+    EXPECT_NEAR(law.q(), 1.0 - none, 1e-12);
+    ASSERT_LE(law.q(), 0.5) << g;
+    ParallelMcOptions opts;
+    opts.trials = 2000000;
+    opts.seed = 0xc0de;
+    opts.lane_words = 8;
+    const detect::DetectionEstimate est = detect::run_parallel_checked_mc(
+        small.checked, model, opts, [&](std::uint64_t) { return kernel; });
+    const ExactRates exact = exact_rates(small, model);
+    ASSERT_GT(exact.silent, 0.0);
+    const std::string where = "g=" + std::to_string(g);
+    expect_binomial(where + " detected", est.detected, est.trials,
+                    exact.detected);
+    expect_binomial(where + " silent", est.silent_failures, est.trials,
+                    exact.silent);
+  }
+}
+
+// The faulty lanes of a batch: Binomial(live, q) of them, over a
+// partial batch's live lanes only.
+TEST(ConditionedSampler, FaultyLaneCountsAreBinomial) {
+  const SmallChecked small;
+  const unsigned live_lanes = 300;
+  const LaneMask live = LaneMask::first_n(8, live_lanes);
+  for (const double q : {0.01, 0.3}) {
+    detect::detail::CheckedBatchWalk walk(small.checked, 8);
+    Xoshiro256 rng(99);
+    const std::uint64_t batches = 20000;
+    std::vector<std::uint64_t> seen(live_lanes + 1, 0);
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      walk.draw_lanes(rng, q, live);
+      // The judged lanes are the faulty ones and the sentinel.
+      ++seen[walk.judged().popcount() - 1];
+    }
+    // Every count bin expected at least 5 times, and the rest together.
+    std::uint64_t rest_seen = 0;
+    double rest_p = 0.0;
+    for (unsigned k = 0; k <= live_lanes; ++k) {
+      const double pk = std::exp(std::lgamma(live_lanes + 1.0) -
+                                 std::lgamma(k + 1.0) -
+                                 std::lgamma(live_lanes - k + 1.0) +
+                                 k * std::log(q) +
+                                 (live_lanes - k) * std::log1p(-q));
+      if (pk * batches >= 5.0) {
+        expect_binomial("q=" + std::to_string(q) + " k=" + std::to_string(k),
+                        seen[k], batches, pk);
+      } else {
+        rest_seen += seen[k];
+        rest_p += pk;
+      }
+    }
+    expect_binomial("q=" + std::to_string(q) + " tails", rest_seen, batches,
+                    rest_p);
+  }
+}
+
+// A faulty lane's first fault lands on op j with chance
+// p_j prod_{i<j} (1 - p_i) / q, per-kind rates included; an op that
+// cannot fail is never drawn.
+TEST(ConditionedSampler, FirstFaultsFollowTheirLaw) {
+  const SmallChecked small;
+  NoiseModel model = mixed_model(1e-2);
+  model.set_kind(GateKind::kSwap, 0.0);
+  const detect::detail::FirstFaultLaw law(small.checked.walk, model);
+  const std::vector<double> p = op_rates(small.checked.circuit, model);
+  ASSERT_NE(std::count(p.begin(), p.end(), 0.0), 0);
+  const std::uint64_t draws = 400000, chunk = 500;
+  std::vector<std::uint64_t> seen(p.size(), 0);
+  Xoshiro256 rng(5);
+  for (std::uint64_t i = 0; i < draws; i += chunk) {
+    double u[chunk];
+    std::uint32_t first[chunk];
+    for (double& x : u) x = rng.next_double();
+    law.draw(u, first);
+    for (const std::uint32_t j : first) ++seen[j];
+  }
+  double none = 1.0;
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double pj = p[j] * none / law.q();
+    none *= 1.0 - p[j];
+    if (pj == 0.0)
+      EXPECT_EQ(seen[j], 0u) << "op " << j;
+    else
+      expect_binomial("op " + std::to_string(j), seen[j], draws, pj);
+  }
 }
 
 // --- detection vs correction experiment ------------------------------

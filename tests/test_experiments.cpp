@@ -10,6 +10,7 @@
 #include "ft/experiments.h"
 #include "local/scheme1d.h"
 #include "local/scheme2d.h"
+#include "recovery_pins.h"
 
 namespace revft {
 namespace {
@@ -268,9 +269,24 @@ TEST(ExperimentPins, CodewordCycleRunAndRunChecked) {
     expect_detection("1D run_checked", threads,
                      cycle1d(0).run_checked(1e-2, threads),
                      {10828, 771, 0, 9997});
-    expect_detection("2D run_checked", threads,
-                     cycle2d(0).run_checked(1e-2, threads),
-                     {7078, 153, 0, 5878});
+    // A 2D cycle's trial faults with chance q <= 1/2 at 1e-2, so the
+    // checked engine walks only its faulty lanes, on an RNG stream of
+    // their own. `before` keeps the counts of the engine that walked
+    // every lane; each re-pinned count must lie within 5 sigma of it.
+    const detect::DetectionEstimate est = cycle2d(0).run_checked(1e-2, threads);
+    expect_detection("2D run_checked", threads, est, {7015, 140, 1, 5769});
+    const DetectionPin before = {7078, 153, 0, 5878};
+    test::expect_count_within_5_sigma("2D detected", est.detected,
+                                      before.detected, kPinTrials);
+    test::expect_count_within_5_sigma("2D detected_failures",
+                                      est.detected_failures,
+                                      before.detected_failures, kPinTrials);
+    test::expect_count_within_5_sigma("2D silent_failures",
+                                      est.silent_failures,
+                                      before.silent_failures, kPinTrials);
+    test::expect_count_within_5_sigma("2D zero_check_detected",
+                                      est.zero_check_detected,
+                                      before.zero_checks, kPinTrials);
   }
 }
 

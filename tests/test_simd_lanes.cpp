@@ -998,13 +998,17 @@ std::uint64_t trace_fingerprint(const telemetry::Trace& trace) {
   return h;
 }
 
-// The span loop walks only the lanes that drew a fault (plus one
-// sentinel), compacted to the narrowest width that holds them, and
-// counts every other lane accepted and correct. These estimates and
-// trace fingerprints were recorded on the engine that walked and judged
-// every lane. The rates put the dirty lanes of a W=8 batch near 0, 64,
-// 128, 256 and all 512 (g = 3e-3); 40963 trials leave a last batch of
-// 3 live lanes at W=8 and at W=1, so some batches have no clean lane.
+// Which lanes the span loop walks depends on q, a trial's chance of
+// drawing a fault: 0.0125, 0.12 and 0.31 at g = 1e-5, 1e-4 and 3e-4 on
+// this 1248-op program, 0.71 and 0.98 at 1e-3 and 3e-3. Where q > 1/2
+// every lane is drawn, walked and judged; those estimates and trace
+// fingerprints were recorded on the engine that did so, and the rates
+// put the faulty lanes of a W=8 batch near 256 and all 512. Where q <=
+// 1/2 only the faulty lanes and a sentinel are prepared, walked and
+// judged, on an RNG stream of their own: those rows keep the every-lane
+// engine's counts as `before`, and each new count must lie within 5
+// sigma of them. 40963 trials leave a last batch of 3 live lanes at W=8
+// and at W=1.
 TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
   struct Pin {
     bool noisy_init;
@@ -1015,20 +1019,20 @@ TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
   };
   const Pin pins[] = {
       {true, 8, 1e-5,
-       {40963, 393, 0, 0,
-        {22, 32, 14, 13, 36, 11, 19, 28, 27, 35},
-        361},
-       0x846ecc53464552adull},
+       {40963, 429, 0, 0,
+        {28, 22, 9, 14, 31, 9, 31, 27, 30, 55},
+        384},
+       0xeeae231536f8ae9cull},
       {true, 8, 1e-4,
-       {40963, 3851, 6, 0,
-        {319, 278, 139, 123, 325, 156, 235, 247, 325, 533},
-        3599},
-       0xd566d57c2fa8f4baull},
+       {40963, 4041, 3, 0,
+        {336, 272, 121, 114, 338, 152, 223, 202, 333, 492},
+        3772},
+       0x3395bb37ece99e8aull},
       {true, 8, 3e-4,
-       {40963, 10816, 18, 0,
-        {994, 735, 356, 355, 1015, 411, 690, 680, 916, 1508},
-        10178},
-       0x441bf5b386b07027ull},
+       {40963, 10614, 30, 0,
+        {995, 803, 377, 359, 1031, 415, 639, 659, 936, 1525},
+        9941},
+       0xa4c33eddf73e6848ull},
       {true, 8, 1e-3,
        {40963, 26225, 264, 0,
         {3023, 2455, 1241, 1074, 3181, 1301, 2168, 2060, 2970, 4766},
@@ -1040,20 +1044,20 @@ TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
         38532},
        0xe80468ab4054eeb6ull},
       {true, 1, 1e-5,
-       {40963, 419, 0, 0,
-        {30, 23, 16, 14, 29, 16, 24, 21, 33, 66},
-        392},
-       0x52b11c0784378c09ull},
+       {40963, 416, 0, 0,
+        {30, 28, 9, 13, 30, 10, 18, 22, 34, 54},
+        385},
+       0x734c5b9faa9201f0ull},
       {true, 1, 1e-4,
-       {40963, 3912, 3, 0,
-        {321, 262, 137, 102, 344, 132, 233, 214, 312, 495},
-        3666},
-       0x239c39cb0ae77b0aull},
+       {40963, 3911, 3, 0,
+        {328, 276, 122, 111, 331, 143, 203, 200, 334, 489},
+        3613},
+       0x526d7faebc2ecb9bull},
       {true, 1, 3e-4,
-       {40963, 10860, 26, 0,
-        {971, 777, 347, 364, 1046, 402, 671, 674, 981, 1548},
-        10190},
-       0x5fae47bc91c4080bull},
+       {40963, 10806, 25, 0,
+        {967, 800, 390, 362, 1060, 378, 702, 644, 986, 1585},
+        10162},
+       0x239ea117d29cc8a7ull},
       {true, 1, 1e-3,
        {40963, 26099, 245, 1,
         {3146, 2451, 1246, 1092, 3237, 1297, 2205, 2070, 2904, 4686},
@@ -1065,17 +1069,48 @@ TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
         38563},
        0xdc5fc600ea2f2feaull},
       {false, 8, 3e-4,
+       {40963, 10437, 16, 0,
+        {918, 725, 350, 343, 1018, 372, 657, 597, 848, 1555},
+        9807},
+       0xfc9880df2284c59aull},
+      {false, 1, 3e-4,
+       {40963, 10465, 25, 0,
+        {926, 710, 375, 337, 1011, 402, 722, 653, 903, 1446},
+        9817},
+       0xe3ca8574201b0215ull},
+  };
+
+  // The every-lane engine's counts of the rows re-pinned, by row.
+  const std::pair<std::size_t, detect::DetectionEstimate> before[] = {
+      {0, {40963, 393, 0, 0, {22, 32, 14, 13, 36, 11, 19, 28, 27, 35}, 361}},
+      {1,
+       {40963, 3851, 6, 0,
+        {319, 278, 139, 123, 325, 156, 235, 247, 325, 533},
+        3599}},
+      {2,
+       {40963, 10816, 18, 0,
+        {994, 735, 356, 355, 1015, 411, 690, 680, 916, 1508},
+        10178}},
+      {5, {40963, 419, 0, 0, {30, 23, 16, 14, 29, 16, 24, 21, 33, 66}, 392}},
+      {6,
+       {40963, 3912, 3, 0,
+        {321, 262, 137, 102, 344, 132, 233, 214, 312, 495},
+        3666}},
+      {7,
+       {40963, 10860, 26, 0,
+        {971, 777, 347, 364, 1046, 402, 671, 674, 981, 1548},
+        10190}},
+      {10,
        {40963, 10226, 26, 0,
         {910, 693, 322, 348, 992, 352, 679, 657, 873, 1478},
-        9598},
-       0x032259a98e25df72ull},
-      {false, 1, 3e-4,
+        9598}},
+      {11,
        {40963, 10270, 36, 0,
         {880, 730, 362, 360, 965, 334, 619, 656, 841, 1473},
-        9586},
-       0x3225c23898dc2437ull},
+        9586}},
   };
-  for (const Pin& pin : pins) {
+  for (std::size_t row = 0; row < std::size(pins); ++row) {
+    const Pin& pin = pins[row];
     CheckedMachineExperiment::Config config;
     config.noisy_init = pin.noisy_init;
     config.trials = pin.est.trials;
@@ -1086,8 +1121,12 @@ TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
     ring.ring_capacity = 1 << 20;
     telemetry::Trace trace(ring);
     const detect::DetectionEstimate est = exp.run(pin.g, 2, &trace);
-    EXPECT_EQ(est, pin.est) << "noisy_init=" << pin.noisy_init
-                            << " W=" << pin.lane_words << " g=" << pin.g;
+    const std::string where = "noisy_init=" + std::to_string(pin.noisy_init) +
+                              " W=" + std::to_string(pin.lane_words) +
+                              " g=" + std::to_string(pin.g);
+    EXPECT_EQ(est, pin.est) << where;
+    for (const auto& [at, counts] : before)
+      if (at == row) test::expect_detection_within_5_sigma(est, counts, where);
     EXPECT_EQ(trace.dropped(), 0u);
     EXPECT_EQ(trace_fingerprint(trace), pin.fingerprint)
         << "noisy_init=" << pin.noisy_init << " W=" << pin.lane_words
@@ -1096,13 +1135,14 @@ TEST(CheckedCompaction, EstimatesAndTraceMatchTheEveryLaneEngine) {
   }
 }
 
-/// Runs the checked 2D machine's span loop on `kernel` at g = 1e-5 and
+/// Runs the checked 2D machine's span loop on `kernel` at `g` and
 /// returns the error it throws ("" when it throws none). `stuck_cell`
 /// (optional) is set in every lane after prepare.
 std::string span_error(const MachineWorkloadKernel& kernel,
-                       std::optional<std::uint32_t> stuck_cell = {}) {
+                       std::optional<std::uint32_t> stuck_cell = {},
+                       double g = 1e-5) {
   const detect::CheckedCircuit& checked = checked_2d_program().checked;
-  PackedSimulator sim(NoiseModel::uniform(1e-5), 17);
+  PackedSimulator sim(NoiseModel::uniform(g), 17);
   PackedState state(checked.circuit.width(), 8);
   MachineWorkloadKernel k = kernel;
   try {
@@ -1138,6 +1178,42 @@ TEST(CheckedCompaction, SentinelCatchesABrokenPremise) {
   // Rail 0 entering at 1: its invariant fires in every lane.
   const std::string fired =
       span_error(good, program.checked.rails[0].rail_bit);
+  EXPECT_NE(fired.find("drew no fault but fired a check"), std::string::npos)
+      << fired;
+}
+
+// The sentinel is walked and judged in every batch, one that drew no
+// fault included: at g = 0 the judge sees exactly one lane per batch
+// (a partial last batch too), and a premise broken there still throws.
+TEST(CheckedCompaction, SentinelIsJudgedInEveryBatch) {
+  const CheckedMachineProgram& program = checked_2d_program();
+  std::vector<unsigned> truth = machine_truth_table(scattered10());
+  const MachineWorkloadKernel good = make_machine_kernel(program, truth);
+  MachineWorkloadKernel k = good;
+  PackedSimulator sim(NoiseModel::uniform(0.0), 17);
+  PackedState state(program.checked.circuit.width(), 8);
+  std::uint64_t judged = 0;
+  const detect::DetectionEstimate est = detect::detail::run_checked_mc_span(
+      sim, state, program.checked, 0, 4 * 512 + 3,
+      [&](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
+        k.prepare(s, rng, b);
+      },
+      [&](const PackedState&, int, std::uint64_t) {
+        ++judged;
+        return false;
+      });
+  EXPECT_EQ(judged, 5u);
+  EXPECT_EQ(est.trials, 4u * 512 + 3);
+  EXPECT_EQ(est.accepted(), est.trials);
+
+  for (unsigned& t : truth) t ^= 1u;
+  const std::string judged_wrong =
+      span_error(make_machine_kernel(program, truth), {}, 0.0);
+  EXPECT_NE(judged_wrong.find("drew no fault but was judged wrong"),
+            std::string::npos)
+      << judged_wrong;
+  const std::string fired =
+      span_error(good, program.checked.rails[0].rail_bit, 0.0);
   EXPECT_NE(fired.find("drew no fault but fired a check"), std::string::npos)
       << fired;
 }

@@ -94,6 +94,35 @@ Circuit routed_toffoli3() {
   return logical;
 }
 
+/// The checked engine at two points: the 1D machine at g = 1e-2, where
+/// a trial faults with chance q ~ 0.9 and every lane is walked, and the
+/// 2D machine at g = 1e-5, W = 8 (q ~ 0.0125), where only the faulty
+/// lanes and a sentinel are.
+struct CheckedPoint {
+  const char* name;
+  CheckedMachineProgram program;
+  Circuit logical;
+  double g;
+  unsigned lane_words;
+};
+
+std::vector<CheckedPoint> checked_points() {
+  Circuit scattered(10);
+  scattered.maj(9, 4, 0)
+      .toffoli(0, 7, 9)
+      .majinv(4, 1, 8)
+      .fredkin(2, 6, 9)
+      .swap3(0, 5, 9);
+  std::vector<CheckedPoint> points;
+  points.push_back({"1D dense",
+                    CheckedMachine1d(3, true, recovering_machine_options())
+                        .compile(routed_toffoli3()),
+                    routed_toffoli3(), 0.01, 1});
+  points.push_back({"2D sparse", CheckedMachine2d(10, true).compile(scattered),
+                    scattered, 1e-5, 8});
+  return points;
+}
+
 // --- decide_stop semantics --------------------------------------------
 
 TEST(EarlyStop, DisabledPolicyNeverStops) {
@@ -195,16 +224,17 @@ TEST(StreamPlain, NoStopReproducesLegacyEstimateExactly) {
 }
 
 TEST(StreamChecked, NoStopReproducesLegacyEstimateExactly) {
-  const auto program = CheckedMachine1d(3, true, recovering_machine_options())
-                           .compile(routed_toffoli3());
-  CheckedMachineExperiment::Config config;
-  config.trials = 20000;
-  const CheckedMachineExperiment exp(program, routed_toffoli3(), config);
+  for (const CheckedPoint& point : checked_points()) {
+    CheckedMachineExperiment::Config config;
+    config.trials = 20000;
+    config.lane_words = point.lane_words;
+    const CheckedMachineExperiment exp(point.program, point.logical, config);
 
-  const detect::DetectionEstimate legacy = exp.run(0.01);
-  const auto streamed = exp.run_streaming(0.01, StreamOptions{});
-  EXPECT_EQ(streamed.estimate, legacy);
-  EXPECT_EQ(streamed.stop_reason(), StopReason::kExhausted);
+    const detect::DetectionEstimate legacy = exp.run(point.g);
+    const auto streamed = exp.run_streaming(point.g, StreamOptions{});
+    EXPECT_EQ(streamed.estimate, legacy) << point.name;
+    EXPECT_EQ(streamed.stop_reason(), StopReason::kExhausted) << point.name;
+  }
 }
 
 TEST(StreamRecovering, NoStopReproducesLegacyEstimateExactly) {
@@ -265,32 +295,37 @@ TEST(StreamPlain, StoppedEstimateBitIdenticalAtEveryLaneTier) {
 }
 
 TEST(StreamChecked, StoppedEstimateBitIdenticalAcrossThreads) {
-  const auto program = CheckedMachine1d(3, true, recovering_machine_options())
-                           .compile(routed_toffoli3());
+  for (const CheckedPoint& point : checked_points()) {
+    // At 1e-5 the silent rate is near 0: certify a tighter bound, on a
+    // budget of many more trials.
+    const bool sparse = point.g < 1e-3;
+    const std::uint64_t budget = sparse ? 400000 : 40000;
+    const auto run_at = [&](int threads) {
+      CheckedMachineExperiment::Config config;
+      config.trials = budget;
+      config.threads = threads;
+      config.lane_words = point.lane_words;
+      const CheckedMachineExperiment exp(point.program, point.logical, config);
+      StreamOptions opts;
+      opts.mc.batches_per_shard = sparse ? 16 : 64;
+      opts.stop.target_upper_bound = sparse ? 5e-5 : 0.02;  // silent rate
+      opts.stop.min_trials = 4096;
+      return exp.run_streaming(point.g, opts);
+    };
 
-  const auto run_at = [&](int threads) {
-    CheckedMachineExperiment::Config config;
-    config.trials = 40000;
-    config.threads = threads;
-    const CheckedMachineExperiment exp(program, routed_toffoli3(), config);
-    StreamOptions opts;
-    opts.mc.batches_per_shard = 64;
-    opts.stop.target_upper_bound = 0.02;  // certify the silent rate
-    opts.stop.min_trials = 4096;
-    return exp.run_streaming(0.01, opts);
-  };
+    const auto t1 = run_at(1);
+    ASSERT_TRUE(t1.stopped_early()) << point.name;
+    EXPECT_EQ(t1.stop_reason(), StopReason::kUpperBound) << point.name;
+    EXPECT_LT(t1.trajectory.trials_consumed(), budget) << point.name;
 
-  const auto t1 = run_at(1);
-  ASSERT_TRUE(t1.stopped_early());
-  EXPECT_EQ(t1.stop_reason(), StopReason::kUpperBound);
-  EXPECT_LT(t1.trajectory.trials_consumed(), 40000u);
-
-  for (const int threads : {3, 8}) {
-    const auto tn = run_at(threads);
-    // Whole-struct equality: trials, all four outcome counts AND the
-    // per-rail detected counters.
-    EXPECT_EQ(tn.estimate, t1.estimate) << threads;
-    EXPECT_TRUE(tn.trajectory.deterministic_equal(t1.trajectory)) << threads;
+    for (const int threads : {3, 8}) {
+      const auto tn = run_at(threads);
+      // Whole-struct equality: trials, all four outcome counts AND the
+      // per-rail detected counters.
+      EXPECT_EQ(tn.estimate, t1.estimate) << point.name << " " << threads;
+      EXPECT_TRUE(tn.trajectory.deterministic_equal(t1.trajectory))
+          << point.name << " " << threads;
+    }
   }
 }
 
